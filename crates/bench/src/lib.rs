@@ -99,8 +99,8 @@ pub fn run_transfer(
 
     match kind {
         StackKind::Mono => {
-            let mut c = TcpStack::new(A, slmetrics::shared());
-            let mut s = TcpStack::new(B, slmetrics::shared());
+            let mut c = TcpStack::new(A, slmetrics::muted());
+            let mut s = TcpStack::new(B, slmetrics::muted());
             s.listen(80);
             conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -118,8 +118,8 @@ pub fn run_transfer(
             if matches!(kind, StackKind::SubNoSack) {
                 cfg.use_sack = false;
             }
-            let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-            let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
+            let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::muted());
+            let mut s = SlTcpStack::new(B, cfg, slmetrics::muted());
             s.listen(80);
             conn_sub = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -128,8 +128,8 @@ pub fn run_transfer(
             rx = Side::Sub(ns);
         }
         StackKind::ShimClientMonoServer => {
-            let mut c = ShimStack::new(SlTcpStack::new(A, sub_config("reno", false), slmetrics::shared()));
-            let mut s = TcpStack::new(B, slmetrics::shared());
+            let mut c = ShimStack::new(SlTcpStack::new(A, sub_config("reno", false), slmetrics::muted()));
+            let mut s = TcpStack::new(B, slmetrics::muted());
             s.listen(80);
             conn_sub = Some(c.inner.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -138,8 +138,8 @@ pub fn run_transfer(
             rx = Side::Mono(ns);
         }
         StackKind::MonoClientShimServer => {
-            let mut c = TcpStack::new(A, slmetrics::shared());
-            let mut s = ShimStack::new(SlTcpStack::new(B, sub_config("reno", false), slmetrics::shared()));
+            let mut c = TcpStack::new(A, slmetrics::muted());
+            let mut s = ShimStack::new(SlTcpStack::new(B, sub_config("reno", false), slmetrics::muted()));
             s.inner.listen(80);
             conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
             let (n, nc, ns) = two_party(seed, c, s, params);
@@ -247,8 +247,8 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Crossing statistics from a sublayered transfer (for E10).
 pub fn crossings_for_workload(bytes: usize, loss: f64, seed: u64) -> sublayer_core::CrossingStats {
-    let mut c = SlTcpStack::new(A, SlConfig::default(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, SlConfig::default(), slmetrics::shared());
+    let mut c = SlTcpStack::new(A, SlConfig::default(), slmetrics::muted());
+    let mut s = SlTcpStack::new(B, SlConfig::default(), slmetrics::muted());
     s.listen(80);
     let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
     let (mut net, nc, ns) = two_party(seed, c, s, standard_link(loss));

@@ -73,6 +73,9 @@ pub struct Osr {
 
     // --- receiver ---
     reasm: BTreeMap<u64, Vec<u8>>,
+    /// Total payload bytes across `reasm` (kept incrementally so the
+    /// window computation on every outgoing packet is O(1)).
+    parked_bytes: u32,
     rcv_next: u64,
     app_out: VecDeque<u8>,
     /// Pending ECN echo to reflect in our next header.
@@ -106,6 +109,7 @@ impl Osr {
             persist_backoff: PERSIST_INITIAL,
             probe_due: false,
             reasm: BTreeMap::new(),
+            parked_bytes: 0,
             rcv_next: 0,
             app_out: VecDeque::new(),
             ecn_to_echo: false,
@@ -125,9 +129,16 @@ impl Osr {
     /// reassembly, unread app data) — the memory-bound invariant the
     /// attack campaign checks.
     pub fn buffered_bytes(&self) -> usize {
-        self.app_buf.len()
-            + self.app_out.len()
-            + self.reasm.values().map(Vec::len).sum::<usize>()
+        self.app_buf.len() + self.app_out.len() + self.parked()
+    }
+
+    /// Bytes parked out of order in `reasm`.
+    fn parked(&self) -> usize {
+        debug_assert_eq!(
+            self.parked_bytes as usize,
+            self.reasm.values().map(Vec::len).sum::<usize>()
+        );
+        self.parked_bytes as usize
     }
 
     // --- application interface ---
@@ -146,7 +157,8 @@ impl Osr {
     /// Drain in-order bytes to the application.
     pub fn read(&mut self) -> Vec<u8> {
         self.log.borrow_mut().r("osr", "app_out");
-        let out: Vec<u8> = self.app_out.drain(..).collect();
+        let out = copy_front(&self.app_out, self.app_out.len());
+        self.app_out.clear();
         self.stats.bytes_read += out.len() as u64;
         if out.len() >= MSS {
             // The window reopened significantly: tell the peer (window
@@ -226,7 +238,8 @@ impl Osr {
             }
             return None;
         }
-        let seg: Vec<u8> = self.app_buf.drain(..n).collect();
+        let seg = copy_front(&self.app_buf, n);
+        self.app_buf.drain(..n);
         self.bytes_in_flight += n as u64;
         self.stats.segments_cut += 1;
         Some(seg)
@@ -280,18 +293,23 @@ impl Osr {
             // Hard cap: the advertised window is advisory to the peer, but
             // a hostile sender ignores it. Parked out-of-order bytes must
             // never exceed the buffer the window was advertised from.
-            let parked: usize = self.reasm.values().map(Vec::len).sum();
-            if parked + data.len() > RCV_BUF_CAP {
+            if self.parked() + data.len() > RCV_BUF_CAP {
                 self.stats.reasm_overflow_drops += 1;
                 return;
             }
-        }
-        self.reasm.insert(offset, data);
-        while let Some((&off, _)) = self.reasm.first_key_value() {
-            if off != self.rcv_next {
-                break;
+            // The hole at `rcv_next` is still open: nothing to release.
+            self.parked_bytes += data.len() as u32;
+            if let Some(old) = self.reasm.insert(offset, data) {
+                self.parked_bytes -= old.len() as u32;
             }
-            let (_, d) = self.reasm.pop_first().unwrap();
+            return;
+        }
+        // In order: straight to the application, then whatever it unblocks.
+        self.rcv_next += data.len() as u64;
+        self.app_out.extend(data);
+        while self.reasm.first_key_value().is_some_and(|(&off, _)| off == self.rcv_next) {
+            let (_, d) = self.reasm.pop_first().expect("first key just seen");
+            self.parked_bytes -= d.len() as u32;
             self.rcv_next += d.len() as u64;
             self.app_out.extend(d);
         }
@@ -312,7 +330,7 @@ impl Osr {
     pub fn fill_tx(&mut self, pkt: &mut Packet) {
         self.log.borrow_mut().r("osr", "rcv_buf");
         self.log.borrow_mut().r("osr", "pressure");
-        let buffered = self.app_out.len() + self.reasm.values().map(Vec::len).sum::<usize>();
+        let buffered = self.app_out.len() + self.parked();
         let free = RCV_BUF_CAP.saturating_sub(buffered);
         pkt.osr.rcv_wnd = (free >> self.pressure.wnd_shift()).min(u16::MAX as usize) as u16;
         pkt.osr.ecn_echo = self.ecn_to_echo;
@@ -410,6 +428,17 @@ impl Osr {
         acc = fp::fold_bytes(fp::fold_bytes(acc, a), b);
         vec![acc]
     }
+}
+
+/// Copy the first `n` bytes of a ring into one exactly-sized `Vec`: one
+/// `memcpy` per contiguous half, nothing allocated for `n == 0`.
+fn copy_front(ring: &VecDeque<u8>, n: usize) -> Vec<u8> {
+    let (a, b) = ring.as_slices();
+    let k = n.min(a.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&a[..k]);
+    out.extend_from_slice(&b[..n - k]);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -711,5 +740,155 @@ mod tests {
         assert_eq!(o.read(), b"world");
         assert_eq!(o.stats.bytes_written, 5);
         assert_eq!(o.stats.bytes_read, 5);
+    }
+
+    #[test]
+    fn reassembly_cap_counts_parked_bytes_exactly() {
+        // The running `parked_bytes` must gate exactly where the scan did:
+        // RCV_BUF_CAP bytes may park, one more is refused, and filling the
+        // hole returns the whole budget.
+        let mut o = osr(1000);
+        let mut off = 1; // hole at [0, 1)
+        while off + MSS <= RCV_BUF_CAP {
+            o.on_delivered(off as u64, vec![2; MSS]);
+            off += MSS;
+        }
+        o.on_delivered(off as u64, vec![3; RCV_BUF_CAP + 1 - off]);
+        assert_eq!(o.buffered_bytes(), RCV_BUF_CAP, "parked right up to the cap");
+        assert_eq!(o.stats.reasm_overflow_drops, 0);
+        o.on_delivered(RCV_BUF_CAP as u64 + 1, vec![4]);
+        assert_eq!(o.stats.reasm_overflow_drops, 1, "one byte over is refused");
+        let mut pkt = Packet::default();
+        o.fill_tx(&mut pkt);
+        assert_eq!(pkt.osr.rcv_wnd, 0, "parked bytes close the window");
+        o.on_delivered(0, vec![1]);
+        assert_eq!(o.read().len(), RCV_BUF_CAP + 1);
+        assert_eq!(o.buffered_bytes(), 0);
+        o.fill_tx(&mut pkt);
+        assert_eq!(pkt.osr.rcv_wnd as usize, RCV_BUF_CAP);
+        o.on_delivered(RCV_BUF_CAP as u64 + 2, vec![5; MSS]);
+        assert_eq!(o.stats.reasm_overflow_drops, 1, "budget is back after the drain");
+    }
+
+    /// A ring holding `bytes` with the first `before_wrap` of them at the
+    /// very end of its buffer and the rest at the start.
+    fn wrapped_ring(bytes: &[u8], before_wrap: usize) -> VecDeque<u8> {
+        let mut ring = VecDeque::with_capacity(bytes.len());
+        let lead = ring.capacity() - before_wrap;
+        ring.extend(std::iter::repeat_n(0, lead));
+        ring.push_back(bytes[0]);
+        ring.drain(..lead); // head now sits `before_wrap` short of the end
+        ring.extend(&bytes[1..]);
+        let (a, b) = ring.as_slices();
+        assert_eq!((a.len(), b.len()), (before_wrap, bytes.len() - before_wrap));
+        ring
+    }
+
+    #[test]
+    fn cut_and_read_cross_the_ring_wrap_point() {
+        let data: Vec<u8> = (0..2500).map(|i| (i % 251) as u8).collect();
+        let mut o = osr(1 << 20);
+        // The first segment is 300 bytes from the end of the buffer and
+        // 700 from its start.
+        o.app_buf = wrapped_ring(&data, 300);
+        assert_eq!(o.poll_segment(t(0)).unwrap(), data[..1000]);
+        assert_eq!(o.poll_segment(t(0)).unwrap(), data[1000..2000]);
+        assert_eq!(o.poll_segment(t(0)).unwrap(), data[2000..]);
+        assert!(o.poll_segment(t(0)).is_none());
+        o.app_out = wrapped_ring(&data, 300);
+        assert_eq!(o.read(), data);
+        assert!(o.read().is_empty());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_byte_stream_survives_any_interleaving(seed: u64) {
+            // Random write / poll_segment / on_delivered / read interleavings
+            // against plain `Vec<u8>` references. `app_buf` is drained from
+            // the front while it is refilled, so over three capacities its
+            // live bytes straddle the wrap point again and again. (`read`
+            // always empties `app_out`, which parks its head at 0: its wrap
+            // is only reachable the way the unit test above forces it.)
+            let mut rng = proptest::TestRng::new(seed);
+            let mut o = osr(1 << 20);
+            let byte = |i: usize| (i.wrapping_mul(31) ^ (i >> 8)) as u8;
+            // Sender side: everything written, and how much of it was cut.
+            let mut written: Vec<u8> = Vec::new();
+            let mut cut = 0;
+            let mut cuts_across_wrap = 0;
+            // Receiver side: the peer's stream, how much RD has handed up
+            // (in shuffled windows, exactly once), how much the app has read.
+            let mut pending: Vec<(usize, usize)> = Vec::new();
+            let mut generated = 0;
+            let mut arrived = vec![];
+            let mut read = 0;
+            while written.len() < 3 * o.app_buf.capacity().max(4 * MSS) || cuts_across_wrap == 0 {
+                proptest::prop_assert!(written.len() < 1 << 20, "no cut ever crossed the wrap");
+                match rng.below(4) {
+                    // Writes outpace cuts until a backlog stands, so the
+                    // ring is rarely empty (an empty ring re-parks its head).
+                    0 if o.app_buf.len() < 6 * MSS => {
+                        let n = 1 + rng.below(3000) as usize;
+                        let chunk: Vec<u8> = (written.len()..written.len() + n).map(byte).collect();
+                        proptest::prop_assert_eq!(o.write(&chunk), n);
+                        written.extend(chunk);
+                    }
+                    0 | 1 => {
+                        for _ in 0..rng.below(3) {
+                            // A zero-window probe now and then: cuts are
+                            // whole segments, and the odd byte keeps the head
+                            // from staying aligned with the buffer's end.
+                            o.probe_due = rng.below(8) == 0;
+                            let before_wrap = o.app_buf.as_slices().0.len();
+                            let Some(seg) = o.poll_probe().or_else(|| o.poll_segment(t(0))) else {
+                                break;
+                            };
+                            cuts_across_wrap += (seg.len() > before_wrap) as u32;
+                            proptest::prop_assert!(seg.len() <= MSS);
+                            proptest::prop_assert_eq!(&seg[..], &written[cut..cut + seg.len()]);
+                            cut += seg.len();
+                            // Acked at once, so the window never gates.
+                            o.on_signals(t(0), &[CongSignal::Acked { bytes: seg.len() as u32, rtt: None }]);
+                        }
+                    }
+                    2 => {
+                        if pending.is_empty() {
+                            for _ in 0..1 + rng.below(6) {
+                                let n = 1 + rng.below(MSS as u128) as usize;
+                                pending.push((generated, n));
+                                generated += n;
+                            }
+                        }
+                        let (off, n) = pending.swap_remove(rng.below(pending.len() as u128) as usize);
+                        o.on_delivered(off as u64, (off..off + n).map(byte).collect());
+                        arrived.push((off, n));
+                    }
+                    _ => {
+                        // What must be readable: the gap-free prefix.
+                        arrived.sort_unstable();
+                        let mut prefix = 0;
+                        for &(off, n) in &arrived {
+                            if off != prefix {
+                                break;
+                            }
+                            prefix += n;
+                        }
+                        proptest::prop_assert_eq!(o.readable_len(), prefix - read);
+                        let got = o.read();
+                        let want: Vec<u8> = (read..prefix).map(byte).collect();
+                        proptest::prop_assert_eq!(got, want);
+                        read = prefix;
+                    }
+                }
+                let parked: usize =
+                    arrived.iter().map(|&(_, n)| n).sum::<usize>() - o.rcv_next as usize;
+                proptest::prop_assert_eq!(
+                    o.buffered_bytes(),
+                    (written.len() - cut) + (o.rcv_next as usize - read) + parked
+                );
+            }
+            proptest::prop_assert_eq!(o.stats.bytes_written, written.len() as u64);
+            proptest::prop_assert_eq!(o.stats.bytes_read, read as u64);
+        }
     }
 }

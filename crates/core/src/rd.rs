@@ -116,8 +116,10 @@ pub struct ReliableDelivery {
     snd_nxt: u64,
     in_flight: BTreeMap<u64, Flight>,
     /// Total payload bytes across `in_flight` (kept incrementally so the
-    /// memory-bound check is O(1)).
-    flight_bytes: usize,
+    /// memory-bound check is O(1)). Like `ooo_bytes`, capped far below
+    /// `u32::MAX` ([`RTX_BYTES_CAP`] plus one segment), and `u32` so the
+    /// two counters share one word of the per-connection state.
+    flight_bytes: u32,
     fin_off: Option<u64>,
     fin_sent_at: Option<Time>,
     fin_retransmitted: bool,
@@ -140,6 +142,9 @@ pub struct ReliableDelivery {
     rcv_nxt: u64,
     /// Disjoint out-of-order received ranges, start -> end (offsets).
     ooo: BTreeMap<u64, u64>,
+    /// Total bytes across `ooo` (kept incrementally so the receiver-state
+    /// cap check is O(1)): at most [`MAX_OOO_BYTES`] plus one frame.
+    ooo_bytes: u32,
     peer_fin_off: Option<u64>,
     peer_fin_reached: bool,
     ack_pending: bool,
@@ -187,6 +192,7 @@ impl ReliableDelivery {
             consecutive_rtx: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
+            ooo_bytes: 0,
             peer_fin_off: None,
             peer_fin_reached: false,
             ack_pending: false,
@@ -255,7 +261,7 @@ impl ReliableDelivery {
     /// partition lasts.
     pub fn can_accept(&self) -> bool {
         self.in_flight.len() < MAX_IN_FLIGHT
-            && self.flight_bytes < RTX_BYTES_CAP
+            && (self.flight_bytes as usize) < RTX_BYTES_CAP
             && self.fin_off.is_none()
     }
 
@@ -266,7 +272,7 @@ impl ReliableDelivery {
 
     /// Bytes held in the retransmission buffer (memory-bound invariant).
     pub fn in_flight_bytes(&self) -> usize {
-        self.flight_bytes
+        self.flight_bytes as usize
     }
 
     /// Age of the oldest byte still waiting for an ack, measured from its
@@ -287,7 +293,7 @@ impl ReliableDelivery {
         assert!(!data.is_empty());
         let off = self.snd_nxt;
         self.snd_nxt += data.len() as u64;
-        self.flight_bytes += data.len();
+        self.flight_bytes += data.len() as u32;
         self.outbox.push_back((Some(off), data.clone(), false));
         self.in_flight.insert(
             off,
@@ -383,15 +389,14 @@ impl ReliableDelivery {
                 // RTT sample from the newest fully-acked clean segment
                 // (Karn's rule).
                 let mut sample = None;
-                let acked: Vec<u64> = self
-                    .in_flight
-                    .range(..ack)
-                    .filter(|(&off, f)| off + f.data.len() as u64 <= ack)
-                    .map(|(&off, _)| off)
-                    .collect();
-                for off in acked {
-                    let f = self.in_flight.remove(&off).unwrap();
-                    self.flight_bytes -= f.data.len();
+                // Segments are contiguous, so the fully-acked ones are a
+                // prefix of the map.
+                while let Some(first) = self.in_flight.first_entry() {
+                    if first.key() + first.get().data.len() as u64 > ack {
+                        break;
+                    }
+                    let f = first.remove();
+                    self.flight_bytes -= f.data.len() as u32;
                     if !f.retransmitted {
                         sample = Some(now.since(f.sent_at));
                     }
@@ -522,12 +527,26 @@ impl ReliableDelivery {
             // once either cap is reached, so a hostile sender ignoring the
             // advertised window (or spraying disjoint bytes) cannot grow
             // the range map or OSR's parked reassembly bytes unboundedly.
-            let held: u64 = self.ooo.iter().map(|(&s, &e)| e - s).sum();
-            if self.ooo.len() >= MAX_OOO_RANGES || held + data.len() as u64 > MAX_OOO_BYTES {
+            debug_assert_eq!(
+                self.ooo_bytes as u64,
+                self.ooo.iter().map(|(&s, &e)| e - s).sum::<u64>()
+            );
+            if self.ooo.len() >= MAX_OOO_RANGES
+                || self.ooo_bytes as u64 + data.len() as u64 > MAX_OOO_BYTES
+            {
                 self.stats.ooo_range_drops += 1;
                 self.ack_pending = true;
                 return;
             }
+        } else if start == self.rcv_nxt
+            && self.ooo.first_key_value().is_none_or(|(&s, _)| end <= s)
+        {
+            // The common case — the next segment in order, clear of every
+            // parked range: all of it is novel. `advance_rcv` pulls in a
+            // parked range it now touches.
+            self.events.push_back(RdEvent::Delivered { offset: start, data: data.to_vec() });
+            self.rcv_nxt = end;
+            return;
         }
         // Clip against already-delivered prefix.
         let mut covered: Vec<(u64, u64)> = vec![(0, self.rcv_nxt)];
@@ -565,6 +584,7 @@ impl ReliableDelivery {
             self.events.push_back(RdEvent::Delivered { offset: ns, data: slice.to_vec() });
             // Merge into the ooo range set.
             Self::merge_range(&mut self.ooo, ns, ne);
+            self.ooo_bytes += (ne - ns) as u32;
         }
     }
 
@@ -590,6 +610,7 @@ impl ReliableDelivery {
                 break;
             }
             self.ooo.pop_first();
+            self.ooo_bytes -= (e - s) as u32;
             self.rcv_nxt = self.rcv_nxt.max(e);
         }
         if let Some(foff) = self.peer_fin_off {
@@ -1033,6 +1054,26 @@ mod tests {
     }
 
     #[test]
+    fn cumulative_ack_pops_only_the_fully_acked_prefix() {
+        let mut r = rd();
+        r.push_segment(t(0), vec![0; 100]);
+        r.push_segment(t(10), vec![0; 100]);
+        r.push_segment(t(20), vec![0; 100]);
+        // An ack landing inside the third segment leaves it queued whole.
+        r.on_packet(t(50), &peer_data(0, &[], Some(250)), false);
+        assert_eq!(r.in_flight_bytes(), 100);
+        assert_eq!(r.bytes_unacked(), 50);
+        // The RTT sample is the newest fully-acked segment's (sent at 10).
+        assert_eq!(
+            r.take_signals(),
+            vec![CongSignal::Acked { bytes: 250, rtt: Some(Dur::from_millis(40)) }]
+        );
+        r.on_packet(t(60), &peer_data(0, &[], Some(300)), false);
+        assert_eq!(r.in_flight_bytes(), 0);
+        assert!(r.all_acked());
+    }
+
+    #[test]
     fn out_of_order_delivery_goes_up_immediately() {
         // The paper: "segments may be delivered out of order by the RD
         // sublayer" — reordering is OSR's job.
@@ -1365,5 +1406,129 @@ mod tests {
         let (answer, _) = peer.poll_packet(t(22)).expect("probe must be acked");
         assert!(answer.payload.is_empty());
         assert_eq!(answer.rd.ack, 1001 + 100);
+    }
+
+    #[test]
+    fn in_order_segment_overlapping_a_parked_range_is_clipped() {
+        // start == rcv_nxt, but the segment runs past the start of a parked
+        // range: not the whole-segment case. Only the novel prefix goes up.
+        let mut r = rd();
+        r.on_packet(t(0), &peer_data(100, &[9; 50], None), false);
+        r.take_events();
+        r.on_packet(t(1), &peer_data(0, &[1; 120], None), false);
+        assert_eq!(r.take_events(), vec![RdEvent::Delivered { offset: 0, data: vec![1; 100] }]);
+        assert_eq!(r.rcv_next_offset(), 150);
+        // Ending exactly where the parked range starts is the whole-segment
+        // case, and the parked range is pulled in behind it.
+        r.on_packet(t(2), &peer_data(200, &[8; 50], None), false);
+        r.take_events();
+        r.on_packet(t(3), &peer_data(150, &[2; 50], None), false);
+        assert_eq!(r.take_events(), vec![RdEvent::Delivered { offset: 150, data: vec![2; 50] }]);
+        assert_eq!(r.rcv_next_offset(), 250);
+        assert_eq!(r.stats.duplicate_payload_dropped, 0);
+    }
+
+    #[test]
+    fn ooo_byte_cap_counts_parked_bytes_exactly() {
+        // The running `ooo_bytes` must gate exactly where the scan did.
+        let mut r = rd();
+        let mut off = 2; // holes at [0, 1) and [1, 2)
+        while off + 1000 <= MAX_OOO_BYTES + 2 {
+            r.on_packet(t(0), &peer_data(off, &[2; 1000], None), false);
+            off += 1000;
+        }
+        let rest = (MAX_OOO_BYTES + 2 - off) as usize;
+        r.on_packet(t(0), &peer_data(off, &vec![3; rest], None), false);
+        assert_eq!(r.stats.ooo_range_drops, 0, "parked right up to the cap");
+        r.on_packet(t(0), &peer_data(1, &[4], None), false);
+        assert_eq!(r.stats.ooo_range_drops, 1, "one byte over is refused");
+        r.on_packet(t(0), &peer_data(0, &[1], None), false);
+        r.on_packet(t(0), &peer_data(1, &[4], None), false);
+        assert_eq!(r.rcv_next_offset(), MAX_OOO_BYTES + 2);
+        r.on_packet(t(0), &peer_data(MAX_OOO_BYTES + 3, &[5; 1000], None), false);
+        assert_eq!(r.stats.ooo_range_drops, 1, "budget is back once the holes fill");
+        assert_eq!(r.stats.invalid_seq_drops, 0);
+    }
+
+    /// The receive half of RD written the obvious way: one flag per stream
+    /// byte, scanned afresh on every arrival.
+    struct RefReceiver {
+        got: Vec<bool>,
+        rcv_nxt: usize,
+        stats: RdStats,
+    }
+
+    impl RefReceiver {
+        fn arrive(&mut self, start: usize, data: &[u8]) -> Vec<RdEvent> {
+            let end = start + data.len();
+            let mut events = vec![];
+            if start > self.rcv_nxt {
+                let (mut held, mut ranges, mut prev) = (0, 0, false);
+                for &g in &self.got[self.rcv_nxt..] {
+                    held += g as usize;
+                    ranges += (g && !prev) as usize;
+                    prev = g;
+                }
+                if ranges >= MAX_OOO_RANGES || (held + data.len()) as u64 > MAX_OOO_BYTES {
+                    self.stats.ooo_range_drops += 1;
+                    return events;
+                }
+            }
+            let mut i = start;
+            while i < end {
+                if self.got[i] {
+                    i += 1;
+                    continue;
+                }
+                let j = (i..end).find(|&k| self.got[k]).unwrap_or(end);
+                events.push(RdEvent::Delivered {
+                    offset: i as u64,
+                    data: data[i - start..j - start].to_vec(),
+                });
+                self.got[i..j].fill(true);
+                i = j;
+            }
+            if events.is_empty() {
+                self.stats.duplicate_payload_dropped += 1;
+            }
+            while self.got[self.rcv_nxt] {
+                self.rcv_nxt += 1;
+            }
+            events
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_receiver_matches_per_byte_reference(seed: u64, spray: bool) {
+            // (stream length, longest segment, arrivals): everyday
+            // duplication, overlap and reordering, or a spray of tiny islands
+            // that runs into MAX_OOO_RANGES. (Streams this short stay inside
+            // the validity window and under MAX_OOO_BYTES.)
+            let (stream, max_len, arrivals) =
+                if spray { (1_400, 1, 800) } else { (8_000, 300, 120) };
+            let mut rng = proptest::TestRng::new(seed);
+            let mut r = rd();
+            // One spare flag so the prefix scan always finds a `false`.
+            let mut model =
+                RefReceiver { got: vec![false; stream + 1], rcv_nxt: 0, stats: RdStats::default() };
+            for _ in 0..arrivals {
+                let len = 1 + rng.below(max_len as u128) as usize;
+                // One arrival in eight is the next segment in order (clear
+                // of, touching or running into what is parked); the rest land
+                // anywhere: ahead, behind, on top of each other.
+                let start = if rng.below(8) == 0 {
+                    model.rcv_nxt.min(stream - len)
+                } else {
+                    rng.below((stream - len) as u128) as usize
+                };
+                let data: Vec<u8> = (start..start + len).map(|i| (i * 7) as u8).collect();
+                r.on_packet(t(0), &peer_data(start as u64, &data, None), false);
+                proptest::prop_assert_eq!(r.take_events(), model.arrive(start, &data));
+                proptest::prop_assert_eq!(r.rcv_next_offset(), model.rcv_nxt as u64);
+            }
+            proptest::prop_assert_eq!(model.stats.ooo_range_drops > 0, spray);
+            proptest::prop_assert_eq!(&r.stats, &model.stats);
+        }
     }
 }

@@ -109,10 +109,15 @@ impl Packet {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(34 + self.payload.len());
+        // The header's 2-bit count carries at most two SACK ranges; clamp
+        // rather than let a longer vector silently alias the count bits in
+        // release builds.
+        let n_sack = self.rd.sack.len().min(2);
+        let mut out = Vec::with_capacity(Self::header_len(n_sack) + self.payload.len());
         out.push(MAGIC);
         out.extend_from_slice(&self.src_addr.to_be_bytes());
         out.extend_from_slice(&self.dst_addr.to_be_bytes());
+        out.extend_from_slice(&[0, 0]); // checksum placeholder
         // DM
         out.extend_from_slice(&self.dm.src_port.to_be_bytes());
         out.extend_from_slice(&self.dm.dst_port.to_be_bytes());
@@ -123,12 +128,9 @@ impl Packet {
         );
         out.extend_from_slice(&self.cm.isn.to_be_bytes());
         out.extend_from_slice(&self.cm.ack_isn.to_be_bytes());
-        // RD. The header's 2-bit count carries at most two SACK ranges;
-        // clamp rather than let a longer vector silently alias the count
-        // bits in release builds.
+        // RD
         out.extend_from_slice(&self.rd.seq.to_be_bytes());
         out.extend_from_slice(&self.rd.ack.to_be_bytes());
-        let n_sack = self.rd.sack.len().min(2);
         out.push((self.rd.has_ack as u8) | (n_sack as u8) << 1);
         for r in self.rd.sack.iter().take(n_sack) {
             out.extend_from_slice(&r.start.to_be_bytes());
@@ -139,9 +141,8 @@ impl Packet {
         out.extend_from_slice(&self.osr.rcv_wnd.to_be_bytes());
         // payload, checksummed for parity with the monolithic stack
         out.extend_from_slice(&self.payload);
-        let csum = tcp_mono::wire::checksum(self.src_addr, self.dst_addr, &out[9..]);
-        out.insert(9, (csum >> 8) as u8);
-        out.insert(10, csum as u8);
+        let csum = tcp_mono::wire::checksum(self.src_addr, self.dst_addr, &out[11..]);
+        out[9..11].copy_from_slice(&csum.to_be_bytes());
         out
     }
 
@@ -403,13 +404,19 @@ mod tests {
 
     #[test]
     fn header_len_matches_encode() {
+        // `encode` reserves exactly this much, so it must be the frame's
+        // length to the byte: header alone, one byte, a full segment.
         for n_sack in 0..=2 {
-            let mut p = sample();
-            p.rd.sack = (0..n_sack as u32)
-                .map(|i| SackRange { start: i * 10, end: i * 10 + 5 })
-                .collect();
-            p.payload.clear();
-            assert_eq!(p.encode().len(), Packet::header_len(n_sack));
+            for payload in [0, 1, crate::osr::MSS] {
+                let mut p = sample();
+                p.rd.sack = (0..n_sack as u32)
+                    .map(|i| SackRange { start: i * 10, end: i * 10 + 5 })
+                    .collect();
+                p.payload = vec![0xA5; payload];
+                let bytes = p.encode();
+                assert_eq!(bytes.len(), Packet::header_len(n_sack) + payload);
+                assert_eq!(Packet::decode(&bytes), Ok(p));
+            }
         }
     }
 

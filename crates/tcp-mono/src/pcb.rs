@@ -213,6 +213,22 @@ impl Pcb {
         (RCV_BUF_CAP - self.rcv_buf.len()) as u32
     }
 
+    /// Copy `n` send-buffer bytes starting `offset` bytes in (a segment's
+    /// payload) into one exactly-sized `Vec`: one `memcpy` per contiguous
+    /// half of the ring.
+    pub fn snd_payload(&self, offset: usize, n: usize) -> Vec<u8> {
+        let (front, back) = self.snd_buf.as_slices();
+        let mut out = Vec::with_capacity(n);
+        if offset < front.len() {
+            let k = n.min(front.len() - offset);
+            out.extend_from_slice(&front[offset..offset + k]);
+            out.extend_from_slice(&back[..n - k]);
+        } else {
+            out.extend_from_slice(&back[offset - front.len()..][..n]);
+        }
+        out
+    }
+
     /// Bytes in flight.
     pub fn flight_size(&self) -> u32 {
         self.snd_nxt.wrapping_sub(self.snd_una)
@@ -291,6 +307,26 @@ mod tests {
         let mut p = pcb();
         p.rcv_buf.extend(std::iter::repeat_n(0u8, 1000));
         assert_eq!(p.rcv_wnd(), (RCV_BUF_CAP - 1000) as u32);
+    }
+
+    #[test]
+    fn snd_payload_copies_across_the_ring_wrap_point() {
+        // Acks drain the send buffer from the front while the application
+        // refills it, so its live bytes routinely straddle the wrap.
+        let mut p = pcb();
+        p.snd_buf.extend(0..12u8);
+        p.snd_buf.drain(..10);
+        let room = p.snd_buf.capacity() - p.snd_buf.len();
+        p.snd_buf.extend((12..).take(room));
+        let (front, back) = p.snd_buf.as_slices();
+        assert!(!front.is_empty() && !back.is_empty(), "ring must be wrapped");
+        let len = p.snd_buf.len();
+        for offset in 0..=len {
+            for n in 0..=len - offset {
+                let want: Vec<u8> = p.snd_buf.iter().skip(offset).take(n).copied().collect();
+                assert_eq!(p.snd_payload(offset, n), want, "offset {offset} n {n}");
+            }
+        }
     }
 
     #[test]

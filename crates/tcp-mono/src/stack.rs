@@ -377,7 +377,10 @@ impl TcpStack {
         let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
         self.log.borrow_mut().r(RD, "rcv_buf");
         self.log.borrow_mut().w(FC, "rcv_wnd");
-        let out: Vec<u8> = pcb.rcv_buf.drain(..).collect();
+        // One exactly-sized `Vec`, one `memcpy` per half of the ring.
+        let (front, back) = pcb.rcv_buf.as_slices();
+        let out = [front, back].concat();
+        pcb.rcv_buf.clear();
         // The window just opened; let the peer know — unless its FIN
         // already arrived: no more data can come, and the gratuitous
         // update would poke a peer whose TCB may already be deleted.
@@ -688,8 +691,7 @@ impl TcpStack {
                 }
                 break;
             }
-            let payload: Vec<u8> =
-                pcb.snd_buf.iter().skip(offset).take(n).copied().collect();
+            let payload = pcb.snd_payload(offset, n);
             let drains = offset + n == pcb.snd_buf.len();
             self.log.borrow_mut().w(RD, "snd_nxt");
             let seg = Segment {
@@ -798,7 +800,7 @@ impl TcpStack {
             return;
         }
         let n = (pcb.snd_buf.len() - offset).min(pcb.mss as usize);
-        let payload: Vec<u8> = pcb.snd_buf.iter().skip(offset).take(n).copied().collect();
+        let payload = pcb.snd_payload(offset, n);
         let is_fin = n == 0 && pcb.fin_seq == Some(seq_from);
         if n == 0 && !is_fin {
             return;

@@ -252,18 +252,25 @@ impl fmt::Debug for Segment {
 
 /// RFC 1071 one's-complement checksum over a pseudo-header
 /// (addresses + protocol 6 + length) and the TCP segment.
+///
+/// Summed four bytes at a time and folded afterwards (RFC 1071 §2(A)):
+/// 2¹⁶ ≡ 1 (mod 65535), so a big-endian 32-bit word contributes exactly
+/// what its two 16-bit halves would. A 1–3 byte tail is zero-padded.
 pub fn checksum(src: u32, dst: u32, tcp: &[u8]) -> u16 {
     let mut acc: u64 = 0;
     acc += (src >> 16) as u64 + (src & 0xFFFF) as u64;
     acc += (dst >> 16) as u64 + (dst & 0xFFFF) as u64;
     acc += 6; // protocol
     acc += tcp.len() as u64;
-    let mut chunks = tcp.chunks_exact(2);
-    for c in &mut chunks {
-        acc += u16::from_be_bytes([c[0], c[1]]) as u64;
+    let mut words = tcp.chunks_exact(4);
+    for w in &mut words {
+        acc += u32::from_be_bytes([w[0], w[1], w[2], w[3]]) as u64;
     }
-    if let [last] = chunks.remainder() {
-        acc += u16::from_be_bytes([*last, 0]) as u64;
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 4];
+        last[..tail.len()].copy_from_slice(tail);
+        acc += u32::from_be_bytes(last) as u64;
     }
     while acc > 0xFFFF {
         acc = (acc & 0xFFFF) + (acc >> 16);
@@ -274,6 +281,26 @@ pub fn checksum(src: u32, dst: u32, tcp: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The 16-bit-at-a-time loop [`checksum`] replaced, kept as its reference.
+    fn checksum_ref(src: u32, dst: u32, tcp: &[u8]) -> u16 {
+        let mut acc: u64 = 0;
+        acc += (src >> 16) as u64 + (src & 0xFFFF) as u64;
+        acc += (dst >> 16) as u64 + (dst & 0xFFFF) as u64;
+        acc += 6; // protocol
+        acc += tcp.len() as u64;
+        let mut chunks = tcp.chunks_exact(2);
+        for c in &mut chunks {
+            acc += u16::from_be_bytes([c[0], c[1]]) as u64;
+        }
+        if let [last] = chunks.remainder() {
+            acc += u16::from_be_bytes([*last, 0]) as u64;
+        }
+        while acc > 0xFFFF {
+            acc = (acc & 0xFFFF) + (acc >> 16);
+        }
+        !(acc as u16)
+    }
 
     fn sample() -> Segment {
         Segment {
@@ -423,7 +450,33 @@ mod tests {
         assert_eq!(checksum(0x0A000001, 0x0A000002, &bytes[8..]), 0);
     }
 
+    #[test]
+    fn checksum_matches_reference_when_every_add_carries() {
+        // All-ones input makes every word addition carry: the worst case
+        // for folding after the loop instead of inside it.
+        for len in (0..=9).chain([1000, 2047, 2048, 2049]) {
+            let bytes = vec![0xFF; len];
+            assert_eq!(
+                checksum(u32::MAX, u32::MAX, &bytes),
+                checksum_ref(u32::MAX, u32::MAX, &bytes),
+                "len {len}"
+            );
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_checksum_matches_16_bit_reference(
+            src: u32, dst: u32,
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..2050),
+        ) {
+            // The last four prefixes cover every `len % 4` tail.
+            for cut in 0..=bytes.len().min(3) {
+                let tcp = &bytes[..bytes.len() - cut];
+                proptest::prop_assert_eq!(checksum(src, dst, tcp), checksum_ref(src, dst, tcp));
+            }
+        }
+
         #[test]
         fn prop_any_segment_round_trips(
             sa: u32, da: u32, sp: u16, dp: u16, seq: u32, ack: u32,
