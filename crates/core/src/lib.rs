@@ -53,4 +53,6 @@ pub use stack::{CrossingStats, KeepaliveConfig, SlConfig, SlStats, SlTcpStack};
 pub use wire::{Packet, WireError};
 
 #[cfg(test)]
+mod agenda_tests;
+#[cfg(test)]
 mod tests;

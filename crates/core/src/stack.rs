@@ -19,7 +19,7 @@ use crate::osr::Osr;
 use crate::rd::{RdEvent, ReliableDelivery};
 use crate::signals::SeqValidity;
 use crate::wire::Packet;
-use netsim::{Dur, Stack, Time, TransportError};
+use netsim::{Agenda, Dur, Mark, Stack, Time, TransportError};
 use slmetrics::{Pressure, SharedLog};
 use std::collections::{HashMap, VecDeque};
 use tcp_mono::wire::{Endpoint, FourTuple};
@@ -181,6 +181,16 @@ pub struct SlTcpStack {
     /// Host-requested accept gate (drain/quiesce), OR-ed with the
     /// pressure-derived gate before reaching DM.
     gate: bool,
+    /// Which connections have anything to do, and how many are half-open:
+    /// `poll_transmit`, `poll_deadline`, `on_tick` and the SYN path read
+    /// this, never the whole table. Kept exact by the few functions that
+    /// reach into `conns` mutably ([`SlTcpStack::pump`] above all), at no
+    /// cost in per-connection fields.
+    agenda: Agenda<ConnId>,
+    /// The latest `now` the stack was run at. `send`, `recv`, `close` and
+    /// `set_pressure` are not told the time, yet may uncover a deadline
+    /// that the index has to record.
+    clock: Time,
     pub stats: SlStats,
     pub crossings: CrossingStats,
     log: SharedLog,
@@ -209,6 +219,8 @@ impl SlTcpStack {
             outbox: VecDeque::new(),
             pressure: Pressure::Nominal,
             gate: false,
+            agenda: Agenda::new(),
+            clock: Time::ZERO,
             stats: SlStats::default(),
             crossings: CrossingStats::default(),
             log,
@@ -268,8 +280,8 @@ impl SlTcpStack {
             rd.set_ack_pacing(self.pressure.paces_acks());
             conn.rd = Some(rd);
         }
-        self.conns.insert(id, conn);
-        self.pump(now, id);
+        self.admit(now, id, conn);
+        self.pump(now, id, &mut |_| {});
         Ok(id)
     }
 
@@ -296,37 +308,52 @@ impl SlTcpStack {
 
     /// Queue application bytes.
     pub fn send(&mut self, id: ConnId, data: &[u8]) -> usize {
-        let Some(conn) = self.conns.get_mut(&id) else { return 0 };
-        if conn.want_close || conn.dead {
-            return 0;
-        }
-        conn.osr.write(data)
+        self.touch(id, |conn| {
+            if conn.want_close || conn.dead {
+                return 0;
+            }
+            conn.osr.write(data)
+        })
+        .unwrap_or(0)
     }
 
     /// Drain received application bytes.
     pub fn recv(&mut self, id: ConnId) -> Vec<u8> {
-        match self.conns.get_mut(&id) {
-            Some(conn) => {
-                let out = conn.osr.read();
-                // Once the peer's FIN is in no more data can arrive, so
-                // the reopened window is not worth advertising (same
-                // rule as tcp-mono's recv): the gratuitous ack would
-                // poke a peer whose TCB may already be deleted.
-                if conn.cm.peer_fin_seen() {
-                    conn.osr.suppress_window_update();
-                }
-                out
+        self.touch(id, |conn| {
+            let out = conn.osr.read();
+            // Once the peer's FIN is in no more data can arrive, so
+            // the reopened window is not worth advertising (same
+            // rule as tcp-mono's recv): the gratuitous ack would
+            // poke a peer whose TCB may already be deleted.
+            if conn.cm.peer_fin_seen() {
+                conn.osr.suppress_window_update();
             }
-            None => Vec::new(),
-        }
+            out
+        })
+        .unwrap_or_default()
     }
 
     /// Graceful close (FIN after the stream drains).
     pub fn close(&mut self, id: ConnId) {
-        if let Some(conn) = self.conns.get_mut(&id) {
+        self.touch(id, |conn| {
             conn.want_close = true;
             conn.osr.close();
-        }
+        });
+    }
+
+    /// An application call on one connection that carries no clock: the
+    /// connection becomes ready (its next pump may have something to send),
+    /// and a deadline the call uncovered is indexed as of the stack's last
+    /// `now`.
+    fn touch<R>(&mut self, id: ConnId, f: impl FnOnce(&mut Connection) -> R) -> Option<R> {
+        let (ka, now) = (self.config.keepalive, self.clock);
+        let conn = self.conns.get_mut(&id)?;
+        let before = Self::mark_of(ka, conn, now);
+        let out = f(conn);
+        let after = Self::mark_of(ka, conn, now);
+        self.agenda.mark_ready(id);
+        self.agenda.reindex(id, Some(before), Some(after));
+        Some(out)
     }
 
     pub fn state(&self, id: ConnId) -> CmState {
@@ -349,10 +376,7 @@ impl SlTcpStack {
 
     /// Abort a connection locally (application-initiated RST).
     pub fn abort(&mut self, now: Time, id: ConnId, reason: TransportError) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.cm.abort(reason);
-            self.pump(now, id);
-        }
+        self.pump(now, id, &mut |conn| conn.cm.abort(reason));
     }
 
     /// Established connections (listener side discovers peers here).
@@ -396,11 +420,16 @@ impl SlTcpStack {
         }
         self.pressure = p;
         let pace = p.paces_acks();
-        for c in self.conns.values_mut() {
+        let (ka, now) = (self.config.keepalive, self.clock);
+        for (&id, c) in self.conns.iter_mut() {
+            let before = Self::deadline_of(ka, c, now);
             c.osr.set_pressure(p);
             if let Some(rd) = c.rd.as_mut() {
                 rd.set_ack_pacing(pace);
             }
+            // An ack that pacing held goes out at the next pump.
+            self.agenda.mark_ready(id);
+            self.agenda.move_deadline(id, before, Self::deadline_of(ka, c, now));
         }
         self.dm.set_gate(self.gate || p.refuses_new_flows());
     }
@@ -476,38 +505,73 @@ impl SlTcpStack {
     /// segmentation, packet assembly) — the per-connection half of
     /// `poll_transmit`, for hosts that know which connection changed.
     pub fn pump_conn(&mut self, now: Time, id: ConnId) {
-        self.pump(now, id);
+        self.pump(now, id, &mut |_| {});
     }
 
     /// Next timer deadline for *one* connection, so a host can keep one
     /// wheel entry per connection instead of scanning them all.
     pub fn conn_deadline(&self, now: Time, id: ConnId) -> Option<Time> {
-        let c = self.conns.get(&id)?;
+        Self::deadline_of(self.config.keepalive, self.conns.get(&id)?, now)
+    }
+
+    /// The deadline index keys on this value, so it must move only when
+    /// the connection's state does, never with `now` alone (the shipped
+    /// rate controllers are window controllers and ignore it).
+    fn deadline_of(ka: Option<KeepaliveConfig>, c: &Connection, now: Time) -> Option<Time> {
         [
             c.cm.poll_deadline(),
             c.rd.as_ref().and_then(|r| r.poll_deadline()),
             c.osr.poll_deadline(now),
-            self.keepalive_deadline(c),
+            ka.and_then(|ka| Self::keepalive_deadline(c, ka)),
         ]
         .into_iter()
         .flatten()
         .min()
     }
 
+    fn mark_of(ka: Option<KeepaliveConfig>, c: &Connection, now: Time) -> Mark {
+        Mark {
+            deadline: Self::deadline_of(ka, c, now),
+            half_open: c.cm.state() == CmState::SynRcvd,
+        }
+    }
+
+    /// A new connection enters the table.
+    fn admit(&mut self, now: Time, id: ConnId, conn: Connection) {
+        let mark = Self::mark_of(self.config.keepalive, &conn, now);
+        self.agenda.reindex(id, None, Some(mark));
+        self.conns.insert(id, conn);
+    }
+
+    /// A connection leaves the table without a last pump (eviction).
+    fn evict(&mut self, now: Time, id: ConnId) {
+        self.dm.unbind(id);
+        if let Some(conn) = self.conns.remove(&id) {
+            let mark = Self::mark_of(self.config.keepalive, &conn, now);
+            self.agenda.reindex(id, Some(mark), None);
+        }
+    }
+
     /// Advance one connection's timers to `now` (the per-connection half
     /// of `on_tick`); spurious calls are harmless.
     pub fn tick_conn(&mut self, now: Time, id: ConnId) {
-        if let Some(conn) = self.conns.get_mut(&id) {
+        let ka = self.config.keepalive;
+        self.pump(now, id, &mut |conn| {
             conn.cm.on_tick(now);
             if let Some(rd) = conn.rd.as_mut() {
                 rd.on_tick(now);
             }
             conn.osr.on_tick(now);
-            if let Some(ka) = self.config.keepalive {
+            if let Some(ka) = ka {
                 Self::drive_keepalive(conn, ka, now);
             }
-        }
-        self.pump(now, id);
+        });
+    }
+
+    /// Entries in the ready set and in the deadline index — each bounded
+    /// by [`SlTcpStack::conn_count`], whichever way the stack is driven.
+    pub fn agenda_sizes(&self) -> (usize, usize) {
+        self.agenda.sizes()
     }
 
     /// Peer-closed + everything delivered? (EOF for the application.)
@@ -533,9 +597,7 @@ impl SlTcpStack {
 
     /// Simulate an ECN mark on this connection's next outgoing header.
     pub fn mark_ecn(&mut self, id: ConnId) {
-        if let Some(c) = self.conns.get_mut(&id) {
-            c.osr.mark_ecn();
-        }
+        self.touch(id, |c| c.osr.mark_ecn());
     }
 
     /// Diagnostic: the exact wire sequence this connection's RD expects
@@ -554,7 +616,11 @@ impl SlTcpStack {
 
     /// Live half-open (passively opened, not yet established) connections.
     pub fn half_open_count(&self) -> usize {
-        self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count()
+        debug_assert_eq!(
+            self.agenda.half_open(),
+            self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count()
+        );
+        self.agenda.half_open()
     }
 
     /// Total bytes parked in per-connection buffers (send queues,
@@ -642,10 +708,18 @@ impl SlTcpStack {
         self.outbox.push_back(rst.encode());
     }
 
-    /// Run one connection's machinery: events, close coordination,
-    /// segmentation, and packet assembly.
-    fn pump(&mut self, now: Time, id: ConnId) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
+    /// The one way to run a connection. `step` does what the caller came
+    /// for (nothing, for a plain pump); then the connection's machinery
+    /// runs — events, close coordination, segmentation, packet assembly —
+    /// and the agenda takes note of whatever the two of them changed.
+    /// Returns whether there is such a connection.
+    fn pump(&mut self, now: Time, id: ConnId, step: &mut dyn FnMut(&mut Connection)) -> bool {
+        self.clock = now;
+        self.agenda.clear_ready(&id);
+        let ka = self.config.keepalive;
+        let Some(conn) = self.conns.get_mut(&id) else { return false };
+        let before = Self::mark_of(ka, conn, now);
+        step(conn);
 
         // CM events upward.
         for ev in conn.cm.take_events() {
@@ -811,47 +885,74 @@ impl SlTcpStack {
             self.outbox.push_back(bytes);
         }
 
-        // Reap dead connections (folding their counters into the stack's).
-        if conn.dead {
+        let after = if conn.dead {
+            // Reap it (folding its counters into the stack's).
             self.dm.unbind(id);
             if let Some(c) = self.conns.remove(&id) {
                 self.stats.challenge_acks += c.cm.challenge_acks();
             }
-        }
+            None
+        } else {
+            // One pass is not a fixpoint for a closing connection: close
+            // coordination runs before segmentation, so the pass that
+            // hands OSR's last byte to RD has not routed the FIN yet (nor
+            // has the pass that closed a never-established CM reaped it).
+            // The next one does.
+            if conn.want_close && !conn.fin_routed {
+                self.agenda.mark_ready(id);
+            }
+            Some(Self::mark_of(ka, conn, now))
+        };
+        self.agenda.reindex(id, Some(before), after);
+        true
     }
 
     fn handle_packet(&mut self, now: Time, id: ConnId, pkt: &Packet) {
-        let Some(conn) = self.conns.get_mut(&id) else { return };
-        conn.last_rx = now;
-        conn.ka_probes = 0;
-        // The handshake-completing ack is recognized by the stack (not CM)
-        // so CM never reads RD's bits: ack == local_isn + 1.
-        let handshake_ack =
-            pkt.rd.has_ack && pkt.rd.ack == conn.cm.local_isn().wrapping_add(1);
-        // RFC 5961: the stack derives the RST's sequence validity from RD
-        // (same pattern as `handshake_ack`); before RD exists — handshake
-        // states — a RST is taken at face value, as the RFC prescribes.
-        let rst_seq = match conn.rd.as_ref() {
-            Some(rd) if pkt.cm.flags.rst => rd.seq_validity(pkt.rd.seq),
-            _ => SeqValidity::Exact,
-        };
-        match conn.cm.on_packet(&pkt.cm, handshake_ack, rst_seq, now) {
-            CmPass::Drop => {}
-            CmPass::Consumed => {
+        let mut pass_up = false;
+        self.pump(now, id, &mut |conn| {
+            conn.last_rx = now;
+            conn.ka_probes = 0;
+            // The handshake-completing ack is recognized by the stack (not
+            // CM) so CM never reads RD's bits: ack == local_isn + 1.
+            let handshake_ack =
+                pkt.rd.has_ack && pkt.rd.ack == conn.cm.local_isn().wrapping_add(1);
+            // RFC 5961: the stack derives the RST's sequence validity from
+            // RD (same pattern as `handshake_ack`); before RD exists —
+            // handshake states — a RST is taken at face value, as the RFC
+            // prescribes.
+            let rst_seq = match conn.rd.as_ref() {
+                Some(rd) if pkt.cm.flags.rst => rd.seq_validity(pkt.rd.seq),
+                _ => SeqValidity::Exact,
+            };
+            match conn.cm.on_packet(&pkt.cm, handshake_ack, rst_seq, now) {
+                CmPass::Drop => {}
                 // Window updates ride even on handshake packets.
-                conn.osr.on_header(now, pkt);
+                CmPass::Consumed => conn.osr.on_header(now, pkt),
+                CmPass::PassUp => {
+                    conn.osr.on_header(now, pkt);
+                    pass_up = true;
+                }
             }
-            CmPass::PassUp => {
-                conn.osr.on_header(now, pkt);
-                // Events may have just established RD.
-                self.pump(now, id);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
+        });
+        if pass_up {
+            // The pump above ran CM's events, which may have just
+            // established RD.
+            self.pump(now, id, &mut |conn| {
                 if let Some(rd) = conn.rd.as_mut() {
                     rd.on_packet(now, pkt, pkt.cm.flags.fin);
                 }
-            }
+            });
         }
-        self.pump(now, id);
+    }
+
+    /// The OSR and RD parts of the packet that opened connection `id`.
+    fn feed_upper(&mut self, now: Time, id: ConnId, pkt: &Packet) {
+        self.pump(now, id, &mut |conn| {
+            conn.osr.on_header(now, pkt);
+            if let Some(rd) = conn.rd.as_mut() {
+                rd.on_packet(now, pkt, pkt.cm.flags.fin);
+            }
+        });
     }
 }
 
@@ -896,16 +997,10 @@ impl Stack for SlTcpStack {
                     );
                     let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
                     osr.set_pressure(self.pressure);
-                    self.conns.insert(id, Connection::new(cm, osr, now));
+                    self.admit(now, id, Connection::new(cm, osr, now));
                     self.stats.syn_cookies_validated += 1;
-                    self.pump(now, id); // establishment event creates RD
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.osr.on_header(now, &pkt);
-                        if let Some(rd) = conn.rd.as_mut() {
-                            rd.on_packet(now, &pkt, pkt.cm.flags.fin);
-                        }
-                    }
-                    self.pump(now, id);
+                    self.pump(now, id, &mut |_| {}); // establishment event creates RD
+                    self.feed_upper(now, id, &pkt);
                     return;
                 }
                 // Half-open governance: a SYN beyond the bound either
@@ -919,8 +1014,7 @@ impl Stack for SlTcpStack {
                 {
                     if let Some(victim) = self.stale_half_open(now) {
                         self.stats.half_open_evictions += 1;
-                        self.dm.unbind(victim);
-                        self.conns.remove(&victim);
+                        self.evict(now, victim);
                     } else {
                         self.send_cookie_synack(&tuple, pkt.cm.isn);
                         return;
@@ -947,18 +1041,12 @@ impl Stack for SlTcpStack {
                 };
                 let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
                 osr.set_pressure(self.pressure);
-                self.conns.insert(id, Connection::new(cm, osr, now));
+                self.admit(now, id, Connection::new(cm, osr, now));
                 // Let establishment events run, then feed this packet's
                 // upper parts (timer-based CM carries data on first
                 // packet).
-                self.pump(now, id);
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.osr.on_header(now, &pkt);
-                    if let Some(rd) = conn.rd.as_mut() {
-                        rd.on_packet(now, &pkt, pkt.cm.flags.fin);
-                    }
-                }
-                self.pump(now, id);
+                self.pump(now, id, &mut |_| {});
+                self.feed_upper(now, id, &pkt);
             }
             DmVerdict::Gated(_) => {
                 // DM's slice of the backpressure contract: under Critical
@@ -978,34 +1066,83 @@ impl Stack for SlTcpStack {
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
         if self.outbox.is_empty() {
-            // Sorted so every same-seed run pumps connections in the same
-            // order (HashMap iteration order is not deterministic).
-            let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
-            ids.sort();
-            for id in ids {
-                self.pump(now, id);
+            // Only a ready connection, or one whose deadline has passed
+            // (a paced ack is released here, with no `on_tick`), can have
+            // a frame to give. Ascending, so every same-seed run pumps in
+            // the same order.
+            let ids = self.agenda.due(now);
+            for &id in &ids {
+                self.pump_conn(now, id);
             }
+            self.agenda.recycle(ids);
         }
         self.outbox.pop_front()
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.keys().filter_map(|&id| self.conn_deadline(now, id)).min()
+        debug_assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
+        self.agenda.next_deadline()
     }
 
     fn on_tick(&mut self, now: Time) {
-        let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        ids.sort();
-        for id in ids {
+        // The ready ones too: a tick ends in a pump.
+        let ids = self.agenda.due(now);
+        for &id in &ids {
             self.tick_conn(now, id);
         }
+        self.agenda.recycle(ids);
+    }
+}
+
+/// The three full-table scans that `poll_transmit`, `poll_deadline` and
+/// `on_tick` used to be — the reference the agenda is tested against
+/// (`agenda_tests`): same frames in the same order, same deadline.
+#[cfg(test)]
+impl SlTcpStack {
+    fn sorted_ids(&self) -> Vec<ConnId> {
+        let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
+        ids.sort();
+        ids
+    }
+
+    pub(crate) fn scan_poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
+        if self.outbox.is_empty() {
+            for id in self.sorted_ids() {
+                self.pump_conn(now, id);
+            }
+        }
+        self.outbox.pop_front()
+    }
+
+    pub(crate) fn scan_on_tick(&mut self, now: Time) {
+        for id in self.sorted_ids() {
+            self.tick_conn(now, id);
+        }
+    }
+
+    /// The indices hold exactly what the table says they should.
+    pub(crate) fn check_indices(&self, now: Time) {
+        let (ready, deadlines) = self.agenda.sizes();
+        assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
+        let with_deadline =
+            self.conns.keys().filter(|&&id| self.conn_deadline(now, id).is_some()).count();
+        assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
+        assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
+        let half_open =
+            self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count();
+        assert_eq!(self.agenda.half_open(), half_open);
     }
 }
 
 impl SlTcpStack {
+    /// The minimum over the whole table, which the deadline index must
+    /// equal at all times (debug builds check on every `poll_deadline`).
+    pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
+        self.conns.keys().filter_map(|&id| self.conn_deadline(now, id)).min()
+    }
+
     /// When the next keepalive action (probe or give-up) is due for `c`.
-    fn keepalive_deadline(&self, c: &Connection) -> Option<Time> {
-        let ka = self.config.keepalive?;
+    fn keepalive_deadline(c: &Connection, ka: KeepaliveConfig) -> Option<Time> {
         if c.cm.state() != CmState::Established {
             return None;
         }

@@ -1,0 +1,207 @@
+//! What a multi-connection [`Stack`](crate::Stack) keeps so that
+//! `poll_transmit`, `poll_deadline` and `on_tick` cost what there is to do,
+//! not what the connection table holds.
+//!
+//! Two small ordered sets and a counter, no per-connection field:
+//!
+//! * the **ready set** — connections the application touched since they
+//!   last ran, which therefore may have something to send;
+//! * the **deadline index** — one `(deadline, connection)` entry per
+//!   connection that has a timer pending;
+//! * the **half-open count**, which every inbound SYN asks for.
+//!
+//! The last two are exact at all times: every call of the stack that can
+//! change a connection reads the connection's [`Mark`] before and after
+//! and hands both to [`Agenda::reindex`].
+//!
+//! A connection that is not ready, and whose deadline has not passed, has
+//! nothing to do: running it would emit no frame and change no state. Both
+//! stacks (`sublayer-core` and `tcp-mono`) rest on that, and each keeps
+//! the full scan as a test-only oracle to prove it.
+
+use crate::time::Time;
+use std::collections::BTreeSet;
+
+/// What the agenda records about one connection (`Option<Mark>`: `None`
+/// for a connection that is not in the table).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mark {
+    /// The connection's next timer deadline.
+    pub deadline: Option<Time>,
+    /// Passively opened, handshake not yet complete.
+    pub half_open: bool,
+}
+
+/// Ready set, deadline index and half-open count over connection handles
+/// `K`.
+pub struct Agenda<K> {
+    ready: BTreeSet<K>,
+    deadlines: BTreeSet<(Time, K)>,
+    half_open: usize,
+    /// `deadlines.first()`, kept beside the sets: the polls that find
+    /// nothing to do — most of them — then read no tree node at all.
+    earliest: Option<Time>,
+    /// The `Vec` [`Agenda::due`] hands out, kept between calls so that a
+    /// poll allocates nothing.
+    scratch: Vec<K>,
+}
+
+impl<K: Ord + Copy> Default for Agenda<K> {
+    fn default() -> Self {
+        Agenda {
+            ready: BTreeSet::new(),
+            deadlines: BTreeSet::new(),
+            half_open: 0,
+            earliest: None,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord + Copy> Agenda<K> {
+    pub fn new() -> Agenda<K> {
+        Agenda::default()
+    }
+
+    /// `k` may have work that no deadline announces.
+    pub fn mark_ready(&mut self, k: K) {
+        self.ready.insert(k);
+    }
+
+    /// `k` just ran (or is gone).
+    pub fn clear_ready(&mut self, k: &K) {
+        // Removing one by one keeps the set's root node allocated; `clear`
+        // or `mem::take` would free it and the next insert allocate again.
+        if !self.ready.is_empty() {
+            self.ready.remove(k);
+        }
+    }
+
+    /// `k`'s mark was `before` when the call began and is `after` now.
+    pub fn reindex(&mut self, k: K, before: Option<Mark>, after: Option<Mark>) {
+        if after.is_none() {
+            self.clear_ready(&k);
+        }
+        self.move_deadline(
+            k,
+            before.and_then(|m| m.deadline),
+            after.and_then(|m| m.deadline),
+        );
+        self.half_open -= usize::from(before.is_some_and(|m| m.half_open));
+        self.half_open += usize::from(after.is_some_and(|m| m.half_open));
+    }
+
+    /// `k`'s deadline was `before` and is now `after` (`None`: no timer
+    /// pending), nothing else about it having changed.
+    pub fn move_deadline(&mut self, k: K, before: Option<Time>, after: Option<Time>) {
+        if before == after {
+            return;
+        }
+        if let Some(t) = before {
+            let was_indexed = self.deadlines.remove(&(t, k));
+            debug_assert!(was_indexed, "a deadline changed behind the index's back");
+        }
+        if let Some(t) = after {
+            self.deadlines.insert((t, k));
+        }
+        self.earliest = self.deadlines.first().map(|&(t, _)| t);
+    }
+
+    /// Connections whose mark says `half_open`.
+    pub fn half_open(&self) -> usize {
+        self.half_open
+    }
+
+    /// The earliest pending deadline.
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.earliest
+    }
+
+    /// Every connection that is ready or whose deadline is at or before
+    /// `now`, ascending and without repeats — the order a sorted scan of
+    /// the table would visit them in. Give the `Vec` back with
+    /// [`Agenda::recycle`].
+    pub fn due(&mut self, now: Time) -> Vec<K> {
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        out.extend(self.ready.iter().copied());
+        let ready = out.len();
+        if self.earliest.is_some_and(|t| t <= now) {
+            out.extend(
+                self.deadlines
+                    .iter()
+                    .take_while(|&&(t, _)| t <= now)
+                    .map(|&(_, k)| k),
+            );
+        }
+        if out.len() > ready {
+            // The index is in deadline order, and may repeat a ready one.
+            out.sort_unstable();
+            out.dedup();
+        }
+        out
+    }
+
+    pub fn recycle(&mut self, ids: Vec<K>) {
+        self.scratch = ids;
+    }
+
+    /// Entries in the ready set and in the deadline index (each at most
+    /// the stack's connection count).
+    pub fn sizes(&self) -> (usize, usize) {
+        (self.ready.len(), self.deadlines.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn due_is_ready_or_expired_in_key_order() {
+        let mut a: Agenda<u32> = Agenda::new();
+        a.mark_ready(7);
+        a.mark_ready(2);
+        a.move_deadline(5, None, Some(Time(10)));
+        a.move_deadline(2, None, Some(Time(10)));
+        a.move_deadline(1, None, Some(Time(11)));
+        assert_eq!(a.next_deadline(), Some(Time(10)));
+        let ids = a.due(Time(9));
+        assert_eq!(ids, [2, 7]);
+        a.recycle(ids);
+        let ids = a.due(Time(10));
+        assert_eq!(ids, [2, 5, 7]);
+        a.recycle(ids);
+        assert_eq!(a.sizes(), (2, 3));
+    }
+
+    #[test]
+    fn an_entry_follows_its_deadline() {
+        let mut a: Agenda<u32> = Agenda::new();
+        a.move_deadline(1, None, Some(Time(30)));
+        a.move_deadline(1, Some(Time(30)), Some(Time(20)));
+        assert_eq!(a.next_deadline(), Some(Time(20)));
+        a.move_deadline(1, Some(Time(20)), Some(Time(20)));
+        a.move_deadline(1, Some(Time(20)), None);
+        assert_eq!(a.next_deadline(), None);
+        a.mark_ready(1);
+        a.clear_ready(&1);
+        assert_eq!(a.sizes(), (0, 0));
+        let syn_rcvd = Mark {
+            deadline: Some(Time(5)),
+            half_open: true,
+        };
+        let established = Mark {
+            deadline: None,
+            half_open: false,
+        };
+        a.reindex(1, None, Some(syn_rcvd));
+        a.mark_ready(1);
+        assert_eq!((a.half_open(), a.next_deadline()), (1, Some(Time(5))));
+        a.reindex(1, Some(syn_rcvd), Some(established));
+        assert_eq!((a.half_open(), a.sizes()), (0, (1, 0)));
+        a.reindex(1, Some(established), None);
+        assert_eq!(a.sizes(), (0, 0));
+        assert!(a.due(Time(100)).is_empty());
+    }
+}

@@ -19,12 +19,14 @@
 //!   MTU ([`LinkParams`]);
 //! * a multi-node simulator ([`SimNet`]) hosting [`Node`]s;
 //! * a sans-IO protocol endpoint abstraction ([`Stack`], [`StackNode`]) in
-//!   the style of poll-driven stacks such as smoltcp.
+//!   the style of poll-driven stacks such as smoltcp, and the ready set and
+//!   deadline index ([`Agenda`]) a many-connection `Stack` polls from.
 //!
 //! Every run is exactly reproducible from its seed: event ties break by
 //! insertion order and all randomness flows from per-link forks of a single
 //! root seed.
 
+pub mod agenda;
 pub mod attack;
 pub mod event;
 pub mod fault;
@@ -35,6 +37,7 @@ pub mod tap;
 pub mod time;
 pub mod workload;
 
+pub use agenda::{Agenda, Mark};
 pub use attack::{AttackCodec, AttackConfig, Attacker, AttackerStats, SeqKnowledge, SnoopInfo};
 pub use event::EventQueue;
 pub use fault::{BurstLoss, FaultConfigError, FaultInjector, FaultProfile, FaultStats, Fate};

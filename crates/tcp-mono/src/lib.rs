@@ -27,4 +27,6 @@ pub use stack::{Keepalive, TcpStack, TcpStats};
 pub use wire::{Endpoint, FourTuple, Segment, WireError};
 
 #[cfg(test)]
+mod agenda_tests;
+#[cfg(test)]
 mod tests;

@@ -14,7 +14,7 @@ use crate::hash::FxBuildHasher;
 use crate::pcb::*;
 use crate::seq;
 use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
-use netsim::{Dur, Stack, Time, TransportError};
+use netsim::{Agenda, Dur, Mark, Stack, Time, TransportError};
 use slcc::{CcError, CongSignal, NewReno, RateController};
 use slmetrics::{Pressure, SharedLog};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -133,6 +133,12 @@ pub struct TcpStack {
     /// cloned into each new PCB — the same shared [`RateController`] set
     /// the sublayered stack selects from.
     cc_template: Box<dyn RateController>,
+    /// Which connections have anything to do, and how many are half-open:
+    /// `poll_transmit`, `poll_deadline`, `on_tick` and the SYN path read
+    /// this, never the whole table. Kept exact by [`TcpStack::put_back`]
+    /// and [`TcpStack::take_for_good`], the only ways into and out of
+    /// `conns`, at no cost in PCB fields.
+    agenda: Agenda<FourTuple>,
     pub stats: TcpStats,
 }
 
@@ -162,6 +168,7 @@ impl TcpStack {
             pressure: Pressure::Nominal,
             gate: false,
             cc_template,
+            agenda: Agenda::new(),
             stats: TcpStats::default(),
         }
     }
@@ -177,7 +184,14 @@ impl TcpStack {
 
     /// Enable keepalive probing for all connections on this host.
     pub fn set_keepalive(&mut self, ka: Keepalive) {
-        self.keepalive = Some(ka);
+        let before = self.keepalive.replace(ka);
+        for (&tuple, p) in &self.conns {
+            self.agenda.move_deadline(
+                tuple,
+                Self::deadline_of(before, p),
+                Self::deadline_of(Some(ka), p),
+            );
+        }
     }
 
     /// Bound the connection table (default 16384).
@@ -190,6 +204,12 @@ impl TcpStack {
     /// field directly; no per-connection fan-out exists to forget.
     pub fn set_pressure(&mut self, p: Pressure) {
         self.log.borrow_mut().w(FC, "pressure");
+        if p != self.pressure {
+            // An ack that pacing held goes out at the next output pass.
+            for &tuple in self.conns.keys() {
+                self.agenda.mark_ready(tuple);
+            }
+        }
         self.pressure = p;
     }
 
@@ -318,7 +338,7 @@ impl TcpStack {
         pcb.last_rx = now;
         self.stats.conns_opened += 1;
         self.send_syn(&mut pcb, false);
-        self.conns.insert(tuple, pcb);
+        self.put_back(pcb, None, true);
         Ok(tuple)
     }
 
@@ -369,6 +389,8 @@ impl TcpStack {
         self.log.borrow_mut().w(RD, "snd_buf");
         let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
         pcb.snd_buf.extend(data[..n].iter().copied());
+        // No timer field moves until the output path runs.
+        self.agenda.mark_ready(tuple);
         n
     }
 
@@ -394,13 +416,15 @@ impl TcpStack {
             )
         {
             pcb.ack_pending = true;
+            self.agenda.mark_ready(tuple);
         }
         out
     }
 
     /// Graceful close: FIN after the send buffer drains.
     pub fn close(&mut self, tuple: FourTuple) {
-        let Some(pcb) = self.conns.get_mut(&tuple) else { return };
+        let Some(mut pcb) = self.conns.remove(&tuple) else { return };
+        let before = Some(self.mark_of(&pcb));
         self.log.borrow_mut().w(CONN, "state");
         match pcb.state {
             TcpState::Established | TcpState::SynRcvd => {
@@ -411,16 +435,17 @@ impl TcpStack {
                 pcb.fin_queued = true;
                 pcb.state = TcpState::LastAck;
             }
-            TcpState::SynSent => {
-                self.conns.remove(&tuple);
-            }
             _ => {}
         }
+        self.agenda.mark_ready(tuple);
+        // A connection that never left SYN_SENT is simply forgotten.
+        let keep = pcb.state != TcpState::SynSent;
+        self.put_back(pcb, before, keep);
     }
 
     /// Hard reset.
     pub fn abort(&mut self, tuple: FourTuple) {
-        if let Some(pcb) = self.conns.remove(&tuple) {
+        if let Some(pcb) = self.take_for_good(tuple) {
             self.errors.entry(tuple).or_insert(TransportError::Reset);
             self.send_rst(&pcb);
         }
@@ -509,8 +534,11 @@ impl TcpStack {
     /// Next timer deadline for *one* connection, so a host can keep one
     /// wheel entry per connection instead of scanning them all.
     pub fn conn_deadline(&self, _now: Time, tuple: FourTuple) -> Option<Time> {
-        let p = self.conns.get(&tuple)?;
-        let ka_due = self.keepalive.and_then(|ka| {
+        Self::deadline_of(self.keepalive, self.conns.get(&tuple)?)
+    }
+
+    fn deadline_of(keepalive: Option<Keepalive>, p: &Pcb) -> Option<Time> {
+        let ka_due = keepalive.and_then(|ka| {
             (p.state == TcpState::Established).then(|| {
                 p.last_rx + ka.idle + ka.interval.saturating_mul(p.ka_probes as u64)
             })
@@ -525,6 +553,38 @@ impl TcpStack {
         .into_iter()
         .flatten()
         .min()
+    }
+
+    fn mark_of(&self, p: &Pcb) -> Mark {
+        Mark {
+            deadline: Self::deadline_of(self.keepalive, p),
+            half_open: p.state == TcpState::SynRcvd,
+        }
+    }
+
+    /// The other half of `self.conns.remove(..)`: the one place a PCB
+    /// enters the table (`keep`) or is dropped, with the mark it had when
+    /// it was taken out (`None` for a new one) so that the agenda follows.
+    fn put_back(&mut self, pcb: Pcb, before: Option<Mark>, keep: bool) {
+        let tuple = pcb.tuple;
+        let after = keep.then(|| self.mark_of(&pcb));
+        if keep {
+            self.conns.insert(tuple, pcb);
+        }
+        self.agenda.reindex(tuple, before, after);
+    }
+
+    /// Remove a connection outright (abort, eviction).
+    fn take_for_good(&mut self, tuple: FourTuple) -> Option<Pcb> {
+        let pcb = self.conns.remove(&tuple)?;
+        self.agenda.reindex(tuple, Some(self.mark_of(&pcb)), None);
+        Some(pcb)
+    }
+
+    /// Entries in the ready set and in the deadline index — each bounded
+    /// by [`TcpStack::conn_count`], whichever way the stack is driven.
+    pub fn agenda_sizes(&self) -> (usize, usize) {
+        self.agenda.sizes()
     }
 
     /// Direct PCB access for tests and campaign invariants (read-only).
@@ -620,7 +680,11 @@ impl TcpStack {
 
     /// Connections still completing the handshake (SYN queue occupancy).
     pub fn half_open_count(&self) -> usize {
-        self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count()
+        debug_assert_eq!(
+            self.agenda.half_open(),
+            self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count()
+        );
+        self.agenda.half_open()
     }
 
     /// Oldest half-open connection that has sat at least one RTO without
@@ -654,11 +718,11 @@ impl TcpStack {
 
     /// Transmit whatever the window allows for `tuple` (tcp_output).
     fn output(&mut self, now: Time, tuple: FourTuple) {
+        self.agenda.clear_ready(&tuple);
         let Some(mut pcb) = self.conns.remove(&tuple) else { return };
+        let before = Some(self.mark_of(&pcb));
         self.output_pcb(now, &mut pcb);
-        if pcb.state != TcpState::Closed {
-            self.conns.insert(tuple, pcb);
-        }
+        self.put_back(pcb, before, true);
     }
 
     fn output_pcb(&mut self, now: Time, pcb: &mut Pcb) {
@@ -865,7 +929,7 @@ impl TcpStack {
                 // bandwidth, not memory.
                 if self.half_open_count() >= MAX_HALF_OPEN {
                     if let Some(victim) = self.stale_half_open(now) {
-                        self.conns.remove(&victim);
+                        self.take_for_good(victim);
                         self.stats.half_open_evictions += 1;
                     } else {
                         let cookie = self.syn_cookie(&tuple, seg.seq);
@@ -909,7 +973,7 @@ impl TcpStack {
                 pcb.last_rx = now;
                 self.stats.conns_opened += 1;
                 self.send_syn(&mut pcb, true);
-                self.conns.insert(tuple, pcb);
+                self.put_back(pcb, None, true);
             } else if seg.ack_flag()
                 && !seg.syn()
                 && !seg.rst()
@@ -935,7 +999,7 @@ impl TcpStack {
                 pcb.last_rx = now;
                 self.stats.conns_opened += 1;
                 self.stats.syn_cookies_validated += 1;
-                self.conns.insert(tuple, pcb);
+                self.put_back(pcb, None, true);
                 // Re-enter input processing: the ACK may carry data.
                 self.stats.segs_received -= 1; // avoid double count
                 self.on_segment(now, seg);
@@ -944,7 +1008,15 @@ impl TcpStack {
             }
             return;
         };
+        let before = Some(self.mark_of(&pcb));
+        let keep = self.input(now, seg, &mut pcb);
+        self.put_back(pcb, before, keep);
+    }
 
+    /// `tcp_input` proper, on the segment's PCB, which the caller took out
+    /// of the table. Returns whether the PCB lives on.
+    fn input(&mut self, now: Time, seg: Segment, pcb: &mut Pcb) -> bool {
+        let tuple = pcb.tuple;
         // Any segment from the peer proves liveness.
         pcb.last_rx = now;
         pcb.ka_probes = 0;
@@ -957,17 +1029,15 @@ impl TcpStack {
                 && (seq::leq(seg.ack, pcb.iss) || seq::gt(seg.ack, pcb.snd_nxt))
             {
                 self.send_rst_for(&seg);
-                self.conns.insert(tuple, pcb);
-                return;
+                return true;
             }
             if seg.rst() {
                 if seg.ack_flag() {
                     self.stats.conns_reset += 1; // connection refused
                     self.errors.entry(tuple).or_insert(TransportError::Reset);
-                    return; // pcb dropped
+                    return false; // pcb dropped
                 }
-                self.conns.insert(tuple, pcb);
-                return;
+                return true;
             }
             if seg.syn() {
                 self.log.borrow_mut().w(CONN, "irs");
@@ -997,12 +1067,11 @@ impl TcpStack {
                     // Simultaneous open.
                     self.log.borrow_mut().w(CONN, "state");
                     pcb.state = TcpState::SynRcvd;
-                    self.send_syn(&mut pcb, true);
+                    self.send_syn(pcb, true);
                 }
             }
-            self.output_pcb(now, &mut pcb);
-            self.conns.insert(tuple, pcb);
-            return;
+            self.output_pcb(now, pcb);
+            return true;
         }
 
         // ---- connection management: duplicate SYN in SYN_RCVD ----
@@ -1034,14 +1103,13 @@ impl TcpStack {
                 seq: pcb.snd_nxt,
                 ack: pcb.rcv_nxt,
                 flags: ACK,
-                wnd: self.adv_wnd(&pcb),
+                wnd: self.adv_wnd(pcb),
                 mss: None,
                 payload: Vec::new(),
             };
             self.push(ack);
-            self.output_pcb(now, &mut pcb);
-            self.conns.insert(tuple, pcb);
-            return;
+            self.output_pcb(now, pcb);
+            return true;
         }
 
         // ---- connection management: stray SYN (RFC 5961 §4) ----
@@ -1051,9 +1119,8 @@ impl TcpStack {
             // spoofed SYN must not kill a live connection, and a peer
             // that genuinely restarted will answer the challenge with an
             // exact-sequence RST.
-            self.challenge_ack(&pcb);
-            self.conns.insert(tuple, pcb);
-            return;
+            self.challenge_ack(pcb);
+            return true;
         }
 
         // ---- reliable delivery: sequence acceptability (RFC 793) ----
@@ -1078,10 +1145,9 @@ impl TcpStack {
         if !acceptable {
             if !seg.rst() {
                 pcb.ack_pending = true;
-                self.output_pcb(now, &mut pcb);
+                self.output_pcb(now, pcb);
             }
-            self.conns.insert(tuple, pcb);
-            return;
+            return true;
         }
 
         // ---- connection management: RST / stray SYN (RFC 5961) ----
@@ -1099,18 +1165,16 @@ impl TcpStack {
                 ) {
                     self.errors.entry(tuple).or_insert(TransportError::Reset);
                 }
-                return; // pcb dropped
+                return false; // pcb dropped
             }
             // In-window but not exact: a blind attacker's best guess.
             // Challenge; a real peer that meant it answers with the exact
             // sequence.
-            self.challenge_ack(&pcb);
-            self.conns.insert(tuple, pcb);
-            return;
+            self.challenge_ack(pcb);
+            return true;
         }
         if !seg.ack_flag() {
-            self.conns.insert(tuple, pcb);
-            return;
+            return true;
         }
 
         // ---- connection management: SYN_RCVD -> ESTABLISHED ----
@@ -1125,8 +1189,7 @@ impl TcpStack {
                 pcb.retries = 0;
             } else {
                 self.send_rst_for(&seg);
-                self.conns.insert(tuple, pcb);
-                return;
+                return true;
             }
         }
 
@@ -1134,16 +1197,14 @@ impl TcpStack {
         if seq::gt(seg.ack, pcb.snd_max) {
             // Acks something never sent: challenge (RFC 5961 §5).
             pcb.ack_pending = true;
-            self.output_pcb(now, &mut pcb);
-            self.conns.insert(tuple, pcb);
-            return;
+            self.output_pcb(now, pcb);
+            return true;
         }
         if seq::lt(seg.ack, pcb.snd_una.wrapping_sub(MAX_ACK_AGE)) {
             // Trails snd_una by more than any plausible window: blind
             // injection noise — drop without reply (RFC 5961 §5).
             self.stats.old_ack_drops += 1;
-            self.conns.insert(tuple, pcb);
-            return;
+            return true;
         }
         if seq::gt(seg.ack, pcb.snd_una) {
             self.log.borrow_mut().w(RD, "snd_una");
@@ -1240,7 +1301,7 @@ impl TcpStack {
                     // recovery.
                     self.stats.fast_retransmits += 1;
                     let una = pcb.snd_una;
-                    self.retransmit_one(&mut pcb, una);
+                    self.retransmit_one(pcb, una);
                     pcb.feed_cc(now, CongSignal::PartialAck { bytes: bytes_acked });
                 }
             } else {
@@ -1264,8 +1325,7 @@ impl TcpStack {
                             pcb.time_wait_deadline = Some(now + TIME_WAIT_DUR);
                         }
                         TcpState::LastAck => {
-                            self.conns.remove(&tuple);
-                            return;
+                            return false;
                         }
                         _ => {}
                     }
@@ -1301,7 +1361,7 @@ impl TcpStack {
                 // cwnd, not flight size — the controller never sees
                 // sequence state); the recovery point stays here.
                 let una = pcb.snd_una;
-                self.retransmit_one(&mut pcb, una);
+                self.retransmit_one(pcb, una);
                 pcb.feed_cc(now, CongSignal::DupAckLoss);
                 pcb.in_fast_recovery = true;
                 pcb.recover = pcb.snd_max;
@@ -1412,32 +1472,20 @@ impl TcpStack {
             }
         }
 
-        self.output_pcb(now, &mut pcb);
-        if pcb.state != TcpState::Closed {
-            self.conns.insert(tuple, pcb);
-        }
+        self.output_pcb(now, pcb);
+        true
     }
 
-    /// Timer processing: RTO, TIME_WAIT, persist (zero-window probe).
-    /// Sorted so every same-seed run ticks connections in the same order
-    /// (HashMap iteration order is not deterministic).
-    fn timers(&mut self, now: Time) {
-        let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
-        tuples.sort();
-        for tuple in tuples {
-            self.tick_conn(now, tuple);
-        }
-    }
-
-    /// Advance one connection's timers to `now` (the per-connection half
-    /// of `on_tick`, for hosts that track deadlines per connection);
-    /// spurious calls are harmless.
+    /// Timer processing — RTO, TIME_WAIT, persist (zero-window probe),
+    /// keepalive: advance one connection's timers to `now` (the
+    /// per-connection half of `on_tick`, for hosts that track deadlines
+    /// per connection); spurious calls are harmless.
     pub fn tick_conn(&mut self, now: Time, tuple: FourTuple) {
-        {
-            let Some(mut pcb) = self.conns.remove(&tuple) else { return };
-
+        let Some(mut pcb) = self.conns.remove(&tuple) else { return };
+        let before = Some(self.mark_of(&pcb));
+        let keep = 'tick: {
             if pcb.time_wait_deadline.is_some_and(|d| now >= d) {
-                return; // 2MSL elapsed: drop the PCB.
+                break 'tick false; // 2MSL elapsed: drop the PCB.
             }
 
             if pcb.rto_deadline.is_some_and(|d| now >= d) {
@@ -1466,7 +1514,7 @@ impl TcpStack {
                     self.errors.entry(tuple).or_insert(why);
                     self.stats.conns_reset += 1;
                     self.send_rst(&pcb);
-                    return; // PCB dropped
+                    break 'tick false; // PCB dropped
                 }
                 match pcb.state {
                     TcpState::SynSent => self.send_syn(&mut pcb, false),
@@ -1553,7 +1601,7 @@ impl TcpStack {
                                 .or_insert(TransportError::PeerVanished);
                             self.stats.conns_reset += 1;
                             self.send_rst(&pcb);
-                            return; // PCB dropped
+                            break 'tick false; // PCB dropped
                         }
                         // Probe one byte *behind* snd_nxt: unacceptable to
                         // the peer, which therefore answers with a bare
@@ -1576,8 +1624,9 @@ impl TcpStack {
                 }
             }
 
-            self.conns.insert(tuple, pcb);
-        }
+            true
+        };
+        self.put_back(pcb, before, keep);
     }
 }
 
@@ -1591,28 +1640,79 @@ impl Stack for TcpStack {
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
         if self.outbox.is_empty() {
-            // Give every connection a chance to transmit buffered data.
-            // Sorted so every same-seed run pumps connections in the same
-            // order (HashMap iteration order is not deterministic).
-            let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
-            tuples.sort();
-            for t in tuples {
+            // Only a ready connection, or one whose deadline has passed
+            // (a paced ack is released here, with no `on_tick`), can have
+            // a segment to give. Ascending, so every same-seed run runs
+            // the output path in the same order.
+            let tuples = self.agenda.due(now);
+            for &t in &tuples {
+                self.output(now, t);
+            }
+            self.agenda.recycle(tuples);
+        }
+        self.outbox.pop_front()
+    }
+
+    fn poll_deadline(&self, now: Time) -> Option<Time> {
+        debug_assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
+        self.agenda.next_deadline()
+    }
+
+    fn on_tick(&mut self, now: Time) {
+        let tuples = self.agenda.due(now);
+        for &t in &tuples {
+            self.tick_conn(now, t);
+        }
+        self.agenda.recycle(tuples);
+    }
+}
+
+/// The three full-table scans that `poll_transmit`, `poll_deadline` and
+/// `on_tick` used to be — the reference the agenda is tested against
+/// (`agenda_tests`): same segments in the same order, same deadline.
+#[cfg(test)]
+impl TcpStack {
+    fn sorted_tuples(&self) -> Vec<FourTuple> {
+        let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
+        tuples.sort();
+        tuples
+    }
+
+    pub(crate) fn scan_poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
+        if self.outbox.is_empty() {
+            for t in self.sorted_tuples() {
                 self.output(now, t);
             }
         }
         self.outbox.pop_front()
     }
 
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
+    pub(crate) fn scan_on_tick(&mut self, now: Time) {
+        for t in self.sorted_tuples() {
+            self.tick_conn(now, t);
+        }
     }
 
-    fn on_tick(&mut self, now: Time) {
-        self.timers(now);
+    /// The indices hold exactly what the table says they should.
+    pub(crate) fn check_indices(&self, now: Time) {
+        let (ready, deadlines) = self.agenda.sizes();
+        assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
+        let with_deadline =
+            self.conns.keys().filter(|&&t| self.conn_deadline(now, t).is_some()).count();
+        assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
+        assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
+        let half_open = self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count();
+        assert_eq!(self.agenda.half_open(), half_open);
     }
 }
 
 impl TcpStack {
+    /// The minimum over the whole table, which the deadline index must
+    /// equal at all times (debug builds check on every `poll_deadline`).
+    pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
+        self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
+    }
+
     /// Debug snapshot of a connection's key variables (used by the debug
     /// binary and by tests asserting internal invariants).
     pub fn debug_snapshot(&self, tuple: FourTuple) -> Option<String> {
