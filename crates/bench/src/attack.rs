@@ -26,19 +26,16 @@ use netsim::{
     AttackCodec, AttackConfig, Attacker, DetRng, Dur, LinkParams, SeqKnowledge, SimNet,
     SnoopInfo, StackNode, Time, TransportError,
 };
+use slconform::Kind;
 use slmetrics::AttackCounters;
 use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
-use sublayer_core::{CmState, KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::pcb::TcpState;
-use tcp_mono::stack::{Keepalive, TcpStack};
+use sublayer_core::SlTcpStack;
+use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::{Endpoint, Segment, ACK, RST, SYN};
 
-use crate::{A, B};
+use crate::chaos::KINDS;
+use crate::{json, keepalive_pair, stream_transfer, sweep_grid, CampaignStack, Report};
 
-/// Wall-clock (simulated) patience before declaring a run hung.
-const PATIENCE: Dur = Dur(600_000_000_000);
-/// Polling cadence of the application driver loop.
-const STEP: Dur = Dur(250_000_000);
 /// Bytes the legitimate flow transfers under attack.
 const PAYLOAD_LEN: usize = 120_000;
 /// Buffered-bytes ceiling per endpoint: the send-buffer cap plus receive
@@ -322,26 +319,6 @@ impl AttackProfile {
     }
 }
 
-/// Which transport a campaign exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttackStack {
-    Mono,
-    Sub,
-}
-
-impl AttackStack {
-    pub fn all() -> [AttackStack; 2] {
-        [AttackStack::Mono, AttackStack::Sub]
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            AttackStack::Mono => "mono",
-            AttackStack::Sub => "sub",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Outcome + judging
 // ---------------------------------------------------------------------------
@@ -365,12 +342,6 @@ pub struct AttackOutcome {
     pub max_buffered: usize,
     pub counters: AttackCounters,
     pub violations: Vec<String>,
-}
-
-impl AttackOutcome {
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
 }
 
 /// Invariants every run must satisfy, plus the profile's expectations.
@@ -436,47 +407,79 @@ fn judge(profile: AttackProfile, mut out: AttackOutcome, got: &[u8], payload: &[
 // Runners
 // ---------------------------------------------------------------------------
 
-fn keepalive_mono() -> Keepalive {
-    Keepalive {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
-fn keepalive_sub() -> KeepaliveConfig {
-    KeepaliveConfig {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
 fn link() -> LinkParams {
     LinkParams::delay_only(Dur::from_millis(5))
 }
 
+/// What the campaign needs of a stack beyond the shared transfer surface:
+/// the attacker's wire knowledge and the defence counters' read-out.
+pub trait AttackTarget: CampaignStack {
+    fn codec() -> Box<dyn AttackCodec>;
+    fn half_open(&self) -> usize;
+    /// This endpoint's defence counters (`forged_segments` left 0);
+    /// `conn` is its side of the attacked flow, if it still knows one.
+    fn defence(&self, conn: Option<Self::ConnId>) -> AttackCounters;
+}
+
+impl AttackTarget for TcpStack {
+    fn codec() -> Box<dyn AttackCodec> {
+        Box::new(MonoCodec)
+    }
+    fn half_open(&self) -> usize {
+        self.half_open_count()
+    }
+    fn defence(&self, _conn: Option<Self::ConnId>) -> AttackCounters {
+        AttackCounters {
+            forged_segments: 0,
+            challenge_acks: self.stats.challenge_acks,
+            syn_cookies_sent: self.stats.syn_cookies_sent,
+            syn_cookies_validated: self.stats.syn_cookies_validated,
+            half_open_evictions: self.stats.half_open_evictions,
+            bad_frames_rejected: self.stats.bad_segments,
+            overflow_drops: self.stats.ooo_overflow_drops,
+            invalid_seq_drops: self.stats.old_ack_drops,
+        }
+    }
+}
+
+impl AttackTarget for SlTcpStack {
+    fn codec() -> Box<dyn AttackCodec> {
+        Box::new(SubCodec)
+    }
+    fn half_open(&self) -> usize {
+        self.half_open_count()
+    }
+    fn defence(&self, conn: Option<Self::ConnId>) -> AttackCounters {
+        // Receive-cap drops live in the connection's RD stats.
+        let rd = conn.and_then(|id| self.rd_stats(id)).unwrap_or_default();
+        AttackCounters {
+            forged_segments: 0,
+            challenge_acks: self.challenge_acks(),
+            syn_cookies_sent: self.stats.syn_cookies_sent,
+            syn_cookies_validated: self.stats.syn_cookies_validated,
+            half_open_evictions: self.stats.half_open_evictions,
+            bad_frames_rejected: self.stats.bad_packets,
+            overflow_drops: rd.ooo_range_drops,
+            invalid_seq_drops: rd.invalid_seq_drops,
+        }
+    }
+}
+
 /// Run one `(profile, stack, seed)` campaign and judge its invariants.
-pub fn run_campaign(profile: AttackProfile, stack: AttackStack, seed: u64) -> AttackOutcome {
+pub fn run_campaign(profile: AttackProfile, kind: Kind, seed: u64) -> AttackOutcome {
+    match kind {
+        Kind::Mono => run::<TcpStack>(profile, seed),
+        Kind::Sub => run::<SlTcpStack>(profile, seed),
+    }
+}
+
+fn run<H: AttackTarget>(profile: AttackProfile, seed: u64) -> AttackOutcome {
     let payload: Vec<u8> = (0..PAYLOAD_LEN).map(|i| (i % 251) as u8).collect();
-    match stack {
-        AttackStack::Mono => run_mono(profile, seed, &payload),
-        AttackStack::Sub => run_sub(profile, seed, &payload),
-    }
-}
-
-fn run_mono(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
-    let mut c = TcpStack::new(A, slmetrics::shared());
-    let mut s = TcpStack::new(B, slmetrics::shared());
-    c.set_keepalive(keepalive_mono());
-    s.set_keepalive(keepalive_mono());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
-
+    let (c, s, conn) = keepalive_pair::<H>();
     let mut net = SimNet::new(seed);
     let nc = net.add_node(Box::new(StackNode::new(c)));
     let na = net.add_node(Box::new(Attacker::new(
-        Box::new(MonoCodec),
+        H::codec(),
         profile.attack_config(),
         DetRng::new(seed ^ 0xA77A_C4E5),
     )));
@@ -484,317 +487,122 @@ fn run_mono(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome 
     net.connect(nc, 0, na, 0, link());
     net.connect(na, 1, ns, 0, link());
 
-    net.poll_all();
-    net.run_until(t(1_000));
-    let mut sent = net.node_mut::<StackNode<TcpStack>>(nc).stack.send(conn, payload);
-    net.poll_all();
-
-    let deadline = net.now() + PATIENCE;
-    let mut got: Vec<u8> = Vec::new();
-    let mut sconn = None;
     let mut max_half_open = 0usize;
     let mut max_buffered = 0usize;
-    while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
-        if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<TcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
-        }
-        {
-            let st = &mut net.node_mut::<StackNode<TcpStack>>(ns).stack;
-            if sconn.is_none() {
-                sconn = st.established().first().copied();
-            }
-            if let Some(t) = sconn {
-                got.extend(st.recv(t));
-            }
-            max_half_open = max_half_open.max(st.half_open_count());
-            max_buffered = max_buffered.max(st.buffered_bytes());
-        }
-        max_buffered =
-            max_buffered.max(net.node::<StackNode<TcpStack>>(nc).stack.buffered_bytes());
-        net.poll_all();
-        if got.len() >= payload.len() {
-            break;
-        }
-        let client_dead = net.node::<StackNode<TcpStack>>(nc).stack.state(conn) == TcpState::Closed;
-        // No established server connection left (it may have been reset and
-        // reaped before we ever saw it) counts as a dead server side.
-        let server_dead = match sconn {
-            Some(t) => net.node::<StackNode<TcpStack>>(ns).stack.state(t) == TcpState::Closed,
-            None => net.node::<StackNode<TcpStack>>(ns).stack.established().is_empty(),
-        };
-        if client_dead && server_dead {
-            break;
-        }
-    }
+    let t = stream_transfer::<H>(&mut net, (nc, conn), ns, &payload, |net| {
+        let (c, s) = (&net.node::<StackNode<H>>(nc).stack, &net.node::<StackNode<H>>(ns).stack);
+        max_half_open = max_half_open.max(s.half_open());
+        max_buffered = max_buffered.max(s.buffered_bytes()).max(c.buffered_bytes());
+    });
 
-    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
-    let complete = got.len() >= payload.len();
-    if !complete {
-        net.run_until(net.now() + Dur::from_secs(120));
-    }
-    let d0 = net.link_dir_stats(0, 0);
-    let d1 = net.link_dir_stats(0, 1);
-    let e0 = net.link_dir_stats(1, 0);
-    let e1 = net.link_dir_stats(1, 1);
-    let wire_frames = d0.tx_frames + d1.tx_frames + e0.tx_frames + e1.tx_frames;
-    let client_error = net.node::<StackNode<TcpStack>>(nc).stack.conn_error(conn);
-    let server_error = sconn.and_then(|t| net.node::<StackNode<TcpStack>>(ns).stack.conn_error(t));
-
-    let atk = net.node::<Attacker>(na).stats;
-    let cs = net.node::<StackNode<TcpStack>>(nc).stack.stats.clone();
-    let ss = net.node::<StackNode<TcpStack>>(ns).stack.stats.clone();
-    let counters = AttackCounters {
-        forged_segments: atk.forged_total(),
-        challenge_acks: cs.challenge_acks + ss.challenge_acks,
-        syn_cookies_sent: cs.syn_cookies_sent + ss.syn_cookies_sent,
-        syn_cookies_validated: cs.syn_cookies_validated + ss.syn_cookies_validated,
-        half_open_evictions: cs.half_open_evictions + ss.half_open_evictions,
-        bad_frames_rejected: cs.bad_segments + ss.bad_segments,
-        overflow_drops: cs.ooo_overflow_drops + ss.ooo_overflow_drops,
-        invalid_seq_drops: cs.old_ack_drops + ss.old_ack_drops,
+    let wire_frames = (0..2)
+        .map(|l| net.link_dir_stats(l, 0).tx_frames + net.link_dir_stats(l, 1).tx_frames)
+        .sum();
+    let (c, s) = (&net.node::<StackNode<H>>(nc).stack, &net.node::<StackNode<H>>(ns).stack);
+    let mut counters = AttackCounters {
+        forged_segments: net.node::<Attacker>(na).stats.forged_total(),
+        ..c.defence(Some(conn))
     };
+    counters.absorb(&s.defence(t.sconn));
 
     let out = AttackOutcome {
         profile: profile.name(),
-        stack: AttackStack::Mono.name(),
+        stack: H::KIND.label(),
         seed,
         payload: payload.len(),
-        delivered: got.len(),
-        complete,
-        client_error,
-        server_error,
-        sim_ms,
+        delivered: t.got.len(),
+        complete: t.complete,
+        client_error: c.conn_error(conn),
+        server_error: t.sconn.and_then(|id| s.conn_error(id)),
+        sim_ms: t.sim_ms,
         wire_frames,
         max_half_open,
         max_buffered,
         counters,
         violations: Vec::new(),
     };
-    judge(profile, out, &got, payload)
-}
-
-fn run_sub(profile: AttackProfile, seed: u64, payload: &[u8]) -> AttackOutcome {
-    let cfg = SlConfig {
-        keepalive: Some(keepalive_sub()),
-        ..SlConfig::default()
-    };
-    let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
-
-    let mut net = SimNet::new(seed);
-    let nc = net.add_node(Box::new(StackNode::new(c)));
-    let na = net.add_node(Box::new(Attacker::new(
-        Box::new(SubCodec),
-        profile.attack_config(),
-        DetRng::new(seed ^ 0xA77A_C4E5),
-    )));
-    let ns = net.add_node(Box::new(StackNode::new(s)));
-    net.connect(nc, 0, na, 0, link());
-    net.connect(na, 1, ns, 0, link());
-
-    net.poll_all();
-    net.run_until(t(1_000));
-    let mut sent = net.node_mut::<StackNode<SlTcpStack>>(nc).stack.send(conn, payload);
-    net.poll_all();
-
-    let deadline = net.now() + PATIENCE;
-    let mut got: Vec<u8> = Vec::new();
-    let mut sconn = None;
-    let mut max_half_open = 0usize;
-    let mut max_buffered = 0usize;
-    while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
-        if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<SlTcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
-        }
-        {
-            let st = &mut net.node_mut::<StackNode<SlTcpStack>>(ns).stack;
-            if sconn.is_none() {
-                sconn = st.established().first().copied();
-            }
-            if let Some(id) = sconn {
-                got.extend(st.recv(id));
-            }
-            max_half_open = max_half_open.max(st.half_open_count());
-            max_buffered = max_buffered.max(st.buffered_bytes());
-        }
-        max_buffered =
-            max_buffered.max(net.node::<StackNode<SlTcpStack>>(nc).stack.buffered_bytes());
-        net.poll_all();
-        if got.len() >= payload.len() {
-            break;
-        }
-        let client_dead =
-            net.node::<StackNode<SlTcpStack>>(nc).stack.state(conn) == CmState::Closed;
-        // As in the mono runner: a reset-and-reaped server conn counts too.
-        let server_dead = match sconn {
-            Some(id) => net.node::<StackNode<SlTcpStack>>(ns).stack.state(id) == CmState::Closed,
-            None => net.node::<StackNode<SlTcpStack>>(ns).stack.established().is_empty(),
-        };
-        if client_dead && server_dead {
-            break;
-        }
-    }
-
-    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
-    let complete = got.len() >= payload.len();
-    if !complete {
-        net.run_until(net.now() + Dur::from_secs(120));
-    }
-    let d0 = net.link_dir_stats(0, 0);
-    let d1 = net.link_dir_stats(0, 1);
-    let e0 = net.link_dir_stats(1, 0);
-    let e1 = net.link_dir_stats(1, 1);
-    let wire_frames = d0.tx_frames + d1.tx_frames + e0.tx_frames + e1.tx_frames;
-    let client_error = net.node::<StackNode<SlTcpStack>>(nc).stack.conn_error(conn);
-    let server_error =
-        sconn.and_then(|id| net.node::<StackNode<SlTcpStack>>(ns).stack.conn_error(id));
-
-    let atk = net.node::<Attacker>(na).stats;
-    // Receive-cap drops live in per-connection RD stats; read them before
-    // the stacks are dropped.
-    let (ooo_drops, seq_drops) = {
-        let sc = &net.node::<StackNode<SlTcpStack>>(nc).stack;
-        let ss = &net.node::<StackNode<SlTcpStack>>(ns).stack;
-        let crd = sc.rd_stats(conn).unwrap_or_default();
-        let srd = sconn.and_then(|id| ss.rd_stats(id)).unwrap_or_default();
-        (crd.ooo_range_drops + srd.ooo_range_drops,
-         crd.invalid_seq_drops + srd.invalid_seq_drops)
-    };
-    let cs = net.node::<StackNode<SlTcpStack>>(nc).stack.stats.clone();
-    let c_challenges = net.node::<StackNode<SlTcpStack>>(nc).stack.challenge_acks();
-    let s_challenges = net.node::<StackNode<SlTcpStack>>(ns).stack.challenge_acks();
-    let ss = net.node::<StackNode<SlTcpStack>>(ns).stack.stats.clone();
-    let counters = AttackCounters {
-        forged_segments: atk.forged_total(),
-        challenge_acks: c_challenges + s_challenges,
-        syn_cookies_sent: cs.syn_cookies_sent + ss.syn_cookies_sent,
-        syn_cookies_validated: cs.syn_cookies_validated + ss.syn_cookies_validated,
-        half_open_evictions: cs.half_open_evictions + ss.half_open_evictions,
-        bad_frames_rejected: cs.bad_packets + ss.bad_packets,
-        overflow_drops: ooo_drops,
-        invalid_seq_drops: seq_drops,
-    };
-
-    let out = AttackOutcome {
-        profile: profile.name(),
-        stack: AttackStack::Sub.name(),
-        seed,
-        payload: payload.len(),
-        delivered: got.len(),
-        complete,
-        client_error,
-        server_error,
-        sim_ms,
-        wire_frames,
-        max_half_open,
-        max_buffered,
-        counters,
-        violations: Vec::new(),
-    };
-    judge(profile, out, &got, payload)
+    judge(profile, out, &t.got, &payload)
 }
 
 // ---------------------------------------------------------------------------
 // JSON + sweep
 // ---------------------------------------------------------------------------
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
-    }
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
+/// Deterministic JSON for one outcome (stable field order, integers
+/// only — byte-identical for identical seeds).
 pub fn outcome_json(o: &AttackOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
     let c = &o.counters;
-    format!(
-        "{{\"profile\":{},\"stack\":{},\"seed\":{},\"payload\":{},\"delivered\":{},\
-         \"complete\":{},\"client_error\":{},\"server_error\":{},\"sim_ms\":{},\
-         \"wire_frames\":{},\"max_half_open\":{},\"max_buffered\":{},\
-         \"forged_segments\":{},\"challenge_acks\":{},\"syn_cookies_sent\":{},\
-         \"syn_cookies_validated\":{},\"half_open_evictions\":{},\
-         \"bad_frames_rejected\":{},\"overflow_drops\":{},\"invalid_seq_drops\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.stack),
-        o.seed,
-        o.payload,
-        o.delivered,
-        o.complete,
-        json_err(o.client_error),
-        json_err(o.server_error),
-        o.sim_ms,
-        o.wire_frames,
-        o.max_half_open,
-        o.max_buffered,
-        c.forged_segments,
-        c.challenge_acks,
-        c.syn_cookies_sent,
-        c.syn_cookies_validated,
-        c.half_open_evictions,
-        c.bad_frames_rejected,
-        c.overflow_drops,
-        c.invalid_seq_drops,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("profile", json::str(o.profile)),
+        ("stack", json::str(o.stack)),
+        ("seed", o.seed.to_string()),
+        ("payload", o.payload.to_string()),
+        ("delivered", o.delivered.to_string()),
+        ("complete", o.complete.to_string()),
+        ("client_error", json::opt_err(o.client_error)),
+        ("server_error", json::opt_err(o.server_error)),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("wire_frames", o.wire_frames.to_string()),
+        ("max_half_open", o.max_half_open.to_string()),
+        ("max_buffered", o.max_buffered.to_string()),
+        ("forged_segments", c.forged_segments.to_string()),
+        ("challenge_acks", c.challenge_acks.to_string()),
+        ("syn_cookies_sent", c.syn_cookies_sent.to_string()),
+        ("syn_cookies_validated", c.syn_cookies_validated.to_string()),
+        ("half_open_evictions", c.half_open_evictions.to_string()),
+        ("bad_frames_rejected", c.bad_frames_rejected.to_string()),
+        ("overflow_drops", c.overflow_drops.to_string()),
+        ("invalid_seq_drops", c.invalid_seq_drops.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep as one JSON document.
 pub fn summary_json(outs: &[AttackOutcome]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("campaigns", &rows, None, violations)
 }
 
-/// Run `profiles x stacks x seeds` and return every outcome in a fixed
-/// order (profile-major, then stack, then seed).
-pub fn run_sweep(
-    profiles: &[AttackProfile],
-    stacks: &[AttackStack],
-    seeds: &[u64],
-) -> Vec<AttackOutcome> {
-    let mut outs = Vec::new();
-    for &p in profiles {
-        for &s in stacks {
-            for &seed in seeds {
-                outs.push(run_campaign(p, s, seed));
-            }
-        }
+/// The campaign: nine profiles x three seeds x both stacks behind the
+/// same attacker (54 runs); smoke is in-window RST, oracle RST and SYN
+/// flood on one seed.
+pub fn report(smoke: bool) -> Report {
+    let (profiles, seeds): (&[AttackProfile], &[u64]) = if smoke {
+        (&[AttackProfile::InWindowRst, AttackProfile::OracleRst, AttackProfile::SynFlood], &[1])
+    } else {
+        (&AttackProfile::all(), &[1, 2, 3])
+    };
+    let outs = sweep_grid(profiles, &KINDS, seeds, run_campaign);
+    Report {
+        json: summary_json(&outs),
+        headers: vec![
+            "profile", "stack", "seed", "delivered", "client err", "forged", "challenges",
+            "cookies s/v", "half-open", "bad frames", "verdict",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.profile.to_string(),
+                    o.stack.to_string(),
+                    o.seed.to_string(),
+                    format!("{}/{}", o.delivered, o.payload),
+                    crate::err_cell(o.client_error),
+                    o.counters.forged_segments.to_string(),
+                    o.counters.challenge_acks.to_string(),
+                    format!("{}/{}", o.counters.syn_cookies_sent, o.counters.syn_cookies_validated),
+                    o.max_half_open.to_string(),
+                    o.counters.bad_frames_rejected.to_string(),
+                    crate::verdict(&o.violations),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
+            })
+            .collect(),
     }
-    outs
 }

@@ -224,7 +224,7 @@ fn main() {
          `compose` derives **{}** from the four results alone: {} states \
          additively, where the fused four-way product would face ~{} states \
          — the full E22 report (canaries, codec certificate, fused arms) is \
-         `exp_contracts` / BENCH_contracts.json.\n",
+         `exp contracts` / BENCH_contracts.json.\n",
         proof.derived, proof.sum_states, proof.fused_estimate
     );
 }

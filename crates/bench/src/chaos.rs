@@ -19,21 +19,15 @@
 //! Everything is driven by the deterministic simulator: the same seed
 //! produces a byte-identical JSON summary, which CI exploits.
 
-use netsim::{
-    two_party, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, StackNode, Time,
-    TransportError,
-};
-use sublayer_core::{CmState, KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::stack::{Keepalive, TcpStack};
-use tcp_mono::pcb::TcpState;
-use tcp_mono::wire::Endpoint;
+use netsim::{two_party, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, Time, TransportError};
+use slconform::Kind;
+use sublayer_core::SlTcpStack;
+use tcp_mono::stack::TcpStack;
 
-use crate::{A, B};
+use crate::{json, keepalive_pair, stream_transfer, sweep_grid, CampaignStack, Report};
 
-/// How long (simulated) a campaign may run before we declare a hang.
-const PATIENCE: Dur = Dur(600_000_000_000);
-/// Application drain granularity.
-const STEP: Dur = Dur(250_000_000);
+/// Both stacks in the committed row order (monolith first).
+pub const KINDS: [Kind; 2] = [Kind::Mono, Kind::Sub];
 
 /// The five adversarial fault profiles of the standard sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,26 +126,6 @@ impl ChaosProfile {
     }
 }
 
-/// Which transport a campaign exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosStack {
-    Mono,
-    Sub,
-}
-
-impl ChaosStack {
-    pub fn all() -> [ChaosStack; 2] {
-        [ChaosStack::Mono, ChaosStack::Sub]
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChaosStack::Mono => "mono",
-            ChaosStack::Sub => "sub",
-        }
-    }
-}
-
 /// One campaign's result plus any invariant violations.
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
@@ -175,29 +149,13 @@ impl CampaignOutcome {
     }
 }
 
-fn keepalive_mono() -> Keepalive {
-    Keepalive {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
-fn keepalive_sub() -> KeepaliveConfig {
-    KeepaliveConfig {
-        idle: Dur::from_secs(10),
-        interval: Dur::from_secs(2),
-        max_probes: 5,
-    }
-}
-
 /// Run one `(profile, stack, seed)` campaign and judge its invariants.
-pub fn run_campaign(profile: ChaosProfile, stack: ChaosStack, seed: u64) -> CampaignOutcome {
+pub fn run_campaign(profile: ChaosProfile, kind: Kind, seed: u64) -> CampaignOutcome {
     let payload: Vec<u8> = (0..profile.payload_len())
         .map(|i| (i % 251) as u8)
         .collect();
     let out = run_raw(
-        stack,
+        kind,
         seed,
         &payload,
         profile.link_params(),
@@ -212,16 +170,16 @@ pub fn run_campaign(profile: ChaosProfile, stack: ChaosStack, seed: u64) -> Camp
 /// Only the universal invariants (hang, integrity, bounded retransmits,
 /// post-abort idleness) are checked.
 pub fn run_raw(
-    stack: ChaosStack,
+    kind: Kind,
     seed: u64,
     payload: &[u8],
     params: LinkParams,
     ops: &[(Time, AdminOp)],
     name: &'static str,
 ) -> CampaignOutcome {
-    match stack {
-        ChaosStack::Mono => run_mono(seed, payload, params, ops, name),
-        ChaosStack::Sub => run_sub(seed, payload, params, ops, name),
+    match kind {
+        Kind::Mono => run::<TcpStack>(seed, payload, params, ops, name),
+        Kind::Sub => run::<SlTcpStack>(seed, payload, params, ops, name),
     }
 }
 
@@ -269,262 +227,103 @@ fn judge(profile: ChaosProfile, mut out: CampaignOutcome) -> CampaignOutcome {
     out
 }
 
-fn run_mono(
+fn run<H: CampaignStack>(
     seed: u64,
     payload: &[u8],
     params: LinkParams,
     ops: &[(Time, AdminOp)],
     name: &'static str,
 ) -> CampaignOutcome {
-    let mut c = TcpStack::new(A, slmetrics::shared());
-    let mut s = TcpStack::new(B, slmetrics::shared());
-    c.set_keepalive(keepalive_mono());
-    s.set_keepalive(keepalive_mono());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
+    let (c, s, conn) = keepalive_pair::<H>();
     let (mut net, nc, ns) = two_party(seed, c, s, params);
     for (at, op) in ops {
         net.schedule_admin(*at, op.clone());
     }
-    net.poll_all();
-    net.run_until(Time::ZERO + Dur::from_secs(1));
-    // The app streams: offer the unsent tail every tick, so a handshake
-    // delayed past t=1s (or a full send buffer) only defers the data.
-    let mut sent = net.node_mut::<StackNode<TcpStack>>(nc).stack.send(conn, payload);
-    net.poll_all();
-
-    let deadline = net.now() + PATIENCE;
-    let mut got: Vec<u8> = Vec::new();
-    let mut sconn = None;
-    while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
-        if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<TcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
-        }
-        {
-            let st = &mut net.node_mut::<StackNode<TcpStack>>(ns).stack;
-            if sconn.is_none() {
-                sconn = st.established().first().copied();
-            }
-            if let Some(t) = sconn {
-                got.extend(st.recv(t));
-            }
-        }
-        net.poll_all();
-        if got.len() >= payload.len() {
-            break;
-        }
-        let client = &net.node::<StackNode<TcpStack>>(nc).stack;
-        let client_dead = client.state(conn) == TcpState::Closed;
-        let server_dead = sconn
-            .is_some_and(|t| net.node::<StackNode<TcpStack>>(ns).stack.state(t) == TcpState::Closed);
-        if client_dead && server_dead {
-            break;
-        }
-    }
-
-    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
-    let complete = got.len() >= payload.len();
-    if !complete {
-        // Let the far side finish dying and the admin backlog drain; a
-        // clean abort must leave nothing spinning afterwards.
-        let settle = net.now() + Dur::from_secs(120);
-        net.run_until(settle);
-    }
+    let t = stream_transfer::<H>(&mut net, (nc, conn), ns, payload, |_| {});
     let idle = net.is_idle();
     let d0 = net.link_dir_stats(0, 0);
     let d1 = net.link_dir_stats(0, 1);
-    let wire_frames = d0.tx_frames + d1.tx_frames;
-    let partition_drops = d0.partition_drops + d1.partition_drops;
-    let client_error = net.node::<StackNode<TcpStack>>(nc).stack.conn_error(conn);
-    let server_error =
-        sconn.and_then(|t| net.node::<StackNode<TcpStack>>(ns).stack.conn_error(t));
+    let stack = |id| &net.node::<netsim::StackNode<H>>(id).stack;
     let mut out = CampaignOutcome {
         profile: name,
-        stack: ChaosStack::Mono.name(),
+        stack: H::KIND.label(),
         seed,
         payload: payload.len(),
-        delivered: got.len(),
-        complete,
-        client_error,
-        server_error,
-        sim_ms,
-        wire_frames,
-        partition_drops,
+        delivered: t.got.len(),
+        complete: t.complete,
+        client_error: stack(nc).conn_error(conn),
+        server_error: t.sconn.and_then(|id| stack(ns).conn_error(id)),
+        sim_ms: t.sim_ms,
+        wire_frames: d0.tx_frames + d1.tx_frames,
+        partition_drops: d0.partition_drops + d1.partition_drops,
         violations: Vec::new(),
     };
-    check_universal(&mut out, idle, &got, payload);
+    check_universal(&mut out, idle, &t.got, payload);
     out
 }
 
-fn run_sub(
-    seed: u64,
-    payload: &[u8],
-    params: LinkParams,
-    ops: &[(Time, AdminOp)],
-    name: &'static str,
-) -> CampaignOutcome {
-    let cfg = SlConfig {
-        keepalive: Some(keepalive_sub()),
-        ..SlConfig::default()
-    };
-    let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
-    let (mut net, nc, ns) = two_party(seed, c, s, params);
-    for (at, op) in ops {
-        net.schedule_admin(*at, op.clone());
-    }
-    net.poll_all();
-    net.run_until(Time::ZERO + Dur::from_secs(1));
-    // Stream like the mono runner: offer the unsent tail every tick.
-    let mut sent = net.node_mut::<StackNode<SlTcpStack>>(nc).stack.send(conn, payload);
-    net.poll_all();
-
-    let deadline = net.now() + PATIENCE;
-    let mut got: Vec<u8> = Vec::new();
-    let mut sconn = None;
-    while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
-        if sent < payload.len() {
-            sent += net
-                .node_mut::<StackNode<SlTcpStack>>(nc)
-                .stack
-                .send(conn, &payload[sent..]);
-        }
-        {
-            let st = &mut net.node_mut::<StackNode<SlTcpStack>>(ns).stack;
-            if sconn.is_none() {
-                sconn = st.established().first().copied();
-            }
-            if let Some(id) = sconn {
-                got.extend(st.recv(id));
-            }
-        }
-        net.poll_all();
-        if got.len() >= payload.len() {
-            break;
-        }
-        let client_dead =
-            net.node::<StackNode<SlTcpStack>>(nc).stack.state(conn) == CmState::Closed;
-        let server_dead = sconn.is_some_and(|id| {
-            net.node::<StackNode<SlTcpStack>>(ns).stack.state(id) == CmState::Closed
-        });
-        if client_dead && server_dead {
-            break;
-        }
-    }
-
-    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
-    let complete = got.len() >= payload.len();
-    if !complete {
-        let settle = net.now() + Dur::from_secs(120);
-        net.run_until(settle);
-    }
-    let idle = net.is_idle();
-    let d0 = net.link_dir_stats(0, 0);
-    let d1 = net.link_dir_stats(0, 1);
-    let wire_frames = d0.tx_frames + d1.tx_frames;
-    let partition_drops = d0.partition_drops + d1.partition_drops;
-    let client_error = net.node::<StackNode<SlTcpStack>>(nc).stack.conn_error(conn);
-    let server_error =
-        sconn.and_then(|id| net.node::<StackNode<SlTcpStack>>(ns).stack.conn_error(id));
-    let mut out = CampaignOutcome {
-        profile: name,
-        stack: ChaosStack::Sub.name(),
-        seed,
-        payload: payload.len(),
-        delivered: got.len(),
-        complete,
-        client_error,
-        server_error,
-        sim_ms,
-        wire_frames,
-        partition_drops,
-        violations: Vec::new(),
-    };
-    check_universal(&mut out, idle, &got, payload);
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
-    }
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
+/// Deterministic JSON for one outcome (stable field order, integers
+/// only — byte-identical for identical seeds).
 pub fn outcome_json(o: &CampaignOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"profile\":{},\"stack\":{},\"seed\":{},\"payload\":{},\"delivered\":{},\
-         \"complete\":{},\"client_error\":{},\"server_error\":{},\"sim_ms\":{},\
-         \"wire_frames\":{},\"partition_drops\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.stack),
-        o.seed,
-        o.payload,
-        o.delivered,
-        o.complete,
-        json_err(o.client_error),
-        json_err(o.server_error),
-        o.sim_ms,
-        o.wire_frames,
-        o.partition_drops,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("profile", json::str(o.profile)),
+        ("stack", json::str(o.stack)),
+        ("seed", o.seed.to_string()),
+        ("payload", o.payload.to_string()),
+        ("delivered", o.delivered.to_string()),
+        ("complete", o.complete.to_string()),
+        ("client_error", json::opt_err(o.client_error)),
+        ("server_error", json::opt_err(o.server_error)),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("wire_frames", o.wire_frames.to_string()),
+        ("partition_drops", o.partition_drops.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep as one JSON document.
 pub fn summary_json(outs: &[CampaignOutcome]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("campaigns", &rows, None, violations)
 }
 
-/// Run `profiles x stacks x seeds` and return every outcome in a fixed
-/// order (profile-major, then stack, then seed).
-pub fn run_sweep(
-    profiles: &[ChaosProfile],
-    stacks: &[ChaosStack],
-    seeds: &[u64],
-) -> Vec<CampaignOutcome> {
-    let mut outs = Vec::new();
-    for &p in profiles {
-        for &s in stacks {
-            for &seed in seeds {
-                outs.push(run_campaign(p, s, seed));
-            }
-        }
+/// The campaign: five profiles x five seeds x both stacks (50 runs);
+/// smoke is blackout + mixed-mayhem on one seed.
+pub fn report(smoke: bool) -> Report {
+    let (profiles, seeds): (&[ChaosProfile], &[u64]) = if smoke {
+        (&[ChaosProfile::Blackout, ChaosProfile::MixedMayhem], &[1])
+    } else {
+        (&ChaosProfile::all(), &[1, 2, 3, 4, 5])
+    };
+    let outs = sweep_grid(profiles, &KINDS, seeds, run_campaign);
+    Report {
+        json: summary_json(&outs),
+        headers: vec![
+            "profile", "stack", "seed", "delivered", "client err", "server err", "sim s",
+            "frames", "verdict",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.profile.to_string(),
+                    o.stack.to_string(),
+                    o.seed.to_string(),
+                    format!("{}/{}", o.delivered, o.payload),
+                    crate::err_cell(o.client_error),
+                    crate::err_cell(o.server_error),
+                    format!("{:.1}", o.sim_ms as f64 / 1000.0),
+                    o.wire_frames.to_string(),
+                    crate::verdict(&o.violations),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
+            })
+            .collect(),
     }
-    outs
 }

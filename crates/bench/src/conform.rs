@@ -1,4 +1,4 @@
-//! E17 — differential conformance sweep (`exp_conform`).
+//! E17 — differential conformance sweep (`exp conform`).
 //!
 //! Runs the whole `slconform` corpus against **both** stacks across
 //! multiple seeds, demanding zero unexplained divergences; reports
@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 
 use slconform::driver::{Kind, Mutation};
 use slconform::{allowlist, check_scenario, corpus, shrink};
+
+use crate::{json, Report};
 
 /// One `scenario × seed` differential run (each run drives both stacks).
 pub struct ConformOut {
@@ -143,22 +145,6 @@ pub fn canaries() -> Vec<CanaryOut> {
         .collect()
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Deterministic JSON summary (stable key order, no timestamps) — the CI
 /// determinism job runs the binary twice and diffs this byte-for-byte.
 pub fn summary_json(outs: &[ConformOut], canaries: &[CanaryOut]) -> String {
@@ -189,14 +175,14 @@ pub fn summary_json(outs: &[ConformOut], canaries: &[CanaryOut]) -> String {
     s.push_str(&format!("  \"unexplained\": {},\n", unexplained.len()));
     s.push_str("  \"unexplained_details\": [");
     s.push_str(
-        &unexplained.iter().map(|d| json_str(d)).collect::<Vec<_>>().join(", "),
+        &unexplained.iter().map(|d| json::str(d)).collect::<Vec<_>>().join(", "),
     );
     s.push_str("],\n");
     s.push_str("  \"allowlist_hits\": {");
     s.push_str(
         &allow_hits(outs)
             .iter()
-            .map(|(id, n)| format!("{}: {n}", json_str(id)))
+            .map(|(id, n)| format!("{}: {n}", json::str(id)))
             .collect::<Vec<_>>()
             .join(", "),
     );
@@ -208,9 +194,9 @@ pub fn summary_json(outs: &[ConformOut], canaries: &[CanaryOut]) -> String {
             format!(
                 "    {{\"name\": {}, \"caught\": {}, \"code\": {}, \
                  \"shrunk_events\": {}, \"ok\": {}}}",
-                json_str(c.name),
+                json::str(c.name),
                 c.caught,
-                json_str(&c.code),
+                json::str(&c.code),
                 c.to_events,
                 c.ok
             )
@@ -219,6 +205,41 @@ pub fn summary_json(outs: &[ConformOut], canaries: &[CanaryOut]) -> String {
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  ]\n}");
     s
+}
+
+/// The campaign: the corpus [`sweep`] plus the mutation [`canaries`]. A
+/// violation is an unexplained divergence or a canary that escaped (or
+/// did not shrink to ≤ 10 events).
+pub fn report(smoke: bool) -> Report {
+    let outs = sweep(smoke);
+    let canaries = canaries();
+    Report {
+        json: summary_json(&outs, &canaries),
+        headers: vec!["scenario", "seed", "frames s/m", "bytes s/m", "allow", "diverge"],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.scenario.clone(),
+                    o.seed.to_string(),
+                    format!("{}/{}", o.frames_sub, o.frames_mono),
+                    format!("{}/{}", o.delivered_sub, o.delivered_mono),
+                    o.allowlisted.first().map_or("-".into(), |(id, _)| id.to_string()),
+                    o.unexplained.len().to_string(),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| crate::tagged(format!("{} seed={}", o.scenario, o.seed), &o.unexplained))
+            .chain(canaries.iter().filter(|c| !c.ok).map(|c| {
+                format!(
+                    "[canary {} on {:?}] caught={} shrunk {} -> {} events",
+                    c.name, c.kind, c.caught, c.from_events, c.to_events
+                )
+            }))
+            .collect(),
+    }
 }
 
 #[cfg(test)]

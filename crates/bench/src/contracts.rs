@@ -18,6 +18,7 @@
 //! codec-equivalence certificate, so `BENCH_contracts.json` is a single
 //! deterministic artifact for the whole E22 claim set.
 
+use crate::{json, Report};
 use slconform::codec_equiv;
 use slverify::{
     check, CheckResult, CmContract, DmContract, OsrContract, Product, RdContract, CM_CONTRACT,
@@ -165,27 +166,6 @@ pub fn run(_smoke: bool) -> ContractsOut {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_str_list(items: &[&str]) -> String {
-    let q: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", q.join(","))
-}
-
 /// Deterministic JSON summary (byte-identical across reruns: every number
 /// comes from exhaustive exploration of fixed models).
 pub fn summary_json(out: &ContractsOut) -> String {
@@ -193,53 +173,80 @@ pub fn summary_json(out: &ContractsOut) -> String {
         .rows
         .iter()
         .map(|r| {
-            format!(
-                "{{\"sublayer\":{},\"assumes\":{},\"guarantees\":{},\"states\":{},\
-                 \"transitions\":{},\"depth\":{},\"proved\":{}}}",
-                json_str(r.sublayer),
-                json_str_list(&r.assumes),
-                json_str_list(&r.guarantees),
-                r.states,
-                r.transitions,
-                r.depth,
-                r.proved
-            )
+            json::obj(&[
+                ("sublayer", json::str(r.sublayer)),
+                ("assumes", json::strs(&r.assumes)),
+                ("guarantees", json::strs(&r.guarantees)),
+                ("states", r.states.to_string()),
+                ("transitions", r.transitions.to_string()),
+                ("depth", r.depth.to_string()),
+                ("proved", r.proved.to_string()),
+            ])
         })
         .collect();
     let canaries: Vec<String> = out
         .canaries
         .iter()
         .map(|c| {
-            format!(
-                "{{\"sublayer\":{},\"steps\":{},\"actions\":{},\"reason\":{}}}",
-                json_str(c.sublayer),
-                c.steps,
-                json_str_list(&c.actions),
-                json_str(&c.reason)
-            )
+            json::obj(&[
+                ("sublayer", json::str(c.sublayer)),
+                ("steps", c.steps.to_string()),
+                ("actions", json::strs(&c.actions)),
+                ("reason", json::str(&c.reason)),
+            ])
         })
         .collect();
+    let refused = |e: &String| json::obj(&[("ok", "false".into()), ("error", json::str(e))]);
     let derived = match &out.derived {
-        Ok(d) => format!("{{\"ok\":true,\"property\":{}}}", json_str(d)),
-        Err(e) => format!("{{\"ok\":false,\"error\":{}}}", json_str(e)),
+        Ok(d) => json::obj(&[("ok", "true".into()), ("property", json::str(d))]),
+        Err(e) => refused(e),
     };
     let codec = match &out.codec {
-        Ok((w, t)) => format!("{{\"ok\":true,\"words\":{w},\"transitions\":{t}}}"),
-        Err(e) => format!("{{\"ok\":false,\"error\":{}}}", json_str(e)),
+        Ok((w, t)) => json::obj(&[
+            ("ok", "true".into()),
+            ("words", w.to_string()),
+            ("transitions", t.to_string()),
+        ]),
+        Err(e) => refused(e),
     };
-    let violations: Vec<String> = out.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"contracts\":[\n  {}\n],\"composition\":{derived},\"sum_states\":{},\
-         \"fused_estimate\":{},\"combined_states\":{},\"product_dm_osr_states\":{},\
-         \"canaries\":[\n  {}\n],\"codec\":{codec},\"violations\":[{}]}}",
-        contracts.join(",\n  "),
-        out.sum_states,
-        out.fused_estimate,
-        out.combined_states,
-        out.product_dm_osr_states,
-        canaries.join(",\n  "),
-        violations.join(",")
-    )
+    json::obj(&[
+        ("contracts", json::rows(&contracts)),
+        ("composition", derived),
+        ("sum_states", out.sum_states.to_string()),
+        ("fused_estimate", out.fused_estimate.to_string()),
+        ("combined_states", out.combined_states.to_string()),
+        ("product_dm_osr_states", out.product_dm_osr_states.to_string()),
+        ("canaries", json::rows(&canaries)),
+        ("codec", codec),
+        ("violations", json::strs(&out.violations)),
+    ])
+}
+
+/// The campaign: [`run`], one table row per contract.
+pub fn report(smoke: bool) -> Report {
+    let out = run(smoke);
+    Report {
+        json: summary_json(&out),
+        headers: vec![
+            "contract", "assumes", "guarantees", "states", "transitions", "depth", "verdict",
+        ],
+        rows: out
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.sublayer.to_string(),
+                    r.assumes.join(" + "),
+                    r.guarantees.join(" + "),
+                    r.states.to_string(),
+                    r.transitions.to_string(),
+                    r.depth.to_string(),
+                    if r.proved { "proved".into() } else { "FAILED".into() },
+                ]
+            })
+            .collect(),
+        violations: out.violations,
+    }
 }
 
 #[cfg(test)]

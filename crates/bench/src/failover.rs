@@ -25,16 +25,18 @@
 //! also re-runs each cell in [`Mode::Inline`] and requires the threaded
 //! outcome to be byte-identical — crash, restart, and all.
 
-use crate::scale::ScaleStack;
+use crate::shard::{mode_label, modes_agree};
+use crate::{dur, json, CampaignStack, Report, KINDS};
 use netsim::{Dur, LinkParams, MultiStackNode, Stack, StackNode, Time, TransportError};
+use slconform::Kind;
 use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
 use slshard::{
     mute_injected_panics, FaultEvent, FaultEventKind, FaultKind, FaultSpec, Mode,
     RestartPolicy, ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
 };
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
+use sublayer_core::SlTcpStack;
 use tcp_mono::hash::shard_of;
-use tcp_mono::stack::{Keepalive, TcpStack};
+use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::{Endpoint, FourTuple};
 
 const SERVER_ADDR: u32 = crate::A;
@@ -58,17 +60,6 @@ const RESTART_HORIZON_NS: u64 = 60_000_000_000;
 /// seconds. Wall-clock stays in milliseconds: a shard that gave up no
 /// longer forces coordinator rounds.
 const NEVER_HORIZON_NS: u64 = 400_000_000_000;
-
-fn dur(ns: u64) -> Dur {
-    Dur::from_nanos(ns)
-}
-
-fn mode_label(m: Mode) -> &'static str {
-    match m {
-        Mode::Threaded => "threaded",
-        Mode::Inline => "inline",
-    }
-}
 
 /// Deterministic per-client request (64..264 B, diverse lengths).
 fn request(i: usize) -> Vec<u8> {
@@ -263,7 +254,7 @@ impl<S: HostStack> Stack for FailoverClient<S> {
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct FailoverParams {
-    pub stack: ScaleStack,
+    pub stack: Kind,
     pub mode: Mode,
     pub shards: usize,
     pub n: usize,
@@ -337,21 +328,16 @@ struct RunData {
     sim_ms: u64,
 }
 
-fn run_net<S, F, G>(
+fn run_net<S: CampaignStack>(
     p: FailoverParams,
     policy: RestartPolicy,
     plan: Option<&ShardFaultPlan>,
     retries: usize,
     horizon: Time,
-    mk_server: F,
-    mk_client: &G,
-) -> RunData
-where
-    S: HostStack,
-    F: Fn(u32) -> S + Send + Sync + 'static,
-    G: Fn(u32) -> S,
-{
+) -> RunData {
     mute_injected_panics();
+    // Clients run keepalive so a silently-dead shard becomes a typed error.
+    let keepalive = Some((Dur::from_secs(10), Dur::from_secs(2)));
     let per_shard_conns = (p.n / p.shards.max(1)) * 2 + 1024;
     let host_cfg = HostConfig {
         listen_port: PORT,
@@ -371,7 +357,8 @@ where
         ..ShardedConfig::default()
     };
     let mut server: ShardedHost<S, EchoApp> = ShardedHost::new(cfg, move |_shard| {
-        ServedHost::new(Host::new(mk_server(SERVER_ADDR), host_cfg.clone()), EchoApp::default())
+        let stack = S::mk_with(SERVER_ADDR, None, slmetrics::muted());
+        ServedHost::new(Host::new(stack, host_cfg.clone()), EchoApp::default())
     });
     if let Some(plan) = plan {
         server.apply_plan(plan);
@@ -383,7 +370,7 @@ where
             let (home, ports) = home_ports(p.seed, caddr, p.shards, retries + 1);
             homes.push(home);
             FailoverClient::new(
-                mk_client(caddr),
+                S::mk_with(caddr, keepalive, slmetrics::muted()),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
                 ports,
@@ -429,48 +416,17 @@ where
 /// shard's panic armed, compared client by client.
 pub fn run_one(p: FailoverParams) -> FailoverOutcome {
     match p.stack {
-        ScaleStack::Sub => run_cell(
-            p,
-            |addr| SlTcpStack::new(addr, SlConfig::default(), slmetrics::muted()),
-            |addr| {
-                let cfg = SlConfig {
-                    keepalive: Some(KeepaliveConfig {
-                        idle: Dur::from_secs(10),
-                        interval: Dur::from_secs(2),
-                        max_probes: 5,
-                    }),
-                    ..SlConfig::default()
-                };
-                SlTcpStack::new(addr, cfg, slmetrics::muted())
-            },
-        ),
-        ScaleStack::Mono => run_cell(
-            p,
-            |addr| TcpStack::new(addr, slmetrics::muted()),
-            |addr| {
-                let mut s = TcpStack::new(addr, slmetrics::muted());
-                s.set_keepalive(Keepalive {
-                    idle: Dur::from_secs(10),
-                    interval: Dur::from_secs(2),
-                    max_probes: 5,
-                });
-                s
-            },
-        ),
+        Kind::Sub => run_cell::<SlTcpStack>(p),
+        Kind::Mono => run_cell::<TcpStack>(p),
     }
 }
 
-fn run_cell<S, F, G>(p: FailoverParams, mk_server: F, mk_client: G) -> FailoverOutcome
-where
-    S: HostStack,
-    F: Fn(u32) -> S + Send + Sync + Copy + 'static,
-    G: Fn(u32) -> S,
-{
+fn run_cell<S: CampaignStack>(p: FailoverParams) -> FailoverOutcome {
     let policy = if p.restart { RestartPolicy::default() } else { RestartPolicy::never() };
     let retries = if p.restart { RETRIES } else { 0 };
     let horizon = Time(if p.restart { RESTART_HORIZON_NS } else { NEVER_HORIZON_NS });
 
-    let baseline = run_net(p, policy, None, retries, horizon, mk_server, &mk_client);
+    let baseline = run_net::<S>(p, policy, None, retries, horizon);
     // The victim is client 0's home shard; its panic is armed 40% into
     // the rounds the baseline run gave that shard — mid-traffic, with
     // connections established and echoes in flight.
@@ -479,7 +435,7 @@ where
     let plan = ShardFaultPlan {
         faults: vec![(victim as u32, FaultSpec { at_round: crash_round, kind: FaultKind::Panic })],
     };
-    let faulted = run_net(p, policy, Some(&plan), retries, horizon, mk_server, &mk_client);
+    let faulted = run_net::<S>(p, policy, Some(&plan), retries, horizon);
 
     let victims = faulted.clients.iter().filter(|c| c.home == victim).count();
     let victims_completed =
@@ -516,10 +472,7 @@ where
     let recovery_rounds = restarted_at_round.saturating_sub(crashed_at_round);
 
     let mut out = FailoverOutcome {
-        stack: match p.stack {
-            ScaleStack::Sub => "sub",
-            ScaleStack::Mono => "mono",
-        },
+        stack: p.stack.label(),
         mode: mode_label(p.mode),
         policy: if p.restart { "restart" } else { "never" },
         shards: p.shards,
@@ -650,37 +603,17 @@ where
 /// reference must agree on every field except the mode label — crash,
 /// restart, fault log, and all.
 pub fn mode_cross_checks(outs: &[FailoverOutcome]) -> Vec<String> {
-    let mut v = Vec::new();
-    for t in outs.iter().filter(|o| o.mode == "threaded") {
-        let Some(i) = outs.iter().find(|o| {
-            o.mode == "inline"
-                && o.stack == t.stack
-                && o.policy == t.policy
-                && o.shards == t.shards
-                && o.n == t.n
-                && o.seed == t.seed
-        }) else {
-            continue;
-        };
-        let strip = |o: &FailoverOutcome| {
-            let mut c = o.clone();
-            c.mode = "";
-            outcome_json(&c)
-        };
-        if strip(t) != strip(i) {
-            v.push(format!(
-                "threaded failover diverged from inline reference at stack={} \
-                 policy={} shards={} n={}:\n  threaded: {}\n  inline:   {}",
-                t.stack,
-                t.policy,
-                t.shards,
-                t.n,
-                outcome_json(t),
-                outcome_json(i)
-            ));
-        }
-    }
-    v
+    modes_agree(
+        outs,
+        |o| o.mode,
+        |o| {
+            format!(
+                "stack={} policy={} shards={} n={} seed={}",
+                o.stack, o.policy, o.shards, o.n, o.seed
+            )
+        },
+        |o| outcome_json(&FailoverOutcome { mode: "", ..o.clone() }),
+    )
 }
 
 /// The sweep. Smoke: both stacks × both policies at n=32, shards=4, in
@@ -688,10 +621,9 @@ pub fn mode_cross_checks(outs: &[FailoverOutcome]) -> Vec<String> {
 /// both stacks × both policies × shards {2, 4, 8}, threaded, n=200 —
 /// the blast-radius-vs-shard-count table.
 pub fn sweep(smoke: bool) -> Vec<FailoverOutcome> {
-    let stacks = [ScaleStack::Sub, ScaleStack::Mono];
     let mut outs = Vec::new();
     if smoke {
-        for stack in stacks {
+        for stack in KINDS {
             for restart in [true, false] {
                 for mode in [Mode::Threaded, Mode::Inline] {
                     outs.push(run_one(FailoverParams {
@@ -708,7 +640,7 @@ pub fn sweep(smoke: bool) -> Vec<FailoverOutcome> {
         return outs;
     }
     for &shards in &[2usize, 4, 8] {
-        for stack in stacks {
+        for stack in KINDS {
             for restart in [true, false] {
                 outs.push(run_one(FailoverParams {
                     stack,
@@ -724,85 +656,89 @@ pub fn sweep(smoke: bool) -> Vec<FailoverOutcome> {
     outs
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_arr(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
+/// Deterministic JSON for one outcome (stable field order, integers
+/// only — byte-identical for identical seeds).
 pub fn outcome_json(o: &FailoverOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    let events: Vec<String> = o.events.iter().map(|e| json_str(e)).collect();
-    format!(
-        "{{\"stack\":{},\"mode\":{},\"policy\":{},\"shards\":{},\"n\":{},\"seed\":{},\
-         \"victim_shard\":{},\"crash_round\":{},\"crashed_at_round\":{},\
-         \"restarted_at_round\":{},\"recovery_rounds\":{},\"victims\":{},\
-         \"victims_completed\":{},\"victims_errored\":{},\"healthy\":{},\
-         \"healthy_disrupted\":{},\"completed\":{},\"shard_restarts\":{},\
-         \"failover_aborts\":{},\"ring_stalls\":{},\"dead_drops\":{},\
-         \"final_health\":{},\"events\":[{}],\"mem_peak_worst_shard\":{},\
-         \"mem_peak_total\":{},\"shard_budget\":{},\"global_budget\":{},\
-         \"sim_ms\":{},\"violations\":[{}]}}",
-        json_str(o.stack),
-        json_str(o.mode),
-        json_str(o.policy),
-        o.shards,
-        o.n,
-        o.seed,
-        o.victim_shard,
-        o.crash_round,
-        o.crashed_at_round,
-        o.restarted_at_round,
-        o.recovery_rounds,
-        o.victims,
-        o.victims_completed,
-        o.victims_errored,
-        o.healthy,
-        o.healthy_disrupted,
-        o.completed,
-        o.shard_restarts,
-        o.failover_aborts,
-        o.ring_stalls,
-        o.dead_drops,
-        json_arr(&o.final_health),
-        events.join(","),
-        o.mem_peak_worst_shard,
-        o.mem_peak_total,
-        o.shard_budget,
-        o.global_budget,
-        o.sim_ms,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("stack", json::str(o.stack)),
+        ("mode", json::str(o.mode)),
+        ("policy", json::str(o.policy)),
+        ("shards", o.shards.to_string()),
+        ("n", o.n.to_string()),
+        ("seed", o.seed.to_string()),
+        ("victim_shard", o.victim_shard.to_string()),
+        ("crash_round", o.crash_round.to_string()),
+        ("crashed_at_round", o.crashed_at_round.to_string()),
+        ("restarted_at_round", o.restarted_at_round.to_string()),
+        ("recovery_rounds", o.recovery_rounds.to_string()),
+        ("victims", o.victims.to_string()),
+        ("victims_completed", o.victims_completed.to_string()),
+        ("victims_errored", o.victims_errored.to_string()),
+        ("healthy", o.healthy.to_string()),
+        ("healthy_disrupted", o.healthy_disrupted.to_string()),
+        ("completed", o.completed.to_string()),
+        ("shard_restarts", o.shard_restarts.to_string()),
+        ("failover_aborts", o.failover_aborts.to_string()),
+        ("ring_stalls", o.ring_stalls.to_string()),
+        ("dead_drops", o.dead_drops.to_string()),
+        ("final_health", json::list(&o.final_health)),
+        ("events", json::strs(&o.events)),
+        ("mem_peak_worst_shard", o.mem_peak_worst_shard.to_string()),
+        ("mem_peak_total", o.mem_peak_total.to_string()),
+        ("shard_budget", o.shard_budget.to_string()),
+        ("global_budget", o.global_budget.to_string()),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep (plus the mode cross-checks) as one JSON document.
 pub fn summary_json(outs: &[FailoverOutcome], cross: &[String]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"mode_cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("runs", &rows, Some(("mode_cross_checks", cross)), violations)
+}
+
+/// The campaign: [`sweep`] plus the threaded-vs-inline
+/// [`mode_cross_checks`].
+pub fn report(smoke: bool) -> Report {
+    let outs = sweep(smoke);
+    let cross = mode_cross_checks(&outs);
+    Report {
+        json: summary_json(&outs, &cross),
+        headers: vec![
+            "stack", "mode", "policy", "shards", "n", "victim", "victims ok", "victims err",
+            "healthy hit", "rec rounds", "restarts", "aborts", "viol",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.stack.to_string(),
+                    o.mode.to_string(),
+                    o.policy.to_string(),
+                    o.shards.to_string(),
+                    o.n.to_string(),
+                    o.victim_shard.to_string(),
+                    format!("{}/{}", o.victims_completed, o.victims),
+                    o.victims_errored.to_string(),
+                    o.healthy_disrupted.to_string(),
+                    o.recovery_rounds.to_string(),
+                    o.shard_restarts.to_string(),
+                    o.failover_aborts.to_string(),
+                    o.violations.len().to_string(),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(
+                    format!("{} {} {} shards={} n={}", o.stack, o.mode, o.policy, o.shards, o.n),
+                    &o.violations,
+                )
+            })
+            .chain(crate::tagged("mode-determinism".into(), &cross))
+            .collect(),
+    }
 }

@@ -29,10 +29,11 @@
 //! Deterministic: the same `(controller, stack, seed)` triple produces a
 //! byte-identical JSON row (`BENCH_fairness.json` is committed).
 
-use crate::topology::{attribute, json_str};
+use crate::topology::{attribute, drain_server, stack_mut};
+use crate::{json, sweep_grid, Report, KINDS};
 use netlayer::{box_host_addr, topo_fanin, BoxNet};
 use netsim::{Dur, LinkParams, NodeId, SimNet, StackNode, Time};
-use slconform::driver::{ConformStack, Kind};
+use slconform::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
 use slconform::natcodec::peek_for;
 use slmetrics::CcCounters;
@@ -148,10 +149,6 @@ pub fn run_fairness_with(
     }
 }
 
-fn stack_mut<H: FairStack>(net: &mut SimNet, id: NodeId) -> &mut H {
-    &mut net.node_mut::<StackNode<H>>(id).stack
-}
-
 fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> FairnessOutcome {
     let topo = topo_fanin();
     let mut net = SimNet::new(seed);
@@ -204,21 +201,7 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
                 sent[i] += st.send(conn, &payloads[i][sent[i]..]);
             }
         }
-        {
-            let st = stack_mut::<H>(&mut net, ns);
-            for id in st.established() {
-                if !sconns.contains(&Some(id)) {
-                    if let Some(slot) = sconns.iter_mut().find(|s| s.is_none()) {
-                        *slot = Some(id);
-                    }
-                }
-            }
-            for (i, s) in sconns.iter().enumerate() {
-                if let Some(id) = *s {
-                    got[i].extend(st.recv(id));
-                }
-            }
-        }
+        drain_server(stack_mut::<H>(&mut net, ns), &mut sconns, &mut got);
         net.poll_all();
     }
 
@@ -276,60 +259,72 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
     out
 }
 
-/// Deterministic, hand-rolled JSON for one outcome (stable field order).
+/// Deterministic JSON for one outcome (stable field order).
 pub fn outcome_json(o: &FairnessOutcome) -> String {
-    let delivered: Vec<String> = o.delivered.iter().map(|d| d.to_string()).collect();
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"cc\":{},\"stack\":{},\"seed\":{},\"flows\":{},\"horizon_secs\":{},\
-         \"offered\":{},\"delivered\":[{}],\"goodput_bps\":{},\"utilization_pct\":{},\
-         \"jain_permille\":{},\"peak_queue_ms\":{},\"dupack_losses\":{},\"rto_resets\":{},\
-         \"fast_recoveries\":{},\"violations\":[{}]}}",
-        json_str(o.cc),
-        json_str(o.stack),
-        o.seed,
-        o.flows,
-        o.horizon_secs,
-        o.offered,
-        delivered.join(","),
-        o.goodput_bps,
-        o.utilization_pct,
-        o.jain_permille,
-        o.peak_queue_ms,
-        o.dupack_losses,
-        o.rto_resets,
-        o.fast_recoveries,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("cc", json::str(o.cc)),
+        ("stack", json::str(o.stack)),
+        ("seed", o.seed.to_string()),
+        ("flows", o.flows.to_string()),
+        ("horizon_secs", o.horizon_secs.to_string()),
+        ("offered", o.offered.to_string()),
+        ("delivered", json::list(&o.delivered)),
+        ("goodput_bps", o.goodput_bps.to_string()),
+        ("utilization_pct", o.utilization_pct.to_string()),
+        ("jain_permille", o.jain_permille.to_string()),
+        ("peak_queue_ms", o.peak_queue_ms.to_string()),
+        ("dupack_losses", o.dupack_losses.to_string()),
+        ("rto_resets", o.rto_resets.to_string()),
+        ("fast_recoveries", o.fast_recoveries.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep as one JSON document.
 pub fn summary_json(outs: &[FairnessOutcome]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("campaigns", &rows, None, violations)
 }
 
-/// Run `controllers x stacks x seeds` in a fixed order (controller-major).
-pub fn run_sweep(
-    controllers: &[&'static str],
-    kinds: &[Kind],
-    seeds: &[u64],
-) -> Vec<FairnessOutcome> {
-    let mut outs = Vec::new();
-    for &cc in controllers {
-        for &k in kinds {
-            for &seed in seeds {
-                outs.push(run_fairness(cc, k, seed));
-            }
-        }
+/// The campaign: both window-dynamics controllers x both stacks x three
+/// seeds, [`FLOWS`] greedy flows at [`OVERLOAD`]x offered load for
+/// [`HORIZON_SECS`] s; smoke is NewReno on one seed.
+pub fn report(smoke: bool) -> Report {
+    let (controllers, seeds): (&[&'static str], &[u64]) =
+        if smoke { (&["newreno"], &[1]) } else { (&CONTROLLERS, &[1, 2, 3]) };
+    let outs = sweep_grid(controllers, &KINDS, seeds, run_fairness);
+    Report {
+        json: summary_json(&outs),
+        headers: vec![
+            "cc", "stack", "seed", "delivered", "util", "jain", "peak q ms", "dupack loss",
+            "fast rec", "rto", "verdict",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.cc.to_string(),
+                    o.stack.to_string(),
+                    o.seed.to_string(),
+                    format!("{:?}", o.delivered),
+                    format!("{}%", o.utilization_pct),
+                    format!("{:.3}", o.jain_permille as f64 / 1000.0),
+                    o.peak_queue_ms.to_string(),
+                    o.dupack_losses.to_string(),
+                    o.fast_recoveries.to_string(),
+                    o.rto_resets.to_string(),
+                    crate::verdict(&o.violations),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(format!("{} {} seed={}", o.cc, o.stack, o.seed), &o.violations)
+            })
+            .collect(),
     }
-    outs
 }
 
 #[cfg(test)]

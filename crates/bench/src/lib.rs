@@ -1,7 +1,22 @@
-//! Shared harness for the experiment binaries (`exp_*`) and Criterion
-//! benches. Each function runs a deterministic simulated workload and
-//! returns the measurements the corresponding EXPERIMENTS.md table
-//! reports.
+//! Shared harness for the experiment binaries and Criterion benches.
+//! Each function runs a deterministic simulated workload and returns the
+//! measurements the corresponding EXPERIMENTS.md table reports.
+//!
+//! # Campaigns
+//!
+//! The ten invariant-checked sweeps (`attack` … `topology`) sit behind
+//! one registry, [`CAMPAIGNS`], and one binary, `exp <campaign>
+//! [--smoke] [--json]`. A campaign is a module with a
+//! `report(smoke) -> Report`: it runs its sweep (the small one when
+//! `smoke`), encodes the document with [`json`], and tabulates one row
+//! per run. The runner prints, writes `BENCH_<name>.json` after a full
+//! run, and exits non-zero on any violation; `ci/campaigns.sh` and
+//! `tests/smoke_all.rs` loop the registry.
+//!
+//! To add a campaign: write `src/<name>.rs` with that `report` function,
+//! add `pub mod <name>;` and one [`Campaign`] line below, run
+//! `exp <name> --json` once and commit the `BENCH_<name>.json` it wrote.
+//! No YAML, no new binary.
 
 pub mod attack;
 pub mod chaos;
@@ -9,19 +24,251 @@ pub mod conform;
 pub mod contracts;
 pub mod failover;
 pub mod fairness;
+pub mod json;
 pub mod overload;
 pub mod scale;
 pub mod shard;
 pub mod topology;
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, LinkParams, NodeId, SimNet, StackNode, Time};
+use slconform::{ConformStack, Kind};
+use slhost::HostStack;
+use slmetrics::SharedLog;
 use sublayer_core::shim::ShimStack;
-use sublayer_core::{CmScheme, SlConfig, SlTcpStack};
-use tcp_mono::stack::TcpStack;
+use sublayer_core::{CmScheme, KeepaliveConfig, SlConfig, SlTcpStack};
+use tcp_mono::stack::{Keepalive, TcpStack};
 use tcp_mono::wire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
 pub const B: u32 = 0x0A000002;
+
+/// Both stacks, in the row order of every sweep but `chaos` and `attack`
+/// (whose committed rows list the monolith first).
+pub const KINDS: [Kind; 2] = [Kind::Sub, Kind::Mono];
+
+/// What one campaign sweep hands the runner.
+pub struct Report {
+    /// The deterministic document (`BENCH_<name>.json`, less the final
+    /// newline).
+    pub json: String,
+    /// The human table: one row per run.
+    pub headers: Vec<&'static str>,
+    pub rows: Vec<Vec<String>>,
+    /// Every invariant violation, tagged with the run it came from;
+    /// non-empty fails the run.
+    pub violations: Vec<String>,
+}
+
+/// One registered campaign: `exp <name>` runs `run(smoke)`.
+pub struct Campaign {
+    pub name: &'static str,
+    pub title: &'static str,
+    pub run: fn(smoke: bool) -> Report,
+}
+
+impl Campaign {
+    /// The committed artefact a full run rewrites.
+    pub fn bench_file(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+}
+
+/// The registry `exp`, CI and `tests/smoke_all.rs` loop over.
+pub const CAMPAIGNS: [Campaign; 10] = [
+    Campaign { name: "attack", title: "E14 — adversarial robustness", run: attack::report },
+    Campaign { name: "chaos", title: "E-chaos — fault campaigns", run: chaos::report },
+    Campaign { name: "conform", title: "E17 — differential conformance", run: conform::report },
+    Campaign { name: "contracts", title: "E22 — sublayer contract chain", run: contracts::report },
+    Campaign { name: "failover", title: "E21 — shard fault domains", run: failover::report },
+    Campaign { name: "fairness", title: "E19 — fairness under overload", run: fairness::report },
+    Campaign { name: "overload", title: "E16 — overload control (slhost)", run: overload::report },
+    Campaign { name: "scale", title: "E15 — many-client scale (slhost)", run: scale::report },
+    Campaign { name: "shard", title: "E20 — sharded multi-core host (slshard)", run: shard::report },
+    Campaign { name: "topology", title: "E18 — Internet-in-a-box", run: topology::report },
+];
+
+/// Nanoseconds as a [`Dur`] — the host campaigns keep their timing
+/// constants in nanoseconds.
+pub(crate) fn dur(ns: u64) -> Dur {
+    Dur::from_nanos(ns)
+}
+
+/// The document a sweep commits: its rows one per line under `rows_key`,
+/// the sweep-level checks if the campaign has any, and the totals
+/// (`row_violations` plus one per failed check).
+pub fn sweep_json(
+    rows_key: &str,
+    rows: &[String],
+    checks: Option<(&str, &[String])>,
+    row_violations: usize,
+) -> String {
+    let mut fields = vec![(rows_key, json::rows(rows))];
+    if let Some((key, failed)) = checks {
+        fields.push((key, json::strs(failed)));
+    }
+    fields.push(("total", rows.len().to_string()));
+    let violations = row_violations + checks.map_or(0, |(_, failed)| failed.len());
+    fields.push(("violations", violations.to_string()));
+    json::obj(&fields)
+}
+
+/// One run's violations, each prefixed with the run's `tag`.
+pub fn tagged<'a>(tag: String, violations: &'a [String]) -> impl Iterator<Item = String> + 'a {
+    violations.iter().map(move |v| format!("[{tag}] {v}"))
+}
+
+/// `"ok"`, or the run's violations joined — the table's verdict cell.
+pub fn verdict(violations: &[String]) -> String {
+    if violations.is_empty() { "ok".into() } else { violations.join("; ") }
+}
+
+/// A transport error's name, or `-` — the table's error cells.
+pub fn err_cell(e: Option<netsim::TransportError>) -> String {
+    e.map_or("-".into(), |e| format!("{e:?}"))
+}
+
+/// `profiles x kinds x seeds` in a fixed order (profile-major, then
+/// stack, then seed) — the row order of the profile-driven sweeps.
+pub fn sweep_grid<P: Copy, O>(
+    profiles: &[P],
+    kinds: &[Kind],
+    seeds: &[u64],
+    run: impl Fn(P, Kind, u64) -> O,
+) -> Vec<O> {
+    let mut outs = Vec::new();
+    for &p in profiles {
+        for &k in kinds {
+            for &seed in seeds {
+                outs.push(run(p, k, seed));
+            }
+        }
+    }
+    outs
+}
+
+/// [`ConformStack`] construction with the two things the campaigns vary:
+/// keepalive and the access log.
+pub trait CampaignStack: ConformStack {
+    /// A stack at `addr` recording into `log`; `keepalive` is `(idle,
+    /// probe interval)` with five probes, or off.
+    fn mk_with(addr: u32, keepalive: Option<(Dur, Dur)>, log: SharedLog) -> Self;
+
+    /// Keepalive armed at 10 s / 2 s / x5 — chaos, attack and topology
+    /// run their endpoints this way so a dead path surfaces as a typed
+    /// abort, and the reroute profiles pin "keepalive defers while data
+    /// is in flight" under a live RTT step.
+    fn mk_keepalive(addr: u32) -> Self {
+        Self::mk_with(addr, Some((Dur::from_secs(10), Dur::from_secs(2))), slmetrics::shared())
+    }
+}
+
+impl CampaignStack for SlTcpStack {
+    fn mk_with(addr: u32, keepalive: Option<(Dur, Dur)>, log: SharedLog) -> Self {
+        let keepalive =
+            keepalive.map(|(idle, interval)| KeepaliveConfig { idle, interval, max_probes: 5 });
+        SlTcpStack::new(addr, SlConfig { keepalive, ..SlConfig::default() }, log)
+    }
+}
+
+impl CampaignStack for TcpStack {
+    fn mk_with(addr: u32, keepalive: Option<(Dur, Dur)>, log: SharedLog) -> Self {
+        let mut s = TcpStack::new(addr, log);
+        if let Some((idle, interval)) = keepalive {
+            s.set_keepalive(Keepalive { idle, interval, max_probes: 5 });
+        }
+        s
+    }
+}
+
+/// How long (simulated) a streamed transfer may run before it counts as
+/// hung.
+const PATIENCE: Dur = Dur(600_000_000_000);
+/// Application send/drain granularity of a streamed transfer.
+const STEP: Dur = Dur(250_000_000);
+
+/// A keepalive client at [`A`] already connecting to a keepalive server
+/// listening at [`B`]:80 — the two endpoints of a chaos or attack run.
+pub fn keepalive_pair<H: CampaignStack>() -> (H, H, H::ConnId) {
+    let mut c = H::mk_keepalive(A);
+    let mut s = H::mk_keepalive(B);
+    s.listen(80);
+    let conn = c.try_connect(Time::ZERO, 5000, Endpoint::new(B, 80)).expect("tuple free");
+    (c, s, conn)
+}
+
+/// What [`stream_transfer`] saw.
+pub struct Streamed<H: HostStack> {
+    /// Bytes the server application read, in order.
+    pub got: Vec<u8>,
+    /// The server's side of the connection, once it was seen established.
+    pub sconn: Option<H::ConnId>,
+    pub complete: bool,
+    /// Simulated time when the transfer finished or both ends had died.
+    pub sim_ms: u64,
+}
+
+/// Stream `payload` from client node `nc` (over `conn`) to server node
+/// `ns` across whatever `net` puts between them, until it is delivered,
+/// both ends are dead, or patience runs out. The app offers the unsent
+/// tail every step, so a handshake delayed past t=1 s (or a full send
+/// buffer) only defers the data. `each_step` runs after the server's
+/// read and before the step's frames go out. An undelivered transfer
+/// gets 120 s more for the far side to finish dying: a clean abort must
+/// leave nothing spinning afterwards.
+pub fn stream_transfer<H: CampaignStack>(
+    net: &mut SimNet,
+    (nc, conn): (NodeId, H::ConnId),
+    ns: NodeId,
+    payload: &[u8],
+    mut each_step: impl FnMut(&SimNet),
+) -> Streamed<H> {
+    net.poll_all();
+    net.run_until(Time::ZERO + Dur::from_secs(1));
+    let mut sent = net.node_mut::<StackNode<H>>(nc).stack.send(conn, payload);
+    net.poll_all();
+
+    let deadline = net.now() + PATIENCE;
+    let mut got: Vec<u8> = Vec::new();
+    let mut sconn = None;
+    while net.now() < deadline {
+        let step = net.now() + STEP;
+        net.run_until(step);
+        if sent < payload.len() {
+            sent += net.node_mut::<StackNode<H>>(nc).stack.send(conn, &payload[sent..]);
+        }
+        let st = &mut net.node_mut::<StackNode<H>>(ns).stack;
+        if sconn.is_none() {
+            sconn = st.established().first().copied();
+        }
+        if let Some(id) = sconn {
+            got.extend(st.recv(id));
+        }
+        each_step(net);
+        net.poll_all();
+        if got.len() >= payload.len() {
+            break;
+        }
+        let client_dead = net.node::<StackNode<H>>(nc).stack.is_closed(conn);
+        // No established server connection left (it may have been reset
+        // and reaped before we ever saw it) counts as a dead server side.
+        let server = &net.node::<StackNode<H>>(ns).stack;
+        let server_dead = match sconn {
+            Some(id) => server.is_closed(id),
+            None => server.established().is_empty(),
+        };
+        if client_dead && server_dead {
+            break;
+        }
+    }
+
+    let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
+    let complete = got.len() >= payload.len();
+    if !complete {
+        let settle = net.now() + Dur::from_secs(120);
+        net.run_until(settle);
+    }
+    Streamed { got, sconn, complete, sim_ms }
+}
 
 /// Which transport runs on each side of a transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,6 +531,16 @@ pub fn settle(net: &mut SimNet, secs: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn registry_names_are_unique_and_map_to_committed_bench_files() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (i, c) in CAMPAIGNS.iter().enumerate() {
+            assert!(CAMPAIGNS[..i].iter().all(|d| d.name != c.name), "duplicate {}", c.name);
+            assert_eq!(c.bench_file(), format!("BENCH_{}.json", c.name));
+            assert!(root.join(c.bench_file()).is_file(), "{} is not committed", c.bench_file());
+        }
+    }
 
     #[test]
     fn transfers_complete_for_all_stack_kinds() {

@@ -26,16 +26,18 @@
 //! under a 4× flood, the per-connection goodput of *accepted*
 //! connections stays within 80% of the uncontended baseline.
 
+use crate::{dur, json, CampaignStack, Report, KINDS};
 use netsim::{
     LinkParams, MultiStackNode, OpenLoopArrivals, ReadBudget, Stack, StackNode,
     Time, TransportError,
 };
+use slconform::Kind;
 use slhost::{
     Host, HostApp, HostConfig, HostEvent, HostStack, ResourceBudget, ServedHost,
     TimerMode,
 };
 use std::collections::HashMap;
-use sublayer_core::{SlConfig, SlTcpStack};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
@@ -57,10 +59,6 @@ const RESP_SLOW: usize = 160 * 1024;
 const LINK_DELAY_NS: u64 = 1_000_000;
 const LINK_RATE_BPS: u64 = 2_000_000;
 
-fn dur(ns: u64) -> netsim::Dur {
-    netsim::Dur::from_nanos(ns)
-}
-
 /// Deterministic response byte `j` — same formula on both sides.
 fn resp_byte(j: usize) -> u8 {
     ((j * 7) % 251) as u8
@@ -69,22 +67,6 @@ fn resp_byte(j: usize) -> u8 {
 /// Deterministic per-client request payload.
 fn request(i: usize) -> Vec<u8> {
     (0..REQ_LEN).map(|j| ((i * 31 + j) % 251) as u8).collect()
-}
-
-/// Which transport serves (and runs in) every node of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverloadStack {
-    Sub,
-    Mono,
-}
-
-impl OverloadStack {
-    pub fn label(self) -> &'static str {
-        match self {
-            OverloadStack::Sub => "sub",
-            OverloadStack::Mono => "mono",
-        }
-    }
 }
 
 /// The four campaign shapes.
@@ -111,7 +93,7 @@ impl Profile {
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadParams {
     pub profile: Profile,
-    pub stack: OverloadStack,
+    pub stack: Kind,
     pub seed: u64,
 }
 
@@ -470,20 +452,13 @@ impl<S: HostStack> Stack for OverloadClient<S> {
 /// Run one cell of the sweep.
 pub fn run_one(p: OverloadParams) -> OverloadOutcome {
     match p.stack {
-        OverloadStack::Sub => run_generic(p, |addr| {
-            let cfg = SlConfig { keepalive: None, ..SlConfig::default() };
-            SlTcpStack::new(addr, cfg, slmetrics::shared())
-        }),
-        OverloadStack::Mono => {
-            run_generic(p, |addr| TcpStack::new(addr, slmetrics::shared()))
-        }
+        Kind::Sub => run_generic::<SlTcpStack>(p),
+        Kind::Mono => run_generic::<TcpStack>(p),
     }
 }
 
-fn run_generic<S: HostStack>(
-    p: OverloadParams,
-    mk: impl Fn(u32) -> S,
-) -> OverloadOutcome {
+fn run_generic<S: CampaignStack>(p: OverloadParams) -> OverloadOutcome {
+    let mk = |addr| S::mk_with(addr, None, slmetrics::shared());
     let spec = p.profile.spec();
     let n = spec.arrivals.len();
     let cfg = HostConfig {
@@ -577,9 +552,6 @@ fn run_generic<S: HostStack>(
     }
     kbps.sort_unstable();
     xfer_us.sort_unstable();
-    let pct = |v: &[u64], q: u64| -> u64 {
-        if v.is_empty() { 0 } else { v[((v.len() - 1) as u64 * q / 100) as usize] }
-    };
 
     let srv = &net.node::<MultiStackNode<ServedHost<S, RespApp<S>>>>(sid).stack;
     let k = &srv.host.counters;
@@ -603,8 +575,8 @@ fn run_generic<S: HostStack>(
         slow_drain_evictions: k.slow_drain_evictions,
         mem_peak: k.mem_peak,
         budget_bytes: spec.budget_bytes as u64,
-        goodput_kbps_p50: pct(&kbps, 50),
-        xfer_p50_us: pct(&xfer_us, 50),
+        goodput_kbps_p50: crate::percentile(&kbps, 50),
+        xfer_p50_us: crate::percentile(&xfer_us, 50),
         first_error,
         server_residual: srv.host.tracked_count(),
         drained: u64::from(srv.host.is_drained() && spec.drain_at.is_some()),
@@ -737,7 +709,7 @@ pub fn sweep(smoke: bool) -> Vec<OverloadOutcome> {
     let seeds: &[u64] = if smoke { &[1] } else { &[1, 2] };
     let mut outs = Vec::new();
     for &seed in seeds {
-        for stack in [OverloadStack::Sub, OverloadStack::Mono] {
+        for stack in KINDS {
             for profile in
                 [Profile::Baseline, Profile::Flood, Profile::Slowloris, Profile::Drain]
             {
@@ -770,81 +742,80 @@ pub fn cross_checks(outs: &[OverloadOutcome]) -> Vec<String> {
     v
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
-    }
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
+/// Deterministic JSON for one outcome (stable field order, integers
+/// only — byte-identical for identical seeds).
 pub fn outcome_json(o: &OverloadOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"profile\":{},\"stack\":{},\"seed\":{},\"offered\":{},\"n_slow\":{},\
-         \"completed\":{},\"refused\":{},\"evicted\":{},\"starved\":{},\
-         \"corrupt\":{},\"accepts\":{},\"deferrals\":{},\"backlog_refusals\":{},\
-         \"host_refusals\":{},\"stack_refusals\":{},\"sheds\":{},\
-         \"slow_drain_evictions\":{},\"mem_peak\":{},\"budget_bytes\":{},\
-         \"goodput_kbps_p50\":{},\"xfer_p50_us\":{},\"first_error\":{},\
-         \"server_residual\":{},\"drained\":{},\"sim_ms\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.stack),
-        o.seed,
-        o.offered,
-        o.n_slow,
-        o.completed,
-        o.refused,
-        o.evicted,
-        o.starved,
-        o.corrupt,
-        o.accepts,
-        o.deferrals,
-        o.backlog_refusals,
-        o.host_refusals,
-        o.stack_refusals,
-        o.sheds,
-        o.slow_drain_evictions,
-        o.mem_peak,
-        o.budget_bytes,
-        o.goodput_kbps_p50,
-        o.xfer_p50_us,
-        json_err(o.first_error),
-        o.server_residual,
-        o.drained,
-        o.sim_ms,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("profile", json::str(o.profile)),
+        ("stack", json::str(o.stack)),
+        ("seed", o.seed.to_string()),
+        ("offered", o.offered.to_string()),
+        ("n_slow", o.n_slow.to_string()),
+        ("completed", o.completed.to_string()),
+        ("refused", o.refused.to_string()),
+        ("evicted", o.evicted.to_string()),
+        ("starved", o.starved.to_string()),
+        ("corrupt", o.corrupt.to_string()),
+        ("accepts", o.accepts.to_string()),
+        ("deferrals", o.deferrals.to_string()),
+        ("backlog_refusals", o.backlog_refusals.to_string()),
+        ("host_refusals", o.host_refusals.to_string()),
+        ("stack_refusals", o.stack_refusals.to_string()),
+        ("sheds", o.sheds.to_string()),
+        ("slow_drain_evictions", o.slow_drain_evictions.to_string()),
+        ("mem_peak", o.mem_peak.to_string()),
+        ("budget_bytes", o.budget_bytes.to_string()),
+        ("goodput_kbps_p50", o.goodput_kbps_p50.to_string()),
+        ("xfer_p50_us", o.xfer_p50_us.to_string()),
+        ("first_error", json::opt_err(o.first_error)),
+        ("server_residual", o.server_residual.to_string()),
+        ("drained", o.drained.to_string()),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep (plus sweep-level checks) as one JSON document.
 pub fn summary_json(outs: &[OverloadOutcome], cross: &[String]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("runs", &rows, Some(("cross_checks", cross)), violations)
+}
+
+/// The campaign: [`sweep`] plus the flood-vs-baseline [`cross_checks`].
+pub fn report(smoke: bool) -> Report {
+    let outs = sweep(smoke);
+    let cross = cross_checks(&outs);
+    Report {
+        json: summary_json(&outs, &cross),
+        headers: vec![
+            "profile", "stack", "seed", "done", "refused", "evicted", "defers", "slowdrain",
+            "mem/budget", "p50 kbps", "viol",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.profile.to_string(),
+                    o.stack.to_string(),
+                    o.seed.to_string(),
+                    format!("{}/{}", o.completed, o.offered),
+                    o.refused.to_string(),
+                    o.evicted.to_string(),
+                    o.deferrals.to_string(),
+                    o.slow_drain_evictions.to_string(),
+                    format!("{}k/{}k", o.mem_peak / 1024, o.budget_bytes / 1024),
+                    o.goodput_kbps_p50.to_string(),
+                    o.violations.len().to_string(),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
+            })
+            .chain(crate::tagged("cross".into(), &cross))
+            .collect(),
+    }
 }

@@ -15,12 +15,14 @@
 //! connections with zero refusals, and the host table drains to empty
 //! after the clients close.
 
+use crate::{dur, json, CampaignStack, Report, KINDS};
 use netsim::{
-    LinkParams, MultiStackNode, Stack, StackNode, Time, TransportError,
+    Dur, LinkParams, MultiStackNode, NodeId, SimNet, Stack, StackNode, Time, TransportError,
 };
+use slconform::Kind;
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost, TimerMode};
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::stack::{Keepalive, TcpStack};
+use sublayer_core::SlTcpStack;
+use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
 /// Server address (clients start above [`CLIENT_BASE`]).
@@ -39,27 +41,6 @@ const LINGER_NS: u64 = 10_000_000_000;
 /// armed for the whole linger phase.
 const KA_IDLE_NS: u64 = 5_000_000_000;
 const KA_INTERVAL_NS: u64 = 1_000_000_000;
-const KA_MAX_PROBES: u32 = 5;
-
-fn dur(ns: u64) -> netsim::Dur {
-    netsim::Dur::from_nanos(ns)
-}
-
-/// Which transport serves (and runs in) every node of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScaleStack {
-    Sub,
-    Mono,
-}
-
-impl ScaleStack {
-    pub fn label(self) -> &'static str {
-        match self {
-            ScaleStack::Sub => "sub",
-            ScaleStack::Mono => "mono",
-        }
-    }
-}
 
 fn timer_label(mode: TimerMode) -> &'static str {
     match mode {
@@ -71,7 +52,7 @@ fn timer_label(mode: TimerMode) -> &'static str {
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleParams {
-    pub stack: ScaleStack,
+    pub stack: Kind,
     pub timer_mode: TimerMode,
     pub n: usize,
     pub seed: u64,
@@ -145,11 +126,15 @@ enum Phase {
 
 /// One scripted client: connect → request → verify echo → linger → close.
 /// Generic over the same [`HostStack`] surface the host uses, so the whole
-/// experiment is stack-agnostic by construction.
+/// experiment is stack-agnostic by construction. Verifies the echo
+/// streamingly (no per-client copy of what came back), so the shard sweep
+/// can run 100k of them.
 pub struct ScaleClient<S: HostStack> {
     stack: S,
     server: Endpoint,
     req: Vec<u8>,
+    /// Idle hold between the verified echo and the close.
+    linger: Dur,
     phase: Phase,
     conn: Option<S::ConnId>,
     /// Echo bytes verified so far.
@@ -165,11 +150,18 @@ pub struct ScaleClient<S: HostStack> {
 }
 
 impl<S: HostStack> ScaleClient<S> {
-    fn new(stack: S, server: Endpoint, connect_at: Time, req: Vec<u8>) -> Self {
+    pub(crate) fn new(
+        stack: S,
+        server: Endpoint,
+        connect_at: Time,
+        req: Vec<u8>,
+        linger: Dur,
+    ) -> Self {
         ScaleClient {
             stack,
             server,
             req,
+            linger,
             phase: Phase::Idle,
             conn: None,
             got: 0,
@@ -230,7 +222,7 @@ impl<S: HostStack> ScaleClient<S> {
                         return;
                     }
                     self.done_at = Some(now);
-                    self.linger_until = Time(now.nanos() + LINGER_NS);
+                    self.linger_until = now + self.linger;
                     self.phase = Phase::Linger;
                 }
                 Phase::Linger => {
@@ -279,6 +271,111 @@ impl<S: HostStack> Stack for ScaleClient<S> {
     }
 }
 
+/// What a run's echo clients saw, gathered after the horizon.
+pub(crate) struct EchoTally {
+    /// Clients whose echo came back complete and intact.
+    pub completed: usize,
+    pub corrupt: usize,
+    pub client_errors: usize,
+    pub first_error: Option<TransportError>,
+    /// Indices of the clients that never completed.
+    starved: Vec<usize>,
+    /// Connect-to-echo-complete and connect-to-established latencies,
+    /// microseconds, ascending.
+    pub lat_us: Vec<u64>,
+    pub accept_us: Vec<u64>,
+    /// Completed connections per simulated second of the first-connect
+    /// to last-echo window.
+    pub conns_per_sec: u64,
+}
+
+pub(crate) fn tally<S: HostStack>(net: &SimNet, cids: &[NodeId]) -> EchoTally {
+    let mut t = EchoTally {
+        completed: 0,
+        corrupt: 0,
+        client_errors: 0,
+        first_error: None,
+        starved: Vec::new(),
+        lat_us: Vec::new(),
+        accept_us: Vec::new(),
+        conns_per_sec: 0,
+    };
+    let mut first_connect = u64::MAX;
+    let mut last_done = 0u64;
+    for (i, &cid) in cids.iter().enumerate() {
+        let c = &net.node::<StackNode<ScaleClient<S>>>(cid).stack;
+        if c.corrupt {
+            t.corrupt += 1;
+        }
+        if let Some(e) = c.error {
+            t.client_errors += 1;
+            t.first_error.get_or_insert(e);
+        }
+        if let (Some(t0), Some(te)) = (c.connected_at, c.established_at) {
+            t.accept_us.push(te.nanos().saturating_sub(t0.nanos()) / 1_000);
+        }
+        match (c.connected_at, c.done_at) {
+            (Some(t0), Some(t1)) if !c.corrupt => {
+                t.completed += 1;
+                t.lat_us.push(t1.nanos().saturating_sub(t0.nanos()) / 1_000);
+                first_connect = first_connect.min(t0.nanos());
+                last_done = last_done.max(t1.nanos());
+            }
+            _ => t.starved.push(i),
+        }
+    }
+    t.lat_us.sort_unstable();
+    t.accept_us.sort_unstable();
+    let window = last_done.saturating_sub(first_connect);
+    t.conns_per_sec = (t.completed as u64 * 1_000_000_000).checked_div(window).unwrap_or(0);
+    t
+}
+
+impl EchoTally {
+    /// The workload invariants of an echo sweep: all `n` clients complete
+    /// intact and error-free, the host accepted exactly `n` with no
+    /// refusals, and it echoed exactly the bytes the workload demanded.
+    pub fn violations(
+        &self,
+        n: usize,
+        accepts: u64,
+        accept_refusals: u64,
+        echoed: u64,
+        expected: u64,
+    ) -> Vec<String> {
+        let mut v = Vec::new();
+        if self.completed != n {
+            let head: Vec<String> = self.starved.iter().take(5).map(|i| i.to_string()).collect();
+            v.push(format!(
+                "{} of {} clients never completed (first: [{}])",
+                n - self.completed,
+                n,
+                head.join(",")
+            ));
+        }
+        if self.corrupt > 0 {
+            v.push(format!("{} corrupt echoes", self.corrupt));
+        }
+        if self.client_errors > 0 {
+            v.push(format!(
+                "{} client transport errors (first: {:?})",
+                self.client_errors,
+                self.first_error.expect("counted an error")
+            ));
+        }
+        if accepts != n as u64 {
+            v.push(format!("accepted {accepts} of {n} connections"));
+        }
+        if accept_refusals != 0 {
+            v.push(format!("{accept_refusals} accept refusals"));
+        }
+        if echoed != expected {
+            v.push(format!("echoed {echoed} bytes, expected {expected}"));
+        }
+        v
+    }
+}
+
 /// Deterministic per-client request payload.
 fn request(i: usize) -> Vec<u8> {
     (0..REQ_LEN).map(|j| ((i * 31 + j) % 251) as u8).collect()
@@ -287,30 +384,14 @@ fn request(i: usize) -> Vec<u8> {
 /// Run one cell of the sweep.
 pub fn run_one(p: ScaleParams) -> ScaleOutcome {
     match p.stack {
-        ScaleStack::Sub => run_generic(p, |addr| {
-            let cfg = SlConfig {
-                keepalive: Some(KeepaliveConfig {
-                    idle: dur(KA_IDLE_NS),
-                    interval: dur(KA_INTERVAL_NS),
-                    max_probes: KA_MAX_PROBES,
-                }),
-                ..SlConfig::default()
-            };
-            SlTcpStack::new(addr, cfg, slmetrics::shared())
-        }),
-        ScaleStack::Mono => run_generic(p, |addr| {
-            let mut s = TcpStack::new(addr, slmetrics::shared());
-            s.set_keepalive(Keepalive {
-                idle: dur(KA_IDLE_NS),
-                interval: dur(KA_INTERVAL_NS),
-                max_probes: KA_MAX_PROBES,
-            });
-            s
-        }),
+        Kind::Sub => run_generic::<SlTcpStack>(p),
+        Kind::Mono => run_generic::<TcpStack>(p),
     }
 }
 
-fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutcome {
+fn run_generic<S: CampaignStack>(p: ScaleParams) -> ScaleOutcome {
+    let keepalive = Some((dur(KA_IDLE_NS), dur(KA_INTERVAL_NS)));
+    let mk = |addr| S::mk_with(addr, keepalive, slmetrics::shared());
     let cfg = HostConfig {
         listen_port: PORT,
         backlog: 256,
@@ -326,6 +407,7 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
                 Endpoint::new(SERVER_ADDR, PORT),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
+                dur(LINGER_NS),
             )
         })
         .collect();
@@ -354,44 +436,7 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
         .sample_gauges();
     net.run_until(horizon);
 
-    let mut completed = 0usize;
-    let mut corrupt = 0usize;
-    let mut client_errors = 0usize;
-    let mut first_error: Option<TransportError> = None;
-    let mut starved: Vec<usize> = Vec::new();
-    let mut lat_us: Vec<u64> = Vec::new();
-    let mut accept_us: Vec<u64> = Vec::new();
-    let mut first_connect = u64::MAX;
-    let mut last_done = 0u64;
-    for (i, &cid) in cids.iter().enumerate() {
-        let c = &net.node::<StackNode<ScaleClient<S>>>(cid).stack;
-        if c.corrupt {
-            corrupt += 1;
-        }
-        if let Some(e) = c.error {
-            client_errors += 1;
-            first_error.get_or_insert(e);
-        }
-        if let (Some(t0), Some(te)) = (c.connected_at, c.established_at) {
-            accept_us.push(te.nanos().saturating_sub(t0.nanos()) / 1_000);
-        }
-        match (c.connected_at, c.done_at) {
-            (Some(t0), Some(t1)) if !c.corrupt => {
-                completed += 1;
-                lat_us.push(t1.nanos().saturating_sub(t0.nanos()) / 1_000);
-                first_connect = first_connect.min(t0.nanos());
-                last_done = last_done.max(t1.nanos());
-            }
-            _ => starved.push(i),
-        }
-    }
-    lat_us.sort_unstable();
-    accept_us.sort_unstable();
-    let pct = |q: u64| crate::percentile(&lat_us, q);
-    let window = last_done.saturating_sub(first_connect);
-    let conns_per_sec =
-        (completed as u64 * 1_000_000_000).checked_div(window).unwrap_or(0);
-
+    let t = tally::<S>(&net, &cids);
     let srv = &net.node::<MultiStackNode<ServedHost<S, EchoApp>>>(sid).stack;
     let k = &srv.host.counters;
     let mut out = ScaleOutcome {
@@ -399,17 +444,17 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
         timer: timer_label(p.timer_mode),
         n: p.n,
         seed: p.seed,
-        completed,
-        corrupt,
-        client_errors,
-        first_error,
+        completed: t.completed,
+        corrupt: t.corrupt,
+        client_errors: t.client_errors,
+        first_error: t.first_error,
         accepts: k.accepts,
         accept_refusals: k.accept_refusals,
-        conns_per_sec,
-        p50_us: pct(50),
-        p99_us: pct(99),
-        accept_p50_us: crate::percentile(&accept_us, 50),
-        accept_p99_us: crate::percentile(&accept_us, 99),
+        conns_per_sec: t.conns_per_sec,
+        p50_us: crate::percentile(&t.lat_us, 50),
+        p99_us: crate::percentile(&t.lat_us, 99),
+        accept_p50_us: crate::percentile(&t.accept_us, 50),
+        accept_p99_us: crate::percentile(&t.accept_us, 99),
         bytes_per_conn: k.bytes_per_conn,
         shard_occupancy: k.shard_occupancy,
         ticks: k.ticks,
@@ -426,39 +471,9 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
         violations: Vec::new(),
     };
 
-    if out.completed != p.n {
-        let head: Vec<String> =
-            starved.iter().take(5).map(|i| i.to_string()).collect();
-        out.violations.push(format!(
-            "{} of {} clients never completed (first: [{}])",
-            p.n - out.completed,
-            p.n,
-            head.join(",")
-        ));
-    }
-    if out.corrupt > 0 {
-        out.violations.push(format!("{} corrupt echoes", out.corrupt));
-    }
-    if out.client_errors > 0 {
-        out.violations.push(format!(
-            "{} client transport errors (first: {:?})",
-            out.client_errors,
-            out.first_error.expect("counted an error")
-        ));
-    }
-    if out.accepts != p.n as u64 {
-        out.violations.push(format!("accepted {} of {} connections", out.accepts, p.n));
-    }
-    if out.accept_refusals != 0 {
-        out.violations.push(format!("{} accept refusals", out.accept_refusals));
-    }
-    if out.echoed_bytes != (p.n * REQ_LEN) as u64 {
-        out.violations.push(format!(
-            "echoed {} bytes, expected {}",
-            out.echoed_bytes,
-            p.n * REQ_LEN
-        ));
-    }
+    let expected = (p.n * REQ_LEN) as u64;
+    out.violations =
+        t.violations(p.n, out.accepts, out.accept_refusals, out.echoed_bytes, expected);
     if out.server_residual != 0 {
         out.violations
             .push(format!("host leaked {} connections past close", out.server_residual));
@@ -471,10 +486,9 @@ fn run_generic<S: HostStack>(p: ScaleParams, mk: impl Fn(u32) -> S) -> ScaleOutc
 /// naive baseline at N ∈ {100, 1000} (quadratic — N=5000 naive is the
 /// point of not having a wheel, so it is not run).
 pub fn sweep(smoke: bool) -> Vec<ScaleOutcome> {
-    let stacks = [ScaleStack::Sub, ScaleStack::Mono];
     let mut outs = Vec::new();
     if smoke {
-        for stack in stacks {
+        for stack in KINDS {
             for timer_mode in [TimerMode::Wheel, TimerMode::NaiveScan] {
                 outs.push(run_one(ScaleParams { stack, timer_mode, n: 30, seed: 1 }));
             }
@@ -482,7 +496,7 @@ pub fn sweep(smoke: bool) -> Vec<ScaleOutcome> {
         return outs;
     }
     for &n in &[100usize, 1000, 5000] {
-        for stack in stacks {
+        for stack in KINDS {
             for seed in [1u64, 2] {
                 outs.push(run_one(ScaleParams {
                     stack,
@@ -494,7 +508,7 @@ pub fn sweep(smoke: bool) -> Vec<ScaleOutcome> {
         }
     }
     for &n in &[100usize, 1000] {
-        for stack in stacks {
+        for stack in KINDS {
             outs.push(run_one(ScaleParams {
                 stack,
                 timer_mode: TimerMode::NaiveScan,
@@ -535,86 +549,89 @@ pub fn cross_checks(outs: &[ScaleOutcome]) -> Vec<String> {
     v
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
-    }
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
+/// Deterministic JSON for one outcome (stable field order, integers
+/// only — byte-identical for identical seeds).
 pub fn outcome_json(o: &ScaleOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"stack\":{},\"timer\":{},\"n\":{},\"seed\":{},\"completed\":{},\
-         \"corrupt\":{},\"client_errors\":{},\"first_error\":{},\"accepts\":{},\
-         \"accept_refusals\":{},\"conns_per_sec\":{},\"p50_us\":{},\"p99_us\":{},\
-         \"accept_p50_us\":{},\"accept_p99_us\":{},\"bytes_per_conn\":{},\
-         \"shard_occupancy\":{},\
-         \"ticks\":{},\"timer_fires\":{},\"timer_touches\":{},\
-         \"work_per_tick_x100\":{},\"frames_in\":{},\"frames_out\":{},\
-         \"events\":{},\"echoed_bytes\":{},\"crossings\":{},\"server_residual\":{},\
-         \"sim_ms\":{},\"violations\":[{}]}}",
-        json_str(o.stack),
-        json_str(o.timer),
-        o.n,
-        o.seed,
-        o.completed,
-        o.corrupt,
-        o.client_errors,
-        json_err(o.first_error),
-        o.accepts,
-        o.accept_refusals,
-        o.conns_per_sec,
-        o.p50_us,
-        o.p99_us,
-        o.accept_p50_us,
-        o.accept_p99_us,
-        o.bytes_per_conn,
-        o.shard_occupancy,
-        o.ticks,
-        o.timer_fires,
-        o.timer_touches,
-        o.work_per_tick_x100,
-        o.frames_in,
-        o.frames_out,
-        o.events,
-        o.echoed_bytes,
-        o.crossings,
-        o.server_residual,
-        o.sim_ms,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("stack", json::str(o.stack)),
+        ("timer", json::str(o.timer)),
+        ("n", o.n.to_string()),
+        ("seed", o.seed.to_string()),
+        ("completed", o.completed.to_string()),
+        ("corrupt", o.corrupt.to_string()),
+        ("client_errors", o.client_errors.to_string()),
+        ("first_error", json::opt_err(o.first_error)),
+        ("accepts", o.accepts.to_string()),
+        ("accept_refusals", o.accept_refusals.to_string()),
+        ("conns_per_sec", o.conns_per_sec.to_string()),
+        ("p50_us", o.p50_us.to_string()),
+        ("p99_us", o.p99_us.to_string()),
+        ("accept_p50_us", o.accept_p50_us.to_string()),
+        ("accept_p99_us", o.accept_p99_us.to_string()),
+        ("bytes_per_conn", o.bytes_per_conn.to_string()),
+        ("shard_occupancy", o.shard_occupancy.to_string()),
+        ("ticks", o.ticks.to_string()),
+        ("timer_fires", o.timer_fires.to_string()),
+        ("timer_touches", o.timer_touches.to_string()),
+        ("work_per_tick_x100", o.work_per_tick_x100.to_string()),
+        ("frames_in", o.frames_in.to_string()),
+        ("frames_out", o.frames_out.to_string()),
+        ("events", o.events.to_string()),
+        ("echoed_bytes", o.echoed_bytes.to_string()),
+        ("crossings", o.crossings.to_string()),
+        ("server_residual", o.server_residual.to_string()),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep (plus sweep-level checks) as one JSON document.
 pub fn summary_json(outs: &[ScaleOutcome], cross: &[String]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("runs", &rows, Some(("cross_checks", cross)), violations)
+}
+
+/// The campaign: [`sweep`] plus the wheel-vs-naive [`cross_checks`].
+pub fn report(smoke: bool) -> Report {
+    let outs = sweep(smoke);
+    let cross = cross_checks(&outs);
+    Report {
+        json: summary_json(&outs, &cross),
+        headers: vec![
+            "stack", "timer", "n", "seed", "done", "conns/s", "p50 us", "p99 us", "acc p99 us",
+            "occ %", "work/tick", "ticks", "xings/conn", "viol",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.stack.to_string(),
+                    o.timer.to_string(),
+                    o.n.to_string(),
+                    o.seed.to_string(),
+                    format!("{}/{}", o.completed, o.n),
+                    o.conns_per_sec.to_string(),
+                    o.p50_us.to_string(),
+                    o.p99_us.to_string(),
+                    o.accept_p99_us.to_string(),
+                    o.shard_occupancy.to_string(),
+                    format!("{}.{:02}", o.work_per_tick_x100 / 100, o.work_per_tick_x100 % 100),
+                    o.ticks.to_string(),
+                    (o.crossings / o.n as u64).to_string(),
+                    o.violations.len().to_string(),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(
+                    format!("{} {} n={} seed={}", o.stack, o.timer, o.n, o.seed),
+                    &o.violations,
+                )
+            })
+            .chain(crate::tagged("cross".into(), &cross))
+            .collect(),
+    }
 }

@@ -9,7 +9,7 @@
 //! sees every connection open), then closes.
 //!
 //! Per-run invariants (any failure is a violation, reported and fatal to
-//! `exp_shard`): every echo completes intact with no transport errors
+//! `exp shard`): every echo completes intact with no transport errors
 //! and no refusals; every shard's memory peak stays within its own
 //! budget and the per-shard peaks sum within the global budget (sum of
 //! peaks bounds the peak of the sum, so this is conservative); the
@@ -21,21 +21,19 @@
 //! the threaded run's outcome to be byte-identical to the single-thread
 //! inline reference — the determinism claim, enforced in CI.
 
-use crate::scale::ScaleStack;
-use netsim::{
-    Dur, HeavyTailed, LinkParams, MultiStackNode, SimNet, Stack, StackNode, Time,
-    TransportError,
-};
-use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
+use crate::scale::{tally, ScaleClient};
+use crate::{dur, json, CampaignStack, Report, KINDS};
+use netsim::{HeavyTailed, LinkParams, MultiStackNode, SimNet, StackNode, Time, TransportError};
+use slconform::Kind;
+use slhost::{EchoApp, Host, HostConfig, ResourceBudget, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
-use sublayer_core::{SlConfig, SlTcpStack};
+use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
 
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0B00_0000;
 const PORT: u16 = 80;
-const CLIENT_PORT: u16 = 5000;
 /// Gap between successive client connect times.
 const STAGGER_NS: u64 = 20_000;
 /// Heavy-tailed request sizes: mice of 64 B, elephants to 8 KiB.
@@ -51,11 +49,7 @@ const DELAY_CLASSES_NS: [u64; 4] = [100_000, 500_000, 2_500_000, 10_000_000];
 /// budgets were *live but never exceeded*, not absent.
 const SHARD_BUDGET: usize = 16 << 20;
 
-fn dur(ns: u64) -> Dur {
-    Dur::from_nanos(ns)
-}
-
-fn mode_label(m: Mode) -> &'static str {
+pub(crate) fn mode_label(m: Mode) -> &'static str {
     match m {
         Mode::Threaded => "threaded",
         Mode::Inline => "inline",
@@ -65,7 +59,7 @@ fn mode_label(m: Mode) -> &'static str {
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardParams {
-    pub stack: ScaleStack,
+    pub stack: Kind,
     pub mode: Mode,
     pub shards: usize,
     pub n: usize,
@@ -133,174 +127,22 @@ pub struct ShardOutcome {
     pub violations: Vec<String>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    Connecting,
-    Await,
-    Linger,
-    Closing,
-    Done,
-    Failed,
-}
-
-/// One scripted client: connect → request → verify echo → linger →
-/// close. Verifies the echo streamingly (no per-client payload storage —
-/// this scales to 500k clients).
-struct ShardClient<S: HostStack> {
-    stack: S,
-    server: Endpoint,
-    req: Vec<u8>,
-    phase: Phase,
-    conn: Option<S::ConnId>,
-    got: usize,
-    corrupt: bool,
-    connect_at: Time,
-    linger_until: Time,
-    connected_at: Option<Time>,
-    established_at: Option<Time>,
-    done_at: Option<Time>,
-    error: Option<TransportError>,
-}
-
 /// Deterministic request payload for client `i` (heavy-tailed length).
 fn request(sizes: &HeavyTailed, i: usize) -> Vec<u8> {
     let len = sizes.size(i as u64) as usize;
     (0..len).map(|j| ((i * 131 + j * 7) % 251) as u8).collect()
 }
 
-impl<S: HostStack> ShardClient<S> {
-    fn new(stack: S, connect_at: Time, req: Vec<u8>) -> Self {
-        ShardClient {
-            stack,
-            server: Endpoint::new(SERVER_ADDR, PORT),
-            req,
-            phase: Phase::Idle,
-            conn: None,
-            got: 0,
-            corrupt: false,
-            connect_at,
-            linger_until: Time::MAX,
-            connected_at: None,
-            established_at: None,
-            done_at: None,
-            error: None,
-        }
-    }
-
-    fn drive(&mut self, now: Time) {
-        if let (Some(id), None) = (self.conn, self.error) {
-            if let Some(e) = self.stack.conn_error(id) {
-                self.error = Some(e);
-                self.phase = Phase::Failed;
-            }
-        }
-        loop {
-            match self.phase {
-                Phase::Idle => {
-                    if now < self.connect_at {
-                        return;
-                    }
-                    match self.stack.try_connect(now, CLIENT_PORT, self.server) {
-                        Ok(id) => {
-                            self.conn = Some(id);
-                            self.connected_at = Some(now);
-                            self.phase = Phase::Connecting;
-                        }
-                        Err(e) => {
-                            self.error = Some(e);
-                            self.phase = Phase::Failed;
-                        }
-                    }
-                }
-                Phase::Connecting => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_established(id) {
-                        return;
-                    }
-                    self.established_at = Some(now);
-                    self.stack.send(id, &self.req);
-                    self.phase = Phase::Await;
-                }
-                Phase::Await => {
-                    let id = self.conn.expect("connected past Idle");
-                    let data = self.stack.recv(id);
-                    for &b in &data {
-                        if self.got >= self.req.len() || b != self.req[self.got] {
-                            self.corrupt = true;
-                        }
-                        self.got += 1;
-                    }
-                    if self.got < self.req.len() {
-                        return;
-                    }
-                    self.done_at = Some(now);
-                    self.linger_until = Time(now.nanos() + LINGER_NS);
-                    self.phase = Phase::Linger;
-                }
-                Phase::Linger => {
-                    if now < self.linger_until {
-                        return;
-                    }
-                    let id = self.conn.expect("connected past Idle");
-                    self.stack.close(id);
-                    self.phase = Phase::Closing;
-                }
-                Phase::Closing => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_closed(id) {
-                        return;
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Done | Phase::Failed => return,
-            }
-        }
-    }
-}
-
-impl<S: HostStack> Stack for ShardClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::Linger => Some(self.linger_until),
-            _ => None,
-        };
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
-}
-
 /// Run one cell of the sweep.
 pub fn run_one(p: ShardParams) -> ShardOutcome {
     match p.stack {
-        ScaleStack::Sub => run_generic(p, |addr| {
-            SlTcpStack::new(addr, SlConfig::default(), slmetrics::muted())
-        }),
-        ScaleStack::Mono => {
-            run_generic(p, |addr| TcpStack::new(addr, slmetrics::muted()))
-        }
+        Kind::Sub => run_generic::<SlTcpStack>(p),
+        Kind::Mono => run_generic::<TcpStack>(p),
     }
 }
 
-fn run_generic<S, F>(p: ShardParams, mk: F) -> ShardOutcome
-where
-    S: HostStack,
-    F: Fn(u32) -> S + Send + Sync + Copy + 'static,
-{
+fn run_generic<S: CampaignStack>(p: ShardParams) -> ShardOutcome {
+    let mk = |addr| S::mk_with(addr, None, slmetrics::muted());
     let sizes = HeavyTailed::new(p.seed ^ 0x5EED_F10D, REQ_MIN, REQ_MAX);
     let expected_bytes: u64 = (0..p.n as u64).map(|i| sizes.size(i)).sum();
     // Per-shard hosts must hold every connection the router can send
@@ -334,10 +176,12 @@ where
     let sid = net.add_node(Box::new(MultiStackNode::new(server)));
     let mut cids = Vec::with_capacity(p.n);
     for i in 0..p.n {
-        let client = ShardClient::new(
+        let client = ScaleClient::new(
             mk(CLIENT_BASE + i as u32),
+            Endpoint::new(SERVER_ADDR, PORT),
             Time(1_000_000 + STAGGER_NS * i as u64),
             request(&sizes, i),
+            dur(LINGER_NS),
         );
         let cid = net.add_node(Box::new(StackNode::new(client)));
         let delay = DELAY_CLASSES_NS[sizes.pick(i as u64, 4) as usize];
@@ -367,57 +211,19 @@ where
     let horizon = Time(last_connect + 2_000_000_000 + LINGER_NS + 12_000_000_000);
     net.run_until(horizon);
 
-    let mut completed = 0usize;
-    let mut corrupt = 0usize;
-    let mut client_errors = 0usize;
-    let mut first_error: Option<TransportError> = None;
-    let mut starved: Vec<usize> = Vec::new();
-    let mut lat_us: Vec<u64> = Vec::new();
-    let mut accept_us: Vec<u64> = Vec::new();
-    let mut first_connect = u64::MAX;
-    let mut last_done = 0u64;
-    for (i, &cid) in cids.iter().enumerate() {
-        let c = &net.node::<StackNode<ShardClient<S>>>(cid).stack;
-        if c.corrupt {
-            corrupt += 1;
-        }
-        if let Some(e) = c.error {
-            client_errors += 1;
-            first_error.get_or_insert(e);
-        }
-        if let (Some(t0), Some(te)) = (c.connected_at, c.established_at) {
-            accept_us.push(te.nanos().saturating_sub(t0.nanos()) / 1_000);
-        }
-        match (c.connected_at, c.done_at) {
-            (Some(t0), Some(t1)) if !c.corrupt => {
-                completed += 1;
-                lat_us.push(t1.nanos().saturating_sub(t0.nanos()) / 1_000);
-                first_connect = first_connect.min(t0.nanos());
-                last_done = last_done.max(t1.nanos());
-            }
-            _ => starved.push(i),
-        }
-    }
-    lat_us.sort_unstable();
-    accept_us.sort_unstable();
-    let window = last_done.saturating_sub(first_connect);
-    let conns_per_sec =
-        (completed as u64 * 1_000_000_000).checked_div(window).unwrap_or(0);
+    let t = tally::<S>(&net, &cids);
 
     let srv = &mut net.node_mut::<MultiStackNode<ShardedHost<S, EchoApp>>>(sid).stack;
     let snaps = srv.snapshots();
     let shard_frames: Vec<u64> = snaps.iter().map(|s| s.counters.frames_in).collect();
     let shard_mem_peaks: Vec<u64> = snaps.iter().map(|s| s.counters.mem_peak).collect();
     let mut total = slmetrics::HostCounters::default();
-    let (mut echoed, mut served) = (0u64, 0u64);
-    let mut crossings = 0u64;
+    let (mut echoed, mut crossings) = (0u64, 0u64);
     for s in &snaps {
         total.absorb(&s.counters);
         echoed += s.app_a;
-        served += s.app_b;
         crossings += s.crossings;
     }
-    let _ = served;
     let max_frames = shard_frames.iter().copied().max().unwrap_or(0);
     let min_frames = shard_frames.iter().copied().min().unwrap_or(0);
     let mean_frames =
@@ -425,25 +231,22 @@ where
     let balance_x100 = max_frames * 100 / mean_frames;
 
     let mut out = ShardOutcome {
-        stack: match p.stack {
-            ScaleStack::Sub => "sub",
-            ScaleStack::Mono => "mono",
-        },
+        stack: p.stack.label(),
         mode: mode_label(p.mode),
         shards: p.shards,
         n: p.n,
         seed: p.seed,
-        completed,
-        corrupt,
-        client_errors,
-        first_error,
+        completed: t.completed,
+        corrupt: t.corrupt,
+        client_errors: t.client_errors,
+        first_error: t.first_error,
         accepts: total.accepts,
         accept_refusals: total.accept_refusals + total.pressure_refusals,
-        conns_per_sec,
-        accept_p50_us: crate::percentile(&accept_us, 50),
-        accept_p99_us: crate::percentile(&accept_us, 99),
-        p50_us: crate::percentile(&lat_us, 50),
-        p99_us: crate::percentile(&lat_us, 99),
+        conns_per_sec: t.conns_per_sec,
+        accept_p50_us: crate::percentile(&t.accept_us, 50),
+        accept_p99_us: crate::percentile(&t.accept_us, 99),
+        p50_us: crate::percentile(&t.lat_us, 50),
+        p99_us: crate::percentile(&t.lat_us, 99),
         echoed_bytes: echoed,
         expected_bytes,
         open_mid,
@@ -477,39 +280,8 @@ where
         violations: Vec::new(),
     };
 
-    if out.completed != p.n {
-        let head: Vec<String> =
-            starved.iter().take(5).map(|i| i.to_string()).collect();
-        out.violations.push(format!(
-            "{} of {} clients never completed (first: [{}])",
-            p.n - out.completed,
-            p.n,
-            head.join(",")
-        ));
-    }
-    if out.corrupt > 0 {
-        out.violations.push(format!("{} corrupt echoes", out.corrupt));
-    }
-    if out.client_errors > 0 {
-        out.violations.push(format!(
-            "{} client transport errors (first: {:?})",
-            out.client_errors,
-            out.first_error.expect("counted an error")
-        ));
-    }
-    if out.accepts != p.n as u64 {
-        out.violations
-            .push(format!("accepted {} of {} connections", out.accepts, p.n));
-    }
-    if out.accept_refusals != 0 {
-        out.violations.push(format!("{} accept refusals", out.accept_refusals));
-    }
-    if out.echoed_bytes != out.expected_bytes {
-        out.violations.push(format!(
-            "echoed {} bytes, expected {}",
-            out.echoed_bytes, out.expected_bytes
-        ));
-    }
+    out.violations =
+        t.violations(p.n, out.accepts, out.accept_refusals, out.echoed_bytes, out.expected_bytes);
     for (i, &peak) in out.shard_mem_peaks.iter().enumerate() {
         if peak > out.shard_budget {
             out.violations.push(format!(
@@ -559,49 +331,49 @@ where
     out
 }
 
-/// The mode-determinism cross-check: a threaded run and its inline
-/// reference (same stack, shards, n, seed) must agree on every field
-/// except the mode label.
-pub fn mode_cross_checks(outs: &[ShardOutcome]) -> Vec<String> {
+/// The mode-determinism cross-check, shared with [`crate::failover`]:
+/// a threaded outcome and the inline outcome of the same `cell` must
+/// encode identically once the mode label is blanked (`json_sans_mode`).
+pub(crate) fn modes_agree<O>(
+    outs: &[O],
+    mode: impl Fn(&O) -> &'static str,
+    cell: impl Fn(&O) -> String,
+    json_sans_mode: impl Fn(&O) -> String,
+) -> Vec<String> {
     let mut v = Vec::new();
-    for t in outs.iter().filter(|o| o.mode == "threaded") {
-        let Some(i) = outs.iter().find(|o| {
-            o.mode == "inline"
-                && o.stack == t.stack
-                && o.shards == t.shards
-                && o.n == t.n
-                && o.seed == t.seed
-        }) else {
+    for t in outs.iter().filter(|o| mode(o) == "threaded") {
+        let Some(i) = outs.iter().find(|o| mode(o) == "inline" && cell(o) == cell(t)) else {
             continue;
         };
-        let strip = |o: &ShardOutcome| {
-            let mut c = o.clone();
-            c.mode = "";
-            outcome_json(&c)
-        };
-        if strip(t) != strip(i) {
+        let (jt, ji) = (json_sans_mode(t), json_sans_mode(i));
+        if jt != ji {
             v.push(format!(
-                "threaded run diverged from inline reference at stack={} shards={} \
-                 n={}:\n  threaded: {}\n  inline:   {}",
-                t.stack,
-                t.shards,
-                t.n,
-                outcome_json(t),
-                outcome_json(i)
+                "threaded run diverged from inline reference at {}:\n  threaded: {jt}\n  inline:   {ji}",
+                cell(t)
             ));
         }
     }
     v
 }
 
+/// A threaded run and its inline reference (same stack, shards, n, seed)
+/// must agree on every field except the mode label.
+pub fn mode_cross_checks(outs: &[ShardOutcome]) -> Vec<String> {
+    modes_agree(
+        outs,
+        |o| o.mode,
+        |o| format!("stack={} shards={} n={} seed={}", o.stack, o.shards, o.n, o.seed),
+        |o| outcome_json(&ShardOutcome { mode: "", ..o.clone() }),
+    )
+}
+
 /// The sweep. Smoke: both stacks × both modes at n=400, shards=4 (the
 /// mode pair feeds [`mode_cross_checks`]). Full: both stacks, threaded,
-/// 8 shards, n ∈ {10k, 100k} (plus 500k with `stretch`).
-pub fn sweep(smoke: bool, stretch: bool) -> Vec<ShardOutcome> {
-    let stacks = [ScaleStack::Sub, ScaleStack::Mono];
+/// 8 shards, n ∈ {10k, 100k}.
+pub fn sweep(smoke: bool) -> Vec<ShardOutcome> {
     let mut outs = Vec::new();
     if smoke {
-        for stack in stacks {
+        for stack in KINDS {
             for mode in [Mode::Threaded, Mode::Inline] {
                 outs.push(run_one(ShardParams {
                     stack,
@@ -614,12 +386,8 @@ pub fn sweep(smoke: bool, stretch: bool) -> Vec<ShardOutcome> {
         }
         return outs;
     }
-    let mut ns = vec![10_000usize, 100_000];
-    if stretch {
-        ns.push(500_000);
-    }
-    for &n in &ns {
-        for stack in stacks {
+    for n in [10_000usize, 100_000] {
+        for stack in KINDS {
             outs.push(run_one(ShardParams {
                 stack,
                 mode: Mode::Threaded,
@@ -632,96 +400,98 @@ pub fn sweep(smoke: bool, stretch: bool) -> Vec<ShardOutcome> {
     outs
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_arr(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order,
-/// integers only — byte-identical for identical seeds).
+/// Deterministic JSON for one outcome (stable field order, integers
+/// only — byte-identical for identical seeds).
 pub fn outcome_json(o: &ShardOutcome) -> String {
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    format!(
-        "{{\"stack\":{},\"mode\":{},\"shards\":{},\"n\":{},\"seed\":{},\
-         \"completed\":{},\"corrupt\":{},\"client_errors\":{},\"accepts\":{},\
-         \"accept_refusals\":{},\"conns_per_sec\":{},\"accept_p50_us\":{},\
-         \"accept_p99_us\":{},\"p50_us\":{},\"p99_us\":{},\"echoed_bytes\":{},\
-         \"expected_bytes\":{},\"open_mid\":{},\"bytes_per_conn\":{},\
-         \"shard_occupancy\":{},\"mem_peak_total\":{},\"mem_peak_worst_shard\":{},\
-         \"peak_bytes_per_conn\":{},\"conns_peak_total\":{},\"shard_frames\":{},\
-         \"balance_x100\":{},\"shard_mem_peaks\":{},\"shard_budget\":{},\
-         \"global_budget\":{},\"final_floor\":{},\"crossings\":{},\
-         \"heartbeat_age\":{},\"shard_restarts\":{},\"failover_aborts\":{},\
-         \"ring_stalls\":{},\"server_residual\":{},\"sim_ms\":{},\
-         \"violations\":[{}]}}",
-        json_str(o.stack),
-        json_str(o.mode),
-        o.shards,
-        o.n,
-        o.seed,
-        o.completed,
-        o.corrupt,
-        o.client_errors,
-        o.accepts,
-        o.accept_refusals,
-        o.conns_per_sec,
-        o.accept_p50_us,
-        o.accept_p99_us,
-        o.p50_us,
-        o.p99_us,
-        o.echoed_bytes,
-        o.expected_bytes,
-        o.open_mid,
-        o.bytes_per_conn,
-        o.shard_occupancy,
-        o.mem_peak_total,
-        o.mem_peak_worst_shard,
-        o.peak_bytes_per_conn,
-        o.conns_peak_total,
-        json_arr(&o.shard_frames),
-        o.balance_x100,
-        json_arr(&o.shard_mem_peaks),
-        o.shard_budget,
-        o.global_budget,
-        o.final_floor,
-        o.crossings,
-        o.heartbeat_age,
-        o.shard_restarts,
-        o.failover_aborts,
-        o.ring_stalls,
-        o.server_residual,
-        o.sim_ms,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("stack", json::str(o.stack)),
+        ("mode", json::str(o.mode)),
+        ("shards", o.shards.to_string()),
+        ("n", o.n.to_string()),
+        ("seed", o.seed.to_string()),
+        ("completed", o.completed.to_string()),
+        ("corrupt", o.corrupt.to_string()),
+        ("client_errors", o.client_errors.to_string()),
+        ("accepts", o.accepts.to_string()),
+        ("accept_refusals", o.accept_refusals.to_string()),
+        ("conns_per_sec", o.conns_per_sec.to_string()),
+        ("accept_p50_us", o.accept_p50_us.to_string()),
+        ("accept_p99_us", o.accept_p99_us.to_string()),
+        ("p50_us", o.p50_us.to_string()),
+        ("p99_us", o.p99_us.to_string()),
+        ("echoed_bytes", o.echoed_bytes.to_string()),
+        ("expected_bytes", o.expected_bytes.to_string()),
+        ("open_mid", o.open_mid.to_string()),
+        ("bytes_per_conn", o.bytes_per_conn.to_string()),
+        ("shard_occupancy", o.shard_occupancy.to_string()),
+        ("mem_peak_total", o.mem_peak_total.to_string()),
+        ("mem_peak_worst_shard", o.mem_peak_worst_shard.to_string()),
+        ("peak_bytes_per_conn", o.peak_bytes_per_conn.to_string()),
+        ("conns_peak_total", o.conns_peak_total.to_string()),
+        ("shard_frames", json::list(&o.shard_frames)),
+        ("balance_x100", o.balance_x100.to_string()),
+        ("shard_mem_peaks", json::list(&o.shard_mem_peaks)),
+        ("shard_budget", o.shard_budget.to_string()),
+        ("global_budget", o.global_budget.to_string()),
+        ("final_floor", o.final_floor.to_string()),
+        ("crossings", o.crossings.to_string()),
+        ("heartbeat_age", o.heartbeat_age.to_string()),
+        ("shard_restarts", o.shard_restarts.to_string()),
+        ("failover_aborts", o.failover_aborts.to_string()),
+        ("ring_stalls", o.ring_stalls.to_string()),
+        ("server_residual", o.server_residual.to_string()),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep (plus the mode cross-checks) as one JSON document.
 pub fn summary_json(outs: &[ShardOutcome], cross: &[String]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize =
-        outs.iter().map(|o| o.violations.len()).sum::<usize>() + cross.len();
-    let cross_rows: Vec<String> = cross.iter().map(|c| json_str(c)).collect();
-    format!(
-        "{{\"runs\":[\n  {}\n],\"mode_cross_checks\":[{}],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        cross_rows.join(","),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("runs", &rows, Some(("mode_cross_checks", cross)), violations)
+}
+
+/// The campaign: [`sweep`] plus the threaded-vs-inline
+/// [`mode_cross_checks`].
+pub fn report(smoke: bool) -> Report {
+    let outs = sweep(smoke);
+    let cross = mode_cross_checks(&outs);
+    Report {
+        json: summary_json(&outs, &cross),
+        headers: vec![
+            "stack", "mode", "shards", "n", "done", "conns/s", "acc p99 us", "p99 us",
+            "peak B/conn", "occ %", "balance", "floor", "viol",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                vec![
+                    o.stack.to_string(),
+                    o.mode.to_string(),
+                    o.shards.to_string(),
+                    o.n.to_string(),
+                    format!("{}/{}", o.completed, o.n),
+                    o.conns_per_sec.to_string(),
+                    o.accept_p99_us.to_string(),
+                    o.p99_us.to_string(),
+                    o.peak_bytes_per_conn.to_string(),
+                    o.shard_occupancy.to_string(),
+                    format!("{}.{:02}", o.balance_x100 / 100, o.balance_x100 % 100),
+                    o.final_floor.to_string(),
+                    o.violations.len().to_string(),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(
+                    format!("{} {} shards={} n={}", o.stack, o.mode, o.shards, o.n),
+                    &o.violations,
+                )
+            })
+            .chain(crate::tagged("mode-determinism".into(), &cross))
+            .collect(),
+    }
 }

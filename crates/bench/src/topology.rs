@@ -30,12 +30,15 @@ use netlayer::{
     topo_nat_gateway, BoxNet, BoxTopo, NatBox, NAT_INSIDE, NAT_OUTSIDE,
 };
 use netsim::{AdminOp, Dur, LinkParams, NodeId, SimNet, StackNode, Time, TransportError};
-use slconform::driver::{ConformStack, Kind};
 use slconform::multihop::mh_pattern;
 use slconform::natcodec::{nat_codec, peek_for};
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::stack::{Keepalive, TcpStack};
+use slconform::Kind;
+use slhost::HostStack;
+use sublayer_core::SlTcpStack;
+use tcp_mono::stack::TcpStack;
 use tcp_mono::wire::Endpoint;
+
+use crate::{json, sweep_grid, CampaignStack, Report, KINDS};
 
 /// How long (simulated) a campaign may run before we declare a hang. Must
 /// cover the monolith's full RTO retry budget (~205 s) with headroom.
@@ -183,40 +186,6 @@ fn rtx_cap(kind: Kind) -> usize {
     }
 }
 
-/// [`ConformStack`] constructors with client keepalive (10 s / 2 s / x5)
-/// — the campaign runs every client with keepalive armed so the reroute
-/// profiles pin "keepalive defers while data is in flight" under a live
-/// RTT step, not just a two-party partition.
-pub trait TopoStack: ConformStack {
-    fn mk_keepalive(addr: u32) -> Self;
-}
-
-impl TopoStack for SlTcpStack {
-    fn mk_keepalive(addr: u32) -> Self {
-        let cfg = SlConfig {
-            keepalive: Some(KeepaliveConfig {
-                idle: Dur::from_secs(10),
-                interval: Dur::from_secs(2),
-                max_probes: 5,
-            }),
-            ..SlConfig::default()
-        };
-        SlTcpStack::new(addr, cfg, slmetrics::shared())
-    }
-}
-
-impl TopoStack for TcpStack {
-    fn mk_keepalive(addr: u32) -> Self {
-        let mut s = TcpStack::new(addr, slmetrics::shared());
-        s.set_keepalive(Keepalive {
-            idle: Dur::from_secs(10),
-            interval: Dur::from_secs(2),
-            max_probes: 5,
-        });
-        s
-    }
-}
-
 /// Run one `(profile, stack, seed)` campaign and judge its invariants.
 pub fn run_campaign(profile: TopoProfile, kind: Kind, seed: u64) -> TopoOutcome {
     match kind {
@@ -231,14 +200,36 @@ struct DriveOut {
     client_errors: Vec<Option<TransportError>>,
 }
 
-fn stack_mut<H: TopoStack>(net: &mut SimNet, id: NodeId) -> &mut H {
+pub(crate) fn stack_mut<H: HostStack>(net: &mut SimNet, id: NodeId) -> &mut H {
     &mut net.node_mut::<StackNode<H>>(id).stack
+}
+
+/// Claim a stream slot for each newly established server connection,
+/// then drain every claimed connection into its stream. Shared with the
+/// fairness campaign, whose fan-in server reads the same way.
+pub(crate) fn drain_server<H: HostStack>(
+    st: &mut H,
+    sconns: &mut [Option<H::ConnId>],
+    got: &mut [Vec<u8>],
+) {
+    for id in st.established() {
+        if !sconns.contains(&Some(id)) {
+            if let Some(slot) = sconns.iter_mut().find(|s| s.is_none()) {
+                *slot = Some(id);
+            }
+        }
+    }
+    for (i, s) in sconns.iter().enumerate() {
+        if let Some(id) = *s {
+            got[i].extend(st.recv(id));
+        }
+    }
 }
 
 /// Feed each client its unsent tail, drain the server, track the largest
 /// retransmit queue, step the clock. Stops on full delivery or when every
 /// client carries a terminal error (plus a settle window).
-fn drive<H: TopoStack>(
+fn drive<H: CampaignStack>(
     net: &mut SimNet,
     clients: &[(NodeId, H::ConnId)],
     payloads: &[Vec<u8>],
@@ -259,21 +250,7 @@ fn drive<H: TopoStack>(
             }
             max_rtx = max_rtx.max(st.conn_rtx_bytes(conn));
         }
-        {
-            let st = stack_mut::<H>(net, server);
-            for id in st.established() {
-                if !sconns.contains(&Some(id)) {
-                    if let Some(slot) = sconns.iter_mut().find(|s| s.is_none()) {
-                        *slot = Some(id);
-                    }
-                }
-            }
-            for (i, s) in sconns.iter().enumerate() {
-                if let Some(id) = *s {
-                    got[i].extend(st.recv(id));
-                }
-            }
-        }
+        drain_server(stack_mut::<H>(net, server), sconns, &mut got);
         net.poll_all();
         let done: usize = got.iter().map(Vec::len).sum();
         let want: usize = payloads.iter().map(Vec::len).sum();
@@ -329,7 +306,7 @@ pub(crate) fn attribute(
     delivered
 }
 
-fn run_t<H: TopoStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
+fn run_t<H: CampaignStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     let topo = profile.topology();
     let topo_name = topo.name;
 
@@ -438,7 +415,7 @@ fn run_t<H: TopoStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
 }
 
 /// Open a second connection from the (aborted) client and push 10 KB.
-fn reconnect<H: TopoStack>(
+fn reconnect<H: CampaignStack>(
     net: &mut SimNet,
     nc: NodeId,
     ns: NodeId,
@@ -477,7 +454,7 @@ fn reconnect<H: TopoStack>(
 }
 
 /// Universal invariants plus the profile's expectation.
-fn check_universal<H: TopoStack>(profile: TopoProfile, out: &mut TopoOutcome, idle: bool) {
+fn check_universal<H: CampaignStack>(profile: TopoProfile, out: &mut TopoOutcome, idle: bool) {
     if !out.static_check {
         out.violations.push("static gate: forwarding check failed".into());
     }
@@ -531,83 +508,86 @@ fn check_universal<H: TopoStack>(profile: TopoProfile, out: &mut TopoOutcome, id
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_err(e: &Option<TransportError>) -> String {
-    match e {
-        None => "null".into(),
-        Some(e) => json_str(&format!("{e:?}")),
-    }
-}
-
-/// Deterministic, hand-rolled JSON for one outcome (stable field order —
+/// Deterministic JSON for one outcome (stable field order —
 /// byte-identical for identical seeds).
 pub fn outcome_json(o: &TopoOutcome) -> String {
-    let delivered: Vec<String> = o.delivered.iter().map(|d| d.to_string()).collect();
-    let errs: Vec<String> = o.client_errors.iter().map(json_err).collect();
-    let viol: Vec<String> = o.violations.iter().map(|v| json_str(v)).collect();
-    let reconnect = match o.reconnect_ok {
-        None => "null".to_string(),
-        Some(b) => b.to_string(),
-    };
-    format!(
-        "{{\"profile\":{},\"topology\":{},\"stack\":{},\"seed\":{},\"payload\":{},\
-         \"delivered\":[{}],\"complete\":{},\"client_errors\":[{}],\"reconnect_ok\":{},\
-         \"reroutes\":{},\"max_rtx\":{},\"sim_ms\":{},\"static_check\":{},\"violations\":[{}]}}",
-        json_str(o.profile),
-        json_str(o.topology),
-        json_str(o.stack),
-        o.seed,
-        o.payload,
-        delivered.join(","),
-        o.complete,
-        errs.join(","),
-        reconnect,
-        o.reroutes,
-        o.max_rtx,
-        o.sim_ms,
-        o.static_check,
-        viol.join(",")
-    )
+    json::obj(&[
+        ("profile", json::str(o.profile)),
+        ("topology", json::str(o.topology)),
+        ("stack", json::str(o.stack)),
+        ("seed", o.seed.to_string()),
+        ("payload", o.payload.to_string()),
+        ("delivered", json::list(&o.delivered)),
+        ("complete", o.complete.to_string()),
+        ("client_errors", json::list(o.client_errors.iter().map(|&e| json::opt_err(e)))),
+        ("reconnect_ok", o.reconnect_ok.map_or("null".into(), |b| b.to_string())),
+        ("reroutes", o.reroutes.to_string()),
+        ("max_rtx", o.max_rtx.to_string()),
+        ("sim_ms", o.sim_ms.to_string()),
+        ("static_check", o.static_check.to_string()),
+        ("violations", json::strs(&o.violations)),
+    ])
 }
 
 /// The whole sweep as one JSON document.
 pub fn summary_json(outs: &[TopoOutcome]) -> String {
     let rows: Vec<String> = outs.iter().map(outcome_json).collect();
-    let violations: usize = outs.iter().map(|o| o.violations.len()).sum();
-    format!(
-        "{{\"campaigns\":[\n  {}\n],\"total\":{},\"violations\":{}}}",
-        rows.join(",\n  "),
-        outs.len(),
-        violations
-    )
+    let violations = outs.iter().map(|o| o.violations.len()).sum();
+    crate::sweep_json("campaigns", &rows, None, violations)
 }
 
-/// Run `profiles x stacks x seeds` in a fixed order (profile-major).
-pub fn run_sweep(profiles: &[TopoProfile], kinds: &[Kind], seeds: &[u64]) -> Vec<TopoOutcome> {
-    let mut outs = Vec::new();
-    for &p in profiles {
-        for &k in kinds {
-            for &seed in seeds {
-                outs.push(run_campaign(p, k, seed));
-            }
-        }
+/// The campaign: six profiles x both stacks x three seeds (36 runs);
+/// smoke is the reroute, NAT-restart and partition profiles on one seed.
+pub fn report(smoke: bool) -> Report {
+    let (profiles, seeds): (&[TopoProfile], &[u64]) = if smoke {
+        (
+            &[
+                TopoProfile::DiamondReroute,
+                TopoProfile::NatRestart,
+                TopoProfile::LongHaulPartition,
+            ],
+            &[1],
+        )
+    } else {
+        (&TopoProfile::all(), &[1, 2, 3])
+    };
+    let outs = sweep_grid(profiles, &KINDS, seeds, run_campaign);
+    Report {
+        json: summary_json(&outs),
+        headers: vec![
+            "profile", "stack", "seed", "delivered", "client errs", "reconnect", "reroutes",
+            "max rtx", "sim s", "verdict",
+        ],
+        rows: outs
+            .iter()
+            .map(|o| {
+                let errs: Vec<String> =
+                    o.client_errors.iter().map(|&e| crate::err_cell(e)).collect();
+                vec![
+                    o.profile.to_string(),
+                    o.stack.to_string(),
+                    o.seed.to_string(),
+                    format!(
+                        "{}/{}",
+                        o.delivered.iter().sum::<usize>(),
+                        o.payload * o.delivered.len().max(1)
+                    ),
+                    errs.join(","),
+                    o.reconnect_ok.map_or("-".into(), |b| b.to_string()),
+                    o.reroutes.to_string(),
+                    o.max_rtx.to_string(),
+                    format!("{:.1}", o.sim_ms as f64 / 1000.0),
+                    crate::verdict(&o.violations),
+                ]
+            })
+            .collect(),
+        violations: outs
+            .iter()
+            .flat_map(|o| {
+                crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
+            })
+            .collect(),
     }
-    outs
 }
 
 #[cfg(test)]

@@ -8,14 +8,13 @@
 //!   payloads never panic either stack — every run ends in delivery or a
 //!   surfaced abort, with only correct bytes delivered.
 
-use bench::chaos::{
-    run_campaign, run_raw, run_sweep, summary_json, ChaosProfile, ChaosStack,
-};
+use bench::chaos::{run_campaign, run_raw, summary_json, ChaosProfile};
+use bench::{sweep_grid, KINDS};
 use netsim::{AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, Time};
 
 #[test]
 fn blackout_surfaces_abort_in_both_stacks() {
-    for stack in ChaosStack::all() {
+    for stack in KINDS {
         let o = run_campaign(ChaosProfile::Blackout, stack, 1);
         assert!(o.ok(), "{stack:?}: {:?}", o.violations);
         assert!(!o.complete, "{stack:?} delivered through a dead link?");
@@ -28,15 +27,15 @@ fn blackout_surfaces_abort_in_both_stacks() {
 #[test]
 fn identical_seeds_reproduce_identical_json() {
     let profiles = [ChaosProfile::Blackout, ChaosProfile::MixedMayhem];
-    let a = summary_json(&run_sweep(&profiles, &ChaosStack::all(), &[3]));
-    let b = summary_json(&run_sweep(&profiles, &ChaosStack::all(), &[3]));
+    let a = summary_json(&sweep_grid(&profiles, &KINDS, &[3], run_campaign));
+    let b = summary_json(&sweep_grid(&profiles, &KINDS, &[3], run_campaign));
     assert_eq!(a, b, "chaos campaigns must be replayable byte-for-byte");
     assert!(a.contains("\"violations\":0"));
 }
 
 #[test]
 fn every_profile_passes_for_a_fresh_seed() {
-    for o in run_sweep(&ChaosProfile::all(), &ChaosStack::all(), &[77]) {
+    for o in sweep_grid(&ChaosProfile::all(), &KINDS, &[77], run_campaign) {
         assert!(o.ok(), "{}/{} seed {}: {:?}", o.profile, o.stack, o.seed, o.violations);
     }
 }
@@ -90,7 +89,7 @@ proptest::proptest! {
         };
 
         let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
-        for stack in ChaosStack::all() {
+        for stack in KINDS {
             let o = run_raw(stack, seed as u64, &payload, params.clone(), &ops, "prop");
             proptest::prop_assert!(
                 o.violations.is_empty(),
