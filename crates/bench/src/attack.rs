@@ -19,19 +19,18 @@
 //!   connection is *expected* to die and the abort must be surfaced.
 //!
 //! Both stacks face the byte-identical attacker (same skill, same RNG
-//! stream); only the [`netsim::AttackCodec`] differs, which is exactly the
-//! like-for-like comparison experiment E14 reports.
+//! stream); only the [`netsim::AttackCodec`] differs — the victim's
+//! [`Kind`], whose forgers live in `slconform::wire` — which is exactly
+//! the like-for-like comparison experiment E14 reports.
 
 use netsim::{
-    AttackCodec, AttackConfig, Attacker, DetRng, Dur, LinkParams, SeqKnowledge, SimNet,
-    SnoopInfo, StackNode, Time, TransportError,
+    AttackConfig, Attacker, DetRng, Dur, LinkParams, SeqKnowledge, SimNet, StackNode, Time,
+    TransportError,
 };
 use slconform::Kind;
 use slmetrics::AttackCounters;
-use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::{Endpoint, Segment, ACK, RST, SYN};
 
 use crate::chaos::KINDS;
 use crate::{json, keepalive_pair, stream_transfer, sweep_grid, CampaignStack, Report};
@@ -45,167 +44,6 @@ const MEM_BOUND: usize = (1 << 20) + (128 << 10);
 
 fn t(ms: u64) -> Time {
     Time::ZERO + Dur::from_millis(ms)
-}
-
-// ---------------------------------------------------------------------------
-// Codecs: per-stack wire knowledge for the protocol-agnostic attacker.
-// ---------------------------------------------------------------------------
-
-/// [`AttackCodec`] for the monolithic RFC 793 stack.
-pub struct MonoCodec;
-
-impl AttackCodec for MonoCodec {
-    fn snoop(&self, frame: &[u8]) -> Option<SnoopInfo> {
-        let seg = Segment::decode(frame).ok()?;
-        Some(SnoopInfo {
-            src_addr: seg.src.addr,
-            src_port: seg.src.port,
-            dst_addr: seg.dst.addr,
-            dst_port: seg.dst.port,
-            next_seq: seg.seq.wrapping_add(seg.seq_len()),
-            syn: seg.syn(),
-            rst: seg.rst(),
-        })
-    }
-
-    fn forge_rst(&self, flow: &SnoopInfo, seq: u32) -> Vec<u8> {
-        Segment {
-            src: Endpoint::new(flow.src_addr, flow.src_port),
-            dst: Endpoint::new(flow.dst_addr, flow.dst_port),
-            seq,
-            ack: 0,
-            flags: RST,
-            wnd: 0,
-            mss: None,
-            payload: Vec::new(),
-        }
-        .encode()
-    }
-
-    fn forge_syn(&self, flow: &SnoopInfo, isn: u32) -> Vec<u8> {
-        Segment {
-            src: Endpoint::new(flow.src_addr, flow.src_port),
-            dst: Endpoint::new(flow.dst_addr, flow.dst_port),
-            seq: isn,
-            ack: 0,
-            flags: SYN,
-            wnd: u16::MAX,
-            mss: Some(1400),
-            payload: Vec::new(),
-        }
-        .encode()
-    }
-
-    fn forge_data(&self, flow: &SnoopInfo, seq: u32, payload: &[u8]) -> Vec<u8> {
-        Segment {
-            src: Endpoint::new(flow.src_addr, flow.src_port),
-            dst: Endpoint::new(flow.dst_addr, flow.dst_port),
-            seq,
-            ack: 0,
-            flags: ACK,
-            wnd: u16::MAX,
-            mss: None,
-            payload: payload.to_vec(),
-        }
-        .encode()
-    }
-
-    fn forge_syn_to(
-        &self,
-        src_addr: u32,
-        src_port: u16,
-        dst_addr: u32,
-        dst_port: u16,
-        isn: u32,
-    ) -> Vec<u8> {
-        Segment {
-            src: Endpoint::new(src_addr, src_port),
-            dst: Endpoint::new(dst_addr, dst_port),
-            seq: isn,
-            ack: 0,
-            flags: SYN,
-            wnd: u16::MAX,
-            mss: Some(1400),
-            payload: Vec::new(),
-        }
-        .encode()
-    }
-}
-
-/// [`AttackCodec`] for the sublayered native stack.
-pub struct SubCodec;
-
-impl SubCodec {
-    fn base(src_addr: u32, src_port: u16, dst_addr: u32, dst_port: u16) -> Packet {
-        Packet {
-            src_addr,
-            dst_addr,
-            dm: DmHeader { src_port, dst_port },
-            cm: CmHeader::default(),
-            rd: RdHeader::default(),
-            // An honest window so a forged (then discarded) header can
-            // never zero-window-poison the victim's flow control.
-            osr: OsrHeader { ecn_echo: false, rcv_wnd: u16::MAX },
-            payload: Vec::new(),
-        }
-    }
-}
-
-impl AttackCodec for SubCodec {
-    fn snoop(&self, frame: &[u8]) -> Option<SnoopInfo> {
-        let pkt = Packet::decode(frame).ok()?;
-        // A SYN's successor in the receiver's RD space is isn + 1; data
-        // advances by its payload length.
-        let next_seq = if pkt.cm.flags.syn {
-            pkt.cm.isn.wrapping_add(1)
-        } else {
-            pkt.rd.seq.wrapping_add(pkt.payload.len() as u32)
-        };
-        Some(SnoopInfo {
-            src_addr: pkt.src_addr,
-            src_port: pkt.dm.src_port,
-            dst_addr: pkt.dst_addr,
-            dst_port: pkt.dm.dst_port,
-            next_seq,
-            syn: pkt.cm.flags.syn,
-            rst: pkt.cm.flags.rst,
-        })
-    }
-
-    fn forge_rst(&self, flow: &SnoopInfo, seq: u32) -> Vec<u8> {
-        let mut p = SubCodec::base(flow.src_addr, flow.src_port, flow.dst_addr, flow.dst_port);
-        p.cm.flags = CmFlags { rst: true, ..CmFlags::default() };
-        p.rd.seq = seq;
-        p.encode()
-    }
-
-    fn forge_syn(&self, flow: &SnoopInfo, isn: u32) -> Vec<u8> {
-        let mut p = SubCodec::base(flow.src_addr, flow.src_port, flow.dst_addr, flow.dst_port);
-        p.cm.flags = CmFlags { syn: true, ..CmFlags::default() };
-        p.cm.isn = isn;
-        p.encode()
-    }
-
-    fn forge_data(&self, flow: &SnoopInfo, seq: u32, payload: &[u8]) -> Vec<u8> {
-        let mut p = SubCodec::base(flow.src_addr, flow.src_port, flow.dst_addr, flow.dst_port);
-        p.rd.seq = seq;
-        p.payload = payload.to_vec();
-        p.encode()
-    }
-
-    fn forge_syn_to(
-        &self,
-        src_addr: u32,
-        src_port: u16,
-        dst_addr: u32,
-        dst_port: u16,
-        isn: u32,
-    ) -> Vec<u8> {
-        let mut p = SubCodec::base(src_addr, src_port, dst_addr, dst_port);
-        p.cm.flags = CmFlags { syn: true, ..CmFlags::default() };
-        p.cm.isn = isn;
-        p.encode()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,9 +250,8 @@ fn link() -> LinkParams {
 }
 
 /// What the campaign needs of a stack beyond the shared transfer surface:
-/// the attacker's wire knowledge and the defence counters' read-out.
+/// the defence counters' read-out.
 pub trait AttackTarget: CampaignStack {
-    fn codec() -> Box<dyn AttackCodec>;
     fn half_open(&self) -> usize;
     /// This endpoint's defence counters (`forged_segments` left 0);
     /// `conn` is its side of the attacked flow, if it still knows one.
@@ -422,9 +259,6 @@ pub trait AttackTarget: CampaignStack {
 }
 
 impl AttackTarget for TcpStack {
-    fn codec() -> Box<dyn AttackCodec> {
-        Box::new(MonoCodec)
-    }
     fn half_open(&self) -> usize {
         self.half_open_count()
     }
@@ -443,9 +277,6 @@ impl AttackTarget for TcpStack {
 }
 
 impl AttackTarget for SlTcpStack {
-    fn codec() -> Box<dyn AttackCodec> {
-        Box::new(SubCodec)
-    }
     fn half_open(&self) -> usize {
         self.half_open_count()
     }
@@ -479,7 +310,7 @@ fn run<H: AttackTarget>(profile: AttackProfile, seed: u64) -> AttackOutcome {
     let mut net = SimNet::new(seed);
     let nc = net.add_node(Box::new(StackNode::new(c)));
     let na = net.add_node(Box::new(Attacker::new(
-        H::codec(),
+        Box::new(H::KIND),
         profile.attack_config(),
         DetRng::new(seed ^ 0xA77A_C4E5),
     )));

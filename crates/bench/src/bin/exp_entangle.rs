@@ -6,7 +6,7 @@ use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
 use slmetrics::InteractionMatrix;
 use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const A: u32 = 0x0A000001;
 const B: u32 = 0x0A000002;

@@ -2,7 +2,7 @@
 //! native sublayered header vs RFC 793, and what the shim preserves.
 
 use bench::markdown_table;
-use sublayer_core::wire::Packet;
+use slwire::native::Packet;
 
 fn main() {
     println!("# E11 — native Figure-6 header vs RFC 793\n");

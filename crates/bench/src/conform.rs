@@ -9,7 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use slconform::driver::{Kind, Mutation};
+use slconform::driver::Mutation;
+use slconform::Kind;
 use slconform::{allowlist, check_scenario, corpus, shrink};
 
 use crate::{json, Report};

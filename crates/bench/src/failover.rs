@@ -27,7 +27,7 @@
 
 use crate::shard::{mode_label, modes_agree};
 use crate::{dur, json, CampaignStack, Report, KINDS};
-use netsim::{Dur, LinkParams, MultiStackNode, Stack, StackNode, Time, TransportError};
+use netsim::{Dur, LinkParams, MultiStackNode, StackNode, Time, TransportError};
 use slconform::Kind;
 use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
 use slshard::{
@@ -35,9 +35,9 @@ use slshard::{
     RestartPolicy, ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
 };
 use sublayer_core::SlTcpStack;
-use tcp_mono::hash::shard_of;
+use slwire::hash::shard_of;
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::{Endpoint, FourTuple};
+use slwire::{Endpoint, FourTuple};
 
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0C00_0000;
@@ -152,6 +152,15 @@ impl<S: HostStack> FailoverClient<S> {
         }
     }
 
+    /// When the script itself next needs the clock.
+    fn own_deadline(&self) -> Option<Time> {
+        match self.phase {
+            Phase::Idle => Some(self.connect_at),
+            Phase::RetryWait => Some(self.retry_at),
+            _ => None,
+        }
+    }
+
     fn drive(&mut self, now: Time) {
         if let Some(id) = self.conn {
             match self.phase {
@@ -226,30 +235,7 @@ impl<S: HostStack> FailoverClient<S> {
     }
 }
 
-impl<S: HostStack> Stack for FailoverClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::RetryWait => Some(self.retry_at),
-            _ => None,
-        };
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
-}
+netsim::client_stack!(FailoverClient<S: HostStack>);
 
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]

@@ -39,7 +39,7 @@ use slconform::natcodec::peek_for;
 use slmetrics::CcCounters;
 use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const SERVER_PORT: u16 = 80;
 /// Application drain granularity (and the queue-delay sampling period).

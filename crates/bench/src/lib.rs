@@ -37,7 +37,7 @@ use slmetrics::SharedLog;
 use sublayer_core::shim::ShimStack;
 use sublayer_core::{CmScheme, KeepaliveConfig, SlConfig, SlTcpStack};
 use tcp_mono::stack::{Keepalive, TcpStack};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
 pub const B: u32 = 0x0A000002;

@@ -28,7 +28,7 @@
 
 use crate::{dur, json, CampaignStack, Report, KINDS};
 use netsim::{
-    LinkParams, MultiStackNode, OpenLoopArrivals, ReadBudget, Stack, StackNode,
+    LinkParams, MultiStackNode, OpenLoopArrivals, ReadBudget, StackNode,
     Time, TransportError,
 };
 use slconform::Kind;
@@ -39,7 +39,7 @@ use slhost::{
 use std::collections::HashMap;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0A01_0000;
@@ -347,6 +347,11 @@ impl<S: HostStack> OverloadClient<S> {
         }
     }
 
+    /// When the script itself next needs the clock.
+    fn own_deadline(&self) -> Option<Time> {
+        (self.phase == Phase::Idle).then_some(self.connect_at)
+    }
+
     fn drive(&mut self, now: Time) {
         if let (Some(id), None) = (self.conn, self.error) {
             if self.stack.is_established(id) {
@@ -425,29 +430,7 @@ impl<S: HostStack> OverloadClient<S> {
     }
 }
 
-impl<S: HostStack> Stack for OverloadClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            _ => None,
-        };
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
-}
+netsim::client_stack!(OverloadClient<S: HostStack>);
 
 /// Run one cell of the sweep.
 pub fn run_one(p: OverloadParams) -> OverloadOutcome {

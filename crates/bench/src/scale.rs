@@ -17,13 +17,13 @@
 
 use crate::{dur, json, CampaignStack, Report, KINDS};
 use netsim::{
-    Dur, LinkParams, MultiStackNode, NodeId, SimNet, Stack, StackNode, Time, TransportError,
+    Dur, LinkParams, MultiStackNode, NodeId, SimNet, StackNode, Time, TransportError,
 };
 use slconform::Kind;
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost, TimerMode};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 /// Server address (clients start above [`CLIENT_BASE`]).
 const SERVER_ADDR: u32 = crate::A;
@@ -175,6 +175,15 @@ impl<S: HostStack> ScaleClient<S> {
         }
     }
 
+    /// When the script itself next needs the clock.
+    fn own_deadline(&self) -> Option<Time> {
+        match self.phase {
+            Phase::Idle => Some(self.connect_at),
+            Phase::Linger => Some(self.linger_until),
+            _ => None,
+        }
+    }
+
     fn drive(&mut self, now: Time) {
         if let (Some(id), None) = (self.conn, self.error) {
             if let Some(e) = self.stack.conn_error(id) {
@@ -246,30 +255,7 @@ impl<S: HostStack> ScaleClient<S> {
     }
 }
 
-impl<S: HostStack> Stack for ScaleClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::Linger => Some(self.linger_until),
-            _ => None,
-        };
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
-}
+netsim::client_stack!(ScaleClient<S: HostStack>);
 
 /// What a run's echo clients saw, gathered after the horizon.
 pub(crate) struct EchoTally {

@@ -29,7 +29,7 @@ use slhost::{EchoApp, Host, HostConfig, ResourceBudget, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0B00_0000;

@@ -36,7 +36,7 @@ use slconform::Kind;
 use slhost::HostStack;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 use crate::{json, sweep_grid, CampaignStack, Report, KINDS};
 

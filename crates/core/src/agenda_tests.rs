@@ -17,7 +17,7 @@ use netsim::{Dur, Stack, Time, TransportError};
 use proptest::{collection, prop_assert_eq, proptest};
 use slmetrics::Pressure;
 use std::collections::VecDeque;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const ADDR: [u32; 2] = [0x0A00_0001, 0x0A00_0002];
 const CLIENT: usize = 0;

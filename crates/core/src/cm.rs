@@ -775,7 +775,7 @@ impl CmDriver for BuggyCm {
 mod tests {
     use super::*;
     use crate::wire::CmFlags;
-    use tcp_mono::wire::{Endpoint, FourTuple};
+    use slwire::{Endpoint, FourTuple};
 
     /// Mint a real [`Admitted`] token: the only way to build a CM machine
     /// is through a DM admission, in tests too.

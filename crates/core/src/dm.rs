@@ -9,8 +9,8 @@ use crate::fingerprint as fp;
 use crate::wire::Packet;
 use slmetrics::SharedLog;
 use std::collections::{HashMap, HashSet};
-use tcp_mono::hash::FxBuildHasher;
-use tcp_mono::wire::{Endpoint, FourTuple};
+use slwire::hash::FxBuildHasher;
+use slwire::{Endpoint, FourTuple};
 
 /// Opaque connection handle handed upward by DM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

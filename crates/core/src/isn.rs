@@ -7,7 +7,7 @@
 //! CM, swapping them touches nothing else (experiment E8).
 
 use netsim::Time;
-use tcp_mono::wire::FourTuple;
+use slwire::FourTuple;
 
 /// The CM-private ISN mechanism.
 pub trait IsnGenerator {
@@ -82,7 +82,7 @@ pub fn make(name: &str) -> Box<dyn IsnGenerator> {
 mod tests {
     use super::*;
     use netsim::Dur;
-    use tcp_mono::wire::Endpoint;
+    use slwire::Endpoint;
 
     fn tup(lp: u16, rp: u16) -> FourTuple {
         FourTuple { local: Endpoint::new(1, lp), remote: Endpoint::new(2, rp) }

@@ -16,18 +16,19 @@
 //! module system enforces the separation the paper wants, and the
 //! `slmetrics` instrumentation proves it (experiment E6).
 //!
-//! Replaceable mechanisms (experiment E8): rate controllers ([`cc`]:
+//! Replaceable mechanisms (experiment E8): rate controllers ([`slcc`]:
 //! Reno / CUBIC / rate-based / fixed), ISN generators ([`isn`]: RFC 793
 //! clock / RFC 1948 keyed hash), and whole CM schemes ([`cm::CmScheme`]:
 //! three-way handshake / Watson timer-based).
 //!
-//! [`shim`] translates the native Figure-6 header to and from RFC 793 so
-//! the stack interoperates with the monolithic `tcp-mono` (experiment E7);
+//! Both wire formats live in the dependency-free leaf crate `slwire`
+//! ([`wire`] is `slwire::native`), so this crate and the monolithic
+//! `tcp-mono` are siblings; [`shim`] wraps the stack in `slwire`'s stateless
+//! native ↔ RFC 793 translation so the two interoperate (experiment E7);
 //! [`offload`] models NIC/host partitions of the sublayer stack (E10);
 //! [`record`] *inserts* a new security sublayer under DM without touching
 //! the other four (the QUIC-style record/transport split of §5).
 
-pub mod cc;
 pub mod cm;
 pub mod dm;
 pub mod fingerprint;
@@ -39,9 +40,9 @@ pub mod record;
 pub mod shim;
 pub mod signals;
 pub mod stack;
-pub mod wire;
+/// The Figure-6 native wire format this stack speaks (it lives in `slwire`).
+pub use slwire::native as wire;
 
-pub use cc::RateController;
 pub use cm::{BuggyCm, CmDriver, CmEvent, CmPass, CmScheme, CmState, ConnMgmt};
 pub use dm::{Admitted, BuggyDm, ConnId, Demux, DmDriver, DmError, DmVerdict};
 pub use isn::IsnGenerator;

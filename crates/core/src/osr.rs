@@ -14,16 +14,16 @@
 //! the summarized [`CongSignal`]s RD passes up and through its own header
 //! bits — never from sequence numbers.
 
-use crate::cc::RateController;
 use crate::fingerprint as fp;
 use crate::signals::CongSignal;
 use crate::wire::Packet;
 use netsim::{Dur, Time};
+use slcc::RateController;
 use slmetrics::{Pressure, SharedLog};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum segment size OSR cuts the byte stream into.
-pub const MSS: usize = 1000;
+pub const MSS: usize = slwire::rfc793::DEFAULT_MSS as usize;
 /// Receive buffer capacity; the advertised window is its free space.
 pub const RCV_BUF_CAP: usize = 64 * 1024 - 1;
 /// Send-buffer cap: [`Osr::write`] accepts at most this much queued,
@@ -526,7 +526,7 @@ impl OsrDriver for BuggyOsr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{FixedWindow, RateBased, Reno};
+    use slcc::{FixedWindow, NewReno, RateBased};
     use netsim::Dur;
 
     fn t(ms: u64) -> Time {
@@ -617,7 +617,7 @@ mod tests {
     #[test]
     fn ecn_echo_reaches_rate_controller() {
         // Reno halves on ECN; observe allowance drop.
-        let mut o = Osr::new(Box::new(Reno::new()), slmetrics::shared());
+        let mut o = Osr::new(Box::new(NewReno::new()), slmetrics::shared());
         let mut open = Packet::default();
         open.osr.rcv_wnd = u16::MAX;
         o.on_header(t(0), &open);

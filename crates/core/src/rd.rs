@@ -24,6 +24,7 @@ use crate::signals::{CongSignal, SeqValidity};
 use crate::wire::{Packet, SackRange};
 use netsim::{Dur, Time};
 use slmetrics::SharedLog;
+use slwire::seq;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Events RD reports to the stack.
@@ -223,10 +224,10 @@ impl ReliableDelivery {
     /// the `handshake_ack` boolean — so CM decides reset *policy* without
     /// ever touching RD's sequence arithmetic.
     pub fn seq_validity(&self, wire_seq: u32) -> SeqValidity {
-        let delta = wire_seq.wrapping_sub(self.wire_rcv_ack());
-        if delta == 0 {
+        let expected = self.wire_rcv_ack();
+        if wire_seq == expected {
             SeqValidity::Exact
-        } else if delta < VALIDITY_WND {
+        } else if seq::between(wire_seq, expected, expected.wrapping_add(VALIDITY_WND)) {
             SeqValidity::InWindow
         } else {
             SeqValidity::Outside

@@ -130,7 +130,7 @@ mod tests {
     use super::*;
     use crate::stack::SlConfig;
     use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode};
-    use tcp_mono::wire::Endpoint;
+    use slwire::Endpoint;
 
     #[test]
     fn seal_open_round_trip() {

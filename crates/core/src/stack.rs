@@ -11,7 +11,6 @@
 //! state) is enforced by the compiler, and the entanglement instrumentation
 //! (experiment E6) shows zero cross-sublayer field sharing.
 
-use crate::cc;
 use crate::cm::{CmEvent, CmPass, CmScheme, CmState, ConnMgmt};
 use crate::dm::{ConnId, Demux, DmVerdict};
 use crate::isn::{self, IsnGenerator};
@@ -21,8 +20,8 @@ use crate::signals::SeqValidity;
 use crate::wire::Packet;
 use netsim::{Agenda, Dur, Mark, Stack, Time, TransportError};
 use slmetrics::{Pressure, SharedLog};
+use slwire::{Endpoint, FourTuple};
 use std::collections::{HashMap, VecDeque};
-use tcp_mono::wire::{Endpoint, FourTuple};
 
 /// Idle keepalive policy: after `idle` without inbound packets, probe every
 /// `interval`; after `max_probes` unanswered probes the connection is
@@ -48,7 +47,7 @@ impl Default for KeepaliveConfig {
 #[derive(Clone, Debug)]
 pub struct SlConfig {
     pub cm_scheme: CmScheme,
-    /// Rate controller name (see [`crate::cc::make`]).
+    /// Rate controller name (see [`slcc::make`]).
     pub cc: &'static str,
     /// ISN generator name (see [`crate::isn::make`]).
     pub isn: &'static str,
@@ -167,7 +166,7 @@ pub struct SlTcpStack {
     /// The configured rate controller, validated once at construction and
     /// cloned into each new connection's OSR — so a bad controller name is
     /// a typed error before any packet moves, never a panic mid-connect.
-    cc_template: Box<dyn cc::RateController>,
+    cc_template: Box<dyn slcc::RateController>,
     /// Terminal failures, surviving connection removal so the application
     /// can learn *why* a connection died (graceful degradation: an abort
     /// is always reported, never a silent hang).
@@ -207,8 +206,8 @@ impl SlTcpStack {
     /// Construct, validating the configuration: an unknown congestion
     /// controller name surfaces here as a typed error, at stack
     /// construction, rather than as a panic on the first connect.
-    pub fn try_new(addr: u32, config: SlConfig, log: SharedLog) -> Result<SlTcpStack, cc::CcError> {
-        let cc_template = cc::make(config.cc)?;
+    pub fn try_new(addr: u32, config: SlConfig, log: SharedLog) -> Result<SlTcpStack, slcc::CcError> {
+        let cc_template = slcc::make(config.cc)?;
         Ok(SlTcpStack {
             dm: Demux::new(addr, log.clone()),
             conns: HashMap::new(),

@@ -4,7 +4,7 @@ use crate::cm::{CmScheme, CmState};
 use crate::dm::ConnId;
 use crate::stack::{KeepaliveConfig, SlConfig, SlTcpStack};
 use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time, TransportError};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
 pub const B: u32 = 0x0A000002;

@@ -7,7 +7,7 @@
 //! at relative sequence 0 and the first payload byte at 1 — the space
 //! the oracle reasons in and the golden snapshots are written in.
 
-use crate::wire::Wire;
+use crate::wire::Kind;
 use netsim::{TapDir, TapEvent};
 
 /// One frame of an endpoint's trace, rebased to ISN-relative sequence
@@ -66,12 +66,12 @@ impl AbsSeg {
 /// the peer's; each direction's ISN is learned from the first SYN seen
 /// traveling that way (frames the format cannot decode are skipped —
 /// they cannot occur on an unimpaired link).
-pub fn normalize(wire: Wire, trace: &[TapEvent]) -> Vec<AbsSeg> {
+pub fn normalize(kind: Kind, trace: &[TapEvent]) -> Vec<AbsSeg> {
     let mut isn_tx: Option<u32> = None;
     let mut isn_rx: Option<u32> = None;
     let mut out = Vec::with_capacity(trace.len());
     for ev in trace {
-        let Some(raw) = wire.decode(&ev.bytes) else {
+        let Some(raw) = kind.decode(&ev.bytes) else {
             continue;
         };
         let (isn_here, isn_there) = match ev.dir {
@@ -112,7 +112,7 @@ pub fn normalize(wire: Wire, trace: &[TapEvent]) -> Vec<AbsSeg> {
 mod tests {
     use super::*;
     use netsim::Time;
-    use tcp_mono::wire::{Endpoint, Segment, ACK, SYN};
+    use slwire::rfc793::{Endpoint, Segment, ACK, SYN};
 
     fn seg(seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8> {
         Segment {
@@ -142,7 +142,7 @@ mod tests {
             ev(TapDir::Tx, seg(9001, 70_001, ACK, b"abc")),
             ev(TapDir::Rx, seg(70_001, 9004, ACK, &[])),
         ];
-        let abs = normalize(Wire::Mono, &trace);
+        let abs = normalize(Kind::Mono, &trace);
         assert!(abs.iter().all(|s| s.rel_known));
         assert_eq!(abs[0].rel_seq, 0);
         assert_eq!(abs[0].seq_len, 1);
@@ -157,8 +157,8 @@ mod tests {
     fn unknown_isn_marks_rel_unknown() {
         // A lone RST with no SYN ever seen in its direction.
         let abs = normalize(
-            Wire::Mono,
-            &[ev(TapDir::Rx, seg(555, 0, tcp_mono::wire::RST, &[]))],
+            Kind::Mono,
+            &[ev(TapDir::Rx, seg(555, 0, slwire::rfc793::RST, &[]))],
         );
         assert_eq!(abs.len(), 1);
         assert!(!abs[0].rel_known);

@@ -11,13 +11,14 @@
 //! single text file.
 
 use crate::driver::{
-    AppOp, BugStack, ConformStack, EndpointOut, Kind, Mutation, RunOut, A_ADDR, B_ADDR,
+    AppOp, BugStack, ConformStack, EndpointOut, Mutation, RunOut, A_ADDR, B_ADDR,
     CLIENT_PORT, SERVER_PORT,
 };
 use crate::scenario::Side;
+use crate::wire::Kind;
 use netsim::{Dur, Stack, TapDir, Time};
+use slwire::{Endpoint, FourTuple};
 use sublayer_core::SlTcpStack;
-use tcp_mono::wire::{Endpoint, FourTuple};
 use tcp_mono::TcpStack;
 
 fn hex(bytes: &[u8]) -> String {
@@ -199,7 +200,7 @@ fn replay_as<H: ConformStack>(parsed: &Parsed) -> Result<usize, String> {
     };
     let local = Endpoint::new(addr, local_port);
     let tuple = FourTuple { local, remote };
-    let mut stack = BugStack::new(H::mk(addr), parsed.kind.wire(), parsed.mutation);
+    let mut stack = BugStack::new(H::mk(addr), parsed.kind, parsed.mutation);
     let mut conn: Option<<H as slhost::HostStack>::ConnId> = None;
     let mut got_tx: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut now = Time::ZERO;

@@ -5,15 +5,16 @@
 //! *isomorphic* to RFC 793 — every field of one format appears in the
 //! other. This module turns that claim into a machine-checked certificate:
 //! [`CodecEquiv`] is a **product automaton** that walks the two wire
-//! codecs — `sublayer_core::wire::Packet` and `tcp_mono::wire::Segment` —
-//! in lockstep over an abstract segment alphabet (every flag combination ×
-//! wrap-edge sequence numbers × window and payload extremes). In every
-//! reachable state the invariant demands:
+//! codecs — `slwire::native::Packet` and `slwire::rfc793::Segment`, two
+//! modules of the one dependency-free `slwire` crate, neither built on
+//! the other — in lockstep over an abstract segment alphabet (every flag
+//! combination × wrap-edge sequence numbers × window and payload
+//! extremes). In every reachable state the invariant demands:
 //!
 //! 1. **round trip**: each codec decodes its own encoding back to the
 //!    exact structure it encoded;
 //! 2. **equivalence**: both encodings normalize to the *same* [`RawSeg`]
-//!    through this crate's [`Wire`] taps — the same normalization the
+//!    through this crate's [`Kind`] taps — the same normalization the
 //!    differential harness judges live traffic with, so the certificate
 //!    and the harness can never drift apart;
 //! 3. **distinguishability**: neither format's frame is mistaken for a
@@ -28,10 +29,10 @@
 //! field on one side only; the certificate catches it with the shortest
 //! counterexample, pinned in the tests.
 
-use crate::wire::{RawSeg, Wire};
+use crate::wire::{Kind, RawSeg};
 use slverify::Model;
-use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
-use tcp_mono::wire::{Endpoint, Segment, ACK, FIN, MIN_SEGMENT_BYTES, RST, SYN};
+use slwire::native::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
+use slwire::rfc793::{Endpoint, Segment, ACK, FIN, MIN_SEGMENT_BYTES, RST, SYN};
 
 /// Sequence-number alphabet: zero and both wrap edges.
 pub const SEQ_CHOICES: [u32; 3] = [0, 0x7FFF_FFFF, u32::MAX];
@@ -221,10 +222,10 @@ impl Model for CodecEquiv {
 
         // 2. Equivalence through the harness taps: both formats say the
         // same abstract thing.
-        let m: RawSeg = Wire::Mono
+        let m: RawSeg = Kind::Mono
             .decode(&mono_bytes)
             .ok_or_else(|| format!("mono tap rejected its own frame at {s:?}"))?;
-        let n: RawSeg = Wire::Sub
+        let n: RawSeg = Kind::Sub
             .decode(&sub_bytes)
             .ok_or_else(|| format!("sub tap rejected its own frame at {s:?}"))?;
         if m != n {
@@ -312,11 +313,11 @@ mod tests {
     #[test]
     fn taps_agree_with_direct_decoding_on_a_sample_word() {
         // The cross-check the module doc promises: the certificate's
-        // normalization is the harness's own `Wire` tap, not a private
+        // normalization is the harness's own `Kind` tap, not a private
         // re-implementation.
         let w = AbsWord { syn: true, ack: true, seq_i: 1, ack_i: 2, wnd_i: 2, len_i: 1, ..AbsWord::default() };
-        let m = Wire::Mono.decode(&w.to_mono().encode()).unwrap();
-        let s = Wire::Sub.decode(&w.to_sub().encode()).unwrap();
+        let m = Kind::Mono.decode(&w.to_mono().encode()).unwrap();
+        let s = Kind::Sub.decode(&w.to_sub().encode()).unwrap();
         assert_eq!(m, s);
         assert_eq!(m.seq, SEQ_CHOICES[1]);
         assert_eq!(m.ack_no, ACK_CHOICES[2]);

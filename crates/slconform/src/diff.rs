@@ -8,7 +8,8 @@
 //! sublayered CM's half-close model) or **registered here with a written
 //! rationale**. The oracle itself is never loosened to make a stack pass.
 
-use crate::driver::{run_kind, Kind, Mutation, RunOut};
+use crate::driver::{run_kind, Mutation, RunOut};
+use crate::wire::Kind;
 use crate::scenario::Scenario;
 
 /// One detected divergence: a stable machine-checkable code plus a
@@ -39,7 +40,7 @@ fn impaired(sc: &Scenario) -> bool {
 }
 
 /// The registered allowlist. Every entry documents *why* the divergence
-/// is benign; `exp_conform` reports per-entry hit counts so dead entries
+/// is benign; `exp conform` reports per-entry hit counts so dead entries
 /// are visible.
 pub fn allowlist() -> &'static [Allow] {
     &[

@@ -14,7 +14,7 @@
 
 use crate::absseg::{normalize, AbsSeg};
 use crate::scenario::{Ev, FaultKind, LinkSpec, RstOff, Scenario, Side};
-use crate::wire::Wire;
+use crate::wire::Kind;
 use netsim::{
     tap_buffer, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, NodeId, SimNet, Stack,
     StackNode, TapEvent, TapStack, Time, TransportError,
@@ -22,7 +22,7 @@ use netsim::{
 use slhost::{observe, ConnObs, HostStack};
 use slmetrics::shared;
 use sublayer_core::{SlConfig, SlTcpStack};
-use tcp_mono::wire::{Endpoint, FourTuple};
+use slwire::{Endpoint, FourTuple};
 use tcp_mono::TcpStack;
 
 /// Client address/port (active opener).
@@ -43,28 +43,6 @@ fn t(ms: u64) -> Time {
     Time::ZERO + Dur::from_millis(ms)
 }
 
-/// Which stack implementation a run drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    Sub,
-    Mono,
-}
-
-impl Kind {
-    pub fn label(self) -> &'static str {
-        match self {
-            Kind::Sub => "sub",
-            Kind::Mono => "mono",
-        }
-    }
-    pub fn wire(self) -> Wire {
-        match self {
-            Kind::Sub => Wire::Sub,
-            Kind::Mono => Wire::Mono,
-        }
-    }
-}
-
 /// A deliberately seeded stack bug, applied to the *client* endpoint of a
 /// run — the harness's own mutation tests prove the pipeline catches and
 /// shrinks these.
@@ -83,13 +61,13 @@ pub enum Mutation {
 /// actually reached the wire.
 pub struct BugStack<S: Stack> {
     pub inner: S,
-    wire: Wire,
+    kind: Kind,
     mutation: Mutation,
 }
 
 impl<S: Stack> BugStack<S> {
-    pub fn new(inner: S, wire: Wire, mutation: Mutation) -> Self {
-        BugStack { inner, wire, mutation }
+    pub fn new(inner: S, kind: Kind, mutation: Mutation) -> Self {
+        BugStack { inner, kind, mutation }
     }
 }
 
@@ -103,11 +81,11 @@ impl<S: Stack> Stack for BugStack<S> {
             match self.mutation {
                 Mutation::None => return Some(frame),
                 Mutation::AckFuture { delta } => {
-                    return Some(self.wire.bump_ack(&frame, delta).unwrap_or(frame))
+                    return Some(self.kind.bump_ack(&frame, delta).unwrap_or(frame))
                 }
                 Mutation::DropPureAcks => {
                     let pure = self
-                        .wire
+                        .kind
                         .decode(&frame)
                         .is_some_and(|r| r.ack && !r.syn && !r.fin && !r.rst && r.len == 0);
                     if !pure {
@@ -248,7 +226,7 @@ pub fn run_kind(kind: Kind, sc: &Scenario, seed: u64, mutation: Mutation) -> Run
 
 /// Run `sc` with `mutation` seeded into the client endpoint.
 pub fn run_scenario_mutated<H: ConformStack>(sc: &Scenario, seed: u64, mutation: Mutation) -> RunOut {
-    let wire = H::KIND.wire();
+    let kind = H::KIND;
     let client = H::mk(A_ADDR);
     let mut server = H::mk(B_ADDR);
     let mut c_out = EndpointOut::default();
@@ -261,8 +239,8 @@ pub fn run_scenario_mutated<H: ConformStack>(sc: &Scenario, seed: u64, mutation:
     let s_tap = tap_buffer();
     let (mut net, nc, ns) = netsim::two_party(
         seed,
-        TapStack::new(BugStack::new(client, wire, mutation), c_tap.clone()),
-        TapStack::new(BugStack::new(server, wire, Mutation::None), s_tap.clone()),
+        TapStack::new(BugStack::new(client, kind, mutation), c_tap.clone()),
+        TapStack::new(BugStack::new(server, kind, Mutation::None), s_tap.clone()),
         link_params(sc.link),
     );
 
@@ -375,7 +353,7 @@ pub fn run_scenario_mutated<H: ConformStack>(sc: &Scenario, seed: u64, mutation:
                             RstOff::InWindow => exact.wrapping_add(1_000),
                             RstOff::Outside => exact.wrapping_add(0x4000_0000),
                         };
-                        let frame = wire.forge_rst(src, dst, seq);
+                        let frame = kind.forge_rst(src, dst, seq);
                         out.app.push((now_ns, AppOp::Inject(frame.clone())));
                         tap_stack_mut::<H>(&mut net, node).on_frame(now, &frame);
                     }
@@ -388,7 +366,7 @@ pub fn run_scenario_mutated<H: ConformStack>(sc: &Scenario, seed: u64, mutation:
                 };
                 if let Some(id) = conn {
                     if let Some(exact) = stack_mut::<H>(&mut net, node).expected_seq(id) {
-                        let frame = wire.forge_syn(src, dst, exact.wrapping_add(99_999));
+                        let frame = kind.forge_syn(src, dst, exact.wrapping_add(99_999));
                         out.app.push((now_ns, AppOp::Inject(frame.clone())));
                         tap_stack_mut::<H>(&mut net, node).on_frame(now, &frame);
                     }
@@ -444,8 +422,8 @@ pub fn run_scenario_mutated<H: ConformStack>(sc: &Scenario, seed: u64, mutation:
 
     c_out.raw = c_tap.borrow().clone();
     s_out.raw = s_tap.borrow().clone();
-    c_out.abs = normalize(wire, &c_out.raw);
-    s_out.abs = normalize(wire, &s_out.raw);
+    c_out.abs = normalize(kind, &c_out.raw);
+    s_out.abs = normalize(kind, &s_out.raw);
 
     RunOut { kind: H::KIND, seed, client: c_out, server: s_out }
 }

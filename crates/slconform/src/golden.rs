@@ -13,7 +13,8 @@
 //! megabytes of text.
 
 use crate::absseg::AbsSeg;
-use crate::driver::{run_kind, Kind, Mutation, RunOut};
+use crate::driver::{run_kind, Mutation, RunOut};
+use crate::wire::Kind;
 use crate::scenario::{Scenario, Side};
 use netsim::TapDir;
 use std::path::PathBuf;

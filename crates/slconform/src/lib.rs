@@ -46,9 +46,9 @@ pub use oracle::check_endpoint;
 pub use shrink::{shrink, Shrunk};
 pub use driver::{
     pattern, run_kind, run_scenario, run_scenario_mutated, AppOp, BugStack, ConformStack,
-    EndpointOut, Kind, Mutation, RunOut,
+    EndpointOut, Mutation, RunOut,
 };
 pub use multihop::{diff_multihop, run_multihop, MhOut, MhScenario};
-pub use natcodec::{nat_codec, peek_for, peek_mono, peek_sub, MonoNatCodec, SubNatCodec};
+pub use natcodec::{nat_codec, peek_for, MonoNatCodec, SubNatCodec};
 pub use scenario::{corpus, Ev, FaultKind, LinkSpec, RstOff, Scenario, Side};
-pub use wire::{RawSeg, Wire};
+pub use wire::{Kind, RawSeg};

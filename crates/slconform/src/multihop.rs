@@ -31,10 +31,11 @@ use netlayer::{
 };
 use netsim::{Dur, LinkParams, NodeId, SimNet, StackNode, Time, TransportError};
 use sublayer_core::SlTcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 use tcp_mono::TcpStack;
 
-use crate::driver::{ConformStack, Kind};
+use crate::driver::ConformStack;
+use crate::wire::Kind;
 use crate::natcodec::{nat_codec, peek_for};
 
 /// Server port for every multi-hop scenario.

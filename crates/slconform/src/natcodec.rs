@@ -11,37 +11,17 @@
 //! malformed) rather than as garbage on the wire.
 
 use netlayer::{AddrPeek, NatCodec};
-use sublayer_core::wire::Packet;
-use tcp_mono::wire::{Endpoint, Segment};
+use slwire::native::{self, Packet};
+use slwire::rfc793::{self, Endpoint, Segment};
 
-use crate::wire::Wire;
 use crate::Kind;
 
-/// [`AddrPeek`] for the monolithic RFC 793 format (8-byte address header).
-pub fn peek_mono(frame: &[u8]) -> Option<(u32, u32)> {
-    if frame.len() < 28 {
-        return None;
-    }
-    let src = u32::from_be_bytes(frame.get(0..4)?.try_into().ok()?);
-    let dst = u32::from_be_bytes(frame.get(4..8)?.try_into().ok()?);
-    Some((src, dst))
-}
-
-/// [`AddrPeek`] for the sublayered native format (magic byte, then addrs).
-pub fn peek_sub(frame: &[u8]) -> Option<(u32, u32)> {
-    if frame.len() < 36 || frame[0] != 0x5B {
-        return None;
-    }
-    let src = u32::from_be_bytes(frame.get(1..5)?.try_into().ok()?);
-    let dst = u32::from_be_bytes(frame.get(5..9)?.try_into().ok()?);
-    Some((src, dst))
-}
-
-/// The peek matching a stack kind.
+/// The [`AddrPeek`] matching a stack kind: the format's own `peek`, less
+/// the ports a router has no use for.
 pub fn peek_for(kind: Kind) -> AddrPeek {
     match kind {
-        Kind::Mono => peek_mono,
-        Kind::Sub => peek_sub,
+        Kind::Mono => |frame| rfc793::peek(frame).map(|(src, dst)| (src.addr, dst.addr)),
+        Kind::Sub => |frame| native::peek(frame).map(|(src, dst)| (src.addr, dst.addr)),
     }
 }
 
@@ -92,7 +72,7 @@ impl NatCodec for MonoNatCodec {
         // sends RST with seq = the segment's ack; that lands exactly at
         // the sender's snd_nxt, so the reset is accepted.
         let seq = if s.ack_flag() { s.ack } else { 0 };
-        Some(Wire::Mono.forge_rst(s.dst, s.src, seq))
+        Some(Kind::Mono.forge_rst(s.dst, s.src, seq))
     }
 }
 
@@ -134,14 +114,14 @@ impl NatCodec for SubNatCodec {
             return None;
         }
         let seq = if p.rd.has_ack { p.rd.ack } else { 0 };
-        Some(Wire::Sub.forge_rst(p.dst(), p.src(), seq))
+        Some(Kind::Sub.forge_rst(p.dst(), p.src(), seq))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcp_mono::wire::ACK;
+    use slwire::rfc793::ACK;
 
     const C: Endpoint = Endpoint { addr: 0x0A000001, port: 5000 };
     const S: Endpoint = Endpoint { addr: 0x0A000002, port: 80 };
@@ -164,10 +144,10 @@ mod tests {
         let mut p = Packet {
             src_addr: C.addr,
             dst_addr: S.addr,
-            dm: sublayer_core::wire::DmHeader { src_port: C.port, dst_port: S.port },
-            cm: sublayer_core::wire::CmHeader::default(),
-            rd: sublayer_core::wire::RdHeader::default(),
-            osr: sublayer_core::wire::OsrHeader { ecn_echo: false, rcv_wnd: 512 },
+            dm: native::DmHeader { src_port: C.port, dst_port: S.port },
+            cm: native::CmHeader::default(),
+            rd: native::RdHeader::default(),
+            osr: native::OsrHeader { ecn_echo: false, rcv_wnd: 512 },
             payload: payload.to_vec(),
         };
         p.rd.seq = 1000;
@@ -180,12 +160,12 @@ mod tests {
     fn peeks_read_addresses_and_reject_the_other_format() {
         let m = mono_data(b"hi");
         let s = sub_data(b"hi");
-        assert_eq!(peek_mono(&m), Some((C.addr, S.addr)));
-        assert_eq!(peek_sub(&s), Some((C.addr, S.addr)));
-        assert_eq!(peek_sub(&m), None, "mono frame must not peek as sub");
+        assert_eq!(peek_for(Kind::Mono)(&m), Some((C.addr, S.addr)));
+        assert_eq!(peek_for(Kind::Sub)(&s), Some((C.addr, S.addr)));
+        assert_eq!(peek_for(Kind::Sub)(&m), None, "mono frame must not peek as sub");
         // The mono peek has no magic byte; it may read garbage addresses
         // off a sub frame, but in a single-format topology that is moot.
-        assert!(peek_mono(&[0u8; 8]).is_none(), "short frames are rejected");
+        assert!(peek_for(Kind::Mono)(&[0u8; 8]).is_none(), "short frames are rejected");
     }
 
     #[test]
@@ -218,11 +198,11 @@ mod tests {
     #[test]
     fn forged_rst_replies_answer_at_the_senders_expected_seq() {
         let m = MonoNatCodec.forge_rst_reply(&mono_data(b"hi")).expect("rst");
-        let seg = Wire::Mono.decode(&m).unwrap();
+        let seg = Kind::Mono.decode(&m).unwrap();
         assert!(seg.rst);
         assert_eq!(seg.seq, 2000, "RST seq = the offending frame's ack");
         let s = SubNatCodec.forge_rst_reply(&sub_data(b"hi")).expect("rst");
-        let seg = Wire::Sub.decode(&s).unwrap();
+        let seg = Kind::Sub.decode(&s).unwrap();
         assert!(seg.rst);
         assert_eq!(seg.seq, 2000);
         // A RST never begets another RST.

@@ -126,7 +126,7 @@ use RstOff::*;
 use Side::{Client, Server};
 
 /// The conformance corpus: every scenario is run against both stacks and
-/// at least three seeds by `exp_conform` (and a subset by the golden
+/// at least three seeds by `exp conform` (and a subset by the golden
 /// tests).
 pub fn corpus() -> Vec<Scenario> {
     let mut v = vec![Scenario::new("handshake_only", vec![(0, Connect)])];

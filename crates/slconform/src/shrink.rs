@@ -7,7 +7,8 @@
 //! keeps the shrinker from wandering onto a different bug.
 
 use crate::diff::{check_scenario_mutated, Report};
-use crate::driver::{Kind, Mutation};
+use crate::driver::Mutation;
+use crate::wire::Kind;
 use crate::scenario::Scenario;
 
 /// A minimal reproducer for one divergence.

@@ -4,18 +4,23 @@
 //! The two stacks speak different wire formats (the sublayered native
 //! header vs RFC 793), so the harness normalizes both into [`RawSeg`] —
 //! flags, sequence span, cumulative ack, window — before any comparison
-//! or oracle judgment. Forgery mirrors `bench::attack`'s codecs: an RST
-//! or duplicate SYN is built in the victim's own format with an honest
-//! window field, so only the aimed field is adversarial.
+//! or oracle judgment. This is also the one forger: the harness's aimed
+//! injections, the NAT's RST replies and the `bench::attack` campaign's
+//! attacker ([`AttackCodec`]) all build an RST, SYN or data segment here,
+//! in the victim's own format with an honest window field, so only the
+//! aimed field is adversarial.
 
-use sublayer_core::wire::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
-use tcp_mono::wire::{Endpoint, Segment, RST, SYN};
+use netsim::{AttackCodec, SnoopInfo};
+use slwire::native::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
+use slwire::rfc793::{Segment, ACK, RST, SYN};
+use slwire::Endpoint;
 
-/// Which wire format a run speaks.
+/// Which stack implementation a run drives, and so which wire format it
+/// speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Wire {
-    Mono,
+pub enum Kind {
     Sub,
+    Mono,
 }
 
 /// One decoded frame, format-neutral. Sequence numbers are still in wire
@@ -41,18 +46,18 @@ pub struct RawSeg {
     pub wnd: u32,
 }
 
-impl Wire {
+impl Kind {
     pub fn label(self) -> &'static str {
         match self {
-            Wire::Mono => "mono",
-            Wire::Sub => "sub",
+            Kind::Mono => "mono",
+            Kind::Sub => "sub",
         }
     }
 
     /// Decode one frame; `None` for frames this format cannot parse.
     pub fn decode(self, frame: &[u8]) -> Option<RawSeg> {
         match self {
-            Wire::Mono => {
+            Kind::Mono => {
                 let s = Segment::decode(frame).ok()?;
                 Some(RawSeg {
                     syn: s.syn(),
@@ -66,7 +71,7 @@ impl Wire {
                     wnd: s.wnd as u32,
                 })
             }
-            Wire::Sub => {
+            Kind::Sub => {
                 let p = Packet::decode(frame).ok()?;
                 let syn = p.cm.flags.syn;
                 // RD acks ride `rd.ack`; pure handshake acks ride the CM
@@ -101,7 +106,7 @@ impl Wire {
     /// sequence `seq`.
     pub fn forge_rst(self, src: Endpoint, dst: Endpoint, seq: u32) -> Vec<u8> {
         match self {
-            Wire::Mono => Segment {
+            Kind::Mono => Segment {
                 src,
                 dst,
                 seq,
@@ -112,7 +117,7 @@ impl Wire {
                 payload: Vec::new(),
             }
             .encode(),
-            Wire::Sub => {
+            Kind::Sub => {
                 let mut p = sub_base(src, dst);
                 p.cm.flags = CmFlags { rst: true, ..CmFlags::default() };
                 p.rd.seq = seq;
@@ -124,7 +129,7 @@ impl Wire {
     /// Forge a duplicate SYN for an already-established tuple.
     pub fn forge_syn(self, src: Endpoint, dst: Endpoint, isn: u32) -> Vec<u8> {
         match self {
-            Wire::Mono => Segment {
+            Kind::Mono => Segment {
                 src,
                 dst,
                 seq: isn,
@@ -135,7 +140,7 @@ impl Wire {
                 payload: Vec::new(),
             }
             .encode(),
-            Wire::Sub => {
+            Kind::Sub => {
                 let mut p = sub_base(src, dst);
                 p.cm.flags = CmFlags { syn: true, ..CmFlags::default() };
                 p.cm.isn = isn;
@@ -149,7 +154,7 @@ impl Wire {
     /// carries no ack to corrupt.
     pub fn bump_ack(self, frame: &[u8], delta: u32) -> Option<Vec<u8>> {
         match self {
-            Wire::Mono => {
+            Kind::Mono => {
                 let mut s = Segment::decode(frame).ok()?;
                 if !s.ack_flag() {
                     return None;
@@ -157,7 +162,7 @@ impl Wire {
                 s.ack = s.ack.wrapping_add(delta);
                 Some(s.encode())
             }
-            Wire::Sub => {
+            Kind::Sub => {
                 let mut p = Packet::decode(frame).ok()?;
                 if !p.rd.has_ack {
                     return None;
@@ -176,11 +181,81 @@ fn sub_base(src: Endpoint, dst: Endpoint) -> Packet {
         dm: DmHeader { src_port: src.port, dst_port: dst.port },
         cm: CmHeader::default(),
         rd: RdHeader::default(),
-        // An honest window so a forged header can never zero-window-
-        // poison the victim (same discipline as bench::attack).
+        // An honest window so a forged (then discarded) header can never
+        // zero-window-poison the victim's flow control.
         osr: OsrHeader { ecn_echo: false, rcv_wnd: u16::MAX },
         payload: Vec::new(),
     }
+}
+
+/// The attacker's wire knowledge: continue a snooped flow in its own
+/// direction, or open one from a spoofed source.
+impl AttackCodec for Kind {
+    fn snoop(&self, frame: &[u8]) -> Option<SnoopInfo> {
+        let (src, dst, next_seq, syn, rst) = match self {
+            Kind::Mono => {
+                let s = Segment::decode(frame).ok()?;
+                (s.src, s.dst, s.seq.wrapping_add(s.seq_len()), s.syn(), s.rst())
+            }
+            Kind::Sub => {
+                let p = Packet::decode(frame).ok()?;
+                // A SYN's successor in the receiver's RD space is isn + 1;
+                // data advances by its payload length.
+                let next_seq = if p.cm.flags.syn {
+                    p.cm.isn.wrapping_add(1)
+                } else {
+                    p.rd.seq.wrapping_add(p.payload.len() as u32)
+                };
+                (p.src(), p.dst(), next_seq, p.cm.flags.syn, p.cm.flags.rst)
+            }
+        };
+        Some(SnoopInfo {
+            src_addr: src.addr,
+            src_port: src.port,
+            dst_addr: dst.addr,
+            dst_port: dst.port,
+            next_seq,
+            syn,
+            rst,
+        })
+    }
+    fn forge_rst(&self, flow: &SnoopInfo, seq: u32) -> Vec<u8> {
+        let (src, dst) = ends(flow);
+        Kind::forge_rst(*self, src, dst, seq)
+    }
+    fn forge_syn(&self, flow: &SnoopInfo, isn: u32) -> Vec<u8> {
+        let (src, dst) = ends(flow);
+        Kind::forge_syn(*self, src, dst, isn)
+    }
+    fn forge_data(&self, flow: &SnoopInfo, seq: u32, payload: &[u8]) -> Vec<u8> {
+        let (src, dst) = ends(flow);
+        match self {
+            Kind::Mono => Segment {
+                src,
+                dst,
+                seq,
+                ack: 0,
+                flags: ACK,
+                wnd: u16::MAX,
+                mss: None,
+                payload: payload.to_vec(),
+            }
+            .encode(),
+            Kind::Sub => {
+                let mut p = sub_base(src, dst);
+                p.rd.seq = seq;
+                p.payload = payload.to_vec();
+                p.encode()
+            }
+        }
+    }
+    fn forge_syn_to(&self, sa: u32, sp: u16, da: u32, dp: u16, isn: u32) -> Vec<u8> {
+        Kind::forge_syn(*self, Endpoint::new(sa, sp), Endpoint::new(da, dp), isn)
+    }
+}
+
+fn ends(flow: &SnoopInfo) -> (Endpoint, Endpoint) {
+    (Endpoint::new(flow.src_addr, flow.src_port), Endpoint::new(flow.dst_addr, flow.dst_port))
 }
 
 #[cfg(test)]
@@ -192,26 +267,39 @@ mod tests {
 
     #[test]
     fn forged_rsts_decode_as_rsts_in_both_formats() {
-        for w in [Wire::Mono, Wire::Sub] {
+        for w in [Kind::Mono, Kind::Sub] {
             let bytes = w.forge_rst(B, A, 0x1234);
             let seg = w.decode(&bytes).expect("own forgery must decode");
             assert!(seg.rst, "{}", w.label());
             assert_eq!(seg.seq, 0x1234);
             assert!(!seg.syn && !seg.fin);
             // The other format must not mis-parse it.
-            let other = if w == Wire::Mono { Wire::Sub } else { Wire::Mono };
+            let other = if w == Kind::Mono { Kind::Sub } else { Kind::Mono };
             assert!(other.decode(&bytes).is_none_or(|s| !s.rst || s.seq != 0x1234));
         }
     }
 
     #[test]
     fn forged_syns_decode_with_isn() {
-        for w in [Wire::Mono, Wire::Sub] {
+        for w in [Kind::Mono, Kind::Sub] {
             let bytes = w.forge_syn(A, B, 7777);
             let seg = w.decode(&bytes).expect("own forgery must decode");
             assert!(seg.syn && !seg.rst);
             assert_eq!(seg.seq, 7777);
             assert_eq!(seg.seq_len, 1, "a SYN occupies one sequence number");
+        }
+    }
+
+    #[test]
+    fn forged_data_snoops_as_the_flow_it_continues() {
+        for w in [Kind::Mono, Kind::Sub] {
+            let flow = w.snoop(&w.forge_syn(A, B, 7777)).expect("own forgery must snoop");
+            assert!(flow.syn && !flow.rst);
+            assert_eq!(ends(&flow), (A, B));
+            assert_eq!(flow.next_seq, 7778, "a SYN's successor is isn + 1");
+            let data = w.snoop(&w.forge_data(&flow, flow.next_seq, b"abc")).expect("snoops");
+            assert_eq!(ends(&data), (A, B));
+            assert_eq!(data.next_seq, 7781);
         }
     }
 
@@ -222,14 +310,14 @@ mod tests {
             dst: B,
             seq: 100,
             ack: 200,
-            flags: tcp_mono::wire::ACK,
+            flags: ACK,
             wnd: 1000,
             mss: None,
             payload: vec![1, 2, 3],
         }
         .encode();
-        let bent = Wire::Mono.bump_ack(&honest, 500).unwrap();
-        let seg = Wire::Mono.decode(&bent).unwrap();
+        let bent = Kind::Mono.bump_ack(&honest, 500).unwrap();
+        let seg = Kind::Mono.decode(&bent).unwrap();
         assert_eq!(seg.ack_no, 700);
         assert_eq!(seg.seq, 100);
         assert_eq!(seg.len, 3);

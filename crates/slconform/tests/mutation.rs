@@ -6,7 +6,8 @@
 //! a minimal reproducer (the acceptance bar is ≤ 10 events), and replay
 //! the mutated endpoint byte-for-byte from its artifact.
 
-use slconform::driver::{run_kind, Kind, Mutation};
+use slconform::driver::{run_kind, Mutation};
+use slconform::Kind;
 use slconform::scenario::{corpus, Scenario, Side};
 use slconform::{artifact, check_scenario_mutated, shrink};
 

@@ -9,7 +9,8 @@
 //! is reported with its minimal script.
 
 use proptest::{collection, prop_assert, proptest};
-use slconform::driver::{Kind, Mutation};
+use slconform::driver::Mutation;
+use slconform::Kind;
 use slconform::scenario::{Ev, FaultKind, LinkSpec, RstOff, Scenario, Side};
 use slconform::{check_scenario, shrink};
 

@@ -24,7 +24,7 @@ use crate::wheel::{TimerKey, TimerWheel};
 use netsim::{Dur, MultiStack, PortId, Time, TransportError};
 use slmetrics::{HostCounters, Pressure};
 use std::collections::{HashMap, VecDeque};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 /// How the host discovers due connection timers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

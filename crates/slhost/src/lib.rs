@@ -16,7 +16,7 @@
 //!
 //! [`HostStack`] is the host-facing contract both stacks implement; the
 //! API-parity test runs the same scripted scenario against both. The
-//! scale experiment (E15, `bench::scale` / `exp_scale`) sweeps 100 → 5000
+//! scale experiment (E15, `bench::scale` / `exp scale`) sweeps 100 → 5000
 //! concurrent clients over both stacks and both timer modes.
 
 pub mod apps;

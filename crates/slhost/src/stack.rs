@@ -12,7 +12,7 @@ use slmetrics::Pressure;
 use std::fmt::Debug;
 use std::hash::Hash;
 use sublayer_core::{CmState, ConnId, SlTcpStack};
-use tcp_mono::wire::{Endpoint, FourTuple};
+use slwire::{Endpoint, FourTuple};
 use tcp_mono::{TcpStack, TcpState};
 
 /// Addressing read off a raw frame without full decode — just enough for
@@ -206,20 +206,7 @@ impl HostStack for SlTcpStack {
     }
 
     fn classify_frame(frame: &[u8]) -> Option<FrameMeta> {
-        // Figure-6 native header: MAGIC, addrs, checksum, then DM ports.
-        // Bounds-safe slicing: a truncated or foreign frame classifies as
-        // `None` rather than panicking the ingest path.
-        if frame.len() < 36 || frame[0] != 0x5B {
-            return None;
-        }
-        let src_addr = u32::from_be_bytes(frame.get(1..5)?.try_into().ok()?);
-        let dst_addr = u32::from_be_bytes(frame.get(5..9)?.try_into().ok()?);
-        let src_port = u16::from_be_bytes([*frame.get(11)?, *frame.get(12)?]);
-        let dst_port = u16::from_be_bytes([*frame.get(13)?, *frame.get(14)?]);
-        Some(FrameMeta {
-            src: Endpoint::new(src_addr, src_port),
-            dst: Endpoint::new(dst_addr, dst_port),
-        })
+        slwire::native::peek(frame).map(|(src, dst)| FrameMeta { src, dst })
     }
     fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<ConnId> {
         SlTcpStack::conn_for_tuple(self, tuple)
@@ -348,19 +335,7 @@ impl HostStack for TcpStack {
     }
 
     fn classify_frame(frame: &[u8]) -> Option<FrameMeta> {
-        // RFC 793 over the simulator's 8-byte address header; bounds-safe
-        // like the sublayered classifier above.
-        if frame.len() < 28 {
-            return None;
-        }
-        let src_addr = u32::from_be_bytes(frame.get(0..4)?.try_into().ok()?);
-        let dst_addr = u32::from_be_bytes(frame.get(4..8)?.try_into().ok()?);
-        let src_port = u16::from_be_bytes([*frame.get(8)?, *frame.get(9)?]);
-        let dst_port = u16::from_be_bytes([*frame.get(10)?, *frame.get(11)?]);
-        Some(FrameMeta {
-            src: Endpoint::new(src_addr, src_port),
-            dst: Endpoint::new(dst_addr, dst_port),
-        })
+        slwire::rfc793::peek(frame).map(|(src, dst)| FrameMeta { src, dst })
     }
     fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<FourTuple> {
         self.pcb(*tuple).map(|p| p.tuple)

@@ -9,7 +9,7 @@ use netsim::{MultiStack, Stack, Time};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost};
 use slmetrics::Pressure;
 use sublayer_core::{SlConfig, SlTcpStack};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 use tcp_mono::TcpStack;
 
 const SERVER_ADDR: u32 = 0x0A00_0001;

@@ -22,7 +22,7 @@ use slhost::{
 };
 use slmetrics::Pressure;
 use sublayer_core::{SlConfig, SlTcpStack};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 use tcp_mono::TcpStack;
 
 const SERVER_ADDR: u32 = 0x0A00_0001;

@@ -11,7 +11,7 @@
 use netsim::{MultiStack, Stack, Time, TransportError};
 use slhost::{EchoApp, Host, HostConfig, HostEvent, HostStack, ServedHost, TimerMode};
 use sublayer_core::{SlConfig, SlTcpStack};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 use tcp_mono::TcpStack;
 
 const SERVER_ADDR: u32 = 0x0A00_0001;

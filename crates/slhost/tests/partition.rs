@@ -20,7 +20,7 @@ use netsim::{two_party, AdminOp, Dur, LinkParams, StackNode, Time};
 use slhost::HostStack;
 use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
 use tcp_mono::stack::{Keepalive, TcpStack};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const A: u32 = 1;
 const B: u32 = 2;

@@ -6,7 +6,7 @@
 //! exactly that property to scale [`slhost`] across cores:
 //!
 //! - **Routing** is the shared seeded fx 4-tuple hash
-//!   ([`tcp_mono::hash::shard_of`]) — the same mix the demux tables use —
+//!   ([`slwire::hash::shard_of`]) — the same mix the demux tables use —
 //!   so a tuple always lands on the same shard with no shared state.
 //! - **Shards** are whole [`slhost::Host`]s (own connection table, timer
 //!   wheel, [`slhost::ResourceBudget`], counters) running on real
@@ -39,8 +39,8 @@
 //! `slverify::ShardedOverload` proves budget-never-exceeded for this
 //! shape per shard *and* globally, `slverify::ShardFail` proves
 //! crash-isolation (one shard's death costs only its own connections);
-//! `bench::shard` / `exp_shard` sweep it to 100k+ connections and
-//! `bench::failover` / `exp_failover` measure blast radius and recovery.
+//! `bench::shard` / `exp shard` sweep it to 100k+ connections and
+//! `bench::failover` / `exp failover` measure blast radius and recovery.
 
 pub mod fault;
 pub mod merge;
@@ -59,7 +59,7 @@ use slmetrics::{HostCounters, Pressure};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
-use tcp_mono::hash::shard_of;
+use slwire::hash::shard_of;
 
 /// Whether shards run on real threads or inline on the caller's thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

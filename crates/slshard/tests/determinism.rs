@@ -10,12 +10,12 @@
 //!    identical for N=1 and N=4 shards (routing spreads work; it must not
 //!    change what any connection observes).
 
-use netsim::{Dur, LinkParams, MultiStackNode, Stack, StackNode, Time};
+use netsim::{Dur, LinkParams, MultiStackNode, StackNode, Time};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
 use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 const SERVER_ADDR: u32 = 0x0A00_0001;
 const CLIENT_BASE: u32 = 0x0A01_0000;
@@ -67,6 +67,11 @@ impl<S: HostStack> EchoClient<S> {
             connect_at,
             done_at: None,
         }
+    }
+
+    /// When the script itself next needs the clock.
+    fn own_deadline(&self) -> Option<Time> {
+        (self.phase == Phase::Idle).then_some(self.connect_at)
     }
 
     fn drive(&mut self, now: Time) {
@@ -121,26 +126,7 @@ impl<S: HostStack> EchoClient<S> {
     }
 }
 
-impl<S: HostStack> Stack for EchoClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = (self.phase == Phase::Idle).then_some(self.connect_at);
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
-}
+netsim::client_stack!(EchoClient<S: HostStack>);
 
 /// Everything one run exposes for comparison.
 struct CaseResult {

@@ -17,16 +17,16 @@
 //! picking a new ephemeral port.
 
 use netsim::stack::TransportError;
-use netsim::{Dur, LinkParams, MultiStackNode, Stack, StackNode, Time};
+use netsim::{Dur, LinkParams, MultiStackNode, StackNode, Time};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost};
 use slshard::{
     mute_injected_panics, FaultEventKind, FaultKind, FaultSpec, Mode, RestartPolicy,
     ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
 };
 use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::hash::shard_of;
+use slwire::hash::shard_of;
 use tcp_mono::stack::{Keepalive, TcpStack};
-use tcp_mono::wire::{Endpoint, FourTuple};
+use slwire::{Endpoint, FourTuple};
 
 const SERVER_ADDR: u32 = 0x0A00_0001;
 const CLIENT_BASE: u32 = 0x0A01_0000;
@@ -128,6 +128,15 @@ impl<S: HostStack> FailClient<S> {
         }
     }
 
+    /// When the script itself next needs the clock.
+    fn own_deadline(&self) -> Option<Time> {
+        match self.phase {
+            Phase::Idle => Some(self.connect_at),
+            Phase::RetryWait => Some(self.retry_at),
+            _ => None,
+        }
+    }
+
     fn drive(&mut self, now: Time) {
         if let Some(id) = self.conn {
             match self.phase {
@@ -202,30 +211,7 @@ impl<S: HostStack> FailClient<S> {
     }
 }
 
-impl<S: HostStack> Stack for FailClient<S> {
-    fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        Stack::on_frame(&mut self.stack, now, frame);
-        self.drive(now);
-    }
-
-    fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        Stack::poll_transmit(&mut self.stack, now)
-    }
-
-    fn poll_deadline(&self, now: Time) -> Option<Time> {
-        let own = match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::RetryWait => Some(self.retry_at),
-            _ => None,
-        };
-        [own, Stack::poll_deadline(&self.stack, now)].into_iter().flatten().min()
-    }
-
-    fn on_tick(&mut self, now: Time) {
-        Stack::on_tick(&mut self.stack, now);
-        self.drive(now);
-    }
-}
+netsim::client_stack!(FailClient<S: HostStack>);
 
 struct ClientOut {
     complete: bool,

@@ -49,7 +49,7 @@ use sublayer_core::dm::DmDriver;
 use sublayer_core::osr::OsrDriver;
 use sublayer_core::rd::RdDriver;
 use sublayer_core::signals::SeqValidity;
-use sublayer_core::wire::{CmHeader, Endpoint, FourTuple, Packet};
+use slwire::native::{CmHeader, Endpoint, FourTuple, Packet};
 use sublayer_core::{BuggyCm, BuggyDm, BuggyOsr, BuggyRd, CmScheme, ConnId, Demux, ConnMgmt, Osr, ReliableDelivery};
 
 // ---------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //!    `HashMap` and `shard_of`'s modulo actually use — depend on every
 //!    input bit. Raw fxhash is notoriously weak in its low bits.
 
-use crate::wire::FourTuple;
+use crate::FourTuple;
 use std::hash::{BuildHasher, Hasher};
 
 /// The fx multiply constant (64-bit golden-ratio-ish odd multiplier).
@@ -26,6 +26,7 @@ pub struct FxHasher {
 }
 
 impl FxHasher {
+    #[inline]
     pub fn with_seed(seed: u64) -> FxHasher {
         // Pre-mix the seed so seed=0 is not the identity state.
         FxHasher { hash: seed ^ FX_MUL }
@@ -96,6 +97,7 @@ pub struct FxBuildHasher {
 }
 
 impl FxBuildHasher {
+    #[inline]
     pub fn with_seed(seed: u64) -> FxBuildHasher {
         FxBuildHasher { seed }
     }
@@ -139,7 +141,7 @@ pub fn shard_of(seed: u64, t: &FourTuple, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Endpoint;
+    use crate::Endpoint;
     use std::hash::Hash;
 
     fn tuple(la: u32, lp: u16, ra: u32, rp: u16) -> FourTuple {

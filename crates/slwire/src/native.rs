@@ -18,7 +18,9 @@
 //! translation in both directions, which is what makes interoperation with
 //! the monolithic stack possible (experiment E7).
 
-pub use tcp_mono::wire::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
+use crate::{be16, be32, checksum};
+
+pub use crate::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
 /// Demultiplexing subheader — the only bits DM may touch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -99,11 +101,25 @@ pub struct Packet {
 /// the same simulated network.
 const MAGIC: u8 = 0x5B; // "SubLayered"
 
+/// Smallest well-formed frame: the header with no SACK range.
+const MIN_PACKET_BYTES: usize = Packet::header_len(0);
+
+// Frame offsets of the fields ahead of the sublayers' own — what [`peek`]
+// reads and [`Packet::decode`] starts from. The checksum covers `BODY..`.
+const SRC_ADDR: usize = 1;
+const DST_ADDR: usize = 5;
+const CSUM: usize = 9;
+const BODY: usize = 11;
+const SRC_PORT: usize = BODY;
+const DST_PORT: usize = BODY + 2;
+
 impl Packet {
+    #[inline]
     pub fn src(&self) -> Endpoint {
         Endpoint::new(self.src_addr, self.dm.src_port)
     }
 
+    #[inline]
     pub fn dst(&self) -> Endpoint {
         Endpoint::new(self.dst_addr, self.dm.dst_port)
     }
@@ -141,8 +157,8 @@ impl Packet {
         out.extend_from_slice(&self.osr.rcv_wnd.to_be_bytes());
         // payload, checksummed for parity with the monolithic stack
         out.extend_from_slice(&self.payload);
-        let csum = tcp_mono::wire::checksum(self.src_addr, self.dst_addr, &out[11..]);
-        out[9..11].copy_from_slice(&csum.to_be_bytes());
+        let csum = checksum(self.src_addr, self.dst_addr, &out[BODY..]);
+        out[CSUM..BODY].copy_from_slice(&csum.to_be_bytes());
         out
     }
 
@@ -153,29 +169,23 @@ impl Packet {
         if bytes.first() != Some(&MAGIC) {
             return Err(WireError::BadMagic);
         }
-        if bytes.len() < 36 {
-            return Err(WireError::Truncated { need: 36, got: bytes.len() });
+        if bytes.len() < MIN_PACKET_BYTES {
+            return Err(WireError::Truncated { need: MIN_PACKET_BYTES, got: bytes.len() });
         }
         if bytes.len() > MAX_FRAME_BYTES {
             return Err(WireError::Oversized { limit: MAX_FRAME_BYTES, got: bytes.len() });
         }
-        let src_addr = u32::from_be_bytes(bytes[1..5].try_into().unwrap());
-        let dst_addr = u32::from_be_bytes(bytes[5..9].try_into().unwrap());
-        let csum = u16::from_be_bytes([bytes[9], bytes[10]]);
-        if tcp_mono::wire::checksum(src_addr, dst_addr, &bytes[11..]) != csum {
+        let src_addr = be32(bytes, SRC_ADDR);
+        let dst_addr = be32(bytes, DST_ADDR);
+        let b = &bytes[BODY..];
+        if checksum(src_addr, dst_addr, b) != be16(bytes, CSUM) {
             return Err(WireError::BadChecksum);
         }
-        let b = &bytes[11..];
-        let mut i = 0;
-        let u16_at = |i: &mut usize| {
-            let v = u16::from_be_bytes([b[*i], b[*i + 1]]);
-            *i += 2;
-            v
-        };
-        let src_port = u16_at(&mut i);
-        let dst_port = u16_at(&mut i);
+        let src_port = be16(bytes, SRC_PORT);
+        let dst_port = be16(bytes, DST_PORT);
+        let mut i = 4; // body cursor, past DM's two ports
         let u32_at = |i: &mut usize| {
-            let v = u32::from_be_bytes([b[*i], b[*i + 1], b[*i + 2], b[*i + 3]]);
+            let v = be32(b, *i);
             *i += 4;
             v
         };
@@ -199,7 +209,7 @@ impl Packet {
             return Err(WireError::BadSackCount);
         }
         if b.len() < i + n_sack * 8 + 3 {
-            return Err(WireError::Truncated { need: 11 + i + n_sack * 8 + 3, got: bytes.len() });
+            return Err(WireError::Truncated { need: BODY + i + n_sack * 8 + 3, got: bytes.len() });
         }
         let mut sack = Vec::with_capacity(n_sack);
         for _ in 0..n_sack {
@@ -209,7 +219,7 @@ impl Packet {
         }
         let ecn_echo = b[i] != 0;
         i += 1;
-        let rcv_wnd = u16::from_be_bytes([b[i], b[i + 1]]);
+        let rcv_wnd = be16(b, i);
         i += 2;
         Ok(Packet {
             src_addr,
@@ -264,15 +274,30 @@ impl Packet {
     }
 
     /// Header size in bytes for the given SACK count (experiment E11).
-    pub fn header_len(n_sack: usize) -> usize {
+    pub const fn header_len(n_sack: usize) -> usize {
         // magic + addrs + csum + DM(4) + CM(9) + RD(9 + 8*sack) + OSR(3)
         1 + 8 + 2 + 4 + 9 + 9 + 8 * n_sack + 3
     }
 }
 
+/// Addressing read off a raw frame without decoding (or checksumming) the
+/// rest; `None` for a frame shorter than the fixed header or without the
+/// native magic byte — so never for RFC 793 traffic.
+#[inline]
+pub fn peek(frame: &[u8]) -> Option<(Endpoint, Endpoint)> {
+    if frame.len() < MIN_PACKET_BYTES || frame[0] != MAGIC {
+        return None;
+    }
+    Some((
+        Endpoint::new(be32(frame, SRC_ADDR), be16(frame, SRC_PORT)),
+        Endpoint::new(be32(frame, DST_ADDR), be16(frame, DST_PORT)),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rfc793::{self, Segment};
 
     fn sample() -> Packet {
         Packet {
@@ -366,7 +391,7 @@ mod tests {
         bytes[rdb_at] = (bytes[rdb_at] & 1) | (2 << 1); // claim 2 ranges, carry 1
         let src = u32::from_be_bytes(bytes[1..5].try_into().unwrap());
         let dst = u32::from_be_bytes(bytes[5..9].try_into().unwrap());
-        let csum = tcp_mono::wire::checksum(src, dst, &bytes[11..]);
+        let csum = checksum(src, dst, &bytes[11..]);
         bytes[9] = (csum >> 8) as u8;
         bytes[10] = csum as u8;
         assert!(matches!(
@@ -389,12 +414,12 @@ mod tests {
     fn rejects_rfc793_traffic() {
         // A standard segment from the monolithic stack must not parse as a
         // native packet.
-        let seg = tcp_mono::wire::Segment {
+        let seg = Segment {
             src: Endpoint::new(1, 2),
             dst: Endpoint::new(3, 4),
             seq: 0,
             ack: 0,
-            flags: tcp_mono::wire::SYN,
+            flags: rfc793::SYN,
             wnd: 100,
             mss: None,
             payload: vec![],
@@ -407,7 +432,7 @@ mod tests {
         // `encode` reserves exactly this much, so it must be the frame's
         // length to the byte: header alone, one byte, a full segment.
         for n_sack in 0..=2 {
-            for payload in [0, 1, crate::osr::MSS] {
+            for payload in [0, 1, rfc793::DEFAULT_MSS as usize] {
                 let mut p = sample();
                 p.rd.sack = (0..n_sack as u32)
                     .map(|i| SackRange { start: i * 10, end: i * 10 + 5 })
@@ -445,15 +470,33 @@ mod tests {
                 osr: OsrHeader { ecn_echo: ecn, rcv_wnd: wnd },
                 payload,
             };
-            proptest::prop_assert_eq!(Packet::decode(&pkt.encode()), Ok(pkt));
+            let bytes = pkt.encode();
+            proptest::prop_assert_eq!(peek(&bytes), Some((pkt.src(), pkt.dst())));
+            proptest::prop_assert_eq!(Packet::decode(&bytes), Ok(pkt));
+        }
+
+        #[test]
+        fn prop_peek_refuses_rfc793_frames(
+            sa: u32, da: u32, sp: u16, dp: u16, seq: u32, ack: u32, flags in 0u8..32, wnd: u16,
+            payload in proptest::collection::vec(proptest::num::u8::ANY, 0..64),
+        ) {
+            // RFC 793 leads with the source address, so the magic byte tells
+            // the formats apart for every source outside 91.0.0.0/8.
+            let src = Endpoint::new(if sa >> 24 == MAGIC as u32 { !sa } else { sa }, sp);
+            let seg = Segment { src, dst: Endpoint::new(da, dp), seq, ack, flags, wnd, mss: None, payload };
+            proptest::prop_assert_eq!(peek(&seg.encode()), None);
         }
 
         #[test]
         fn prop_decode_never_panics_on_arbitrary_bytes(
             bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..600),
         ) {
-            // Ok or typed Err — any panic fails the harness itself.
-            let _ = Packet::decode(&bytes);
+            // Ok or typed Err — any panic fails the harness itself — and
+            // `peek` agrees with every frame `decode` accepts.
+            let peeked = peek(&bytes);
+            if let Ok(pkt) = Packet::decode(&bytes) {
+                proptest::prop_assert_eq!(peeked, Some((pkt.src(), pkt.dst())));
+            }
         }
 
         #[test]
@@ -468,10 +511,13 @@ mod tests {
             bytes[i] = val;
             let src = u32::from_be_bytes(bytes[1..5].try_into().unwrap());
             let dst = u32::from_be_bytes(bytes[5..9].try_into().unwrap());
-            let csum = tcp_mono::wire::checksum(src, dst, &bytes[11..]);
+            let csum = checksum(src, dst, &bytes[11..]);
             bytes[9] = (csum >> 8) as u8;
             bytes[10] = csum as u8;
-            let _ = Packet::decode(&bytes);
+            let peeked = peek(&bytes);
+            if let Ok(pkt) = Packet::decode(&bytes) {
+                proptest::prop_assert_eq!(peeked, Some((pkt.src(), pkt.dst())));
+            }
         }
     }
 

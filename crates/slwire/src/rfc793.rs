@@ -9,40 +9,10 @@
 //! and from exactly these bytes, which is what lets the two stacks
 //! interoperate.
 
+use crate::{be16, be32};
 use std::fmt;
 
-/// One end of a connection.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Endpoint {
-    pub addr: u32,
-    pub port: u16,
-}
-
-impl Endpoint {
-    pub fn new(addr: u32, port: u16) -> Endpoint {
-        Endpoint { addr, port }
-    }
-}
-
-impl fmt::Debug for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.addr.to_be_bytes();
-        write!(f, "{}.{}.{}.{}:{}", b[0], b[1], b[2], b[3], self.port)
-    }
-}
-
-/// Connection identifier: the classic 4-tuple, oriented (local, remote).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FourTuple {
-    pub local: Endpoint,
-    pub remote: Endpoint,
-}
-
-impl fmt::Debug for FourTuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}<->{:?}", self.local, self.remote)
-    }
-}
+pub use crate::{checksum, Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
 pub const FIN: u8 = 0x01;
 pub const SYN: u8 = 0x02;
@@ -50,57 +20,22 @@ pub const RST: u8 = 0x04;
 pub const PSH: u8 = 0x08;
 pub const ACK: u8 = 0x10;
 
-/// Largest frame either codec will accept. Anything bigger than a maximal
-/// TCP segment (60-byte header + 64 KiB payload + network header) is
-/// hostile or corrupt, and rejecting it up front bounds what a decoder can
-/// be made to allocate.
-pub const MAX_FRAME_BYTES: usize = 8 + 60 + 65535;
-
 /// Smallest well-formed frame: 8-byte network header plus the 20-byte
 /// option-less TCP header. Exposed so cross-format tooling (the
 /// `slconform` codec-equivalence certificate) can reason about the
 /// format's floor without re-deriving it.
 pub const MIN_SEGMENT_BYTES: usize = 28;
 
-/// Typed decode failure: every way a frame can be malformed, so hostile
-/// input is *classified*, never panicked on and never silently mis-parsed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// Fewer bytes than the fixed header (or an advertised variable part)
-    /// requires.
-    Truncated { need: usize, got: usize },
-    /// Larger than [`MAX_FRAME_BYTES`].
-    Oversized { limit: usize, got: usize },
-    /// Checksum mismatch (corruption or deliberate mutation).
-    BadChecksum,
-    /// First byte is not the native-format magic (sublayered codec only).
-    BadMagic,
-    /// TCP data offset smaller than the minimum header or past the end of
-    /// the segment.
-    BadDataOffset,
-    /// Malformed TCP option (bad length or overrun of the option area).
-    BadOption,
-    /// SACK count exceeds what the native header can carry.
-    BadSackCount,
-}
+/// The MSS both stacks advertise on a SYN (and the shim on a translated one).
+pub const DEFAULT_MSS: u16 = 1000;
 
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated { need, got } => {
-                write!(f, "truncated frame: need {need} bytes, got {got}")
-            }
-            WireError::Oversized { limit, got } => {
-                write!(f, "oversized frame: {got} bytes exceeds limit {limit}")
-            }
-            WireError::BadChecksum => write!(f, "checksum mismatch"),
-            WireError::BadMagic => write!(f, "bad magic byte"),
-            WireError::BadDataOffset => write!(f, "bad data offset"),
-            WireError::BadOption => write!(f, "malformed TCP option"),
-            WireError::BadSackCount => write!(f, "bad SACK count"),
-        }
-    }
-}
+// Frame offsets of the addressing fields — what [`peek`] reads and
+// [`Segment::decode`] starts from. The TCP header follows the two addresses.
+const SRC_ADDR: usize = 0;
+const DST_ADDR: usize = 4;
+const TCP: usize = 8;
+const SRC_PORT: usize = TCP;
+const DST_PORT: usize = TCP + 2;
 
 /// A TCP segment plus its network-header addresses.
 #[derive(Clone, PartialEq, Eq)]
@@ -117,20 +52,25 @@ pub struct Segment {
 }
 
 impl Segment {
+    #[inline]
     pub fn fin(&self) -> bool {
         self.flags & FIN != 0
     }
+    #[inline]
     pub fn syn(&self) -> bool {
         self.flags & SYN != 0
     }
+    #[inline]
     pub fn rst(&self) -> bool {
         self.flags & RST != 0
     }
+    #[inline]
     pub fn ack_flag(&self) -> bool {
         self.flags & ACK != 0
     }
 
     /// Sequence space the segment occupies (payload + SYN + FIN).
+    #[inline]
     pub fn seq_len(&self) -> u32 {
         self.payload.len() as u32 + self.syn() as u32 + self.fin() as u32
     }
@@ -139,7 +79,7 @@ impl Segment {
     pub fn encode(&self) -> Vec<u8> {
         let options_len: usize = if self.mss.is_some() { 4 } else { 0 };
         let data_offset_words = (20 + options_len) / 4;
-        let mut out = Vec::with_capacity(28 + options_len + self.payload.len());
+        let mut out = Vec::with_capacity(MIN_SEGMENT_BYTES + options_len + self.payload.len());
         out.extend_from_slice(&self.src.addr.to_be_bytes());
         out.extend_from_slice(&self.dst.addr.to_be_bytes());
         let tcp_start = out.len();
@@ -173,22 +113,20 @@ impl Segment {
         if bytes.len() > MAX_FRAME_BYTES {
             return Err(WireError::Oversized { limit: MAX_FRAME_BYTES, got: bytes.len() });
         }
-        let src_addr = u32::from_be_bytes(bytes[0..4].try_into().unwrap());
-        let dst_addr = u32::from_be_bytes(bytes[4..8].try_into().unwrap());
-        let tcp = &bytes[8..];
+        let src_addr = be32(bytes, SRC_ADDR);
+        let dst_addr = be32(bytes, DST_ADDR);
+        let tcp = &bytes[TCP..];
         if checksum(src_addr, dst_addr, tcp) != 0 {
             return Err(WireError::BadChecksum); // csum incl. its own field is 0
         }
-        let src_port = u16::from_be_bytes(tcp[0..2].try_into().unwrap());
-        let dst_port = u16::from_be_bytes(tcp[2..4].try_into().unwrap());
-        let seq = u32::from_be_bytes(tcp[4..8].try_into().unwrap());
-        let ack = u32::from_be_bytes(tcp[8..12].try_into().unwrap());
+        let seq = be32(tcp, 4);
+        let ack = be32(tcp, 8);
         let data_offset = (tcp[12] >> 4) as usize * 4;
         if data_offset < 20 || data_offset > tcp.len() {
             return Err(WireError::BadDataOffset);
         }
         let flags = tcp[13] & 0x3F;
-        let wnd = u16::from_be_bytes(tcp[14..16].try_into().unwrap());
+        let wnd = be16(tcp, 14);
         // Parse options (we understand only MSS).
         let mut mss = None;
         let mut i = 20;
@@ -197,10 +135,10 @@ impl Segment {
                 0 => break,    // end of options
                 1 => i += 1,   // NOP
                 2 => {
-                    if i + 4 > data_offset {
+                    if i + 4 > data_offset || tcp[i + 1] != 4 {
                         return Err(WireError::BadOption);
                     }
-                    mss = Some(u16::from_be_bytes(tcp[i + 2..i + 4].try_into().unwrap()));
+                    mss = Some(be16(tcp, i + 2));
                     i += 4;
                 }
                 _ => {
@@ -217,8 +155,8 @@ impl Segment {
             }
         }
         Ok(Segment {
-            src: Endpoint::new(src_addr, src_port),
-            dst: Endpoint::new(dst_addr, dst_port),
+            src: Endpoint::new(src_addr, be16(bytes, SRC_PORT)),
+            dst: Endpoint::new(dst_addr, be16(bytes, DST_PORT)),
             seq,
             ack,
             flags,
@@ -227,6 +165,20 @@ impl Segment {
             payload: tcp[data_offset..].to_vec(),
         })
     }
+}
+
+/// Addressing read off a raw frame without decoding (or checksumming) the
+/// rest; `None` for a frame shorter than the fixed header. RFC 793 has no
+/// magic byte, so any long-enough frame peeks.
+#[inline]
+pub fn peek(frame: &[u8]) -> Option<(Endpoint, Endpoint)> {
+    if frame.len() < MIN_SEGMENT_BYTES {
+        return None;
+    }
+    Some((
+        Endpoint::new(be32(frame, SRC_ADDR), be16(frame, SRC_PORT)),
+        Endpoint::new(be32(frame, DST_ADDR), be16(frame, DST_PORT)),
+    ))
 }
 
 impl fmt::Debug for Segment {
@@ -250,57 +202,9 @@ impl fmt::Debug for Segment {
     }
 }
 
-/// RFC 1071 one's-complement checksum over a pseudo-header
-/// (addresses + protocol 6 + length) and the TCP segment.
-///
-/// Summed four bytes at a time and folded afterwards (RFC 1071 §2(A)):
-/// 2¹⁶ ≡ 1 (mod 65535), so a big-endian 32-bit word contributes exactly
-/// what its two 16-bit halves would. A 1–3 byte tail is zero-padded.
-pub fn checksum(src: u32, dst: u32, tcp: &[u8]) -> u16 {
-    let mut acc: u64 = 0;
-    acc += (src >> 16) as u64 + (src & 0xFFFF) as u64;
-    acc += (dst >> 16) as u64 + (dst & 0xFFFF) as u64;
-    acc += 6; // protocol
-    acc += tcp.len() as u64;
-    let mut words = tcp.chunks_exact(4);
-    for w in &mut words {
-        acc += u32::from_be_bytes([w[0], w[1], w[2], w[3]]) as u64;
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 4];
-        last[..tail.len()].copy_from_slice(tail);
-        acc += u32::from_be_bytes(last) as u64;
-    }
-    while acc > 0xFFFF {
-        acc = (acc & 0xFFFF) + (acc >> 16);
-    }
-    !(acc as u16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The 16-bit-at-a-time loop [`checksum`] replaced, kept as its reference.
-    fn checksum_ref(src: u32, dst: u32, tcp: &[u8]) -> u16 {
-        let mut acc: u64 = 0;
-        acc += (src >> 16) as u64 + (src & 0xFFFF) as u64;
-        acc += (dst >> 16) as u64 + (dst & 0xFFFF) as u64;
-        acc += 6; // protocol
-        acc += tcp.len() as u64;
-        let mut chunks = tcp.chunks_exact(2);
-        for c in &mut chunks {
-            acc += u16::from_be_bytes([c[0], c[1]]) as u64;
-        }
-        if let [last] = chunks.remainder() {
-            acc += u16::from_be_bytes([*last, 0]) as u64;
-        }
-        while acc > 0xFFFF {
-            acc = (acc & 0xFFFF) + (acc >> 16);
-        }
-        !(acc as u16)
-    }
 
     fn sample() -> Segment {
         Segment {
@@ -372,29 +276,50 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bad_option_classified() {
-        // Valid checksum but an MSS option whose length overruns the
-        // option area: must be BadOption, not a slice panic.
-        let src = Endpoint::new(1, 10);
-        let dst = Endpoint::new(2, 20);
+    /// A checksum-valid, payload-less ACK whose option area is exactly
+    /// `opts` (a multiple of four bytes).
+    fn frame_with_options(opts: &[u8]) -> Vec<u8> {
+        let (src, dst) = (Endpoint::new(1, 10), Endpoint::new(2, 20));
         let mut tcp: Vec<u8> = Vec::new();
-        tcp.extend_from_slice(&10u16.to_be_bytes());
-        tcp.extend_from_slice(&20u16.to_be_bytes());
-        tcp.extend_from_slice(&7u32.to_be_bytes());
-        tcp.extend_from_slice(&9u32.to_be_bytes());
-        tcp.push(6 << 4); // data offset 24: room for 4 option bytes
+        tcp.extend_from_slice(&src.port.to_be_bytes());
+        tcp.extend_from_slice(&dst.port.to_be_bytes());
+        tcp.extend_from_slice(&7u32.to_be_bytes()); // seq
+        tcp.extend_from_slice(&9u32.to_be_bytes()); // ack
+        tcp.push((5 + opts.len() as u8 / 4) << 4); // data offset, in words
         tcp.push(ACK);
         tcp.extend_from_slice(&100u16.to_be_bytes());
         tcp.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-        tcp.extend_from_slice(&[1, 1, 1, 2]); // NOPs then MSS kind at the last byte
+        tcp.extend_from_slice(opts);
         let csum = checksum(src.addr, dst.addr, &tcp);
-        tcp[16] = (csum >> 8) as u8;
-        tcp[17] = csum as u8;
+        tcp[16..18].copy_from_slice(&csum.to_be_bytes());
         let mut bytes = src.addr.to_be_bytes().to_vec();
         bytes.extend_from_slice(&dst.addr.to_be_bytes());
         bytes.extend_from_slice(&tcp);
-        assert_eq!(Segment::decode(&bytes), Err(WireError::BadOption));
+        bytes
+    }
+
+    #[test]
+    fn bad_option_classified() {
+        // Valid checksum but an MSS option whose length overruns the
+        // option area (NOPs, then the MSS kind at the last byte): must be
+        // BadOption, not a slice panic.
+        assert_eq!(Segment::decode(&frame_with_options(&[1, 1, 1, 2])), Err(WireError::BadOption));
+    }
+
+    #[test]
+    fn mss_option_claiming_length_6_is_rejected() {
+        // Read as four bytes, its last two bytes (here two that look like
+        // NOPs) would be parsed as options of their own.
+        let opts = [2, 6, 0x05, 0xB4, 1, 1, 1, 1];
+        assert_eq!(Segment::decode(&frame_with_options(&opts)), Err(WireError::BadOption));
+    }
+
+    #[test]
+    fn mss_option_claiming_length_3_is_rejected() {
+        // Its fourth byte belongs to the next option (here an MSS of its
+        // own), which a four-byte read would swallow.
+        let opts = [2, 3, 0x05, 2, 4, 0x02, 0x00, 0];
+        assert_eq!(Segment::decode(&frame_with_options(&opts)), Err(WireError::BadOption));
     }
 
     #[test]
@@ -416,30 +341,11 @@ mod tests {
 
     #[test]
     fn unknown_options_are_skipped() {
-        // Hand-craft a header with NOP, an unknown option, then MSS.
-        let src = Endpoint::new(1, 10);
-        let dst = Endpoint::new(2, 20);
-        let mut tcp: Vec<u8> = Vec::new();
-        tcp.extend_from_slice(&10u16.to_be_bytes());
-        tcp.extend_from_slice(&20u16.to_be_bytes());
-        tcp.extend_from_slice(&7u32.to_be_bytes()); // seq
-        tcp.extend_from_slice(&9u32.to_be_bytes()); // ack
-        tcp.push(8 << 4); // data offset: 32 bytes (12 option bytes)
-        tcp.push(ACK);
-        tcp.extend_from_slice(&100u16.to_be_bytes());
-        tcp.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-        tcp.push(1); // NOP
-        tcp.extend_from_slice(&[99, 3, 0xAA]); // unknown kind 99, len 3
-        tcp.extend_from_slice(&[2, 4]);
-        tcp.extend_from_slice(&1234u16.to_be_bytes()); // MSS 1234
-        tcp.extend_from_slice(&[0, 0, 0, 0]); // pad to offset 32
-        let csum = checksum(src.addr, dst.addr, &tcp);
-        tcp[16] = (csum >> 8) as u8;
-        tcp[17] = csum as u8;
-        let mut bytes = src.addr.to_be_bytes().to_vec();
-        bytes.extend_from_slice(&dst.addr.to_be_bytes());
-        bytes.extend_from_slice(&tcp);
-        let seg = Segment::decode(&bytes).expect("decodes");
+        // NOP, an unknown kind 99 of length 3, then MSS 1234, padded.
+        let mut opts = vec![1, 99, 3, 0xAA, 2, 4];
+        opts.extend_from_slice(&1234u16.to_be_bytes());
+        opts.extend_from_slice(&[0, 0, 0, 0]);
+        let seg = Segment::decode(&frame_with_options(&opts)).expect("decodes");
         assert_eq!(seg.mss, Some(1234));
         assert_eq!(seg.seq, 7);
     }
@@ -450,33 +356,7 @@ mod tests {
         assert_eq!(checksum(0x0A000001, 0x0A000002, &bytes[8..]), 0);
     }
 
-    #[test]
-    fn checksum_matches_reference_when_every_add_carries() {
-        // All-ones input makes every word addition carry: the worst case
-        // for folding after the loop instead of inside it.
-        for len in (0..=9).chain([1000, 2047, 2048, 2049]) {
-            let bytes = vec![0xFF; len];
-            assert_eq!(
-                checksum(u32::MAX, u32::MAX, &bytes),
-                checksum_ref(u32::MAX, u32::MAX, &bytes),
-                "len {len}"
-            );
-        }
-    }
-
     proptest::proptest! {
-        #[test]
-        fn prop_checksum_matches_16_bit_reference(
-            src: u32, dst: u32,
-            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..2050),
-        ) {
-            // The last four prefixes cover every `len % 4` tail.
-            for cut in 0..=bytes.len().min(3) {
-                let tcp = &bytes[..bytes.len() - cut];
-                proptest::prop_assert_eq!(checksum(src, dst, tcp), checksum_ref(src, dst, tcp));
-            }
-        }
-
         #[test]
         fn prop_any_segment_round_trips(
             sa: u32, da: u32, sp: u16, dp: u16, seq: u32, ack: u32,
@@ -488,15 +368,21 @@ mod tests {
                 dst: Endpoint::new(da, dp),
                 seq, ack, flags, wnd, mss, payload,
             };
-            proptest::prop_assert_eq!(Segment::decode(&s.encode()), Ok(s));
+            let bytes = s.encode();
+            proptest::prop_assert_eq!(peek(&bytes), Some((s.src, s.dst)));
+            proptest::prop_assert_eq!(Segment::decode(&bytes), Ok(s));
         }
 
         #[test]
         fn prop_decode_never_panics_on_arbitrary_bytes(
             bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..600),
         ) {
-            // Ok or typed Err — any panic fails the test harness itself.
-            let _ = Segment::decode(&bytes);
+            // Ok or typed Err — any panic fails the test harness itself —
+            // and `peek` agrees with every frame `decode` accepts.
+            let peeked = peek(&bytes);
+            if let Ok(seg) = Segment::decode(&bytes) {
+                proptest::prop_assert_eq!(peeked, Some((seg.src, seg.dst)));
+            }
         }
 
         #[test]
@@ -517,7 +403,10 @@ mod tests {
             let csum = checksum(sa, da, &bytes[8..]);
             bytes[8 + 16] = (csum >> 8) as u8;
             bytes[8 + 17] = csum as u8;
-            let _ = Segment::decode(&bytes);
+            let peeked = peek(&bytes);
+            if let Ok(seg) = Segment::decode(&bytes) {
+                proptest::prop_assert_eq!(peeked, Some((seg.src, seg.dst)));
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! TCP sequence-number arithmetic (RFC 793 §3.3): comparisons on a 32-bit
-//! circular space. Shared by both the monolithic stack and (via re-export)
-//! the sublayered stack's RD sublayer — the *arithmetic* is common; what
-//! differs between the designs is who owns the state.
+//! circular space. Shared by the monolithic stack and the sublayered
+//! stack's RD sublayer — the *arithmetic* is common; what differs between
+//! the designs is who owns the state.
 
 /// `a < b` in sequence space.
 #[inline]

@@ -15,16 +15,13 @@
 //! persist probes, graceful close through FIN/TIME_WAIT, RST handling,
 //! simultaneous open, and checksummed segments.
 
-pub mod hash;
 pub mod pcb;
-pub mod seq;
 pub mod stack;
-pub mod wire;
+/// The RFC 793 wire format this stack speaks (it lives in `slwire`).
+pub use slwire::rfc793 as wire;
 
-pub use hash::{shard_of, tuple_hash, FxBuildHasher, FxHasher};
 pub use pcb::{Pcb, TcpState, DEFAULT_MSS};
 pub use stack::{Keepalive, TcpStack, TcpStats};
-pub use wire::{Endpoint, FourTuple, Segment, WireError};
 
 #[cfg(test)]
 mod agenda_tests;

@@ -38,7 +38,7 @@ impl TcpState {
 }
 
 /// Default maximum segment size (payload bytes per segment).
-pub const DEFAULT_MSS: u16 = 1000;
+pub use slwire::rfc793::DEFAULT_MSS;
 /// Receive buffer capacity; the advertised window is its free space.
 pub const RCV_BUF_CAP: usize = 64 * 1024 - 1;
 /// Initial retransmission timeout.

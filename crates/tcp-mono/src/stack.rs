@@ -10,10 +10,10 @@
 //! which *subfunction* touches which *field*; experiment E6 turns that
 //! into the entanglement matrix contrasted with the sublayered stack.
 
-use crate::hash::FxBuildHasher;
 use crate::pcb::*;
-use crate::seq;
 use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
+use slwire::hash::FxBuildHasher;
+use slwire::seq;
 use netsim::{Agenda, Dur, Mark, Stack, Time, TransportError};
 use slcc::{CcError, CongSignal, NewReno, RateController};
 use slmetrics::{Pressure, SharedLog};
@@ -107,7 +107,7 @@ const TIMERS: &str = "timers";
 pub struct TcpStack {
     addr: u32,
     listeners: HashSet<u16>,
-    /// Demux table keyed by the shared seeded fx mix (`crate::hash`) —
+    /// Demux table keyed by the shared seeded fx mix (`slwire::hash`) —
     /// same bucket function the sublayered demux and shard router use.
     conns: HashMap<FourTuple, Pcb, FxBuildHasher>,
     outbox: VecDeque<Vec<u8>>,

@@ -10,7 +10,7 @@
 use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::{SlConfig, SlTcpStack};
-use sublayering::tcp_mono::wire::Endpoint;
+use sublayering::slwire::Endpoint;
 
 fn run(cc: &'static str) -> (f64, u64) {
     let (a, b) = (1u32, 2u32);

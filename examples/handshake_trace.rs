@@ -9,7 +9,7 @@
 use netsim::{Dur, Stack, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::{Packet, SlConfig, SlTcpStack};
-use sublayering::tcp_mono::wire::Endpoint;
+use sublayering::slwire::Endpoint;
 
 fn main() {
     let mut client = SlTcpStack::new(1, SlConfig::default(), slmetrics::shared());

@@ -11,7 +11,7 @@ use sublayering::netsim;
 use sublayering::sublayer_core::shim::ShimStack;
 use sublayering::sublayer_core::{SlConfig, SlTcpStack};
 use sublayering::tcp_mono::stack::TcpStack;
-use sublayering::tcp_mono::wire::Endpoint;
+use sublayering::slwire::Endpoint;
 use sublayering::tcp_mono::TcpState;
 
 fn main() {

@@ -8,7 +8,7 @@
 use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::{SlConfig, SlTcpStack};
-use sublayering::tcp_mono::wire::Endpoint;
+use sublayering::slwire::Endpoint;
 
 fn main() {
     // Two hosts, 10.0.0.1 and 10.0.0.2.

@@ -8,5 +8,6 @@ pub use netlayer;
 pub use netsim;
 pub use slmetrics;
 pub use slverify;
+pub use slwire;
 pub use sublayer_core;
 pub use tcp_mono;

@@ -11,7 +11,7 @@
 use netlayer::{addr_of, build, DistanceVector, DvConfig, LinkState, LsConfig, RouteComputation, Router, Topology};
 use netsim::{Dur, Stack};
 use sublayer_core::{CmState, SlConfig, SlTcpStack};
-use tcp_mono::wire::Endpoint;
+use slwire::Endpoint;
 
 /// Extract the destination network address from a native sublayered TCP
 /// frame (bytes 5..9 after the magic byte).
