@@ -16,7 +16,7 @@
 
 use crate::fingerprint as fp;
 use crate::signals::CongSignal;
-use crate::wire::Packet;
+use crate::wire::{Packet, Payload};
 use netsim::{Dur, Time};
 use slcc::RateController;
 use slmetrics::{Pressure, SharedLog};
@@ -72,7 +72,7 @@ pub struct Osr {
     probe_due: bool,
 
     // --- receiver ---
-    reasm: BTreeMap<u64, Vec<u8>>,
+    reasm: BTreeMap<u64, Payload>,
     /// Total payload bytes across `reasm` (kept incrementally so the
     /// window computation on every outgoing packet is O(1)).
     parked_bytes: u32,
@@ -136,7 +136,7 @@ impl Osr {
     fn parked(&self) -> usize {
         debug_assert_eq!(
             self.parked_bytes as usize,
-            self.reasm.values().map(Vec::len).sum::<usize>()
+            self.reasm.values().map(|d| d.len()).sum::<usize>()
         );
         self.parked_bytes as usize
     }
@@ -211,7 +211,7 @@ impl Osr {
 
     /// Decide whether a segment is "ready" (rate control × flow control)
     /// and cut it if so.
-    pub fn poll_segment(&mut self, now: Time) -> Option<Vec<u8>> {
+    pub fn poll_segment(&mut self, now: Time) -> Option<Payload> {
         self.log.borrow_mut().r("osr", "app_buf");
         self.log.borrow_mut().r("osr", "cwnd");
         self.log.borrow_mut().r("osr", "peer_wnd");
@@ -238,7 +238,7 @@ impl Osr {
             }
             return None;
         }
-        let seg = copy_front(&self.app_buf, n);
+        let seg = cut_front(&self.app_buf, n);
         self.app_buf.drain(..n);
         self.bytes_in_flight += n as u64;
         self.stats.segments_cut += 1;
@@ -286,7 +286,7 @@ impl Osr {
     // --- RD interface (upward: reassembly) ---
 
     /// A segment arrived (possibly out of order, exactly once).
-    pub fn on_delivered(&mut self, offset: u64, data: Vec<u8>) {
+    pub fn on_delivered(&mut self, offset: u64, data: Payload) {
         self.log.borrow_mut().w("osr", "reasm");
         debug_assert!(offset >= self.rcv_next, "RD guarantees exactly-once");
         if offset > self.rcv_next {
@@ -306,12 +306,12 @@ impl Osr {
         }
         // In order: straight to the application, then whatever it unblocks.
         self.rcv_next += data.len() as u64;
-        self.app_out.extend(data);
+        self.app_out.extend(data.iter());
         while self.reasm.first_key_value().is_some_and(|(&off, _)| off == self.rcv_next) {
             let (_, d) = self.reasm.pop_first().expect("first key just seen");
             self.parked_bytes -= d.len() as u32;
             self.rcv_next += d.len() as u64;
-            self.app_out.extend(d);
+            self.app_out.extend(d.iter());
         }
     }
 
@@ -386,14 +386,14 @@ impl Osr {
     /// Take the 1-byte zero-window probe released by the persist timer, if
     /// any. The byte counts as in flight and is pushed through RD like any
     /// segment, so it is retransmitted and acked normally.
-    pub fn poll_probe(&mut self) -> Option<Vec<u8>> {
+    pub fn poll_probe(&mut self) -> Option<Payload> {
         if !std::mem::take(&mut self.probe_due) {
             return None;
         }
         let b = self.app_buf.pop_front()?;
         self.bytes_in_flight += 1;
         self.stats.zero_window_probes += 1;
-        Some(vec![b])
+        Some(Payload::from(&[b][..]))
     }
 
     /// Deterministic behavioral fingerprint for the OSR contract checker
@@ -430,6 +430,18 @@ impl Osr {
     }
 }
 
+/// Cut the first `n` bytes of a ring into the slab that carries them from
+/// here to the wire: one allocation and one `memcpy`, except for the rare
+/// segment that straddles the ring's wrap point, which is gathered first.
+fn cut_front(ring: &VecDeque<u8>, n: usize) -> Payload {
+    let (front, _) = ring.as_slices();
+    if n <= front.len() {
+        front[..n].into()
+    } else {
+        copy_front(ring, n).into()
+    }
+}
+
 /// Copy the first `n` bytes of a ring into one exactly-sized `Vec`: one
 /// `memcpy` per contiguous half, nothing allocated for `n == 0`.
 fn copy_front(ring: &VecDeque<u8>, n: usize) -> Vec<u8> {
@@ -452,7 +464,7 @@ fn copy_front(ring: &VecDeque<u8>, n: usize) -> Vec<u8> {
 /// Implemented by the shipped [`Osr`] and by the [`BuggyOsr`] mutation
 /// canary.
 pub trait OsrDriver {
-    fn on_delivered(&mut self, offset: u64, data: Vec<u8>);
+    fn on_delivered(&mut self, offset: u64, data: Payload);
     fn read(&mut self) -> Vec<u8>;
     fn readable_len(&self) -> usize;
     /// See [`Osr::contract_key`].
@@ -467,7 +479,7 @@ impl Clone for Box<dyn OsrDriver> {
 }
 
 impl OsrDriver for Osr {
-    fn on_delivered(&mut self, offset: u64, data: Vec<u8>) {
+    fn on_delivered(&mut self, offset: u64, data: Payload) {
         Osr::on_delivered(self, offset, data)
     }
     fn read(&mut self) -> Vec<u8> {
@@ -502,7 +514,7 @@ impl BuggyOsr {
 }
 
 impl OsrDriver for BuggyOsr {
-    fn on_delivered(&mut self, offset: u64, data: Vec<u8>) {
+    fn on_delivered(&mut self, offset: u64, data: Payload) {
         // THE BUG: a delivery past the cursor is rebased onto it, so the
         // application sees the bytes now — in the wrong order, and the
         // real range is double-counted when it finally arrives.
@@ -576,13 +588,25 @@ mod tests {
     #[test]
     fn reassembly_pastes_segments_in_order() {
         let mut o = osr(1000);
-        o.on_delivered(1000, vec![2; 1000]);
+        o.on_delivered(1000, vec![2; 1000].into());
         assert!(o.read().is_empty(), "hole at the front");
-        o.on_delivered(0, vec![1; 1000]);
+        o.on_delivered(0, vec![1; 1000].into());
         let data = o.read();
         assert_eq!(data.len(), 2000);
         assert!(data[..1000].iter().all(|&b| b == 1));
         assert!(data[1000..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn a_parked_segment_is_held_by_handle() {
+        // The slab RD delivered is what waits in `reasm`, not a copy of it.
+        let mut o = osr(1000);
+        let slab = Payload::from(vec![2; 1000]);
+        o.on_delivered(1000, slab.clone());
+        assert!(o.reasm[&1000].ptr_eq(&slab));
+        o.on_delivered(0, vec![1; 1000].into());
+        assert!(o.reasm.is_empty());
+        assert_eq!(o.read().len(), 2000);
     }
 
     #[test]
@@ -591,7 +615,7 @@ mod tests {
         let mut pkt = Packet::default();
         o.fill_tx(&mut pkt);
         let full = pkt.osr.rcv_wnd;
-        o.on_delivered(1000, vec![0; 5000]); // parked in reassembly
+        o.on_delivered(1000, vec![0; 5000].into()); // parked in reassembly
         o.fill_tx(&mut pkt);
         assert_eq!(pkt.osr.rcv_wnd, full - 5000);
     }
@@ -696,7 +720,7 @@ mod tests {
         assert_eq!(d1, t(500));
         assert!(o.poll_probe().is_none(), "no probe before the timer fires");
         o.on_tick(d1);
-        assert_eq!(o.poll_probe(), Some(vec![9]), "1-byte probe released");
+        assert_eq!(o.poll_probe(), Some(vec![9].into()), "1-byte probe released");
         assert!(o.poll_probe().is_none(), "one probe per expiry");
         assert_eq!(o.stats.zero_window_probes, 1);
         // Backoff doubles: next expiry 1000ms later.
@@ -736,7 +760,7 @@ mod tests {
     fn write_read_byte_counts_tracked() {
         let mut o = osr(1 << 20);
         o.write(b"hello");
-        o.on_delivered(0, b"world".to_vec());
+        o.on_delivered(0, b"world".to_vec().into());
         assert_eq!(o.read(), b"world");
         assert_eq!(o.stats.bytes_written, 5);
         assert_eq!(o.stats.bytes_read, 5);
@@ -750,23 +774,23 @@ mod tests {
         let mut o = osr(1000);
         let mut off = 1; // hole at [0, 1)
         while off + MSS <= RCV_BUF_CAP {
-            o.on_delivered(off as u64, vec![2; MSS]);
+            o.on_delivered(off as u64, vec![2; MSS].into());
             off += MSS;
         }
-        o.on_delivered(off as u64, vec![3; RCV_BUF_CAP + 1 - off]);
+        o.on_delivered(off as u64, vec![3; RCV_BUF_CAP + 1 - off].into());
         assert_eq!(o.buffered_bytes(), RCV_BUF_CAP, "parked right up to the cap");
         assert_eq!(o.stats.reasm_overflow_drops, 0);
-        o.on_delivered(RCV_BUF_CAP as u64 + 1, vec![4]);
+        o.on_delivered(RCV_BUF_CAP as u64 + 1, vec![4].into());
         assert_eq!(o.stats.reasm_overflow_drops, 1, "one byte over is refused");
         let mut pkt = Packet::default();
         o.fill_tx(&mut pkt);
         assert_eq!(pkt.osr.rcv_wnd, 0, "parked bytes close the window");
-        o.on_delivered(0, vec![1]);
+        o.on_delivered(0, vec![1].into());
         assert_eq!(o.read().len(), RCV_BUF_CAP + 1);
         assert_eq!(o.buffered_bytes(), 0);
         o.fill_tx(&mut pkt);
         assert_eq!(pkt.osr.rcv_wnd as usize, RCV_BUF_CAP);
-        o.on_delivered(RCV_BUF_CAP as u64 + 2, vec![5; MSS]);
+        o.on_delivered(RCV_BUF_CAP as u64 + 2, vec![5; MSS].into());
         assert_eq!(o.stats.reasm_overflow_drops, 1, "budget is back after the drain");
     }
 
@@ -791,9 +815,9 @@ mod tests {
         // The first segment is 300 bytes from the end of the buffer and
         // 700 from its start.
         o.app_buf = wrapped_ring(&data, 300);
-        assert_eq!(o.poll_segment(t(0)).unwrap(), data[..1000]);
-        assert_eq!(o.poll_segment(t(0)).unwrap(), data[1000..2000]);
-        assert_eq!(o.poll_segment(t(0)).unwrap(), data[2000..]);
+        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[..1000]);
+        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[1000..2000]);
+        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[2000..]);
         assert!(o.poll_segment(t(0)).is_none());
         o.app_out = wrapped_ring(&data, 300);
         assert_eq!(o.read(), data);
@@ -860,7 +884,7 @@ mod tests {
                             }
                         }
                         let (off, n) = pending.swap_remove(rng.below(pending.len() as u128) as usize);
-                        o.on_delivered(off as u64, (off..off + n).map(byte).collect());
+                        o.on_delivered(off as u64, (off..off + n).map(byte).collect::<Vec<u8>>().into());
                         arrived.push((off, n));
                     }
                     _ => {

@@ -21,7 +21,7 @@
 
 use crate::fingerprint as fp;
 use crate::signals::{CongSignal, SeqValidity};
-use crate::wire::{Packet, SackRange};
+use crate::wire::{Packet, Payload, SackRange};
 use netsim::{Dur, Time};
 use slmetrics::SharedLog;
 use slwire::seq;
@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RdEvent {
     /// A (possibly out-of-order) segment for OSR, exactly once.
-    Delivered { offset: u64, data: Vec<u8> },
+    Delivered { offset: u64, data: Payload },
     /// Our FIN was acknowledged (close handshake progress, relayed to CM).
     LocalFinAcked,
     /// The peer's FIN was reached in sequence (relayed to CM).
@@ -66,7 +66,8 @@ pub struct RdStats {
 
 #[derive(Clone)]
 struct Flight {
-    data: Vec<u8>,
+    /// The slab OSR cut, shared with the outbox entry of each (re)transmission.
+    data: Payload,
     sent_at: Time,
     /// When the segment was *first* transmitted (never touched by
     /// retransmission, unlike `sent_at`) — the basis of oldest-segment
@@ -161,8 +162,9 @@ pub struct ReliableDelivery {
     use_sack: bool,
 
     // --- outputs ---
-    /// (offset or None for a pure ack, payload, is_fin)
-    outbox: VecDeque<(Option<u64>, Vec<u8>, bool)>,
+    /// (offset or None for a pure ack, payload, is_fin). A data entry's
+    /// payload is a handle on the slab `in_flight` holds, not a copy.
+    outbox: VecDeque<(Option<u64>, Payload, bool)>,
     signals: VecDeque<CongSignal>,
     events: VecDeque<RdEvent>,
     pub stats: RdStats,
@@ -287,7 +289,7 @@ impl ReliableDelivery {
 
     /// Accept a segment from OSR at the next offset; RD assigns sequence
     /// numbers and guarantees eventual delivery.
-    pub fn push_segment(&mut self, now: Time, data: Vec<u8>) {
+    pub fn push_segment(&mut self, now: Time, data: Payload) {
         self.log.borrow_mut().w("rd", "snd_nxt");
         self.log.borrow_mut().w("rd", "in_flight");
         assert!(self.can_accept(), "pushed past RD's safety window");
@@ -295,7 +297,7 @@ impl ReliableDelivery {
         let off = self.snd_nxt;
         self.snd_nxt += data.len() as u64;
         self.flight_bytes += data.len() as u32;
-        self.outbox.push_back((Some(off), data.clone(), false));
+        self.outbox.push_back((Some(off), Payload::clone(&data), false));
         self.in_flight.insert(
             off,
             Flight { data, sent_at: now, first_sent: now, retransmitted: false, sacked: false },
@@ -316,7 +318,7 @@ impl ReliableDelivery {
         self.snd_nxt += 1;
         self.fin_off = Some(off);
         self.fin_sent_at = Some(now);
-        self.outbox.push_back((Some(off), Vec::new(), true));
+        self.outbox.push_back((Some(off), Payload::default(), true));
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
         }
@@ -360,13 +362,12 @@ impl ReliableDelivery {
             let f = self.in_flight.get_mut(&off).unwrap();
             f.retransmitted = true;
             f.sent_at = now;
-            let data = f.data.clone();
-            self.outbox.push_back((Some(off), data, false));
+            self.outbox.push_back((Some(off), Payload::clone(&f.data), false));
             self.stats.retransmits += 1;
         } else if let Some(fin_off) = self.fin_off {
             if !self.fin_acked {
                 self.fin_retransmitted = true;
-                self.outbox.push_back((Some(fin_off), Vec::new(), true));
+                self.outbox.push_back((Some(fin_off), Payload::default(), true));
                 self.stats.retransmits += 1;
             }
         }
@@ -521,7 +522,7 @@ impl ReliableDelivery {
 
     /// Record a received payload range; deliver only the novel parts
     /// (exactly-once).
-    fn receive_range(&mut self, start: u64, data: &[u8]) {
+    fn receive_range(&mut self, start: u64, data: &Payload) {
         let end = start + data.len() as u64;
         if start > self.rcv_nxt {
             // Receiver-state caps: accept only data that advances rcv_nxt
@@ -544,18 +545,17 @@ impl ReliableDelivery {
         {
             // The common case — the next segment in order, clear of every
             // parked range: all of it is novel. `advance_rcv` pulls in a
-            // parked range it now touches.
-            self.events.push_back(RdEvent::Delivered { offset: start, data: data.to_vec() });
+            // parked range it now touches. The event shares the decoded
+            // packet's slab.
+            self.events.push_back(RdEvent::Delivered { offset: start, data: Payload::clone(data) });
             self.rcv_nxt = end;
             return;
         }
-        // Clip against already-delivered prefix.
-        let mut covered: Vec<(u64, u64)> = vec![(0, self.rcv_nxt)];
-        for (&s, &e) in &self.ooo {
-            covered.push((s, e));
-        }
-        covered.sort_unstable();
-        // Walk the covered list, emitting the novel gaps of [start, end).
+        // Clip against what is already covered — the delivered prefix, then
+        // the parked ranges (every key of `ooo` is past `rcv_nxt`, so the
+        // chain is sorted) —, emitting the novel gaps of [start, end).
+        let covered =
+            std::iter::once((0, self.rcv_nxt)).chain(self.ooo.iter().map(|(&s, &e)| (s, e)));
         let mut cursor = start;
         let mut novel: Vec<(u64, u64)> = Vec::new();
         for (cs, ce) in covered {
@@ -582,7 +582,7 @@ impl ReliableDelivery {
         }
         for (ns, ne) in novel {
             let slice = &data[(ns - start) as usize..(ne - start) as usize];
-            self.events.push_back(RdEvent::Delivered { offset: ns, data: slice.to_vec() });
+            self.events.push_back(RdEvent::Delivered { offset: ns, data: slice.into() });
             // Merge into the ooo range set.
             Self::merge_range(&mut self.ooo, ns, ne);
             self.ooo_bytes += (ne - ns) as u32;
@@ -652,7 +652,7 @@ impl ReliableDelivery {
                         Some(_) => {}
                     }
                 }
-                (None, Vec::new(), false)
+                (None, Payload::default(), false)
             }
         };
         self.log.borrow_mut().r("rd", "rcv_ranges");
@@ -728,7 +728,7 @@ impl ReliableDelivery {
         if self.snd_nxt == 0 {
             return false;
         }
-        self.outbox.push_back((Some(self.snd_nxt - 1), Vec::new(), false));
+        self.outbox.push_back((Some(self.snd_nxt - 1), Payload::default(), false));
         self.stats.keepalive_probes += 1;
         true
     }
@@ -744,12 +744,25 @@ impl ReliableDelivery {
         self.consecutive_rtx
     }
 
+    /// Next summarized congestion signal for OSR, oldest first.
+    pub fn poll_signal(&mut self) -> Option<CongSignal> {
+        self.signals.pop_front()
+    }
+
+    /// Next event for the stack, oldest first.
+    pub fn poll_event(&mut self) -> Option<RdEvent> {
+        self.events.pop_front()
+    }
+
+    // `benchmark/src/chain.rs` still drains by `Vec`, and a PR that claims a
+    // gain may not edit `benchmark/`: the next benchmark-only PR moves it to
+    // `poll_signal`/`poll_event` and deletes these two.
     pub fn take_signals(&mut self) -> Vec<CongSignal> {
-        self.signals.drain(..).collect()
+        std::iter::from_fn(|| self.poll_signal()).collect()
     }
 
     pub fn take_events(&mut self) -> Vec<RdEvent> {
-        self.events.drain(..).collect()
+        std::iter::from_fn(|| self.poll_event()).collect()
     }
 
     pub fn has_output(&self) -> bool {
@@ -870,13 +883,13 @@ impl ReliableDelivery {
 /// exercises. Implemented by the shipped [`ReliableDelivery`] and by the
 /// [`BuggyRd`] mutation canary (used as the sender arm).
 pub trait RdDriver {
-    fn push_segment(&mut self, now: Time, data: Vec<u8>);
+    fn push_segment(&mut self, now: Time, data: Payload);
     fn can_accept(&self) -> bool;
     fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool);
     fn poll_packet(&mut self, now: Time) -> Option<(Packet, bool)>;
     fn on_tick(&mut self, now: Time);
     fn poll_deadline(&self) -> Option<Time>;
-    fn take_events(&mut self) -> Vec<RdEvent>;
+    fn poll_event(&mut self) -> Option<RdEvent>;
     fn all_acked(&self) -> bool;
     fn rcv_next_offset(&self) -> u64;
     fn seq_validity(&self, wire_seq: u32) -> SeqValidity;
@@ -892,7 +905,7 @@ impl Clone for Box<dyn RdDriver> {
 }
 
 impl RdDriver for ReliableDelivery {
-    fn push_segment(&mut self, now: Time, data: Vec<u8>) {
+    fn push_segment(&mut self, now: Time, data: Payload) {
         ReliableDelivery::push_segment(self, now, data)
     }
     fn can_accept(&self) -> bool {
@@ -910,8 +923,8 @@ impl RdDriver for ReliableDelivery {
     fn poll_deadline(&self) -> Option<Time> {
         ReliableDelivery::poll_deadline(self)
     }
-    fn take_events(&mut self) -> Vec<RdEvent> {
-        ReliableDelivery::take_events(self)
+    fn poll_event(&mut self) -> Option<RdEvent> {
+        ReliableDelivery::poll_event(self)
     }
     fn all_acked(&self) -> bool {
         ReliableDelivery::all_acked(self)
@@ -950,7 +963,7 @@ impl BuggyRd {
 }
 
 impl RdDriver for BuggyRd {
-    fn push_segment(&mut self, now: Time, data: Vec<u8>) {
+    fn push_segment(&mut self, now: Time, data: Payload) {
         self.inner.push_segment(now, data)
     }
     fn can_accept(&self) -> bool {
@@ -977,8 +990,8 @@ impl RdDriver for BuggyRd {
     fn poll_deadline(&self) -> Option<Time> {
         self.inner.poll_deadline()
     }
-    fn take_events(&mut self) -> Vec<RdEvent> {
-        self.inner.take_events()
+    fn poll_event(&mut self) -> Option<RdEvent> {
+        self.inner.poll_event()
     }
     fn all_acked(&self) -> bool {
         self.inner.all_acked()
@@ -1011,6 +1024,14 @@ mod tests {
         Time::ZERO + Dur::from_millis(ms)
     }
 
+    fn events(r: &mut ReliableDelivery) -> Vec<RdEvent> {
+        std::iter::from_fn(|| r.poll_event()).collect()
+    }
+
+    fn signals(r: &mut ReliableDelivery) -> Vec<CongSignal> {
+        std::iter::from_fn(|| r.poll_signal()).collect()
+    }
+
     /// Build an inbound packet as the peer would (peer's snd_isn = our
     /// rcv_isn = 2000).
     fn peer_data(seq_off: u64, data: &[u8], ack_off: Option<u64>) -> Packet {
@@ -1020,15 +1041,15 @@ mod tests {
             p.rd.has_ack = true;
             p.rd.ack = 1000u32.wrapping_add(1).wrapping_add(a as u32);
         }
-        p.payload = data.to_vec();
+        p.payload = data.into();
         p
     }
 
     #[test]
     fn push_assigns_sequential_offsets() {
         let mut r = rd();
-        r.push_segment(t(0), vec![1; 100]);
-        r.push_segment(t(0), vec![2; 50]);
+        r.push_segment(t(0), vec![1; 100].into());
+        r.push_segment(t(0), vec![2; 50].into());
         let (p1, _) = r.poll_packet(t(0)).unwrap();
         let (p2, _) = r.poll_packet(t(0)).unwrap();
         assert_eq!(p1.rd.seq, 1001);
@@ -1037,13 +1058,53 @@ mod tests {
     }
 
     #[test]
+    fn a_pushed_slab_is_the_one_sent_and_resent() {
+        // No copy between OSR's cut and the codec: the outbox entry of the
+        // first transmission and of an RTO retransmission are handles on
+        // the slab `in_flight` keeps.
+        let mut r = rd();
+        let slab = Payload::from(vec![7; 100]);
+        r.push_segment(t(0), slab.clone());
+        let (first, _) = r.poll_packet(t(0)).unwrap();
+        assert!(first.payload.ptr_eq(&slab));
+        let d = r.poll_deadline().unwrap();
+        r.on_tick(d);
+        let (again, _) = r.poll_packet(d).unwrap();
+        assert_eq!(again.rd.seq, first.rd.seq);
+        assert!(again.payload.ptr_eq(&slab), "a retransmission copies nothing");
+        assert_eq!(r.stats.retransmits, 1);
+    }
+
+    #[test]
+    fn in_order_delivery_shares_the_decoded_slab() {
+        let mut r = rd();
+        let pkt = Packet::decode(&peer_data(0, &[1; 100], None).encode()).unwrap();
+        r.on_packet(t(0), &pkt, false);
+        match &events(&mut r)[..] {
+            [RdEvent::Delivered { offset: 0, data }] => assert!(data.ptr_eq(&pkt.payload)),
+            other => panic!("{other:?}"),
+        }
+        // A retransmission covering [50, 150) is clipped: the novel bytes go
+        // up in a slab of their own, the covered ones nowhere.
+        let pkt = peer_data(50, &[2; 100], None);
+        r.on_packet(t(1), &pkt, false);
+        match &events(&mut r)[..] {
+            [RdEvent::Delivered { offset: 100, data }] => {
+                assert_eq!(data[..], [2; 50]);
+                assert!(!data.ptr_eq(&pkt.payload));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn cumulative_ack_clears_in_flight() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
-        r.push_segment(t(0), vec![0; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
+        r.push_segment(t(0), vec![0; 100].into());
         r.on_packet(t(50), &peer_data(0, &[], Some(200)), false);
         assert!(r.all_acked());
-        let sigs = r.take_signals();
+        let sigs = signals(&mut r);
         assert_eq!(sigs.len(), 1);
         match sigs[0] {
             CongSignal::Acked { bytes, rtt } => {
@@ -1057,16 +1118,16 @@ mod tests {
     #[test]
     fn cumulative_ack_pops_only_the_fully_acked_prefix() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
-        r.push_segment(t(10), vec![0; 100]);
-        r.push_segment(t(20), vec![0; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
+        r.push_segment(t(10), vec![0; 100].into());
+        r.push_segment(t(20), vec![0; 100].into());
         // An ack landing inside the third segment leaves it queued whole.
         r.on_packet(t(50), &peer_data(0, &[], Some(250)), false);
         assert_eq!(r.in_flight_bytes(), 100);
         assert_eq!(r.bytes_unacked(), 50);
         // The RTT sample is the newest fully-acked segment's (sent at 10).
         assert_eq!(
-            r.take_signals(),
+            signals(&mut r),
             vec![CongSignal::Acked { bytes: 250, rtt: Some(Dur::from_millis(40)) }]
         );
         r.on_packet(t(60), &peer_data(0, &[], Some(300)), false);
@@ -1080,8 +1141,8 @@ mod tests {
         // sublayer" — reordering is OSR's job.
         let mut r = rd();
         r.on_packet(t(0), &peer_data(100, &[9; 50], None), false);
-        let ev = r.take_events();
-        assert_eq!(ev, vec![RdEvent::Delivered { offset: 100, data: vec![9; 50] }]);
+        let ev = events(&mut r);
+        assert_eq!(ev, vec![RdEvent::Delivered { offset: 100, data: vec![9; 50].into() }]);
         // The cumulative ack still says 0.
         let (ack, _) = r.poll_packet(t(0)).unwrap();
         assert_eq!(ack.rd.ack, 2001);
@@ -1095,9 +1156,9 @@ mod tests {
     fn duplicates_are_dropped_exactly_once() {
         let mut r = rd();
         r.on_packet(t(0), &peer_data(0, &[7; 100], None), false);
-        assert_eq!(r.take_events().len(), 1);
+        assert_eq!(events(&mut r).len(), 1);
         r.on_packet(t(1), &peer_data(0, &[7; 100], None), false);
-        assert!(r.take_events().is_empty(), "duplicate must not be redelivered");
+        assert!(events(&mut r).is_empty(), "duplicate must not be redelivered");
         assert_eq!(r.stats.duplicate_payload_dropped, 1);
     }
 
@@ -1105,11 +1166,11 @@ mod tests {
     fn partial_overlap_delivers_only_novel_bytes() {
         let mut r = rd();
         r.on_packet(t(0), &peer_data(0, &[1; 100], None), false);
-        r.take_events();
+        events(&mut r);
         // Retransmission covering [50, 150): only [100, 150) is new.
         r.on_packet(t(1), &peer_data(50, &[2; 100], None), false);
-        let ev = r.take_events();
-        assert_eq!(ev, vec![RdEvent::Delivered { offset: 100, data: vec![2; 50] }]);
+        let ev = events(&mut r);
+        assert_eq!(ev, vec![RdEvent::Delivered { offset: 100, data: vec![2; 50].into() }]);
         assert_eq!(r.rcv_next_offset(), 150);
     }
 
@@ -1125,14 +1186,14 @@ mod tests {
     #[test]
     fn three_dupacks_trigger_fast_retransmit_and_signal() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
-        r.push_segment(t(0), vec![0; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
+        r.push_segment(t(0), vec![0; 100].into());
         while r.poll_packet(t(0)).is_some() {}
         for i in 0..3 {
             r.on_packet(t(10 + i), &peer_data(0, &[], Some(0)), false);
         }
         assert_eq!(r.stats.fast_retransmits, 1);
-        assert!(r.take_signals().contains(&CongSignal::DupAckLoss));
+        assert!(signals(&mut r).contains(&CongSignal::DupAckLoss));
         // The retransmission is the first unacked segment.
         let (p, _) = r.poll_packet(t(20)).unwrap();
         assert_eq!(p.rd.seq, 1001);
@@ -1142,8 +1203,8 @@ mod tests {
     #[test]
     fn sacked_segments_are_skipped_on_retransmit() {
         let mut r = rd();
-        r.push_segment(t(0), vec![1; 100]); // offsets 0..100
-        r.push_segment(t(0), vec![2; 100]); // offsets 100..200
+        r.push_segment(t(0), vec![1; 100].into()); // offsets 0..100
+        r.push_segment(t(0), vec![2; 100].into()); // offsets 100..200
         while r.poll_packet(t(0)).is_some() {}
         // Peer SACKs the *first* segment but cumulative ack stays 0
         // (contrived, but exercises the skip logic).
@@ -1160,12 +1221,12 @@ mod tests {
     #[test]
     fn rto_fires_and_backs_off() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
         while r.poll_packet(t(0)).is_some() {}
         let d1 = r.poll_deadline().unwrap();
         r.on_tick(d1);
         assert_eq!(r.stats.retransmits, 1);
-        assert!(r.take_signals().contains(&CongSignal::TimeoutLoss));
+        assert!(signals(&mut r).contains(&CongSignal::TimeoutLoss));
         let d2 = r.poll_deadline().unwrap();
         assert!(d2.since(d1) > Dur::ZERO);
         assert_eq!(d2.since(d1), Dur::from_secs(2), "doubled RTO");
@@ -1174,14 +1235,14 @@ mod tests {
     #[test]
     fn karn_rule_skips_retransmitted_samples() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
         while r.poll_packet(t(0)).is_some() {}
         let d = r.poll_deadline().unwrap();
         r.on_tick(d); // retransmitted
         r.on_packet(t(5000), &peer_data(0, &[], Some(100)), false);
         // The ack closes the RTO-recovery episode (FullAck); Karn's rule
         // still forbids an RTT sample from the retransmitted segment.
-        match r.take_signals().last() {
+        match signals(&mut r).last() {
             Some(CongSignal::FullAck { rtt, .. }) => assert_eq!(*rtt, None),
             other => panic!("{other:?}"),
         }
@@ -1190,7 +1251,7 @@ mod tests {
     #[test]
     fn fin_consumes_one_unit_and_is_acked() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 10]);
+        r.push_segment(t(0), vec![0; 10].into());
         r.send_fin(t(0));
         let (_, f1) = r.poll_packet(t(0)).unwrap();
         assert!(!f1);
@@ -1201,7 +1262,7 @@ mod tests {
         r.on_packet(t(10), &peer_data(0, &[], Some(11)), false);
         assert!(r.fin_acked());
         assert!(r.all_acked());
-        assert!(r.take_events().contains(&RdEvent::LocalFinAcked));
+        assert!(events(&mut r).contains(&RdEvent::LocalFinAcked));
     }
 
     #[test]
@@ -1215,7 +1276,7 @@ mod tests {
         // Now the data arrives; the FIN is reached.
         r.on_packet(t(1), &peer_data(0, &[3; 100], None), false);
         assert!(r.peer_fin_reached());
-        assert!(r.take_events().contains(&RdEvent::PeerFinReached));
+        assert!(events(&mut r).contains(&RdEvent::PeerFinReached));
         // The ack covers the FIN: 100 bytes + 1.
         let (ack, _) = r.poll_packet(t(2)).unwrap();
         assert_eq!(ack.rd.ack, 2001 + 101);
@@ -1273,7 +1334,7 @@ mod tests {
     #[test]
     fn rto_backs_off_exponentially_then_gives_up() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
         let _ = r.poll_packet(t(0));
         let mut now;
         let mut prev_rto = r.current_rto();
@@ -1287,12 +1348,12 @@ mod tests {
             let (pkt, _) = r.poll_packet(now).expect("retransmission queued");
             assert_eq!(pkt.rd.seq, 1001);
         }
-        assert!(!r.take_events().contains(&RdEvent::RetriesExhausted));
+        assert!(!events(&mut r).contains(&RdEvent::RetriesExhausted));
         // One more expiry crosses the budget: no retransmission, the
         // timer stops, and the give-up event surfaces.
         now = r.poll_deadline().unwrap();
         r.on_tick(now);
-        assert_eq!(r.take_events(), vec![RdEvent::RetriesExhausted]);
+        assert_eq!(events(&mut r), vec![RdEvent::RetriesExhausted]);
         assert!(r.poll_packet(now).is_none());
         assert!(r.poll_deadline().is_none(), "no retry timer after give-up");
         assert_eq!(r.stats.retransmits as u32, MAX_RETRIES);
@@ -1301,8 +1362,8 @@ mod tests {
     #[test]
     fn ack_progress_resets_retry_budget() {
         let mut r = rd();
-        r.push_segment(t(0), vec![0; 100]);
-        r.push_segment(t(0), vec![1; 100]);
+        r.push_segment(t(0), vec![0; 100].into());
+        r.push_segment(t(0), vec![1; 100].into());
         let _ = r.poll_packet(t(0));
         let _ = r.poll_packet(t(0));
         let d = r.poll_deadline().unwrap();
@@ -1342,7 +1403,7 @@ mod tests {
         r.set_ack_pacing(true);
         r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
         assert!(r.poll_packet(t(0)).is_none());
-        r.push_segment(t(1), vec![9; 10]);
+        r.push_segment(t(1), vec![9; 10].into());
         let (p, _) = r.poll_packet(t(1)).unwrap();
         assert_eq!(p.rd.ack, 2011, "ack rides the data segment");
         assert!(r.poll_packet(t(1)).is_none(), "no separate bare ack owed");
@@ -1364,7 +1425,7 @@ mod tests {
         assert_eq!(r.progress_bytes(), 0);
         r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
         assert_eq!(r.progress_bytes(), 10, "in-order receive progress");
-        r.push_segment(t(1), vec![2; 20]);
+        r.push_segment(t(1), vec![2; 20].into());
         let _ = r.poll_packet(t(1));
         assert_eq!(r.progress_bytes(), 10, "unacked sends are not progress");
         r.on_packet(t(2), &peer_data(10, &[], Some(20)), false);
@@ -1375,7 +1436,7 @@ mod tests {
     fn keepalive_probe_is_behind_snd_nxt_and_gets_answered() {
         let mut r = rd();
         assert!(!r.send_keepalive_probe(), "nothing sent yet: unprobeable");
-        r.push_segment(t(0), vec![5; 100]);
+        r.push_segment(t(0), vec![5; 100].into());
         let _ = r.poll_packet(t(0));
         r.on_packet(t(10), &peer_data(0, &[], Some(100)), false);
         assert!(r.send_keepalive_probe());
@@ -1390,7 +1451,7 @@ mod tests {
         let mut peer = ReliableDelivery::new(2000, 1000, slmetrics::shared());
         let mut data = Packet::default();
         data.rd.seq = 1001;
-        data.payload = vec![5; 100];
+        data.payload = vec![5; 100].into();
         peer.on_packet(t(5), &data, false);
         let _ = peer.poll_packet(t(5)); // drain the data ack
         let mut plain_ack = Packet::default();
@@ -1415,16 +1476,16 @@ mod tests {
         // range: not the whole-segment case. Only the novel prefix goes up.
         let mut r = rd();
         r.on_packet(t(0), &peer_data(100, &[9; 50], None), false);
-        r.take_events();
+        events(&mut r);
         r.on_packet(t(1), &peer_data(0, &[1; 120], None), false);
-        assert_eq!(r.take_events(), vec![RdEvent::Delivered { offset: 0, data: vec![1; 100] }]);
+        assert_eq!(events(&mut r), vec![RdEvent::Delivered { offset: 0, data: vec![1; 100].into() }]);
         assert_eq!(r.rcv_next_offset(), 150);
         // Ending exactly where the parked range starts is the whole-segment
         // case, and the parked range is pulled in behind it.
         r.on_packet(t(2), &peer_data(200, &[8; 50], None), false);
-        r.take_events();
+        events(&mut r);
         r.on_packet(t(3), &peer_data(150, &[2; 50], None), false);
-        assert_eq!(r.take_events(), vec![RdEvent::Delivered { offset: 150, data: vec![2; 50] }]);
+        assert_eq!(events(&mut r), vec![RdEvent::Delivered { offset: 150, data: vec![2; 50].into() }]);
         assert_eq!(r.rcv_next_offset(), 250);
         assert_eq!(r.stats.duplicate_payload_dropped, 0);
     }
@@ -1484,7 +1545,7 @@ mod tests {
                 let j = (i..end).find(|&k| self.got[k]).unwrap_or(end);
                 events.push(RdEvent::Delivered {
                     offset: i as u64,
-                    data: data[i - start..j - start].to_vec(),
+                    data: data[i - start..j - start].into(),
                 });
                 self.got[i..j].fill(true);
                 i = j;
@@ -1525,7 +1586,7 @@ mod tests {
                 };
                 let data: Vec<u8> = (start..start + len).map(|i| (i * 7) as u8).collect();
                 r.on_packet(t(0), &peer_data(start as u64, &data, None), false);
-                proptest::prop_assert_eq!(r.take_events(), model.arrive(start, &data));
+                proptest::prop_assert_eq!(events(&mut r), model.arrive(start, &data));
                 proptest::prop_assert_eq!(r.rcv_next_offset(), model.rcv_nxt as u64);
             }
             proptest::prop_assert_eq!(model.stats.ooo_range_drops > 0, spray);

@@ -6,6 +6,13 @@
 //! [`CrossingStats`] — the quantity the hardware-offload experiment (E10)
 //! studies, since a NIC/host partition pays for exactly these crossings.
 //!
+//! Every hand-off has one shape: the producing sublayer queues, and
+//! [`SlTcpStack::pump`] pops one item at a time until `None`
+//! (`poll_event`, `poll_signal`, `poll_segment`, `poll_packet`). A
+//! crossing moves a value; it never copies payload bytes, which travel as
+//! one [`crate::wire::Payload`] slab from OSR's cut to the codec and from
+//! the codec to OSR's reassembly.
+//!
 //! Contrast with `tcp-mono`: there one function mutates one PCB; here each
 //! sublayer's state is a private Rust struct, so test **T3** (separate
 //! state) is enforced by the compiler, and the entanglement instrumentation
@@ -721,7 +728,7 @@ impl SlTcpStack {
         step(conn);
 
         // CM events upward.
-        for ev in conn.cm.take_events() {
+        while let Some(ev) = conn.cm.poll_event() {
             match ev {
                 CmEvent::Established { local_isn, peer_isn } => {
                     match conn.rd.as_mut() {
@@ -756,8 +763,9 @@ impl SlTcpStack {
 
         // RD events upward (to OSR and CM).
         if let Some(rd) = conn.rd.as_mut() {
-            for ev in rd.take_events() {
+            while let Some(ev) = rd.poll_event() {
                 match ev {
+                    // The slab `Packet::decode` built moves into OSR as is.
                     RdEvent::Delivered { offset, data } => {
                         self.crossings.rd_to_osr_segments += 1;
                         self.crossings.rd_to_osr_bytes += data.len() as u64;
@@ -773,10 +781,9 @@ impl SlTcpStack {
                 }
             }
             // Summarized signals to OSR's rate controller.
-            let signals = rd.take_signals();
-            if !signals.is_empty() {
-                self.crossings.signals_up += signals.len() as u64;
-                conn.osr.on_signals(now, &signals);
+            while let Some(sig) = rd.poll_signal() {
+                self.crossings.signals_up += 1;
+                conn.osr.on_signals(now, &[sig]);
             }
         }
 
@@ -785,7 +792,7 @@ impl SlTcpStack {
         // drain. Drain again now: the abort cleared every timer, so a
         // deferred Reset might otherwise never be processed and the typed
         // error would stay invisible to the application.
-        for ev in conn.cm.take_events() {
+        while let Some(ev) = conn.cm.poll_event() {
             match ev {
                 CmEvent::Reset => {
                     if let Some(reason) = conn.cm.reset_reason() {

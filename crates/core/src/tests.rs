@@ -716,7 +716,7 @@ fn ooo_spray_is_bounded_by_receiver_caps() {
     for i in 0..300u32 {
         let mut pkt = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
         pkt.rd.seq = expected.wrapping_add(1 + i * 200);
-        pkt.payload = vec![0xAB; 100];
+        pkt.payload = vec![0xAB; 100].into();
         let now = net.now();
         let frame = pkt.encode();
         stack(&mut net, ns).on_frame(now, &frame);
@@ -726,7 +726,7 @@ fn ooo_spray_is_bounded_by_receiver_caps() {
     for i in 0..50u32 {
         let mut pkt = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
         pkt.rd.seq = expected.wrapping_add(1_000_000 + i * 2000);
-        pkt.payload = vec![0xCD; 900];
+        pkt.payload = vec![0xCD; 900].into();
         let now = net.now();
         let frame = pkt.encode();
         stack(&mut net, ns).on_frame(now, &frame);

@@ -139,7 +139,7 @@ impl AbsWord {
                 sack: Vec::new(),
             },
             osr: OsrHeader { ecn_echo: false, rcv_wnd: self.wnd() },
-            payload: self.payload(),
+            payload: self.payload().into(),
         }
     }
 }

@@ -148,7 +148,7 @@ mod tests {
             cm: native::CmHeader::default(),
             rd: native::RdHeader::default(),
             osr: native::OsrHeader { ecn_echo: false, rcv_wnd: 512 },
-            payload: payload.to_vec(),
+            payload: payload.into(),
         };
         p.rd.seq = 1000;
         p.rd.ack = 2000;

@@ -11,7 +11,7 @@
 //! aimed field is adversarial.
 
 use netsim::{AttackCodec, SnoopInfo};
-use slwire::native::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, RdHeader};
+use slwire::native::{CmFlags, CmHeader, DmHeader, OsrHeader, Packet, Payload, RdHeader};
 use slwire::rfc793::{Segment, ACK, RST, SYN};
 use slwire::Endpoint;
 
@@ -184,7 +184,7 @@ fn sub_base(src: Endpoint, dst: Endpoint) -> Packet {
         // An honest window so a forged (then discarded) header can never
         // zero-window-poison the victim's flow control.
         osr: OsrHeader { ecn_echo: false, rcv_wnd: u16::MAX },
-        payload: Vec::new(),
+        payload: Payload::default(),
     }
 }
 
@@ -244,7 +244,7 @@ impl AttackCodec for Kind {
             Kind::Sub => {
                 let mut p = sub_base(src, dst);
                 p.rd.seq = seq;
-                p.payload = payload.to_vec();
+                p.payload = payload.into();
                 p.encode()
             }
         }

@@ -514,7 +514,7 @@ impl CmContract {
         ns.steps += 1;
         ns.obl = obl;
         ns.cm.on_packet(hdr, false, rst_seq, ns.now);
-        ns.cm.take_events();
+        while ns.cm.poll_event().is_some() {}
         ns.key = ns.cm.contract_key();
         ns
     }
@@ -690,7 +690,7 @@ impl Model for CmContract {
             ns.steps += 1;
             ns.now = ns.now.max(d);
             ns.cm.on_tick(ns.now);
-            ns.cm.take_events();
+            while ns.cm.poll_event().is_some() {}
             ns.key = ns.cm.contract_key();
             // A tick never challenges; the state may hold or give up.
             ns.obl = CmObl { expect_state: None, expect_challenges: Some(pre_ch) };
@@ -813,7 +813,7 @@ impl RdContractState {
     }
 
     fn drain_snd_events(&mut self) {
-        for ev in self.snd.take_events() {
+        while let Some(ev) = self.snd.poll_event() {
             if matches!(ev, sublayer_core::RdEvent::RetriesExhausted) {
                 self.exhausted = true;
             }
@@ -821,10 +821,10 @@ impl RdContractState {
     }
 
     fn drain_rcv_events(&mut self) {
-        for ev in self.rcv.take_events() {
+        while let Some(ev) = self.rcv.poll_event() {
             if let sublayer_core::RdEvent::Delivered { offset, data } = ev {
                 let off = offset as usize;
-                if off >= RD_STREAM.len() || data != RD_STREAM[off..off + 1] {
+                if off >= RD_STREAM.len() || data[..] != RD_STREAM[off..off + 1] {
                     self.breach = Some(format!(
                         "{G_RD} violated: delivered {data:?} at offset {offset}, \
                          not a byte of the pushed stream"
@@ -900,7 +900,7 @@ impl Model for RdContract {
         let rcv: Box<dyn RdDriver> =
             Box::new(ReliableDelivery::new(RD_RCV_ISN, RD_SND_ISN, slmetrics::shared()));
         for b in RD_STREAM {
-            snd.push_segment(Time::ZERO, vec![*b]);
+            snd.push_segment(Time::ZERO, vec![*b].into());
         }
         let mut s = RdContractState {
             snd,
@@ -1115,7 +1115,7 @@ impl Model for OsrContract {
         for i in 0..OSR_STREAM.len() {
             if s.mask & (1 << i) == 0 {
                 let mut ns = s.clone();
-                ns.osr.on_delivered(i as u64, vec![OSR_STREAM[i]]);
+                ns.osr.on_delivered(i as u64, vec![OSR_STREAM[i]].into());
                 ns.mask |= 1 << i;
                 ns.key = ns.osr.contract_key();
                 out.push((labels[i], ns));

@@ -19,8 +19,62 @@
 //! the monolithic stack possible (experiment E7).
 
 use crate::{be16, be32, checksum};
+use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
 
 pub use crate::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
+
+/// A packet's payload: one immutable, reference-counted slab. Whoever first
+/// has the bytes in hand — OSR cutting a segment, [`Packet::decode`] reading
+/// a frame — copies them once; every later holder (RD's retransmission
+/// buffer and outbox, the `Delivered` event, OSR's reassembly map) clones
+/// the handle, not the bytes. `Rc`, not `Arc`: no crate sends a [`Packet`]
+/// across threads (`slshard` moves raw frames).
+///
+/// The empty payload has no slab and allocates nothing, and no constructor
+/// can produce a shared *empty* slab — so the derived `Eq` is equality of
+/// the bytes, and `Debug` prints them exactly as `Vec<u8>` would.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Payload(Option<Rc<[u8]>>);
+
+impl Payload {
+    /// Do both handles share one slab (or are both slab-less)?
+    pub fn ptr_eq(&self, other: &Payload) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(bytes: &[u8]) -> Payload {
+        Payload(if bytes.is_empty() { None } else { Some(Rc::from(bytes)) })
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Payload {
+        Payload::from(&bytes[..])
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// Demultiplexing subheader — the only bits DM may touch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -94,7 +148,7 @@ pub struct Packet {
     pub cm: CmHeader,
     pub rd: RdHeader,
     pub osr: OsrHeader,
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 /// Magic discriminating native sublayered packets from RFC 793 traffic on
@@ -228,7 +282,7 @@ impl Packet {
             cm: CmHeader { flags, isn, ack_isn },
             rd: RdHeader { seq, ack, has_ack, sack },
             osr: OsrHeader { ecn_echo, rcv_wnd },
-            payload: b[i..].to_vec(),
+            payload: b[i..].into(),
         })
     }
 
@@ -316,7 +370,7 @@ mod tests {
                 sack: vec![SackRange { start: 300, end: 400 }],
             },
             osr: OsrHeader { ecn_echo: true, rcv_wnd: 9000 },
-            payload: b"native".to_vec(),
+            payload: b"native".to_vec().into(),
         }
     }
 
@@ -335,6 +389,37 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(Packet::decode(&p.encode()), Ok(p));
+    }
+
+    #[test]
+    fn every_empty_payload_is_the_slabless_one() {
+        // Derived `Eq` is byte equality only because "empty" has a single
+        // representation, whichever constructor made it.
+        let pure_ack = Packet::decode(&Packet::default().encode()).unwrap();
+        let empties =
+            [Payload::default(), Payload::from(&[][..]), Payload::from(vec![]), pure_ack.payload];
+        for e in &empties {
+            assert!(e.is_empty());
+            assert!(e.ptr_eq(&empties[0]), "an empty payload owns no slab");
+            assert_eq!(e, &empties[0]);
+        }
+        let full = Payload::from(&b"native"[..]);
+        assert!(!full.ptr_eq(&empties[0]) && full != empties[0]);
+        // Equal bytes in two slabs are equal, but not shared; a clone is.
+        assert_eq!(full, Payload::from(b"native".to_vec()));
+        assert!(!full.ptr_eq(&Payload::from(b"native".to_vec())));
+        assert!(full.ptr_eq(&full.clone()));
+    }
+
+    #[test]
+    fn payload_debug_is_the_vec_rendering() {
+        // `describe()`, the goldens and `slconform` transcripts print
+        // packets with `{:?}`: the new type must not move a byte of them.
+        for bytes in [vec![], vec![7], b"native".to_vec()] {
+            let p = Payload::from(bytes.clone());
+            assert_eq!(format!("{p:?}"), format!("{bytes:?}"));
+            assert_eq!(format!("{p:#?}"), format!("{bytes:#?}"));
+        }
     }
 
     #[test]
@@ -386,7 +471,7 @@ mod tests {
     fn advertised_sack_past_end_is_truncated_error() {
         // Re-seal the checksum after raising the SACK count so the length
         // guard (not the checksum) must catch the overrun.
-        let mut bytes = Packet { payload: vec![], ..sample() }.encode();
+        let mut bytes = Packet { payload: Payload::default(), ..sample() }.encode();
         let rdb_at = 11 + 21; // body offset of the RD count byte
         bytes[rdb_at] = (bytes[rdb_at] & 1) | (2 << 1); // claim 2 ranges, carry 1
         let src = u32::from_be_bytes(bytes[1..5].try_into().unwrap());
@@ -437,7 +522,7 @@ mod tests {
                 p.rd.sack = (0..n_sack as u32)
                     .map(|i| SackRange { start: i * 10, end: i * 10 + 5 })
                     .collect();
-                p.payload = vec![0xA5; payload];
+                p.payload = vec![0xA5; payload].into();
                 let bytes = p.encode();
                 assert_eq!(bytes.len(), Packet::header_len(n_sack) + payload);
                 assert_eq!(Packet::decode(&bytes), Ok(p));
@@ -468,7 +553,7 @@ mod tests {
                         .collect(),
                 },
                 osr: OsrHeader { ecn_echo: ecn, rcv_wnd: wnd },
-                payload,
+                payload: payload.into(),
             };
             let bytes = pkt.encode();
             proptest::prop_assert_eq!(peek(&bytes), Some((pkt.src(), pkt.dst())));
@@ -506,7 +591,7 @@ mod tests {
         ) {
             // Mutate an almost-valid frame, then re-seal the checksum so the
             // parse proper (SACK counts, lengths) is what gets probed.
-            let mut bytes = Packet { payload, ..sample() }.encode();
+            let mut bytes = Packet { payload: payload.into(), ..sample() }.encode();
             let i = flip % bytes.len();
             bytes[i] = val;
             let src = u32::from_be_bytes(bytes[1..5].try_into().unwrap());

@@ -62,7 +62,7 @@ pub fn to_rfc793(pkt: &Packet) -> Segment {
         flags,
         wnd: pkt.osr.rcv_wnd,
         mss: pkt.cm.flags.syn.then_some(DEFAULT_MSS),
-        payload: pkt.payload.clone(),
+        payload: pkt.payload.to_vec(),
     }
 }
 
@@ -89,7 +89,7 @@ pub fn from_rfc793(seg: &Segment) -> Packet {
     pkt.rd.has_ack = seg.ack_flag();
     pkt.rd.ack = seg.ack;
     pkt.osr.rcv_wnd = seg.wnd;
-    pkt.payload = seg.payload.clone();
+    pkt.payload = seg.payload.as_slice().into();
     pkt
 }
 
@@ -110,7 +110,7 @@ mod tests {
         pkt.rd.ack = 67890;
         pkt.rd.has_ack = true;
         pkt.osr.rcv_wnd = 4096;
-        pkt.payload = b"data".to_vec();
+        pkt.payload = b"data".to_vec().into();
         let back = from_rfc793(&to_rfc793(&pkt));
         assert_eq!(back.dm, pkt.dm);
         assert_eq!(back.rd.seq, pkt.rd.seq);
