@@ -1,14 +1,17 @@
 #!/bin/sh
-# The sublayered stack allocates no more per op than the monolith on `bulk`
-# and on `host_rr` (EXPERIMENTS.md E25). The counts repeat bit for bit
-# (benchmark/check.sh), so this holds on every machine or on none: it stops
-# a later change from quietly re-introducing a payload copy or a boxed
-# hand-off between sublayers.
+# The sublayered stack allocates at most 0.62 times what the monolith does
+# per op on `bulk` (206.25 against 350 = 0.59: a segment is a view of the
+# slab `Osr::write` made, EXPERIMENTS.md E26) and no more than the monolith
+# on `host_rr` (E25). The counts repeat bit for bit (benchmark/check.sh), so
+# this holds on every machine or on none: it stops a later change from
+# quietly re-introducing a per-segment copy or a boxed hand-off between
+# sublayers — one allocation per data segment puts `bulk` back at 0.78.
 set -eu
-for w in bulk host_rr; do
+for spec in bulk:0.62 host_rr:1; do
+    w=${spec%:*}
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --counts-only --seed 1 --workload "$w" |
-        awk -v w="$w" '
+        awk -v w="$w" -v ratio="${spec#*:}" '
             $1 == "sub.allocs_per_op" { s = $2 }
             $1 == "mono.allocs_per_op" { m = $2 }
             END {
@@ -16,9 +19,9 @@ for w in bulk host_rr; do
                     print "alloc ratchet: " w ": counts missing" > "/dev/stderr"
                     exit 1
                 }
-                print w ": sub.allocs_per_op " s ", mono.allocs_per_op " m
-                if (s + 0 > m + 0) {
-                    print "alloc ratchet: " w ": sublayered allocates more per op than the monolith" > "/dev/stderr"
+                print w ": sub.allocs_per_op " s ", mono.allocs_per_op " m ", allowed " ratio " x"
+                if (s + 0 > ratio * m) {
+                    print "alloc ratchet: " w ": sublayered allocates more than " ratio " x the monolith per op" > "/dev/stderr"
                     exit 1
                 }
             }'

@@ -31,6 +31,11 @@ pub const RCV_BUF_CAP: usize = 64 * 1024 - 1;
 /// application — or an attack campaign — cannot balloon memory by
 /// writing faster than the network drains.
 pub const SND_BUF_CAP: usize = 1 << 20;
+/// Largest slab [`Osr::write`] copies application bytes into. Every segment
+/// cut from a slab is a view that keeps the whole of it alive, so this is
+/// also how far the bytes a connection holds can run ahead of the bytes it
+/// accounts for (see [`Osr::buffered_bytes`]).
+pub const SLAB_MAX: usize = 64 * 1024;
 /// First zero-window persist timeout; doubles per unanswered probe.
 const PERSIST_INITIAL: Dur = Dur(500_000_000);
 /// Persist backoff ceiling.
@@ -55,7 +60,11 @@ pub struct OsrStats {
 #[derive(Clone)]
 pub struct Osr {
     // --- sender ---
-    app_buf: VecDeque<u8>,
+    /// Written, not yet segmented: views of the slabs `write` made, oldest
+    /// first; the front one shrinks as segments are cut from it.
+    app_buf: VecDeque<Payload>,
+    /// Total bytes across `app_buf`: at most [`SND_BUF_CAP`].
+    app_buf_bytes: u32,
     /// Bytes handed to RD and not yet acked (window accounting; "the
     /// sending RD must tell the sending OSR when segments are acked so the
     /// sending OSR can advance the congestion and flow control windows").
@@ -68,7 +77,10 @@ pub struct Osr {
     /// lost window update cannot deadlock the connection (TCP's persist
     /// timer).
     persist_deadline: Option<Time>,
-    persist_backoff: Dur,
+    /// Unanswered probes so far: the persist timeout is
+    /// [`PERSIST_INITIAL`] doubled this many times (a count, not a `Dur`,
+    /// so the two queue counters fit in the bytes it gives back).
+    persist_doublings: u8,
     probe_due: bool,
 
     // --- receiver ---
@@ -77,7 +89,13 @@ pub struct Osr {
     /// window computation on every outgoing packet is O(1)).
     parked_bytes: u32,
     rcv_next: u64,
-    app_out: VecDeque<u8>,
+    /// In order, not yet read: the handles RD delivered, as they came.
+    app_out: VecDeque<Payload>,
+    /// Total bytes across `app_out`, saturating: the advertised window
+    /// keeps an honest peer under [`RCV_BUF_CAP`], but in-order data from
+    /// one that ignores it is not refused while the application sits on
+    /// its hands.
+    app_out_bytes: u32,
     /// Pending ECN echo to reflect in our next header.
     ecn_to_echo: bool,
     /// The application freed receive-buffer space; the peer should hear
@@ -101,17 +119,19 @@ impl Osr {
     pub fn new(rate: Box<dyn RateController>, log: SharedLog) -> Osr {
         Osr {
             app_buf: VecDeque::new(),
+            app_buf_bytes: 0,
             bytes_in_flight: 0,
             rate,
             peer_wnd: MSS as u32, // conservative until the first header
             app_closed: false,
             persist_deadline: None,
-            persist_backoff: PERSIST_INITIAL,
+            persist_doublings: 0,
             probe_due: false,
             reasm: BTreeMap::new(),
             parked_bytes: 0,
             rcv_next: 0,
             app_out: VecDeque::new(),
+            app_out_bytes: 0,
             ecn_to_echo: false,
             window_update_pending: false,
             pressure: Pressure::Nominal,
@@ -128,8 +148,20 @@ impl Osr {
     /// Total bytes this sublayer is holding (send queue, parked
     /// reassembly, unread app data) — the memory-bound invariant the
     /// attack campaign checks.
+    ///
+    /// This counts the bytes *viewed*; what is held is whole slabs. Going
+    /// down, a slab is at most [`SLAB_MAX`] bytes and is freed as soon as
+    /// the last segment cut from it is acknowledged, so the send side
+    /// (this queue plus RD's retransmission buffer) holds at most one
+    /// slab's worth of already-acknowledged bytes beyond what the two
+    /// account for — the slab the oldest unacknowledged segment sits in —
+    /// plus a handle and a slab header (some 40 bytes) per `write`. Going
+    /// up, RD hands over a view only if it covers at least half of its
+    /// frame's payload (it copies out smaller novel parts), so parked and
+    /// unread bytes pin at most twice what they count, plus the same 40
+    /// bytes per delivered segment — unread as well as parked ones now.
     pub fn buffered_bytes(&self) -> usize {
-        self.app_buf.len() + self.app_out.len() + self.parked()
+        self.app_buf_bytes as usize + self.app_out_bytes as usize + self.parked()
     }
 
     /// Bytes parked out of order in `reasm`.
@@ -144,21 +176,28 @@ impl Osr {
     // --- application interface ---
 
     /// Queue bytes from the application; returns how many were accepted
-    /// (fewer than `data.len()` once the send buffer is full).
+    /// (fewer than `data.len()` once the send buffer is full). This is the
+    /// one copy the bytes get on the way down: into slabs of at most
+    /// [`SLAB_MAX`], which the segments are then views of.
     pub fn write(&mut self, data: &[u8]) -> usize {
         self.log.borrow_mut().w("osr", "app_buf");
         assert!(!self.app_closed, "write after close");
-        let n = data.len().min(SND_BUF_CAP.saturating_sub(self.app_buf.len()));
-        self.app_buf.extend(data[..n].iter().copied());
+        let n = data.len().min(self.write_capacity());
+        self.app_buf.extend(data[..n].chunks(SLAB_MAX).map(Payload::from));
+        self.app_buf_bytes += n as u32;
         self.stats.bytes_written += n as u64;
         n
     }
 
-    /// Drain in-order bytes to the application.
+    /// Drain in-order bytes to the application: the one copy they get on
+    /// the way up, gathered into one exactly-sized `Vec`.
     pub fn read(&mut self) -> Vec<u8> {
         self.log.borrow_mut().r("osr", "app_out");
-        let out = copy_front(&self.app_out, self.app_out.len());
-        self.app_out.clear();
+        let mut out = Vec::with_capacity(self.app_out_bytes as usize);
+        for data in self.app_out.drain(..) {
+            out.extend_from_slice(&data);
+        }
+        self.app_out_bytes = 0;
         self.stats.bytes_read += out.len() as u64;
         if out.len() >= MSS {
             // The window reopened significantly: tell the peer (window
@@ -171,12 +210,12 @@ impl Osr {
     /// In-order bytes available to [`Osr::read`] without draining them —
     /// the host layer's readability predicate.
     pub fn readable_len(&self) -> usize {
-        self.app_out.len()
+        self.app_out_bytes as usize
     }
 
     /// Free send-buffer space — the host layer's writability predicate.
     pub fn write_capacity(&self) -> usize {
-        SND_BUF_CAP.saturating_sub(self.app_buf.len())
+        SND_BUF_CAP.saturating_sub(self.app_buf_bytes as usize)
     }
 
     /// True once per significant window reopening; the stack responds by
@@ -221,28 +260,55 @@ impl Osr {
         let rate_allow = self.rate.allowance(now);
         let allowance = rate_allow.min(self.peer_wnd as u64);
         let budget = allowance.saturating_sub(self.bytes_in_flight) as usize;
-        let n = self.app_buf.len().min(MSS).min(budget);
+        let queued = self.app_buf_bytes as usize;
+        let n = queued.min(MSS).min(budget);
         // Avoid silly-window segments: wait for a full MSS unless this is
         // the tail of the stream.
-        if n == 0 || (n < MSS && n < self.app_buf.len()) {
+        if n == 0 || (n < MSS && n < queued) {
             if (self.peer_wnd as u64) < rate_allow {
                 self.stats.blocked_by_peer_window += 1;
                 // Nothing in flight means no ack will ever unblock us: only
                 // the persist timer can rediscover the window. (With data
                 // in flight, RTO owns liveness.)
                 if self.bytes_in_flight == 0 && self.persist_deadline.is_none() {
-                    self.persist_deadline = Some(now + self.persist_backoff);
+                    self.persist_deadline = Some(now + self.persist_backoff());
                 }
             } else {
                 self.stats.blocked_by_rate += 1;
             }
             return None;
         }
-        let seg = cut_front(&self.app_buf, n);
-        self.app_buf.drain(..n);
         self.bytes_in_flight += n as u64;
         self.stats.segments_cut += 1;
-        Some(seg)
+        Some(self.cut(n))
+    }
+
+    /// Take the first `n` queued bytes (`0 < n <=` what is queued) as one
+    /// payload: a view of the front slab — no copy, no allocation —
+    /// unless they straddle two writes, in which case they are gathered
+    /// into a slab of their own.
+    fn cut(&mut self, n: usize) -> Payload {
+        self.app_buf_bytes -= n as u32;
+        if n <= self.app_buf.front().map_or(0, |front| front.len()) {
+            return self.split_front(n);
+        }
+        let mut gathered = Vec::with_capacity(n);
+        while gathered.len() < n {
+            let front = self.app_buf.front().expect("n bytes are queued").len();
+            gathered.extend_from_slice(&self.split_front(front.min(n - gathered.len())));
+        }
+        gathered.into()
+    }
+
+    /// Split the first `k` bytes (at most its length) off the front handle.
+    fn split_front(&mut self, k: usize) -> Payload {
+        let front = self.app_buf.front_mut().expect("k bytes are queued");
+        if k == front.len() {
+            return self.app_buf.pop_front().expect("front just seen");
+        }
+        let head = front.slice(0..k);
+        *front = front.slice(k..front.len());
+        head
     }
 
     /// Feed RD's summarized congestion signals into rate control.
@@ -305,14 +371,19 @@ impl Osr {
             return;
         }
         // In order: straight to the application, then whatever it unblocks.
-        self.rcv_next += data.len() as u64;
-        self.app_out.extend(data.iter());
+        self.release(data);
         while self.reasm.first_key_value().is_some_and(|(&off, _)| off == self.rcv_next) {
             let (_, d) = self.reasm.pop_first().expect("first key just seen");
             self.parked_bytes -= d.len() as u32;
-            self.rcv_next += d.len() as u64;
-            self.app_out.extend(d.iter());
+            self.release(d);
         }
+    }
+
+    /// Queue the handle at `rcv_next` for the application to read.
+    fn release(&mut self, data: Payload) {
+        self.rcv_next += data.len() as u64;
+        self.app_out_bytes = self.app_out_bytes.saturating_add(data.len() as u32);
+        self.app_out.push_back(data);
     }
 
     // --- header interface (its own bits, test T3) ---
@@ -330,7 +401,7 @@ impl Osr {
     pub fn fill_tx(&mut self, pkt: &mut Packet) {
         self.log.borrow_mut().r("osr", "rcv_buf");
         self.log.borrow_mut().r("osr", "pressure");
-        let buffered = self.app_out.len() + self.parked();
+        let buffered = self.app_out_bytes as usize + self.parked();
         let free = RCV_BUF_CAP.saturating_sub(buffered);
         pkt.osr.rcv_wnd = (free >> self.pressure.wnd_shift()).min(u16::MAX as usize) as u16;
         pkt.osr.ecn_echo = self.ecn_to_echo;
@@ -345,7 +416,7 @@ impl Osr {
             // (A sliver below one MSS keeps the backoff going — probes
             // trickle single bytes until real progress is possible.)
             self.persist_deadline = None;
-            self.persist_backoff = PERSIST_INITIAL;
+            self.persist_doublings = 0;
             self.probe_due = false;
         }
         if pkt.osr.ecn_echo {
@@ -378,9 +449,16 @@ impl Osr {
                 return;
             }
             self.probe_due = true;
-            self.persist_backoff = Dur((self.persist_backoff.0 * 2).min(PERSIST_MAX.0));
-            self.persist_deadline = Some(now + self.persist_backoff);
+            if self.persist_backoff() < PERSIST_MAX {
+                self.persist_doublings += 1;
+            }
+            self.persist_deadline = Some(now + self.persist_backoff());
         }
+    }
+
+    /// The current persist timeout.
+    fn persist_backoff(&self) -> Dur {
+        Dur(PERSIST_INITIAL.0 << self.persist_doublings).min(PERSIST_MAX)
     }
 
     /// Take the 1-byte zero-window probe released by the persist timer, if
@@ -390,10 +468,12 @@ impl Osr {
         if !std::mem::take(&mut self.probe_due) {
             return None;
         }
-        let b = self.app_buf.pop_front()?;
+        if self.app_buf.is_empty() {
+            return None;
+        }
         self.bytes_in_flight += 1;
         self.stats.zero_window_probes += 1;
-        Some(Payload::from(&[b][..]))
+        Some(self.cut(1))
     }
 
     /// Deterministic behavioral fingerprint for the OSR contract checker
@@ -413,44 +493,29 @@ impl Osr {
                     | (self.ecn_to_echo as u64) << 2
                     | (self.window_update_pending as u64) << 3,
                 self.persist_deadline.map_or(u64::MAX, |t| t.0),
-                self.persist_backoff.0,
+                self.persist_backoff().0,
                 self.rcv_next,
                 self.pressure.wnd_shift() as u64,
             ],
         );
         acc = fp::fold(acc, self.rate.state_key());
-        let (a, b) = self.app_buf.as_slices();
-        acc = fp::fold_bytes(fp::fold_bytes(acc, a), b);
+        acc = fold_stream(acc, &self.app_buf);
         for (&off, data) in &self.reasm {
             acc = fp::fold_bytes(fp::mix(acc, off), data);
         }
-        let (a, b) = self.app_out.as_slices();
-        acc = fp::fold_bytes(fp::fold_bytes(acc, a), b);
+        acc = fold_stream(acc, &self.app_out);
         vec![acc]
     }
 }
 
-/// Cut the first `n` bytes of a ring into the slab that carries them from
-/// here to the wire: one allocation and one `memcpy`, except for the rare
-/// segment that straddles the ring's wrap point, which is gathered first.
-fn cut_front(ring: &VecDeque<u8>, n: usize) -> Payload {
-    let (front, _) = ring.as_slices();
-    if n <= front.len() {
-        front[..n].into()
-    } else {
-        copy_front(ring, n).into()
-    }
-}
-
-/// Copy the first `n` bytes of a ring into one exactly-sized `Vec`: one
-/// `memcpy` per contiguous half, nothing allocated for `n == 0`.
-fn copy_front(ring: &VecDeque<u8>, n: usize) -> Vec<u8> {
-    let (a, b) = ring.as_slices();
-    let k = n.min(a.len());
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&a[..k]);
-    out.extend_from_slice(&b[..n - k]);
-    out
+/// Fold a queue of views as the one byte stream it holds — its length, then
+/// its bytes in order — so the key is the content's, however the
+/// application chunked its writes or RD its deliveries. (The closing zero
+/// keeps the keys equal to those of the byte rings these queues replaced.)
+fn fold_stream(acc: u64, queue: &VecDeque<Payload>) -> u64 {
+    let len: usize = queue.iter().map(|p| p.len()).sum();
+    let bytes = queue.iter().flat_map(|p| p.iter().map(|&b| b as u64));
+    fp::mix(fp::fold(fp::mix(acc, len as u64), bytes), 0)
 }
 
 // ---------------------------------------------------------------------
@@ -794,80 +859,210 @@ mod tests {
         assert_eq!(o.stats.reasm_overflow_drops, 1, "budget is back after the drain");
     }
 
-    /// A ring holding `bytes` with the first `before_wrap` of them at the
-    /// very end of its buffer and the rest at the start.
-    fn wrapped_ring(bytes: &[u8], before_wrap: usize) -> VecDeque<u8> {
-        let mut ring = VecDeque::with_capacity(bytes.len());
-        let lead = ring.capacity() - before_wrap;
-        ring.extend(std::iter::repeat_n(0, lead));
-        ring.push_back(bytes[0]);
-        ring.drain(..lead); // head now sits `before_wrap` short of the end
-        ring.extend(&bytes[1..]);
-        let (a, b) = ring.as_slices();
-        assert_eq!((a.len(), b.len()), (before_wrap, bytes.len() - before_wrap));
-        ring
+    /// Byte `i` of a stream whose every position is recognisable.
+    fn byte(i: usize) -> u8 {
+        (i.wrapping_mul(31) ^ (i >> 8)) as u8
+    }
+
+    fn stream(from: usize, len: usize) -> Vec<u8> {
+        (from..from + len).map(byte).collect()
     }
 
     #[test]
-    fn cut_and_read_cross_the_ring_wrap_point() {
-        let data: Vec<u8> = (0..2500).map(|i| (i % 251) as u8).collect();
+    fn a_cut_is_a_view_unless_it_straddles_two_writes() {
+        let data = stream(0, 4000);
         let mut o = osr(1 << 20);
-        // The first segment is 300 bytes from the end of the buffer and
-        // 700 from its start.
-        o.app_buf = wrapped_ring(&data, 300);
-        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[..1000]);
-        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[1000..2000]);
-        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[2000..]);
+        o.write(&data[..2500]);
+        o.write(&data[2500..2600]);
+        o.write(&data[2600..]);
+        // Wholly inside the first write: views of one slab, nothing copied.
+        let a = o.poll_segment(t(0)).unwrap();
+        let b = o.poll_segment(t(0)).unwrap();
+        assert_eq!((&a[..], &b[..]), (&data[..1000], &data[1000..2000]));
+        assert!(a.ptr_eq(&b) && a.ptr_eq(&o.app_buf[0]));
+        // Tail of the first write, all of the second, head of the third:
+        // gathered into a slab of its own.
+        let c = o.poll_segment(t(0)).unwrap();
+        assert_eq!(c[..], data[2000..3000]);
+        assert!(!c.ptr_eq(&a) && !c.ptr_eq(&o.app_buf[0]));
+        assert_eq!(o.app_buf.len(), 1, "consumed handles are gone");
+        let d = o.poll_segment(t(0)).unwrap();
+        assert_eq!(d[..], data[3000..]);
         assert!(o.poll_segment(t(0)).is_none());
-        o.app_out = wrapped_ring(&data, 300);
+        assert!(o.drained() && o.buffered_bytes() == 0);
+    }
+
+    #[test]
+    fn a_probe_is_one_byte_off_the_front_slab() {
+        let data = stream(0, 2001);
+        let mut o = osr(1 << 20);
+        o.write(&data[..1]);
+        o.write(&data[1..]);
+        // The front slab is the one-byte write: the probe takes all of it.
+        o.probe_due = true;
+        assert_eq!(o.poll_probe().unwrap()[..], data[..1]);
+        assert_eq!(o.app_buf.len(), 1);
+        // Now it is a view of the first byte of a longer one.
+        o.probe_due = true;
+        let probe = o.poll_probe().unwrap();
+        assert_eq!(probe[..], data[1..2]);
+        assert!(probe.ptr_eq(&o.app_buf[0]));
+        assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[2..1002]);
+        assert_eq!(o.bytes_in_flight(), 1002);
+        assert_eq!(o.stats.zero_window_probes, 2);
+    }
+
+    #[test]
+    fn writes_fill_slabs_of_at_most_slab_max_up_to_the_cap() {
+        let mut o = osr(1 << 20);
+        let data = stream(0, SLAB_MAX + 10);
+        assert_eq!(o.write(&data), data.len());
+        assert_eq!(o.app_buf.iter().map(|p| p.len()).collect::<Vec<_>>(), [SLAB_MAX, 10]);
+        // The cap cuts a write short in the middle; what was accepted is
+        // what is queued, and the next write finds the buffer full.
+        let room = SND_BUF_CAP - data.len();
+        assert_eq!(o.write_capacity(), room);
+        assert_eq!(o.write(&stream(data.len(), room + 5)), room);
+        assert_eq!((o.write_capacity(), o.write(&[1, 2, 3])), (0, 0));
+        assert_eq!(o.buffered_bytes(), SND_BUF_CAP);
+        assert!(o.app_buf.iter().all(|p| p.len() <= SLAB_MAX));
+        // Every byte comes back out in order — including the segments that
+        // straddle a slab boundary (SLAB_MAX is not a multiple of MSS).
+        let mut cut = 0;
+        while let Some(seg) = o.poll_segment(t(0)) {
+            assert_eq!(seg[..], stream(cut, seg.len())[..]);
+            cut += seg.len();
+            o.on_signals(t(0), &[CongSignal::Acked { bytes: seg.len() as u32, rtt: None }]);
+        }
+        assert_eq!(cut, SND_BUF_CAP);
+        assert_eq!(o.write_capacity(), SND_BUF_CAP);
+    }
+
+    #[test]
+    fn the_send_side_holds_at_most_one_slab_more_than_it_accounts_for() {
+        // The test plays RD: it keeps every cut until it is "acknowledged",
+        // and at each step acknowledges all but the newest segment — whose
+        // view pins a slab that is otherwise all acknowledged bytes.
+        fn held<'a>(handles: impl Iterator<Item = &'a Payload>) -> usize {
+            let mut slabs: Vec<&Payload> = Vec::new();
+            for h in handles {
+                if !slabs.iter().any(|s| s.ptr_eq(h)) {
+                    slabs.push(h);
+                }
+            }
+            slabs.iter().map(|s| s.slab_len()).sum()
+        }
+        let mut o = osr(1 << 20);
+        assert_eq!(o.write(&vec![7; SND_BUF_CAP]), SND_BUF_CAP);
+        let mut in_flight: Vec<Payload> = Vec::new();
+        loop {
+            in_flight.extend(std::iter::from_fn(|| o.poll_segment(t(0))));
+            let accounted = o.buffered_bytes() + in_flight.iter().map(|s| s.len()).sum::<usize>();
+            assert!(held(o.app_buf.iter().chain(&in_flight)) <= accounted + SLAB_MAX);
+            let acked: usize = in_flight.drain(..in_flight.len() - 1).map(|s| s.len()).sum();
+            let accounted = o.buffered_bytes() + in_flight[0].len();
+            assert!(held(o.app_buf.iter().chain(&in_flight)) <= accounted + SLAB_MAX);
+            if acked == 0 {
+                break;
+            }
+            o.on_signals(t(0), &[CongSignal::Acked { bytes: acked as u32, rtt: None }]);
+        }
+        // The lone unacknowledged tail: a short view, one whole slab held.
+        assert!(o.drained());
+        assert_eq!((in_flight[0].len(), in_flight[0].slab_len()), (SND_BUF_CAP % MSS, SLAB_MAX));
+    }
+
+    #[test]
+    fn read_gathers_the_delivered_handles() {
+        let data = stream(0, 2500);
+        let mut o = osr(1000);
+        let first = Payload::from(&data[..1000]);
+        o.on_delivered(0, first.clone());
+        assert!(o.app_out[0].ptr_eq(&first), "queued by handle, not copied");
+        o.on_delivered(2000, data[2000..].into());
+        o.on_delivered(1000, data[1000..2000].into());
+        assert_eq!((o.app_out.len(), o.readable_len()), (3, 2500));
         assert_eq!(o.read(), data);
-        assert!(o.read().is_empty());
+        assert!(o.read().is_empty() && o.app_out.is_empty());
+    }
+
+    #[test]
+    fn contract_key_is_the_content_not_the_chunking() {
+        let data = stream(0, 3 * MSS);
+        let fresh = |chunks: &[usize]| {
+            let mut o = osr(1 << 20);
+            let (mut w, mut d) = (0, 0);
+            for &n in chunks {
+                o.write(&data[w..w + n]);
+                w += n;
+            }
+            // The receive side too: one delivery or several, in or out of order.
+            for &n in chunks.iter().rev() {
+                o.on_delivered((2 * MSS - d - n) as u64, data[2 * MSS - d - n..2 * MSS - d].into());
+                d += n;
+            }
+            o
+        };
+        let mut one = fresh(&[2 * MSS]);
+        let mut many = fresh(&[1, MSS - 1, 7, MSS - 7]);
+        assert_ne!(one.app_buf.len(), many.app_buf.len());
+        assert_eq!(one.contract_key(), many.contract_key());
+        // Still equal once a cut has left `many` a partly consumed front
+        // slab — and it is content that is folded, not just length.
+        assert_eq!(one.poll_segment(t(0)), many.poll_segment(t(0)));
+        assert_eq!(one.contract_key(), many.contract_key());
+        let mut other = osr(1 << 20);
+        other.write(&vec![0; 2 * MSS]);
+        other.on_delivered(0, data[..2 * MSS].into());
+        assert_ne!(other.contract_key(), fresh(&[2 * MSS]).contract_key());
     }
 
     proptest::proptest! {
         #[test]
         fn prop_byte_stream_survives_any_interleaving(seed: u64) {
             // Random write / poll_segment / on_delivered / read interleavings
-            // against plain `Vec<u8>` references. `app_buf` is drained from
-            // the front while it is refilled, so over three capacities its
-            // live bytes straddle the wrap point again and again. (`read`
-            // always empties `app_out`, which parks its head at 0: its wrap
-            // is only reachable the way the unit test above forces it.)
+            // against plain `Vec<u8>` references. Writes are 1..3000 bytes and
+            // cuts a full MSS, so cuts land inside one write, end on its last
+            // byte and straddle two or more, again and again.
             let mut rng = proptest::TestRng::new(seed);
             let mut o = osr(1 << 20);
-            let byte = |i: usize| (i.wrapping_mul(31) ^ (i >> 8)) as u8;
             // Sender side: everything written, and how much of it was cut.
             let mut written: Vec<u8> = Vec::new();
             let mut cut = 0;
-            let mut cuts_across_wrap = 0;
+            let (mut views, mut straddles, mut probes_off_many) = (0, 0, 0);
             // Receiver side: the peer's stream, how much RD has handed up
             // (in shuffled windows, exactly once), how much the app has read.
             let mut pending: Vec<(usize, usize)> = Vec::new();
             let mut generated = 0;
             let mut arrived = vec![];
             let mut read = 0;
-            while written.len() < 3 * o.app_buf.capacity().max(4 * MSS) || cuts_across_wrap == 0 {
-                proptest::prop_assert!(written.len() < 1 << 20, "no cut ever crossed the wrap");
+            while written.len() < 24 * MSS || views == 0 || straddles == 0 || probes_off_many == 0 {
+                proptest::prop_assert!(written.len() < 1 << 20, "{views} {straddles} {probes_off_many}");
                 match rng.below(4) {
-                    // Writes outpace cuts until a backlog stands, so the
-                    // ring is rarely empty (an empty ring re-parks its head).
-                    0 if o.app_buf.len() < 6 * MSS => {
+                    // Writes outpace cuts until a backlog stands, so several
+                    // slabs are queued more often than not.
+                    0 if (o.app_buf_bytes as usize) < 6 * MSS => {
                         let n = 1 + rng.below(3000) as usize;
-                        let chunk: Vec<u8> = (written.len()..written.len() + n).map(byte).collect();
+                        let chunk = stream(written.len(), n);
                         proptest::prop_assert_eq!(o.write(&chunk), n);
                         written.extend(chunk);
                     }
                     0 | 1 => {
                         for _ in 0..rng.below(3) {
-                            // A zero-window probe now and then: cuts are
-                            // whole segments, and the odd byte keeps the head
-                            // from staying aligned with the buffer's end.
+                            // A zero-window probe now and then: the odd byte
+                            // keeps cuts from staying aligned with the writes.
                             o.probe_due = rng.below(8) == 0;
-                            let before_wrap = o.app_buf.as_slices().0.len();
-                            let Some(seg) = o.poll_probe().or_else(|| o.poll_segment(t(0))) else {
+                            let (front, slabs) = (o.app_buf.front().cloned(), o.app_buf.len());
+                            let probe = o.poll_probe();
+                            probes_off_many += (probe.is_some() && slabs > 1) as u32;
+                            let Some(seg) = probe.or_else(|| o.poll_segment(t(0))) else {
                                 break;
                             };
-                            cuts_across_wrap += (seg.len() > before_wrap) as u32;
+                            // A view of the front slab exactly when that
+                            // holds every byte of the cut.
+                            let front = front.expect("a cut came out of something");
+                            proptest::prop_assert_eq!(seg.ptr_eq(&front), seg.len() <= front.len());
+                            if seg.len() <= front.len() { views += 1 } else { straddles += 1 }
                             proptest::prop_assert!(seg.len() <= MSS);
                             proptest::prop_assert_eq!(&seg[..], &written[cut..cut + seg.len()]);
                             cut += seg.len();

@@ -66,7 +66,9 @@ pub struct RdStats {
 
 #[derive(Clone)]
 struct Flight {
-    /// The slab OSR cut, shared with the outbox entry of each (re)transmission.
+    /// Offset of the segment's first byte.
+    off: u64,
+    /// The view OSR cut, shared with the outbox entry of each (re)transmission.
     data: Payload,
     sent_at: Time,
     /// When the segment was *first* transmitted (never touched by
@@ -116,14 +118,16 @@ pub struct ReliableDelivery {
     // --- sender, in unwrapped offsets ---
     snd_una: u64,
     snd_nxt: u64,
-    in_flight: BTreeMap<u64, Flight>,
+    /// Unacknowledged segments, contiguous and in offset order: pushed at
+    /// the back, acknowledged off the front.
+    in_flight: VecDeque<Flight>,
     /// Total payload bytes across `in_flight` (kept incrementally so the
     /// memory-bound check is O(1)). Like `ooo_bytes`, capped far below
     /// `u32::MAX` ([`RTX_BYTES_CAP`] plus one segment), and `u32` so the
     /// two counters share one word of the per-connection state.
     flight_bytes: u32,
-    fin_off: Option<u64>,
-    fin_sent_at: Option<Time>,
+    /// Our FIN, once queued: its offset and when it was first sent.
+    fin: Option<(u64, Time)>,
     fin_retransmitted: bool,
     fin_acked: bool,
     dupacks: u32,
@@ -179,10 +183,9 @@ impl ReliableDelivery {
             rcv_isn,
             snd_una: 0,
             snd_nxt: 0,
-            in_flight: BTreeMap::new(),
+            in_flight: VecDeque::new(),
             flight_bytes: 0,
-            fin_off: None,
-            fin_sent_at: None,
+            fin: None,
             fin_retransmitted: false,
             fin_acked: false,
             dupacks: 0,
@@ -265,7 +268,7 @@ impl ReliableDelivery {
     pub fn can_accept(&self) -> bool {
         self.in_flight.len() < MAX_IN_FLIGHT
             && (self.flight_bytes as usize) < RTX_BYTES_CAP
-            && self.fin_off.is_none()
+            && self.fin.is_none()
     }
 
     /// Bytes handed to us and not yet acknowledged.
@@ -283,8 +286,9 @@ impl ReliableDelivery {
     /// [`in_flight_bytes`](Self::in_flight_bytes) stays capped — the pair
     /// is what the host's `ResourceBudget` accounting sees.
     pub fn oldest_unacked_age(&self, now: Time) -> Option<Dur> {
-        let seg = self.in_flight.first_key_value().map(|(_, f)| f.first_sent);
-        seg.or(if self.fin_acked { None } else { self.fin_sent_at }).map(|t0| now.since(t0))
+        let seg = self.in_flight.front().map(|f| f.first_sent);
+        let fin = self.fin.filter(|_| !self.fin_acked).map(|(_, sent_at)| sent_at);
+        seg.or(fin).map(|t0| now.since(t0))
     }
 
     /// Accept a segment from OSR at the next offset; RD assigns sequence
@@ -298,10 +302,14 @@ impl ReliableDelivery {
         self.snd_nxt += data.len() as u64;
         self.flight_bytes += data.len() as u32;
         self.outbox.push_back((Some(off), Payload::clone(&data), false));
-        self.in_flight.insert(
+        self.in_flight.push_back(Flight {
             off,
-            Flight { data, sent_at: now, first_sent: now, retransmitted: false, sacked: false },
-        );
+            data,
+            sent_at: now,
+            first_sent: now,
+            retransmitted: false,
+            sacked: false,
+        });
         self.stats.segments_sent += 1;
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
@@ -310,14 +318,13 @@ impl ReliableDelivery {
 
     /// Queue the FIN (CM decided to close; RD owns its retransmission).
     pub fn send_fin(&mut self, now: Time) {
-        if self.fin_off.is_some() {
+        if self.fin.is_some() {
             return;
         }
         self.log.borrow_mut().w("rd", "snd_nxt");
         let off = self.snd_nxt;
         self.snd_nxt += 1;
-        self.fin_off = Some(off);
-        self.fin_sent_at = Some(now);
+        self.fin = Some((off, now));
         self.outbox.push_back((Some(off), Payload::default(), true));
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
@@ -353,18 +360,12 @@ impl ReliableDelivery {
     fn retransmit_first_unacked(&mut self, now: Time) {
         self.log.borrow_mut().r("rd", "in_flight");
         // Skip SACKed segments — SACK is RD-private mechanics.
-        let target = self
-            .in_flight
-            .iter()
-            .find(|(_, f)| !f.sacked)
-            .map(|(&off, _)| off);
-        if let Some(off) = target {
-            let f = self.in_flight.get_mut(&off).unwrap();
+        if let Some(f) = self.in_flight.iter_mut().find(|f| !f.sacked) {
             f.retransmitted = true;
             f.sent_at = now;
-            self.outbox.push_back((Some(off), Payload::clone(&f.data), false));
+            self.outbox.push_back((Some(f.off), Payload::clone(&f.data), false));
             self.stats.retransmits += 1;
-        } else if let Some(fin_off) = self.fin_off {
+        } else if let Some((fin_off, _)) = self.fin {
             if !self.fin_acked {
                 self.fin_retransmitted = true;
                 self.outbox.push_back((Some(fin_off), Payload::default(), true));
@@ -392,12 +393,9 @@ impl ReliableDelivery {
                 // (Karn's rule).
                 let mut sample = None;
                 // Segments are contiguous, so the fully-acked ones are a
-                // prefix of the map.
-                while let Some(first) = self.in_flight.first_entry() {
-                    if first.key() + first.get().data.len() as u64 > ack {
-                        break;
-                    }
-                    let f = first.remove();
+                // prefix of the queue.
+                while self.in_flight.front().is_some_and(|f| f.off + f.data.len() as u64 <= ack) {
+                    let f = self.in_flight.pop_front().expect("front just seen");
                     self.flight_bytes -= f.data.len() as u32;
                     if !f.retransmitted {
                         sample = Some(now.since(f.sent_at));
@@ -420,18 +418,18 @@ impl ReliableDelivery {
                     }
                 }
                 // FIN covered by this ack?
-                if let Some(foff) = self.fin_off {
+                if let Some((foff, sent_at)) = self.fin {
                     if ack > foff && !self.fin_acked {
                         self.fin_acked = true;
-                        if let (Some(t0), false) = (self.fin_sent_at, self.fin_retransmitted) {
-                            self.rtt_sample(now.since(t0));
+                        if !self.fin_retransmitted {
+                            self.rtt_sample(now.since(sent_at));
                         }
                         self.events.push_back(RdEvent::LocalFinAcked);
                     }
                 }
                 // Summarize progress upward (fin consumes 1 non-data unit).
                 let data_bytes = bytes.saturating_sub(
-                    self.fin_off.map_or(0, |f| u32::from(ack > f)),
+                    self.fin.map_or(0, |(foff, _)| u32::from(ack > foff)),
                 );
                 // RD owns the recovery point; the controller only sees
                 // the classification: plain progress, one more hole
@@ -465,11 +463,14 @@ impl ReliableDelivery {
                     self.signals.push_back(CongSignal::DupAck);
                 }
             }
-            // SACK: mark covered segments so retransmission skips them.
-            for r in &pkt.rd.sack {
+            // SACK: mark covered segments (those that start inside a
+            // range) so retransmission skips them.
+            for r in pkt.rd.sack.iter() {
                 let start = Self::unwrap(self.snd_isn, r.start, self.snd_una);
                 let end = Self::unwrap(self.snd_isn, r.end, self.snd_una);
-                for (_, f) in self.in_flight.range_mut(start..end) {
+                // (Nothing, for a forged range that runs backwards.)
+                let first = self.in_flight.partition_point(|f| f.off < start);
+                for f in self.in_flight.iter_mut().skip(first).take_while(|f| f.off < end) {
                     if !f.sacked {
                         f.sacked = true;
                         self.stats.sacked_skips += 1;
@@ -581,8 +582,16 @@ impl ReliableDelivery {
             return;
         }
         for (ns, ne) in novel {
-            let slice = &data[(ns - start) as usize..(ne - start) as usize];
-            self.events.push_back(RdEvent::Delivered { offset: ns, data: slice.into() });
+            let range = (ns - start) as usize..(ne - start) as usize;
+            // A view keeps the whole decoded payload alive, so hand one up
+            // only when it covers at least half of it (all of it, for an
+            // out-of-order segment that overlaps nothing); a smaller novel
+            // part is copied out. Otherwise a peer resending 64 KiB frames
+            // that are one byte novel each would pin 64 KiB per byte OSR
+            // accounts for.
+            let data =
+                if 2 * range.len() >= data.len() { data.slice(range) } else { data[range].into() };
+            self.events.push_back(RdEvent::Delivered { offset: ns, data });
             // Merge into the ooo range set.
             Self::merge_range(&mut self.ooo, ns, ne);
             self.ooo_bytes += (ne - ns) as u32;
@@ -827,8 +836,8 @@ impl ReliableDelivery {
                 self.snd_una,
                 self.snd_nxt,
                 self.flight_bytes as u64,
-                self.fin_off.map_or(u64::MAX, |o| o),
-                self.fin_sent_at.map_or(u64::MAX, |t| t.0),
+                self.fin.map_or(u64::MAX, |(off, _)| off),
+                self.fin.map_or(u64::MAX, |(_, sent_at)| sent_at.0),
                 (self.fin_retransmitted as u64) | (self.fin_acked as u64) << 1,
                 self.dupacks as u64,
                 (self.in_recovery as u64) | (self.recover << 1),
@@ -847,11 +856,11 @@ impl ReliableDelivery {
                 self.delayed_ack_deadline.map_or(u64::MAX, |t| t.0),
             ],
         );
-        for (&off, f) in &self.in_flight {
+        for f in &self.in_flight {
             acc = fp::fold(
                 acc,
                 [
-                    off,
+                    f.off,
                     f.data.len() as u64,
                     f.sent_at.0,
                     f.first_sent.0,
@@ -1084,13 +1093,24 @@ mod tests {
             [RdEvent::Delivered { offset: 0, data }] => assert!(data.ptr_eq(&pkt.payload)),
             other => panic!("{other:?}"),
         }
-        // A retransmission covering [50, 150) is clipped: the novel bytes go
-        // up in a slab of their own, the covered ones nowhere.
+        // A retransmission covering [50, 150) is clipped: the novel half
+        // goes up as a view of the packet's slab, the covered half nowhere.
         let pkt = peer_data(50, &[2; 100], None);
         r.on_packet(t(1), &pkt, false);
         match &events(&mut r)[..] {
             [RdEvent::Delivered { offset: 100, data }] => {
                 assert_eq!(data[..], [2; 50]);
+                assert!(data.ptr_eq(&pkt.payload));
+            }
+            other => panic!("{other:?}"),
+        }
+        // Less than half novel — [60, 160), of which [150, 160) — is copied
+        // out, so a short view cannot keep a long frame alive.
+        let pkt = peer_data(60, &[3; 100], None);
+        r.on_packet(t(2), &pkt, false);
+        match &events(&mut r)[..] {
+            [RdEvent::Delivered { offset: 150, data }] => {
+                assert_eq!(data[..], [3; 10]);
                 assert!(!data.ptr_eq(&pkt.payload));
             }
             other => panic!("{other:?}"),
@@ -1209,13 +1229,37 @@ mod tests {
         // Peer SACKs the *first* segment but cumulative ack stays 0
         // (contrived, but exercises the skip logic).
         let mut p = peer_data(0, &[], Some(0));
-        p.rd.sack = vec![SackRange { start: 1001, end: 1001 + 100 }];
+        p.rd.sack.push(SackRange { start: 1001, end: 1001 + 100 });
         for _ in 0..3 {
             r.on_packet(t(10), &p.clone(), false);
         }
         let (rtx, _) = r.poll_packet(t(20)).unwrap();
         assert_eq!(rtx.rd.seq, 1101, "retransmit must skip the SACKed segment");
         assert!(r.stats.sacked_skips > 0);
+    }
+
+    #[test]
+    fn sack_marks_the_segments_that_start_inside_a_range() {
+        // Ten 100-byte segments, the first two acknowledged, so the queue
+        // no longer starts at offset 0; every range over a grid that hits
+        // segment starts, their middles and both sides of the window —
+        // backwards ones included, which a forger can send — against the
+        // segment-by-segment rule.
+        for (s, e) in (0..=22).flat_map(|s| (0..=22).map(move |e| (s * 50, e * 50))) {
+            let mut r = rd();
+            for _ in 0..10 {
+                r.push_segment(t(0), vec![0; 100].into());
+            }
+            r.on_packet(t(1), &peer_data(0, &[], Some(200)), false);
+            let mut p = peer_data(0, &[], Some(200));
+            p.rd.sack.push(SackRange { start: 1001 + s, end: 1001 + e });
+            r.on_packet(t(2), &p, false);
+            let marked: Vec<u64> = r.in_flight.iter().filter(|f| f.sacked).map(|f| f.off).collect();
+            let want: Vec<u64> =
+                (2..10).map(|i| i * 100).filter(|&off| s as u64 <= off && off < e as u64).collect();
+            assert_eq!(marked, want, "sack [{s}, {e})");
+            assert_eq!(r.stats.sacked_skips, want.len() as u64);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! [`SlTcpStack::pump`] pops one item at a time until `None`
 //! (`poll_event`, `poll_signal`, `poll_segment`, `poll_packet`). A
 //! crossing moves a value; it never copies payload bytes, which travel as
-//! one [`crate::wire::Payload`] slab from OSR's cut to the codec and from
-//! the codec to OSR's reassembly.
+//! [`crate::wire::Payload`] views of one slab from [`SlTcpStack::send`] to
+//! the codec and of another from the codec to [`SlTcpStack::recv`].
 //!
 //! Contrast with `tcp-mono`: there one function mutates one PCB; here each
 //! sublayer's state is a private Rust struct, so test **T3** (separate
@@ -1183,5 +1183,18 @@ impl SlTcpStack {
             let _ = rd.send_keepalive_probe();
             conn.ka_probes += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_connection_is_no_bigger_than_before_views() {
+        // `sub.conn_heap_bytes` moves by four times whatever is added here
+        // (two endpoints, probed across a table doubling) against a 1 %
+        // bound: OSR's two queue counters and RD's in-flight queue were
+        // paid for inside those structs.
+        let size = std::mem::size_of::<super::Connection>();
+        assert!(size <= 904, "{size}");
     }
 }

@@ -136,7 +136,7 @@ impl AbsWord {
                 seq: self.seq(),
                 ack: self.ack_no(),
                 has_ack: self.ack,
-                sack: Vec::new(),
+                sack: Default::default(),
             },
             osr: OsrHeader { ecn_echo: false, rcv_wnd: self.wnd() },
             payload: self.payload().into(),

@@ -20,28 +20,62 @@
 
 use crate::{be16, be32, checksum};
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 pub use crate::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
-/// A packet's payload: one immutable, reference-counted slab. Whoever first
-/// has the bytes in hand — OSR cutting a segment, [`Packet::decode`] reading
-/// a frame — copies them once; every later holder (RD's retransmission
-/// buffer and outbox, the `Delivered` event, OSR's reassembly map) clones
-/// the handle, not the bytes. `Rc`, not `Arc`: no crate sends a [`Packet`]
-/// across threads (`slshard` moves raw frames).
+/// A packet's payload: a view — a byte range — of an immutable,
+/// reference-counted slab. Whoever first has the bytes in hand — OSR taking
+/// an application write, [`Packet::decode`] reading a frame — copies them
+/// once into a slab; every later holder (OSR's send queue and the segments
+/// cut from it, RD's retransmission buffer and outbox, the `Delivered`
+/// event, OSR's reassembly map and read queue) holds a handle, and
+/// [`Payload::slice`] narrows one without touching the bytes. Nobody can
+/// write a slab, and it is freed when its last handle goes — so a view
+/// keeps its *whole* slab alive, however short it is. `Rc`, not `Arc`: no
+/// crate sends a [`Packet`] across threads (`slshard` moves raw frames).
 ///
-/// The empty payload has no slab and allocates nothing, and no constructor
-/// can produce a shared *empty* slab — so the derived `Eq` is equality of
-/// the bytes, and `Debug` prints them exactly as `Vec<u8>` would.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct Payload(Option<Rc<[u8]>>);
+/// The empty payload has no slab and allocates nothing, whichever
+/// constructor or slice made it. `Eq` is equality of the bytes viewed,
+/// wherever they sit, and `Debug` prints them exactly as `Vec<u8>` would.
+#[derive(Clone, Default)]
+pub struct Payload {
+    /// `None` exactly when `len == 0`.
+    slab: Option<Rc<[u8]>>,
+    off: u32,
+    len: u32,
+}
 
 impl Payload {
+    /// The sub-view `range` of this one (indices relative to it), sharing
+    /// the slab. Panics when the range reaches outside the view, as slice
+    /// indexing does.
+    pub fn slice(&self, range: Range<usize>) -> Payload {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "slice {range:?} of a {}-byte payload",
+            self.len()
+        );
+        if range.is_empty() {
+            return Payload::default();
+        }
+        Payload {
+            slab: self.slab.clone(),
+            off: self.off + range.start as u32,
+            len: range.len() as u32,
+        }
+    }
+
+    /// Bytes this handle keeps alive: the length of its whole slab, however
+    /// short the view.
+    pub fn slab_len(&self) -> usize {
+        self.slab.as_ref().map_or(0, |slab| slab.len())
+    }
+
     /// Do both handles share one slab (or are both slab-less)?
     pub fn ptr_eq(&self, other: &Payload) -> bool {
-        match (&self.0, &other.0) {
+        match (&self.slab, &other.slab) {
             (Some(a), Some(b)) => Rc::ptr_eq(a, b),
             (None, None) => true,
             _ => false,
@@ -54,13 +88,20 @@ impl Deref for Payload {
 
     #[inline]
     fn deref(&self) -> &[u8] {
-        self.0.as_deref().unwrap_or(&[])
+        match &self.slab {
+            Some(slab) => &slab[self.off as usize..][..self.len as usize],
+            None => &[],
+        }
     }
 }
 
 impl From<&[u8]> for Payload {
     fn from(bytes: &[u8]) -> Payload {
-        Payload(if bytes.is_empty() { None } else { Some(Rc::from(bytes)) })
+        if bytes.is_empty() {
+            return Payload::default();
+        }
+        let len = u32::try_from(bytes.len()).expect("a payload is at most a frame or a slab long");
+        Payload { slab: Some(Rc::from(bytes)), off: 0, len }
     }
 }
 
@@ -69,6 +110,14 @@ impl From<Vec<u8>> for Payload {
         Payload::from(&bytes[..])
     }
 }
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -107,10 +156,55 @@ pub struct CmHeader {
 }
 
 /// One SACK range `[start, end)` in absolute sequence numbers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct SackRange {
     pub start: u32,
     pub end: u32,
+}
+
+/// The SACK ranges of one header, held inline: the wire format's 2-bit
+/// count carries at most two, so [`SackList::push`] and `collect()` drop
+/// any further range rather than let it alias the count bits. Reads as a
+/// slice of the ranges present.
+///
+/// Nothing removes a range, so an unused slot is always the default value
+/// and the derived `Eq` is equality of the lists.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct SackList {
+    ranges: [SackRange; 2],
+    len: u8,
+}
+
+impl SackList {
+    pub fn push(&mut self, range: SackRange) {
+        if let Some(slot) = self.ranges.get_mut(self.len as usize) {
+            *slot = range;
+            self.len += 1;
+        }
+    }
+}
+
+impl Deref for SackList {
+    type Target = [SackRange];
+
+    #[inline]
+    fn deref(&self) -> &[SackRange] {
+        &self.ranges[..self.len as usize]
+    }
+}
+
+impl FromIterator<SackRange> for SackList {
+    fn from_iter<I: IntoIterator<Item = SackRange>>(iter: I) -> SackList {
+        let mut list = SackList::default();
+        iter.into_iter().for_each(|r| list.push(r));
+        list
+    }
+}
+
+impl fmt::Debug for SackList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// Reliable-delivery subheader: sequence/ack numbers and SACK — all
@@ -125,7 +219,7 @@ pub struct RdHeader {
     pub has_ack: bool,
     /// Up to two selective-ack ranges (RD-private, invisible to other
     /// sublayers; dropped by the shim since bare RFC 793 has no SACK).
-    pub sack: Vec<SackRange>,
+    pub sack: SackList,
 }
 
 /// OSR subheader: congestion/flow-control signals available to OSR via its
@@ -179,10 +273,7 @@ impl Packet {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        // The header's 2-bit count carries at most two SACK ranges; clamp
-        // rather than let a longer vector silently alias the count bits in
-        // release builds.
-        let n_sack = self.rd.sack.len().min(2);
+        let n_sack = self.rd.sack.len(); // at most two: `SackList`
         let mut out = Vec::with_capacity(Self::header_len(n_sack) + self.payload.len());
         out.push(MAGIC);
         out.extend_from_slice(&self.src_addr.to_be_bytes());
@@ -202,7 +293,7 @@ impl Packet {
         out.extend_from_slice(&self.rd.seq.to_be_bytes());
         out.extend_from_slice(&self.rd.ack.to_be_bytes());
         out.push((self.rd.has_ack as u8) | (n_sack as u8) << 1);
-        for r in self.rd.sack.iter().take(n_sack) {
+        for r in self.rd.sack.iter() {
             out.extend_from_slice(&r.start.to_be_bytes());
             out.extend_from_slice(&r.end.to_be_bytes());
         }
@@ -265,7 +356,7 @@ impl Packet {
         if b.len() < i + n_sack * 8 + 3 {
             return Err(WireError::Truncated { need: BODY + i + n_sack * 8 + 3, got: bytes.len() });
         }
-        let mut sack = Vec::with_capacity(n_sack);
+        let mut sack = SackList::default();
         for _ in 0..n_sack {
             let start = u32_at(&mut i);
             let end = u32_at(&mut i);
@@ -367,7 +458,7 @@ mod tests {
                 seq: 100,
                 ack: 200,
                 has_ack: true,
-                sack: vec![SackRange { start: 300, end: 400 }],
+                sack: [SackRange { start: 300, end: 400 }].into_iter().collect(),
             },
             osr: OsrHeader { ecn_echo: true, rcv_wnd: 9000 },
             payload: b"native".to_vec().into(),
@@ -393,22 +484,74 @@ mod tests {
 
     #[test]
     fn every_empty_payload_is_the_slabless_one() {
-        // Derived `Eq` is byte equality only because "empty" has a single
-        // representation, whichever constructor made it.
+        // "Empty" has a single representation, whichever constructor or
+        // slice made it: nothing allocated, no slab kept alive.
         let pure_ack = Packet::decode(&Packet::default().encode()).unwrap();
-        let empties =
-            [Payload::default(), Payload::from(&[][..]), Payload::from(vec![]), pure_ack.payload];
+        let full = Payload::from(&b"native"[..]);
+        let empties = [
+            Payload::default(),
+            Payload::from(&[][..]),
+            Payload::from(vec![]),
+            pure_ack.payload,
+            full.slice(0..0),
+            full.slice(6..6),
+            full.slice(2..5).slice(1..1),
+        ];
         for e in &empties {
             assert!(e.is_empty());
-            assert!(e.ptr_eq(&empties[0]), "an empty payload owns no slab");
+            assert!(e.ptr_eq(&empties[0]) && e.slab_len() == 0, "an empty payload owns no slab");
             assert_eq!(e, &empties[0]);
         }
-        let full = Payload::from(&b"native"[..]);
         assert!(!full.ptr_eq(&empties[0]) && full != empties[0]);
         // Equal bytes in two slabs are equal, but not shared; a clone is.
         assert_eq!(full, Payload::from(b"native".to_vec()));
         assert!(!full.ptr_eq(&Payload::from(b"native".to_vec())));
         assert!(full.ptr_eq(&full.clone()));
+    }
+
+    #[test]
+    fn a_slice_is_a_view_of_the_same_slab() {
+        let whole = Payload::from(&b"sublayering"[..]);
+        let mid = whole.slice(3..8);
+        assert_eq!(&mid[..], b"layer");
+        assert!(mid.ptr_eq(&whole), "no bytes copied");
+        assert_eq!((mid.len(), mid.slab_len()), (5, 11));
+        // Ranges are relative to the view they are taken from.
+        let inner = mid.slice(1..4);
+        assert_eq!(&inner[..], b"aye");
+        assert!(inner.ptr_eq(&whole));
+        assert_eq!(whole.slice(0..11), whole);
+        // `Eq` and `Debug` are the bytes', wherever they sit.
+        let elsewhere = Payload::from(&b"player"[..]).slice(1..6);
+        assert_eq!(mid, elsewhere);
+        assert!(!mid.ptr_eq(&elsewhere));
+        assert_ne!(mid, whole.slice(2..7));
+        assert_eq!(format!("{mid:?}"), format!("{:?}", b"layer".to_vec()));
+        // A view outlives the handle it was cut from.
+        drop(whole);
+        assert_eq!(&mid[..], b"layer");
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 4..7 of a 6-byte payload")]
+    fn a_slice_past_the_end_of_the_view_panics() {
+        // Out of the *view*, though still inside the slab.
+        let _ = Payload::from(&b"sublayering"[..]).slice(2..8).slice(4..7);
+    }
+
+    #[test]
+    #[should_panic(expected = "of a 6-byte payload")]
+    fn a_backwards_slice_panics() {
+        #[allow(clippy::reversed_empty_ranges)]
+        let _ = Payload::from(&b"native"[..]).slice(4..2);
+    }
+
+    #[test]
+    fn a_packet_is_no_bigger_than_before_views() {
+        // CM retains a 4-slot `VecDeque<Packet>` per endpoint (part of
+        // `sub.conn_heap_bytes`): the view's two offsets must be paid for by
+        // the inline SACK list, not by a bigger packet.
+        assert!(std::mem::size_of::<Packet>() <= 88, "{}", std::mem::size_of::<Packet>());
     }
 
     #[test]
@@ -430,14 +573,17 @@ mod tests {
     }
 
     #[test]
-    fn encode_clamps_excess_sack_ranges() {
+    fn a_third_sack_range_is_dropped_where_it_is_added() {
         // The 2-bit on-wire count cannot carry more than two ranges; a
-        // third must be dropped at encode, not allowed to alias the count.
+        // third must be dropped, not allowed to alias the count.
+        let ranges = [300, 500, 700].map(|start| SackRange { start, end: start + 100 });
         let mut p = sample();
-        p.rd.sack.push(SackRange { start: 500, end: 600 });
-        p.rd.sack.push(SackRange { start: 700, end: 800 });
-        let got = Packet::decode(&p.encode()).expect("still decodes");
-        assert_eq!(got.rd.sack, p.rd.sack[..2].to_vec());
+        p.rd.sack.push(ranges[1]);
+        p.rd.sack.push(ranges[2]);
+        assert_eq!(p.rd.sack[..], ranges[..2]);
+        assert_eq!(p.rd.sack, ranges.into_iter().collect());
+        assert_eq!(format!("{:?}", p.rd.sack), format!("{:?}", ranges[..2].to_vec()));
+        assert_eq!(Packet::decode(&p.encode()), Ok(p));
     }
 
     #[test]
