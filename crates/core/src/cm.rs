@@ -20,11 +20,11 @@
 
 use crate::dm::{Admitted, ConnId};
 use crate::fingerprint as fp;
+use crate::mailbox::Mailbox;
 use crate::signals::SeqValidity;
-use crate::wire::{CmHeader, Packet};
+use crate::wire::{CmFlags, CmHeader, Packet};
 use netsim::{Dur, Time, TransportError};
 use slmetrics::SharedLog;
-use std::collections::VecDeque;
 
 /// Which connection-management mechanism runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,8 +105,11 @@ pub struct ConnMgmt {
     reset_reason: Option<TransportError>,
     /// RFC 5961 challenge ACKs issued (in-window RST/SYN refused).
     challenge_acks: u64,
-    events: VecDeque<CmEvent>,
-    outbox: VecDeque<Packet>,
+    events: Mailbox<CmEvent>,
+    /// CM-originated packets, as the one subheader that tells them apart:
+    /// a SYN, a RST or a bare ack carries nothing else until
+    /// [`ConnMgmt::poll_packet`] builds the packet around it.
+    outbox: Mailbox<CmHeader>,
     log: SharedLog,
 }
 
@@ -128,8 +131,8 @@ impl ConnMgmt {
             last_activity: Time::ZERO,
             reset_reason: None,
             challenge_acks: 0,
-            events: VecDeque::new(),
-            outbox: VecDeque::new(),
+            events: Mailbox::new(),
+            outbox: Mailbox::new(),
             log,
         }
     }
@@ -270,7 +273,7 @@ impl ConnMgmt {
     /// exact-sequence RST, which *is* obeyed.
     fn challenge(&mut self) {
         self.challenge_acks += 1;
-        self.outbox.push_back(Packet::default());
+        self.outbox.push_back(CmHeader::default());
     }
 
     /// Abort the connection: queue an RST to the peer, record `reason`,
@@ -284,23 +287,21 @@ impl ConnMgmt {
         self.reset_reason.get_or_insert(reason);
         self.rtx_deadline = None;
         self.time_wait_deadline = None;
-        let mut pkt = Packet::default();
-        pkt.cm.flags.rst = true;
-        pkt.cm.isn = self.local_isn;
-        self.outbox.push_back(pkt);
+        self.outbox.push_back(CmHeader {
+            flags: CmFlags { rst: true, ..CmFlags::default() },
+            isn: self.local_isn,
+            ack_isn: 0,
+        });
         self.events.push_back(CmEvent::Reset);
     }
 
     fn queue_syn(&mut self, with_ack: bool) {
         self.log.borrow_mut().r("cm", "local_isn");
-        let mut pkt = Packet::default();
-        pkt.cm.flags.syn = true;
-        pkt.cm.flags.cm_ack = with_ack;
-        pkt.cm.isn = self.local_isn;
-        if with_ack {
-            pkt.cm.ack_isn = self.peer_isn.expect("SYN-ACK needs the peer ISN");
-        }
-        self.outbox.push_back(pkt);
+        self.outbox.push_back(CmHeader {
+            flags: CmFlags { syn: true, cm_ack: with_ack, ..CmFlags::default() },
+            isn: self.local_isn,
+            ack_isn: if with_ack { self.peer_isn.expect("SYN-ACK needs the peer ISN") } else { 0 },
+        });
     }
 
     fn establish(&mut self) {
@@ -393,7 +394,7 @@ impl ConnMgmt {
                         self.establish();
                         // The pure ACK completing the handshake: an empty
                         // packet whose RD ack (stamped later) confirms.
-                        self.outbox.push_back(Packet::default());
+                        self.outbox.push_back(CmHeader::default());
                         CmPass::Consumed
                     } else if hdr.flags.syn && !hdr.flags.cm_ack {
                         // Simultaneous open.
@@ -421,7 +422,7 @@ impl ConnMgmt {
                         // synchronized; confirm with a pure ACK exactly
                         // as the SYN_SENT path does (RFC 793 figure 8).
                         self.establish();
-                        self.outbox.push_back(Packet::default());
+                        self.outbox.push_back(CmHeader::default());
                         return CmPass::Consumed;
                     }
                     if handshake_ack || !hdr.flags.syn {
@@ -447,7 +448,7 @@ impl ConnMgmt {
                 CmState::TimeWait => {
                     // Re-ack anything (handled by RD's ack stamping on the
                     // empty packet).
-                    self.outbox.push_back(Packet::default());
+                    self.outbox.push_back(CmHeader::default());
                     CmPass::Consumed
                 }
                 CmState::Idle | CmState::Closed => CmPass::Drop,
@@ -540,7 +541,7 @@ impl ConnMgmt {
 
     /// Pending CM-originated packets (SYNs, handshake acks).
     pub fn poll_packet(&mut self) -> Option<Packet> {
-        self.outbox.pop_front()
+        self.outbox.pop_front().map(|cm| Packet { cm, ..Packet::default() })
     }
 
     pub fn poll_deadline(&self) -> Option<Time> {
@@ -1003,6 +1004,34 @@ mod tests {
         }
         assert_eq!(cm.state(), CmState::Closed);
         assert_eq!(cm.reset_reason(), Some(TransportError::HandshakeFailed));
+    }
+
+    #[test]
+    fn contract_key_folds_what_the_mailboxes_hold_not_how() {
+        // A duplicate SYN re-answered before the first SYN-ACK was polled
+        // spills the outbox; answered after, it does not. Either way the
+        // same two packets went out and the same machine is left.
+        let syn = hdr(true, false, 500, 0);
+        let open = || {
+            ConnMgmt::open_passive(tok(), CmScheme::ThreeWay, 900, &syn, Time::ZERO, slmetrics::shared())
+                .unwrap()
+        };
+        let (mut bursty, mut steady) = (open(), open());
+        bursty.on_packet(&syn, false, SeqValidity::Exact, Time::ZERO);
+        let sent = [bursty.poll_packet(), bursty.poll_packet(), bursty.poll_packet()];
+        let first = steady.poll_packet();
+        steady.on_packet(&syn, false, SeqValidity::Exact, Time::ZERO);
+        assert_eq!(sent, [first, steady.poll_packet(), steady.poll_packet()]);
+        assert!(matches!(bursty.outbox, Mailbox::Spilled(_)));
+        assert!(matches!(steady.outbox, Mailbox::Inline(None)));
+        assert_eq!(bursty.contract_key(), steady.contract_key());
+        // And with a packet and an event waiting in each.
+        for cm in [&mut bursty, &mut steady] {
+            cm.abort(TransportError::PeerVanished);
+            assert_eq!((cm.outbox.len(), cm.events.len()), (1, 1));
+        }
+        assert_eq!(bursty.contract_key(), steady.contract_key());
+        assert_ne!(bursty.contract_key(), open().contract_key());
     }
 
     #[test]

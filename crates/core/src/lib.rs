@@ -33,6 +33,7 @@ pub mod cm;
 pub mod dm;
 pub mod fingerprint;
 pub mod isn;
+mod mailbox;
 pub mod offload;
 pub mod osr;
 pub mod rd;

@@ -20,6 +20,7 @@
 //! wire space happens only at the header boundary.
 
 use crate::fingerprint as fp;
+use crate::mailbox::Mailbox;
 use crate::signals::{CongSignal, SeqValidity};
 use crate::wire::{Packet, Payload, SackRange};
 use netsim::{Dur, Time};
@@ -168,9 +169,9 @@ pub struct ReliableDelivery {
     // --- outputs ---
     /// (offset or None for a pure ack, payload, is_fin). A data entry's
     /// payload is a handle on the slab `in_flight` holds, not a copy.
-    outbox: VecDeque<(Option<u64>, Payload, bool)>,
-    signals: VecDeque<CongSignal>,
-    events: VecDeque<RdEvent>,
+    outbox: Mailbox<(Option<u64>, Payload, bool)>,
+    signals: Mailbox<CongSignal>,
+    events: Mailbox<RdEvent>,
     pub stats: RdStats,
     log: SharedLog,
 }
@@ -206,9 +207,9 @@ impl ReliableDelivery {
             pace_acks: false,
             delayed_ack_deadline: None,
             use_sack: true,
-            outbox: VecDeque::new(),
-            signals: VecDeque::new(),
-            events: VecDeque::new(),
+            outbox: Mailbox::new(),
+            signals: Mailbox::new(),
+            events: Mailbox::new(),
             stats: RdStats::default(),
             log,
         }
@@ -871,7 +872,7 @@ impl ReliableDelivery {
         for (&s, &e) in &self.ooo {
             acc = fp::fold(acc, [s, e]);
         }
-        for (off, payload, is_fin) in &self.outbox {
+        for (off, payload, is_fin) in self.outbox.iter() {
             acc = fp::mix(acc, off.map_or(u64::MAX, |o| o));
             acc = fp::fold_bytes(acc, payload);
             acc = fp::mix(acc, *is_fin as u64);
@@ -1064,6 +1065,51 @@ mod tests {
         assert_eq!(p1.rd.seq, 1001);
         assert_eq!(p2.rd.seq, 1101);
         assert_eq!(r.bytes_unacked(), 150);
+    }
+
+    #[test]
+    fn contract_key_folds_what_the_mailboxes_hold_not_how() {
+        // `bursty` is drained once, after every hand-off queue has held two
+        // items (which spills it); `steady` after every step, so its queues
+        // never leave the inline slot. Equal contents, equal key — the 1,482
+        // states of BENCH_contracts.json are counted by this key.
+        let steps: [&dyn Fn(&mut ReliableDelivery); 8] = [
+            &|r| r.push_segment(t(0), vec![1; 100].into()),
+            &|r| r.push_segment(t(0), vec![2; 100].into()),
+            &|r| r.on_packet(t(0), &peer_data(100, &[3; 50], None), false),
+            &|r| r.on_packet(t(0), &peer_data(300, &[4; 50], None), false),
+            // The third duplicate ack is the first to raise a signal.
+            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
+            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
+            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
+            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
+        ];
+        let drain = |r: &mut ReliableDelivery| {
+            while r.poll_packet(t(0)).is_some() {}
+            (events(r), signals(r))
+        };
+        let (mut bursty, mut steady) = (rd(), rd());
+        for step in steps {
+            step(&mut bursty);
+            step(&mut steady);
+            drain(&mut steady);
+        }
+        drain(&mut bursty);
+        for (r, spilled) in [(&bursty, true), (&steady, false)] {
+            assert_eq!(matches!(r.outbox, Mailbox::Spilled(_)), spilled);
+            assert_eq!(matches!(r.events, Mailbox::Spilled(_)), spilled);
+            assert_eq!(matches!(r.signals, Mailbox::Spilled(_)), spilled);
+        }
+        assert_eq!(bursty.contract_key(), steady.contract_key());
+        // And with one item waiting in each queue.
+        for r in [&mut bursty, &mut steady] {
+            r.push_segment(t(0), vec![5; 100].into());
+            r.on_packet(t(0), &peer_data(500, &[6; 50], None), false);
+            r.on_packet(t(0), &peer_data(0, &[], Some(0)), false);
+            assert_eq!((r.outbox.len(), r.events.len(), r.signals.len()), (1, 1, 1));
+        }
+        assert_eq!(bursty.contract_key(), steady.contract_key());
+        assert_ne!(bursty.contract_key(), rd().contract_key());
     }
 
     #[test]

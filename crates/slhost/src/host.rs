@@ -24,7 +24,7 @@ use crate::wheel::{TimerKey, TimerWheel};
 use netsim::{Dur, MultiStack, PortId, Time, TransportError};
 use slmetrics::{HostCounters, Pressure};
 use std::collections::{HashMap, VecDeque};
-use slwire::Endpoint;
+use slwire::{Endpoint, MAX_FRAME_BYTES};
 
 /// How the host discovers due connection timers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,6 +151,38 @@ impl HostConn {
     }
 }
 
+/// How many serviced frame buffers the host keeps to copy the next inbound
+/// frames into.
+const SPARE_FRAMES: usize = 32;
+
+/// Serviced frame buffers, kept so that steady ingest costs a copy per
+/// frame and no allocation: never more than [`SPARE_FRAMES`] of them, none
+/// larger than one frame.
+#[derive(Default)]
+struct SpareFrames(Vec<Vec<u8>>);
+
+impl SpareFrames {
+    /// An owned copy of `frame`, in a spare buffer when the top one is
+    /// big enough (a smaller one is dropped, so the list drifts towards
+    /// buffers that fit the traffic).
+    fn copy(&mut self, frame: &[u8]) -> Vec<u8> {
+        match self.0.pop() {
+            Some(mut buf) if buf.capacity() >= frame.len() => {
+                buf.extend_from_slice(frame);
+                buf
+            }
+            _ => frame.to_vec(),
+        }
+    }
+
+    fn put(&mut self, mut buf: Vec<u8>) {
+        if self.0.len() < SPARE_FRAMES && buf.capacity() <= MAX_FRAME_BYTES {
+            buf.clear();
+            self.0.push(buf);
+        }
+    }
+}
+
 /// An event-driven multi-connection server host. Implements
 /// [`MultiStack`] so it drops into a [`netsim::star`] topology as the
 /// hub node.
@@ -163,6 +195,17 @@ pub struct Host<S: HostStack> {
     conns: HashMap<S::ConnId, HostConn>,
     /// Frames not matching any connection (SYNs, cookie ACKs, strays).
     listener_q: VecDeque<Vec<u8>>,
+    /// Connections whose `pending` queue has gone from empty to non-empty
+    /// since the last ingest batch, in arrival order: what
+    /// `service_ingress` visits, so a batch costs the connections that
+    /// received frames and not the whole table. An entry may be stale (the
+    /// connection closed with frames pending, its id possibly reused
+    /// since); servicing a stale entry finds nothing to do.
+    ingress_ready: Vec<S::ConnId>,
+    /// `service_ingress`'s list of connections to pump, kept for its
+    /// buffer; empty between batches.
+    touched: Vec<S::ConnId>,
+    spare: SpareFrames,
     accept_q: VecDeque<S::ConnId>,
     events: VecDeque<HostEvent<S::ConnId>>,
     /// Routed frames ready to transmit.
@@ -204,6 +247,9 @@ impl<S: HostStack> Host<S> {
             routes: HashMap::new(),
             conns: HashMap::new(),
             listener_q: VecDeque::new(),
+            ingress_ready: Vec::new(),
+            touched: Vec::new(),
+            spare: SpareFrames::default(),
             accept_q: VecDeque::new(),
             events: VecDeque::new(),
             out: VecDeque::new(),
@@ -492,7 +538,7 @@ impl<S: HostStack> Host<S> {
     /// `quantum` frames per connection per pass.
     fn service_ingress(&mut self, now: Time) {
         self.batch_due = None;
-        let mut touched: Vec<S::ConnId> = Vec::new();
+        let mut touched = std::mem::take(&mut self.touched);
         while let Some(frame) = self.listener_q.pop_front() {
             self.stack.on_frame(now, &frame);
             if let Some(meta) = S::classify_frame(&frame) {
@@ -501,14 +547,12 @@ impl<S: HostStack> Host<S> {
                     touched.push(id);
                 }
             }
+            self.spare.put(frame);
         }
-        let mut busy: Vec<S::ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, hc)| !hc.pending.is_empty())
-            .map(|(&id, _)| id)
-            .collect();
-        busy.sort();
+        // Ascending, so every same-seed run services in the same order.
+        let mut busy = std::mem::take(&mut self.ingress_ready);
+        busy.sort_unstable();
+        busy.dedup();
         while !busy.is_empty() {
             busy.retain(|&id| {
                 for _ in 0..self.cfg.quantum {
@@ -520,17 +564,21 @@ impl<S: HostStack> Host<S> {
                     };
                     self.pending_bytes = self.pending_bytes.saturating_sub(frame.len());
                     self.stack.on_frame(now, &frame);
+                    self.spare.put(frame);
                     touched.push(id);
                 }
                 self.conns.get(&id).is_some_and(|hc| !hc.pending.is_empty())
             });
         }
-        touched.sort();
+        self.ingress_ready = busy;
+        touched.sort_unstable();
         touched.dedup();
-        for id in touched {
+        for &id in &touched {
             self.stack.pump_conn(now, id);
             self.update(now, id);
         }
+        touched.clear();
+        self.touched = touched;
         self.refresh_pressure(now);
     }
 
@@ -707,6 +755,50 @@ impl<S: HostStack> Host<S> {
     }
 }
 
+/// The walk over every tracked connection that `service_ingress` used to
+/// start with — the reference its ready list is tested against
+/// (`ingress_tests`): the same connections serviced in the same order.
+#[cfg(test)]
+impl<S: HostStack> Host<S> {
+    pub(crate) fn scan_busy(&self) -> Vec<S::ConnId> {
+        let mut busy: Vec<S::ConnId> = self
+            .conns
+            .iter()
+            .filter(|(_, hc)| !hc.pending.is_empty())
+            .map(|(&id, _)| id)
+            .collect();
+        busy.sort();
+        busy
+    }
+
+    /// Service the next batch from the walk's answer.
+    pub(crate) fn ready_from_scan(&mut self) {
+        self.ingress_ready = self.scan_busy();
+    }
+
+    pub(crate) fn ingress_ready(&self) -> &[S::ConnId] {
+        &self.ingress_ready
+    }
+
+    pub(crate) fn pending_bytes(&self) -> usize {
+        self.pending_bytes
+    }
+
+    /// The ingress bookkeeping holds what the table says it should.
+    pub(crate) fn check_ingress(&self) {
+        for id in self.scan_busy() {
+            assert!(self.ingress_ready.contains(&id), "{id:?} has frames pending and is not noted");
+        }
+        let queued: usize = self.conns.values().flat_map(|hc| &hc.pending).map(Vec::len).sum();
+        assert_eq!(self.pending_bytes, queued);
+        assert!(self.touched.is_empty());
+        assert!(self.spare.0.len() <= SPARE_FRAMES, "{} spare buffers", self.spare.0.len());
+        for buf in &self.spare.0 {
+            assert!(buf.is_empty() && buf.capacity() <= MAX_FRAME_BYTES, "{}", buf.capacity());
+        }
+    }
+}
+
 impl<S: HostStack> MultiStack for Host<S> {
     fn on_frame(&mut self, now: Time, port: PortId, frame: &[u8]) {
         self.counters.frames_in = self.counters.frames_in.saturating_add(1);
@@ -729,15 +821,18 @@ impl<S: HostStack> MultiStack for Host<S> {
                         if hc.pending.len() < self.cfg.ingress_cap {
                             self.pending_bytes =
                                 self.pending_bytes.saturating_add(frame.len());
-                            hc.pending.push_back(frame.to_vec());
+                            if hc.pending.is_empty() {
+                                self.ingress_ready.push(id);
+                            }
+                            hc.pending.push_back(self.spare.copy(frame));
                         }
                         // else: drop; retransmission recovers.
                     }
-                    None => self.listener_q.push_back(frame.to_vec()),
+                    None => self.listener_q.push_back(self.spare.copy(frame)),
                 }
             }
             // Unparseable: hand it to the stack's own error accounting.
-            None => self.listener_q.push_back(frame.to_vec()),
+            None => self.listener_q.push_back(self.spare.copy(frame)),
         }
         if self.batch_due.is_none() {
             self.batch_due = Some(now + self.cfg.batch_window);
@@ -856,5 +951,17 @@ impl<S: HostStack, A: HostApp<S>> MultiStack for ServedHost<S, A> {
     fn on_tick(&mut self, now: Time) {
         self.host.on_tick(now);
         self.dispatch(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_tracked_connection_stays_within_its_inline_budget() {
+        // The table stores `HostConn` by value, one per connection in
+        // either arm; the ready list, the scratch list and the spare
+        // buffers are the host's, not the connection's.
+        let size = std::mem::size_of::<super::HostConn>();
+        assert!(size <= 112, "{size}");
     }
 }

@@ -32,3 +32,6 @@ pub use differ::{observe, ConnObs};
 pub use host::{Host, HostApp, HostConfig, HostEvent, ServedHost, TimerMode};
 pub use stack::{FrameMeta, HostStack};
 pub use wheel::{TimerKey, TimerWheel};
+
+#[cfg(test)]
+mod ingress_tests;
