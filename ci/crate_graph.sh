@@ -1,7 +1,10 @@
 #!/bin/sh
 # The crate graph is part of the argument (ROADMAP item 3): the contribution
-# must not link the baseline, nor the baseline the contribution, and the
-# wire crate under both must stay a leaf.
+# must not link the baseline, nor the baseline the contribution; the host
+# layers above them (`slhost`, `slshard`) link neither, being generic over
+# `netsim::HostStack`, which each stack implements on its own type; the wire
+# crate under everything must stay a leaf, and `netsim`, where that trait
+# lives, may depend on nothing in the workspace but it.
 set -eu
 deps() { cargo tree -e normal --prefix none -p "$1" | sed 's/ .*//' | sort -u; }
 fail=0
@@ -14,8 +17,16 @@ forbid() {
 forbid sublayer-core tcp-mono
 forbid slverify tcp-mono
 forbid tcp-mono sublayer-core
+forbid slhost sublayer-core
+forbid slhost tcp-mono
+forbid slshard sublayer-core
+forbid slshard tcp-mono
 if [ "$(deps slwire)" != slwire ]; then
     echo "crate graph: slwire is not a leaf:" $(deps slwire) >&2
+    fail=1
+fi
+if [ "$(deps netsim | tr '\n' ' ')" != "netsim slwire " ]; then
+    echo "crate graph: netsim depends on more than slwire:" $(deps netsim) >&2
     fail=1
 fi
 exit $fail

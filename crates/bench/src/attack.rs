@@ -27,13 +27,13 @@ use netsim::{
     AttackConfig, Attacker, DetRng, Dur, LinkParams, SeqKnowledge, SimNet, StackNode, Time,
     TransportError,
 };
-use slconform::Kind;
+use slconform::{ConformStack, Kind};
 use slmetrics::AttackCounters;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 
 use crate::chaos::KINDS;
-use crate::{json, keepalive_pair, stream_transfer, sweep_grid, CampaignStack, Report};
+use crate::{json, keepalive_pair, stream_transfer, sweep_grid, Report};
 
 /// Bytes the legitimate flow transfers under attack.
 const PAYLOAD_LEN: usize = 120_000;
@@ -251,7 +251,7 @@ fn link() -> LinkParams {
 
 /// What the campaign needs of a stack beyond the shared transfer surface:
 /// the defence counters' read-out.
-pub trait AttackTarget: CampaignStack {
+pub trait AttackTarget: ConformStack {
     fn half_open(&self) -> usize;
     /// This endpoint's defence counters (`forged_segments` left 0);
     /// `conn` is its side of the attacked flow, if it still knows one.

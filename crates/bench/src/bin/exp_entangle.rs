@@ -2,7 +2,7 @@
 //! and sublayered stacks, comparing the field-sharing matrices (paper
 //! §2.3: shared PCB state is what makes monolithic reasoning hard).
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, StackNode, Time};
 use slmetrics::InteractionMatrix;
 use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;

@@ -20,11 +20,11 @@
 //! produces a byte-identical JSON summary, which CI exploits.
 
 use netsim::{two_party, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, Time, TransportError};
-use slconform::Kind;
+use slconform::{ConformStack, Kind};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 
-use crate::{json, keepalive_pair, stream_transfer, sweep_grid, CampaignStack, Report};
+use crate::{json, keepalive_pair, stream_transfer, sweep_grid, Report};
 
 /// Both stacks in the committed row order (monolith first).
 pub const KINDS: [Kind; 2] = [Kind::Mono, Kind::Sub];
@@ -227,7 +227,7 @@ fn judge(profile: ChaosProfile, mut out: CampaignOutcome) -> CampaignOutcome {
     out
 }
 
-fn run<H: CampaignStack>(
+fn run<H: ConformStack>(
     seed: u64,
     payload: &[u8],
     params: LinkParams,

@@ -26,9 +26,9 @@
 //! outcome to be byte-identical — crash, restart, and all.
 
 use crate::shard::{mode_label, modes_agree};
-use crate::{dur, json, CampaignStack, Report, KINDS};
-use netsim::{Dur, LinkParams, MultiStackNode, StackNode, Time, TransportError};
-use slconform::Kind;
+use crate::{dur, json, Report, KINDS};
+use netsim::{Dur, Keepalive, LinkParams, MultiStackNode, StackNode, Time, TransportError};
+use slconform::{ConformStack, Kind};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
 use slshard::{
     mute_injected_panics, FaultEvent, FaultEventKind, FaultKind, FaultSpec, Mode,
@@ -314,7 +314,7 @@ struct RunData {
     sim_ms: u64,
 }
 
-fn run_net<S: CampaignStack>(
+fn run_net<S: ConformStack>(
     p: FailoverParams,
     policy: RestartPolicy,
     plan: Option<&ShardFaultPlan>,
@@ -323,7 +323,7 @@ fn run_net<S: CampaignStack>(
 ) -> RunData {
     mute_injected_panics();
     // Clients run keepalive so a silently-dead shard becomes a typed error.
-    let keepalive = Some((Dur::from_secs(10), Dur::from_secs(2)));
+    let keepalive = Some(Keepalive::default());
     let per_shard_conns = (p.n / p.shards.max(1)) * 2 + 1024;
     let host_cfg = HostConfig {
         listen_port: PORT,
@@ -407,7 +407,7 @@ pub fn run_one(p: FailoverParams) -> FailoverOutcome {
     }
 }
 
-fn run_cell<S: CampaignStack>(p: FailoverParams) -> FailoverOutcome {
+fn run_cell<S: ConformStack>(p: FailoverParams) -> FailoverOutcome {
     let policy = if p.restart { RestartPolicy::default() } else { RestartPolicy::never() };
     let retries = if p.restart { RETRIES } else { 0 };
     let horizon = Time(if p.restart { RESTART_HORIZON_NS } else { NEVER_HORIZON_NS });

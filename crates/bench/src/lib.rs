@@ -33,10 +33,9 @@ pub mod topology;
 use netsim::{two_party, Dur, FaultProfile, LinkParams, NodeId, SimNet, StackNode, Time};
 use slconform::{ConformStack, Kind};
 use slhost::HostStack;
-use slmetrics::SharedLog;
 use sublayer_core::shim::ShimStack;
-use sublayer_core::{CmScheme, KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::stack::{Keepalive, TcpStack};
+use sublayer_core::{CmScheme, SlConfig, SlTcpStack};
+use tcp_mono::stack::TcpStack;
 use slwire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
@@ -146,40 +145,6 @@ pub fn sweep_grid<P: Copy, O>(
     outs
 }
 
-/// [`ConformStack`] construction with the two things the campaigns vary:
-/// keepalive and the access log.
-pub trait CampaignStack: ConformStack {
-    /// A stack at `addr` recording into `log`; `keepalive` is `(idle,
-    /// probe interval)` with five probes, or off.
-    fn mk_with(addr: u32, keepalive: Option<(Dur, Dur)>, log: SharedLog) -> Self;
-
-    /// Keepalive armed at 10 s / 2 s / x5 — chaos, attack and topology
-    /// run their endpoints this way so a dead path surfaces as a typed
-    /// abort, and the reroute profiles pin "keepalive defers while data
-    /// is in flight" under a live RTT step.
-    fn mk_keepalive(addr: u32) -> Self {
-        Self::mk_with(addr, Some((Dur::from_secs(10), Dur::from_secs(2))), slmetrics::shared())
-    }
-}
-
-impl CampaignStack for SlTcpStack {
-    fn mk_with(addr: u32, keepalive: Option<(Dur, Dur)>, log: SharedLog) -> Self {
-        let keepalive =
-            keepalive.map(|(idle, interval)| KeepaliveConfig { idle, interval, max_probes: 5 });
-        SlTcpStack::new(addr, SlConfig { keepalive, ..SlConfig::default() }, log)
-    }
-}
-
-impl CampaignStack for TcpStack {
-    fn mk_with(addr: u32, keepalive: Option<(Dur, Dur)>, log: SharedLog) -> Self {
-        let mut s = TcpStack::new(addr, log);
-        if let Some((idle, interval)) = keepalive {
-            s.set_keepalive(Keepalive { idle, interval, max_probes: 5 });
-        }
-        s
-    }
-}
-
 /// How long (simulated) a streamed transfer may run before it counts as
 /// hung.
 const PATIENCE: Dur = Dur(600_000_000_000);
@@ -188,7 +153,7 @@ const STEP: Dur = Dur(250_000_000);
 
 /// A keepalive client at [`A`] already connecting to a keepalive server
 /// listening at [`B`]:80 — the two endpoints of a chaos or attack run.
-pub fn keepalive_pair<H: CampaignStack>() -> (H, H, H::ConnId) {
+pub fn keepalive_pair<H: ConformStack>() -> (H, H, H::ConnId) {
     let mut c = H::mk_keepalive(A);
     let mut s = H::mk_keepalive(B);
     s.listen(80);
@@ -215,7 +180,7 @@ pub struct Streamed<H: HostStack> {
 /// read and before the step's frames go out. An undelivered transfer
 /// gets 120 s more for the far side to finish dying: a clean abort must
 /// leave nothing spinning afterwards.
-pub fn stream_transfer<H: CampaignStack>(
+pub fn stream_transfer<H: ConformStack>(
     net: &mut SimNet,
     (nc, conn): (NodeId, H::ConnId),
     ns: NodeId,

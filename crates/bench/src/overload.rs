@@ -26,12 +26,12 @@
 //! under a 4× flood, the per-connection goodput of *accepted*
 //! connections stays within 80% of the uncontended baseline.
 
-use crate::{dur, json, CampaignStack, Report, KINDS};
+use crate::{dur, json, Report, KINDS};
 use netsim::{
     LinkParams, MultiStackNode, OpenLoopArrivals, ReadBudget, StackNode,
     Time, TransportError,
 };
-use slconform::Kind;
+use slconform::{ConformStack, Kind};
 use slhost::{
     Host, HostApp, HostConfig, HostEvent, HostStack, ResourceBudget, ServedHost,
     TimerMode,
@@ -440,7 +440,7 @@ pub fn run_one(p: OverloadParams) -> OverloadOutcome {
     }
 }
 
-fn run_generic<S: CampaignStack>(p: OverloadParams) -> OverloadOutcome {
+fn run_generic<S: ConformStack>(p: OverloadParams) -> OverloadOutcome {
     let mk = |addr| S::mk_with(addr, None, slmetrics::shared());
     let spec = p.profile.spec();
     let n = spec.arrivals.len();

@@ -15,11 +15,11 @@
 //! connections with zero refusals, and the host table drains to empty
 //! after the clients close.
 
-use crate::{dur, json, CampaignStack, Report, KINDS};
+use crate::{dur, json, Report, KINDS};
 use netsim::{
-    Dur, LinkParams, MultiStackNode, NodeId, SimNet, StackNode, Time, TransportError,
+    Dur, Keepalive, LinkParams, MultiStackNode, NodeId, SimNet, StackNode, Time, TransportError,
 };
-use slconform::Kind;
+use slconform::{ConformStack, Kind};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost, TimerMode};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
@@ -39,8 +39,8 @@ const STAGGER_NS: u64 = 200_000;
 const LINGER_NS: u64 = 10_000_000_000;
 /// Keepalive on both sides: every established connection keeps a timer
 /// armed for the whole linger phase.
-const KA_IDLE_NS: u64 = 5_000_000_000;
-const KA_INTERVAL_NS: u64 = 1_000_000_000;
+const KEEPALIVE: Keepalive =
+    Keepalive { idle: Dur(5_000_000_000), interval: Dur(1_000_000_000), max_probes: 5 };
 
 fn timer_label(mode: TimerMode) -> &'static str {
     match mode {
@@ -375,9 +375,8 @@ pub fn run_one(p: ScaleParams) -> ScaleOutcome {
     }
 }
 
-fn run_generic<S: CampaignStack>(p: ScaleParams) -> ScaleOutcome {
-    let keepalive = Some((dur(KA_IDLE_NS), dur(KA_INTERVAL_NS)));
-    let mk = |addr| S::mk_with(addr, keepalive, slmetrics::shared());
+fn run_generic<S: ConformStack>(p: ScaleParams) -> ScaleOutcome {
+    let mk = |addr| S::mk_with(addr, Some(KEEPALIVE), slmetrics::shared());
     let cfg = HostConfig {
         listen_port: PORT,
         backlog: 256,

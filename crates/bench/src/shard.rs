@@ -22,9 +22,9 @@
 //! inline reference — the determinism claim, enforced in CI.
 
 use crate::scale::{tally, ScaleClient};
-use crate::{dur, json, CampaignStack, Report, KINDS};
+use crate::{dur, json, Report, KINDS};
 use netsim::{HeavyTailed, LinkParams, MultiStackNode, SimNet, StackNode, Time, TransportError};
-use slconform::Kind;
+use slconform::{ConformStack, Kind};
 use slhost::{EchoApp, Host, HostConfig, ResourceBudget, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
 use sublayer_core::SlTcpStack;
@@ -141,7 +141,7 @@ pub fn run_one(p: ShardParams) -> ShardOutcome {
     }
 }
 
-fn run_generic<S: CampaignStack>(p: ShardParams) -> ShardOutcome {
+fn run_generic<S: ConformStack>(p: ShardParams) -> ShardOutcome {
     let mk = |addr| S::mk_with(addr, None, slmetrics::muted());
     let sizes = HeavyTailed::new(p.seed ^ 0x5EED_F10D, REQ_MIN, REQ_MAX);
     let expected_bytes: u64 = (0..p.n as u64).map(|i| sizes.size(i)).sum();
@@ -265,10 +265,10 @@ fn run_generic<S: CampaignStack>(p: ShardParams) -> ShardOutcome {
         shard_budget: SHARD_BUDGET as u64,
         global_budget: (SHARD_BUDGET * p.shards) as u64,
         final_floor: match srv.global_floor() {
-            slmetrics::Pressure::Nominal => 0,
-            slmetrics::Pressure::Elevated => 1,
-            slmetrics::Pressure::High => 2,
-            slmetrics::Pressure::Critical => 3,
+            netsim::Pressure::Nominal => 0,
+            netsim::Pressure::Elevated => 1,
+            netsim::Pressure::High => 2,
+            netsim::Pressure::Critical => 3,
         },
         crossings,
         heartbeat_age: total.heartbeat_age,

@@ -32,13 +32,13 @@ use netlayer::{
 use netsim::{AdminOp, Dur, LinkParams, NodeId, SimNet, StackNode, Time, TransportError};
 use slconform::multihop::mh_pattern;
 use slconform::natcodec::{nat_codec, peek_for};
-use slconform::Kind;
+use slconform::{ConformStack, Kind};
 use slhost::HostStack;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use slwire::Endpoint;
 
-use crate::{json, sweep_grid, CampaignStack, Report, KINDS};
+use crate::{json, sweep_grid, Report, KINDS};
 
 /// How long (simulated) a campaign may run before we declare a hang. Must
 /// cover the monolith's full RTO retry budget (~205 s) with headroom.
@@ -229,7 +229,7 @@ pub(crate) fn drain_server<H: HostStack>(
 /// Feed each client its unsent tail, drain the server, track the largest
 /// retransmit queue, step the clock. Stops on full delivery or when every
 /// client carries a terminal error (plus a settle window).
-fn drive<H: CampaignStack>(
+fn drive<H: ConformStack>(
     net: &mut SimNet,
     clients: &[(NodeId, H::ConnId)],
     payloads: &[Vec<u8>],
@@ -306,7 +306,7 @@ pub(crate) fn attribute(
     delivered
 }
 
-fn run_t<H: CampaignStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
+fn run_t<H: ConformStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     let topo = profile.topology();
     let topo_name = topo.name;
 
@@ -415,7 +415,7 @@ fn run_t<H: CampaignStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
 }
 
 /// Open a second connection from the (aborted) client and push 10 KB.
-fn reconnect<H: CampaignStack>(
+fn reconnect<H: ConformStack>(
     net: &mut SimNet,
     nc: NodeId,
     ns: NodeId,
@@ -454,7 +454,7 @@ fn reconnect<H: CampaignStack>(
 }
 
 /// Universal invariants plus the profile's expectation.
-fn check_universal<H: CampaignStack>(profile: TopoProfile, out: &mut TopoOutcome, idle: bool) {
+fn check_universal<H: ConformStack>(profile: TopoProfile, out: &mut TopoOutcome, idle: bool) {
     if !out.static_check {
         out.violations.push("static gate: forwarding check failed".into());
     }

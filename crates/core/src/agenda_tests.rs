@@ -11,11 +11,10 @@
 use crate::cm::CmScheme;
 use crate::dm::ConnId;
 use crate::rd::ACK_DELAY;
-use crate::stack::{KeepaliveConfig, SlConfig, SlTcpStack, MAX_HALF_OPEN};
+use crate::stack::{SlConfig, SlTcpStack, MAX_HALF_OPEN};
 use crate::wire::Packet;
-use netsim::{Dur, Stack, Time, TransportError};
+use netsim::{Dur, HostStack, Keepalive, Pressure, Stack, Time};
 use proptest::{collection, prop_assert_eq, proptest};
-use slmetrics::Pressure;
 use std::collections::VecDeque;
 use slwire::Endpoint;
 
@@ -143,9 +142,7 @@ impl World {
             }
             (3, Some(id)) => self.recv(end, id),
             (4, Some(id)) => self.ends[end].close(id),
-            (5, Some(id)) if k.is_multiple_of(4) => {
-                self.ends[end].abort(self.now, id, TransportError::Reset)
-            }
+            (5, Some(id)) if k.is_multiple_of(4) => self.ends[end].abort(self.now, id),
             (6, _) => {
                 let tier = [
                     Pressure::Nominal,
@@ -182,7 +179,7 @@ impl World {
 }
 
 fn config(variant: u8) -> SlConfig {
-    let keepalive = KeepaliveConfig {
+    let keepalive = Keepalive {
         idle: Dur::from_secs(2),
         interval: Dur::from_millis(500),
         max_probes: 2,

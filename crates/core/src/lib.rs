@@ -51,7 +51,7 @@ pub use osr::{BuggyOsr, Osr, OsrDriver};
 pub use rd::{BuggyRd, RdDriver, RdEvent, ReliableDelivery};
 pub use record::RecordStack;
 pub use signals::CongSignal;
-pub use stack::{CrossingStats, KeepaliveConfig, SlConfig, SlStats, SlTcpStack};
+pub use stack::{CrossingStats, SlConfig, SlStats, SlTcpStack};
 pub use wire::{Packet, WireError};
 
 #[cfg(test)]

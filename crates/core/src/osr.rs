@@ -17,9 +17,9 @@
 use crate::fingerprint as fp;
 use crate::signals::CongSignal;
 use crate::wire::{Packet, Payload};
-use netsim::{Dur, Time};
+use netsim::{Dur, Pressure, Time};
 use slcc::RateController;
-use slmetrics::{Pressure, SharedLog};
+use slmetrics::SharedLog;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum segment size OSR cuts the byte stream into.

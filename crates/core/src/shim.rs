@@ -62,7 +62,7 @@ mod tests {
     use super::*;
     use crate::dm::ConnId;
     use crate::stack::SlConfig;
-    use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode};
+    use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, SimNet, StackNode};
     use tcp_mono::stack::TcpStack;
     use slwire::Endpoint;
     use tcp_mono::TcpState;

@@ -25,30 +25,12 @@ use crate::osr::Osr;
 use crate::rd::{RdEvent, ReliableDelivery};
 use crate::signals::SeqValidity;
 use crate::wire::Packet;
-use netsim::{Agenda, Dur, Mark, Stack, Time, TransportError};
-use slmetrics::{Pressure, SharedLog};
+use netsim::{
+    Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
+};
+use slmetrics::SharedLog;
 use slwire::{Endpoint, FourTuple};
 use std::collections::{HashMap, VecDeque};
-
-/// Idle keepalive policy: after `idle` without inbound packets, probe every
-/// `interval`; after `max_probes` unanswered probes the connection is
-/// aborted with [`TransportError::PeerVanished`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KeepaliveConfig {
-    pub idle: Dur,
-    pub interval: Dur,
-    pub max_probes: u32,
-}
-
-impl Default for KeepaliveConfig {
-    fn default() -> Self {
-        KeepaliveConfig {
-            idle: Dur::from_secs(10),
-            interval: Dur::from_secs(2),
-            max_probes: 5,
-        }
-    }
-}
 
 /// Stack configuration: which mechanism fills each replaceable slot.
 #[derive(Clone, Debug)]
@@ -63,7 +45,7 @@ pub struct SlConfig {
     /// way).
     pub use_sack: bool,
     /// Idle keepalive probing; `None` (the default) disables it.
-    pub keepalive: Option<KeepaliveConfig>,
+    pub keepalive: Option<Keepalive>,
     /// Connection-table capacity: beyond it, passive opens are refused
     /// with a stateless RST and active opens fail with
     /// [`TransportError::ConnTableFull`].
@@ -128,6 +110,12 @@ impl Connection {
             last_rx: now,
             ka_probes: 0,
         }
+    }
+
+    /// Bytes parked in this connection's buffers: OSR's send queue,
+    /// reassembly and unread data, and RD's retransmission flight.
+    fn buffered_bytes(&self) -> usize {
+        self.osr.buffered_bytes() + self.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
     }
 }
 
@@ -233,19 +221,6 @@ impl SlTcpStack {
         })
     }
 
-    pub fn addr(&self) -> u32 {
-        self.dm.local_addr()
-    }
-
-    pub fn config(&self) -> &SlConfig {
-        &self.config
-    }
-
-    /// Accept connections on `port`.
-    pub fn listen(&mut self, port: u16) {
-        self.dm.listen(port);
-    }
-
     /// Active open; returns the connection handle. Panics if the tuple is
     /// taken or the table is full — use [`SlTcpStack::try_connect`] when
     /// refusal must be a value, not a crash.
@@ -253,98 +228,9 @@ impl SlTcpStack {
         self.try_connect(now, local_port, remote).expect("tuple free")
     }
 
-    /// Active open surfacing capacity as a typed error instead of a panic:
-    /// a full connection table or an already-bound tuple both mean the
-    /// table cannot admit this connection.
-    pub fn try_connect(
-        &mut self,
-        now: Time,
-        local_port: u16,
-        remote: Endpoint,
-    ) -> Result<ConnId, TransportError> {
-        if self.conns.len() >= self.config.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let tuple = FourTuple {
-            local: Endpoint::new(self.dm.local_addr(), local_port),
-            remote,
-        };
-        let Ok(token) = self.dm.bind(tuple) else {
-            return Err(TransportError::ConnTableFull);
-        };
-        let id = token.id();
-        let local_isn = self.isn_gen.isn(now, &tuple);
-        let cm =
-            ConnMgmt::open_active(token, self.config.cm_scheme, local_isn, now, self.log.clone());
-        let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
-        osr.set_pressure(self.pressure);
-        let mut conn = Connection::new(cm, osr, now);
-        // Timer-based CM is established immediately; wire RD up now.
-        if matches!(self.config.cm_scheme, CmScheme::TimerBased { .. }) {
-            let mut rd = ReliableDelivery::new(local_isn, 0, self.log.clone());
-            rd.set_use_sack(self.config.use_sack);
-            rd.set_ack_pacing(self.pressure.paces_acks());
-            conn.rd = Some(rd);
-        }
-        self.admit(now, id, conn);
-        self.pump(now, id, &mut |_| {});
-        Ok(id)
-    }
-
     /// Active open with an ephemeral local port.
     pub fn connect_ephemeral(&mut self, now: Time, remote: Endpoint) -> ConnId {
         self.try_connect_ephemeral(now, remote).expect("ephemeral port free")
-    }
-
-    /// Active open with an ephemeral local port, surfacing port exhaustion
-    /// and table capacity as typed errors.
-    pub fn try_connect_ephemeral(
-        &mut self,
-        now: Time,
-        remote: Endpoint,
-    ) -> Result<ConnId, TransportError> {
-        if self.conns.len() >= self.config.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let Some(port) = self.dm.ephemeral_port(remote) else {
-            return Err(TransportError::PortsExhausted);
-        };
-        self.try_connect(now, port, remote)
-    }
-
-    /// Queue application bytes.
-    pub fn send(&mut self, id: ConnId, data: &[u8]) -> usize {
-        self.touch(id, |conn| {
-            if conn.want_close || conn.dead {
-                return 0;
-            }
-            conn.osr.write(data)
-        })
-        .unwrap_or(0)
-    }
-
-    /// Drain received application bytes.
-    pub fn recv(&mut self, id: ConnId) -> Vec<u8> {
-        self.touch(id, |conn| {
-            let out = conn.osr.read();
-            // Once the peer's FIN is in no more data can arrive, so
-            // the reopened window is not worth advertising (same
-            // rule as tcp-mono's recv): the gratuitous ack would
-            // poke a peer whose TCB may already be deleted.
-            if conn.cm.peer_fin_seen() {
-                conn.osr.suppress_window_update();
-            }
-            out
-        })
-        .unwrap_or_default()
-    }
-
-    /// Graceful close (FIN after the stream drains).
-    pub fn close(&mut self, id: ConnId) {
-        self.touch(id, |conn| {
-            conn.want_close = true;
-            conn.osr.close();
-        });
     }
 
     /// An application call on one connection that carries no clock: the
@@ -366,164 +252,20 @@ impl SlTcpStack {
         self.conns.get(&id).map_or(CmState::Closed, |c| c.cm.state())
     }
 
-    /// Has the application asked to close this connection? CM defers the
-    /// state transition until the send stream drains, so this is the
-    /// surface-level "no longer open for the app" signal.
-    pub fn close_pending(&self, id: ConnId) -> bool {
-        self.conns.get(&id).is_some_and(|c| c.want_close)
-    }
-
-    /// Why a connection died abnormally, if it did. Survives the
-    /// connection's removal: after an abort, `state` reports `Closed` and
-    /// this reports the reason.
-    pub fn conn_error(&self, id: ConnId) -> Option<TransportError> {
-        self.errors.get(&id).copied()
-    }
-
-    /// Abort a connection locally (application-initiated RST).
-    pub fn abort(&mut self, now: Time, id: ConnId, reason: TransportError) {
+    /// Abort a connection locally, recording `reason` as its terminal error
+    /// ([`HostStack::abort`] is this with [`TransportError::Reset`]).
+    pub fn abort_with(&mut self, now: Time, id: ConnId, reason: TransportError) {
         self.pump(now, id, &mut |conn| conn.cm.abort(reason));
-    }
-
-    /// Established connections (listener side discovers peers here).
-    pub fn established(&self) -> Vec<ConnId> {
-        let mut v: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.cm.state() == CmState::Established)
-            .map(|(&id, _)| id)
-            .collect();
-        v.sort();
-        v
     }
 
     pub fn tuple(&self, id: ConnId) -> Option<FourTuple> {
         self.dm.tuple(id)
     }
 
-    /// O(1) hashed 4-tuple lookup into the connection table (the host
-    /// layer's demux path).
-    pub fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<ConnId> {
-        self.dm.lookup(tuple)
-    }
-
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Adjust the connection-table capacity at runtime (host layer knob).
-    pub fn set_max_conns(&mut self, max: usize) {
-        self.config.max_conns = max;
-    }
-
-    /// Propagate host memory pressure down the sublayer column: OSR clamps
-    /// the advertised window, RD paces pure acks, DM gates new flows at
-    /// the `Critical` tier. Each sublayer receives only its own slice of
-    /// the contract — no sublayer reads another's state.
-    pub fn set_pressure(&mut self, p: Pressure) {
-        if p == self.pressure {
-            return;
-        }
-        self.pressure = p;
-        let pace = p.paces_acks();
-        let (ka, now) = (self.config.keepalive, self.clock);
-        for (&id, c) in self.conns.iter_mut() {
-            let before = Self::deadline_of(ka, c, now);
-            c.osr.set_pressure(p);
-            if let Some(rd) = c.rd.as_mut() {
-                rd.set_ack_pacing(pace);
-            }
-            // An ack that pacing held goes out at the next pump.
-            self.agenda.mark_ready(id);
-            self.agenda.move_deadline(id, before, Self::deadline_of(ka, c, now));
-        }
-        self.dm.set_gate(self.gate || p.refuses_new_flows());
-    }
-
-    pub fn pressure(&self) -> Pressure {
-        self.pressure
-    }
-
-    /// Explicitly gate new-flow admission (host drain/quiesce), independent
-    /// of the pressure tier.
-    pub fn gate_new_flows(&mut self, refuse: bool) {
-        self.gate = refuse;
-        self.dm.set_gate(refuse || self.pressure.refuses_new_flows());
-    }
-
-    /// One connection's share of [`SlTcpStack::buffered_bytes`].
-    pub fn conn_buffered(&self, id: ConnId) -> usize {
-        self.conns.get(&id).map_or(0, |c| {
-            c.osr.buffered_bytes() + c.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
-        })
-    }
-
-    /// Bytes currently pinned in the retransmit queue (bounded by
-    /// [`crate::rd::RTX_BYTES_CAP`] no matter how long the path stays
-    /// partitioned).
-    pub fn conn_rtx_bytes(&self, id: ConnId) -> usize {
-        self.conns
-            .get(&id)
-            .and_then(|c| c.rd.as_ref())
-            .map_or(0, |r| r.in_flight_bytes())
-    }
-
-    /// How long the oldest unacked segment has waited without cumulative
-    /// ack progress — the partition-age signal a host budget can act on.
-    pub fn conn_oldest_unacked(&self, id: ConnId, now: Time) -> Option<Dur> {
-        self.conns
-            .get(&id)
-            .and_then(|c| c.rd.as_ref())
-            .and_then(|r| r.oldest_unacked_age(now))
-    }
-
-    /// Monotone progress counter for slow-drain detection (bytes delivered
-    /// in order + bytes the peer acked); `0` before RD exists.
-    pub fn conn_progress(&self, id: ConnId) -> u64 {
-        self.conns
-            .get(&id)
-            .and_then(|c| c.rd.as_ref())
-            .map_or(0, |r| r.progress_bytes())
-    }
-
-    /// In-order received bytes available to `recv` without draining them.
-    pub fn readable_len(&self, id: ConnId) -> usize {
-        self.conns.get(&id).map_or(0, |c| c.osr.readable_len())
-    }
-
-    /// How many bytes `send` would accept right now (0 once the stream is
-    /// closing or the connection is gone).
-    pub fn send_capacity(&self, id: ConnId) -> usize {
-        match self.conns.get(&id) {
-            Some(c) if !c.want_close && !c.dead => c.osr.write_capacity(),
-            _ => 0,
-        }
-    }
-
-    /// Pop one already-assembled frame without scanning any connection —
-    /// the host layer's transmit path ([`SlTcpStack::pump_conn`] is what
-    /// fills the outbox).
-    pub fn take_frame(&mut self) -> Option<Vec<u8>> {
-        self.outbox.pop_front()
-    }
-
-    /// Run one connection's machinery (events, close coordination,
-    /// segmentation, packet assembly) — the per-connection half of
-    /// `poll_transmit`, for hosts that know which connection changed.
-    pub fn pump_conn(&mut self, now: Time, id: ConnId) {
-        self.pump(now, id, &mut |_| {});
-    }
-
-    /// Next timer deadline for *one* connection, so a host can keep one
-    /// wheel entry per connection instead of scanning them all.
-    pub fn conn_deadline(&self, now: Time, id: ConnId) -> Option<Time> {
-        Self::deadline_of(self.config.keepalive, self.conns.get(&id)?, now)
-    }
-
     /// The deadline index keys on this value, so it must move only when
     /// the connection's state does, never with `now` alone (the shipped
     /// rate controllers are window controllers and ignore it).
-    fn deadline_of(ka: Option<KeepaliveConfig>, c: &Connection, now: Time) -> Option<Time> {
+    fn deadline_of(ka: Option<Keepalive>, c: &Connection, now: Time) -> Option<Time> {
         [
             c.cm.poll_deadline(),
             c.rd.as_ref().and_then(|r| r.poll_deadline()),
@@ -535,7 +277,7 @@ impl SlTcpStack {
         .min()
     }
 
-    fn mark_of(ka: Option<KeepaliveConfig>, c: &Connection, now: Time) -> Mark {
+    fn mark_of(ka: Option<Keepalive>, c: &Connection, now: Time) -> Mark {
         Mark {
             deadline: Self::deadline_of(ka, c, now),
             half_open: c.cm.state() == CmState::SynRcvd,
@@ -558,31 +300,10 @@ impl SlTcpStack {
         }
     }
 
-    /// Advance one connection's timers to `now` (the per-connection half
-    /// of `on_tick`); spurious calls are harmless.
-    pub fn tick_conn(&mut self, now: Time, id: ConnId) {
-        let ka = self.config.keepalive;
-        self.pump(now, id, &mut |conn| {
-            conn.cm.on_tick(now);
-            if let Some(rd) = conn.rd.as_mut() {
-                rd.on_tick(now);
-            }
-            conn.osr.on_tick(now);
-            if let Some(ka) = ka {
-                Self::drive_keepalive(conn, ka, now);
-            }
-        });
-    }
-
     /// Entries in the ready set and in the deadline index — each bounded
     /// by [`SlTcpStack::conn_count`], whichever way the stack is driven.
     pub fn agenda_sizes(&self) -> (usize, usize) {
         self.agenda.sizes()
-    }
-
-    /// Peer-closed + everything delivered? (EOF for the application.)
-    pub fn peer_closed(&self, id: ConnId) -> bool {
-        self.conns.get(&id).is_some_and(|c| c.cm.peer_fin_seen())
     }
 
     /// The RD sublayer's counters (for tests/experiments).
@@ -627,18 +348,6 @@ impl SlTcpStack {
             self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count()
         );
         self.agenda.half_open()
-    }
-
-    /// Total bytes parked in per-connection buffers (send queues,
-    /// retransmission flights, reassembly, unread app data) — the
-    /// memory-bound invariant the attack campaign checks.
-    pub fn buffered_bytes(&self) -> usize {
-        self.conns
-            .values()
-            .map(|c| {
-                c.osr.buffered_bytes() + c.rd.as_ref().map_or(0, |r| r.in_flight_bytes())
-            })
-            .sum()
     }
 
     /// Oldest half-open connection idle for at least one SYN-RTO, if any.
@@ -962,6 +671,319 @@ impl SlTcpStack {
     }
 }
 
+/// The host-facing surface (application calls, per-connection pump and
+/// timers, overload control) — the same trait `tcp-mono` implements, so a
+/// host or a campaign written against it runs over either stack.
+impl HostStack for SlTcpStack {
+    type ConnId = ConnId;
+
+    fn stack_name() -> &'static str {
+        "sublayered"
+    }
+
+    fn local_addr(&self) -> u32 {
+        self.dm.local_addr()
+    }
+
+    /// Accept connections on `port`.
+    fn listen(&mut self, port: u16) {
+        self.dm.listen(port);
+    }
+
+    /// Adjust the connection-table capacity at runtime (host layer knob).
+    fn set_max_conns(&mut self, max: usize) {
+        self.config.max_conns = max;
+    }
+
+    /// Active open surfacing capacity as a typed error instead of a panic:
+    /// a full connection table or an already-bound tuple both mean the
+    /// table cannot admit this connection.
+    fn try_connect(
+        &mut self,
+        now: Time,
+        local_port: u16,
+        remote: Endpoint,
+    ) -> Result<ConnId, TransportError> {
+        if self.conns.len() >= self.config.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let tuple = FourTuple {
+            local: Endpoint::new(self.dm.local_addr(), local_port),
+            remote,
+        };
+        let Ok(token) = self.dm.bind(tuple) else {
+            return Err(TransportError::ConnTableFull);
+        };
+        let id = token.id();
+        let local_isn = self.isn_gen.isn(now, &tuple);
+        let cm =
+            ConnMgmt::open_active(token, self.config.cm_scheme, local_isn, now, self.log.clone());
+        let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
+        osr.set_pressure(self.pressure);
+        let mut conn = Connection::new(cm, osr, now);
+        // Timer-based CM is established immediately; wire RD up now.
+        if matches!(self.config.cm_scheme, CmScheme::TimerBased { .. }) {
+            let mut rd = ReliableDelivery::new(local_isn, 0, self.log.clone());
+            rd.set_use_sack(self.config.use_sack);
+            rd.set_ack_pacing(self.pressure.paces_acks());
+            conn.rd = Some(rd);
+        }
+        self.admit(now, id, conn);
+        self.pump(now, id, &mut |_| {});
+        Ok(id)
+    }
+
+    /// Active open with an ephemeral local port, surfacing port exhaustion
+    /// and table capacity as typed errors.
+    fn try_connect_ephemeral(
+        &mut self,
+        now: Time,
+        remote: Endpoint,
+    ) -> Result<ConnId, TransportError> {
+        if self.conns.len() >= self.config.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let Some(port) = self.dm.ephemeral_port(remote) else {
+            return Err(TransportError::PortsExhausted);
+        };
+        self.try_connect(now, port, remote)
+    }
+
+    /// Queue application bytes.
+    fn send(&mut self, id: ConnId, data: &[u8]) -> usize {
+        self.touch(id, |conn| {
+            if conn.want_close || conn.dead {
+                return 0;
+            }
+            conn.osr.write(data)
+        })
+        .unwrap_or(0)
+    }
+
+    /// Drain received application bytes.
+    fn recv(&mut self, id: ConnId) -> Vec<u8> {
+        self.touch(id, |conn| {
+            let out = conn.osr.read();
+            // Once the peer's FIN is in no more data can arrive, so
+            // the reopened window is not worth advertising (same
+            // rule as tcp-mono's recv): the gratuitous ack would
+            // poke a peer whose TCB may already be deleted.
+            if conn.cm.peer_fin_seen() {
+                conn.osr.suppress_window_update();
+            }
+            out
+        })
+        .unwrap_or_default()
+    }
+
+    /// Graceful close (FIN after the stream drains).
+    fn close(&mut self, id: ConnId) {
+        self.touch(id, |conn| {
+            conn.want_close = true;
+            conn.osr.close();
+        });
+    }
+
+    fn abort(&mut self, now: Time, id: ConnId) {
+        self.abort_with(now, id, TransportError::Reset);
+    }
+
+    fn is_established(&self, id: ConnId) -> bool {
+        // Parity tie-break: CM defers its Established -> Closing
+        // transition until the send stream drains (`want_close` is the
+        // application's request, pending until then), but the monolith
+        // flips to FIN_WAIT_1 the moment the app closes. Both mean "no
+        // longer open for the application", so gate on the close request.
+        self.conns
+            .get(&id)
+            .is_some_and(|c| c.cm.state() == CmState::Established && !c.want_close)
+    }
+
+    fn is_closed(&self, id: ConnId) -> bool {
+        self.state(id) == CmState::Closed
+    }
+
+    /// Peer-closed + everything delivered? (EOF for the application.)
+    fn peer_closed(&self, id: ConnId) -> bool {
+        // Parity tie-break: the monolith derives this from the PCB state,
+        // which stops reporting it once the connection reaches CLOSED;
+        // CM's peer-FIN flag would persist. Half-close is only meaningful
+        // while the connection is alive, so gate on it.
+        self.conns
+            .get(&id)
+            .is_some_and(|c| c.cm.peer_fin_seen() && c.cm.state() != CmState::Closed)
+    }
+
+    /// Why a connection died abnormally, if it did. Survives the
+    /// connection's removal: after an abort, `state` reports `Closed` and
+    /// this reports the reason.
+    fn conn_error(&self, id: ConnId) -> Option<TransportError> {
+        self.errors.get(&id).copied()
+    }
+
+    /// In-order received bytes available to `recv` without draining them.
+    fn readable_len(&self, id: ConnId) -> usize {
+        self.conns.get(&id).map_or(0, |c| c.osr.readable_len())
+    }
+
+    /// How many bytes `send` would accept right now (0 once the stream is
+    /// closing or the connection is gone).
+    fn send_capacity(&self, id: ConnId) -> usize {
+        match self.conns.get(&id) {
+            Some(c) if !c.want_close && !c.dead => c.osr.write_capacity(),
+            _ => 0,
+        }
+    }
+
+    /// Established connections (listener side discovers peers here).
+    fn established(&self) -> Vec<ConnId> {
+        let mut v: Vec<ConnId> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.cm.state() == CmState::Established)
+            .map(|(&id, _)| id)
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn conn_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    fn classify_frame(frame: &[u8]) -> Option<FrameMeta> {
+        slwire::native::peek(frame).map(|(src, dst)| FrameMeta { src, dst })
+    }
+
+    /// O(1) hashed 4-tuple lookup into the connection table (the host
+    /// layer's demux path).
+    fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<ConnId> {
+        self.dm.lookup(tuple)
+    }
+
+    /// Pop one already-assembled frame without scanning any connection —
+    /// the host layer's transmit path ([`SlTcpStack::pump_conn`] is what
+    /// fills the outbox).
+    fn take_frame(&mut self) -> Option<Vec<u8>> {
+        self.outbox.pop_front()
+    }
+
+    /// Run one connection's machinery (events, close coordination,
+    /// segmentation, packet assembly) — the per-connection half of
+    /// `poll_transmit`, for hosts that know which connection changed.
+    fn pump_conn(&mut self, now: Time, id: ConnId) {
+        self.pump(now, id, &mut |_| {});
+    }
+
+    /// Next timer deadline for *one* connection, so a host can keep one
+    /// wheel entry per connection instead of scanning them all.
+    fn conn_deadline(&self, now: Time, id: ConnId) -> Option<Time> {
+        Self::deadline_of(self.config.keepalive, self.conns.get(&id)?, now)
+    }
+
+    /// Advance one connection's timers to `now` (the per-connection half
+    /// of `on_tick`); spurious calls are harmless.
+    fn tick_conn(&mut self, now: Time, id: ConnId) {
+        let ka = self.config.keepalive;
+        self.pump(now, id, &mut |conn| {
+            conn.cm.on_tick(now);
+            if let Some(rd) = conn.rd.as_mut() {
+                rd.on_tick(now);
+            }
+            conn.osr.on_tick(now);
+            if let Some(ka) = ka {
+                Self::drive_keepalive(conn, ka, now);
+            }
+        });
+    }
+
+    fn crossing_events(&self) -> Option<u64> {
+        let c = &self.crossings;
+        Some(
+            c.osr_to_rd_segments
+                + c.rd_to_osr_segments
+                + c.signals_up
+                + c.packets_tx
+                + c.packets_rx,
+        )
+    }
+
+    /// Propagate host memory pressure down the sublayer column: OSR clamps
+    /// the advertised window, RD paces pure acks, DM gates new flows at
+    /// the `Critical` tier. Each sublayer receives only its own slice of
+    /// the contract — no sublayer reads another's state.
+    fn set_pressure(&mut self, p: Pressure) {
+        if p == self.pressure {
+            return;
+        }
+        self.pressure = p;
+        let pace = p.paces_acks();
+        let (ka, now) = (self.config.keepalive, self.clock);
+        for (&id, c) in self.conns.iter_mut() {
+            let before = Self::deadline_of(ka, c, now);
+            c.osr.set_pressure(p);
+            if let Some(rd) = c.rd.as_mut() {
+                rd.set_ack_pacing(pace);
+            }
+            // An ack that pacing held goes out at the next pump.
+            self.agenda.mark_ready(id);
+            self.agenda.move_deadline(id, before, Self::deadline_of(ka, c, now));
+        }
+        self.dm.set_gate(self.gate || p.refuses_new_flows());
+    }
+
+    /// Explicitly gate new-flow admission (host drain/quiesce), independent
+    /// of the pressure tier.
+    fn gate_new_flows(&mut self, refuse: bool) {
+        self.gate = refuse;
+        self.dm.set_gate(refuse || self.pressure.refuses_new_flows());
+    }
+
+    /// One connection's share of [`SlTcpStack::buffered_bytes`].
+    fn conn_buffered(&self, id: ConnId) -> usize {
+        self.conns.get(&id).map_or(0, Connection::buffered_bytes)
+    }
+
+    /// Monotone progress counter for slow-drain detection (bytes delivered
+    /// in order + bytes the peer acked); `0` before RD exists.
+    fn conn_progress(&self, id: ConnId) -> u64 {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.rd.as_ref())
+            .map_or(0, |r| r.progress_bytes())
+    }
+
+    /// Total bytes parked in per-connection buffers (send queues,
+    /// retransmission flights, reassembly, unread app data) — the
+    /// memory-bound invariant the attack campaign checks.
+    fn buffered_bytes(&self) -> usize {
+        self.conns.values().map(Connection::buffered_bytes).sum()
+    }
+
+    fn stack_pressure_refusals(&self) -> u64 {
+        self.stats.pressure_refusals
+    }
+
+    /// Bytes currently pinned in the retransmit queue (bounded by
+    /// [`crate::rd::RTX_BYTES_CAP`] no matter how long the path stays
+    /// partitioned).
+    fn conn_rtx_bytes(&self, id: ConnId) -> usize {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.rd.as_ref())
+            .map_or(0, |r| r.in_flight_bytes())
+    }
+
+    /// How long the oldest unacked segment has waited without cumulative
+    /// ack progress — the partition-age signal a host budget can act on.
+    fn conn_oldest_unacked(&self, id: ConnId, now: Time) -> Option<Dur> {
+        self.conns
+            .get(&id)
+            .and_then(|c| c.rd.as_ref())
+            .and_then(|r| r.oldest_unacked_age(now))
+    }
+}
+
 impl Stack for SlTcpStack {
     fn on_frame(&mut self, now: Time, frame: &[u8]) {
         let Ok(pkt) = Packet::decode(frame) else {
@@ -1148,7 +1170,7 @@ impl SlTcpStack {
     }
 
     /// When the next keepalive action (probe or give-up) is due for `c`.
-    fn keepalive_deadline(c: &Connection, ka: KeepaliveConfig) -> Option<Time> {
+    fn keepalive_deadline(c: &Connection, ka: Keepalive) -> Option<Time> {
         if c.cm.state() != CmState::Established {
             return None;
         }
@@ -1156,7 +1178,7 @@ impl SlTcpStack {
         Some(c.last_rx + ka.idle + ka.interval.saturating_mul(c.ka_probes as u64))
     }
 
-    fn drive_keepalive(conn: &mut Connection, ka: KeepaliveConfig, now: Time) {
+    fn drive_keepalive(conn: &mut Connection, ka: Keepalive, now: Time) {
         if conn.cm.state() != CmState::Established {
             return;
         }

@@ -2,8 +2,11 @@
 
 use crate::cm::{CmScheme, CmState};
 use crate::dm::ConnId;
-use crate::stack::{KeepaliveConfig, SlConfig, SlTcpStack};
-use netsim::{two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time, TransportError};
+use crate::stack::{SlConfig, SlTcpStack};
+use netsim::{
+    two_party, Dur, FaultProfile, HostStack, Keepalive, LinkParams, SimNet, StackNode, Time,
+    TransportError,
+};
 use slwire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
@@ -154,6 +157,44 @@ fn graceful_close_both_directions() {
     run_for(&mut net, Dur::from_secs(15));
     assert_eq!(stack(&mut net, nc).conn_count(), 0);
     assert_eq!(stack(&mut net, ns).conn_count(), 0);
+}
+
+#[test]
+fn a_close_request_ends_is_established_before_cm_moves() {
+    // Parity tie-break (`HostStack::is_established`): CM stays
+    // `Established` until the send stream has drained, the application
+    // stopped being able to send at `close()`.
+    let (mut net, nc, _ns, conn) = pair(8, LinkParams::delay_only(Dur::from_millis(5)));
+    run_for(&mut net, Dur::from_secs(1));
+    assert!(stack(&mut net, nc).is_established(conn));
+    stack(&mut net, nc).send(conn, &vec![7u8; 200_000]);
+    stack(&mut net, nc).close(conn);
+    net.poll_all();
+    run_for(&mut net, Dur::from_millis(20));
+    assert_eq!(stack(&mut net, nc).state(conn), CmState::Established, "stream not drained yet");
+    assert!(!stack(&mut net, nc).is_established(conn));
+    assert_eq!(stack(&mut net, nc).send_capacity(conn), 0);
+}
+
+#[test]
+fn peer_closed_is_not_reported_past_closed() {
+    // Parity tie-break (`HostStack::peer_closed`): half-close is a fact
+    // about a live connection; once it is `Closed` the answer is no, as the
+    // monolith's PCB state gives it.
+    let (mut net, nc, ns, conn) = pair(8, LinkParams::delay_only(Dur::from_millis(5)));
+    run_for(&mut net, Dur::from_secs(1));
+    let sconn = stack(&mut net, ns).established()[0];
+    stack(&mut net, nc).close(conn);
+    net.poll_all();
+    run_for(&mut net, Dur::from_secs(2));
+    assert!(stack(&mut net, ns).peer_closed(sconn));
+    stack(&mut net, ns).close(sconn);
+    net.poll_all();
+    run_for(&mut net, Dur::from_secs(20));
+    for (node, id) in [(nc, conn), (ns, sconn)] {
+        assert_eq!(stack(&mut net, node).state(id), CmState::Closed);
+        assert!(!stack(&mut net, node).peer_closed(id));
+    }
 }
 
 #[test]
@@ -454,7 +495,7 @@ fn partition_mid_transfer_surfaces_clean_abort() {
 #[test]
 fn keepalive_detects_vanished_peer_on_both_sides() {
     let config = SlConfig {
-        keepalive: Some(KeepaliveConfig {
+        keepalive: Some(Keepalive {
             idle: Dur::from_secs(5),
             interval: Dur::from_secs(1),
             max_probes: 3,
@@ -490,7 +531,7 @@ fn local_abort_resets_peer() {
     assert_eq!(got, b"payload");
     let sconn = stack(&mut net, ns).established()[0];
     let now = net.now();
-    stack(&mut net, nc).abort(now, conn, TransportError::RetriesExhausted);
+    stack(&mut net, nc).abort_with(now, conn, TransportError::RetriesExhausted);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(2));
     assert_eq!(stack(&mut net, ns).state(sconn), CmState::Closed);

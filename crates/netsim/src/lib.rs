@@ -19,8 +19,9 @@
 //!   MTU ([`LinkParams`]);
 //! * a multi-node simulator ([`SimNet`]) hosting [`Node`]s;
 //! * a sans-IO protocol endpoint abstraction ([`Stack`], [`StackNode`]) in
-//!   the style of poll-driven stacks such as smoltcp, and the ready set and
-//!   deadline index ([`Agenda`]) a many-connection `Stack` polls from.
+//!   the style of poll-driven stacks such as smoltcp, the host-facing
+//!   surface both TCP stacks add to it ([`HostStack`]), and the ready set
+//!   and deadline index ([`Agenda`]) a many-connection `Stack` polls from.
 //!
 //! Every run is exactly reproducible from its seed: event ties break by
 //! insertion order and all randomness flows from per-link forks of a single
@@ -43,7 +44,10 @@ pub use event::EventQueue;
 pub use fault::{BurstLoss, FaultConfigError, FaultInjector, FaultProfile, FaultStats, Fate};
 pub use net::{AdminOp, DirStats, LinkId, LinkParams, Node, NodeCtx, NodeId, PortId, SimNet, TimerId};
 pub use rng::DetRng;
-pub use stack::{MultiStack, MultiStackNode, Stack, StackNode, TransportError};
+pub use stack::{
+    FrameMeta, HostStack, Keepalive, MultiStack, MultiStackNode, Pressure, Stack, StackNode,
+    TransportError,
+};
 pub use tap::{tap_buffer, SharedTap, TapDir, TapEvent, TapStack};
 pub use time::{Dur, Time};
 pub use workload::{HeavyTailed, OpenLoopArrivals, ReadBudget};

@@ -7,9 +7,19 @@
 //! deadline. This keeps protocol logic directly unit-testable — you can feed
 //! it frames by hand — while [`StackNode`] adapts any `Stack` onto a
 //! simulator [`Node`](crate::net::Node).
+//!
+//! [`HostStack`] extends `Stack` with what a transport exposes to the
+//! application and to a many-connection host (`slhost::Host` is generic
+//! over it). Both TCP stacks (`sublayer-core`, `tcp-mono`) implement it on
+//! their own type, so nothing above them links either; `slhost`'s
+//! `tests/parity.rs` runs one scripted scenario against both and asserts
+//! identical observable behaviour.
 
 use crate::net::{Node, NodeCtx, PortId, TimerId};
-use crate::time::Time;
+use crate::time::{Dur, Time};
+use slwire::{Endpoint, FourTuple};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 /// Terminal connection failure surfaced by a transport stack.
 ///
@@ -51,6 +61,30 @@ impl core::fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
+
+/// Idle keepalive policy, off unless a stack is configured with one: after
+/// `idle` without inbound packets, probe every `interval`; after
+/// `max_probes` unanswered probes the connection is aborted with
+/// [`TransportError::PeerVanished`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Keepalive {
+    /// Idle time before the first probe.
+    pub idle: Dur,
+    /// Gap between successive unanswered probes.
+    pub interval: Dur,
+    /// Unanswered probes tolerated before the connection is aborted.
+    pub max_probes: u32,
+}
+
+impl Default for Keepalive {
+    fn default() -> Keepalive {
+        Keepalive {
+            idle: Dur::from_secs(10),
+            interval: Dur::from_secs(2),
+            max_probes: 5,
+        }
+    }
+}
 
 /// A poll-driven protocol endpoint.
 pub trait Stack: 'static {
@@ -102,6 +136,191 @@ macro_rules! client_stack {
     };
 }
 
+/// Host memory-pressure tier, derived from budget occupancy. Shared by
+/// both stacks so the overload experiment (E16) compares the sublayered
+/// and monolithic backpressure plumbing like for like: the *tier* and its
+/// thresholds are policy owned by the host; how each stack reacts to it
+/// (window clamp, ACK pacing, accept gating) is the mechanism under test.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Pressure {
+    /// Under half the budget: no intervention.
+    #[default]
+    Nominal,
+    /// Over 1/2 of budget: defer new accepts, halve advertised windows.
+    Elevated,
+    /// Over 3/4 of budget: shed idle connections, clamp windows to a
+    /// quarter, pace pure ACKs.
+    High,
+    /// Over 9/10 of budget: refuse new flows outright.
+    Critical,
+}
+
+impl Pressure {
+    /// Tier for `used` bytes against `budget` (0 = unlimited ⇒ Nominal).
+    pub fn from_occupancy(used: u64, budget: u64) -> Pressure {
+        if budget == 0 {
+            return Pressure::Nominal;
+        }
+        // Integer thresholds: >=90%, >=75%, >=50% of budget.
+        if used.saturating_mul(10) >= budget.saturating_mul(9) {
+            Pressure::Critical
+        } else if used.saturating_mul(4) >= budget.saturating_mul(3) {
+            Pressure::High
+        } else if used.saturating_mul(2) >= budget {
+            Pressure::Elevated
+        } else {
+            Pressure::Nominal
+        }
+    }
+
+    /// Right-shift applied to the advertised receive window at this tier
+    /// (window = free-space >> shift): deeper pressure, smaller windows,
+    /// slower inbound byte growth.
+    pub fn wnd_shift(self) -> u32 {
+        match self {
+            Pressure::Nominal => 0,
+            Pressure::Elevated => 1,
+            Pressure::High => 2,
+            Pressure::Critical => 3,
+        }
+    }
+
+    /// Should pure ACKs be paced (delayed/coalesced) at this tier?
+    pub fn paces_acks(self) -> bool {
+        self >= Pressure::High
+    }
+
+    /// Should brand-new inbound flows be refused at this tier?
+    pub fn refuses_new_flows(self) -> bool {
+        self >= Pressure::Critical
+    }
+
+    /// Stable label for reports/JSON.
+    pub fn label(self) -> &'static str {
+        match self {
+            Pressure::Nominal => "nominal",
+            Pressure::Elevated => "elevated",
+            Pressure::High => "high",
+            Pressure::Critical => "critical",
+        }
+    }
+}
+
+/// Addressing read off a raw frame without full decode — just enough for
+/// the host to demux (inbound) or route (outbound) in O(1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameMeta {
+    pub src: Endpoint,
+    pub dst: Endpoint,
+}
+
+impl FrameMeta {
+    /// The 4-tuple as seen by the *receiving* host.
+    pub fn tuple_at_dst(&self) -> FourTuple {
+        FourTuple { local: self.dst, remote: self.src }
+    }
+}
+
+/// What a transport must expose for a host (`slhost::Host`) to serve many
+/// connections over it: listen/connect, per-connection I/O and state
+/// queries, and the per-connection timer/transmit split that lets the
+/// host tick only the connections whose wheel entry fired.
+pub trait HostStack: Stack {
+    /// Connection handle (`ConnId` for the sublayered stack, the 4-tuple
+    /// itself for the monolithic one).
+    type ConnId: Copy + Ord + Eq + Hash + Debug + 'static;
+
+    fn stack_name() -> &'static str;
+    fn local_addr(&self) -> u32;
+    fn listen(&mut self, port: u16);
+    /// Bound the connection table (capacity beyond it refuses opens).
+    fn set_max_conns(&mut self, max: usize);
+    fn try_connect(
+        &mut self,
+        now: Time,
+        local_port: u16,
+        remote: Endpoint,
+    ) -> Result<Self::ConnId, TransportError>;
+    fn try_connect_ephemeral(
+        &mut self,
+        now: Time,
+        remote: Endpoint,
+    ) -> Result<Self::ConnId, TransportError>;
+    /// Queue data; returns bytes accepted (short count = backpressure).
+    fn send(&mut self, id: Self::ConnId, data: &[u8]) -> usize;
+    /// Drain received in-order bytes.
+    fn recv(&mut self, id: Self::ConnId) -> Vec<u8>;
+    /// Graceful close.
+    fn close(&mut self, id: Self::ConnId);
+    /// Hard reset.
+    fn abort(&mut self, now: Time, id: Self::ConnId);
+    fn is_established(&self, id: Self::ConnId) -> bool;
+    /// Fully gone (or never existed).
+    fn is_closed(&self, id: Self::ConnId) -> bool;
+    /// Peer's FIN processed (EOF after the readable bytes drain).
+    fn peer_closed(&self, id: Self::ConnId) -> bool;
+    /// Terminal error, surviving the connection's removal.
+    fn conn_error(&self, id: Self::ConnId) -> Option<TransportError>;
+    fn readable_len(&self, id: Self::ConnId) -> usize;
+    fn send_capacity(&self, id: Self::ConnId) -> usize;
+    fn established(&self) -> Vec<Self::ConnId>;
+    fn conn_count(&self) -> usize;
+
+    /// Read addressing off a raw frame without decoding the rest; `None`
+    /// for frames too short or not this stack's wire format.
+    fn classify_frame(frame: &[u8]) -> Option<FrameMeta>;
+    /// O(1) hashed 4-tuple lookup (the host's demux path).
+    fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<Self::ConnId>;
+    /// Pop one already-assembled outgoing frame (no connection scan).
+    fn take_frame(&mut self) -> Option<Vec<u8>>;
+    /// Run one connection's output machinery.
+    fn pump_conn(&mut self, now: Time, id: Self::ConnId);
+    /// Next timer deadline for one connection (what the host arms in the
+    /// wheel).
+    fn conn_deadline(&self, now: Time, id: Self::ConnId) -> Option<Time>;
+    /// Advance one connection's timers to `now`; spurious calls harmless.
+    fn tick_conn(&mut self, now: Time, id: Self::ConnId);
+    /// Total inter-sublayer boundary crossings so far, for stacks that
+    /// have internal boundaries (`None` for the monolithic baseline).
+    /// The scale experiment reports this as crossing overhead per
+    /// connection at high connection counts.
+    fn crossing_events(&self) -> Option<u64> {
+        None
+    }
+
+    // ---- overload control: the host pushes memory pressure down and
+    // reads buffer occupancy / progress back up. Both stacks implement
+    // the same contract (OSR occupancy → RD window clamp → CM pacing →
+    // DM accept gating in the sublayered stack; one stack-global field
+    // in the monolith) so the host's admission policy is stack-agnostic.
+
+    /// Push the host's memory-pressure tier into the transport.
+    fn set_pressure(&mut self, p: Pressure);
+    /// Refuse all new inbound flows (drain / quiesce), independent of
+    /// the pressure tier.
+    fn gate_new_flows(&mut self, refuse: bool);
+    /// Bytes this connection holds across transport buffers.
+    fn conn_buffered(&self, id: Self::ConnId) -> usize;
+    /// Monotone progress counter (bytes delivered + bytes acked); a flow
+    /// whose counter stalls while holding buffers is a slow drainer.
+    fn conn_progress(&self, id: Self::ConnId) -> u64;
+    /// Total bytes held across all connection buffers.
+    fn buffered_bytes(&self) -> usize;
+    /// New flows refused statelessly (RST) because the transport's accept
+    /// gate was closed by pressure or drain.
+    fn stack_pressure_refusals(&self) -> u64;
+    /// Bytes pinned in this connection's retransmit queue. Both stacks
+    /// bound this (`RTX_BYTES_CAP` / `SND_BUF_CAP`), so a partition holds
+    /// memory flat instead of growing it with the blocked sender.
+    fn conn_rtx_bytes(&self, id: Self::ConnId) -> usize;
+    /// Age of the oldest unacked segment — how long this connection has
+    /// gone without cumulative ack progress. The partition-age signal the
+    /// host's `slhost::ResourceBudget` reads to pick
+    /// eviction victims: under memory pressure the flow stuck longest
+    /// behind a dead path is the one to shed.
+    fn conn_oldest_unacked(&self, id: Self::ConnId, now: Time) -> Option<Dur>;
+}
+
 /// A poll-driven protocol endpoint attached to *several* links (a server
 /// host facing many clients). Identical contract to [`Stack`] except that
 /// frames are tagged with the port they arrived on / should leave by.
@@ -118,6 +337,24 @@ pub trait MultiStack: 'static {
 
     /// Advance timers to `now`. Spurious calls must be harmless.
     fn on_tick(&mut self, now: Time);
+}
+
+/// Keep a node's one simulator timer on its stack's next `deadline`: armed
+/// earlier when the deadline moved up, cancelled when there is none, left
+/// alone otherwise (a timer that fires early costs one spurious tick).
+fn rearm(armed: &mut Option<(Time, TimerId)>, deadline: Option<Time>, ctx: &mut NodeCtx) {
+    let deadline = deadline.map(|d| d.max(ctx.now));
+    if let (Some(deadline), Some((at, _))) = (deadline, *armed) {
+        if at <= deadline {
+            return;
+        }
+    }
+    if let Some((_, id)) = armed.take() {
+        ctx.cancel(id);
+    }
+    if let Some(deadline) = deadline {
+        *armed = Some((deadline, ctx.arm_at(deadline, 0)));
+    }
 }
 
 /// Adapter embedding a sans-IO [`MultiStack`] as a multi-port simulator
@@ -137,27 +374,7 @@ impl<S: MultiStack> MultiStackNode<S> {
         while let Some((port, frame)) = self.stack.poll_transmit(ctx.now) {
             ctx.send(port, frame);
         }
-        match self.stack.poll_deadline(ctx.now) {
-            Some(deadline) => {
-                let deadline = deadline.max(ctx.now);
-                let needs_rearm = match self.armed {
-                    None => true,
-                    Some((at, _)) => deadline < at,
-                };
-                if needs_rearm {
-                    if let Some((_, id)) = self.armed.take() {
-                        ctx.cancel(id);
-                    }
-                    let id = ctx.arm_at(deadline, 0);
-                    self.armed = Some((deadline, id));
-                }
-            }
-            None => {
-                if let Some((_, id)) = self.armed.take() {
-                    ctx.cancel(id);
-                }
-            }
-        }
+        rearm(&mut self.armed, self.stack.poll_deadline(ctx.now), ctx);
     }
 }
 
@@ -195,27 +412,7 @@ impl<S: Stack> StackNode<S> {
         while let Some(frame) = self.stack.poll_transmit(ctx.now) {
             ctx.send(0, frame);
         }
-        match self.stack.poll_deadline(ctx.now) {
-            Some(deadline) => {
-                let deadline = deadline.max(ctx.now);
-                let needs_rearm = match self.armed {
-                    None => true,
-                    Some((at, _)) => deadline < at,
-                };
-                if needs_rearm {
-                    if let Some((_, id)) = self.armed.take() {
-                        ctx.cancel(id);
-                    }
-                    let id = ctx.arm_at(deadline, 0);
-                    self.armed = Some((deadline, id));
-                }
-            }
-            None => {
-                if let Some((_, id)) = self.armed.take() {
-                    ctx.cancel(id);
-                }
-            }
-        }
+        rearm(&mut self.armed, self.stack.poll_deadline(ctx.now), ctx);
     }
 }
 
@@ -240,7 +437,6 @@ impl<S: Stack> Node for StackNode<S> {
 mod tests {
     use super::*;
     use crate::net::{LinkParams, SimNet};
-    use crate::time::Dur;
 
     /// Emits `n` frames paced one per millisecond, then goes idle.
     struct Ticker {
@@ -311,5 +507,33 @@ mod tests {
         net.add_node(Box::new(StackNode::new(Collector { got: vec![] })));
         net.poll_all();
         assert!(net.is_idle());
+    }
+
+    #[test]
+    fn pressure_tiers_from_occupancy() {
+        let b = 1000;
+        assert_eq!(Pressure::from_occupancy(0, b), Pressure::Nominal);
+        assert_eq!(Pressure::from_occupancy(499, b), Pressure::Nominal);
+        assert_eq!(Pressure::from_occupancy(500, b), Pressure::Elevated);
+        assert_eq!(Pressure::from_occupancy(749, b), Pressure::Elevated);
+        assert_eq!(Pressure::from_occupancy(750, b), Pressure::High);
+        assert_eq!(Pressure::from_occupancy(899, b), Pressure::High);
+        assert_eq!(Pressure::from_occupancy(900, b), Pressure::Critical);
+        assert_eq!(Pressure::from_occupancy(5000, b), Pressure::Critical);
+        // No budget = no pressure, ever.
+        assert_eq!(Pressure::from_occupancy(u64::MAX, 0), Pressure::Nominal);
+    }
+
+    #[test]
+    fn pressure_tiers_order_and_policies() {
+        assert!(Pressure::Nominal < Pressure::Elevated);
+        assert!(Pressure::Elevated < Pressure::High);
+        assert!(Pressure::High < Pressure::Critical);
+        assert_eq!(Pressure::Nominal.wnd_shift(), 0);
+        assert_eq!(Pressure::Critical.wnd_shift(), 3);
+        assert!(!Pressure::Elevated.paces_acks());
+        assert!(Pressure::High.paces_acks());
+        assert!(!Pressure::High.refuses_new_flows());
+        assert!(Pressure::Critical.refuses_new_flows());
     }
 }

@@ -16,11 +16,11 @@ use crate::absseg::{normalize, AbsSeg};
 use crate::scenario::{Ev, FaultKind, LinkSpec, RstOff, Scenario, Side};
 use crate::wire::Kind;
 use netsim::{
-    tap_buffer, AdminOp, BurstLoss, Dur, FaultProfile, LinkParams, NodeId, SimNet, Stack,
-    StackNode, TapEvent, TapStack, Time, TransportError,
+    tap_buffer, AdminOp, BurstLoss, Dur, FaultProfile, Keepalive, LinkParams, NodeId, SimNet,
+    Stack, StackNode, TapEvent, TapStack, Time, TransportError,
 };
 use slhost::{observe, ConnObs, HostStack};
-use slmetrics::shared;
+use slmetrics::{shared, SharedLog};
 use sublayer_core::{SlConfig, SlTcpStack};
 use slwire::{Endpoint, FourTuple};
 use tcp_mono::TcpStack;
@@ -104,19 +104,33 @@ impl<S: Stack> Stack for BugStack<S> {
     }
 }
 
-/// What the driver needs from a transport beyond [`HostStack`]: a
-/// constructor and the `expected_wire_seq` introspection both stacks
-/// expose for byte-precise injection aiming.
+/// What the harnesses need from a transport beyond [`HostStack`]: a
+/// constructor with the two things they vary (keepalive and the access
+/// log) and the `expected_wire_seq` introspection both stacks expose for
+/// byte-precise injection aiming.
 pub trait ConformStack: HostStack + Sized {
     const KIND: Kind;
-    fn mk(addr: u32) -> Self;
+    /// A stack at `addr` recording into `log`, keepalive armed or off.
+    fn mk_with(addr: u32, keepalive: Option<Keepalive>, log: SharedLog) -> Self;
     fn expected_seq(&self, id: Self::ConnId) -> Option<u32>;
+
+    fn mk(addr: u32) -> Self {
+        Self::mk_with(addr, None, shared())
+    }
+
+    /// Keepalive armed at its default 10 s / 2 s / x5 — chaos, attack and
+    /// topology run their endpoints this way so a dead path surfaces as a
+    /// typed abort, and the reroute profiles pin "keepalive defers while
+    /// data is in flight" under a live RTT step.
+    fn mk_keepalive(addr: u32) -> Self {
+        Self::mk_with(addr, Some(Keepalive::default()), shared())
+    }
 }
 
 impl ConformStack for SlTcpStack {
     const KIND: Kind = Kind::Sub;
-    fn mk(addr: u32) -> Self {
-        SlTcpStack::new(addr, SlConfig::default(), shared())
+    fn mk_with(addr: u32, keepalive: Option<Keepalive>, log: SharedLog) -> Self {
+        SlTcpStack::new(addr, SlConfig { keepalive, ..SlConfig::default() }, log)
     }
     fn expected_seq(&self, id: Self::ConnId) -> Option<u32> {
         self.expected_wire_seq(id)
@@ -125,8 +139,12 @@ impl ConformStack for SlTcpStack {
 
 impl ConformStack for TcpStack {
     const KIND: Kind = Kind::Mono;
-    fn mk(addr: u32) -> Self {
-        TcpStack::new(addr, shared())
+    fn mk_with(addr: u32, keepalive: Option<Keepalive>, log: SharedLog) -> Self {
+        let mut s = TcpStack::new(addr, log);
+        if let Some(ka) = keepalive {
+            s.set_keepalive(ka);
+        }
+        s
     }
     fn expected_seq(&self, id: Self::ConnId) -> Option<u32> {
         self.expected_wire_seq(id)

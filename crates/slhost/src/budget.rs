@@ -2,7 +2,7 @@
 //!
 //! The budget bounds the *bytes* a host may hold across transport buffers
 //! and ingest queues. Occupancy against `max_bytes` maps to a
-//! [`Pressure`](slmetrics::Pressure) tier which the host pushes down into
+//! [`Pressure`](netsim::Pressure) tier which the host pushes down into
 //! the transport (window clamp, ACK pacing, accept gating) and applies to
 //! its own admission policy (defer → shed-idle → refuse). The drain
 //! fields parameterise slow-drain (slowloris) detection: a connection
@@ -58,7 +58,7 @@ impl ResourceBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slmetrics::Pressure;
+    use netsim::Pressure;
 
     #[test]
     fn default_budget_is_inactive() {

@@ -9,8 +9,7 @@
 //! (and a reusable building block for any differential test at the host
 //! layer).
 
-use crate::stack::HostStack;
-use netsim::TransportError;
+use netsim::{HostStack, TransportError};
 
 /// One connection's observable state, read exclusively through the
 /// [`HostStack`] parity surface so the same snapshot works for both

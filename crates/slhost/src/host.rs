@@ -19,10 +19,9 @@
 //!   without limit.
 
 use crate::budget::ResourceBudget;
-use crate::stack::HostStack;
 use crate::wheel::{TimerKey, TimerWheel};
-use netsim::{Dur, MultiStack, PortId, Time, TransportError};
-use slmetrics::{HostCounters, Pressure};
+use netsim::{Dur, HostStack, MultiStack, PortId, Pressure, Time, TransportError};
+use slmetrics::HostCounters;
 use std::collections::{HashMap, VecDeque};
 use slwire::{Endpoint, MAX_FRAME_BYTES};
 

@@ -5,9 +5,8 @@
 //! pumping a connection has to take it off the ready set, and a connection
 //! that goes has to take its entries along.
 
-use netsim::{MultiStack, Stack, Time};
+use netsim::{MultiStack, Pressure, Stack, Time};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost};
-use slmetrics::Pressure;
 use sublayer_core::{SlConfig, SlTcpStack};
 use slwire::Endpoint;
 use tcp_mono::TcpStack;

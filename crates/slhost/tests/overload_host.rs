@@ -16,11 +16,10 @@
 //! frame exchange (no simulator), so every assertion is exact: which
 //! connection died, in which order, and what every counter reads.
 
-use netsim::{Dur, MultiStack, Stack, Time, TransportError};
+use netsim::{Dur, MultiStack, Pressure, Stack, Time, TransportError};
 use slhost::{
     Host, HostApp, HostConfig, HostEvent, HostStack, ResourceBudget, ServedHost,
 };
-use slmetrics::Pressure;
 use sublayer_core::{SlConfig, SlTcpStack};
 use slwire::Endpoint;
 use tcp_mono::TcpStack;

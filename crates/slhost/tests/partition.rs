@@ -16,10 +16,10 @@
 //!    partition outlives the 10 s + 5×2 s keepalive window but not the
 //!    RTO budget, so the transfer must complete after the link heals.
 
-use netsim::{two_party, AdminOp, Dur, LinkParams, StackNode, Time};
+use netsim::{two_party, AdminOp, Dur, Keepalive, LinkParams, StackNode, Time};
 use slhost::HostStack;
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
-use tcp_mono::stack::{Keepalive, TcpStack};
+use sublayer_core::{SlConfig, SlTcpStack};
+use tcp_mono::stack::TcpStack;
 use slwire::Endpoint;
 
 const A: u32 = 1;
@@ -117,7 +117,7 @@ fn mono_pair(ka: Option<Keepalive>) -> (TcpStack, TcpStack) {
     (c, s)
 }
 
-fn sub_pair(ka: Option<KeepaliveConfig>) -> (SlTcpStack, SlTcpStack) {
+fn sub_pair(ka: Option<Keepalive>) -> (SlTcpStack, SlTcpStack) {
     let ccfg = SlConfig { keepalive: ka, ..SlConfig::default() };
     let c = SlTcpStack::new(A, ccfg, slmetrics::shared());
     let mut s = SlTcpStack::new(B, SlConfig::default(), slmetrics::shared());
@@ -181,7 +181,7 @@ fn healing_partition() -> Vec<(Time, AdminOp)> {
 
 #[test]
 fn keepalive_defers_to_rto_across_a_partition_sub() {
-    let ka = KeepaliveConfig {
+    let ka = Keepalive {
         idle: Dur::from_secs(10),
         interval: Dur::from_secs(2),
         max_probes: 5,

@@ -21,75 +21,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-/// Host memory-pressure tier, derived from budget occupancy. Shared by
-/// both stacks so the overload experiment (E16) compares the sublayered
-/// and monolithic backpressure plumbing like for like: the *tier* and its
-/// thresholds are policy owned by the host; how each stack reacts to it
-/// (window clamp, ACK pacing, accept gating) is the mechanism under test.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Pressure {
-    /// Under half the budget: no intervention.
-    #[default]
-    Nominal,
-    /// Over 1/2 of budget: defer new accepts, halve advertised windows.
-    Elevated,
-    /// Over 3/4 of budget: shed idle connections, clamp windows to a
-    /// quarter, pace pure ACKs.
-    High,
-    /// Over 9/10 of budget: refuse new flows outright.
-    Critical,
-}
-
-impl Pressure {
-    /// Tier for `used` bytes against `budget` (0 = unlimited ⇒ Nominal).
-    pub fn from_occupancy(used: u64, budget: u64) -> Pressure {
-        if budget == 0 {
-            return Pressure::Nominal;
-        }
-        // Integer thresholds: >=90%, >=75%, >=50% of budget.
-        if used.saturating_mul(10) >= budget.saturating_mul(9) {
-            Pressure::Critical
-        } else if used.saturating_mul(4) >= budget.saturating_mul(3) {
-            Pressure::High
-        } else if used.saturating_mul(2) >= budget {
-            Pressure::Elevated
-        } else {
-            Pressure::Nominal
-        }
-    }
-
-    /// Right-shift applied to the advertised receive window at this tier
-    /// (window = free-space >> shift): deeper pressure, smaller windows,
-    /// slower inbound byte growth.
-    pub fn wnd_shift(self) -> u32 {
-        match self {
-            Pressure::Nominal => 0,
-            Pressure::Elevated => 1,
-            Pressure::High => 2,
-            Pressure::Critical => 3,
-        }
-    }
-
-    /// Should pure ACKs be paced (delayed/coalesced) at this tier?
-    pub fn paces_acks(self) -> bool {
-        self >= Pressure::High
-    }
-
-    /// Should brand-new inbound flows be refused at this tier?
-    pub fn refuses_new_flows(self) -> bool {
-        self >= Pressure::Critical
-    }
-
-    /// Stable label for reports/JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            Pressure::Nominal => "nominal",
-            Pressure::Elevated => "elevated",
-            Pressure::High => "high",
-            Pressure::Critical => "critical",
-        }
-    }
-}
+/// `benchmark/` imports the host's pressure tier from here (ROADMAP item
+/// 3, benchmark-only bullet); it is `netsim`'s, beside `HostStack`.
+pub use netsim::Pressure;
 
 /// Read or write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -572,34 +506,6 @@ mod tests {
         let m = InteractionMatrix::from_log(&AccessLog::default());
         assert_eq!(m.entanglement_score(), 0);
         assert!(m.render_markdown("empty").contains("fields: 0"));
-    }
-
-    #[test]
-    fn pressure_tiers_from_occupancy() {
-        let b = 1000;
-        assert_eq!(Pressure::from_occupancy(0, b), Pressure::Nominal);
-        assert_eq!(Pressure::from_occupancy(499, b), Pressure::Nominal);
-        assert_eq!(Pressure::from_occupancy(500, b), Pressure::Elevated);
-        assert_eq!(Pressure::from_occupancy(749, b), Pressure::Elevated);
-        assert_eq!(Pressure::from_occupancy(750, b), Pressure::High);
-        assert_eq!(Pressure::from_occupancy(899, b), Pressure::High);
-        assert_eq!(Pressure::from_occupancy(900, b), Pressure::Critical);
-        assert_eq!(Pressure::from_occupancy(5000, b), Pressure::Critical);
-        // No budget = no pressure, ever.
-        assert_eq!(Pressure::from_occupancy(u64::MAX, 0), Pressure::Nominal);
-    }
-
-    #[test]
-    fn pressure_tiers_order_and_policies() {
-        assert!(Pressure::Nominal < Pressure::Elevated);
-        assert!(Pressure::Elevated < Pressure::High);
-        assert!(Pressure::High < Pressure::Critical);
-        assert_eq!(Pressure::Nominal.wnd_shift(), 0);
-        assert_eq!(Pressure::Critical.wnd_shift(), 3);
-        assert!(!Pressure::Elevated.paces_acks());
-        assert!(Pressure::High.paces_acks());
-        assert!(!Pressure::High.refuses_new_flows());
-        assert!(Pressure::Critical.refuses_new_flows());
     }
 
     #[test]

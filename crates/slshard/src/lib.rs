@@ -53,9 +53,9 @@ pub use merge::{merge, reference_merge, Stamped};
 pub use shard::{AppReport, Cmd, FlushRep, Rep, ShardCore, ShardError, ShardSnapshot, Worker};
 pub use supervisor::{FaultEvent, FaultEventKind, RestartPolicy, ShardHealth, Supervisor};
 
-use netsim::{Dur, MultiStack, PortId, Time};
+use netsim::{Dur, MultiStack, PortId, Pressure, Time};
 use slhost::{HostApp, HostStack, ServedHost};
-use slmetrics::{HostCounters, Pressure};
+use slmetrics::HostCounters;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;

@@ -23,9 +23,9 @@
 use crate::fault::{FaultKind, FaultSpec};
 use crate::merge::Stamped;
 use crate::ring::{self, SendStatus};
-use netsim::{Dur, MultiStack, Time};
+use netsim::{Dur, MultiStack, Pressure, Time};
 use slhost::{HostApp, HostStack, ServedHost};
-use slmetrics::{HostCounters, Pressure};
+use slmetrics::HostCounters;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;

@@ -17,15 +17,15 @@
 //! picking a new ephemeral port.
 
 use netsim::stack::TransportError;
-use netsim::{Dur, LinkParams, MultiStackNode, StackNode, Time};
+use netsim::{Dur, Keepalive, LinkParams, MultiStackNode, StackNode, Time};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost};
 use slshard::{
     mute_injected_panics, FaultEventKind, FaultKind, FaultSpec, Mode, RestartPolicy,
     ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
 };
-use sublayer_core::{KeepaliveConfig, SlConfig, SlTcpStack};
+use sublayer_core::{SlConfig, SlTcpStack};
 use slwire::hash::shard_of;
-use tcp_mono::stack::{Keepalive, TcpStack};
+use tcp_mono::stack::TcpStack;
 use slwire::{Endpoint, FourTuple};
 
 const SERVER_ADDR: u32 = 0x0A00_0001;
@@ -362,7 +362,7 @@ fn mono_stack(addr: u32) -> TcpStack {
 /// error (the same configuration PR 6's topology campaigns use).
 fn sub_client(addr: u32) -> SlTcpStack {
     let cfg = SlConfig {
-        keepalive: Some(KeepaliveConfig {
+        keepalive: Some(Keepalive {
             idle: Dur::from_secs(10),
             interval: Dur::from_secs(2),
             max_probes: 5,

@@ -1048,7 +1048,7 @@ impl OverloadState {
 impl Overload {
     /// Pressure tier from live occupancy — delegated to the shared
     /// [`relation::pressure_tier`](crate::relation::pressure_tier), the
-    /// same thresholds as `slmetrics::Pressure::from_occupancy`
+    /// same thresholds as `netsim::Pressure::from_occupancy`
     /// (50% / 75% / 90%) and the conformance harness's admission checks.
     fn tier(&self, used: u8) -> u8 {
         crate::relation::pressure_tier(used as u64, self.budget as u64)
@@ -1380,7 +1380,7 @@ impl ShardedOverloadState {
 
 impl ShardedOverload {
     /// Per-shard own tier from live shard occupancy — the same shared
-    /// thresholds as `slmetrics::Pressure::from_occupancy`.
+    /// thresholds as `netsim::Pressure::from_occupancy`.
     fn own_tier(&self, used: u8) -> u8 {
         crate::relation::pressure_tier(used as u64, self.sbudget as u64)
     }

@@ -105,7 +105,7 @@ pub fn transition_label(seg: SegClass, v: SeqVerdict, r: RespClass) -> &'static 
 }
 
 /// Memory-pressure tier for `used` units against `budget` — the same
-/// integer thresholds as `slmetrics::Pressure::from_occupancy` (50% /
+/// integer thresholds as `netsim::Pressure::from_occupancy` (50% /
 /// 75% / 90%; budget 0 means unlimited). Consumed by the
 /// [`Overload`](crate::models::Overload) model and by the conformance
 /// harness's admission checks.

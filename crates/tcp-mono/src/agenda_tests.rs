@@ -9,11 +9,10 @@
 //! read, and the next deadline. (`sublayer-core` has the twin of this
 //! file over its own stack.)
 
-use crate::stack::{Keepalive, TcpStack, ACK_PACE_DELAY, MAX_HALF_OPEN};
+use crate::stack::{TcpStack, ACK_PACE_DELAY, MAX_HALF_OPEN};
 use crate::wire::{Endpoint, FourTuple, Segment, SYN};
-use netsim::{Dur, Stack, Time};
+use netsim::{Dur, HostStack, Keepalive, Pressure, Stack, Time};
 use proptest::{collection, prop_assert_eq, proptest};
-use slmetrics::Pressure;
 use std::collections::VecDeque;
 
 const ADDR: [u32; 2] = [0x0A00_0001, 0x0A00_0002];
@@ -145,7 +144,7 @@ impl World {
             }
             (3, Some(id)) => self.recv(end, id),
             (4, Some(id)) => self.ends[end].close(id),
-            (5, Some(id)) if k.is_multiple_of(4) => self.ends[end].abort(id),
+            (5, Some(id)) if k.is_multiple_of(4) => self.ends[end].abort(self.now, id),
             (5, _) if k % 4 == 1 => self.ends[end].set_keepalive(KEEPALIVE),
             (6, _) => {
                 let tier = [

@@ -21,7 +21,7 @@ pub mod stack;
 pub use slwire::rfc793 as wire;
 
 pub use pcb::{Pcb, TcpState, DEFAULT_MSS};
-pub use stack::{Keepalive, TcpStack, TcpStats};
+pub use stack::{TcpStack, TcpStats};
 
 #[cfg(test)]
 mod agenda_tests;

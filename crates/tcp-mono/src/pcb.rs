@@ -229,6 +229,12 @@ impl Pcb {
         out
     }
 
+    /// Bytes held across this connection's buffers: unacked and unsent
+    /// data, unread data, and out-of-order segments awaiting the gap.
+    pub(crate) fn buffered_bytes(&self) -> usize {
+        self.snd_buf.len() + self.rcv_buf.len() + self.ooo.values().map(|d| d.len()).sum::<usize>()
+    }
+
     /// Bytes in flight.
     pub fn flight_size(&self) -> u32 {
         self.snd_nxt.wrapping_sub(self.snd_una)

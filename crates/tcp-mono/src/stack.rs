@@ -14,9 +14,11 @@ use crate::pcb::*;
 use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
 use slwire::hash::FxBuildHasher;
 use slwire::seq;
-use netsim::{Agenda, Dur, Mark, Stack, Time, TransportError};
+use netsim::{
+    Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
+};
 use slcc::{CcError, CongSignal, NewReno, RateController};
-use slmetrics::{Pressure, SharedLog};
+use slmetrics::SharedLog;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Aggregate counters.
@@ -73,27 +75,6 @@ const MAX_ACK_AGE: u32 = 65_535;
 /// How long a pure ack may be held under pressure-driven ACK pacing —
 /// well below [`MIN_RTO`] so pacing never triggers a peer's RTO.
 pub const ACK_PACE_DELAY: Dur = Dur(50_000_000);
-
-/// Keepalive policy (off by default; see [`TcpStack::set_keepalive`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Keepalive {
-    /// Idle time before the first probe.
-    pub idle: Dur,
-    /// Gap between successive unanswered probes.
-    pub interval: Dur,
-    /// Unanswered probes tolerated before the connection is aborted.
-    pub max_probes: u32,
-}
-
-impl Default for Keepalive {
-    fn default() -> Keepalive {
-        Keepalive {
-            idle: Dur::from_secs(10),
-            interval: Dur::from_secs(2),
-            max_probes: 5,
-        }
-    }
-}
 
 // Subfunction labels for the entanglement instrumentation.
 const DEMUX: &str = "demux";
@@ -178,10 +159,6 @@ impl TcpStack {
         self.cc_template.name()
     }
 
-    pub fn addr(&self) -> u32 {
-        self.addr
-    }
-
     /// Enable keepalive probing for all connections on this host.
     pub fn set_keepalive(&mut self, ka: Keepalive) {
         let before = self.keepalive.replace(ka);
@@ -192,68 +169,6 @@ impl TcpStack {
                 Self::deadline_of(Some(ka), p),
             );
         }
-    }
-
-    /// Bound the connection table (default 16384).
-    pub fn set_max_conns(&mut self, n: usize) {
-        self.max_conns = n;
-    }
-
-    /// Update the host memory-pressure signal. Everything downstream —
-    /// window stamping, ack pacing, accept gating — reads the shared
-    /// field directly; no per-connection fan-out exists to forget.
-    pub fn set_pressure(&mut self, p: Pressure) {
-        self.log.borrow_mut().w(FC, "pressure");
-        if p != self.pressure {
-            // An ack that pacing held goes out at the next output pass.
-            for &tuple in self.conns.keys() {
-                self.agenda.mark_ready(tuple);
-            }
-        }
-        self.pressure = p;
-    }
-
-    pub fn pressure(&self) -> Pressure {
-        self.pressure
-    }
-
-    /// Explicitly gate new-flow admission (host drain/quiesce),
-    /// independent of the pressure tier.
-    pub fn gate_new_flows(&mut self, refuse: bool) {
-        self.log.borrow_mut().w(CONN, "gate");
-        self.gate = refuse;
-    }
-
-    /// One connection's share of [`TcpStack::buffered_bytes`].
-    pub fn conn_buffered(&self, tuple: FourTuple) -> usize {
-        self.conns.get(&tuple).map_or(0, |p| {
-            p.snd_buf.len()
-                + p.rcv_buf.len()
-                + p.ooo.values().map(|d| d.len()).sum::<usize>()
-        })
-    }
-
-    /// Bytes currently pinned awaiting retransmission (the unacked prefix
-    /// of `snd_buf`, bounded by [`SND_BUF_CAP`] no matter how long the
-    /// path stays partitioned).
-    pub fn conn_rtx_bytes(&self, tuple: FourTuple) -> usize {
-        self.conns
-            .get(&tuple)
-            .map_or(0, |p| (p.flight_size() as usize).min(p.snd_buf.len()))
-    }
-
-    /// How long the oldest unacked data has waited without cumulative ack
-    /// progress — the partition-age signal a host budget can act on.
-    pub fn conn_oldest_unacked(&self, tuple: FourTuple, now: Time) -> Option<Dur> {
-        self.conns.get(&tuple).and_then(|p| p.oldest_unacked_age(now))
-    }
-
-    /// Monotone progress counter for slow-drain detection: in-order bytes
-    /// received plus bytes the peer has cumulatively acknowledged.
-    pub fn conn_progress(&self, tuple: FourTuple) -> u64 {
-        self.conns.get(&tuple).map_or(0, |p| {
-            p.rcv_nxt.wrapping_sub(p.irs) as u64 + p.snd_una.wrapping_sub(p.iss) as u64
-        })
     }
 
     /// Advertised window under the stack-global pressure clamp. Every
@@ -268,18 +183,12 @@ impl TcpStack {
         (pcb.rcv_wnd() >> self.pressure.wnd_shift()).min(u16::MAX as u32) as u16
     }
 
-    /// The terminal error recorded for `tuple`, if the connection was
-    /// aborted (locally or by the peer) rather than closed cleanly.
     /// Per-connection congestion-control observability: window samples
     /// and loss/recovery event counts ([`slmetrics::CcCounters`], the
     /// same shape the sublayered stack fills — E19 reads both like for
     /// like).
     pub fn conn_cc(&self, tuple: FourTuple) -> Option<slmetrics::CcCounters> {
         self.conns.get(&tuple).map(|p| p.cc_stats)
-    }
-
-    pub fn conn_error(&self, tuple: FourTuple) -> Option<TransportError> {
-        self.errors.get(&tuple).copied()
     }
 
     /// RFC 793 clock-driven ISN ("unique in time using the low-order bits
@@ -297,49 +206,11 @@ impl TcpStack {
         clock.wrapping_add(salt)
     }
 
-    /// Begin listening for connections on a local port.
-    pub fn listen(&mut self, port: u16) {
-        self.listeners.insert(port);
-    }
-
     /// Actively open a connection; returns its id. Panics if the table
     /// cannot admit it — use [`TcpStack::try_connect`] when refusal must
     /// be a value, not a crash.
     pub fn connect(&mut self, now: Time, local_port: u16, remote: Endpoint) -> FourTuple {
         self.try_connect(now, local_port, remote).expect("tuple free")
-    }
-
-    /// Active open surfacing capacity as a typed error instead of a panic:
-    /// a full connection table or an already-bound tuple both mean the
-    /// table cannot admit this connection.
-    pub fn try_connect(
-        &mut self,
-        now: Time,
-        local_port: u16,
-        remote: Endpoint,
-    ) -> Result<FourTuple, TransportError> {
-        if self.conns.len() >= self.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let tuple = FourTuple {
-            local: Endpoint::new(self.addr, local_port),
-            remote,
-        };
-        if self.conns.contains_key(&tuple) {
-            return Err(TransportError::ConnTableFull);
-        }
-        self.log.borrow_mut().w(CONN, "state");
-        self.log.borrow_mut().w(CONN, "iss");
-        let iss = self.isn(now, &tuple);
-        let mut pcb = Pcb::with_cc(tuple, TcpState::SynSent, iss, self.cc_template.clone());
-        pcb.snd_nxt = iss.wrapping_add(1);
-        pcb.snd_max = pcb.snd_nxt;
-        pcb.rto_deadline = Some(now + pcb.rto);
-        pcb.last_rx = now;
-        self.stats.conns_opened += 1;
-        self.send_syn(&mut pcb, false);
-        self.put_back(pcb, None, true);
-        Ok(tuple)
     }
 
     /// Allocate an ephemeral local port toward `remote`, or `None` once
@@ -362,95 +233,6 @@ impl TcpStack {
         self.try_connect_ephemeral(now, remote).expect("ephemeral port free")
     }
 
-    /// Active open with an ephemeral local port, surfacing port
-    /// exhaustion and table capacity as typed errors.
-    pub fn try_connect_ephemeral(
-        &mut self,
-        now: Time,
-        remote: Endpoint,
-    ) -> Result<FourTuple, TransportError> {
-        if self.conns.len() >= self.max_conns {
-            return Err(TransportError::ConnTableFull);
-        }
-        let Some(port) = self.ephemeral_port(remote) else {
-            return Err(TransportError::PortsExhausted);
-        };
-        self.try_connect(now, port, remote)
-    }
-
-    /// Queue application data. Returns bytes accepted — short counts mean
-    /// the bounded send buffer is full (backpressure; retry after acks
-    /// drain it).
-    pub fn send(&mut self, tuple: FourTuple, data: &[u8]) -> usize {
-        let Some(pcb) = self.conns.get_mut(&tuple) else { return 0 };
-        if !pcb.state.can_send() || pcb.fin_queued {
-            return 0;
-        }
-        self.log.borrow_mut().w(RD, "snd_buf");
-        let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
-        pcb.snd_buf.extend(data[..n].iter().copied());
-        // No timer field moves until the output path runs.
-        self.agenda.mark_ready(tuple);
-        n
-    }
-
-    /// Drain received in-order bytes.
-    pub fn recv(&mut self, tuple: FourTuple) -> Vec<u8> {
-        let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
-        self.log.borrow_mut().r(RD, "rcv_buf");
-        self.log.borrow_mut().w(FC, "rcv_wnd");
-        // One exactly-sized `Vec`, one `memcpy` per half of the ring.
-        let (front, back) = pcb.rcv_buf.as_slices();
-        let out = [front, back].concat();
-        pcb.rcv_buf.clear();
-        // The window just opened; let the peer know — unless its FIN
-        // already arrived: no more data can come, and the gratuitous
-        // update would poke a peer whose TCB may already be deleted.
-        if !out.is_empty()
-            && !matches!(
-                pcb.state,
-                TcpState::CloseWait
-                    | TcpState::Closing
-                    | TcpState::LastAck
-                    | TcpState::TimeWait
-            )
-        {
-            pcb.ack_pending = true;
-            self.agenda.mark_ready(tuple);
-        }
-        out
-    }
-
-    /// Graceful close: FIN after the send buffer drains.
-    pub fn close(&mut self, tuple: FourTuple) {
-        let Some(mut pcb) = self.conns.remove(&tuple) else { return };
-        let before = Some(self.mark_of(&pcb));
-        self.log.borrow_mut().w(CONN, "state");
-        match pcb.state {
-            TcpState::Established | TcpState::SynRcvd => {
-                pcb.fin_queued = true;
-                pcb.state = TcpState::FinWait1;
-            }
-            TcpState::CloseWait => {
-                pcb.fin_queued = true;
-                pcb.state = TcpState::LastAck;
-            }
-            _ => {}
-        }
-        self.agenda.mark_ready(tuple);
-        // A connection that never left SYN_SENT is simply forgotten.
-        let keep = pcb.state != TcpState::SynSent;
-        self.put_back(pcb, before, keep);
-    }
-
-    /// Hard reset.
-    pub fn abort(&mut self, tuple: FourTuple) {
-        if let Some(pcb) = self.take_for_good(tuple) {
-            self.errors.entry(tuple).or_insert(TransportError::Reset);
-            self.send_rst(&pcb);
-        }
-    }
-
     /// RST the peer of an existing connection.
     fn send_rst(&mut self, pcb: &Pcb) {
         let seg = Segment {
@@ -469,72 +251,6 @@ impl TcpStack {
 
     pub fn state(&self, tuple: FourTuple) -> TcpState {
         self.conns.get(&tuple).map_or(TcpState::Closed, |p| p.state)
-    }
-
-    /// Connections currently established (for the passive side to
-    /// discover accepted peers).
-    pub fn established(&self) -> Vec<FourTuple> {
-        let mut v: Vec<FourTuple> = self
-            .conns
-            .iter()
-            .filter(|(_, p)| p.state == TcpState::Established)
-            .map(|(&t, _)| t)
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Bytes queued but not yet acknowledged.
-    pub fn unacked_len(&self, tuple: FourTuple) -> usize {
-        self.conns.get(&tuple).map_or(0, |p| p.snd_buf.len())
-    }
-
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// In-order received bytes available to `recv` without draining them.
-    pub fn readable_len(&self, tuple: FourTuple) -> usize {
-        self.conns.get(&tuple).map_or(0, |p| p.rcv_buf.len())
-    }
-
-    /// How many bytes `send` would accept right now (0 once the stream is
-    /// closing or the connection is gone).
-    pub fn send_capacity(&self, tuple: FourTuple) -> usize {
-        match self.conns.get(&tuple) {
-            Some(p) if p.state.can_send() && !p.fin_queued => {
-                SND_BUF_CAP.saturating_sub(p.snd_buf.len())
-            }
-            _ => 0,
-        }
-    }
-
-    /// Has the peer's FIN been processed? (EOF for the application.)
-    pub fn peer_closed(&self, tuple: FourTuple) -> bool {
-        matches!(
-            self.state(tuple),
-            TcpState::CloseWait | TcpState::Closing | TcpState::LastAck | TcpState::TimeWait
-        )
-    }
-
-    /// Pop one already-encoded segment without scanning any connection —
-    /// the host layer's transmit path ([`TcpStack::pump_conn`] is what
-    /// fills the outbox).
-    pub fn take_frame(&mut self) -> Option<Vec<u8>> {
-        self.outbox.pop_front()
-    }
-
-    /// Run one connection's output path (tcp_output) — the
-    /// per-connection half of `poll_transmit`, for hosts that know which
-    /// connection changed.
-    pub fn pump_conn(&mut self, now: Time, tuple: FourTuple) {
-        self.output(now, tuple);
-    }
-
-    /// Next timer deadline for *one* connection, so a host can keep one
-    /// wheel entry per connection instead of scanning them all.
-    pub fn conn_deadline(&self, _now: Time, tuple: FourTuple) -> Option<Time> {
-        Self::deadline_of(self.keepalive, self.conns.get(&tuple)?)
     }
 
     fn deadline_of(keepalive: Option<Keepalive>, p: &Pcb) -> Option<Time> {
@@ -598,19 +314,6 @@ impl TcpStack {
     /// craft byte-precise injections against either stack.
     pub fn expected_wire_seq(&self, tuple: FourTuple) -> Option<u32> {
         self.conns.get(&tuple).map(|p| p.rcv_nxt)
-    }
-
-    /// Total bytes held across all connection buffers — the quantity the
-    /// resource-governance invariants bound under attack.
-    pub fn buffered_bytes(&self) -> usize {
-        self.conns
-            .values()
-            .map(|p| {
-                p.snd_buf.len()
-                    + p.rcv_buf.len()
-                    + p.ooo.values().map(|d| d.len()).sum::<usize>()
-            })
-            .sum()
     }
 
     fn push(&mut self, seg: Segment) {
@@ -1475,12 +1178,249 @@ impl TcpStack {
         self.output_pcb(now, pcb);
         true
     }
+}
+
+/// The host-facing surface (application calls, per-connection output and
+/// timers, overload control) — the same trait `sublayer-core` implements,
+/// so a host or a campaign written against it runs over either stack.
+impl HostStack for TcpStack {
+    type ConnId = FourTuple;
+
+    fn stack_name() -> &'static str {
+        "monolithic"
+    }
+
+    fn local_addr(&self) -> u32 {
+        self.addr
+    }
+
+    /// Begin listening for connections on a local port.
+    fn listen(&mut self, port: u16) {
+        self.listeners.insert(port);
+    }
+
+    /// Bound the connection table (default 16384).
+    fn set_max_conns(&mut self, n: usize) {
+        self.max_conns = n;
+    }
+
+    /// Active open surfacing capacity as a typed error instead of a panic:
+    /// a full connection table or an already-bound tuple both mean the
+    /// table cannot admit this connection.
+    fn try_connect(
+        &mut self,
+        now: Time,
+        local_port: u16,
+        remote: Endpoint,
+    ) -> Result<FourTuple, TransportError> {
+        if self.conns.len() >= self.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let tuple = FourTuple {
+            local: Endpoint::new(self.addr, local_port),
+            remote,
+        };
+        if self.conns.contains_key(&tuple) {
+            return Err(TransportError::ConnTableFull);
+        }
+        self.log.borrow_mut().w(CONN, "state");
+        self.log.borrow_mut().w(CONN, "iss");
+        let iss = self.isn(now, &tuple);
+        let mut pcb = Pcb::with_cc(tuple, TcpState::SynSent, iss, self.cc_template.clone());
+        pcb.snd_nxt = iss.wrapping_add(1);
+        pcb.snd_max = pcb.snd_nxt;
+        pcb.rto_deadline = Some(now + pcb.rto);
+        pcb.last_rx = now;
+        self.stats.conns_opened += 1;
+        self.send_syn(&mut pcb, false);
+        self.put_back(pcb, None, true);
+        Ok(tuple)
+    }
+
+    /// Active open with an ephemeral local port, surfacing port
+    /// exhaustion and table capacity as typed errors.
+    fn try_connect_ephemeral(
+        &mut self,
+        now: Time,
+        remote: Endpoint,
+    ) -> Result<FourTuple, TransportError> {
+        if self.conns.len() >= self.max_conns {
+            return Err(TransportError::ConnTableFull);
+        }
+        let Some(port) = self.ephemeral_port(remote) else {
+            return Err(TransportError::PortsExhausted);
+        };
+        self.try_connect(now, port, remote)
+    }
+
+    /// Queue application data. Returns bytes accepted — short counts mean
+    /// the bounded send buffer is full (backpressure; retry after acks
+    /// drain it).
+    fn send(&mut self, tuple: FourTuple, data: &[u8]) -> usize {
+        let Some(pcb) = self.conns.get_mut(&tuple) else { return 0 };
+        if !pcb.state.can_send() || pcb.fin_queued {
+            return 0;
+        }
+        self.log.borrow_mut().w(RD, "snd_buf");
+        let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
+        pcb.snd_buf.extend(data[..n].iter().copied());
+        // No timer field moves until the output path runs.
+        self.agenda.mark_ready(tuple);
+        n
+    }
+
+    /// Drain received in-order bytes.
+    fn recv(&mut self, tuple: FourTuple) -> Vec<u8> {
+        let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
+        self.log.borrow_mut().r(RD, "rcv_buf");
+        self.log.borrow_mut().w(FC, "rcv_wnd");
+        // One exactly-sized `Vec`, one `memcpy` per half of the ring.
+        let (front, back) = pcb.rcv_buf.as_slices();
+        let out = [front, back].concat();
+        pcb.rcv_buf.clear();
+        // The window just opened; let the peer know — unless its FIN
+        // already arrived: no more data can come, and the gratuitous
+        // update would poke a peer whose TCB may already be deleted.
+        if !out.is_empty()
+            && !matches!(
+                pcb.state,
+                TcpState::CloseWait
+                    | TcpState::Closing
+                    | TcpState::LastAck
+                    | TcpState::TimeWait
+            )
+        {
+            pcb.ack_pending = true;
+            self.agenda.mark_ready(tuple);
+        }
+        out
+    }
+
+    /// Graceful close: FIN after the send buffer drains.
+    fn close(&mut self, tuple: FourTuple) {
+        let Some(mut pcb) = self.conns.remove(&tuple) else { return };
+        let before = Some(self.mark_of(&pcb));
+        self.log.borrow_mut().w(CONN, "state");
+        match pcb.state {
+            TcpState::Established | TcpState::SynRcvd => {
+                pcb.fin_queued = true;
+                pcb.state = TcpState::FinWait1;
+            }
+            TcpState::CloseWait => {
+                pcb.fin_queued = true;
+                pcb.state = TcpState::LastAck;
+            }
+            _ => {}
+        }
+        self.agenda.mark_ready(tuple);
+        // A connection that never left SYN_SENT is simply forgotten.
+        let keep = pcb.state != TcpState::SynSent;
+        self.put_back(pcb, before, keep);
+    }
+
+    /// Hard reset.
+    fn abort(&mut self, _now: Time, tuple: FourTuple) {
+        if let Some(pcb) = self.take_for_good(tuple) {
+            self.errors.entry(tuple).or_insert(TransportError::Reset);
+            self.send_rst(&pcb);
+        }
+    }
+
+    fn is_established(&self, tuple: FourTuple) -> bool {
+        // Parity tie-break (conformance audit): the sublayered CM models
+        // remote half-close as Established + `peer_closed` — there is no
+        // CLOSE_WAIT sublayer state, because "peer finished sending" is a
+        // delivery fact, not a connection-management one. CLOSE_WAIT is
+        // the monolith's name for the same condition (synchronized, app
+        // may still send), so it reads as established through the parity
+        // surface; `peer_closed` carries the half-close either way.
+        matches!(self.state(tuple), TcpState::Established | TcpState::CloseWait)
+    }
+
+    fn is_closed(&self, tuple: FourTuple) -> bool {
+        self.state(tuple) == TcpState::Closed
+    }
+
+    /// Has the peer's FIN been processed? (EOF for the application.)
+    fn peer_closed(&self, tuple: FourTuple) -> bool {
+        matches!(
+            self.state(tuple),
+            TcpState::CloseWait | TcpState::Closing | TcpState::LastAck | TcpState::TimeWait
+        )
+    }
+
+    /// The terminal error recorded for `tuple`, if the connection was
+    /// aborted (locally or by the peer) rather than closed cleanly.
+    fn conn_error(&self, tuple: FourTuple) -> Option<TransportError> {
+        self.errors.get(&tuple).copied()
+    }
+
+    /// In-order received bytes available to `recv` without draining them.
+    fn readable_len(&self, tuple: FourTuple) -> usize {
+        self.conns.get(&tuple).map_or(0, |p| p.rcv_buf.len())
+    }
+
+    /// How many bytes `send` would accept right now (0 once the stream is
+    /// closing or the connection is gone).
+    fn send_capacity(&self, tuple: FourTuple) -> usize {
+        match self.conns.get(&tuple) {
+            Some(p) if p.state.can_send() && !p.fin_queued => {
+                SND_BUF_CAP.saturating_sub(p.snd_buf.len())
+            }
+            _ => 0,
+        }
+    }
+
+    /// Connections currently established (for the passive side to
+    /// discover accepted peers).
+    fn established(&self) -> Vec<FourTuple> {
+        let mut v: Vec<FourTuple> = self
+            .conns
+            .iter()
+            .filter(|(_, p)| p.state == TcpState::Established)
+            .map(|(&t, _)| t)
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn conn_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    fn classify_frame(frame: &[u8]) -> Option<FrameMeta> {
+        slwire::rfc793::peek(frame).map(|(src, dst)| FrameMeta { src, dst })
+    }
+
+    fn conn_for_tuple(&self, tuple: &FourTuple) -> Option<FourTuple> {
+        self.pcb(*tuple).map(|p| p.tuple)
+    }
+
+    /// Pop one already-encoded segment without scanning any connection —
+    /// the host layer's transmit path ([`TcpStack::pump_conn`] is what
+    /// fills the outbox).
+    fn take_frame(&mut self) -> Option<Vec<u8>> {
+        self.outbox.pop_front()
+    }
+
+    /// Run one connection's output path (tcp_output) — the
+    /// per-connection half of `poll_transmit`, for hosts that know which
+    /// connection changed.
+    fn pump_conn(&mut self, now: Time, tuple: FourTuple) {
+        self.output(now, tuple);
+    }
+
+    /// Next timer deadline for *one* connection, so a host can keep one
+    /// wheel entry per connection instead of scanning them all.
+    fn conn_deadline(&self, _now: Time, tuple: FourTuple) -> Option<Time> {
+        Self::deadline_of(self.keepalive, self.conns.get(&tuple)?)
+    }
 
     /// Timer processing — RTO, TIME_WAIT, persist (zero-window probe),
     /// keepalive: advance one connection's timers to `now` (the
     /// per-connection half of `on_tick`, for hosts that track deadlines
     /// per connection); spurious calls are harmless.
-    pub fn tick_conn(&mut self, now: Time, tuple: FourTuple) {
+    fn tick_conn(&mut self, now: Time, tuple: FourTuple) {
         let Some(mut pcb) = self.conns.remove(&tuple) else { return };
         let before = Some(self.mark_of(&pcb));
         let keep = 'tick: {
@@ -1628,6 +1568,65 @@ impl TcpStack {
         };
         self.put_back(pcb, before, keep);
     }
+
+    /// Update the host memory-pressure signal. Everything downstream —
+    /// window stamping, ack pacing, accept gating — reads the shared
+    /// field directly; no per-connection fan-out exists to forget.
+    fn set_pressure(&mut self, p: Pressure) {
+        self.log.borrow_mut().w(FC, "pressure");
+        if p != self.pressure {
+            // An ack that pacing held goes out at the next output pass.
+            for &tuple in self.conns.keys() {
+                self.agenda.mark_ready(tuple);
+            }
+        }
+        self.pressure = p;
+    }
+
+    /// Explicitly gate new-flow admission (host drain/quiesce),
+    /// independent of the pressure tier.
+    fn gate_new_flows(&mut self, refuse: bool) {
+        self.log.borrow_mut().w(CONN, "gate");
+        self.gate = refuse;
+    }
+
+    /// One connection's share of [`TcpStack::buffered_bytes`].
+    fn conn_buffered(&self, tuple: FourTuple) -> usize {
+        self.conns.get(&tuple).map_or(0, Pcb::buffered_bytes)
+    }
+
+    /// Monotone progress counter for slow-drain detection: in-order bytes
+    /// received plus bytes the peer has cumulatively acknowledged.
+    fn conn_progress(&self, tuple: FourTuple) -> u64 {
+        self.conns.get(&tuple).map_or(0, |p| {
+            p.rcv_nxt.wrapping_sub(p.irs) as u64 + p.snd_una.wrapping_sub(p.iss) as u64
+        })
+    }
+
+    /// Total bytes held across all connection buffers — the quantity the
+    /// resource-governance invariants bound under attack.
+    fn buffered_bytes(&self) -> usize {
+        self.conns.values().map(Pcb::buffered_bytes).sum()
+    }
+
+    fn stack_pressure_refusals(&self) -> u64 {
+        self.stats.pressure_refusals
+    }
+
+    /// Bytes currently pinned awaiting retransmission (the unacked prefix
+    /// of `snd_buf`, bounded by [`SND_BUF_CAP`] no matter how long the
+    /// path stays partitioned).
+    fn conn_rtx_bytes(&self, tuple: FourTuple) -> usize {
+        self.conns
+            .get(&tuple)
+            .map_or(0, |p| (p.flight_size() as usize).min(p.snd_buf.len()))
+    }
+
+    /// How long the oldest unacked data has waited without cumulative ack
+    /// progress — the partition-age signal a host budget can act on.
+    fn conn_oldest_unacked(&self, tuple: FourTuple, now: Time) -> Option<Dur> {
+        self.conns.get(&tuple).and_then(|p| p.oldest_unacked_age(now))
+    }
 }
 
 impl Stack for TcpStack {
@@ -1711,29 +1710,5 @@ impl TcpStack {
     /// equal at all times (debug builds check on every `poll_deadline`).
     pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
         self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
-    }
-
-    /// Debug snapshot of a connection's key variables (used by the debug
-    /// binary and by tests asserting internal invariants).
-    pub fn debug_snapshot(&self, tuple: FourTuple) -> Option<String> {
-        self.conns.get(&tuple).map(|p| {
-            format!(
-                "state={:?} snd_una={} snd_nxt={} snd_wnd={} cwnd={} buf={} buf_seq={} rcv_nxt={} ooo={} rto_dl={:?} persist={:?} fin_seq={:?} fr={} dupacks={}",
-                p.state,
-                p.snd_una.wrapping_sub(p.iss),
-                p.snd_nxt.wrapping_sub(p.iss),
-                p.snd_wnd,
-                p.cc.allowance(Time::ZERO),
-                p.snd_buf.len(),
-                p.snd_buf_seq.wrapping_sub(p.iss),
-                p.rcv_nxt.wrapping_sub(p.irs),
-                p.ooo.len(),
-                p.rto_deadline,
-                p.persist_deadline,
-                p.fin_seq.map(|f| f.wrapping_sub(p.iss)),
-                p.in_fast_recovery,
-                p.dupacks,
-            )
-        })
     }
 }

@@ -1,10 +1,11 @@
 //! End-to-end tests for the monolithic stack over the simulator.
 
 use crate::pcb::TcpState;
-use crate::stack::{Keepalive, TcpStack};
+use crate::stack::TcpStack;
 use crate::wire::{Endpoint, FourTuple};
 use netsim::{
-    two_party, Dur, FaultProfile, LinkParams, SimNet, StackNode, Time, TransportError,
+    two_party, Dur, FaultProfile, HostStack, Keepalive, LinkParams, SimNet, StackNode, Time,
+    TransportError,
 };
 
 pub const A: u32 = 0x0A000001;
@@ -175,6 +176,23 @@ fn graceful_close_reaches_time_wait_and_closed() {
     run_for(&mut net, Dur::from_secs(15));
     assert_eq!(client(&mut net, nc).state(conn), TcpState::Closed);
     assert_eq!(client(&mut net, nc).conn_count(), 0);
+}
+
+#[test]
+fn close_wait_reads_established_with_peer_closed() {
+    // Parity tie-break (`HostStack::is_established`): CLOSE_WAIT is the
+    // sublayered stack's Established + `peer_closed` — synchronized, and
+    // the application may still send.
+    let (mut net, nc, ns, conn) = pair(9, LinkParams::delay_only(Dur::from_millis(5)));
+    run_for(&mut net, Dur::from_secs(1));
+    let sconn = client(&mut net, ns).established()[0];
+    client(&mut net, nc).close(conn);
+    net.poll_all();
+    run_for(&mut net, Dur::from_secs(2));
+    assert_eq!(client(&mut net, ns).state(sconn), TcpState::CloseWait);
+    assert!(client(&mut net, ns).is_established(sconn));
+    assert!(client(&mut net, ns).peer_closed(sconn));
+    assert_eq!(client(&mut net, ns).send(sconn, b"still open"), 10);
 }
 
 #[test]
@@ -463,7 +481,8 @@ fn abort_sends_rst_and_peer_resets() {
     let (mut net, nc, ns, conn) = pair(32, LinkParams::delay_only(Dur::from_millis(5)));
     run_for(&mut net, Dur::from_secs(1));
     let sconn = client(&mut net, ns).established()[0];
-    client(&mut net, nc).abort(conn);
+    let now = net.now();
+    client(&mut net, nc).abort(now, conn);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(2));
     assert_eq!(client(&mut net, nc).state(conn), TcpState::Closed);
@@ -554,7 +573,8 @@ fn local_abort_records_reset_on_both_ends() {
     let (mut net, nc, ns, conn) = pair(43, LinkParams::delay_only(Dur::from_millis(5)));
     run_for(&mut net, Dur::from_secs(1));
     let sconn = client(&mut net, ns).established()[0];
-    client(&mut net, nc).abort(conn);
+    let now = net.now();
+    client(&mut net, nc).abort(now, conn);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(2));
     assert_eq!(client(&mut net, nc).conn_error(conn), Some(TransportError::Reset));
@@ -943,8 +963,7 @@ fn standalone_accept(s: &mut TcpStack, now: Time, src: Endpoint) -> FourTuple {
 fn pressure_clamps_advertised_window() {
     use crate::pcb::RCV_BUF_CAP;
     use crate::wire::Segment;
-    use netsim::Stack;
-    use slmetrics::Pressure;
+    use netsim::{Pressure, Stack};
     let syn_wnd = |p: Pressure| {
         let mut s = TcpStack::new(A, slmetrics::shared());
         s.set_pressure(p);
@@ -963,8 +982,7 @@ fn pressure_clamps_advertised_window() {
 #[test]
 fn critical_pressure_refuses_new_flows_but_not_established() {
     use crate::wire::{Segment, ACK, SYN};
-    use netsim::Stack;
-    use slmetrics::Pressure;
+    use netsim::{Pressure, Stack};
     let mut s = TcpStack::new(B, slmetrics::shared());
     s.listen(80);
     let tuple = standalone_accept(&mut s, Time::ZERO, Endpoint::new(A, 5000));
@@ -1011,8 +1029,7 @@ fn critical_pressure_refuses_new_flows_but_not_established() {
 fn paced_ack_is_held_then_flushed_at_deadline() {
     use crate::stack::ACK_PACE_DELAY;
     use crate::wire::{Segment, ACK};
-    use netsim::Stack;
-    use slmetrics::Pressure;
+    use netsim::{Pressure, Stack};
     let mut s = TcpStack::new(B, slmetrics::shared());
     s.listen(80);
     let tuple = standalone_accept(&mut s, Time::ZERO, Endpoint::new(A, 5000));

@@ -6,7 +6,7 @@
 //! cargo run --example interop
 //! ```
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, StackNode, Time};
+use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, StackNode, Time};
 use sublayering::netsim;
 use sublayering::sublayer_core::shim::ShimStack;
 use sublayering::sublayer_core::{SlConfig, SlTcpStack};

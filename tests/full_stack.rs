@@ -9,7 +9,7 @@
 //! (`send_data`) and feeds locally-delivered network packets back in.
 
 use netlayer::{addr_of, build, DistanceVector, DvConfig, LinkState, LsConfig, RouteComputation, Router, Topology};
-use netsim::{Dur, Stack};
+use netsim::{Dur, HostStack, Stack};
 use sublayer_core::{CmState, SlConfig, SlTcpStack};
 use slwire::Endpoint;
 
