@@ -63,12 +63,15 @@ pub enum DmVerdict {
 #[derive(Clone)]
 pub struct Demux {
     local_addr: u32,
-    listeners: HashSet<u16>,
+    /// Ports come off the wire: seeded like `table`.
+    listeners: HashSet<u16, FxBuildHasher>,
     /// 4-tuple → connection map, keyed by the shared seeded fx mix (the
     /// same function the shard router uses — "Demux has no state", so the
     /// bucket placement is a pure function of the tuple).
     table: HashMap<FourTuple, ConnId, FxBuildHasher>,
-    tuples: HashMap<ConnId, FourTuple>,
+    /// Ids are minted here (`next_id`), never read off the wire: the same
+    /// mix, unseeded.
+    tuples: HashMap<ConnId, FourTuple, FxBuildHasher>,
     next_id: usize,
     next_ephemeral: u16,
     /// Overload accept gate: when set, DM stops admitting new flows while
@@ -81,11 +84,12 @@ pub struct Demux {
 
 impl Demux {
     pub fn new(local_addr: u32, log: SharedLog) -> Demux {
+        let seeded = FxBuildHasher::with_seed(local_addr as u64);
         Demux {
             local_addr,
-            listeners: HashSet::new(),
-            table: HashMap::with_hasher(FxBuildHasher::with_seed(local_addr as u64)),
-            tuples: HashMap::new(),
+            listeners: HashSet::with_hasher(seeded),
+            table: HashMap::with_hasher(seeded),
+            tuples: HashMap::default(),
             next_id: 0,
             next_ephemeral: 49152,
             gated: false,
@@ -488,5 +492,24 @@ mod tests {
         assert_eq!(p.dm.src_port, 5000);
         assert_eq!(p.dm.dst_port, 80);
         assert_eq!(p.cm.isn, 7);
+    }
+
+    #[test]
+    fn two_demuxes_driven_alike_iterate_their_tables_alike() {
+        // No table here draws per-instance keys (see the stack's test).
+        let mut pair = [dm(), dm()];
+        for d in &mut pair {
+            for k in 0..48u16 {
+                d.listen(1000 + 7 * k);
+                let id = d.bind(tuple(5000 + k, 20, 80)).unwrap().id();
+                if k % 3 == 0 {
+                    d.unbind(id);
+                }
+            }
+        }
+        let [a, b] = &pair;
+        assert!(a.tuples.iter().eq(b.tuples.iter()));
+        assert!(a.table.iter().eq(b.table.iter()));
+        assert!(a.listeners.iter().eq(b.listeners.iter()));
     }
 }

@@ -29,6 +29,7 @@ use netsim::{
     Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
 };
 use slmetrics::SharedLog;
+use slwire::hash::FxBuildHasher;
 use slwire::{Endpoint, FourTuple};
 use std::collections::{HashMap, VecDeque};
 
@@ -155,7 +156,9 @@ const HALF_OPEN_EVICT_AGE: Dur = Dur(1_000_000_000);
 /// A sublayered TCP endpoint (host).
 pub struct SlTcpStack {
     dm: Demux,
-    conns: HashMap<ConnId, Connection>,
+    /// Keyed by the id DM minted, hashed with the repo's one fx mix
+    /// (unseeded: no id comes off the wire).
+    conns: HashMap<ConnId, Connection, FxBuildHasher>,
     isn_gen: Box<dyn IsnGenerator>,
     config: SlConfig,
     /// The configured rate controller, validated once at construction and
@@ -165,7 +168,7 @@ pub struct SlTcpStack {
     /// Terminal failures, surviving connection removal so the application
     /// can learn *why* a connection died (graceful degradation: an abort
     /// is always reported, never a silent hang).
-    errors: HashMap<ConnId, TransportError>,
+    errors: HashMap<ConnId, TransportError, FxBuildHasher>,
     outbox: VecDeque<Vec<u8>>,
     /// Host memory pressure, fanned out to each sublayer's slice of the
     /// backpressure contract (OSR window clamp, RD ack pacing, DM accept
@@ -205,11 +208,11 @@ impl SlTcpStack {
         let cc_template = slcc::make(config.cc)?;
         Ok(SlTcpStack {
             dm: Demux::new(addr, log.clone()),
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             isn_gen: isn::make(config.isn),
             config,
             cc_template,
-            errors: HashMap::new(),
+            errors: HashMap::default(),
             outbox: VecDeque::new(),
             pressure: Pressure::Nominal,
             gate: false,
@@ -1226,5 +1229,29 @@ mod tests {
         // moved data RD's three as well (160 + 96 + 192 B).
         let size = std::mem::size_of::<super::Connection>();
         assert!(size <= 928, "{size}");
+    }
+
+    #[test]
+    fn two_stacks_driven_alike_iterate_their_tables_alike() {
+        // What a `RandomState` table cannot do: each instance draws its own
+        // keys, so two of them walk the same ids in different orders — and
+        // then placement, growth and allocation counts differ by process.
+        use super::{SlConfig, SlTcpStack};
+        use netsim::{HostStack, Time};
+        use slwire::Endpoint;
+        let mk = |()| SlTcpStack::new(7, SlConfig::default(), slmetrics::shared());
+        let mut pair = [(); 2].map(mk);
+        for stack in &mut pair {
+            for port in 5000..5048 {
+                let id = stack.try_connect(Time::ZERO, port, Endpoint::new(9, 80)).unwrap();
+                if port % 3 == 0 {
+                    stack.abort(Time::ZERO, id);
+                }
+            }
+            assert_eq!((stack.conns.len(), stack.errors.len()), (32, 16));
+        }
+        let [a, b] = &pair;
+        assert!(a.conns.keys().eq(b.conns.keys()));
+        assert!(a.errors.keys().eq(b.errors.keys()));
     }
 }

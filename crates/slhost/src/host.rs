@@ -23,6 +23,7 @@ use crate::wheel::{TimerKey, TimerWheel};
 use netsim::{Dur, HostStack, MultiStack, PortId, Pressure, Time, TransportError};
 use slmetrics::HostCounters;
 use std::collections::{HashMap, VecDeque};
+use slwire::hash::FxBuildHasher;
 use slwire::{Endpoint, MAX_FRAME_BYTES};
 
 /// How the host discovers due connection timers.
@@ -190,8 +191,12 @@ pub struct Host<S: HostStack> {
     cfg: HostConfig,
     /// Learned route: peer address → simulator port (from inbound frame
     /// sources; outbound frames are routed by destination address).
-    routes: HashMap<u32, PortId>,
-    conns: HashMap<S::ConnId, HostConn>,
+    /// Addresses come off the wire: fx seeded with the local address, as
+    /// the stacks' demux tables are.
+    routes: HashMap<u32, PortId, FxBuildHasher>,
+    /// Keyed by the stack's own handle: the same mix (seeded alike, since
+    /// the monolith's handle is the wire's 4-tuple).
+    conns: HashMap<S::ConnId, HostConn, FxBuildHasher>,
     /// Frames not matching any connection (SYNs, cookie ACKs, strays).
     listener_q: VecDeque<Vec<u8>>,
     /// Connections whose `pending` queue has gone from empty to non-empty
@@ -240,11 +245,12 @@ impl<S: HostStack> Host<S> {
     pub fn new(mut stack: S, cfg: HostConfig) -> Host<S> {
         stack.listen(cfg.listen_port);
         stack.set_max_conns(cfg.max_conns);
+        let seeded = FxBuildHasher::with_seed(stack.local_addr() as u64);
         Host {
             stack,
             cfg,
-            routes: HashMap::new(),
-            conns: HashMap::new(),
+            routes: HashMap::with_hasher(seeded),
+            conns: HashMap::with_hasher(seeded),
             listener_q: VecDeque::new(),
             ingress_ready: Vec::new(),
             touched: Vec::new(),
@@ -650,9 +656,10 @@ impl<S: HostStack> Host<S> {
         // bytes (a request waiting out an admission deferral) are bounded
         // by the ingress cap, and evicting them would punish the victims
         // of pressure rather than its cause.
-        let held = self.stack.conn_buffered(id)
-            + hc.pending.iter().map(Vec::len).sum::<usize>();
-        if !self.cfg.budget.active() || !hc.accepted || held == 0 {
+        let holds_bytes = self.cfg.budget.active()
+            && hc.accepted
+            && self.stack.conn_buffered(id) + hc.pending.iter().map(Vec::len).sum::<usize>() > 0;
+        if !holds_bytes {
             hc.drain_check_at = None;
         } else if hc.drain_check_at.is_none() {
             hc.progress_mark = self.stack.conn_progress(id);
@@ -803,7 +810,10 @@ impl<S: HostStack> MultiStack for Host<S> {
         self.counters.frames_in = self.counters.frames_in.saturating_add(1);
         match S::classify_frame(frame) {
             Some(meta) => {
-                self.routes.insert(meta.src.addr, port);
+                // Learned once per peer; the steady path only reads.
+                if self.routes.get(&meta.src.addr) != Some(&port) {
+                    self.routes.insert(meta.src.addr, port);
+                }
                 let tuple = meta.tuple_at_dst();
                 match self.stack.conn_for_tuple(&tuple) {
                     Some(id) => {
@@ -962,5 +972,49 @@ mod tests {
         // buffers are the host's, not the connection's.
         let size = std::mem::size_of::<super::HostConn>();
         assert!(size <= 112, "{size}");
+    }
+
+    #[test]
+    fn two_hosts_driven_alike_iterate_their_tables_alike() {
+        // No table here draws per-instance keys (DESIGN.md §6, "Tables").
+        use super::{Host, HostConfig};
+        use netsim::Time;
+        use slwire::Endpoint;
+        use sublayer_core::{SlConfig, SlTcpStack};
+        let mut pair = [(); 2].map(|()| {
+            let stack = SlTcpStack::new(7, SlConfig::default(), slmetrics::shared());
+            Host::new(stack, HostConfig::default())
+        });
+        for host in &mut pair {
+            for peer in 100..148 {
+                host.set_route(peer, peer as usize % 5);
+                let id = host.connect(Time::ZERO, Endpoint::new(peer, 80)).unwrap();
+                if peer % 3 == 0 {
+                    host.abort(Time::ZERO, id);
+                }
+            }
+            assert_eq!((host.conns.len(), host.routes.len()), (32, 48));
+        }
+        let [a, b] = &pair;
+        assert!(a.conns.keys().eq(b.conns.keys()));
+        assert!(a.routes.iter().eq(b.routes.iter()));
+    }
+
+    #[test]
+    fn a_route_is_written_when_learned_and_when_it_moves() {
+        use super::{Host, HostConfig};
+        use netsim::{HostStack, MultiStack, Stack, Time};
+        use slwire::Endpoint;
+        use tcp_mono::TcpStack;
+        let mut host = Host::new(TcpStack::new(7, slmetrics::shared()), HostConfig::default());
+        let mut peer = TcpStack::new(9, slmetrics::shared());
+        let port = host.config().listen_port;
+        peer.try_connect(Time::ZERO, 5000, Endpoint::new(7, port)).unwrap();
+        let syn = Stack::poll_transmit(&mut peer, Time::ZERO).unwrap();
+        for arrives_on in [3, 3, 4] {
+            host.on_frame(Time::ZERO, arrives_on, &syn);
+            assert_eq!(host.routes.get(&9), Some(&arrives_on));
+        }
+        assert_eq!(host.routes.len(), 1);
     }
 }

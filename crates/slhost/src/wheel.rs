@@ -21,6 +21,11 @@
 //! a slot is skipped when the slot is processed. Fire order is
 //! `(deadline, arm-sequence)` — deterministic, deadline-sorted, ties
 //! broken by arm order.
+//!
+//! Because stale pairs pile up in level-0 slots (a busy connection re-arms
+//! on every request), `next_deadline` does not walk them: the wheel counts
+//! the *live* entries of each level-0 slot and keeps one occupancy bit per
+//! slot, so the next deadline is a bit scan and a look into one slot.
 
 use netsim::Time;
 
@@ -55,6 +60,9 @@ struct SlabSlot<T> {
 struct Armed<T> {
     deadline: u64,
     seq: u64,
+    /// The level-0 slot whose live count includes this entry; `None`
+    /// while it sits in `imminent`, an upper level or `overflow`.
+    l0_slot: Option<u8>,
     payload: T,
 }
 
@@ -62,6 +70,11 @@ struct Armed<T> {
 pub struct TimerWheel<T> {
     cur_tick: u64,
     l0: Vec<Vec<(u32, u32)>>,
+    /// Live entries in each level-0 slot (the slot's `Vec` also holds the
+    /// stale pairs lazy cancellation leaves behind).
+    l0_live: [u32; L0_SLOTS],
+    /// Bit `s` of the 256 is set iff `l0_live[s] > 0`.
+    l0_occupied: [u64; L0_SLOTS / 64],
     upper: [Vec<Vec<(u32, u32)>>; 3],
     overflow: Vec<(u32, u32)>,
     /// Entries whose deadline tick is not after `cur_tick` (due now or
@@ -88,6 +101,8 @@ impl<T> TimerWheel<T> {
         TimerWheel {
             cur_tick: 0,
             l0: (0..L0_SLOTS).map(|_| Vec::new()).collect(),
+            l0_live: [0; L0_SLOTS],
+            l0_occupied: [0; L0_SLOTS / 64],
             upper: std::array::from_fn(|_| (0..UP_SLOTS).map(|_| Vec::new()).collect()),
             overflow: Vec::new(),
             imminent: Vec::new(),
@@ -122,7 +137,7 @@ impl<T> TimerWheel<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.slab[idx as usize].entry =
-            Some(Armed { deadline: deadline.nanos(), seq, payload });
+            Some(Armed { deadline: deadline.nanos(), seq, l0_slot: None, payload });
         self.armed += 1;
         self.place(idx, gen, deadline.nanos() >> GRANULARITY_BITS);
         TimerKey { idx, gen }
@@ -139,6 +154,13 @@ impl<T> TimerWheel<T> {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(key.idx);
         self.armed -= 1;
+        if let Some(s) = armed.l0_slot {
+            let s = s as usize;
+            self.l0_live[s] -= 1;
+            if self.l0_live[s] == 0 {
+                self.l0_occupied[s / 64] &= !(1 << (s % 64));
+            }
+        }
         Some(armed.payload)
     }
 
@@ -147,7 +169,13 @@ impl<T> TimerWheel<T> {
         if dtick <= self.cur_tick {
             self.imminent.push((idx, gen));
         } else if delta < L0_SPAN {
-            self.l0[(dtick % L0_SPAN) as usize].push((idx, gen));
+            let s = (dtick % L0_SPAN) as usize;
+            self.l0[s].push((idx, gen));
+            if let Some(armed) = self.slab[idx as usize].entry.as_mut() {
+                armed.l0_slot = Some(s as u8);
+                self.l0_live[s] += 1;
+                self.l0_occupied[s / 64] |= 1 << (s % 64);
+            }
         } else if delta < SPANS[0] {
             self.upper[0][((dtick >> 8) % UP_SLOTS as u64) as usize].push((idx, gen));
         } else if delta < SPANS[1] {
@@ -189,7 +217,12 @@ impl<T> TimerWheel<T> {
                     }
                 }
             }
-            let slot = std::mem::take(&mut self.l0[(self.cur_tick % L0_SPAN) as usize]);
+            // Whatever was live in this slot fires or moves to `imminent`
+            // (`take_if_due` forgets the slot there).
+            let s = (self.cur_tick % L0_SPAN) as usize;
+            self.l0_live[s] = 0;
+            self.l0_occupied[s / 64] &= !(1 << (s % 64));
+            let slot = std::mem::take(&mut self.l0[s]);
             for (idx, gen) in slot {
                 self.touches += 1;
                 match self.take_if_due(idx, gen, now.nanos()) {
@@ -248,8 +281,9 @@ impl<T> TimerWheel<T> {
         if slot.gen != gen {
             return Taken::Stale;
         }
-        let Some(armed) = slot.entry.as_ref() else { return Taken::Stale };
+        let Some(armed) = slot.entry.as_mut() else { return Taken::Stale };
         if armed.deadline > now_nanos {
+            armed.l0_slot = None;
             return Taken::NotYet;
         }
         let armed = slot.entry.take().unwrap();
@@ -278,17 +312,16 @@ impl<T> TimerWheel<T> {
         if let Some(d) = best {
             return Some(Time(d));
         }
-        for i in 1..L0_SPAN {
-            let slot = &self.l0[((self.cur_tick + i) % L0_SPAN) as usize];
-            let mut slot_best: Option<u64> = None;
-            for &(idx, gen) in slot {
-                if let Some(d) = self.live_deadline(idx, gen) {
-                    if d >> GRANULARITY_BITS == self.cur_tick + i {
-                        slot_best = Some(slot_best.map_or(d, |b| b.min(d)));
-                    }
-                }
-            }
-            if let Some(d) = slot_best {
+        if let Some(s) = self.first_occupied_after((self.cur_tick % L0_SPAN) as usize) {
+            // Every live entry of a level-0 slot is due in the one tick the
+            // slot stands for until it is next drained. Newest first, and
+            // no further than the last live one: a re-armed connection's
+            // stale pairs sit ahead of its live one.
+            let newest_first = self.l0[s].iter().rev();
+            let live = newest_first.filter_map(|&(idx, gen)| self.live_deadline(idx, gen));
+            let due = live.take(self.l0_live[s] as usize).min();
+            debug_assert!(due.is_some(), "slot {s} is marked occupied and holds nothing live");
+            if let Some(d) = due {
                 return Some(Time(d));
             }
         }
@@ -298,12 +331,94 @@ impl<T> TimerWheel<T> {
         Some(Time(checkpoint << GRANULARITY_BITS))
     }
 
+    /// The first occupied level-0 slot after `slot`, wrapping. (`slot`
+    /// itself comes last; called with the clock's slot, which `advance` has
+    /// drained and `place` never fills, so it is never the answer.)
+    fn first_occupied_after(&self, slot: usize) -> Option<usize> {
+        const WORDS: usize = L0_SLOTS / 64;
+        let start = (slot + 1) % L0_SLOTS;
+        let (w0, b0) = (start / 64, start % 64);
+        let head = self.l0_occupied[w0] >> b0;
+        if head != 0 {
+            return Some(start + head.trailing_zeros() as usize);
+        }
+        for k in 1..=WORDS {
+            let w = (w0 + k) % WORDS;
+            let mut bits = self.l0_occupied[w];
+            if k == WORDS {
+                // Back in the first word: the bits below where the scan began.
+                bits &= (1 << b0) - 1;
+            }
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
     fn live_deadline(&self, idx: u32, gen: u32) -> Option<u64> {
         let slot = self.slab.get(idx as usize)?;
         if slot.gen != gen {
             return None;
         }
         slot.entry.as_ref().map(|a| a.deadline)
+    }
+}
+
+/// The walk `next_deadline` used to make over up to 255 level-0 slots,
+/// stale pairs included — the reference the occupancy bitmap is tested
+/// against — and the bitmap's own invariant.
+#[cfg(test)]
+impl<T> TimerWheel<T> {
+    fn scan_deadline(&self) -> Option<Time> {
+        if self.armed == 0 {
+            return None;
+        }
+        let live_min = |slot: &[(u32, u32)], tick: Option<u64>| {
+            slot.iter()
+                .filter_map(|&(idx, gen)| self.live_deadline(idx, gen))
+                .filter(|&d| tick.is_none_or(|t| d >> GRANULARITY_BITS == t))
+                .min()
+        };
+        if let Some(d) = live_min(&self.imminent, None) {
+            return Some(Time(d));
+        }
+        for i in 1..L0_SPAN {
+            let tick = self.cur_tick + i;
+            if let Some(d) = live_min(&self.l0[(tick % L0_SPAN) as usize], Some(tick)) {
+                return Some(Time(d));
+            }
+        }
+        let checkpoint = ((self.cur_tick / L0_SPAN) + 1) * L0_SPAN;
+        Some(Time(checkpoint << GRANULARITY_BITS))
+    }
+
+    /// Count per slot = live entries recorded in that slot; bit set iff
+    /// count > 0; every live entry's remembered slot is where it sits.
+    fn check_occupancy(&self) {
+        let mut seen = 0;
+        for (s, slot) in self.l0.iter().enumerate() {
+            let mut live = 0;
+            for &(idx, gen) in slot {
+                if self.live_deadline(idx, gen).is_some() {
+                    live += 1;
+                    let armed = self.slab[idx as usize].entry.as_ref().unwrap();
+                    assert_eq!(armed.l0_slot, Some(s as u8), "entry {idx} sits in slot {s}");
+                }
+            }
+            assert_eq!(self.l0_live[s], live, "live count of slot {s}");
+            let bit = self.l0_occupied[s / 64] >> (s % 64) & 1 == 1;
+            assert_eq!(bit, live > 0, "occupancy bit of slot {s}");
+            seen += live;
+        }
+        // Nothing outside level 0 remembers a slot.
+        let remembering = self
+            .slab
+            .iter()
+            .filter(|e| e.entry.as_ref().is_some_and(|a| a.l0_slot.is_some()))
+            .count();
+        assert_eq!(remembering, seen as usize);
+        assert_eq!(self.l0_live[(self.cur_tick % L0_SPAN) as usize], 0, "the drained slot");
     }
 }
 
@@ -434,5 +549,115 @@ mod tests {
         // here — the entries sit in an upper level) may be touched.
         w.advance(Time(Dur::from_millis(100).0));
         assert_eq!(w.touches, 0, "idle connections consume zero cycles");
+    }
+
+    /// An empty wheel whose clock stands at `tick` — what advancing a new
+    /// wheel there leaves, without the walk over every tick on the way.
+    fn wheel_at(tick: u64) -> TimerWheel<u32> {
+        let mut w = TimerWheel::new();
+        w.cur_tick = tick;
+        w
+    }
+
+    #[test]
+    fn a_new_wheel_advanced_is_an_empty_wheel_at_that_tick() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        assert!(w.advance(Time(1000 << GRANULARITY_BITS)).is_empty());
+        assert_eq!((w.cur_tick, w.touches), (1000, 0));
+        w.check_occupancy();
+        let k = w.arm(Time(1003 << GRANULARITY_BITS), 7);
+        let mut v = wheel_at(1000);
+        v.arm(Time(1003 << GRANULARITY_BITS), 7);
+        assert_eq!(w.next_deadline(), v.next_deadline());
+        assert_eq!(w.l0_occupied, v.l0_occupied);
+        assert_eq!(w.cancel(k), Some(7));
+        assert_eq!(w.l0_occupied, [0; 4]);
+    }
+
+    #[test]
+    fn bit_scan_wraps_and_skips_the_slot_it_starts_from() {
+        let mut w = wheel_at(0);
+        assert_eq!(w.first_occupied_after(17), None);
+        for from in [0usize, 17, 63, 64, 200, 254, 255] {
+            for ahead in [1usize, 2, 46, 47, 63, 64, 65, 128, 254, 255] {
+                let s = (from + ahead) % L0_SLOTS;
+                w.l0_occupied[s / 64] |= 1 << (s % 64);
+                assert_eq!(w.first_occupied_after(from), Some(s), "{from} + {ahead}");
+                // A nearer slot wins; the one behind does not.
+                let behind = (from + L0_SLOTS - 1) % L0_SLOTS;
+                if behind != s {
+                    w.l0_occupied[behind / 64] |= 1 << (behind % 64);
+                    assert_eq!(w.first_occupied_after(from), Some(s));
+                }
+                w.l0_occupied = [0; 4];
+            }
+        }
+    }
+
+    /// Where an arm lands, in ticks ahead of the clock: the current tick,
+    /// level 0 (near and anywhere), just past each level's span, overflow,
+    /// and anywhere at all.
+    fn arm_offset(kind: u8, x: u64) -> u64 {
+        match kind % 8 {
+            0 => 0,
+            1 => 1 + x % 8,
+            2 => 1 + x % 255,
+            3 => L0_SPAN + x % 600,
+            4 => SPANS[0] + x % 600,
+            5 => SPANS[1] + x % 600,
+            6 => SPANS[2] + x % 600,
+            _ => x % (2 * SPANS[2]),
+        }
+    }
+
+    proptest::proptest! {
+        /// `next_deadline` against the walk it replaced, and the bitmap's
+        /// invariant, after every step of arm / cancel / advance — started
+        /// a little short of a level-0, 1, 2, 3 or top-level rollover so
+        /// that the advances cross it.
+        #[test]
+        fn next_deadline_equals_the_scan_after_every_step(
+            start in (0u8..5, 0u64..600),
+            ops in proptest::collection::vec((0u8..8, 0u8..8, proptest::num::u64::ANY), 0..120),
+        ) {
+            const TICK: u64 = 1 << GRANULARITY_BITS;
+            let boundary = [L0_SPAN, SPANS[0], SPANS[1], SPANS[2], 2 * SPANS[2]][start.0 as usize];
+            let mut w = wheel_at(boundary - start.1 % boundary);
+            let mut now = w.cur_tick * TICK;
+            let mut keys: Vec<TimerKey> = Vec::new();
+            let mut armed = 0u32;
+            for &(op, kind, x) in &ops {
+                match op {
+                    // Arm; the sub-tick part may fall before `now`.
+                    0..=2 => {
+                        let at = (now / TICK + arm_offset(kind, x)) * TICK + (x >> 40) % TICK;
+                        keys.push(w.arm(Time(at), armed));
+                        armed += 1;
+                    }
+                    // Cancel any key ever handed out: live, fired, already
+                    // cancelled, or its slab entry since reused.
+                    3..=4 => {
+                        if !keys.is_empty() {
+                            w.cancel(keys[x as usize % keys.len()]);
+                        }
+                    }
+                    // Advance: within the tick (`NotYet`), a few ticks, up
+                    // to several windows, or to where the wheel points.
+                    _ => {
+                        now = match kind % 4 {
+                            0 => now + x % TICK,
+                            1 => now + x % (8 * TICK),
+                            2 => now + x % (700 * TICK),
+                            _ => w.next_deadline().map_or(now, |t| t.nanos().max(now)),
+                        };
+                        for (at, _) in w.advance(Time(now)) {
+                            proptest::prop_assert!(at.nanos() <= now);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(w.next_deadline(), w.scan_deadline());
+                w.check_occupancy();
+            }
+        }
     }
 }

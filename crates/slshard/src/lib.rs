@@ -59,7 +59,7 @@ use slmetrics::HostCounters;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
-use slwire::hash::shard_of;
+use slwire::hash::{shard_of, FxBuildHasher};
 
 /// Whether shards run on real threads or inline on the caller's thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,8 +131,9 @@ pub struct ShardedHost<S: HostStack, A: HostApp<S> + AppReport> {
     /// backoff, and the fault log are all denominated in these.
     coord_round: u64,
     /// Learned peer-address → simulator-port routes (the coordinator owns
-    /// routing; shards never see simulator ports).
-    routes: HashMap<u32, PortId>,
+    /// routing; shards never see simulator ports). Addresses come off the
+    /// wire: hashed with the router's mix under the router's seed.
+    routes: HashMap<u32, PortId, FxBuildHasher>,
     out: VecDeque<(PortId, Vec<u8>)>,
     batch_due: Option<Time>,
     /// Shards holding unflushed frames.
@@ -175,13 +176,14 @@ impl<S: HostStack, A: HostApp<S> + AppReport> ShardedHost<S, A> {
             .collect();
         let n = cfg.shards;
         let sup = Supervisor::new(n, cfg.restart);
+        let routes = HashMap::with_hasher(FxBuildHasher::with_seed(cfg.seed));
         ShardedHost {
             cfg,
             slots,
             factory,
             sup,
             coord_round: 0,
-            routes: HashMap::new(),
+            routes,
             out: VecDeque::new(),
             batch_due: None,
             dirty: vec![false; n],
@@ -459,7 +461,10 @@ impl<S: HostStack, A: HostApp<S> + AppReport> MultiStack for ShardedHost<S, A> {
     fn on_frame(&mut self, now: Time, port: PortId, frame: &[u8]) {
         let shard = match S::classify_frame(frame) {
             Some(meta) => {
-                self.routes.insert(meta.src.addr, port);
+                // Learned once per peer; the steady path only reads.
+                if self.routes.get(&meta.src.addr) != Some(&port) {
+                    self.routes.insert(meta.src.addr, port);
+                }
                 shard_of(self.cfg.seed, &meta.tuple_at_dst(), self.cfg.shards)
             }
             None => {

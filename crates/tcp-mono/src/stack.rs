@@ -87,16 +87,17 @@ const TIMERS: &str = "timers";
 /// A monolithic TCP endpoint (host): connection table + listeners.
 pub struct TcpStack {
     addr: u32,
-    listeners: HashSet<u16>,
+    listeners: HashSet<u16, FxBuildHasher>,
     /// Demux table keyed by the shared seeded fx mix (`slwire::hash`) —
-    /// same bucket function the sublayered demux and shard router use.
+    /// same bucket function the sublayered demux and shard router use;
+    /// `listeners` and `errors` are keyed off the wire too and share it.
     conns: HashMap<FourTuple, Pcb, FxBuildHasher>,
     outbox: VecDeque<Vec<u8>>,
     log: SharedLog,
     keepalive: Option<Keepalive>,
     /// Terminal error per connection; survives the PCB so the application
     /// can ask *why* a connection died after it is gone.
-    errors: HashMap<FourTuple, TransportError>,
+    errors: HashMap<FourTuple, TransportError, FxBuildHasher>,
     /// Connection-table capacity: beyond it, passive opens are refused
     /// with a RST and active opens fail with
     /// [`TransportError::ConnTableFull`].
@@ -136,14 +137,15 @@ impl TcpStack {
     }
 
     fn build(addr: u32, cc_template: Box<dyn RateController>, log: SharedLog) -> TcpStack {
+        let seeded = FxBuildHasher::with_seed(addr as u64);
         TcpStack {
             addr,
-            listeners: HashSet::new(),
-            conns: HashMap::with_hasher(FxBuildHasher::with_seed(addr as u64)),
+            listeners: HashSet::with_hasher(seeded),
+            conns: HashMap::with_hasher(seeded),
             outbox: VecDeque::new(),
             log,
             keepalive: None,
-            errors: HashMap::new(),
+            errors: HashMap::with_hasher(seeded),
             max_conns: 16384,
             next_ephemeral: 49152,
             pressure: Pressure::Nominal,
@@ -1710,5 +1712,31 @@ impl TcpStack {
     /// equal at all times (debug builds check on every `poll_deadline`).
     pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
         self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn two_stacks_driven_alike_iterate_their_tables_alike() {
+        // No table here draws per-instance keys (DESIGN.md §6, "Tables").
+        use super::TcpStack;
+        use netsim::{HostStack, Time};
+        use slwire::Endpoint;
+        let mut pair = [(); 2].map(|()| TcpStack::new(7, slmetrics::shared()));
+        for stack in &mut pair {
+            for port in 5000..5048 {
+                stack.listen(port / 2);
+                let id = stack.try_connect(Time::ZERO, port, Endpoint::new(9, 80)).unwrap();
+                if port % 3 == 0 {
+                    stack.abort(Time::ZERO, id);
+                }
+            }
+            assert_eq!((stack.conns.len(), stack.errors.len()), (32, 16));
+        }
+        let [a, b] = &pair;
+        assert!(a.conns.keys().eq(b.conns.keys()));
+        assert!(a.errors.keys().eq(b.errors.keys()));
+        assert!(a.listeners.iter().eq(b.listeners.iter()));
     }
 }
