@@ -203,15 +203,12 @@ fn main() {
     );
 
     println!("## Compositional sublayer contracts (E22): the assume/guarantee chain\n");
-    let chain_runs = vec![
-        (slverify::DM_CONTRACT, check(&slverify::DmContract::shipped(), 2_000_000)),
-        (slverify::CM_CONTRACT, check(&slverify::CmContract::shipped(), 2_000_000)),
-        (slverify::RD_CONTRACT, check(&slverify::RdContract::shipped(), 2_000_000)),
-        (slverify::OSR_CONTRACT, check(&slverify::OsrContract::shipped(), 2_000_000)),
-    ];
+    let chain_runs = slverify::check_chain(2_000_000);
     let chain_rows: Vec<Vec<String>> = chain_runs
         .iter()
-        .map(|(spec, r)| row(&format!("{} contract (real sublayer driven)", spec.sublayer), r))
+        .map(|run| {
+            row(&format!("{} contract (real sublayer driven)", run.spec().sublayer), run.result())
+        })
         .collect();
     println!(
         "{}",

@@ -20,10 +20,8 @@
 
 use crate::{json, Report};
 use slconform::codec_equiv;
-use slverify::{
-    check, CheckResult, CmContract, DmContract, OsrContract, Product, RdContract, CM_CONTRACT,
-    DM_CONTRACT, OSR_CONTRACT, RD_CONTRACT,
-};
+use slverify::{check, ContractRun, DmContract, OsrContract, Product};
+use sublayer_core::{Demux, Osr};
 
 /// Cap per individual contract exploration — far above any of the spaces.
 const CAP: usize = 2_000_000;
@@ -69,7 +67,8 @@ pub struct ContractsOut {
     pub violations: Vec<String>,
 }
 
-fn contract_row(spec: slverify::ContractSpec, r: &CheckResult) -> ContractRow {
+fn contract_row(run: &ContractRun) -> ContractRow {
+    let (spec, r) = (run.spec(), run.result());
     ContractRow {
         sublayer: spec.sublayer,
         assumes: spec.assumes.to_vec(),
@@ -88,13 +87,8 @@ pub fn run(_smoke: bool) -> ContractsOut {
     let mut violations = Vec::new();
 
     // The chain, one contract at a time.
-    let runs = vec![
-        (DM_CONTRACT, check(&DmContract::shipped(), CAP)),
-        (CM_CONTRACT, check(&CmContract::shipped(), CAP)),
-        (RD_CONTRACT, check(&RdContract::shipped(), CAP)),
-        (OSR_CONTRACT, check(&OsrContract::shipped(), CAP)),
-    ];
-    let rows: Vec<ContractRow> = runs.iter().map(|(s, r)| contract_row(*s, r)).collect();
+    let runs = slverify::check_chain(CAP);
+    let rows: Vec<ContractRow> = runs.iter().map(contract_row).collect();
     for row in &rows {
         if !row.proved {
             violations.push(format!("contract {} did not prove", row.sublayer));
@@ -119,26 +113,22 @@ pub fn run(_smoke: bool) -> ContractsOut {
         },
         20_000_000,
     );
-    let product = check(&Product::new(DmContract::shipped(), OsrContract::shipped()), CAP);
+    let product =
+        check(&Product::new(DmContract::new(Demux::new), OsrContract::new(Osr::new)), CAP);
     if !product.ok() {
         violations.push("explored DM x OSR product did not prove".into());
     }
 
     // Mutation canaries: each must be refuted by its owning contract.
     let mut canaries = Vec::new();
-    let canary_runs: Vec<(&'static str, CheckResult)> = vec![
-        ("dm", check(&DmContract::buggy(), CAP)),
-        ("cm", check(&CmContract::buggy(), CAP)),
-        ("rd", check(&RdContract::buggy(), CAP)),
-        ("osr", check(&OsrContract::buggy(), CAP)),
-    ];
-    for (sublayer, r) in canary_runs {
-        match r.violation {
+    for run in slverify::check_canaries(CAP) {
+        let sublayer = run.spec().sublayer;
+        match &run.result().violation {
             Some(v) => canaries.push(CanaryRow {
                 sublayer,
                 steps: v.actions.len(),
-                actions: v.actions,
-                reason: v.reason,
+                actions: v.actions.clone(),
+                reason: v.reason.clone(),
             }),
             None => violations.push(format!("canary {sublayer} escaped its contract")),
         }

@@ -643,7 +643,7 @@ impl ConnMgmt {
 
 /// The operations the CM assume/guarantee contract exercises. Implemented
 /// by the shipped [`ConnMgmt`] and by the [`BuggyCm`] mutation canary.
-pub trait CmDriver {
+pub trait CmDriver: Clone {
     fn on_packet(
         &mut self,
         hdr: &CmHeader,
@@ -654,19 +654,11 @@ pub trait CmDriver {
     fn on_tick(&mut self, now: Time);
     fn poll_deadline(&self) -> Option<Time>;
     fn state(&self) -> CmState;
-    fn local_isn(&self) -> u32;
     fn peer_isn(&self) -> Option<u32>;
     fn challenge_acks(&self) -> u64;
     fn poll_event(&mut self) -> Option<CmEvent>;
     /// See [`ConnMgmt::contract_key`].
     fn contract_key(&self) -> Vec<u64>;
-    fn box_clone(&self) -> Box<dyn CmDriver>;
-}
-
-impl Clone for Box<dyn CmDriver> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
 }
 
 impl CmDriver for ConnMgmt {
@@ -688,9 +680,6 @@ impl CmDriver for ConnMgmt {
     fn state(&self) -> CmState {
         ConnMgmt::state(self)
     }
-    fn local_isn(&self) -> u32 {
-        ConnMgmt::local_isn(self)
-    }
     fn peer_isn(&self) -> Option<u32> {
         ConnMgmt::peer_isn(self)
     }
@@ -702,9 +691,6 @@ impl CmDriver for ConnMgmt {
     }
     fn contract_key(&self) -> Vec<u64> {
         ConnMgmt::contract_key(self)
-    }
-    fn box_clone(&self) -> Box<dyn CmDriver> {
-        Box::new(self.clone())
     }
 }
 
@@ -760,9 +746,6 @@ impl CmDriver for BuggyCm {
     fn state(&self) -> CmState {
         self.inner.state()
     }
-    fn local_isn(&self) -> u32 {
-        self.inner.local_isn()
-    }
     fn peer_isn(&self) -> Option<u32> {
         self.inner.peer_isn()
     }
@@ -774,9 +757,6 @@ impl CmDriver for BuggyCm {
     }
     fn contract_key(&self) -> Vec<u64> {
         self.inner.contract_key()
-    }
-    fn box_clone(&self) -> Box<dyn CmDriver> {
-        Box::new(self.clone())
     }
 }
 

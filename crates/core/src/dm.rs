@@ -245,8 +245,9 @@ fn tuple_fp(t: &FourTuple) -> u64 {
 
 /// The operations the DM assume/guarantee contract exercises. Implemented
 /// by the shipped [`Demux`] and by the [`BuggyDm`] mutation canary; the
-/// checker model is written once against this trait and run against both.
-pub trait DmDriver {
+/// checker model is written once, generic over this trait, and run against
+/// both.
+pub trait DmDriver: Clone {
     fn listen(&mut self, port: u16);
     fn set_gate(&mut self, gated: bool);
     /// Admission as the checker sees it: the [`Admitted`] token collapsed
@@ -260,13 +261,6 @@ pub trait DmDriver {
     /// See [`Demux::contract_key`] — equal keys promise behaviorally
     /// identical drivers.
     fn contract_key(&self) -> Vec<u64>;
-    fn box_clone(&self) -> Box<dyn DmDriver>;
-}
-
-impl Clone for Box<dyn DmDriver> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
 }
 
 impl DmDriver for Demux {
@@ -293,9 +287,6 @@ impl DmDriver for Demux {
     }
     fn contract_key(&self) -> Vec<u64> {
         Demux::contract_key(self)
-    }
-    fn box_clone(&self) -> Box<dyn DmDriver> {
-        Box::new(self.clone())
     }
 }
 
@@ -354,9 +345,6 @@ impl DmDriver for BuggyDm {
         let mut k = self.inner.contract_key();
         k.push(self.bonus as u64);
         k
-    }
-    fn box_clone(&self) -> Box<dyn DmDriver> {
-        Box::new(self.clone())
     }
 }
 

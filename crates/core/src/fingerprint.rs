@@ -1,12 +1,15 @@
 //! Deterministic state fingerprints for the contract drivers.
 //!
-//! Each sublayer exposes a `contract_key() -> Vec<u64>` used by
-//! `slverify::contracts` to deduplicate checker states, exactly like
-//! `slcc::RateController::state_key`. The same promise applies: **equal
-//! fingerprints must imply behaviorally identical sublayers** under the
-//! contract's drive alphabet. The folds here are fixed-constant FNV-style
-//! mixes — no per-process seeding — so state counts (and the JSON
-//! benchmarks derived from them) are byte-identical across runs.
+//! Each sublayer exposes a `contract_key() -> Vec<u64>`, and its driver
+//! trait (`DmDriver`, …) repeats it. `slverify::Keyed` holds the machine a
+//! contract drives together with this function: the key is the machine's
+//! identity in every checker state, recomputed after every drive step —
+//! exactly as `slcc::RateController::state_key` keys a controller. The
+//! same promise applies: **equal fingerprints must imply behaviorally
+//! identical sublayers** under the contract's drive alphabet. The folds
+//! here are fixed-constant FNV-style mixes — no per-process seeding — so
+//! state counts (and the JSON benchmarks derived from them) are
+//! byte-identical across runs.
 
 /// FNV-1a style 64-bit fold step.
 pub fn mix(acc: u64, v: u64) -> u64 {

@@ -528,19 +528,12 @@ fn fold_stream(acc: u64, queue: &VecDeque<Payload>) -> u64 {
 /// exactly-once deliveries into the in-order gap-free byte stream.
 /// Implemented by the shipped [`Osr`] and by the [`BuggyOsr`] mutation
 /// canary.
-pub trait OsrDriver {
+pub trait OsrDriver: Clone {
     fn on_delivered(&mut self, offset: u64, data: Payload);
     fn read(&mut self) -> Vec<u8>;
     fn readable_len(&self) -> usize;
     /// See [`Osr::contract_key`].
     fn contract_key(&self) -> Vec<u64>;
-    fn box_clone(&self) -> Box<dyn OsrDriver>;
-}
-
-impl Clone for Box<dyn OsrDriver> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
 }
 
 impl OsrDriver for Osr {
@@ -555,9 +548,6 @@ impl OsrDriver for Osr {
     }
     fn contract_key(&self) -> Vec<u64> {
         Osr::contract_key(self)
-    }
-    fn box_clone(&self) -> Box<dyn OsrDriver> {
-        Box::new(self.clone())
     }
 }
 
@@ -594,9 +584,6 @@ impl OsrDriver for BuggyOsr {
     }
     fn contract_key(&self) -> Vec<u64> {
         self.inner.contract_key()
-    }
-    fn box_clone(&self) -> Box<dyn OsrDriver> {
-        Box::new(self.clone())
     }
 }
 

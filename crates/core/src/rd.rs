@@ -892,34 +892,21 @@ impl ReliableDelivery {
 /// The per-endpoint operations the RD assume/guarantee contract
 /// exercises. Implemented by the shipped [`ReliableDelivery`] and by the
 /// [`BuggyRd`] mutation canary (used as the sender arm).
-pub trait RdDriver {
+pub trait RdDriver: Clone {
     fn push_segment(&mut self, now: Time, data: Payload);
-    fn can_accept(&self) -> bool;
     fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool);
     fn poll_packet(&mut self, now: Time) -> Option<(Packet, bool)>;
     fn on_tick(&mut self, now: Time);
     fn poll_deadline(&self) -> Option<Time>;
     fn poll_event(&mut self) -> Option<RdEvent>;
     fn all_acked(&self) -> bool;
-    fn rcv_next_offset(&self) -> u64;
-    fn seq_validity(&self, wire_seq: u32) -> SeqValidity;
     /// See [`ReliableDelivery::contract_key`].
     fn contract_key(&self) -> Vec<u64>;
-    fn box_clone(&self) -> Box<dyn RdDriver>;
-}
-
-impl Clone for Box<dyn RdDriver> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
 }
 
 impl RdDriver for ReliableDelivery {
     fn push_segment(&mut self, now: Time, data: Payload) {
         ReliableDelivery::push_segment(self, now, data)
-    }
-    fn can_accept(&self) -> bool {
-        ReliableDelivery::can_accept(self)
     }
     fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
         ReliableDelivery::on_packet(self, now, pkt, fin)
@@ -939,17 +926,8 @@ impl RdDriver for ReliableDelivery {
     fn all_acked(&self) -> bool {
         ReliableDelivery::all_acked(self)
     }
-    fn rcv_next_offset(&self) -> u64 {
-        ReliableDelivery::rcv_next_offset(self)
-    }
-    fn seq_validity(&self, wire_seq: u32) -> SeqValidity {
-        ReliableDelivery::seq_validity(self, wire_seq)
-    }
     fn contract_key(&self) -> Vec<u64> {
         ReliableDelivery::contract_key(self)
-    }
-    fn box_clone(&self) -> Box<dyn RdDriver> {
-        Box::new(self.clone())
     }
 }
 
@@ -975,9 +953,6 @@ impl BuggyRd {
 impl RdDriver for BuggyRd {
     fn push_segment(&mut self, now: Time, data: Payload) {
         self.inner.push_segment(now, data)
-    }
-    fn can_accept(&self) -> bool {
-        self.inner.can_accept()
     }
     fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
         self.inner.on_packet(now, pkt, fin)
@@ -1006,19 +981,10 @@ impl RdDriver for BuggyRd {
     fn all_acked(&self) -> bool {
         self.inner.all_acked()
     }
-    fn rcv_next_offset(&self) -> u64 {
-        self.inner.rcv_next_offset()
-    }
-    fn seq_validity(&self, wire_seq: u32) -> SeqValidity {
-        self.inner.seq_validity(wire_seq)
-    }
     fn contract_key(&self) -> Vec<u64> {
         let mut k = self.inner.contract_key();
         k.push(self.rtos as u64);
         k
-    }
-    fn box_clone(&self) -> Box<dyn RdDriver> {
-        Box::new(self.clone())
     }
 }
 

@@ -33,6 +33,65 @@ pub trait Model {
     }
 }
 
+/// A real object under test, identified by its behavioural fingerprint.
+///
+/// The checker deduplicates states, so a state holding a live machine needs
+/// an identity for it: `Keyed` stores the machine beside the fingerprint
+/// function it was built with (`contract_key` for a sublayer,
+/// `state_key` for a rate controller) and the key that function last
+/// returned. `Eq` and `Hash` are the key's — equal keys promise
+/// behaviourally identical machines — so a state struct holding a `Keyed`
+/// derives its own identity. Reads go through `Deref`; the only mutable
+/// access is [`Keyed::with`], which re-fingerprints, so a stale key cannot
+/// be written.
+#[derive(Clone)]
+pub struct Keyed<M> {
+    machine: M,
+    fingerprint: fn(&M) -> Vec<u64>,
+    key: Vec<u64>,
+}
+
+impl<M> Keyed<M> {
+    pub fn new(machine: M, fingerprint: fn(&M) -> Vec<u64>) -> Keyed<M> {
+        let key = fingerprint(&machine);
+        Keyed { machine, fingerprint, key }
+    }
+
+    /// Drive the machine, then re-fingerprint it.
+    pub fn with<R>(&mut self, drive: impl FnOnce(&mut M) -> R) -> R {
+        let out = drive(&mut self.machine);
+        self.key = (self.fingerprint)(&self.machine);
+        out
+    }
+}
+
+impl<M> std::ops::Deref for Keyed<M> {
+    type Target = M;
+    fn deref(&self) -> &M {
+        &self.machine
+    }
+}
+
+impl<M> PartialEq for Keyed<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<M> Eq for Keyed<M> {}
+
+impl<M> Hash for Keyed<M> {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.key.hash(h);
+    }
+}
+
+impl<M> Debug for Keyed<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Keyed").field(&self.key).finish()
+    }
+}
+
 /// A counterexample: the action labels leading to the bad state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {

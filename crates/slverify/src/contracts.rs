@@ -2,9 +2,15 @@
 //! done the way a sublayered stack makes possible).
 //!
 //! One explicit assume/guarantee contract per core sublayer, each checked
-//! against the **real** implementation in `sublayer-core` — not a re-model
-//! — through a driver trait in the style of
-//! [`CongCtrl`](crate::models::CongCtrl):
+//! against the **real** implementation in `sublayer-core` — not a re-model.
+//! A contract is an assume set and a guarantee set (its [`ContractSpec`],
+//! carried as [`Contract::SPEC`]) plus a driver generic over the machine it
+//! drives. Each is built from that machine's constructor, so the shipped
+//! sublayer and its mutation canary are chosen by type —
+//! `DmContract::new(Demux::new)` or `DmContract::new(BuggyDm::new)` — and a
+//! checker state holds the machine as a [`Keyed`], whose identity is the
+//! sublayer's `contract_key` (as [`CongCtrl`](crate::models::CongCtrl) keys
+//! a rate controller by `state_key`):
 //!
 //! | contract | assumes | guarantees |
 //! |---|---|---|
@@ -16,16 +22,34 @@
 //! [`compose`] is the composition theorem: it checks each contract's
 //! assumptions are discharged by an *earlier* guarantee (plus the
 //! environment axiom [`A_ENV`]) and derives end-to-end reliable delivery
-//! ([`E2E`]) from the four [`crate::checker::CheckResult`]s alone — the
-//! fused product of the four state machines is **never explored**. The
+//! ([`E2E`]) from the four [`ContractRun`]s alone — the fused product of
+//! the four state machines is **never explored**. The
 //! [`crate::checker::Product`] combinator exists precisely to measure what
-//! that avoided exploration would cost (experiment E22).
+//! that avoided exploration would cost (experiment E22). [`check_chain`]
+//! is the one list of the shipped chain every caller runs.
 //!
 //! Each contract has a seeded mutation canary in `sublayer-core`
 //! (`BuggyDm`, `BuggyCm`, `BuggyRd`, `BuggyOsr`, mirroring
-//! `slcc::BuggyDeflate`): a plausibly-broken sublayer that the *owning*
-//! contract catches with a shrunk (BFS-shortest) counterexample, pinned in
-//! the tests below.
+//! `slcc::BuggyDeflate`, run together by [`check_canaries`]): a
+//! plausibly-broken sublayer that the *owning* contract catches with a
+//! shrunk (BFS-shortest) counterexample, pinned in the tests below. A
+//! canary can only reach its owner's contract — another sublayer's machine
+//! does not type-check:
+//!
+//! ```compile_fail
+//! use slverify::CmContract;
+//! use sublayer_core::BuggyRd;
+//! let _cm = CmContract::new(BuggyRd::new);
+//! ```
+//!
+//! while CM's own machines do:
+//!
+//! ```
+//! use slverify::CmContract;
+//! use sublayer_core::{BuggyCm, ConnMgmt};
+//! let _shipped = CmContract::new(ConnMgmt::open_active);
+//! let _canary = CmContract::new(BuggyCm::open_active);
+//! ```
 //!
 //! The DM⇒CM half of the chain is also enforced at compile time: CM's
 //! constructors consume an [`sublayer_core::Admitted`] token that only
@@ -41,16 +65,21 @@
 //!     token, CmScheme::ThreeWay, 1, Time::ZERO, slmetrics::shared());
 //! ```
 
-use crate::checker::{check, CheckResult, Model};
+use crate::checker::{check, CheckResult, Keyed, Model};
 use crate::relation::{RespClass, SeqVerdict};
 use netsim::Time;
+use slcc::RateController;
+use slmetrics::SharedLog;
+use slwire::native::{CmHeader, Endpoint, FourTuple, Packet};
 use sublayer_core::cm::{CmDriver, CmState};
 use sublayer_core::dm::DmDriver;
 use sublayer_core::osr::OsrDriver;
 use sublayer_core::rd::RdDriver;
 use sublayer_core::signals::SeqValidity;
-use slwire::native::{CmHeader, Endpoint, FourTuple, Packet};
-use sublayer_core::{BuggyCm, BuggyDm, BuggyOsr, BuggyRd, CmScheme, ConnId, Demux, ConnMgmt, Osr, ReliableDelivery};
+use sublayer_core::{
+    Admitted, BuggyCm, BuggyDm, BuggyOsr, BuggyRd, CmScheme, ConnId, ConnMgmt, Demux, Osr,
+    ReliableDelivery,
+};
 
 // ---------------------------------------------------------------------
 // The obligation vocabulary and the composition theorem.
@@ -99,6 +128,58 @@ pub fn chain() -> [ContractSpec; 4] {
     [DM_CONTRACT, CM_CONTRACT, RD_CONTRACT, OSR_CONTRACT]
 }
 
+/// A checker model that is one link of the chain: it knows its own spec.
+pub trait Contract: Model + Sized {
+    const SPEC: ContractSpec;
+
+    /// Explore the contract exhaustively (at most `max_states` states) and
+    /// pair the result with this contract's own spec.
+    fn verify(&self, max_states: usize) -> ContractRun {
+        ContractRun { spec: Self::SPEC, result: check(self, max_states) }
+    }
+}
+
+/// One contract's exploration, paired with that contract's spec. Only
+/// [`Contract::verify`] builds one and neither half can be replaced, so a
+/// result cannot reach [`compose`] under another contract's spec.
+#[derive(Clone, Debug)]
+pub struct ContractRun {
+    spec: ContractSpec,
+    result: CheckResult,
+}
+
+impl ContractRun {
+    pub fn spec(&self) -> ContractSpec {
+        self.spec
+    }
+
+    pub fn result(&self) -> &CheckResult {
+        &self.result
+    }
+}
+
+/// The shipped chain in sublayer order, each contract driving the shipped
+/// sublayer. `max_states` caps each *individual* contract run.
+pub fn check_chain(max_states: usize) -> [ContractRun; 4] {
+    [
+        DmContract::new(Demux::new).verify(max_states),
+        CmContract::new(ConnMgmt::open_active).verify(max_states),
+        RdContract::new(ReliableDelivery::new).verify(max_states),
+        OsrContract::new(Osr::new).verify(max_states),
+    ]
+}
+
+/// The four mutation canaries in chain order, each under the contract
+/// owning the obligation it breaks: every run must carry a violation.
+pub fn check_canaries(max_states: usize) -> [ContractRun; 4] {
+    [
+        DmContract::new(BuggyDm::new).verify(max_states),
+        CmContract::new(BuggyCm::open_active).verify(max_states),
+        RdContract::new(BuggyRd::new).verify(max_states),
+        OsrContract::new(BuggyOsr::new).verify(max_states),
+    ]
+}
+
 /// What [`compose`] derives: the end-to-end property plus the proof-effort
 /// accounting the benchmark reports (additive vs multiplicative).
 #[derive(Clone, Debug)]
@@ -117,14 +198,13 @@ pub struct ChainProof {
 /// The composition theorem: every contract holds, and every assumption is
 /// discharged by a guarantee established *earlier* in the chain (or by the
 /// environment axiom). On success the end-to-end property [`E2E`] is
-/// derived from the four `CheckResult`s alone — no fused product is ever
-/// explored.
-pub fn compose(runs: &[(ContractSpec, CheckResult)]) -> Result<ChainProof, String> {
+/// derived from the four runs alone — no fused product is ever explored.
+pub fn compose(runs: &[ContractRun]) -> Result<ChainProof, String> {
     let mut established: Vec<&'static str> = vec![A_ENV];
     let mut per = Vec::new();
     let mut sum = 0usize;
     let mut prod: u128 = 1;
-    for (spec, res) in runs {
+    for ContractRun { spec, result: res } in runs {
         if let Some(v) = &res.violation {
             return Err(format!(
                 "{}: contract violated ({}) after {:?}",
@@ -162,13 +242,7 @@ pub fn compose(runs: &[(ContractSpec, CheckResult)]) -> Result<ChainProof, Strin
 /// Run the four shipped contracts and compose them: the whole end-to-end
 /// proof in one call. `max_states` caps each *individual* contract run.
 pub fn prove_end_to_end(max_states: usize) -> Result<ChainProof, String> {
-    let runs = vec![
-        (DM_CONTRACT, check(&DmContract::shipped(), max_states)),
-        (CM_CONTRACT, check(&CmContract::shipped(), max_states)),
-        (RD_CONTRACT, check(&RdContract::shipped(), max_states)),
-        (OSR_CONTRACT, check(&OsrContract::shipped(), max_states)),
-    ];
-    compose(&runs)
+    compose(&check_chain(max_states))
 }
 
 // ---------------------------------------------------------------------
@@ -213,6 +287,8 @@ pub fn validity_of(v: SeqVerdict) -> SeqValidity {
 
 const LOCAL_ADDR: u32 = 1;
 const LISTEN_PORT: u16 = 80;
+/// Depth bound: environment actions per DM run.
+const DM_STEP_BOUND: u8 = 5;
 
 fn dm_tuple(i: usize) -> FourTuple {
     FourTuple {
@@ -221,42 +297,28 @@ fn dm_tuple(i: usize) -> FourTuple {
     }
 }
 
-/// Assume/guarantee contract over the real [`Demux`] (or its mutation
-/// canary [`BuggyDm`]): the environment admits/releases two flows and
-/// toggles the accept gate; DM must admit each live tuple exactly once and
-/// keep `lookup`/`tuple_of`/`classify` coherent with the ghost admission
-/// set in every reachable state.
-pub struct DmContract {
-    buggy: bool,
-    pub max_steps: u8,
+/// Assume/guarantee contract over a real demuxer — [`Demux`], or its
+/// mutation canary [`BuggyDm`]: the environment admits/releases two flows
+/// and toggles the accept gate; DM must admit each live tuple exactly once
+/// and keep `lookup`/`tuple_of`/`classify` coherent with the ghost
+/// admission set in every reachable state.
+pub struct DmContract<D> {
+    mk: fn(u32, SharedLog) -> D,
 }
 
-impl DmContract {
-    pub fn shipped() -> DmContract {
-        DmContract { buggy: false, max_steps: 5 }
-    }
-
-    pub fn buggy() -> DmContract {
-        DmContract { buggy: true, max_steps: 5 }
-    }
-
-    fn mk(&self) -> Box<dyn DmDriver> {
-        if self.buggy {
-            let mut d = BuggyDm::new(LOCAL_ADDR, slmetrics::shared());
-            d.listen(LISTEN_PORT);
-            Box::new(d)
-        } else {
-            let mut d = Demux::new(LOCAL_ADDR, slmetrics::shared());
-            d.listen(LISTEN_PORT);
-            Box::new(d)
-        }
+impl<D: DmDriver> DmContract<D> {
+    /// The contract over the machine `mk` builds.
+    pub fn new(mk: fn(u32, SharedLog) -> D) -> DmContract<D> {
+        DmContract { mk }
     }
 }
 
-#[derive(Clone)]
-pub struct DmContractState {
-    dm: Box<dyn DmDriver>,
-    key: Vec<u64>,
+/// `M` is the [`Keyed`] demuxer — a parameter rather than `Keyed<D>` so the
+/// derives ask nothing of the driver type. The same holds for the other
+/// three contract states.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct DmContractState<M> {
+    dm: M,
     /// Ghost: the admission the environment believes it holds per tuple.
     admitted: [Option<ConnId>; 2],
     gated: bool,
@@ -264,36 +326,6 @@ pub struct DmContractState {
     /// A per-transition obligation observed broken while driving (e.g. a
     /// duplicate admission accepted); reported by the invariant.
     breach: Option<String>,
-}
-
-impl PartialEq for DmContractState {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-            && self.admitted == other.admitted
-            && self.gated == other.gated
-            && self.steps == other.steps
-            && self.breach == other.breach
-    }
-}
-impl Eq for DmContractState {}
-impl std::hash::Hash for DmContractState {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.key.hash(h);
-        self.admitted.hash(h);
-        self.gated.hash(h);
-        self.steps.hash(h);
-        self.breach.hash(h);
-    }
-}
-impl std::fmt::Debug for DmContractState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DmContractState")
-            .field("admitted", &self.admitted)
-            .field("gated", &self.gated)
-            .field("steps", &self.steps)
-            .field("breach", &self.breach)
-            .finish()
-    }
 }
 
 /// A classify probe: a SYN whose DM bits address `dst` from `src`.
@@ -305,14 +337,18 @@ fn dm_probe(dst: Endpoint, src: Endpoint) -> Packet {
     p
 }
 
-impl Model for DmContract {
-    type State = DmContractState;
+impl<D: DmDriver> Contract for DmContract<D> {
+    const SPEC: ContractSpec = DM_CONTRACT;
+}
 
-    fn init(&self) -> Vec<DmContractState> {
-        let dm = self.mk();
+impl<D: DmDriver> Model for DmContract<D> {
+    type State = DmContractState<Keyed<D>>;
+
+    fn init(&self) -> Vec<Self::State> {
+        let mut dm = (self.mk)(LOCAL_ADDR, slmetrics::shared());
+        dm.listen(LISTEN_PORT);
         vec![DmContractState {
-            key: dm.contract_key(),
-            dm,
+            dm: Keyed::new(dm, D::contract_key),
             admitted: [None, None],
             gated: false,
             steps: 0,
@@ -320,8 +356,8 @@ impl Model for DmContract {
         }]
     }
 
-    fn next(&self, s: &DmContractState) -> Vec<(&'static str, DmContractState)> {
-        if s.steps >= self.max_steps {
+    fn next(&self, s: &Self::State) -> Vec<(&'static str, Self::State)> {
+        if s.steps >= DM_STEP_BOUND {
             return vec![];
         }
         let mut out = Vec::new();
@@ -330,7 +366,7 @@ impl Model for DmContract {
         for i in 0..2 {
             let mut ns = s.clone();
             ns.steps += 1;
-            match (s.admitted[i], ns.dm.admit(dm_tuple(i))) {
+            match (s.admitted[i], ns.dm.with(|dm| dm.admit(dm_tuple(i)))) {
                 (Some(_), Ok(id)) => {
                     ns.breach = Some(format!(
                         "{G_DM} violated: bound tuple re-admitted as {id:?} — \
@@ -344,27 +380,24 @@ impl Model for DmContract {
                         Some(format!("{G_DM} violated: fresh tuple refused admission: {e:?}"));
                 }
             }
-            ns.key = ns.dm.contract_key();
             out.push((admit_labels[i], ns));
             if let Some(id) = s.admitted[i] {
                 let mut ns = s.clone();
                 ns.steps += 1;
-                ns.dm.release(id);
+                ns.dm.with(|dm| dm.release(id));
                 ns.admitted[i] = None;
-                ns.key = ns.dm.contract_key();
                 out.push((release_labels[i], ns));
             }
         }
         let mut ns = s.clone();
         ns.steps += 1;
         ns.gated = !s.gated;
-        ns.dm.set_gate(ns.gated);
-        ns.key = ns.dm.contract_key();
+        ns.dm.with(|dm| dm.set_gate(ns.gated));
         out.push(("gate", ns));
         out
     }
 
-    fn invariant(&self, s: &DmContractState) -> Result<(), String> {
+    fn invariant(&self, s: &Self::State) -> Result<(), String> {
         use sublayer_core::DmVerdict;
         if let Some(b) = &s.breach {
             return Err(b.clone());
@@ -420,8 +453,8 @@ impl Model for DmContract {
         Ok(())
     }
 
-    fn is_done(&self, s: &DmContractState) -> bool {
-        s.steps >= self.max_steps
+    fn is_done(&self, s: &Self::State) -> bool {
+        s.steps >= DM_STEP_BOUND
     }
 }
 
@@ -429,6 +462,8 @@ impl Model for DmContract {
 // CM contract: sequence only within the admitted window.
 // ---------------------------------------------------------------------
 
+/// Depth bound: environment actions per CM run.
+const CM_STEP_BOUND: u8 = 6;
 const CM_LOCAL_ISN: u32 = 0x1000_0001;
 /// The genuine peer incarnation's ISN (carried by the valid SYN|ACK).
 const CM_PEER_ISN: u32 = 0x2000_0002;
@@ -458,72 +493,43 @@ struct CmObl {
     expect_challenges: Option<u64>,
 }
 
-/// Assume/guarantee contract over the real [`ConnMgmt`] (or its canary
-/// [`BuggyCm`]), built — as the assumption demands — from an `Admitted`
-/// token minted by a real [`Demux`]. The environment replays genuine and
-/// stale handshake traffic plus blind RSTs; CM must synchronize only with
-/// a genuine incarnation and follow the RFC 5961 discipline
-/// ([`cm_rst_response`]) once synchronized.
-pub struct CmContract {
-    buggy: bool,
-    pub max_steps: u8,
+/// Assume/guarantee contract over a real connection manager —
+/// [`ConnMgmt`], or its canary [`BuggyCm`] — built, as the assumption
+/// demands, from an `Admitted` token minted by a real [`Demux`]. The
+/// environment replays genuine and stale handshake traffic plus blind
+/// RSTs; CM must synchronize only with a genuine incarnation and follow the
+/// RFC 5961 discipline ([`cm_rst_response`]) once synchronized.
+pub struct CmContract<C> {
+    mk: fn(Admitted, CmScheme, u32, Time, SharedLog) -> C,
 }
 
-impl CmContract {
-    pub fn shipped() -> CmContract {
-        CmContract { buggy: false, max_steps: 6 }
-    }
-
-    pub fn buggy() -> CmContract {
-        CmContract { buggy: true, max_steps: 6 }
-    }
-
-    fn mk(&self) -> Box<dyn CmDriver> {
-        // The assumption G_DM made manifest: the token comes from a real
-        // admission (and the typestate makes any other construction a
-        // compile error).
-        let mut dm = Demux::new(LOCAL_ADDR, slmetrics::shared());
-        let token = dm.bind(dm_tuple(0)).expect("fresh demux admits");
-        if self.buggy {
-            Box::new(BuggyCm::open_active(
-                token,
-                CmScheme::ThreeWay,
-                CM_LOCAL_ISN,
-                Time::ZERO,
-                slmetrics::shared(),
-            ))
-        } else {
-            Box::new(ConnMgmt::open_active(
-                token,
-                CmScheme::ThreeWay,
-                CM_LOCAL_ISN,
-                Time::ZERO,
-                slmetrics::shared(),
-            ))
-        }
+impl<C: CmDriver> CmContract<C> {
+    /// The contract over the machine `mk` opens actively.
+    pub fn new(mk: fn(Admitted, CmScheme, u32, Time, SharedLog) -> C) -> CmContract<C> {
+        CmContract { mk }
     }
 
     fn feed(
         &self,
-        s: &CmContractState,
+        s: &CmContractState<Keyed<C>>,
         hdr: &CmHeader,
         rst_seq: SeqValidity,
         obl: CmObl,
-    ) -> CmContractState {
+    ) -> CmContractState<Keyed<C>> {
         let mut ns = s.clone();
         ns.steps += 1;
         ns.obl = obl;
-        ns.cm.on_packet(hdr, false, rst_seq, ns.now);
-        while ns.cm.poll_event().is_some() {}
-        ns.key = ns.cm.contract_key();
+        ns.cm.with(|cm| {
+            cm.on_packet(hdr, false, rst_seq, ns.now);
+            while cm.poll_event().is_some() {}
+        });
         ns
     }
 }
 
-#[derive(Clone)]
-pub struct CmContractState {
-    cm: Box<dyn CmDriver>,
-    key: Vec<u64>,
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct CmContractState<M> {
+    cm: M,
     now: Time,
     steps: u8,
     /// Ghost: the genuine SYN|ACK has been emitted by the environment.
@@ -533,48 +539,23 @@ pub struct CmContractState {
     obl: CmObl,
 }
 
-impl PartialEq for CmContractState {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-            && self.now == other.now
-            && self.steps == other.steps
-            && self.fed_valid == other.fed_valid
-            && self.fed_simo == other.fed_simo
-            && self.obl == other.obl
-    }
-}
-impl Eq for CmContractState {}
-impl std::hash::Hash for CmContractState {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.key.hash(h);
-        self.now.hash(h);
-        self.steps.hash(h);
-        self.fed_valid.hash(h);
-        self.fed_simo.hash(h);
-        self.obl.hash(h);
-    }
-}
-impl std::fmt::Debug for CmContractState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CmContractState")
-            .field("state", &self.cm.state())
-            .field("peer_isn", &self.cm.peer_isn())
-            .field("challenge_acks", &self.cm.challenge_acks())
-            .field("steps", &self.steps)
-            .field("fed_valid", &self.fed_valid)
-            .field("fed_simo", &self.fed_simo)
-            .finish()
-    }
+impl<C: CmDriver> Contract for CmContract<C> {
+    const SPEC: ContractSpec = CM_CONTRACT;
 }
 
-impl Model for CmContract {
-    type State = CmContractState;
+impl<C: CmDriver> Model for CmContract<C> {
+    type State = CmContractState<Keyed<C>>;
 
-    fn init(&self) -> Vec<CmContractState> {
-        let cm = self.mk();
+    fn init(&self) -> Vec<Self::State> {
+        // The assumption G_DM made manifest: the token comes from a real
+        // admission (and the typestate makes any other construction a
+        // compile error).
+        let mut dm = Demux::new(LOCAL_ADDR, slmetrics::shared());
+        let token = dm.bind(dm_tuple(0)).expect("fresh demux admits");
+        let cm =
+            (self.mk)(token, CmScheme::ThreeWay, CM_LOCAL_ISN, Time::ZERO, slmetrics::shared());
         vec![CmContractState {
-            key: cm.contract_key(),
-            cm,
+            cm: Keyed::new(cm, C::contract_key),
             now: Time::ZERO,
             steps: 0,
             fed_valid: false,
@@ -583,8 +564,8 @@ impl Model for CmContract {
         }]
     }
 
-    fn next(&self, s: &CmContractState) -> Vec<(&'static str, CmContractState)> {
-        if s.steps >= self.max_steps {
+    fn next(&self, s: &Self::State) -> Vec<(&'static str, Self::State)> {
+        if s.steps >= CM_STEP_BOUND {
             return vec![];
         }
         let pre = s.cm.state();
@@ -689,9 +670,10 @@ impl Model for CmContract {
             let mut ns = s.clone();
             ns.steps += 1;
             ns.now = ns.now.max(d);
-            ns.cm.on_tick(ns.now);
-            while ns.cm.poll_event().is_some() {}
-            ns.key = ns.cm.contract_key();
+            ns.cm.with(|cm| {
+                cm.on_tick(ns.now);
+                while cm.poll_event().is_some() {}
+            });
             // A tick never challenges; the state may hold or give up.
             ns.obl = CmObl { expect_state: None, expect_challenges: Some(pre_ch) };
             out.push(("tick", ns));
@@ -699,7 +681,7 @@ impl Model for CmContract {
         out
     }
 
-    fn invariant(&self, s: &CmContractState) -> Result<(), String> {
+    fn invariant(&self, s: &Self::State) -> Result<(), String> {
         // The guarantee proper: synchronization only with a genuine
         // incarnation the environment actually offered.
         if s.cm.state() == CmState::Established {
@@ -737,8 +719,8 @@ impl Model for CmContract {
         Ok(())
     }
 
-    fn is_done(&self, s: &CmContractState) -> bool {
-        s.steps >= self.max_steps
+    fn is_done(&self, s: &Self::State) -> bool {
+        s.steps >= CM_STEP_BOUND
     }
 }
 
@@ -759,32 +741,29 @@ pub const RD_STREAM: &[u8] = b"ab";
 const RD_SND_ISN: u32 = 0x1111_0000;
 const RD_RCV_ISN: u32 = 0x2222_0000;
 
-/// Assume/guarantee contract over a *real* sender/receiver pair of
-/// [`ReliableDelivery`] machines (the sender optionally the [`BuggyRd`]
-/// canary). All scheduling is deterministic; the only nondeterminism is
-/// the fault alphabet — where the drops and the duplicate land. The
-/// guarantee is [`G_RD`]: every byte reaches the receiver exactly once and
-/// the whole exchange completes within [`RD_STEP_BOUND`] steps without
-/// exhausting the retry budget.
-pub struct RdContract {
-    buggy: bool,
+/// Assume/guarantee contract over a sender/receiver pair of *real* RD
+/// endpoints: the sender is the machine under test — [`ReliableDelivery`],
+/// or the [`BuggyRd`] canary — and the receiver is always the shipped
+/// [`ReliableDelivery`]. All scheduling is deterministic; the only
+/// nondeterminism is the fault alphabet — where the drops and the
+/// duplicate land. The guarantee is [`G_RD`]: every byte reaches the
+/// receiver exactly once and the whole exchange completes within
+/// [`RD_STEP_BOUND`] steps without exhausting the retry budget.
+pub struct RdContract<R> {
+    mk: fn(u32, u32, SharedLog) -> R,
 }
 
-impl RdContract {
-    pub fn shipped() -> RdContract {
-        RdContract { buggy: false }
-    }
-
-    pub fn buggy() -> RdContract {
-        RdContract { buggy: true }
+impl<R: RdDriver> RdContract<R> {
+    /// The contract over the sender `mk` builds.
+    pub fn new(mk: fn(u32, u32, SharedLog) -> R) -> RdContract<R> {
+        RdContract { mk }
     }
 }
 
-#[derive(Clone)]
-pub struct RdContractState {
-    snd: Box<dyn RdDriver>,
-    rcv: Box<dyn RdDriver>,
-    key: Vec<u64>,
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct RdContractState<M> {
+    snd: M,
+    rcv: Keyed<ReliableDelivery>,
     now: Time,
     /// In-flight packets toward the receiver (encoded, + CM's fin flag).
     to_rcv: Vec<(Vec<u8>, bool)>,
@@ -800,112 +779,65 @@ pub struct RdContractState {
     exhausted: bool,
 }
 
-impl RdContractState {
-    fn rekey(&mut self) {
-        let mut k = self.snd.contract_key();
-        k.push(u64::MAX); // domain separator
-        k.extend(self.rcv.contract_key());
-        self.key = k;
-    }
-
+impl<R: RdDriver> RdContractState<Keyed<R>> {
     fn complete(&self) -> bool {
         self.delivered == [1, 1] && self.snd.all_acked()
     }
 
     fn drain_snd_events(&mut self) {
-        while let Some(ev) = self.snd.poll_event() {
-            if matches!(ev, sublayer_core::RdEvent::RetriesExhausted) {
-                self.exhausted = true;
+        self.snd.with(|snd| {
+            while let Some(ev) = snd.poll_event() {
+                if matches!(ev, sublayer_core::RdEvent::RetriesExhausted) {
+                    self.exhausted = true;
+                }
             }
-        }
+        });
     }
 
     fn drain_rcv_events(&mut self) {
-        while let Some(ev) = self.rcv.poll_event() {
-            if let sublayer_core::RdEvent::Delivered { offset, data } = ev {
-                let off = offset as usize;
-                if off >= RD_STREAM.len() || data[..] != RD_STREAM[off..off + 1] {
-                    self.breach = Some(format!(
-                        "{G_RD} violated: delivered {data:?} at offset {offset}, \
-                         not a byte of the pushed stream"
-                    ));
-                } else {
-                    self.delivered[off] = self.delivered[off].saturating_add(1);
+        self.rcv.with(|rcv| {
+            while let Some(ev) = rcv.poll_event() {
+                if let sublayer_core::RdEvent::Delivered { offset, data } = ev {
+                    let off = offset as usize;
+                    if off >= RD_STREAM.len() || data[..] != RD_STREAM[off..off + 1] {
+                        self.breach = Some(format!(
+                            "{G_RD} violated: delivered {data:?} at offset {offset}, \
+                             not a byte of the pushed stream"
+                        ));
+                    } else {
+                        self.delivered[off] = self.delivered[off].saturating_add(1);
+                    }
                 }
             }
-        }
+        });
     }
 
     /// Receiver's response packets (acks) enter the return channel.
     fn pump_rcv(&mut self) {
-        while let Some((pkt, _fin)) = self.rcv.poll_packet(self.now) {
-            self.to_snd.push(pkt.encode());
-        }
+        self.rcv.with(|rcv| {
+            while let Some((pkt, _fin)) = rcv.poll_packet(self.now) {
+                self.to_snd.push(pkt.encode());
+            }
+        });
     }
 }
 
-impl PartialEq for RdContractState {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-            && self.now == other.now
-            && self.to_rcv == other.to_rcv
-            && self.to_snd == other.to_snd
-            && self.drops == other.drops
-            && self.dups == other.dups
-            && self.steps == other.steps
-            && self.delivered == other.delivered
-            && self.breach == other.breach
-            && self.exhausted == other.exhausted
-    }
-}
-impl Eq for RdContractState {}
-impl std::hash::Hash for RdContractState {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.key.hash(h);
-        self.now.hash(h);
-        self.to_rcv.hash(h);
-        self.to_snd.hash(h);
-        self.drops.hash(h);
-        self.dups.hash(h);
-        self.steps.hash(h);
-        self.delivered.hash(h);
-        self.breach.hash(h);
-        self.exhausted.hash(h);
-    }
-}
-impl std::fmt::Debug for RdContractState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RdContractState")
-            .field("now", &self.now)
-            .field("to_rcv", &self.to_rcv.len())
-            .field("to_snd", &self.to_snd.len())
-            .field("drops", &self.drops)
-            .field("dups", &self.dups)
-            .field("steps", &self.steps)
-            .field("delivered", &self.delivered)
-            .field("exhausted", &self.exhausted)
-            .finish()
-    }
+impl<R: RdDriver> Contract for RdContract<R> {
+    const SPEC: ContractSpec = RD_CONTRACT;
 }
 
-impl Model for RdContract {
-    type State = RdContractState;
+impl<R: RdDriver> Model for RdContract<R> {
+    type State = RdContractState<Keyed<R>>;
 
-    fn init(&self) -> Vec<RdContractState> {
-        let mut snd: Box<dyn RdDriver> = if self.buggy {
-            Box::new(BuggyRd::new(RD_SND_ISN, RD_RCV_ISN, slmetrics::shared()))
-        } else {
-            Box::new(ReliableDelivery::new(RD_SND_ISN, RD_RCV_ISN, slmetrics::shared()))
-        };
-        let rcv: Box<dyn RdDriver> =
-            Box::new(ReliableDelivery::new(RD_RCV_ISN, RD_SND_ISN, slmetrics::shared()));
+    fn init(&self) -> Vec<Self::State> {
+        let mut snd = (self.mk)(RD_SND_ISN, RD_RCV_ISN, slmetrics::shared());
+        let rcv = ReliableDelivery::new(RD_RCV_ISN, RD_SND_ISN, slmetrics::shared());
         for b in RD_STREAM {
             snd.push_segment(Time::ZERO, vec![*b].into());
         }
-        let mut s = RdContractState {
-            snd,
-            rcv,
-            key: Vec::new(),
+        vec![RdContractState {
+            snd: Keyed::new(snd, R::contract_key),
+            rcv: Keyed::new(rcv, ReliableDelivery::contract_key),
             now: Time::ZERO,
             to_rcv: Vec::new(),
             to_snd: Vec::new(),
@@ -915,12 +847,10 @@ impl Model for RdContract {
             delivered: [0, 0],
             breach: None,
             exhausted: false,
-        };
-        s.rekey();
-        vec![s]
+        }]
     }
 
-    fn next(&self, s: &RdContractState) -> Vec<(&'static str, RdContractState)> {
+    fn next(&self, s: &Self::State) -> Vec<(&'static str, Self::State)> {
         if s.steps >= RD_STEP_BOUND || s.complete() {
             return vec![];
         }
@@ -938,10 +868,9 @@ impl Model for RdContract {
                     ns.to_rcv.remove(0)
                 };
                 let pkt = Packet::decode(&bytes).expect("model channel holds valid frames");
-                ns.rcv.on_packet(ns.now, &pkt, fin);
+                ns.rcv.with(|rcv| rcv.on_packet(ns.now, &pkt, fin));
                 ns.drain_rcv_events();
                 ns.pump_rcv();
-                ns.rekey();
                 ns
             };
             out.push(("deliver", deliver(false)));
@@ -953,7 +882,6 @@ impl Model for RdContract {
                 ns.steps += 1;
                 ns.to_rcv.remove(0);
                 ns.drops += 1;
-                ns.rekey();
                 out.push(("drop", ns));
             }
             return out;
@@ -961,11 +889,10 @@ impl Model for RdContract {
         // Deterministic scheduler: transmit, then return acks, then time.
         {
             let mut ns = s.clone();
-            if let Some((pkt, fin)) = ns.snd.poll_packet(ns.now) {
+            if let Some((pkt, fin)) = ns.snd.with(|snd| snd.poll_packet(ns.now)) {
                 ns.steps += 1;
                 ns.to_rcv.push((pkt.encode(), fin));
                 ns.drain_snd_events();
-                ns.rekey();
                 return vec![("tx", ns)];
             }
         }
@@ -974,24 +901,22 @@ impl Model for RdContract {
             ns.steps += 1;
             let bytes = ns.to_snd.remove(0);
             let pkt = Packet::decode(&bytes).expect("model channel holds valid frames");
-            ns.snd.on_packet(ns.now, &pkt, false);
+            ns.snd.with(|snd| snd.on_packet(ns.now, &pkt, false));
             ns.drain_snd_events();
-            ns.rekey();
             return vec![("ack", ns)];
         }
         if let Some(d) = s.snd.poll_deadline() {
             let mut ns = s.clone();
             ns.steps += 1;
             ns.now = ns.now.max(d);
-            ns.snd.on_tick(ns.now);
+            ns.snd.with(|snd| snd.on_tick(ns.now));
             ns.drain_snd_events();
-            ns.rekey();
             return vec![("rto", ns)];
         }
         out
     }
 
-    fn invariant(&self, s: &RdContractState) -> Result<(), String> {
+    fn invariant(&self, s: &Self::State) -> Result<(), String> {
         if let Some(b) = &s.breach {
             return Err(b.clone());
         }
@@ -1020,7 +945,7 @@ impl Model for RdContract {
         Ok(())
     }
 
-    fn is_done(&self, s: &RdContractState) -> bool {
+    fn is_done(&self, s: &Self::State) -> bool {
         s.complete()
     }
 }
@@ -1032,67 +957,31 @@ impl Model for RdContract {
 /// The three one-byte segments the OSR contract permutes.
 pub const OSR_STREAM: &[u8] = b"ABC";
 
-/// Assume/guarantee contract over the real [`Osr`] (or its canary
-/// [`BuggyOsr`]). The assumption is exactly RD's guarantee — each segment
-/// arrives exactly once, at its true offset, in any order — encoded in the
-/// action alphabet itself. The guarantee is [`G_OSR`]: the application
-/// sees precisely the contiguous delivered prefix, in order, never a byte
-/// across a gap.
-pub struct OsrContract {
-    buggy: bool,
+/// Assume/guarantee contract over a real reassembler — [`Osr`], or its
+/// canary [`BuggyOsr`]. The assumption is exactly RD's guarantee — each
+/// segment arrives exactly once, at its true offset, in any order — encoded
+/// in the action alphabet itself. The guarantee is [`G_OSR`]: the
+/// application sees precisely the contiguous delivered prefix, in order,
+/// never a byte across a gap.
+pub struct OsrContract<O> {
+    mk: fn(Box<dyn RateController>, SharedLog) -> O,
 }
 
-impl OsrContract {
-    pub fn shipped() -> OsrContract {
-        OsrContract { buggy: false }
-    }
-
-    pub fn buggy() -> OsrContract {
-        OsrContract { buggy: true }
-    }
-
-    fn mk(&self) -> Box<dyn OsrDriver> {
-        let rate = slcc::make("fixed-window").expect("shipped controller");
-        if self.buggy {
-            Box::new(BuggyOsr::new(rate, slmetrics::shared()))
-        } else {
-            Box::new(Osr::new(rate, slmetrics::shared()))
-        }
+impl<O: OsrDriver> OsrContract<O> {
+    /// The contract over the machine `mk` builds.
+    pub fn new(mk: fn(Box<dyn RateController>, SharedLog) -> O) -> OsrContract<O> {
+        OsrContract { mk }
     }
 }
 
-#[derive(Clone)]
-pub struct OsrContractState {
-    osr: Box<dyn OsrDriver>,
-    key: Vec<u64>,
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct OsrContractState<M> {
+    osr: M,
     /// Ghost: bit i set once segment i was delivered (exactly-once is the
     /// assumption, so the alphabet never offers a second delivery).
     mask: u8,
     /// Ghost: everything the application has read so far.
     read_out: Vec<u8>,
-}
-
-impl PartialEq for OsrContractState {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.mask == other.mask && self.read_out == other.read_out
-    }
-}
-impl Eq for OsrContractState {}
-impl std::hash::Hash for OsrContractState {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.key.hash(h);
-        self.mask.hash(h);
-        self.read_out.hash(h);
-    }
-}
-impl std::fmt::Debug for OsrContractState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OsrContractState")
-            .field("mask", &self.mask)
-            .field("read_out", &self.read_out)
-            .field("readable", &self.osr.readable_len())
-            .finish()
-    }
 }
 
 /// Length of the contiguous delivered prefix (trailing set bits of the
@@ -1101,37 +990,41 @@ fn prefix_len(mask: u8) -> usize {
     (0..OSR_STREAM.len()).take_while(|i| mask & (1 << i) != 0).count()
 }
 
-impl Model for OsrContract {
-    type State = OsrContractState;
+impl<O: OsrDriver> Contract for OsrContract<O> {
+    const SPEC: ContractSpec = OSR_CONTRACT;
+}
 
-    fn init(&self) -> Vec<OsrContractState> {
-        let osr = self.mk();
-        vec![OsrContractState { key: osr.contract_key(), osr, mask: 0, read_out: Vec::new() }]
+impl<O: OsrDriver> Model for OsrContract<O> {
+    type State = OsrContractState<Keyed<O>>;
+
+    fn init(&self) -> Vec<Self::State> {
+        let rate = slcc::make("fixed-window").expect("shipped controller");
+        let osr = (self.mk)(rate, slmetrics::shared());
+        let osr = Keyed::new(osr, O::contract_key);
+        vec![OsrContractState { osr, mask: 0, read_out: Vec::new() }]
     }
 
-    fn next(&self, s: &OsrContractState) -> Vec<(&'static str, OsrContractState)> {
+    fn next(&self, s: &Self::State) -> Vec<(&'static str, Self::State)> {
         let labels = ["deliver_seg0", "deliver_seg1", "deliver_seg2"];
         let mut out = Vec::new();
         for i in 0..OSR_STREAM.len() {
             if s.mask & (1 << i) == 0 {
                 let mut ns = s.clone();
-                ns.osr.on_delivered(i as u64, vec![OSR_STREAM[i]].into());
+                ns.osr.with(|osr| osr.on_delivered(i as u64, vec![OSR_STREAM[i]].into()));
                 ns.mask |= 1 << i;
-                ns.key = ns.osr.contract_key();
                 out.push((labels[i], ns));
             }
         }
         if s.osr.readable_len() > 0 {
             let mut ns = s.clone();
-            let got = ns.osr.read();
+            let got = ns.osr.with(|osr| osr.read());
             ns.read_out.extend(got);
-            ns.key = ns.osr.contract_key();
             out.push(("read", ns));
         }
         out
     }
 
-    fn invariant(&self, s: &OsrContractState) -> Result<(), String> {
+    fn invariant(&self, s: &Self::State) -> Result<(), String> {
         let released = s.read_out.len() + s.osr.readable_len();
         let prefix = prefix_len(s.mask);
         if released != prefix {
@@ -1151,15 +1044,16 @@ impl Model for OsrContract {
         Ok(())
     }
 
-    fn is_done(&self, s: &OsrContractState) -> bool {
+    fn is_done(&self, s: &Self::State) -> bool {
         s.mask as usize == (1 << OSR_STREAM.len()) - 1 && s.osr.readable_len() == 0
     }
 }
 
 // ---------------------------------------------------------------------
-// Tests: shipped sublayers honor the chain; each canary is caught by its
-// owning contract with a pinned shortest counterexample; the contracts
-// stay pinned to the RFC-793/5961 relation in both directions.
+// Tests: shipped sublayers honor the chain with pinned exploration counts;
+// each canary is caught by its owning contract with a pinned shortest
+// counterexample; the contracts stay pinned to the RFC-793/5961 relation
+// in both directions.
 // ---------------------------------------------------------------------
 
 #[cfg(test)]
@@ -1171,31 +1065,19 @@ mod tests {
     const CAP: usize = 2_000_000;
 
     #[test]
-    fn shipped_dm_honors_its_contract() {
-        let r = check(&DmContract::shipped(), CAP);
-        assert!(r.ok(), "{r:?}");
-        assert!(r.states > 20, "space suspiciously small: {r:?}");
-    }
-
-    #[test]
-    fn shipped_cm_honors_its_contract() {
-        let r = check(&CmContract::shipped(), CAP);
-        assert!(r.ok(), "{r:?}");
-        assert!(r.states > 50, "space suspiciously small: {r:?}");
-    }
-
-    #[test]
-    fn shipped_rd_honors_its_contract() {
-        let r = check(&RdContract::shipped(), CAP);
-        assert!(r.ok(), "{r:?}");
-        assert!(r.states > 50, "space suspiciously small: {r:?}");
-    }
-
-    #[test]
-    fn shipped_osr_honors_its_contract() {
-        let r = check(&OsrContract::shipped(), CAP);
-        assert!(r.ok(), "{r:?}");
-        assert!(r.states > 10, "space suspiciously small: {r:?}");
+    fn shipped_chain_proves_with_exact_counts_pinned() {
+        // (states, transitions, depth) per contract, as BENCH_contracts.json
+        // records them: a change to a `contract_key`, a driver or an
+        // alphabet moves one of these, which is the point.
+        let want =
+            [("dm", 86, 207, 5), ("cm", 1267, 3879, 6), ("rd", 114, 116, 14), ("osr", 15, 24, 4)];
+        for (run, (sublayer, states, transitions, depth)) in check_chain(CAP).iter().zip(want) {
+            let r = run.result();
+            assert_eq!(run.spec().sublayer, sublayer);
+            assert!(r.ok(), "{sublayer}: {r:?}");
+            let got = (r.states, r.transitions, r.max_depth);
+            assert_eq!(got, (states, transitions, depth), "{sublayer}");
+        }
     }
 
     #[test]
@@ -1216,22 +1098,15 @@ mod tests {
     #[test]
     fn composition_requires_sublayer_order() {
         // RD before CM: RD's assumption (G_CM) is not yet established.
-        let runs = vec![
-            (DM_CONTRACT, check(&DmContract::shipped(), CAP)),
-            (RD_CONTRACT, check(&RdContract::shipped(), CAP)),
-        ];
-        let err = compose(&runs).expect_err("out-of-order chain must not compose");
+        let [dm, _, rd, _] = check_chain(CAP);
+        let err = compose(&[dm, rd]).expect_err("out-of-order chain must not compose");
         assert!(err.contains("sublayer order"), "{err}");
     }
 
     #[test]
     fn composition_refuses_a_failing_contract() {
-        let runs = vec![
-            (DM_CONTRACT, check(&DmContract::shipped(), CAP)),
-            (CM_CONTRACT, check(&CmContract::shipped(), CAP)),
-            (RD_CONTRACT, check(&RdContract::buggy(), CAP)),
-            (OSR_CONTRACT, check(&OsrContract::shipped(), CAP)),
-        ];
+        let mut runs = check_chain(CAP);
+        runs[2] = RdContract::new(BuggyRd::new).verify(CAP);
         let err = compose(&runs).expect_err("a violated link must break the chain");
         assert!(err.starts_with("rd:"), "{err}");
     }
@@ -1240,67 +1115,34 @@ mod tests {
     // --- violated obligation, with the BFS-shortest counterexample pinned.
 
     #[test]
-    fn buggy_dm_caught_by_dm_contract() {
-        let r = check(&DmContract::buggy(), CAP);
-        let v = r.violation.expect("BuggyDm must trip the DM contract");
-        assert!(v.reason.contains(G_DM), "{v:?}");
-        assert!(v.reason.contains("re-admitted"), "{v:?}");
-        // Pinned shrunk counterexample: admit the same tuple twice.
-        assert_eq!(v.actions, vec!["admit_t0", "admit_t0"], "{v:?}");
-    }
-
-    #[test]
-    fn buggy_cm_caught_by_cm_contract() {
-        let r = check(&CmContract::buggy(), CAP);
-        let v = r.violation.expect("BuggyCm must trip the CM contract");
-        assert!(v.reason.contains(G_CM), "{v:?}");
-        // Pinned shrunk counterexample: one stale SYN|ACK synchronizes.
-        assert_eq!(v.actions, vec!["synack_stale"], "{v:?}");
-    }
-
-    #[test]
-    fn buggy_rd_caught_by_rd_contract() {
-        let r = check(&RdContract::buggy(), CAP);
-        let v = r.violation.expect("BuggyRd must trip the RD contract");
-        assert!(v.reason.contains(G_RD), "{v:?}");
-        // Pinned shrunk counterexample: the drop-after-retry bug needs the
-        // two admissible drops on one segment — the first RTO's
-        // retransmission still goes out, but from the second RTO on the
-        // canary swallows them, so the retry budget walks to exhaustion.
-        assert_eq!(
-            v.actions,
-            vec![
-                "tx", "deliver", "tx", "drop", "ack", "rto", "tx", "drop", "rto", "rto",
-                "rto", "rto", "rto", "rto", "rto", "rto",
-            ],
-            "{v:?}"
-        );
-        assert!(v.reason.contains("retries exhausted"), "{v:?}");
-    }
-
-    #[test]
-    fn buggy_osr_caught_by_osr_contract() {
-        let r = check(&OsrContract::buggy(), CAP);
-        let v = r.violation.expect("BuggyOsr must trip the OSR contract");
-        assert!(v.reason.contains(G_OSR), "{v:?}");
-        // Pinned shrunk counterexample: one gapped delivery is released.
-        assert_eq!(v.actions, vec!["deliver_seg1"], "{v:?}");
-    }
-
-    #[test]
-    fn canaries_do_not_trip_foreign_contracts() {
-        // The compositional point: a broken RD cannot surface in the OSR
-        // contract (whose alphabet *is* RD's guarantee), and vice versa —
-        // each mutation is caught exactly where the obligation lives. The
-        // three contracts not owning the mutation run their shipped
-        // sublayer and stay green (type safety alone prevents wiring a
-        // BuggyRd into the CM contract).
-        for (name, r) in [
-            ("dm", check(&DmContract::shipped(), CAP)),
-            ("cm", check(&CmContract::shipped(), CAP)),
-            ("osr", check(&OsrContract::shipped(), CAP)),
-        ] {
-            assert!(r.ok(), "{name} must stay green: {r:?}");
+    fn each_canary_is_caught_by_its_owning_contract() {
+        let want: [(&str, &[&str], &str); 4] = [
+            // Admit the same tuple twice.
+            (G_DM, &["admit_t0", "admit_t0"], "re-admitted"),
+            // One stale SYN|ACK synchronizes.
+            (G_CM, &["synack_stale"], "established with peer_isn"),
+            // The drop-after-retry bug needs the two admissible drops on
+            // one segment — the first RTO's retransmission still goes out,
+            // but from the second RTO on the canary swallows them, so the
+            // retry budget walks to exhaustion.
+            (
+                G_RD,
+                &[
+                    "tx", "deliver", "tx", "drop", "ack", "rto", "tx", "drop", "rto", "rto",
+                    "rto", "rto", "rto", "rto", "rto", "rto",
+                ],
+                "retries exhausted",
+            ),
+            // One gapped delivery is released.
+            (G_OSR, &["deliver_seg1"], "crossed a reassembly gap"),
+        ];
+        for (run, (guarantee, actions, why)) in check_canaries(CAP).iter().zip(want) {
+            let sublayer = run.spec().sublayer;
+            let v = run.result().violation.as_ref();
+            let v = v.unwrap_or_else(|| panic!("{sublayer} canary escaped its contract"));
+            assert_eq!(run.spec().guarantees, [guarantee], "{sublayer}");
+            assert!(v.reason.contains(guarantee) && v.reason.contains(why), "{sublayer}: {v:?}");
+            assert_eq!(v.actions, actions, "{sublayer}: {v:?}");
         }
     }
 
@@ -1308,16 +1150,11 @@ mod tests {
 
     #[test]
     fn fused_product_explodes_multiplicatively() {
-        let dm = check(&DmContract::shipped(), CAP);
-        let osr = check(&OsrContract::shipped(), CAP);
-        let fused = check(&Product::new(DmContract::shipped(), OsrContract::shipped()), CAP);
+        let fused =
+            check(&Product::new(DmContract::new(Demux::new), OsrContract::new(Osr::new)), CAP);
         assert!(fused.ok(), "{fused:?}");
-        assert!(
-            fused.states > 3 * (dm.states + osr.states),
-            "fused {} vs sum {}",
-            fused.states,
-            dm.states + osr.states
-        );
+        // 86 + 15 states checked one contract at a time; 1,290 as one machine.
+        assert_eq!(fused.states, 1290, "{fused:?}");
     }
 
     // --- cross-checks: contracts ⇔ relation, pinned in both directions.

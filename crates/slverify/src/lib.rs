@@ -43,11 +43,16 @@
 //!   sublayer — DM, CM, RD, OSR — an explicit assume/guarantee contract
 //!   checked against the **real** `sublayer-core` implementation, then
 //!   derives end-to-end reliable delivery by [`contracts::compose`] from
-//!   the four results alone, never exploring the fused product (E22). The
+//!   the four results alone, never exploring the fused product (E22). Each
+//!   contract is generic over the machine it drives and built from that
+//!   machine's constructor, and every real object a model drives — the
+//!   four sublayers here, the rate controller of `CongCtrl` — sits in a
+//!   [`checker::Keyed`], whose fingerprint is the state's identity. The
 //!   [`checker::Product`] combinator measures what that avoided product
 //!   would cost, and four seeded mutation canaries (`BuggyDm`, `BuggyCm`,
-//!   `BuggyRd`, `BuggyOsr`) are each caught by exactly the contract that
-//!   owns the broken obligation, with pinned shortest counterexamples.
+//!   `BuggyRd`, `BuggyOsr`), chosen by type, are each caught by exactly the
+//!   contract that owns the broken obligation, with pinned shortest
+//!   counterexamples.
 
 pub mod checker;
 pub mod contracts;
@@ -55,11 +60,12 @@ pub mod forwarding;
 pub mod models;
 pub mod relation;
 
-pub use checker::{check, CheckResult, Model, Product, Trace};
+pub use checker::{check, CheckResult, Keyed, Model, Product, Trace};
 pub use contracts::{
-    chain, cm_rst_response, compose, prove_end_to_end, validity_of, verdict_of, ChainProof,
-    CmContract, ContractSpec, DmContract, OsrContract, RdContract, A_ENV, CM_CONTRACT,
-    DM_CONTRACT, E2E, G_CM, G_DM, G_OSR, G_RD, OSR_CONTRACT, RD_CONTRACT,
+    chain, check_canaries, check_chain, cm_rst_response, compose, prove_end_to_end,
+    validity_of, verdict_of, ChainProof, CmContract, Contract, ContractRun, ContractSpec,
+    DmContract, OsrContract, RdContract, A_ENV, CM_CONTRACT, DM_CONTRACT, E2E, G_CM, G_DM,
+    G_OSR, G_RD, OSR_CONTRACT, RD_CONTRACT,
 };
 pub use forwarding::{
     check_forwarding, check_forwarding_to, ForwardDefect, ForwardReport, ForwardSpec,

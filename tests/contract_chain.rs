@@ -12,6 +12,7 @@
 //! mutation canaries.
 
 use slverify::{CmContract, DmContract, Model, OsrContract, RdContract, G_DM, G_OSR};
+use sublayer_core::{BuggyDm, BuggyOsr, ConnMgmt, Demux, Osr, ReliableDelivery};
 
 /// Walk `model` down one random path, checking its invariant at every
 /// visited state. `picks[i]` selects (mod the enabled count) among the
@@ -44,7 +45,7 @@ proptest::proptest! {
     fn prop_shipped_dm_contract_never_trips(
         picks in proptest::collection::vec(proptest::num::u8::ANY, 0..32),
     ) {
-        if let Err(why) = walk(&DmContract::shipped(), &picks) {
+        if let Err(why) = walk(&DmContract::new(Demux::new), &picks) {
             proptest::prop_assert!(false, "{}", why);
         }
     }
@@ -53,7 +54,7 @@ proptest::proptest! {
     fn prop_shipped_cm_contract_never_trips(
         picks in proptest::collection::vec(proptest::num::u8::ANY, 0..32),
     ) {
-        if let Err(why) = walk(&CmContract::shipped(), &picks) {
+        if let Err(why) = walk(&CmContract::new(ConnMgmt::open_active), &picks) {
             proptest::prop_assert!(false, "{}", why);
         }
     }
@@ -62,7 +63,7 @@ proptest::proptest! {
     fn prop_shipped_rd_contract_never_trips(
         picks in proptest::collection::vec(proptest::num::u8::ANY, 0..64),
     ) {
-        if let Err(why) = walk(&RdContract::shipped(), &picks) {
+        if let Err(why) = walk(&RdContract::new(ReliableDelivery::new), &picks) {
             proptest::prop_assert!(false, "{}", why);
         }
     }
@@ -71,7 +72,7 @@ proptest::proptest! {
     fn prop_shipped_osr_contract_never_trips(
         picks in proptest::collection::vec(proptest::num::u8::ANY, 0..16),
     ) {
-        if let Err(why) = walk(&OsrContract::shipped(), &picks) {
+        if let Err(why) = walk(&OsrContract::new(Osr::new), &picks) {
             proptest::prop_assert!(false, "{}", why);
         }
     }
@@ -81,7 +82,7 @@ proptest::proptest! {
 fn the_walker_has_teeth_on_the_dm_canary() {
     // The same walker, pointed at the seeded double-admission mutation,
     // refutes it on the pinned two-step schedule.
-    let why = walk(&DmContract::buggy(), &[0, 0]).expect_err("BuggyDm must trip");
+    let why = walk(&DmContract::new(BuggyDm::new), &[0, 0]).expect_err("BuggyDm must trip");
     assert!(why.contains(G_DM), "{why}");
 }
 
@@ -89,6 +90,6 @@ fn the_walker_has_teeth_on_the_dm_canary() {
 fn the_walker_has_teeth_on_the_osr_canary() {
     // Successor index 1 from the initial state is `deliver_seg1`: a
     // gapped delivery the mutation releases to the application.
-    let why = walk(&OsrContract::buggy(), &[1]).expect_err("BuggyOsr must trip");
+    let why = walk(&OsrContract::new(BuggyOsr::new), &[1]).expect_err("BuggyOsr must trip");
     assert!(why.contains(G_OSR), "{why}");
 }
