@@ -23,7 +23,7 @@ use crate::fingerprint as fp;
 use crate::mailbox::Mailbox;
 use crate::signals::SeqValidity;
 use crate::wire::{CmFlags, CmHeader, Packet};
-use netsim::{Dur, Time, TransportError};
+use netsim::{Dur, Keepalive, Time, TransportError};
 use slmetrics::SharedLog;
 
 /// Which connection-management mechanism runs.
@@ -99,8 +99,12 @@ pub struct ConnMgmt {
     rtx_deadline: Option<Time>,
     rtx_count: u32,
     time_wait_deadline: Option<Time>,
-    /// Timer-based scheme: last packet activity.
+    /// When the last inbound packet arrived, one CM dropped included (a
+    /// passive, cookie or timer-based open counts as one): timer-based quiet
+    /// time, keepalive and half-open staleness all count from here.
     last_activity: Time,
+    /// Keepalive probes sent since `last_activity`.
+    ka_probes: u32,
     /// Why the connection died, when it died abnormally.
     reset_reason: Option<TransportError>,
     /// RFC 5961 challenge ACKs issued (in-window RST/SYN refused).
@@ -129,6 +133,7 @@ impl ConnMgmt {
             rtx_count: 0,
             time_wait_deadline: None,
             last_activity: Time::ZERO,
+            ka_probes: 0,
             reset_reason: None,
             challenge_acks: 0,
             events: Mailbox::new(),
@@ -180,6 +185,8 @@ impl ConnMgmt {
         let mut cm = ConnMgmt::new(token, scheme, local_isn, log);
         cm.log.borrow_mut().w("cm", "state");
         cm.log.borrow_mut().w("cm", "peer_isn");
+        // The opening packet is the first inbound one.
+        cm.last_activity = now;
         match scheme {
             CmScheme::ThreeWay => {
                 if !peer.flags.syn || peer.flags.cm_ack {
@@ -197,7 +204,6 @@ impl ConnMgmt {
                 }
                 cm.peer_isn = Some(peer.isn);
                 cm.state = CmState::Established;
-                cm.last_activity = now;
                 cm.events.push_back(CmEvent::Established {
                     local_isn: cm.local_isn,
                     peer_isn: peer.isn,
@@ -230,11 +236,6 @@ impl ConnMgmt {
 
     pub fn state(&self) -> CmState {
         self.state
-    }
-
-    /// The DM admission this machine was built from.
-    pub fn conn_id(&self) -> ConnId {
-        self.conn
     }
 
     pub fn local_isn(&self) -> u32 {
@@ -332,6 +333,7 @@ impl ConnMgmt {
     ) -> CmPass {
         self.log.borrow_mut().r("cm", "state");
         self.last_activity = now;
+        self.ka_probes = 0;
         if hdr.flags.rst {
             // Before the connection synchronizes there is no RD to judge
             // sequence numbers, so CM validates a RST with its *own* bits
@@ -484,6 +486,19 @@ impl ConnMgmt {
         }
     }
 
+    /// Whether [`ConnMgmt::close_requested`] has run: once it has, the
+    /// stack has routed the FIN through RD, or a scheme or state that sends
+    /// none has closed without one. The stack reads this; only CM writes it:
+    ///
+    /// ```compile_fail
+    /// fn reopen(cm: &mut sublayer_core::ConnMgmt) {
+    ///     cm.close_requested = false;
+    /// }
+    /// ```
+    pub fn close_is_requested(&self) -> bool {
+        self.close_requested
+    }
+
     /// RD reports our FIN was acknowledged.
     pub fn on_local_fin_acked(&mut self, now: Time) {
         self.log.borrow_mut().w("cm", "fin_state");
@@ -591,6 +606,54 @@ impl ConnMgmt {
                 self.events.push_back(CmEvent::Closed);
             }
         }
+    }
+
+    /// When the last inbound packet arrived (as the field says). The stack
+    /// reads this; only CM writes it:
+    ///
+    /// ```compile_fail
+    /// fn refresh(cm: &mut sublayer_core::ConnMgmt, now: netsim::Time) {
+    ///     cm.last_activity = now;
+    /// }
+    /// ```
+    pub fn last_activity(&self) -> Time {
+        self.last_activity
+    }
+
+    /// When the next keepalive action (probe or give-up) is due: `idle`
+    /// after the last inbound packet, then `interval` after each
+    /// unanswered probe. Only an established connection is probed. The
+    /// probe count is CM's; only CM writes it:
+    ///
+    /// ```compile_fail
+    /// fn forgive(cm: &mut sublayer_core::ConnMgmt) {
+    ///     cm.ka_probes = 0;
+    /// }
+    /// ```
+    pub fn keepalive_deadline(&self, ka: Keepalive) -> Option<Time> {
+        (self.state == CmState::Established).then(|| {
+            self.last_activity + ka.idle + ka.interval.saturating_mul(self.ka_probes as u64)
+        })
+    }
+
+    /// CM's keepalive decision at `now`: true when a probe is due, which
+    /// RD carries (as it carries the FIN). Probes keep firing with data in
+    /// flight, as cheap liveness chatter that refreshes the peer's own idle
+    /// timer, but only an `idle` connection (RD holds nothing unacked) is
+    /// aborted with [`TransportError::PeerVanished`] once the probe budget
+    /// is spent. With data in flight RD's retry budget owns liveness: the
+    /// much smaller probe budget would kill a merely slow path (a reroute
+    /// onto a longer RTT, or a partition shorter than the RTO budget).
+    pub fn on_keepalive(&mut self, ka: Keepalive, now: Time, idle: bool) -> bool {
+        if self.keepalive_deadline(ka).is_none_or(|due| now < due) {
+            return false;
+        }
+        if self.ka_probes >= ka.max_probes && idle {
+            self.abort(TransportError::PeerVanished);
+            return false;
+        }
+        self.ka_probes += 1;
+        true
     }
 
     /// Deterministic behavioral fingerprint for the CM contract checker
@@ -1012,6 +1075,37 @@ mod tests {
         }
         assert_eq!(bursty.contract_key(), steady.contract_key());
         assert_ne!(bursty.contract_key(), open().contract_key());
+    }
+
+    #[test]
+    fn any_inbound_packet_zeroes_the_probe_count_even_one_cm_drops() {
+        let ka = Keepalive { idle: Dur::from_secs(10), interval: Dur::from_secs(1), max_probes: 2 };
+        let at = |s| Time::ZERO + Dur::from_secs(s);
+        let mut cm =
+            ConnMgmt::open_active(tok(), CmScheme::ThreeWay, 42, Time::ZERO, slmetrics::shared());
+        cm.on_packet(&hdr(true, true, 77, 42), false, SeqValidity::Exact, Time::ZERO);
+        assert_eq!(cm.keepalive_deadline(ka), Some(at(10)));
+        assert!(cm.on_keepalive(ka, at(10), true) && cm.on_keepalive(ka, at(11), true));
+        assert_eq!(cm.keepalive_deadline(ka), Some(at(12)));
+        // An out-of-window RST is dropped, yet the peer is alive.
+        let mut rst = hdr(false, false, 77, 42);
+        rst.flags.rst = true;
+        assert_eq!(cm.on_packet(&rst, false, SeqValidity::Outside, at(12)), CmPass::Drop);
+        assert_eq!(cm.keepalive_deadline(ka), Some(at(22)));
+        // The budget starts afresh: two probes again before the give-up,
+        // which waits while RD has data in flight (`idle` false).
+        assert!(cm.on_keepalive(ka, at(22), true) && cm.on_keepalive(ka, at(23), true));
+        assert!(cm.on_keepalive(ka, at(24), false));
+        assert!(!cm.on_keepalive(ka, at(25), true));
+        assert_eq!(cm.reset_reason(), Some(TransportError::PeerVanished));
+    }
+
+    #[test]
+    fn a_half_open_connection_is_as_old_as_its_syn() {
+        let syn_at = Time::ZERO + Dur::from_secs(7);
+        let (syn, log) = (hdr(true, false, 500, 0), slmetrics::shared());
+        let cm = ConnMgmt::open_passive(tok(), CmScheme::ThreeWay, 900, &syn, syn_at, log).unwrap();
+        assert_eq!((cm.state(), cm.last_activity()), (CmState::SynRcvd, syn_at));
     }
 
     #[test]

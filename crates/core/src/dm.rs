@@ -114,10 +114,6 @@ impl Demux {
         self.gated = gated;
     }
 
-    pub fn is_gated(&self) -> bool {
-        self.gated
-    }
-
     /// Bind a connection to an exact 4-tuple, minting the [`Admitted`]
     /// token CM demands. Exactly-once admission is the contract: a tuple
     /// already in the table is rejected, never double-admitted.
@@ -196,12 +192,6 @@ impl Demux {
     /// O(1) hashed 4-tuple lookup (the host layer's demux path).
     pub fn lookup(&self, tuple: &FourTuple) -> Option<ConnId> {
         self.table.get(tuple).copied()
-    }
-
-    pub fn conn_ids(&self) -> Vec<ConnId> {
-        let mut v: Vec<ConnId> = self.tuples.keys().copied().collect();
-        v.sort();
-        v
     }
 
     /// Deterministic behavioral fingerprint for the DM contract checker.

@@ -49,10 +49,6 @@ impl<T> Mailbox<T> {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Oldest first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         let (one, many) = match self {
@@ -110,7 +106,6 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(mailbox.len(), model.len());
-                prop_assert_eq!(mailbox.is_empty(), model.is_empty());
                 prop_assert!(mailbox.iter().eq(model.iter()));
                 prop_assert_eq!(format!("{mailbox:?}"), format!("{model:?}"));
                 // One item never spills; the second does, for good.

@@ -141,10 +141,6 @@ impl Osr {
         }
     }
 
-    pub fn rate_name(&self) -> &'static str {
-        self.rate.name()
-    }
-
     /// Total bytes this sublayer is holding (send queue, parked
     /// reassembly, unread app data) — the memory-bound invariant the
     /// attack campaign checks.
@@ -235,6 +231,18 @@ impl Osr {
     /// Application will write no more.
     pub fn close(&mut self) {
         self.app_closed = true;
+    }
+
+    /// Has the application closed its stream? The stack reads this; only
+    /// [`Osr::close`] writes it:
+    ///
+    /// ```compile_fail
+    /// fn unclose(osr: &mut sublayer_core::Osr) {
+    ///     osr.app_closed = false;
+    /// }
+    /// ```
+    pub fn app_closed(&self) -> bool {
+        self.app_closed
     }
 
     /// All written bytes handed to RD?

@@ -775,10 +775,6 @@ impl ReliableDelivery {
         std::iter::from_fn(|| self.poll_event()).collect()
     }
 
-    pub fn has_output(&self) -> bool {
-        !self.outbox.is_empty() || self.ack_pending
-    }
-
     pub fn poll_deadline(&self) -> Option<Time> {
         match (self.rto_deadline, self.delayed_ack_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),

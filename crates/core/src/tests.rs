@@ -320,10 +320,12 @@ fn timer_based_cm_closes_by_quiet_time() {
     run_for(&mut net, Dur::from_secs(1));
     let got = transfer(&mut net, nc, ns, conn, b"brief", 10);
     assert_eq!(got, b"brief");
+    let peer = stack(&mut net, ns).established()[0];
     stack(&mut net, nc).close(conn);
     net.poll_all();
     run_for(&mut net, Dur::from_secs(10));
     assert_eq!(stack(&mut net, nc).conn_count(), 0, "quiet time should reap the conn");
+    assert!(!stack(&mut net, ns).peer_closed(peer), "a timer-based close routes no FIN");
 }
 
 #[test]

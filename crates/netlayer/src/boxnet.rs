@@ -20,7 +20,7 @@
 //!   subject of their own experiments.
 //! * **Verified before traffic.** [`BoxTopo::build`] refuses to construct
 //!   a network whose primary tables fail the StacKAT-flavored
-//!   [`slverify::check_forwarding_to`] (full reachability, zero loops),
+//!   [`crate::forwarding::check_forwarding_to`] (full reachability, zero loops),
 //!   and [`BoxNet::schedule_reroute`] asserts the backup tables are
 //!   loop-free before scheduling them. Loop-freedom is a *precondition*
 //!   of every campaign, not a hoped-for observation.
@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 
 use netsim::{AdminOp, Dur, LinkId, LinkParams, Node, NodeCtx, NodeId, PortId, SimNet, Time};
-use slverify::{check_forwarding_to, ForwardReport, ForwardSpec};
+use crate::forwarding::{check_forwarding_to, ForwardReport, ForwardSpec};
 
 use crate::fib::{Fib, Prefix};
 use crate::packet::{Addr, DataPacket};

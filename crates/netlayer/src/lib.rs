@@ -18,12 +18,13 @@
 //!
 //! [`boxnet`] is the multi-hop "Internet in a box" for transport
 //! campaigns: statically-routed topologies (verified loop-free by
-//! `slverify` before traffic runs), scripted partition-triggered reroute,
+//! [`forwarding`] before traffic runs), scripted partition-triggered reroute,
 //! and a NAT middlebox with scriptable failure personalities.
 
 pub mod boxnet;
 pub mod dv;
 pub mod fib;
+pub mod forwarding;
 pub mod ls;
 pub mod neighbor;
 pub mod packet;

@@ -53,9 +53,6 @@ pub struct HostConfig {
     /// Frames arriving within this window are ingested as one batch.
     pub batch_window: Dur,
     pub timer_mode: TimerMode,
-    /// Idle connections are evicted (reset) after this long without
-    /// traffic; `None` disables eviction.
-    pub idle_timeout: Option<Dur>,
     /// Memory budget driving overload control; the default is unlimited
     /// (overload control disengaged).
     pub budget: ResourceBudget,
@@ -79,7 +76,6 @@ impl Default for HostConfig {
             quantum: 4,
             batch_window: Dur::ZERO,
             timer_mode: TimerMode::Wheel,
-            idle_timeout: None,
             budget: ResourceBudget::default(),
             refresh_every: Dur::ZERO,
         }
@@ -686,13 +682,9 @@ impl<S: HostStack> Host<S> {
     }
 
     /// Deadline the host tracks for one connection: the stack's own
-    /// timers plus the host-level idle eviction.
+    /// timers plus the host-level slow-drain check.
     fn deadline_for(&self, now: Time, id: S::ConnId, hc: &HostConn) -> Option<Time> {
-        let idle = self.cfg.idle_timeout.map(|t| hc.last_activity + t);
-        [self.stack.conn_deadline(now, id), idle, hc.drain_check_at]
-            .into_iter()
-            .flatten()
-            .min()
+        [self.stack.conn_deadline(now, id), hc.drain_check_at].into_iter().flatten().min()
     }
 
     fn rearm(&mut self, now: Time, id: S::ConnId) {
@@ -725,16 +717,6 @@ impl<S: HostStack> Host<S> {
     /// connection on every tick).
     fn fire(&mut self, now: Time, id: S::ConnId) {
         self.stack.tick_conn(now, id);
-        if let Some(timeout) = self.cfg.idle_timeout {
-            let idle = self
-                .conns
-                .get(&id)
-                .is_some_and(|hc| now.since(hc.last_activity) >= timeout);
-            if idle && !self.stack.is_closed(id) {
-                self.counters.evictions = self.counters.evictions.saturating_add(1);
-                self.stack.abort(now, id);
-            }
-        }
         // Slow-drain (slowloris) eviction: a connection that held buffered
         // bytes across a whole check interval without making at least
         // `min_drain_bytes` of progress is deliberately reading slowly —

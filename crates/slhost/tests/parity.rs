@@ -198,6 +198,20 @@ fn wheel_and_naive_scan_are_behaviourally_identical() {
     assert_eq!(wheel, naive);
 }
 
+/// A connection closed before its handshake completes leaves the table in
+/// the one pump `Host::close` makes: no stack waits for a later one.
+#[test]
+fn a_connection_closed_before_its_handshake_leaves_no_state() {
+    fn check<S: HostStack>(stack: S, name: &str) {
+        let mut host = Host::new(stack, HostConfig::default());
+        let id = host.connect(Time::ZERO, Endpoint::new(SERVER_ADDR, PORT)).unwrap();
+        host.close(Time::ZERO, id);
+        assert_eq!(host.conn_count(), 0, "{name}");
+    }
+    check(sub_stack(CLIENT_ADDR), "sub");
+    check(mono_stack(CLIENT_ADDR), "mono");
+}
+
 /// Both stacks report the same typed errors at the same capacity edges —
 /// the host-facing error surface is part of the parity contract.
 #[test]

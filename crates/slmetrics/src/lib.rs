@@ -167,8 +167,6 @@ pub struct HostCounters {
     pub accepts: u64,
     /// Connections refused at the bounded accept backlog or table cap.
     pub accept_refusals: u64,
-    /// Connections evicted (idle eviction or forced teardown).
-    pub evictions: u64,
     /// Timer entries that fired (per-connection deadlines reached).
     pub timer_fires: u64,
     /// Timer entries touched per tick, summed — with a wheel this stays
@@ -235,7 +233,6 @@ impl HostCounters {
     pub fn absorb(&mut self, other: &HostCounters) {
         self.accepts = self.accepts.saturating_add(other.accepts);
         self.accept_refusals = self.accept_refusals.saturating_add(other.accept_refusals);
-        self.evictions = self.evictions.saturating_add(other.evictions);
         self.timer_fires = self.timer_fires.saturating_add(other.timer_fires);
         self.timer_touches = self.timer_touches.saturating_add(other.timer_touches);
         self.ticks = self.ticks.saturating_add(other.ticks);

@@ -53,10 +53,13 @@
 //!   `BuggyRd`, `BuggyOsr`), chosen by type, are each caught by exactly the
 //!   contract that owns the broken obligation, with pinned shortest
 //!   counterexamples.
+//!
+//! The static forwarding-table check (StacKAT-style reachability and
+//! loop-freedom) is not here: it lives with the network layer it checks,
+//! as `netlayer::forwarding`, so that layer links no transport crate.
 
 pub mod checker;
 pub mod contracts;
-pub mod forwarding;
 pub mod models;
 pub mod relation;
 
@@ -66,9 +69,6 @@ pub use contracts::{
     validity_of, verdict_of, ChainProof, CmContract, Contract, ContractRun, ContractSpec,
     DmContract, OsrContract, RdContract, A_ENV, CM_CONTRACT, DM_CONTRACT, E2E, G_CM, G_DM,
     G_OSR, G_RD, OSR_CONTRACT, RD_CONTRACT,
-};
-pub use forwarding::{
-    check_forwarding, check_forwarding_to, ForwardDefect, ForwardReport, ForwardSpec,
 };
 pub use models::{
     AltBit, Combined, CongCtrl, Handshake, Overload, RstAttack, ShardFail,

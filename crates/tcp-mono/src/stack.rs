@@ -230,11 +230,6 @@ impl TcpStack {
         None
     }
 
-    /// Active open with an ephemeral local port.
-    pub fn connect_ephemeral(&mut self, now: Time, remote: Endpoint) -> FourTuple {
-        self.try_connect_ephemeral(now, remote).expect("ephemeral port free")
-    }
-
     /// RST the peer of an existing connection.
     fn send_rst(&mut self, pcb: &Pcb) {
         let seg = Segment {
