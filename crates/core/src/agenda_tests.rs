@@ -3,10 +3,11 @@
 //! `SlTcpStack` keeps the three full-table scans as test-only reference
 //! functions (`scan_poll_transmit`, `scan_deadline`, `scan_on_tick`). Two
 //! copies of one world — a client stack, a server stack and the wire
-//! between them — take the same calls; one polls through the agenda, the
-//! other through the scans. Everything observable must agree after every
-//! call: the frames, byte for byte and in order, what the applications
-//! read, and the next deadline.
+//! between them — take the same calls; one polls through the agenda (or is
+//! first driven one connection at a time, as a host drives it, and then
+//! through the agenda), the other through the scans. Everything observable
+//! must agree after every call: the frames, byte for byte and in order,
+//! what the applications read, and the next deadline.
 
 use crate::cm::CmScheme;
 use crate::dm::ConnId;
@@ -14,7 +15,7 @@ use crate::rd::ACK_DELAY;
 use crate::stack::{SlConfig, SlTcpStack, MAX_HALF_OPEN};
 use crate::wire::Packet;
 use netsim::{Dur, HostStack, Keepalive, Pressure, Stack, Time};
-use proptest::{collection, prop_assert_eq, proptest};
+use proptest::{collection, prop_assert, prop_assert_eq, proptest};
 use std::collections::VecDeque;
 use slwire::Endpoint;
 
@@ -24,9 +25,21 @@ const SERVER: usize = 1;
 const PORT: u16 = 80;
 const ROUNDS: usize = 32;
 
+/// How a world asks its stacks for frames, ticks and the next deadline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Drive {
+    /// `poll_transmit`, `on_tick`, `poll_deadline`: the agenda.
+    Agenda,
+    /// The reference scans.
+    Scan,
+    /// One connection at a time, as `slhost::Host` drives a stack —
+    /// `pump_conn` then `take_frame`, `tick_conn`, `conn_deadline` — which
+    /// never wakes the agenda.
+    PerConn,
+}
+
 struct World {
-    /// Poll through the reference scans, not the agenda.
-    scan: bool,
+    drive: Drive,
     ends: [SlTcpStack; 2],
     /// `wire[i]`: frames on their way to `ends[i]`.
     wire: [VecDeque<Vec<u8>>; 2],
@@ -39,11 +52,11 @@ struct World {
 }
 
 impl World {
-    fn new(scan: bool, config: SlConfig) -> World {
+    fn new(drive: Drive, config: SlConfig) -> World {
         let mut ends = ADDR.map(|a| SlTcpStack::new(a, config.clone(), slmetrics::shared()));
         ends[SERVER].listen(PORT);
         World {
-            scan,
+            drive,
             ends,
             wire: [VecDeque::new(), VecDeque::new()],
             opened: Vec::new(),
@@ -63,10 +76,16 @@ impl World {
     fn poll(&mut self, end: usize) -> usize {
         let mut frames = 0;
         loop {
-            let stack = &mut self.ends[end];
-            let frame = match self.scan {
-                true => stack.scan_poll_transmit(self.now),
-                false => stack.poll_transmit(self.now),
+            let (stack, now) = (&mut self.ends[end], self.now);
+            let frame = match self.drive {
+                Drive::Agenda => stack.poll_transmit(now),
+                Drive::Scan => stack.scan_poll_transmit(now),
+                Drive::PerConn => stack.take_frame().or_else(|| {
+                    for id in stack.sorted_ids() {
+                        stack.pump_conn(now, id);
+                    }
+                    stack.take_frame()
+                }),
             };
             let Some(frame) = frame else { return frames };
             frames += 1;
@@ -76,16 +95,27 @@ impl World {
     }
 
     fn tick(&mut self, end: usize) {
-        match self.scan {
-            true => self.ends[end].scan_on_tick(self.now),
-            false => self.ends[end].on_tick(self.now),
+        let (stack, now) = (&mut self.ends[end], self.now);
+        match self.drive {
+            Drive::Agenda => stack.on_tick(now),
+            Drive::Scan => stack.scan_on_tick(now),
+            Drive::PerConn => {
+                for id in stack.sorted_ids() {
+                    stack.tick_conn(now, id);
+                }
+            }
         }
     }
 
     fn deadline(&self, end: usize) -> Option<Time> {
-        match self.scan {
-            true => self.ends[end].scan_deadline(self.now),
-            false => self.ends[end].poll_deadline(self.now),
+        let (stack, now) = (&self.ends[end], self.now);
+        match self.drive {
+            Drive::Agenda => stack.poll_deadline(now),
+            Drive::Scan => stack.scan_deadline(now),
+            Drive::PerConn => {
+                let ids = stack.sorted_ids().into_iter();
+                ids.filter_map(|id| stack.conn_deadline(now, id)).min()
+            }
         }
     }
 
@@ -199,42 +229,71 @@ fn config(variant: u8) -> SlConfig {
     }
 }
 
+/// One world driven as `first` for its first `switch` calls and through
+/// the agenda after them, against a world driven through the scans: they
+/// must be indistinguishable after every call, and their indices exact.
+fn agrees_with_the_scans(
+    first: Drive,
+    switch: usize,
+    variant: u8,
+    ops: &[(u8, u8)],
+) -> Result<(), String> {
+    let mut world = World::new(first, config(variant));
+    let mut scan = World::new(Drive::Scan, config(variant));
+    for w in [&mut world, &mut scan] {
+        // Four connections up before the random calls start.
+        for _ in 0..4 {
+            w.connect();
+        }
+        w.exchange();
+    }
+    for (i, &(op, arg)) in ops.iter().enumerate() {
+        if i == switch {
+            world.drive = Drive::Agenda;
+        }
+        world.step(op, arg);
+        scan.step(op, arg);
+        prop_assert_eq!(&world.seen, &scan.seen, "after call {} ({}, {})", i, op, arg);
+        prop_assert_eq!(world.now, scan.now);
+        for end in [CLIENT, SERVER] {
+            prop_assert_eq!(
+                world.deadline(end),
+                scan.deadline(end),
+                "end {} after call {} ({}, {})", end, i, op, arg
+            );
+            prop_assert!(
+                world.drive == Drive::Agenda || world.ends[end].agenda_sizes() == (0, 0),
+                "end {} scheduled while driven per connection", end
+            );
+            world.ends[end].check_indices(world.now);
+            scan.ends[end].check_indices(scan.now);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn agenda_and_scan_are_indistinguishable(
         variant in 0u8..3,
         ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
     ) {
-        let mut agenda = World::new(false, config(variant));
-        let mut scan = World::new(true, config(variant));
-        for w in [&mut agenda, &mut scan] {
-            // Four connections up before the random calls start.
-            for _ in 0..4 {
-                w.connect();
-            }
-            w.exchange();
-        }
-        for (i, &(op, arg)) in ops.iter().enumerate() {
-            agenda.step(op, arg);
-            scan.step(op, arg);
-            prop_assert_eq!(&agenda.seen, &scan.seen, "after call {} ({}, {})", i, op, arg);
-            prop_assert_eq!(agenda.now, scan.now);
-            for end in [CLIENT, SERVER] {
-                prop_assert_eq!(
-                    agenda.deadline(end),
-                    scan.deadline(end),
-                    "end {} after call {} ({}, {})", end, i, op, arg
-                );
-                agenda.ends[end].check_indices(agenda.now);
-                scan.ends[end].check_indices(scan.now);
-            }
-        }
+        agrees_with_the_scans(Drive::Agenda, 0, variant, &ops)?;
+    }
+
+    #[test]
+    fn a_host_driven_prefix_then_polls_is_indistinguishable_from_the_scan(
+        variant in 0u8..3,
+        switch in 0usize..300,
+        ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
+    ) {
+        agrees_with_the_scans(Drive::PerConn, switch, variant, &ops)?;
     }
 }
 
 /// An established pair with `n` connections, polled through the agenda.
 fn established(n: usize) -> World {
-    let mut w = World::new(false, SlConfig::default());
+    let mut w = World::new(Drive::Agenda, SlConfig::default());
     for _ in 0..n {
         w.connect();
     }
@@ -287,25 +346,33 @@ fn paced_ack_is_released_by_poll_transmit_without_a_tick() {
     w.ends[SERVER].check_indices(w.now);
 }
 
+/// A SYN for the server from `from`, carrying the peer ISN `isn`.
+fn syn(from: u32, isn: u32) -> Vec<u8> {
+    let mut pkt = Packet {
+        src_addr: from,
+        dst_addr: ADDR[SERVER],
+        ..Packet::default()
+    };
+    pkt.dm.src_port = 1000;
+    pkt.dm.dst_port = PORT;
+    pkt.osr.rcv_wnd = u16::MAX;
+    pkt.cm.flags.syn = true;
+    pkt.cm.isn = isn;
+    pkt.encode()
+}
+
+fn listening_server() -> SlTcpStack {
+    let mut server = SlTcpStack::new(ADDR[SERVER], SlConfig::default(), slmetrics::shared());
+    server.listen(PORT);
+    server
+}
+
 /// Half-open eviction and the reaping of dead connections take their index
 /// entries with them.
 #[test]
 fn eviction_and_reaping_leave_no_stale_entry() {
-    let mut server = SlTcpStack::new(ADDR[SERVER], SlConfig::default(), slmetrics::shared());
-    server.listen(PORT);
-    let syn = |from: u32, isn: u32| {
-        let mut pkt = Packet {
-            src_addr: from,
-            dst_addr: ADDR[SERVER],
-            ..Packet::default()
-        };
-        pkt.dm.src_port = 1000;
-        pkt.dm.dst_port = PORT;
-        pkt.osr.rcv_wnd = u16::MAX;
-        pkt.cm.flags.syn = true;
-        pkt.cm.isn = isn;
-        pkt.encode()
-    };
+    let mut server = listening_server();
+    assert_eq!(server.poll_transmit(Time::ZERO), None, "wakes the agenda");
     for i in 0..MAX_HALF_OPEN as u32 {
         server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
     }
@@ -327,4 +394,31 @@ fn eviction_and_reaping_leave_no_stale_entry() {
     assert_eq!(server.conn_count(), 0);
     assert_eq!(server.half_open_count(), 0);
     assert_eq!(server.agenda_sizes(), (0, 0));
+}
+
+/// Before its first poll a stack keeps no schedule: the half-open count
+/// that every SYN reads stays exact, `poll_deadline` is the scan, and the
+/// first poll indexes every deadline at once.
+#[test]
+fn before_its_first_poll_a_stack_counts_half_opens_and_scans_for_the_deadline() {
+    let mut server = listening_server();
+    for i in 0..MAX_HALF_OPEN as u32 {
+        server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
+    }
+    let now = Time::ZERO + Dur::from_secs(2);
+    server.on_frame(now, &syn(0xC300_0000, 9_999));
+    assert_eq!(server.stats.half_open_evictions, 1);
+    assert_eq!(server.half_open_count(), MAX_HALF_OPEN);
+    assert_eq!(server.agenda_sizes(), (0, 0));
+    server.check_indices(now);
+    let scan = server.scan_deadline(now);
+    assert!(scan.is_some(), "every half-open retransmits its SYN|ACK");
+    assert_eq!(server.poll_deadline(now), scan);
+    // The wake: every connection ready, every deadline indexed.
+    assert!(server.poll_transmit(now).is_some(), "a queued SYN|ACK");
+    assert_eq!(server.agenda_sizes(), (MAX_HALF_OPEN, MAX_HALF_OPEN));
+    while server.poll_transmit(now).is_some() {}
+    assert_eq!(server.agenda_sizes(), (0, MAX_HALF_OPEN));
+    assert_eq!(server.poll_deadline(now), scan);
+    server.check_indices(now);
 }

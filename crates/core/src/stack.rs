@@ -13,6 +13,13 @@
 //! [`crate::wire::Payload`] views of one slab from [`SlTcpStack::send`] to
 //! the codec and of another from the codec to [`SlTcpStack::recv`].
 //!
+//! One pass per event: an inbound packet runs its connection once — CM and
+//! OSR's header part, then CM's events (which may build RD), then RD's
+//! part, then the rest of the machinery — and a stack keeps a schedule
+//! only once asked to schedule itself: under a host that drives each
+//! connection (`pump_conn`, `tick_conn`, `conn_deadline`) the
+//! [`netsim::Agenda`] stays dormant, and a pump reads no deadline.
+//!
 //! Contrast with `tcp-mono`: there one function mutates one PCB; here each
 //! sublayer's state is a private Rust struct, so test **T3** (separate
 //! state) is enforced by the compiler, and the entanglement instrumentation
@@ -167,9 +174,10 @@ pub struct SlTcpStack {
     gate: bool,
     /// Which connections have anything to do, and how many are half-open:
     /// `poll_transmit`, `poll_deadline`, `on_tick` and the SYN path read
-    /// this, never the whole table. Kept exact by the few functions that
-    /// reach into `conns` mutably ([`SlTcpStack::pump`] above all), at no
-    /// cost in per-connection fields.
+    /// this, never the whole table. Kept by the few functions that reach
+    /// into `conns` mutably ([`SlTcpStack::pump`] above all), at no cost in
+    /// per-connection fields; dormant — the half-open count alone — until
+    /// the first `poll_transmit` or `on_tick`.
     agenda: Agenda<ConnId>,
     /// The latest `now` the stack was run at. `send`, `recv`, `close` and
     /// `set_pressure` are not told the time, yet may uncover a deadline
@@ -178,6 +186,9 @@ pub struct SlTcpStack {
     pub stats: SlStats,
     pub crossings: CrossingStats,
     log: SharedLog,
+    /// Passes of [`SlTcpStack::pump`], so a test can count them.
+    #[cfg(test)]
+    pumps: u64,
 }
 
 impl SlTcpStack {
@@ -208,6 +219,8 @@ impl SlTcpStack {
             stats: SlStats::default(),
             crossings: CrossingStats::default(),
             log,
+            #[cfg(test)]
+            pumps: 0,
         })
     }
 
@@ -225,9 +238,9 @@ impl SlTcpStack {
     fn touch<R>(&mut self, id: ConnId, f: impl FnOnce(&mut Connection) -> R) -> Option<R> {
         let (ka, now) = (self.config.keepalive, self.clock);
         let conn = self.conns.get_mut(&id)?;
-        let before = Self::mark_of(ka, conn, now);
+        let before = Self::mark_of(&self.agenda, ka, conn, now);
         let out = f(conn);
-        let after = Self::mark_of(ka, conn, now);
+        let after = Self::mark_of(&self.agenda, ka, conn, now);
         self.agenda.mark_ready(id);
         self.agenda.reindex(id, Some(before), Some(after));
         Some(out)
@@ -240,7 +253,10 @@ impl SlTcpStack {
     /// Abort a connection locally, recording `reason` as its terminal error
     /// ([`HostStack::abort`] is this with [`TransportError::Reset`]).
     pub fn abort_with(&mut self, now: Time, id: ConnId, reason: TransportError) {
-        self.pump(now, id, &mut |conn| conn.cm.abort(reason));
+        self.pump(now, id, None, &mut |conn| {
+            conn.cm.abort(reason);
+            false
+        });
     }
 
     pub fn tuple(&self, id: ConnId) -> Option<FourTuple> {
@@ -263,23 +279,21 @@ impl SlTcpStack {
     }
 
     /// The minimum over the whole table, which the deadline index must
-    /// equal at all times (debug builds check on every `poll_deadline`).
+    /// equal once the agenda is awake (debug builds check on every
+    /// `poll_deadline`), and which `poll_deadline` returns before.
     pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
         self.conns.keys().filter_map(|&id| self.conn_deadline(now, id)).min()
     }
 
-    fn mark_of(ka: Option<Keepalive>, c: &Connection, now: Time) -> Mark {
-        Mark {
-            deadline: Self::deadline_of(ka, c, now),
-            half_open: c.cm.state() == CmState::SynRcvd,
-        }
+    fn mark_of(agenda: &Agenda<ConnId>, ka: Option<Keepalive>, c: &Connection, now: Time) -> Mark {
+        agenda.mark(c.cm.state() == CmState::SynRcvd, || Self::deadline_of(ka, c, now))
     }
 
     /// A new connection enters the table with a fresh OSR, the one place
     /// OSR is built, and runs once: its opening events start RD and its
-    /// first packets go out. A passive open then takes the OSR and RD
-    /// parts of the packet that opened it (timer-based CM carries data on
-    /// its first packet).
+    /// first packets go out. A passive open takes the OSR and RD parts of
+    /// the packet that opened it in that same pass (timer-based CM carries
+    /// data on its first packet).
     fn admit(
         &mut self,
         now: Time,
@@ -291,18 +305,15 @@ impl SlTcpStack {
         let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
         osr.set_pressure(self.pressure);
         let conn = Connection { cm, rd, osr };
-        let mark = Self::mark_of(self.config.keepalive, &conn, now);
+        let mark = Self::mark_of(&self.agenda, self.config.keepalive, &conn, now);
         self.agenda.reindex(id, None, Some(mark));
         self.conns.insert(id, conn);
-        self.pump(now, id, &mut |_| {});
-        if let Some(pkt) = opener {
-            self.pump(now, id, &mut |conn| {
+        self.pump(now, id, opener, &mut |conn| {
+            opener.is_some_and(|pkt| {
                 conn.osr.on_header(now, pkt);
-                if let Some(rd) = conn.rd.as_mut() {
-                    rd.on_packet(now, pkt, pkt.cm.flags.fin);
-                }
-            });
-        }
+                true
+            })
+        });
     }
 
     /// RD for an ISN pair, the one place RD is built (a function of the
@@ -324,13 +335,15 @@ impl SlTcpStack {
     fn evict(&mut self, now: Time, id: ConnId) {
         self.dm.unbind(id);
         if let Some(conn) = self.conns.remove(&id) {
-            let mark = Self::mark_of(self.config.keepalive, &conn, now);
+            let mark = Self::mark_of(&self.agenda, self.config.keepalive, &conn, now);
             self.agenda.reindex(id, Some(mark), None);
         }
     }
 
     /// Entries in the ready set and in the deadline index — each bounded
-    /// by [`SlTcpStack::conn_count`], whichever way the stack is driven.
+    /// by [`SlTcpStack::conn_count`], and both 0 until the first
+    /// `poll_transmit` or `on_tick` (so always, under a host that drives
+    /// each connection itself).
     pub fn agenda_sizes(&self) -> (usize, usize) {
         self.agenda.sizes()
     }
@@ -453,18 +466,31 @@ impl SlTcpStack {
         self.outbox.push_back(rst.encode());
     }
 
-    /// The one way to run a connection. `step` does what the caller came
-    /// for (nothing, for a plain pump); then the connection's machinery
-    /// runs — events, close coordination, segmentation, packet assembly —
-    /// and the agenda takes note of whatever the two of them changed.
-    /// Returns whether there is such a connection.
-    fn pump(&mut self, now: Time, id: ConnId, step: &mut dyn FnMut(&mut Connection)) -> bool {
+    /// The one way to run a connection, once per event. `step` does what
+    /// the caller came for (nothing, for a plain pump) and returns whether
+    /// it passed `inbound` up to RD: for a packet, CM's and OSR's header
+    /// parts. Then CM's events run (they may build RD), RD takes the
+    /// passed-up packet, and the rest of the connection's machinery runs —
+    /// RD's events, close coordination, segmentation, packet assembly —
+    /// and the agenda takes note of whatever all of it changed. Returns
+    /// whether there is such a connection.
+    fn pump(
+        &mut self,
+        now: Time,
+        id: ConnId,
+        inbound: Option<&Packet>,
+        step: &mut dyn FnMut(&mut Connection) -> bool,
+    ) -> bool {
+        #[cfg(test)]
+        {
+            self.pumps += 1;
+        }
         self.clock = now;
         self.agenda.clear_ready(&id);
         let ka = self.config.keepalive;
         let Some(conn) = self.conns.get_mut(&id) else { return false };
-        let before = Self::mark_of(ka, conn, now);
-        step(conn);
+        let before = Self::mark_of(&self.agenda, ka, conn, now);
+        let pass_up = step(conn);
 
         // CM events upward: an established ISN pair starts RD. Timer-based
         // RD started at the open, before the peer ISN was known, and
@@ -486,6 +512,12 @@ impl SlTcpStack {
                     Some(rd) => rd.set_rcv_isn(peer_isn),
                 }
             }
+        }
+
+        // The packet CM passed up reaches RD, which the drain above may
+        // have just built (a handshake-completing ack that carries data).
+        if let (true, Some(pkt), Some(rd)) = (pass_up, inbound, conn.rd.as_mut()) {
+            rd.on_packet(now, pkt, pkt.cm.flags.fin);
         }
 
         // RD events upward (to OSR and CM).
@@ -613,15 +645,14 @@ impl SlTcpStack {
             if conn.osr.app_closed() && !conn.cm.close_is_requested() {
                 self.agenda.mark_ready(id);
             }
-            Some(Self::mark_of(ka, conn, now))
+            Some(Self::mark_of(&self.agenda, ka, conn, now))
         };
         self.agenda.reindex(id, Some(before), after);
         true
     }
 
     fn handle_packet(&mut self, now: Time, id: ConnId, pkt: &Packet) {
-        let mut pass_up = false;
-        self.pump(now, id, &mut |conn| {
+        self.pump(now, id, Some(pkt), &mut |conn| {
             // The handshake-completing ack is recognized by the stack (not
             // CM) so CM never reads RD's bits: ack == local_isn + 1.
             let handshake_ack =
@@ -634,25 +665,22 @@ impl SlTcpStack {
                 Some(rd) if pkt.cm.flags.rst => rd.seq_validity(pkt.rd.seq),
                 _ => SeqValidity::Exact,
             };
-            match conn.cm.on_packet(&pkt.cm, handshake_ack, rst_seq, now) {
-                CmPass::Drop => {}
-                // Window updates ride even on handshake packets.
-                CmPass::Consumed => conn.osr.on_header(now, pkt),
-                CmPass::PassUp => {
-                    conn.osr.on_header(now, pkt);
-                    pass_up = true;
-                }
+            let pass = conn.cm.on_packet(&pkt.cm, handshake_ack, rst_seq, now);
+            // Window updates ride even on handshake packets.
+            if pass != CmPass::Drop {
+                conn.osr.on_header(now, pkt);
             }
+            pass == CmPass::PassUp
         });
-        if pass_up {
-            // The pump above ran CM's events, which may have just
-            // established RD.
-            self.pump(now, id, &mut |conn| {
-                if let Some(rd) = conn.rd.as_mut() {
-                    rd.on_packet(now, pkt, pkt.cm.flags.fin);
-                }
-            });
-        }
+    }
+
+    /// The stack starts scheduling itself (see [`netsim::Agenda::wake`]).
+    #[inline]
+    fn wake(&mut self, now: Time) {
+        let ka = self.config.keepalive;
+        let conns = &self.conns;
+        self.agenda
+            .wake(|| conns.iter().map(|(&id, c)| (id, Self::deadline_of(ka, c, now))));
     }
 }
 
@@ -841,7 +869,7 @@ impl HostStack for SlTcpStack {
     /// segmentation, packet assembly) — the per-connection half of
     /// `poll_transmit`, for hosts that know which connection changed.
     fn pump_conn(&mut self, now: Time, id: ConnId) {
-        self.pump(now, id, &mut |_| {});
+        self.pump(now, id, None, &mut |_| false);
     }
 
     /// Next timer deadline for *one* connection, so a host can keep one
@@ -854,7 +882,7 @@ impl HostStack for SlTcpStack {
     /// of `on_tick`); spurious calls are harmless.
     fn tick_conn(&mut self, now: Time, id: ConnId) {
         let ka = self.config.keepalive;
-        self.pump(now, id, &mut |conn| {
+        self.pump(now, id, None, &mut |conn| {
             conn.cm.on_tick(now);
             if let Some(rd) = conn.rd.as_mut() {
                 rd.on_tick(now);
@@ -870,6 +898,7 @@ impl HostStack for SlTcpStack {
                     let _ = rd.send_keepalive_probe();
                 }
             }
+            false
         });
     }
 
@@ -896,14 +925,15 @@ impl HostStack for SlTcpStack {
         let pace = p.paces_acks();
         let (ka, now) = (self.config.keepalive, self.clock);
         for (&id, c) in self.conns.iter_mut() {
-            let before = Self::deadline_of(ka, c, now);
+            let before = Self::mark_of(&self.agenda, ka, c, now);
             c.osr.set_pressure(p);
             if let Some(rd) = c.rd.as_mut() {
                 rd.set_ack_pacing(pace);
             }
             // An ack that pacing held goes out at the next pump.
             self.agenda.mark_ready(id);
-            self.agenda.move_deadline(id, before, Self::deadline_of(ka, c, now));
+            let after = Self::mark_of(&self.agenda, ka, c, now);
+            self.agenda.reindex(id, Some(before), Some(after));
         }
         self.dm.set_gate(self.gate || p.refuses_new_flows());
     }
@@ -1058,6 +1088,7 @@ impl Stack for SlTcpStack {
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
+        self.wake(now);
         if self.outbox.is_empty() {
             // Only a ready connection, or one whose deadline has passed
             // (a paced ack is released here, with no `on_tick`), can have
@@ -1073,11 +1104,15 @@ impl Stack for SlTcpStack {
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
+        if !self.agenda.is_awake() {
+            return self.scan_deadline(now);
+        }
         debug_assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
         self.agenda.next_deadline()
     }
 
     fn on_tick(&mut self, now: Time) {
+        self.wake(now);
         // The ready ones too: a tick ends in a pump.
         let ids = self.agenda.due(now);
         for &id in &ids {
@@ -1092,7 +1127,7 @@ impl Stack for SlTcpStack {
 /// (`agenda_tests`): same frames in the same order, same deadline.
 #[cfg(test)]
 impl SlTcpStack {
-    fn sorted_ids(&self) -> Vec<ConnId> {
+    pub(crate) fn sorted_ids(&self) -> Vec<ConnId> {
         let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
         ids.sort();
         ids
@@ -1113,22 +1148,32 @@ impl SlTcpStack {
         }
     }
 
-    /// The indices hold exactly what the table says they should.
+    /// The indices hold exactly what the table says they should: the
+    /// half-open count always, the rest once the agenda is awake.
     pub(crate) fn check_indices(&self, now: Time) {
+        let half_open =
+            self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count();
+        assert_eq!(self.agenda.half_open(), half_open);
+        if !self.agenda.is_awake() {
+            assert_eq!(self.agenda.sizes(), (0, 0), "a dormant agenda indexes nothing");
+            return;
+        }
         let (ready, deadlines) = self.agenda.sizes();
         assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
         let with_deadline =
             self.conns.keys().filter(|&&id| self.conn_deadline(now, id).is_some()).count();
         assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
         assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
-        let half_open =
-            self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count();
-        assert_eq!(self.agenda.half_open(), half_open);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{CmState, SlConfig, SlTcpStack};
+    use crate::wire::Packet;
+    use netsim::{HostStack, Stack, Time};
+    use slwire::Endpoint;
+
     #[test]
     fn a_connection_stays_within_its_inline_budget() {
         // The table stores `Connection` by value, so `sub.conn_heap_bytes`
@@ -1156,11 +1201,7 @@ mod tests {
         // What a `RandomState` table cannot do: each instance draws its own
         // keys, so two of them walk the same ids in different orders — and
         // then placement, growth and allocation counts differ by process.
-        use super::{SlConfig, SlTcpStack};
-        use netsim::{HostStack, Time};
-        use slwire::Endpoint;
-        let mk = |()| SlTcpStack::new(7, SlConfig::default(), slmetrics::shared());
-        let mut pair = [(); 2].map(mk);
+        let mut pair = [(); 2].map(|()| stack(7));
         for stack in &mut pair {
             for port in 5000..5048 {
                 let id = stack.try_connect(Time::ZERO, port, Endpoint::new(9, 80)).unwrap();
@@ -1173,5 +1214,67 @@ mod tests {
         let [a, b] = &pair;
         assert!(a.conns.keys().eq(b.conns.keys()));
         assert!(a.errors.keys().eq(b.errors.keys()));
+    }
+
+    const CLIENT: u32 = 1;
+    const SERVER: u32 = 2;
+
+    fn stack(addr: u32) -> SlTcpStack {
+        SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared())
+    }
+
+    /// Everything `from` has to send, in order.
+    fn drain(from: &mut SlTcpStack) -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| from.poll_transmit(Time::ZERO)).collect()
+    }
+
+    #[test]
+    fn a_passed_up_data_segment_runs_one_pump() {
+        let (mut client, mut server) = (stack(CLIENT), stack(SERVER));
+        server.listen(80);
+        let id = client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
+        loop {
+            let (up, down) = (drain(&mut client), drain(&mut server));
+            if up.is_empty() && down.is_empty() {
+                break;
+            }
+            up.iter().for_each(|f| server.on_frame(Time::ZERO, f));
+            down.iter().for_each(|f| client.on_frame(Time::ZERO, f));
+        }
+        client.send(id, &[7; 100]);
+        let [data] = &drain(&mut client)[..] else { panic!("one data segment") };
+        let before = server.pumps;
+        server.on_frame(Time::ZERO, data);
+        assert_eq!(server.pumps - before, 1, "CM, OSR and RD in one pass");
+        let sid = server.established()[0];
+        assert_eq!(server.recv(sid), [7; 100]);
+    }
+
+    #[test]
+    fn a_handshake_completing_ack_that_carries_data_is_delivered_in_its_one_pass() {
+        let (mut client, mut server) = (stack(CLIENT), stack(SERVER));
+        server.listen(80);
+        let id = client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
+        // Queued in OSR before the handshake completes: it leaves with the
+        // pass that establishes the client.
+        client.send(id, &[9; 300]);
+        drain(&mut client).iter().for_each(|f| server.on_frame(Time::ZERO, f));
+        let &sid = server.conns.keys().next().expect("SYN admitted");
+        assert_eq!(server.state(sid), CmState::SynRcvd);
+        drain(&mut server).iter().for_each(|f| client.on_frame(Time::ZERO, f));
+        // The client's pure ack is lost; its data segment acks the SYN|ACK
+        // too, so it is the one that completes the server's handshake.
+        let data = drain(&mut client)
+            .into_iter()
+            .find(|f| !Packet::decode(f).expect("own frame").payload.is_empty())
+            .expect("a data segment");
+        assert!(server.conns[&sid].rd.is_none());
+        let before = server.pumps;
+        server.on_frame(Time::ZERO, &data);
+        // CM established, its event built RD, and RD took the packet: all
+        // in the one pass.
+        assert_eq!(server.pumps - before, 1);
+        assert_eq!(server.state(sid), CmState::Established);
+        assert_eq!(server.recv(sid), [9; 300]);
     }
 }

@@ -21,7 +21,8 @@
 //! * a sans-IO protocol endpoint abstraction ([`Stack`], [`StackNode`]) in
 //!   the style of poll-driven stacks such as smoltcp, the host-facing
 //!   surface both TCP stacks add to it ([`HostStack`]), and the ready set
-//!   and deadline index ([`Agenda`]) a many-connection `Stack` polls from.
+//!   and deadline index ([`Agenda`]) a many-connection `Stack` polls from,
+//!   built on its first poll.
 //!
 //! Every run is exactly reproducible from its seed: event ties break by
 //! insertion order and all randomness flows from per-link forks of a single

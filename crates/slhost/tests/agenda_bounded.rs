@@ -1,7 +1,9 @@
-//! A host never calls the stack's `poll_transmit`: it drives connections
-//! one at a time through `pump_conn` / `take_frame` / `tick_conn`. The
-//! stack's ready set and deadline index must stay bounded all the same —
-//! never more entries than connections, none once the table drains — so
+//! A host never calls the stack's `poll_transmit` or `on_tick`: it drives
+//! connections one at a time through `pump_conn` / `take_frame` /
+//! `tick_conn`, with its own timer wheel. So the stack under it keeps no
+//! schedule of its own — its ready set and deadline index stay empty after
+//! every step — while a bare stack polled beside it keeps both bounded:
+//! never more entries than connections, none once the table drains, so
 //! pumping a connection has to take it off the ready set, and a connection
 //! that goes has to take its entries along.
 
@@ -26,15 +28,6 @@ fn echo_then_drain<S: HostStack>(stack: S, mut client: S, sizes: fn(&S) -> (usiz
         ..HostConfig::default()
     };
     let mut server = ServedHost::new(Host::new(stack, cfg), EchoApp::default());
-    let bounded = |s: &S, who: &str| {
-        let (ready, deadlines) = sizes(s);
-        let conns = s.conn_count();
-        assert!(
-            ready <= conns && deadlines <= conns,
-            "{who}: {ready} ready, {deadlines} deadlines, {conns} connections"
-        );
-    };
-
     let mut now = Time::ZERO;
     let conns: Vec<S::ConnId> = (0..CONNS)
         .map(|i| {
@@ -56,14 +49,18 @@ fn echo_then_drain<S: HostStack>(stack: S, mut client: S, sizes: fn(&S) -> (usiz
             Stack::on_frame(&mut client, now, &f);
             moved = true;
         }
-        bounded(server.host.stack(), "server");
-        bounded(&client, "client");
+        assert_eq!(sizes(server.host.stack()), (0, 0), "the host's stack schedules nothing");
+        let ((ready, deadlines), live) = (sizes(&client), client.conn_count());
+        assert!(
+            ready <= live && deadlines <= live,
+            "client: {ready} ready, {deadlines} deadlines, {live} connections"
+        );
 
         let conn = conns[done % CONNS];
         if done < OPS && !in_flight && conns.iter().all(|&c| client.is_established(c)) {
             if done == OPS / 2 {
-                // Every connection of the host's stack becomes ready at
-                // once; only the one that is pumped next leaves the set.
+                // Would make every connection of a scheduling stack ready
+                // at once.
                 server.host.set_pressure_floor(now, Pressure::High);
                 server.host.set_pressure_floor(now, Pressure::Nominal);
             }
@@ -78,12 +75,6 @@ fn echo_then_drain<S: HostStack>(stack: S, mut client: S, sizes: fn(&S) -> (usiz
             }
         }
         if done == OPS && !closed {
-            // Each connection has been pumped since the pressure moved.
-            assert_eq!(
-                sizes(server.host.stack()).0,
-                0,
-                "a pumped connection is not ready"
-            );
             conns.iter().for_each(|&c| client.close(c));
             (closed, moved) = (true, true);
         }

@@ -3,16 +3,17 @@
 //! `TcpStack` keeps the three full-table scans as test-only reference
 //! functions (`scan_poll_transmit`, `scan_deadline`, `scan_on_tick`). Two
 //! copies of one world — a client stack, a server stack and the wire
-//! between them — take the same calls; one polls through the agenda, the
-//! other through the scans. Everything observable must agree after every
-//! call: the segments, byte for byte and in order, what the applications
-//! read, and the next deadline. (`sublayer-core` has the twin of this
-//! file over its own stack.)
+//! between them — take the same calls; one polls through the agenda (or is
+//! first driven one connection at a time, as a host drives it, and then
+//! through the agenda), the other through the scans. Everything observable
+//! must agree after every call: the segments, byte for byte and in order,
+//! what the applications read, and the next deadline. (`sublayer-core` has
+//! the twin of this file over its own stack.)
 
 use crate::stack::{TcpStack, ACK_PACE_DELAY, MAX_HALF_OPEN};
 use crate::wire::{Endpoint, FourTuple, Segment, SYN};
 use netsim::{Dur, HostStack, Keepalive, Pressure, Stack, Time};
-use proptest::{collection, prop_assert_eq, proptest};
+use proptest::{collection, prop_assert, prop_assert_eq, proptest};
 use std::collections::VecDeque;
 
 const ADDR: [u32; 2] = [0x0A00_0001, 0x0A00_0002];
@@ -21,9 +22,21 @@ const SERVER: usize = 1;
 const PORT: u16 = 80;
 const ROUNDS: usize = 32;
 
+/// How a world asks its stacks for segments, ticks and the next deadline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Drive {
+    /// `poll_transmit`, `on_tick`, `poll_deadline`: the agenda.
+    Agenda,
+    /// The reference scans.
+    Scan,
+    /// One connection at a time, as `slhost::Host` drives a stack —
+    /// `pump_conn` then `take_frame`, `tick_conn`, `conn_deadline` — which
+    /// never wakes the agenda.
+    PerConn,
+}
+
 struct World {
-    /// Poll through the reference scans, not the agenda.
-    scan: bool,
+    drive: Drive,
     ends: [TcpStack; 2],
     /// `wire[i]`: segments on their way to `ends[i]`.
     wire: [VecDeque<Vec<u8>>; 2],
@@ -36,7 +49,7 @@ struct World {
 }
 
 impl World {
-    fn new(scan: bool, keepalive: bool) -> World {
+    fn new(drive: Drive, keepalive: bool) -> World {
         let mut ends = ADDR.map(|a| TcpStack::new(a, slmetrics::shared()));
         ends[SERVER].listen(PORT);
         if keepalive {
@@ -45,7 +58,7 @@ impl World {
             }
         }
         World {
-            scan,
+            drive,
             ends,
             wire: [VecDeque::new(), VecDeque::new()],
             opened: Vec::new(),
@@ -65,10 +78,16 @@ impl World {
     fn poll(&mut self, end: usize) -> usize {
         let mut segments = 0;
         loop {
-            let stack = &mut self.ends[end];
-            let segment = match self.scan {
-                true => stack.scan_poll_transmit(self.now),
-                false => stack.poll_transmit(self.now),
+            let (stack, now) = (&mut self.ends[end], self.now);
+            let segment = match self.drive {
+                Drive::Agenda => stack.poll_transmit(now),
+                Drive::Scan => stack.scan_poll_transmit(now),
+                Drive::PerConn => stack.take_frame().or_else(|| {
+                    for t in stack.sorted_tuples() {
+                        stack.pump_conn(now, t);
+                    }
+                    stack.take_frame()
+                }),
             };
             let Some(segment) = segment else {
                 return segments;
@@ -80,16 +99,27 @@ impl World {
     }
 
     fn tick(&mut self, end: usize) {
-        match self.scan {
-            true => self.ends[end].scan_on_tick(self.now),
-            false => self.ends[end].on_tick(self.now),
+        let (stack, now) = (&mut self.ends[end], self.now);
+        match self.drive {
+            Drive::Agenda => stack.on_tick(now),
+            Drive::Scan => stack.scan_on_tick(now),
+            Drive::PerConn => {
+                for t in stack.sorted_tuples() {
+                    stack.tick_conn(now, t);
+                }
+            }
         }
     }
 
     fn deadline(&self, end: usize) -> Option<Time> {
-        match self.scan {
-            true => self.ends[end].scan_deadline(self.now),
-            false => self.ends[end].poll_deadline(self.now),
+        let (stack, now) = (&self.ends[end], self.now);
+        match self.drive {
+            Drive::Agenda => stack.poll_deadline(now),
+            Drive::Scan => stack.scan_deadline(now),
+            Drive::PerConn => {
+                let tuples = stack.sorted_tuples().into_iter();
+                tuples.filter_map(|t| stack.conn_deadline(now, t)).min()
+            }
         }
     }
 
@@ -187,36 +217,65 @@ const KEEPALIVE: Keepalive = Keepalive {
     max_probes: 2,
 };
 
+/// One world driven as `first` for its first `switch` calls and through
+/// the agenda after them, against a world driven through the scans: they
+/// must be indistinguishable after every call, and their indices exact.
+fn agrees_with_the_scans(
+    first: Drive,
+    switch: usize,
+    keepalive: bool,
+    ops: &[(u8, u8)],
+) -> Result<(), String> {
+    let mut world = World::new(first, keepalive);
+    let mut scan = World::new(Drive::Scan, keepalive);
+    for w in [&mut world, &mut scan] {
+        // Four connections up before the random calls start.
+        for _ in 0..4 {
+            w.connect();
+        }
+        w.exchange();
+    }
+    for (i, &(op, arg)) in ops.iter().enumerate() {
+        if i == switch {
+            world.drive = Drive::Agenda;
+        }
+        world.step(op, arg);
+        scan.step(op, arg);
+        prop_assert_eq!(&world.seen, &scan.seen, "after call {} ({}, {})", i, op, arg);
+        prop_assert_eq!(world.now, scan.now);
+        for end in [CLIENT, SERVER] {
+            prop_assert_eq!(
+                world.deadline(end),
+                scan.deadline(end),
+                "end {} after call {} ({}, {})", end, i, op, arg
+            );
+            prop_assert!(
+                world.drive == Drive::Agenda || world.ends[end].agenda_sizes() == (0, 0),
+                "end {} scheduled while driven per connection", end
+            );
+            world.ends[end].check_indices(world.now);
+            scan.ends[end].check_indices(scan.now);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn agenda_and_scan_are_indistinguishable(
         keepalive: bool,
         ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
     ) {
-        let mut agenda = World::new(false, keepalive);
-        let mut scan = World::new(true, keepalive);
-        for w in [&mut agenda, &mut scan] {
-            // Four connections up before the random calls start.
-            for _ in 0..4 {
-                w.connect();
-            }
-            w.exchange();
-        }
-        for (i, &(op, arg)) in ops.iter().enumerate() {
-            agenda.step(op, arg);
-            scan.step(op, arg);
-            prop_assert_eq!(&agenda.seen, &scan.seen, "after call {} ({}, {})", i, op, arg);
-            prop_assert_eq!(agenda.now, scan.now);
-            for end in [CLIENT, SERVER] {
-                prop_assert_eq!(
-                    agenda.deadline(end),
-                    scan.deadline(end),
-                    "end {} after call {} ({}, {})", end, i, op, arg
-                );
-                agenda.ends[end].check_indices(agenda.now);
-                scan.ends[end].check_indices(scan.now);
-            }
-        }
+        agrees_with_the_scans(Drive::Agenda, 0, keepalive, &ops)?;
+    }
+
+    #[test]
+    fn a_host_driven_prefix_then_polls_is_indistinguishable_from_the_scan(
+        keepalive: bool,
+        switch in 0usize..300,
+        ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
+    ) {
+        agrees_with_the_scans(Drive::PerConn, switch, keepalive, &ops)?;
     }
 }
 
@@ -225,7 +284,7 @@ proptest! {
 /// stack needs a second pump for it; one output pass does both here).
 #[test]
 fn fin_follows_pending_data_without_an_inbound_segment() {
-    let mut w = World::new(false, false);
+    let mut w = World::new(Drive::Agenda, false);
     let id = w.connect().expect("table is empty");
     w.exchange();
     w.ends[CLIENT].send(id, &[7u8; 300]);
@@ -246,7 +305,7 @@ fn fin_follows_pending_data_without_an_inbound_segment() {
 /// that pacing holds goes out at once when the pressure recedes.
 #[test]
 fn receding_pressure_releases_a_held_ack() {
-    let mut w = World::new(false, false);
+    let mut w = World::new(Drive::Agenda, false);
     let id = w.connect().expect("table is empty");
     w.exchange();
     w.ends[SERVER].set_pressure(Pressure::High);
@@ -264,25 +323,33 @@ fn receding_pressure_releases_a_held_ack() {
     w.ends[SERVER].check_indices(w.now);
 }
 
+/// A SYN for the server from `from`, with sequence number `seq`.
+fn syn(from: u32, seq: u32) -> Vec<u8> {
+    Segment {
+        src: Endpoint::new(from, 1000),
+        dst: Endpoint::new(ADDR[SERVER], PORT),
+        seq,
+        ack: 0,
+        flags: SYN,
+        wnd: 8000,
+        mss: Some(1000),
+        payload: Vec::new(),
+    }
+    .encode()
+}
+
+fn listening_server() -> TcpStack {
+    let mut server = TcpStack::new(ADDR[SERVER], slmetrics::shared());
+    server.listen(PORT);
+    server
+}
+
 /// Half-open eviction and the dropping of dead PCBs take their index
 /// entries with them.
 #[test]
 fn eviction_and_reaping_leave_no_stale_entry() {
-    let mut server = TcpStack::new(ADDR[SERVER], slmetrics::shared());
-    server.listen(PORT);
-    let syn = |from: u32, seq: u32| {
-        Segment {
-            src: Endpoint::new(from, 1000),
-            dst: Endpoint::new(ADDR[SERVER], PORT),
-            seq,
-            ack: 0,
-            flags: SYN,
-            wnd: 8000,
-            mss: Some(1000),
-            payload: Vec::new(),
-        }
-        .encode()
-    };
+    let mut server = listening_server();
+    assert_eq!(server.poll_transmit(Time::ZERO), None, "wakes the agenda");
     for i in 0..MAX_HALF_OPEN as u32 {
         server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
     }
@@ -304,4 +371,31 @@ fn eviction_and_reaping_leave_no_stale_entry() {
     assert_eq!(server.conn_count(), 0);
     assert_eq!(server.half_open_count(), 0);
     assert_eq!(server.agenda_sizes(), (0, 0));
+}
+
+/// Before its first poll a stack keeps no schedule: the half-open count
+/// that every SYN reads stays exact, `poll_deadline` is the scan, and the
+/// first poll indexes every deadline at once.
+#[test]
+fn before_its_first_poll_a_stack_counts_half_opens_and_scans_for_the_deadline() {
+    let mut server = listening_server();
+    for i in 0..MAX_HALF_OPEN as u32 {
+        server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
+    }
+    let now = Time::ZERO + Dur::from_secs(2);
+    server.on_frame(now, &syn(0xC300_0000, 9_999));
+    assert_eq!(server.stats.half_open_evictions, 1);
+    assert_eq!(server.half_open_count(), MAX_HALF_OPEN);
+    assert_eq!(server.agenda_sizes(), (0, 0));
+    server.check_indices(now);
+    let scan = server.scan_deadline(now);
+    assert!(scan.is_some(), "every half-open retransmits its SYN|ACK");
+    assert_eq!(server.poll_deadline(now), scan);
+    // The wake: every connection ready, every deadline indexed.
+    assert!(server.poll_transmit(now).is_some(), "a queued SYN|ACK");
+    assert_eq!(server.agenda_sizes(), (MAX_HALF_OPEN, MAX_HALF_OPEN));
+    while server.poll_transmit(now).is_some() {}
+    assert_eq!(server.agenda_sizes(), (0, MAX_HALF_OPEN));
+    assert_eq!(server.poll_deadline(now), scan);
+    server.check_indices(now);
 }

@@ -117,9 +117,10 @@ pub struct TcpStack {
     cc_template: Box<dyn RateController>,
     /// Which connections have anything to do, and how many are half-open:
     /// `poll_transmit`, `poll_deadline`, `on_tick` and the SYN path read
-    /// this, never the whole table. Kept exact by [`TcpStack::put_back`]
-    /// and [`TcpStack::take_for_good`], the only ways into and out of
-    /// `conns`, at no cost in PCB fields.
+    /// this, never the whole table. Kept by [`TcpStack::put_back`] and
+    /// [`TcpStack::take_for_good`], the only ways into and out of `conns`,
+    /// at no cost in PCB fields; dormant — the half-open count alone —
+    /// until the first `poll_transmit` or `on_tick`.
     agenda: Agenda<FourTuple>,
     pub stats: TcpStats,
 }
@@ -165,11 +166,10 @@ impl TcpStack {
     pub fn set_keepalive(&mut self, ka: Keepalive) {
         let before = self.keepalive.replace(ka);
         for (&tuple, p) in &self.conns {
-            self.agenda.move_deadline(
-                tuple,
-                Self::deadline_of(before, p),
-                Self::deadline_of(Some(ka), p),
-            );
+            let half_open = p.state == TcpState::SynRcvd;
+            let was = self.agenda.mark(half_open, || Self::deadline_of(before, p));
+            let is = self.agenda.mark(half_open, || Self::deadline_of(Some(ka), p));
+            self.agenda.reindex(tuple, Some(was), Some(is));
         }
     }
 
@@ -269,10 +269,8 @@ impl TcpStack {
     }
 
     fn mark_of(&self, p: &Pcb) -> Mark {
-        Mark {
-            deadline: Self::deadline_of(self.keepalive, p),
-            half_open: p.state == TcpState::SynRcvd,
-        }
+        self.agenda
+            .mark(p.state == TcpState::SynRcvd, || Self::deadline_of(self.keepalive, p))
     }
 
     /// The other half of `self.conns.remove(..)`: the one place a PCB
@@ -295,7 +293,9 @@ impl TcpStack {
     }
 
     /// Entries in the ready set and in the deadline index — each bounded
-    /// by [`TcpStack::conn_count`], whichever way the stack is driven.
+    /// by [`TcpStack::conn_count`], and both 0 until the first
+    /// `poll_transmit` or `on_tick` (so always, under a host that drives
+    /// each connection itself).
     pub fn agenda_sizes(&self) -> (usize, usize) {
         self.agenda.sizes()
     }
@@ -1635,6 +1635,7 @@ impl Stack for TcpStack {
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
+        self.wake();
         if self.outbox.is_empty() {
             // Only a ready connection, or one whose deadline has passed
             // (a paced ack is released here, with no `on_tick`), can have
@@ -1650,11 +1651,15 @@ impl Stack for TcpStack {
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
+        if !self.agenda.is_awake() {
+            return self.scan_deadline(now);
+        }
         debug_assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
         self.agenda.next_deadline()
     }
 
     fn on_tick(&mut self, now: Time) {
+        self.wake();
         let tuples = self.agenda.due(now);
         for &t in &tuples {
             self.tick_conn(now, t);
@@ -1668,7 +1673,7 @@ impl Stack for TcpStack {
 /// (`agenda_tests`): same segments in the same order, same deadline.
 #[cfg(test)]
 impl TcpStack {
-    fn sorted_tuples(&self) -> Vec<FourTuple> {
+    pub(crate) fn sorted_tuples(&self) -> Vec<FourTuple> {
         let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
         tuples.sort();
         tuples
@@ -1689,24 +1694,38 @@ impl TcpStack {
         }
     }
 
-    /// The indices hold exactly what the table says they should.
+    /// The indices hold exactly what the table says they should: the
+    /// half-open count always, the rest once the agenda is awake.
     pub(crate) fn check_indices(&self, now: Time) {
+        let half_open = self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count();
+        assert_eq!(self.agenda.half_open(), half_open);
+        if !self.agenda.is_awake() {
+            assert_eq!(self.agenda.sizes(), (0, 0), "a dormant agenda indexes nothing");
+            return;
+        }
         let (ready, deadlines) = self.agenda.sizes();
         assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
         let with_deadline =
             self.conns.keys().filter(|&&t| self.conn_deadline(now, t).is_some()).count();
         assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
         assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
-        let half_open = self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count();
-        assert_eq!(self.agenda.half_open(), half_open);
     }
 }
 
 impl TcpStack {
     /// The minimum over the whole table, which the deadline index must
-    /// equal at all times (debug builds check on every `poll_deadline`).
+    /// equal once the agenda is awake (debug builds check on every
+    /// `poll_deadline`), and which `poll_deadline` returns before.
     pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
         self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
+    }
+
+    /// The stack starts scheduling itself (see [`netsim::Agenda::wake`]).
+    #[inline]
+    fn wake(&mut self) {
+        let ka = self.keepalive;
+        let conns = &self.conns;
+        self.agenda.wake(|| conns.iter().map(|(&t, p)| (t, Self::deadline_of(ka, p))));
     }
 }
 
