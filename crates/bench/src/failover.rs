@@ -343,7 +343,7 @@ fn run_net<S: ConformStack>(
         ..ShardedConfig::default()
     };
     let mut server: ShardedHost<S, EchoApp> = ShardedHost::new(cfg, move |_shard| {
-        let stack = S::mk_with(SERVER_ADDR, None, slmetrics::muted());
+        let stack = S::mk_with(SERVER_ADDR, None, slmetrics::shared());
         ServedHost::new(Host::new(stack, host_cfg.clone()), EchoApp::default())
     });
     if let Some(plan) = plan {
@@ -356,7 +356,7 @@ fn run_net<S: ConformStack>(
             let (home, ports) = home_ports(p.seed, caddr, p.shards, retries + 1);
             homes.push(home);
             FailoverClient::new(
-                S::mk_with(caddr, keepalive, slmetrics::muted()),
+                S::mk_with(caddr, keepalive, slmetrics::shared()),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
                 ports,

@@ -142,7 +142,7 @@ pub fn run_one(p: ShardParams) -> ShardOutcome {
 }
 
 fn run_generic<S: ConformStack>(p: ShardParams) -> ShardOutcome {
-    let mk = |addr| S::mk_with(addr, None, slmetrics::muted());
+    let mk = |addr| S::mk_with(addr, None, slmetrics::shared());
     let sizes = HeavyTailed::new(p.seed ^ 0x5EED_F10D, REQ_MIN, REQ_MAX);
     let expected_bytes: u64 = (0..p.n as u64).map(|i| sizes.size(i)).sum();
     // Per-shard hosts must hold every connection the router can send

@@ -24,7 +24,7 @@ use crate::mailbox::Mailbox;
 use crate::signals::SeqValidity;
 use crate::wire::{CmFlags, CmHeader, Packet};
 use netsim::{Dur, Keepalive, Time, TransportError};
-use slmetrics::SharedLog;
+use slmetrics::{site, SharedLog};
 
 /// Which connection-management mechanism runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,8 +152,8 @@ impl ConnMgmt {
         log: SharedLog,
     ) -> ConnMgmt {
         let mut cm = ConnMgmt::new(token, scheme, local_isn, log);
-        cm.log.borrow_mut().w("cm", "state");
-        cm.log.borrow_mut().w("cm", "local_isn");
+        cm.log.borrow_mut().write(site!("cm", "state"));
+        cm.log.borrow_mut().write(site!("cm", "local_isn"));
         match scheme {
             CmScheme::ThreeWay => {
                 cm.state = CmState::SynSent;
@@ -183,8 +183,8 @@ impl ConnMgmt {
         log: SharedLog,
     ) -> Option<ConnMgmt> {
         let mut cm = ConnMgmt::new(token, scheme, local_isn, log);
-        cm.log.borrow_mut().w("cm", "state");
-        cm.log.borrow_mut().w("cm", "peer_isn");
+        cm.log.borrow_mut().write(site!("cm", "state"));
+        cm.log.borrow_mut().write(site!("cm", "peer_isn"));
         // The opening packet is the first inbound one.
         cm.last_activity = now;
         match scheme {
@@ -226,8 +226,8 @@ impl ConnMgmt {
         log: SharedLog,
     ) -> ConnMgmt {
         let mut cm = ConnMgmt::new(token, CmScheme::ThreeWay, local_isn, log);
-        cm.log.borrow_mut().w("cm", "state");
-        cm.log.borrow_mut().w("cm", "peer_isn");
+        cm.log.borrow_mut().write(site!("cm", "state"));
+        cm.log.borrow_mut().write(site!("cm", "peer_isn"));
         cm.peer_isn = Some(peer_isn);
         cm.last_activity = now;
         cm.establish();
@@ -283,7 +283,7 @@ impl ConnMgmt {
         if matches!(self.state, CmState::Closed) {
             return;
         }
-        self.log.borrow_mut().w("cm", "state");
+        self.log.borrow_mut().write(site!("cm", "state"));
         self.state = CmState::Closed;
         self.reset_reason.get_or_insert(reason);
         self.rtx_deadline = None;
@@ -297,7 +297,7 @@ impl ConnMgmt {
     }
 
     fn queue_syn(&mut self, with_ack: bool) {
-        self.log.borrow_mut().r("cm", "local_isn");
+        self.log.borrow_mut().read(site!("cm", "local_isn"));
         self.outbox.push_back(CmHeader {
             flags: CmFlags { syn: true, cm_ack: with_ack, ..CmFlags::default() },
             isn: self.local_isn,
@@ -306,7 +306,7 @@ impl ConnMgmt {
     }
 
     fn establish(&mut self) {
-        self.log.borrow_mut().w("cm", "state");
+        self.log.borrow_mut().write(site!("cm", "state"));
         self.state = CmState::Established;
         self.rtx_deadline = None;
         self.rtx_count = 0;
@@ -331,7 +331,7 @@ impl ConnMgmt {
         rst_seq: SeqValidity,
         now: Time,
     ) -> CmPass {
-        self.log.borrow_mut().r("cm", "state");
+        self.log.borrow_mut().read(site!("cm", "state"));
         self.last_activity = now;
         self.ka_probes = 0;
         if hdr.flags.rst {
@@ -342,7 +342,7 @@ impl ConnMgmt {
             // blind forger would have to guess the 32-bit ISN.
             if matches!(self.state, CmState::SynSent | CmState::SynRcvd) {
                 if hdr.ack_isn == self.local_isn {
-                    self.log.borrow_mut().w("cm", "state");
+                    self.log.borrow_mut().write(site!("cm", "state"));
                     self.state = CmState::Closed;
                     self.reset_reason.get_or_insert(TransportError::Reset);
                     self.events.push_back(CmEvent::Reset);
@@ -354,7 +354,7 @@ impl ConnMgmt {
             // rest. CM decides the policy, RD did the arithmetic.
             match rst_seq {
                 SeqValidity::Exact => {
-                    self.log.borrow_mut().w("cm", "state");
+                    self.log.borrow_mut().write(site!("cm", "state"));
                     // RFC 793 p.70: once both directions have shut down
                     // (TIME-WAIT, or our Closing with the peer's FIN
                     // already seen — the CLOSING/LAST-ACK analogs) a RST
@@ -376,7 +376,7 @@ impl ConnMgmt {
         match self.scheme {
             CmScheme::TimerBased { .. } => {
                 if self.peer_isn.is_none() && !hdr.flags.syn {
-                    self.log.borrow_mut().w("cm", "peer_isn");
+                    self.log.borrow_mut().write(site!("cm", "peer_isn"));
                     self.peer_isn = Some(hdr.isn);
                     self.events.push_back(CmEvent::Established {
                         local_isn: self.local_isn,
@@ -391,7 +391,7 @@ impl ConnMgmt {
             CmScheme::ThreeWay => match self.state {
                 CmState::SynSent => {
                     if hdr.flags.syn && hdr.flags.cm_ack && hdr.ack_isn == self.local_isn {
-                        self.log.borrow_mut().w("cm", "peer_isn");
+                        self.log.borrow_mut().write(site!("cm", "peer_isn"));
                         self.peer_isn = Some(hdr.isn);
                         self.establish();
                         // The pure ACK completing the handshake: an empty
@@ -400,8 +400,8 @@ impl ConnMgmt {
                         CmPass::Consumed
                     } else if hdr.flags.syn && !hdr.flags.cm_ack {
                         // Simultaneous open.
-                        self.log.borrow_mut().w("cm", "peer_isn");
-                        self.log.borrow_mut().w("cm", "state");
+                        self.log.borrow_mut().write(site!("cm", "peer_isn"));
+                        self.log.borrow_mut().write(site!("cm", "state"));
                         self.peer_isn = Some(hdr.isn);
                         self.state = CmState::SynRcvd;
                         self.queue_syn(true);
@@ -462,7 +462,7 @@ impl ConnMgmt {
     /// the FIN through RD (which owns its retransmission, as in TCP).
     /// Returns true when a FIN should be queued into RD.
     pub fn close_requested(&mut self) -> bool {
-        self.log.borrow_mut().w("cm", "state");
+        self.log.borrow_mut().write(site!("cm", "state"));
         if self.close_requested {
             return false;
         }
@@ -501,14 +501,14 @@ impl ConnMgmt {
 
     /// RD reports our FIN was acknowledged.
     pub fn on_local_fin_acked(&mut self, now: Time) {
-        self.log.borrow_mut().w("cm", "fin_state");
+        self.log.borrow_mut().write(site!("cm", "fin_state"));
         self.local_fin_acked = true;
         self.maybe_finish(now);
     }
 
     /// RD reports the peer's FIN was reached in sequence.
     pub fn on_peer_fin(&mut self, now: Time) {
-        self.log.borrow_mut().w("cm", "fin_state");
+        self.log.borrow_mut().write(site!("cm", "fin_state"));
         if !self.close_requested {
             // The peer closed first: we are the passive closer and skip
             // TIME_WAIT (RFC 793: CLOSE_WAIT -> LAST_ACK -> CLOSED).
@@ -540,7 +540,7 @@ impl ConnMgmt {
     /// Stamp CM's static fields on an outgoing packet (the redundant ISN
     /// the paper notes is "static after the initial handshake").
     pub fn fill_tx(&self, pkt: &mut Packet) {
-        self.log.borrow_mut().r("cm", "local_isn");
+        self.log.borrow_mut().read(site!("cm", "local_isn"));
         pkt.cm.isn = self.local_isn;
         if let Some(p) = self.peer_isn {
             pkt.cm.ack_isn = p;
@@ -550,7 +550,7 @@ impl ConnMgmt {
     /// Mark an RD-emitted packet as carrying the FIN (CM owns the flag
     /// bit; RD owns the packet's retransmission).
     pub fn stamp_fin(&self, pkt: &mut Packet) {
-        self.log.borrow_mut().r("cm", "state");
+        self.log.borrow_mut().read(site!("cm", "state"));
         pkt.cm.flags.fin = true;
     }
 
@@ -576,7 +576,7 @@ impl ConnMgmt {
 
     pub fn on_tick(&mut self, now: Time) {
         if self.rtx_deadline.is_some_and(|d| now >= d) {
-            self.log.borrow_mut().w("cm", "rtx");
+            self.log.borrow_mut().write(site!("cm", "rtx"));
             self.rtx_count += 1;
             if self.rtx_count > MAX_SYN_RETRIES {
                 self.state = CmState::Closed;

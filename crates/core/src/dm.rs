@@ -7,7 +7,7 @@
 
 use crate::fingerprint as fp;
 use crate::wire::Packet;
-use slmetrics::SharedLog;
+use slmetrics::{site, SharedLog};
 use std::collections::{HashMap, HashSet};
 use slwire::hash::FxBuildHasher;
 use slwire::{Endpoint, FourTuple};
@@ -103,14 +103,14 @@ impl Demux {
 
     /// Accept new flows on `port`.
     pub fn listen(&mut self, port: u16) {
-        self.log.borrow_mut().w("dm", "listeners");
+        self.log.borrow_mut().write(site!("dm", "listeners"));
         self.listeners.insert(port);
     }
 
     /// Gate (or un-gate) admission of new flows. Established connections
     /// are unaffected; gated new flows classify as [`DmVerdict::Gated`].
     pub fn set_gate(&mut self, gated: bool) {
-        self.log.borrow_mut().w("dm", "gate");
+        self.log.borrow_mut().write(site!("dm", "gate"));
         self.gated = gated;
     }
 
@@ -118,7 +118,7 @@ impl Demux {
     /// token CM demands. Exactly-once admission is the contract: a tuple
     /// already in the table is rejected, never double-admitted.
     pub fn bind(&mut self, tuple: FourTuple) -> Result<Admitted, DmError> {
-        self.log.borrow_mut().w("dm", "conn_table");
+        self.log.borrow_mut().write(site!("dm", "conn_table"));
         if self.table.contains_key(&tuple) {
             return Err(DmError::TupleInUse);
         }
@@ -134,7 +134,7 @@ impl Demux {
     /// and reusing ports"). `None` once every ephemeral port toward
     /// `remote` is bound — exhaustion is a typed outcome, not a hang.
     pub fn ephemeral_port(&mut self, remote: Endpoint) -> Option<u16> {
-        self.log.borrow_mut().r("dm", "conn_table");
+        self.log.borrow_mut().read(site!("dm", "conn_table"));
         const EPHEMERAL_RANGE: u32 = u16::MAX as u32 - 49152 + 1;
         for _ in 0..EPHEMERAL_RANGE {
             let p = self.next_ephemeral;
@@ -149,7 +149,7 @@ impl Demux {
 
     /// Release a binding.
     pub fn unbind(&mut self, id: ConnId) {
-        self.log.borrow_mut().w("dm", "conn_table");
+        self.log.borrow_mut().write(site!("dm", "conn_table"));
         if let Some(t) = self.tuples.remove(&id) {
             self.table.remove(&t);
         }
@@ -157,8 +157,8 @@ impl Demux {
 
     /// Classify an incoming packet by its DM bits only.
     pub fn classify(&self, pkt: &Packet) -> DmVerdict {
-        self.log.borrow_mut().r("dm", "conn_table");
-        self.log.borrow_mut().r("dm", "listeners");
+        self.log.borrow_mut().read(site!("dm", "conn_table"));
+        self.log.borrow_mut().read(site!("dm", "listeners"));
         if pkt.dst_addr != self.local_addr {
             return DmVerdict::NotForUs;
         }
@@ -177,7 +177,7 @@ impl Demux {
 
     /// Stamp the DM subheader and addresses on an outgoing packet.
     pub fn fill_tx(&self, id: ConnId, pkt: &mut Packet) {
-        self.log.borrow_mut().r("dm", "conn_table");
+        self.log.borrow_mut().read(site!("dm", "conn_table"));
         let t = self.tuples[&id];
         pkt.src_addr = t.local.addr;
         pkt.dst_addr = t.remote.addr;

@@ -19,7 +19,7 @@ use crate::signals::CongSignal;
 use crate::wire::{Packet, Payload};
 use netsim::{Dur, Pressure, Time};
 use slcc::RateController;
-use slmetrics::SharedLog;
+use slmetrics::{site, SharedLog};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum segment size OSR cuts the byte stream into.
@@ -176,7 +176,7 @@ impl Osr {
     /// one copy the bytes get on the way down: into slabs of at most
     /// [`SLAB_MAX`], which the segments are then views of.
     pub fn write(&mut self, data: &[u8]) -> usize {
-        self.log.borrow_mut().w("osr", "app_buf");
+        self.log.borrow_mut().write(site!("osr", "app_buf"));
         assert!(!self.app_closed, "write after close");
         let n = data.len().min(self.write_capacity());
         self.app_buf.extend(data[..n].chunks(SLAB_MAX).map(Payload::from));
@@ -188,7 +188,7 @@ impl Osr {
     /// Drain in-order bytes to the application: the one copy they get on
     /// the way up, gathered into one exactly-sized `Vec`.
     pub fn read(&mut self) -> Vec<u8> {
-        self.log.borrow_mut().r("osr", "app_out");
+        self.log.borrow_mut().read(site!("osr", "app_out"));
         let mut out = Vec::with_capacity(self.app_out_bytes as usize);
         for data in self.app_out.drain(..) {
             out.extend_from_slice(&data);
@@ -259,9 +259,9 @@ impl Osr {
     /// Decide whether a segment is "ready" (rate control × flow control)
     /// and cut it if so.
     pub fn poll_segment(&mut self, now: Time) -> Option<Payload> {
-        self.log.borrow_mut().r("osr", "app_buf");
-        self.log.borrow_mut().r("osr", "cwnd");
-        self.log.borrow_mut().r("osr", "peer_wnd");
+        self.log.borrow_mut().read(site!("osr", "app_buf"));
+        self.log.borrow_mut().read(site!("osr", "cwnd"));
+        self.log.borrow_mut().read(site!("osr", "peer_wnd"));
         if self.app_buf.is_empty() {
             return None;
         }
@@ -321,7 +321,7 @@ impl Osr {
 
     /// Feed RD's summarized congestion signals into rate control.
     pub fn on_signals(&mut self, now: Time, signals: &[CongSignal]) {
-        self.log.borrow_mut().w("osr", "cwnd");
+        self.log.borrow_mut().write(site!("osr", "cwnd"));
         for &sig in signals {
             // Every ack-bearing variant releases flight, whatever its
             // recovery classification.
@@ -361,7 +361,7 @@ impl Osr {
 
     /// A segment arrived (possibly out of order, exactly once).
     pub fn on_delivered(&mut self, offset: u64, data: Payload) {
-        self.log.borrow_mut().w("osr", "reasm");
+        self.log.borrow_mut().write(site!("osr", "reasm"));
         debug_assert!(offset >= self.rcv_next, "RD guarantees exactly-once");
         if offset > self.rcv_next {
             // Hard cap: the advertised window is advisory to the peer, but
@@ -399,7 +399,7 @@ impl Osr {
     /// Update the host-pressure signal (plumbed down from the host through
     /// the stack). Takes effect at the next [`Osr::fill_tx`].
     pub fn set_pressure(&mut self, p: Pressure) {
-        self.log.borrow_mut().w("osr", "pressure");
+        self.log.borrow_mut().write(site!("osr", "pressure"));
         self.pressure = p;
     }
 
@@ -407,8 +407,8 @@ impl Osr {
     /// pressure the advertised window is the free space right-shifted by
     /// the pressure tier, so peers slow down proportionally.
     pub fn fill_tx(&mut self, pkt: &mut Packet) {
-        self.log.borrow_mut().r("osr", "rcv_buf");
-        self.log.borrow_mut().r("osr", "pressure");
+        self.log.borrow_mut().read(site!("osr", "rcv_buf"));
+        self.log.borrow_mut().read(site!("osr", "pressure"));
         let buffered = self.app_out_bytes as usize + self.parked();
         let free = RCV_BUF_CAP.saturating_sub(buffered);
         pkt.osr.rcv_wnd = (free >> self.pressure.wnd_shift()).min(u16::MAX as usize) as u16;
@@ -417,7 +417,7 @@ impl Osr {
 
     /// Process the OSR subheader of an inbound packet.
     pub fn on_header(&mut self, now: Time, pkt: &Packet) {
-        self.log.borrow_mut().w("osr", "peer_wnd");
+        self.log.borrow_mut().write(site!("osr", "peer_wnd"));
         self.peer_wnd = pkt.osr.rcv_wnd as u32;
         if self.peer_wnd as usize >= MSS {
             // The window reopened usefully: the persist cycle is over.

@@ -24,7 +24,7 @@ use crate::mailbox::Mailbox;
 use crate::signals::{CongSignal, SeqValidity};
 use crate::wire::{Packet, Payload, SackRange};
 use netsim::{Dur, Time};
-use slmetrics::SharedLog;
+use slmetrics::{site, SharedLog};
 use slwire::seq;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -295,8 +295,8 @@ impl ReliableDelivery {
     /// Accept a segment from OSR at the next offset; RD assigns sequence
     /// numbers and guarantees eventual delivery.
     pub fn push_segment(&mut self, now: Time, data: Payload) {
-        self.log.borrow_mut().w("rd", "snd_nxt");
-        self.log.borrow_mut().w("rd", "in_flight");
+        self.log.borrow_mut().write(site!("rd", "snd_nxt"));
+        self.log.borrow_mut().write(site!("rd", "in_flight"));
         assert!(self.can_accept(), "pushed past RD's safety window");
         assert!(!data.is_empty());
         let off = self.snd_nxt;
@@ -322,7 +322,7 @@ impl ReliableDelivery {
         if self.fin.is_some() {
             return;
         }
-        self.log.borrow_mut().w("rd", "snd_nxt");
+        self.log.borrow_mut().write(site!("rd", "snd_nxt"));
         let off = self.snd_nxt;
         self.snd_nxt += 1;
         self.fin = Some((off, now));
@@ -342,7 +342,7 @@ impl ReliableDelivery {
     }
 
     fn rtt_sample(&mut self, sample: Dur) {
-        self.log.borrow_mut().w("rd", "srtt");
+        self.log.borrow_mut().write(site!("rd", "srtt"));
         match self.srtt {
             None => {
                 self.srtt = Some(sample);
@@ -359,7 +359,7 @@ impl ReliableDelivery {
     }
 
     fn retransmit_first_unacked(&mut self, now: Time) {
-        self.log.borrow_mut().r("rd", "in_flight");
+        self.log.borrow_mut().read(site!("rd", "in_flight"));
         // Skip SACKed segments — SACK is RD-private mechanics.
         if let Some(f) = self.in_flight.iter_mut().find(|f| !f.sacked) {
             f.retransmitted = true;
@@ -382,13 +382,13 @@ impl ReliableDelivery {
     /// unit of RD's sequence space (the CM/RD coupling the paper
     /// acknowledges).
     pub fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
-        self.log.borrow_mut().r("rd", "snd_una");
+        self.log.borrow_mut().read(site!("rd", "snd_una"));
         // Acknowledgment processing.
         if pkt.rd.has_ack {
             let ack = Self::unwrap(self.snd_isn, pkt.rd.ack, self.snd_una);
             if ack > self.snd_una && ack <= self.snd_nxt {
-                self.log.borrow_mut().w("rd", "snd_una");
-                self.log.borrow_mut().w("rd", "in_flight");
+                self.log.borrow_mut().write(site!("rd", "snd_una"));
+                self.log.borrow_mut().write(site!("rd", "in_flight"));
                 let bytes = (ack - self.snd_una) as u32;
                 // RTT sample from the newest fully-acked clean segment
                 // (Karn's rule).
@@ -450,7 +450,7 @@ impl ReliableDelivery {
                 && !fin
             {
                 // Duplicate ack.
-                self.log.borrow_mut().w("rd", "dupacks");
+                self.log.borrow_mut().write(site!("rd", "dupacks"));
                 self.dupacks += 1;
                 if self.dupacks == 3 {
                     self.stats.fast_retransmits += 1;
@@ -499,7 +499,7 @@ impl ReliableDelivery {
                 self.ack_pending = true;
                 return;
             }
-            self.log.borrow_mut().w("rd", "rcv_ranges");
+            self.log.borrow_mut().write(site!("rd", "rcv_ranges"));
             let seq_off = Self::unwrap(self.rcv_isn, pkt.rd.seq, self.rcv_nxt);
             if payload_len > 0 {
                 self.receive_range(seq_off, &pkt.payload);
@@ -653,7 +653,7 @@ impl ReliableDelivery {
                 if self.pace_acks && !self.ack_forced {
                     match self.delayed_ack_deadline {
                         None => {
-                            self.log.borrow_mut().w("rd", "ack_delay");
+                            self.log.borrow_mut().write(site!("rd", "ack_delay"));
                             self.delayed_ack_deadline = Some(now + ACK_DELAY);
                             self.stats.acks_paced += 1;
                             return None;
@@ -665,7 +665,7 @@ impl ReliableDelivery {
                 (None, Payload::default(), false)
             }
         };
-        self.log.borrow_mut().r("rd", "rcv_ranges");
+        self.log.borrow_mut().read(site!("rd", "rcv_ranges"));
         let mut pkt = Packet::default();
         pkt.rd.seq = self.wire_snd(off.unwrap_or(self.snd_nxt));
         pkt.rd.has_ack = true;
@@ -694,7 +694,7 @@ impl ReliableDelivery {
     /// acks) so every outgoing packet carries the cumulative ack, exactly
     /// like TCP.
     pub fn fill_tx(&mut self, pkt: &mut Packet) {
-        self.log.borrow_mut().r("rd", "rcv_ranges");
+        self.log.borrow_mut().read(site!("rd", "rcv_ranges"));
         pkt.rd.seq = self.wire_snd(self.snd_nxt);
         pkt.rd.has_ack = true;
         pkt.rd.ack = self.wire_rcv_ack();
@@ -714,7 +714,7 @@ impl ReliableDelivery {
     /// Turn pressure-driven ACK pacing on or off (plumbed down from the
     /// host through the stack).
     pub fn set_ack_pacing(&mut self, on: bool) {
-        self.log.borrow_mut().w("rd", "ack_delay");
+        self.log.borrow_mut().write(site!("rd", "ack_delay"));
         self.pace_acks = on;
         if !on {
             // Any held ack goes out at the next poll.
@@ -784,7 +784,7 @@ impl ReliableDelivery {
 
     pub fn on_tick(&mut self, now: Time) {
         if self.rto_deadline.is_some_and(|d| now >= d) {
-            self.log.borrow_mut().w("rd", "rto");
+            self.log.borrow_mut().write(site!("rd", "rto"));
             if self.all_acked() {
                 self.rto_deadline = None;
                 return;

@@ -207,11 +207,11 @@ where
 }
 
 fn sub_stack(addr: u32) -> SlTcpStack {
-    SlTcpStack::new(addr, SlConfig::default(), slmetrics::muted())
+    SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared())
 }
 
 fn mono_stack(addr: u32) -> TcpStack {
-    TcpStack::new(addr, slmetrics::muted())
+    TcpStack::new(addr, slmetrics::shared())
 }
 
 fn assert_all_complete(r: &CaseResult, n: usize) {

@@ -349,11 +349,11 @@ where
 }
 
 fn sub_stack(addr: u32) -> SlTcpStack {
-    SlTcpStack::new(addr, SlConfig::default(), slmetrics::muted())
+    SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared())
 }
 
 fn mono_stack(addr: u32) -> TcpStack {
-    TcpStack::new(addr, slmetrics::muted())
+    TcpStack::new(addr, slmetrics::shared())
 }
 
 /// Client stacks run with keepalive armed (10 s / 2 s / x5): a victim
@@ -369,11 +369,11 @@ fn sub_client(addr: u32) -> SlTcpStack {
         }),
         ..SlConfig::default()
     };
-    SlTcpStack::new(addr, cfg, slmetrics::muted())
+    SlTcpStack::new(addr, cfg, slmetrics::shared())
 }
 
 fn mono_client(addr: u32) -> TcpStack {
-    let mut s = TcpStack::new(addr, slmetrics::muted());
+    let mut s = TcpStack::new(addr, slmetrics::shared());
     s.set_keepalive(Keepalive {
         idle: Dur::from_secs(10),
         interval: Dur::from_secs(2),

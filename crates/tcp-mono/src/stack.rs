@@ -7,8 +7,9 @@
 //! processing, retransmission, reassembly), congestion control (cwnd
 //! updates, fast retransmit) and flow control (window updates), all
 //! mutating the same [`Pcb`]. The `log.borrow_mut()` annotations record
-//! which *subfunction* touches which *field*; experiment E6 turns that
-//! into the entanglement matrix contrasted with the sublayered stack.
+//! which *subfunction* touches which *field* (one `slmetrics::SITES` row
+//! each); experiment E6 turns that into the entanglement matrix contrasted
+//! with the sublayered stack.
 
 use crate::pcb::*;
 use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
@@ -18,7 +19,7 @@ use netsim::{
     Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
 };
 use slcc::{CcError, CongSignal, NewReno, RateController};
-use slmetrics::SharedLog;
+use slmetrics::{site, SharedLog};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Aggregate counters.
@@ -180,8 +181,8 @@ impl TcpStack {
     /// leaks (the diff-locality cost the sublayered stack avoids by
     /// clamping once, inside OSR).
     fn adv_wnd(&self, pcb: &Pcb) -> u16 {
-        self.log.borrow_mut().r(FC, "pressure");
-        self.log.borrow_mut().r(FC, "rcv_wnd");
+        self.log.borrow_mut().read(site!(FC, "pressure"));
+        self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
         (pcb.rcv_wnd() >> self.pressure.wnd_shift()).min(u16::MAX as u32) as u16
     }
 
@@ -319,8 +320,8 @@ impl TcpStack {
     }
 
     fn send_syn(&mut self, pcb: &mut Pcb, with_ack: bool) {
-        self.log.borrow_mut().r(CONN, "iss");
-        self.log.borrow_mut().r(FC, "rcv_wnd");
+        self.log.borrow_mut().read(site!(CONN, "iss"));
+        self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
         let seg = Segment {
             src: pcb.tuple.local,
             dst: pcb.tuple.remote,
@@ -361,9 +362,9 @@ impl TcpStack {
     /// RST or SYN, re-assert our state; a legitimate peer answers with an
     /// exact-sequence RST, a blind attacker learns nothing.
     fn challenge_ack(&mut self, pcb: &Pcb) {
-        self.log.borrow_mut().r(RD, "snd_nxt");
-        self.log.borrow_mut().r(RD, "rcv_nxt");
-        self.log.borrow_mut().r(FC, "rcv_wnd");
+        self.log.borrow_mut().read(site!(RD, "snd_nxt"));
+        self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
+        self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
         let seg = Segment {
             src: pcb.tuple.local,
             dst: pcb.tuple.remote,
@@ -432,12 +433,12 @@ impl TcpStack {
         loop {
             // How much may we send? min of peer window and cwnd, minus
             // what's already in flight. [flow control + congestion control]
-            self.log.borrow_mut().r(RD, "snd_wnd");
-            self.log.borrow_mut().r(RD, "cwnd");
-            self.log.borrow_mut().r(RD, "snd_nxt");
-            self.log.borrow_mut().r(RD, "snd_una");
-            self.log.borrow_mut().r(RD, "mss");
-            self.log.borrow_mut().r(RD, "rcv_wnd");
+            self.log.borrow_mut().read(site!(RD, "snd_wnd"));
+            self.log.borrow_mut().read(site!(RD, "cwnd"));
+            self.log.borrow_mut().read(site!(RD, "snd_nxt"));
+            self.log.borrow_mut().read(site!(RD, "snd_una"));
+            self.log.borrow_mut().read(site!(RD, "mss"));
+            self.log.borrow_mut().read(site!(RD, "rcv_wnd"));
             let window = pcb.snd_wnd.min(pcb.cwnd(now));
             let usable = window.saturating_sub(pcb.flight_size());
             let offset = pcb.snd_nxt.wrapping_sub(pcb.snd_buf_seq) as usize;
@@ -450,14 +451,14 @@ impl TcpStack {
                     && pcb.flight_size() == 0
                     && pcb.persist_deadline.is_none()
                 {
-                    self.log.borrow_mut().w(RD, "persist_deadline");
+                    self.log.borrow_mut().write(site!(RD, "persist_deadline"));
                     pcb.persist_deadline = Some(now + pcb.rto);
                 }
                 break;
             }
             let payload = pcb.snd_payload(offset, n);
             let drains = offset + n == pcb.snd_buf.len();
-            self.log.borrow_mut().w(RD, "snd_nxt");
+            self.log.borrow_mut().write(site!(RD, "snd_nxt"));
             let seg = Segment {
                 src: pcb.tuple.local,
                 dst: pcb.tuple.remote,
@@ -473,11 +474,11 @@ impl TcpStack {
             pcb.snd_max = seq::max(pcb.snd_max, pcb.snd_nxt);
             // Karn's rule: only time segments that are not retransmissions.
             if pcb.rtt_timing.is_none() && is_new_data {
-                self.log.borrow_mut().w(RD, "rtt_timing");
+                self.log.borrow_mut().write(site!(RD, "rtt_timing"));
                 pcb.rtt_timing = Some((pcb.snd_nxt, now));
             }
             if pcb.rto_deadline.is_none() {
-                self.log.borrow_mut().w(TIMERS, "rto_deadline");
+                self.log.borrow_mut().write(site!(TIMERS, "rto_deadline"));
                 pcb.rto_deadline = Some(now + pcb.rto);
             }
             if pcb.una_since.is_none() {
@@ -491,8 +492,8 @@ impl TcpStack {
         // FIN once the buffer is fully sent. [conn mgmt touching RD state]
         let offset = pcb.snd_nxt.wrapping_sub(pcb.snd_buf_seq) as usize;
         if pcb.fin_queued && pcb.fin_seq.is_none() && offset >= pcb.snd_buf.len() {
-            self.log.borrow_mut().r(CONN, "snd_buf");
-            self.log.borrow_mut().w(CONN, "snd_nxt");
+            self.log.borrow_mut().read(site!(CONN, "snd_buf"));
+            self.log.borrow_mut().write(site!(CONN, "snd_nxt"));
             let seg = Segment {
                 src: pcb.tuple.local,
                 dst: pcb.tuple.remote,
@@ -524,8 +525,8 @@ impl TcpStack {
             // `conn_deadline` plus the receive path's clears all touch the
             // same field. The sublayered stack keeps this private in RD.
             if self.pressure.paces_acks() {
-                self.log.borrow_mut().r(FC, "pressure");
-                self.log.borrow_mut().w(TIMERS, "delayed_ack_deadline");
+                self.log.borrow_mut().read(site!(FC, "pressure"));
+                self.log.borrow_mut().write(site!(TIMERS, "delayed_ack_deadline"));
                 match pcb.delayed_ack_deadline {
                     None => {
                         pcb.delayed_ack_deadline = Some(now + ACK_PACE_DELAY);
@@ -538,8 +539,8 @@ impl TcpStack {
             } else {
                 pcb.delayed_ack_deadline = None;
             }
-            self.log.borrow_mut().r(RD, "rcv_nxt");
-            self.log.borrow_mut().r(FC, "rcv_wnd");
+            self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
+            self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
             let seg = Segment {
                 src: pcb.tuple.local,
                 dst: pcb.tuple.remote,
@@ -558,7 +559,7 @@ impl TcpStack {
     /// Rebuild and send one segment starting at `seq_from` (fast
     /// retransmit / RTO / persist probe).
     fn retransmit_one(&mut self, pcb: &mut Pcb, seq_from: u32) {
-        self.log.borrow_mut().r(RD, "snd_buf");
+        self.log.borrow_mut().read(site!(RD, "snd_buf"));
         let offset = seq_from.wrapping_sub(pcb.snd_buf_seq) as usize;
         if offset > pcb.snd_buf.len() {
             return;
@@ -588,7 +589,7 @@ impl TcpStack {
         self.stats.segs_received += 1;
 
         // ---- demultiplexing: find the PCB ----
-        self.log.borrow_mut().r(DEMUX, "conn_table");
+        self.log.borrow_mut().read(site!(DEMUX, "conn_table"));
         if seg.dst.addr != self.addr {
             return;
         }
@@ -615,8 +616,8 @@ impl TcpStack {
             // new flows are refused statelessly so a flood cannot grow
             // memory while the host digs itself out.
             if would_open && (self.gate || self.pressure.refuses_new_flows()) {
-                self.log.borrow_mut().r(CONN, "gate");
-                self.log.borrow_mut().r(CONN, "pressure");
+                self.log.borrow_mut().read(site!(CONN, "gate"));
+                self.log.borrow_mut().read(site!(CONN, "pressure"));
                 self.stats.pressure_refusals += 1;
                 self.send_rst_for(&seg);
                 return;
@@ -652,12 +653,12 @@ impl TcpStack {
                         return;
                     }
                 }
-                self.log.borrow_mut().w(CONN, "state");
-                self.log.borrow_mut().w(CONN, "iss");
-                self.log.borrow_mut().w(CONN, "irs");
-                self.log.borrow_mut().w(CONN, "rcv_nxt");
-                self.log.borrow_mut().w(CONN, "snd_wnd");
-                self.log.borrow_mut().w(CONN, "mss");
+                self.log.borrow_mut().write(site!(CONN, "state"));
+                self.log.borrow_mut().write(site!(CONN, "iss"));
+                self.log.borrow_mut().write(site!(CONN, "irs"));
+                self.log.borrow_mut().write(site!(CONN, "rcv_nxt"));
+                self.log.borrow_mut().write(site!(CONN, "snd_wnd"));
+                self.log.borrow_mut().write(site!(CONN, "mss"));
                 let iss = self.isn(now, &tuple);
                 let mut pcb = Pcb::with_cc(tuple, TcpState::SynRcvd, iss, self.cc_template.clone());
                 pcb.snd_nxt = iss.wrapping_add(1);
@@ -684,7 +685,7 @@ impl TcpStack {
                 // statelessly: reconstruct the connection from the
                 // sequence numbers alone. (The cookie encodes no MSS, so
                 // the connection runs at the default.)
-                self.log.borrow_mut().w(CONN, "state");
+                self.log.borrow_mut().write(site!(CONN, "state"));
                 let cookie = seg.ack.wrapping_sub(1);
                 let mut pcb = Pcb::with_cc(tuple, TcpState::Established, cookie, self.cc_template.clone());
                 pcb.snd_una = seg.ack;
@@ -723,8 +724,8 @@ impl TcpStack {
 
         // ---- connection management: SYN_SENT ----
         if pcb.state == TcpState::SynSent {
-            self.log.borrow_mut().r(CONN, "state");
-            self.log.borrow_mut().r(CONN, "iss");
+            self.log.borrow_mut().read(site!(CONN, "state"));
+            self.log.borrow_mut().read(site!(CONN, "iss"));
             if seg.ack_flag()
                 && (seq::leq(seg.ack, pcb.iss) || seq::gt(seg.ack, pcb.snd_nxt))
             {
@@ -740,22 +741,22 @@ impl TcpStack {
                 return true;
             }
             if seg.syn() {
-                self.log.borrow_mut().w(CONN, "irs");
-                self.log.borrow_mut().w(CONN, "rcv_nxt");
-                self.log.borrow_mut().w(CONN, "mss");
+                self.log.borrow_mut().write(site!(CONN, "irs"));
+                self.log.borrow_mut().write(site!(CONN, "rcv_nxt"));
+                self.log.borrow_mut().write(site!(CONN, "mss"));
                 pcb.irs = seg.seq;
                 pcb.rcv_nxt = seg.seq.wrapping_add(1);
                 if let Some(m) = seg.mss {
                     pcb.mss = pcb.mss.min(m as u32);
                 }
                 if seg.ack_flag() && seq::gt(seg.ack, pcb.snd_una) {
-                    self.log.borrow_mut().w(CONN, "snd_una");
+                    self.log.borrow_mut().write(site!(CONN, "snd_una"));
                     pcb.snd_una = seg.ack;
                 }
                 if seq::gt(pcb.snd_una, pcb.iss) {
                     // Our SYN is acknowledged: established.
-                    self.log.borrow_mut().w(CONN, "state");
-                    self.log.borrow_mut().w(CONN, "snd_wnd");
+                    self.log.borrow_mut().write(site!(CONN, "state"));
+                    self.log.borrow_mut().write(site!(CONN, "snd_wnd"));
                     pcb.state = TcpState::Established;
                     pcb.snd_wnd = seg.wnd as u32;
                     pcb.snd_wl1 = seg.seq;
@@ -765,7 +766,7 @@ impl TcpStack {
                     pcb.ack_pending = true;
                 } else {
                     // Simultaneous open.
-                    self.log.borrow_mut().w(CONN, "state");
+                    self.log.borrow_mut().write(site!(CONN, "state"));
                     pcb.state = TcpState::SynRcvd;
                     self.send_syn(pcb, true);
                 }
@@ -779,7 +780,7 @@ impl TcpStack {
         // SYN|ACK; in either case we (re-)ack, and if our own SYN is
         // acknowledged the connection completes.
         if pcb.state == TcpState::SynRcvd && seg.syn() && seg.seq == pcb.irs {
-            self.log.borrow_mut().r(CONN, "irs");
+            self.log.borrow_mut().read(site!(CONN, "irs"));
             if seg.ack_flag()
                 && seq::between(
                     seg.ack,
@@ -787,8 +788,8 @@ impl TcpStack {
                     pcb.snd_nxt.wrapping_add(1),
                 )
             {
-                self.log.borrow_mut().w(CONN, "state");
-                self.log.borrow_mut().w(CONN, "snd_una");
+                self.log.borrow_mut().write(site!(CONN, "state"));
+                self.log.borrow_mut().write(site!(CONN, "snd_una"));
                 pcb.snd_una = seg.ack;
                 pcb.state = TcpState::Established;
                 pcb.snd_wnd = seg.wnd as u32;
@@ -824,8 +825,8 @@ impl TcpStack {
         }
 
         // ---- reliable delivery: sequence acceptability (RFC 793) ----
-        self.log.borrow_mut().r(RD, "rcv_nxt");
-        self.log.borrow_mut().r(FC, "rcv_wnd");
+        self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
+        self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
         let rwnd = pcb.rcv_wnd();
         let slen = seg.seq_len();
         let acceptable = if slen == 0 && rwnd == 0 {
@@ -852,7 +853,7 @@ impl TcpStack {
 
         // ---- connection management: RST / stray SYN (RFC 5961) ----
         if seg.rst() {
-            self.log.borrow_mut().r(CONN, "rcv_nxt");
+            self.log.borrow_mut().read(site!(CONN, "rcv_nxt"));
             if seg.seq == pcb.rcv_nxt {
                 // Exact-sequence RST: genuine abort. RFC 793 p.70: in
                 // CLOSING, LAST-ACK and TIME-WAIT the RST just deletes
@@ -880,7 +881,7 @@ impl TcpStack {
         // ---- connection management: SYN_RCVD -> ESTABLISHED ----
         if pcb.state == TcpState::SynRcvd {
             if seq::between(seg.ack, pcb.snd_una.wrapping_add(1), pcb.snd_nxt.wrapping_add(1)) {
-                self.log.borrow_mut().w(CONN, "state");
+                self.log.borrow_mut().write(site!(CONN, "state"));
                 pcb.state = TcpState::Established;
                 pcb.snd_wnd = seg.wnd as u32;
                 pcb.snd_wl1 = seg.seq;
@@ -907,14 +908,14 @@ impl TcpStack {
             return true;
         }
         if seq::gt(seg.ack, pcb.snd_una) {
-            self.log.borrow_mut().w(RD, "snd_una");
-            self.log.borrow_mut().r(RD, "rtt_timing");
-            self.log.borrow_mut().w(RD, "snd_buf");
-            self.log.borrow_mut().r(CONN, "fin_seq");
-            self.log.borrow_mut().w(CC, "cwnd");
-            self.log.borrow_mut().r(CC, "ssthresh");
-            self.log.borrow_mut().r(CC, "snd_una");
-            self.log.borrow_mut().r(CC, "mss");
+            self.log.borrow_mut().write(site!(RD, "snd_una"));
+            self.log.borrow_mut().read(site!(RD, "rtt_timing"));
+            self.log.borrow_mut().write(site!(RD, "snd_buf"));
+            self.log.borrow_mut().read(site!(CONN, "fin_seq"));
+            self.log.borrow_mut().write(site!(CC, "cwnd"));
+            self.log.borrow_mut().read(site!(CC, "ssthresh"));
+            self.log.borrow_mut().read(site!(CC, "snd_una"));
+            self.log.borrow_mut().read(site!(CC, "mss"));
             let bytes_acked = seg.ack.wrapping_sub(pcb.snd_una);
 
             // RTT sample (Karn's rule: only when nothing was retransmitted,
@@ -924,7 +925,7 @@ impl TcpStack {
                 if seq::geq(seg.ack, tseq) {
                     let sample = now.since(t0);
                     rtt_sample = Some(sample);
-                    self.log.borrow_mut().w(RD, "srtt");
+                    self.log.borrow_mut().write(site!(RD, "srtt"));
                     match pcb.srtt {
                         None => {
                             pcb.srtt = Some(sample);
@@ -1010,14 +1011,14 @@ impl TcpStack {
             }
 
             // Restart or clear the retransmission timer.
-            self.log.borrow_mut().w(TIMERS, "rto_deadline");
+            self.log.borrow_mut().write(site!(TIMERS, "rto_deadline"));
             pcb.rto_deadline =
                 if pcb.snd_una == pcb.snd_max { None } else { Some(now + pcb.rto) };
 
             // Was our FIN acknowledged?
             if let Some(fs) = pcb.fin_seq {
                 if seq::gt(seg.ack, fs) {
-                    self.log.borrow_mut().w(CONN, "state");
+                    self.log.borrow_mut().write(site!(CONN, "state"));
                     match pcb.state {
                         TcpState::FinWait1 => pcb.state = TcpState::FinWait2,
                         TcpState::Closing => {
@@ -1038,10 +1039,10 @@ impl TcpStack {
             && !seg.fin()
         {
             // ---- congestion control: duplicate ack ----
-            self.log.borrow_mut().w(CC, "dupacks");
-            self.log.borrow_mut().r(CC, "snd_una");
-            self.log.borrow_mut().r(CC, "snd_nxt");
-            self.log.borrow_mut().r(CC, "snd_wnd");
+            self.log.borrow_mut().write(site!(CC, "dupacks"));
+            self.log.borrow_mut().read(site!(CC, "snd_una"));
+            self.log.borrow_mut().read(site!(CC, "snd_nxt"));
+            self.log.borrow_mut().read(site!(CC, "snd_wnd"));
             if pcb.frto_mark.take().is_some() {
                 // F-RTO: a duplicate ack right after the timeout means
                 // the loss was real — fall back to the conventional
@@ -1052,10 +1053,10 @@ impl TcpStack {
             pcb.dupacks += 1;
             self.stats.dupacks += 1;
             if pcb.dupacks == 3 && !pcb.in_fast_recovery {
-                self.log.borrow_mut().w(CC, "ssthresh");
-                self.log.borrow_mut().w(CC, "cwnd");
-                self.log.borrow_mut().r(CC, "snd_buf");
-                self.log.borrow_mut().w(CC, "recover");
+                self.log.borrow_mut().write(site!(CC, "ssthresh"));
+                self.log.borrow_mut().write(site!(CC, "cwnd"));
+                self.log.borrow_mut().read(site!(CC, "snd_buf"));
+                self.log.borrow_mut().write(site!(CC, "recover"));
                 self.stats.fast_retransmits += 1;
                 // The loss cut is taken by the controller (from its own
                 // cwnd, not flight size — the controller never sees
@@ -1075,10 +1076,10 @@ impl TcpStack {
         if seq::lt(pcb.snd_wl1, seg.seq)
             || (pcb.snd_wl1 == seg.seq && seq::leq(pcb.snd_wl2, seg.ack))
         {
-            self.log.borrow_mut().w(FC, "snd_wnd");
-            self.log.borrow_mut().w(FC, "snd_wl1");
-            self.log.borrow_mut().w(FC, "snd_wl2");
-            self.log.borrow_mut().w(FC, "persist_deadline");
+            self.log.borrow_mut().write(site!(FC, "snd_wnd"));
+            self.log.borrow_mut().write(site!(FC, "snd_wl1"));
+            self.log.borrow_mut().write(site!(FC, "snd_wl2"));
+            self.log.borrow_mut().write(site!(FC, "persist_deadline"));
             pcb.snd_wnd = seg.wnd as u32;
             pcb.snd_wl1 = seg.seq;
             pcb.snd_wl2 = seg.ack;
@@ -1089,9 +1090,9 @@ impl TcpStack {
 
         // ---- reliable delivery: payload reassembly ----
         if !seg.payload.is_empty() {
-            self.log.borrow_mut().r(RD, "rcv_nxt");
-            self.log.borrow_mut().w(RD, "rcv_buf");
-            self.log.borrow_mut().w(RD, "ooo");
+            self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
+            self.log.borrow_mut().write(site!(RD, "rcv_buf"));
+            self.log.borrow_mut().write(site!(RD, "ooo"));
             let mut data = seg.payload.clone();
             let mut start = seg.seq;
             // Trim anything before rcv_nxt.
@@ -1148,9 +1149,9 @@ impl TcpStack {
         if seg.fin() {
             let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
             if fin_seq == pcb.rcv_nxt {
-                self.log.borrow_mut().w(CONN, "state");
-                self.log.borrow_mut().w(CONN, "rcv_nxt");
-                self.log.borrow_mut().w(CONN, "rto_deadline");
+                self.log.borrow_mut().write(site!(CONN, "state"));
+                self.log.borrow_mut().write(site!(CONN, "rcv_nxt"));
+                self.log.borrow_mut().write(site!(CONN, "rto_deadline"));
                 pcb.rcv_nxt = pcb.rcv_nxt.wrapping_add(1);
                 pcb.ack_pending = true;
                 match pcb.state {
@@ -1220,8 +1221,8 @@ impl HostStack for TcpStack {
         if self.conns.contains_key(&tuple) {
             return Err(TransportError::ConnTableFull);
         }
-        self.log.borrow_mut().w(CONN, "state");
-        self.log.borrow_mut().w(CONN, "iss");
+        self.log.borrow_mut().write(site!(CONN, "state"));
+        self.log.borrow_mut().write(site!(CONN, "iss"));
         let iss = self.isn(now, &tuple);
         let mut pcb = Pcb::with_cc(tuple, TcpState::SynSent, iss, self.cc_template.clone());
         pcb.snd_nxt = iss.wrapping_add(1);
@@ -1258,7 +1259,7 @@ impl HostStack for TcpStack {
         if !pcb.state.can_send() || pcb.fin_queued {
             return 0;
         }
-        self.log.borrow_mut().w(RD, "snd_buf");
+        self.log.borrow_mut().write(site!(RD, "snd_buf"));
         let n = data.len().min(SND_BUF_CAP.saturating_sub(pcb.snd_buf.len()));
         pcb.snd_buf.extend(data[..n].iter().copied());
         // No timer field moves until the output path runs.
@@ -1269,8 +1270,8 @@ impl HostStack for TcpStack {
     /// Drain received in-order bytes.
     fn recv(&mut self, tuple: FourTuple) -> Vec<u8> {
         let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
-        self.log.borrow_mut().r(RD, "rcv_buf");
-        self.log.borrow_mut().w(FC, "rcv_wnd");
+        self.log.borrow_mut().read(site!(RD, "rcv_buf"));
+        self.log.borrow_mut().write(site!(FC, "rcv_wnd"));
         // One exactly-sized `Vec`, one `memcpy` per half of the ring.
         let (front, back) = pcb.rcv_buf.as_slices();
         let out = [front, back].concat();
@@ -1297,7 +1298,7 @@ impl HostStack for TcpStack {
     fn close(&mut self, tuple: FourTuple) {
         let Some(mut pcb) = self.conns.remove(&tuple) else { return };
         let before = Some(self.mark_of(&pcb));
-        self.log.borrow_mut().w(CONN, "state");
+        self.log.borrow_mut().write(site!(CONN, "state"));
         match pcb.state {
             TcpState::Established | TcpState::SynRcvd => {
                 pcb.fin_queued = true;
@@ -1426,12 +1427,12 @@ impl HostStack for TcpStack {
             }
 
             if pcb.rto_deadline.is_some_and(|d| now >= d) {
-                self.log.borrow_mut().r(TIMERS, "rto_deadline");
-                self.log.borrow_mut().w(TIMERS, "cwnd");
-                self.log.borrow_mut().w(TIMERS, "ssthresh");
-                self.log.borrow_mut().w(TIMERS, "snd_nxt");
-                self.log.borrow_mut().w(TIMERS, "rtt_timing");
-                self.log.borrow_mut().w(TIMERS, "fin_seq");
+                self.log.borrow_mut().read(site!(TIMERS, "rto_deadline"));
+                self.log.borrow_mut().write(site!(TIMERS, "cwnd"));
+                self.log.borrow_mut().write(site!(TIMERS, "ssthresh"));
+                self.log.borrow_mut().write(site!(TIMERS, "snd_nxt"));
+                self.log.borrow_mut().write(site!(TIMERS, "rtt_timing"));
+                self.log.borrow_mut().write(site!(TIMERS, "fin_seq"));
                 pcb.retries += 1;
                 self.stats.rto_retransmits += 1;
                 let give_up = match pcb.state {
@@ -1489,9 +1490,9 @@ impl HostStack for TcpStack {
 
             if pcb.persist_deadline.is_some_and(|d| now >= d) {
                 // Zero-window probe: one byte past the window.
-                self.log.borrow_mut().r(TIMERS, "snd_wnd");
-                self.log.borrow_mut().r(TIMERS, "snd_buf");
-                self.log.borrow_mut().w(TIMERS, "snd_nxt");
+                self.log.borrow_mut().read(site!(TIMERS, "snd_wnd"));
+                self.log.borrow_mut().read(site!(TIMERS, "snd_buf"));
+                self.log.borrow_mut().write(site!(TIMERS, "snd_nxt"));
                 let offset = pcb.snd_nxt.wrapping_sub(pcb.snd_buf_seq) as usize;
                 if offset < pcb.snd_buf.len() && pcb.snd_wnd == 0 {
                     let byte = pcb.snd_buf[offset];
@@ -1532,7 +1533,7 @@ impl HostStack for TcpStack {
                         + ka.interval.saturating_mul(pcb.ka_probes as u64);
                     if now >= due {
                         if pcb.ka_probes >= ka.max_probes && pcb.flight_size() == 0 {
-                            self.log.borrow_mut().w(TIMERS, "state");
+                            self.log.borrow_mut().write(site!(TIMERS, "state"));
                             self.errors
                                 .entry(tuple)
                                 .or_insert(TransportError::PeerVanished);
@@ -1543,7 +1544,7 @@ impl HostStack for TcpStack {
                         // Probe one byte *behind* snd_nxt: unacceptable to
                         // the peer, which therefore answers with a bare
                         // ack (the RFC 793 rule on_segment already obeys).
-                        self.log.borrow_mut().r(TIMERS, "snd_nxt");
+                        self.log.borrow_mut().read(site!(TIMERS, "snd_nxt"));
                         let seg = Segment {
                             src: pcb.tuple.local,
                             dst: pcb.tuple.remote,
@@ -1570,7 +1571,7 @@ impl HostStack for TcpStack {
     /// window stamping, ack pacing, accept gating — reads the shared
     /// field directly; no per-connection fan-out exists to forget.
     fn set_pressure(&mut self, p: Pressure) {
-        self.log.borrow_mut().w(FC, "pressure");
+        self.log.borrow_mut().write(site!(FC, "pressure"));
         if p != self.pressure {
             // An ack that pacing held goes out at the next output pass.
             for &tuple in self.conns.keys() {
@@ -1583,7 +1584,7 @@ impl HostStack for TcpStack {
     /// Explicitly gate new-flow admission (host drain/quiesce),
     /// independent of the pressure tier.
     fn gate_new_flows(&mut self, refuse: bool) {
-        self.log.borrow_mut().w(CONN, "gate");
+        self.log.borrow_mut().write(site!(CONN, "gate"));
         self.gate = refuse;
     }
 
