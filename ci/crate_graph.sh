@@ -7,7 +7,9 @@
 # lives, may depend on nothing in the workspace but it. The network layer
 # links no transport crate (its forwarding check is its own), so the
 # baseline's tests, which build a fabric from it, never compile the
-# contribution either.
+# contribution either. The conformance harness checks both stacks on one
+# wire and links no network layer: the one harness that runs them across
+# the fabric is `bench::topology`.
 set -eu
 deps() { cargo tree -e normal --prefix none -p "$1" | sed 's/ .*//' | sort -u; }
 fail=0
@@ -26,6 +28,7 @@ forbid slshard sublayer-core
 forbid slshard tcp-mono
 forbid netlayer slverify
 forbid netlayer sublayer-core
+forbid slconform netlayer
 if cargo tree -e normal,dev --prefix none -p tcp-mono | sed 's/ .*//' | grep -qx sublayer-core; then
     echo "crate graph: tcp-mono's tests link sublayer-core" >&2
     fail=1

@@ -29,13 +29,12 @@
 //! Deterministic: the same `(controller, stack, seed)` triple produces a
 //! byte-identical JSON row (`BENCH_fairness.json` is committed).
 
-use crate::topology::{attribute, drain_server, stack_mut};
+use crate::natcodec::peek_for;
+use crate::topology::{attach, attribute, drain_server, stack_mut, stream_pattern};
 use crate::{json, sweep_grid, Report, KINDS};
 use netlayer::{box_host_addr, topo_fanin, BoxNet};
-use netsim::{Dur, LinkParams, NodeId, SimNet, StackNode, Time};
+use netsim::{Dur, LinkParams, NodeId, SimNet, Time};
 use slconform::{ConformStack, Kind};
-use slconform::multihop::mh_pattern;
-use slconform::natcodec::peek_for;
 use slmetrics::CcCounters;
 use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
@@ -168,23 +167,16 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
         let conn = c
             .try_connect(Time::ZERO, 5000 + i as u16, Endpoint::new(saddr, SERVER_PORT))
             .expect("client connect");
-        let id = net.add_node(Box::new(StackNode::new(c)));
-        let (router, port) = bn.host_ports[i];
-        net.connect(id, 0, router, port, LinkParams::delay_only(Dur::from_millis(1)));
+        let id = attach(&mut net, &bn, i, c, LinkParams::delay_only(Dur::from_millis(1)));
         clients.push((id, conn));
     }
-    let ns = {
-        let id = net.add_node(Box::new(StackNode::new(server)));
-        let (router, port) = bn.host_ports[server_site];
-        net.connect(id, 0, router, port, LinkParams::delay_only(Dur::from_millis(1)));
-        id
-    };
+    let ns = attach(&mut net, &bn, server_site, server, LinkParams::delay_only(Dur::from_millis(1)));
     net.poll_all();
 
     // Aggregate offered load = OVERLOAD x what the bottleneck can carry
     // over the horizon, split evenly across the greedy flows.
     let offered = (OVERLOAD * BOTTLENECK_BPS * horizon_secs / 8) as usize / FLOWS;
-    let payloads: Vec<Vec<u8>> = (0..FLOWS).map(|i| mh_pattern(i, offered)).collect();
+    let payloads: Vec<Vec<u8>> = (0..FLOWS).map(|i| stream_pattern(i, offered)).collect();
     let mut sconns: Vec<Option<H::ConnId>> = vec![None; FLOWS];
     let mut sent = [0usize; FLOWS];
     let mut got = vec![Vec::new(); FLOWS];

@@ -26,6 +26,7 @@ pub mod entangle;
 pub mod failover;
 pub mod fairness;
 pub mod json;
+pub mod natcodec;
 pub mod overload;
 pub mod scale;
 pub mod shard;

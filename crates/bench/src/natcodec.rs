@@ -4,17 +4,18 @@
 //!
 //! `netlayer` deliberately knows neither transport's wire format; the
 //! router reads addresses through an [`AddrPeek`] function pointer and the
-//! NAT rewrites endpoints through a boxed codec. Both live here, next to
-//! the formats they understand. Every rewrite round-trips through the
+//! NAT rewrites endpoints through a boxed codec. Both live here, beside
+//! the one harness that puts both stacks behind the fabric
+//! ([`crate::topology`]), so the conformance harness never links the
+//! network layer. Every rewrite round-trips through the
 //! real `Segment`/`Packet` codecs, so checksums are re-sealed and a
 //! mangled frame comes out as `None` (the middlebox drops it as
 //! malformed) rather than as garbage on the wire.
 
 use netlayer::{AddrPeek, NatCodec};
+use slconform::Kind;
 use slwire::native::{self, Packet};
 use slwire::rfc793::{self, Endpoint, Segment};
-
-use crate::Kind;
 
 /// The [`AddrPeek`] matching a stack kind: the format's own `peek`, less
 /// the ports a router has no use for.

@@ -1,6 +1,9 @@
 //! Topology campaigns: both stacks driven across the `netlayer` fabric —
 //! multi-hop chains, a rerouting diamond, a fan-in bottleneck, a NAT that
-//! restarts, and a long partition with no alternate path.
+//! restarts, and a long partition with no alternate path. This is the one
+//! harness that puts the transports behind the fabric; the fairness
+//! campaign reuses its attach, drain and attribution helpers, and the
+//! per-format peeks and NAT codecs sit beside it in [`crate::natcodec`].
 //!
 //! Every run is gated by the StacKAT-flavored static forwarding check
 //! ([`netlayer::BoxTopo::check`]): the primary tables must be fully
@@ -18,7 +21,12 @@
 //! 4. **no deadlock** — an aborted run leaves the simulator idle;
 //!
 //! plus per-profile expectations (reroutes observed, NAT abort + clean
-//! reconnect, partition abort). Clients run with keepalive enabled, so
+//! reconnect, partition abort). Each expectation says what *both* stacks
+//! must do, so two passing runs of one `(profile, seed)` agree on
+//! completion, on which streams ended in a typed error and on the
+//! reconnect — the cross-stack outcome diff needs no separate harness
+//! (the per-profile `*_agrees_across_stacks` tests check it directly).
+//! Clients run with keepalive enabled, so
 //! the reroute profiles double as the chaos pin for "keepalive must not
 //! fire across an RTT step change" — mid-flow reroute onto a path an
 //! order of magnitude slower must not abort the connection.
@@ -30,14 +38,13 @@ use netlayer::{
     topo_nat_gateway, BoxNet, BoxTopo, NatBox, NAT_INSIDE, NAT_OUTSIDE,
 };
 use netsim::{AdminOp, Dur, LinkParams, NodeId, SimNet, StackNode, Time, TransportError};
-use slconform::multihop::mh_pattern;
-use slconform::natcodec::{nat_codec, peek_for};
 use slconform::{ConformStack, Kind};
 use slhost::HostStack;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
 use slwire::Endpoint;
 
+use crate::natcodec::{nat_codec, peek_for};
 use crate::{json, sweep_grid, Report, KINDS};
 
 /// How long (simulated) a campaign may run before we declare a hang. Must
@@ -46,9 +53,18 @@ const PATIENCE: Dur = Dur(600_000_000_000);
 /// Application drain granularity.
 const TICK: Dur = Dur(50_000_000);
 const SERVER_PORT: u16 = 80;
+/// The `nat-restart` client's private (pre-NAT) address.
+const PRIVATE_ADDR: u32 = 0xC0A8_0001;
 
 fn t(ms: u64) -> Time {
     Time::ZERO + Dur::from_millis(ms)
+}
+
+/// Deterministic per-stream payload; distinct salts make cross-stream
+/// misdelivery (not just truncation) detectable.
+pub(crate) fn stream_pattern(stream: usize, len: usize) -> Vec<u8> {
+    let salt = (stream as u8).wrapping_mul(53).wrapping_add(11);
+    (0..len).map(|i| ((i % 251) as u8).wrapping_add(salt)).collect()
 }
 
 /// The six topology profiles of the standard sweep (five topologies).
@@ -204,6 +220,21 @@ pub(crate) fn stack_mut<H: HostStack>(net: &mut SimNet, id: NodeId) -> &mut H {
     &mut net.node_mut::<StackNode<H>>(id).stack
 }
 
+/// Add `stack` as a node and cable it into the fabric's host `site` over
+/// `access`. Shared with the fairness campaign.
+pub(crate) fn attach<H: HostStack + 'static>(
+    net: &mut SimNet,
+    bn: &BoxNet,
+    site: usize,
+    stack: H,
+    access: LinkParams,
+) -> NodeId {
+    let id = net.add_node(Box::new(StackNode::new(stack)));
+    let (router, port) = bn.host_ports[site];
+    net.connect(id, 0, router, port, access);
+    id
+}
+
 /// Claim a stream slot for each newly established server connection,
 /// then drain every claimed connection into its stream. Shared with the
 /// fairness campaign, whose fan-in server reads the same way.
@@ -333,31 +364,27 @@ fn run_t<H: ConformStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     let mut clients: Vec<(NodeId, H::ConnId)> = Vec::new();
     let mut nat_node = None;
     for i in 0..n_streams {
-        let addr = if profile == TopoProfile::NatRestart { 0xC0A8_0001 } else { box_host_addr(i) };
+        let addr = if profile == TopoProfile::NatRestart { PRIVATE_ADDR } else { box_host_addr(i) };
         let mut c = H::mk_keepalive(addr);
         let conn = c
             .try_connect(Time::ZERO, 5000 + i as u16, Endpoint::new(saddr, SERVER_PORT))
             .expect("client connect");
-        let id = net.add_node(Box::new(StackNode::new(c)));
-        let (router, port) = bn.host_ports[i];
-        if profile == TopoProfile::NatRestart {
+        let id = if profile == TopoProfile::NatRestart {
+            let id = net.add_node(Box::new(StackNode::new(c)));
             let nat = net.add_node(Box::new(
                 NatBox::new(nat_codec(H::KIND), box_host_addr(0)).rst_on_unknown(),
             ));
+            let (router, port) = bn.host_ports[i];
             net.connect(id, 0, nat, NAT_INSIDE, profile.access());
             net.connect(nat, NAT_OUTSIDE, router, port, LinkParams::delay_only(Dur::from_millis(1)));
             nat_node = Some(nat);
+            id
         } else {
-            net.connect(id, 0, router, port, profile.access());
-        }
+            attach(&mut net, &bn, i, c, profile.access())
+        };
         clients.push((id, conn));
     }
-    let ns = {
-        let id = net.add_node(Box::new(StackNode::new(server)));
-        let (router, port) = bn.host_ports[server_site];
-        net.connect(id, 0, router, port, LinkParams::delay_only(Dur::from_millis(1)));
-        id
-    };
+    let ns = attach(&mut net, &bn, server_site, server, LinkParams::delay_only(Dur::from_millis(1)));
 
     // The profile's fault schedule.
     match profile {
@@ -379,7 +406,7 @@ fn run_t<H: ConformStack>(profile: TopoProfile, seed: u64) -> TopoOutcome {
     net.poll_all();
 
     let payloads: Vec<Vec<u8>> =
-        (0..n_streams).map(|i| mh_pattern(i, profile.payload_len())).collect();
+        (0..n_streams).map(|i| stream_pattern(i, profile.payload_len())).collect();
     let mut sconns: Vec<Option<H::ConnId>> = vec![None; n_streams];
     let d = drive::<H>(&mut net, &clients, &payloads, ns, &mut sconns);
     let idle = net.is_idle();
@@ -423,7 +450,7 @@ fn reconnect<H: ConformStack>(
     taken: &[Option<H::ConnId>],
 ) -> bool {
     let now = net.now();
-    let payload = mh_pattern(7, 10_000);
+    let payload = stream_pattern(7, 10_000);
     let Ok(conn) = stack_mut::<H>(net, nc).try_connect(now, 5001, Endpoint::new(saddr, SERVER_PORT))
     else {
         return false;
@@ -621,6 +648,53 @@ mod tests {
             assert!(out.ok(), "{}: {:?}", out.stack, out.violations);
             assert_eq!(out.reconnect_ok, Some(true));
         }
+    }
+
+    /// The outcome-level differential check: `profile` passes on both
+    /// stacks at seed 1, and they agree on what they must (completion,
+    /// which streams died with a typed error, the reconnect).
+    fn assert_stacks_agree(profile: TopoProfile) {
+        let outcome = |o: &TopoOutcome| {
+            let errored: Vec<bool> = o.client_errors.iter().map(Option::is_some).collect();
+            (o.complete, errored, o.reconnect_ok)
+        };
+        let sub = run_campaign(profile, Kind::Sub, 1);
+        let mono = run_campaign(profile, Kind::Mono, 1);
+        assert!(sub.ok(), "{} sub: {:?}", sub.profile, sub.violations);
+        assert!(mono.ok(), "{} mono: {:?}", mono.profile, mono.violations);
+        assert_eq!(outcome(&sub), outcome(&mono), "{} diverges across stacks", sub.profile);
+    }
+
+    // One test per profile of `TopoProfile::all()`, fan-in included, which
+    // the smoke sweep leaves out.
+    #[test]
+    fn line3_bulk_agrees_across_stacks() {
+        assert_stacks_agree(TopoProfile::Line3Bulk);
+    }
+
+    #[test]
+    fn reroute_mid_transfer_agrees_across_stacks() {
+        assert_stacks_agree(TopoProfile::DiamondReroute);
+    }
+
+    #[test]
+    fn diamond_flap_agrees_across_stacks() {
+        assert_stacks_agree(TopoProfile::DiamondFlap);
+    }
+
+    #[test]
+    fn fanin_bottleneck_agrees_across_stacks() {
+        assert_stacks_agree(TopoProfile::FaninBottleneck);
+    }
+
+    #[test]
+    fn nat_restart_agrees_across_stacks() {
+        assert_stacks_agree(TopoProfile::NatRestart);
+    }
+
+    #[test]
+    fn long_haul_partition_agrees_across_stacks() {
+        assert_stacks_agree(TopoProfile::LongHaulPartition);
     }
 
     #[test]

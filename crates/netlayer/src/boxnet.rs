@@ -45,7 +45,8 @@ use crate::packet::{Addr, DataPacket};
 
 /// Reads `(src_addr, dst_addr)` off a raw transport frame. Kept as a plain
 /// function pointer so a topology stays `'static` data; the per-wire-format
-/// implementations live with the transports (see `slconform`).
+/// implementations live with the harness that runs the transports over
+/// the fabric (`bench::natcodec::peek_for`).
 pub type AddrPeek = fn(&[u8]) -> Option<(u32, u32)>;
 
 /// Default TTL stamped on encapsulated data packets.
@@ -480,7 +481,8 @@ pub const NAT_FIRST_PORT: u16 = 40000;
 /// Transport-format knowledge a [`NatBox`] needs: read the 4-tuple,
 /// rewrite an endpoint (re-sealing any checksum), shift the data sequence
 /// number (hostile mode), and forge a RST answering a given frame.
-/// Implementations live with the transports (`slconform::natcodec`).
+/// Implementations live with the harness that runs the transports over
+/// the fabric (`bench::natcodec`).
 pub trait NatCodec {
     /// `((src_addr, src_port), (dst_addr, dst_port))` of a raw frame.
     fn tuple(&self, frame: &[u8]) -> Option<((u32, u16), (u32, u16))>;

@@ -32,8 +32,6 @@ pub mod codec_equiv;
 pub mod diff;
 pub mod driver;
 pub mod golden;
-pub mod multihop;
-pub mod natcodec;
 pub mod oracle;
 pub mod scenario;
 pub mod shrink;
@@ -48,7 +46,5 @@ pub use driver::{
     pattern, run_kind, run_scenario, run_scenario_mutated, AppOp, BugStack, ConformStack,
     EndpointOut, Mutation, RunOut,
 };
-pub use multihop::{diff_multihop, run_multihop, MhOut, MhScenario};
-pub use natcodec::{nat_codec, peek_for, MonoNatCodec, SubNatCodec};
 pub use scenario::{corpus, Ev, FaultKind, LinkSpec, RstOff, Scenario, Side};
 pub use wire::{Kind, RawSeg};

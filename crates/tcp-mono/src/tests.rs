@@ -291,17 +291,10 @@ fn frto_classifies_bufferbloat_timeout_as_spurious() {
     // replay — the failure mode is a self-sustaining duplicate storm in
     // which every replayed segment draws dup acks that open fresh
     // "loss" episodes and collapse goodput.
-    fn peek(frame: &[u8]) -> Option<(u32, u32)> {
-        if frame.len() < 28 {
-            return None;
-        }
-        let src = u32::from_be_bytes(frame.get(0..4)?.try_into().ok()?);
-        let dst = u32::from_be_bytes(frame.get(4..8)?.try_into().ok()?);
-        Some((src, dst))
-    }
     use netlayer::{box_host_addr, topo_fanin};
     let mut net = SimNet::new(1);
-    let bn = topo_fanin().build(&mut net, peek);
+    let bn = topo_fanin()
+        .build(&mut net, |f| slwire::rfc793::peek(f).map(|(src, dst)| (src.addr, dst.addr)));
     let saddr = box_host_addr(3);
     let mut server = TcpStack::new(saddr, slmetrics::shared());
     server.listen(80);
