@@ -21,6 +21,7 @@ use netsim::{Dur, Pressure, Time};
 use slcc::RateController;
 use slmetrics::{site, SharedLog};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 
 /// Maximum segment size OSR cuts the byte stream into.
 pub const MSS: usize = slwire::rfc793::DEFAULT_MSS as usize;
@@ -89,13 +90,13 @@ pub struct Osr {
     /// window computation on every outgoing packet is O(1)).
     parked_bytes: u32,
     rcv_next: u64,
-    /// In order, not yet read: the handles RD delivered, as they came.
-    app_out: VecDeque<Payload>,
-    /// Total bytes across `app_out`, saturating: the advertised window
-    /// keeps an honest peer under [`RCV_BUF_CAP`], but in-order data from
-    /// one that ignores it is not refused while the application sits on
-    /// its hands.
-    app_out_bytes: u32,
+    /// In order, not yet read: one buffer the delivered bytes are copied
+    /// into, which keeps its capacity from one read to the next. The
+    /// advertised window keeps an honest peer under [`RCV_BUF_CAP`], but
+    /// in-order data from one that ignores it is not refused while the
+    /// application sits on its hands; the read that drains a buffer grown
+    /// past the cap frees it.
+    app_out: Vec<u8>,
     /// Pending ECN echo to reflect in our next header.
     ecn_to_echo: bool,
     /// The application freed receive-buffer space; the peer should hear
@@ -130,8 +131,7 @@ impl Osr {
             reasm: BTreeMap::new(),
             parked_bytes: 0,
             rcv_next: 0,
-            app_out: VecDeque::new(),
-            app_out_bytes: 0,
+            app_out: Vec::new(),
             ecn_to_echo: false,
             window_update_pending: false,
             pressure: Pressure::Nominal,
@@ -145,19 +145,20 @@ impl Osr {
     /// reassembly, unread app data) — the memory-bound invariant the
     /// attack campaign checks.
     ///
-    /// This counts the bytes *viewed*; what is held is whole slabs. Going
-    /// down, a slab is at most [`SLAB_MAX`] bytes and is freed as soon as
-    /// the last segment cut from it is acknowledged, so the send side
-    /// (this queue plus RD's retransmission buffer) holds at most one
-    /// slab's worth of already-acknowledged bytes beyond what the two
-    /// account for — the slab the oldest unacknowledged segment sits in —
-    /// plus a handle and a slab header (some 40 bytes) per `write`. Going
-    /// up, RD hands over a view only if it covers at least half of its
-    /// frame's payload (it copies out smaller novel parts), so parked and
-    /// unread bytes pin at most twice what they count, plus the same 40
-    /// bytes per delivered segment — unread as well as parked ones now.
+    /// This counts the bytes *viewed*; what is held is whole slabs and
+    /// buffer capacity. Going down, a slab is at most [`SLAB_MAX`] bytes and
+    /// is freed as soon as the last segment cut from it is acknowledged, so
+    /// the send side (this queue plus RD's retransmission buffer) holds at
+    /// most one slab's worth of already-acknowledged bytes beyond what the
+    /// two account for — the slab the oldest unacknowledged segment sits
+    /// in — plus a handle and a slab header (some 40 bytes) per `write`.
+    /// Going up, a parked part is an exactly sized copy, or under
+    /// [`Osr::on_delivered`] a view of at least half its frame's payload, so
+    /// parked bytes pin at most twice what they count plus the same 40
+    /// bytes each; unread bytes sit in one buffer, whose capacity a read
+    /// leaves at most [`RCV_BUF_CAP`].
     pub fn buffered_bytes(&self) -> usize {
-        self.app_buf_bytes as usize + self.app_out_bytes as usize + self.parked()
+        self.app_buf_bytes as usize + self.app_out.len() + self.parked()
     }
 
     /// Bytes parked out of order in `reasm`.
@@ -185,15 +186,16 @@ impl Osr {
         n
     }
 
-    /// Drain in-order bytes to the application: the one copy they get on
-    /// the way up, gathered into one exactly-sized `Vec`.
+    /// Drain in-order bytes to the application, copied out of the read
+    /// buffer into one exactly-sized `Vec`. The buffer keeps its capacity
+    /// for the next delivery unless it grew past [`RCV_BUF_CAP`].
     pub fn read(&mut self) -> Vec<u8> {
         self.log.borrow_mut().read(site!("osr", "app_out"));
-        let mut out = Vec::with_capacity(self.app_out_bytes as usize);
-        for data in self.app_out.drain(..) {
-            out.extend_from_slice(&data);
+        let out = self.app_out.to_vec();
+        self.app_out.clear();
+        if self.app_out.capacity() > RCV_BUF_CAP {
+            self.app_out = Vec::new();
         }
-        self.app_out_bytes = 0;
         self.stats.bytes_read += out.len() as u64;
         if out.len() >= MSS {
             // The window reopened significantly: tell the peer (window
@@ -206,7 +208,7 @@ impl Osr {
     /// In-order bytes available to [`Osr::read`] without draining them —
     /// the host layer's readability predicate.
     pub fn readable_len(&self) -> usize {
-        self.app_out_bytes as usize
+        self.app_out.len()
     }
 
     /// Free send-buffer space — the host layer's writability predicate.
@@ -226,6 +228,20 @@ impl Osr {
     /// deleted.
     pub fn suppress_window_update(&mut self) {
         self.window_update_pending = false;
+    }
+
+    /// Free the read buffer if it is drained. The stack calls this once the
+    /// peer's FIN is in, when no byte can join it any more.
+    pub fn release_read_buffer(&mut self) {
+        if self.app_out.is_empty() {
+            self.app_out = Vec::new();
+        }
+    }
+
+    /// What the read buffer holds allocated, read or not.
+    #[cfg(test)]
+    pub(crate) fn read_capacity(&self) -> usize {
+        self.app_out.capacity()
     }
 
     /// Application will write no more.
@@ -359,8 +375,22 @@ impl Osr {
 
     // --- RD interface (upward: reassembly) ---
 
-    /// A segment arrived (possibly out of order, exactly once).
+    /// A segment arrived (possibly out of order, exactly once). Parked out
+    /// of order, it is held by handle.
     pub fn on_delivered(&mut self, offset: u64, data: Payload) {
+        self.deliver(offset, data)
+    }
+
+    /// [`Osr::on_delivered`] for bytes RD did not put in a slab (the next
+    /// in-order part of a frame, still in place): they are copied into the
+    /// read buffer, or parked as an exactly sized copy.
+    pub fn on_delivered_bytes(&mut self, offset: u64, data: &[u8]) {
+        self.deliver(offset, data)
+    }
+
+    /// The one body of both: in order, the bytes join the read buffer;
+    /// out of order, they park (as a [`Payload`]) until the hole fills.
+    fn deliver<D: Deref<Target = [u8]> + Into<Payload>>(&mut self, offset: u64, data: D) {
         self.log.borrow_mut().write(site!("osr", "reasm"));
         debug_assert!(offset >= self.rcv_next, "RD guarantees exactly-once");
         if offset > self.rcv_next {
@@ -373,25 +403,24 @@ impl Osr {
             }
             // The hole at `rcv_next` is still open: nothing to release.
             self.parked_bytes += data.len() as u32;
-            if let Some(old) = self.reasm.insert(offset, data) {
+            if let Some(old) = self.reasm.insert(offset, data.into()) {
                 self.parked_bytes -= old.len() as u32;
             }
             return;
         }
         // In order: straight to the application, then whatever it unblocks.
-        self.release(data);
+        self.release(&data);
         while self.reasm.first_key_value().is_some_and(|(&off, _)| off == self.rcv_next) {
             let (_, d) = self.reasm.pop_first().expect("first key just seen");
             self.parked_bytes -= d.len() as u32;
-            self.release(d);
+            self.release(&d);
         }
     }
 
-    /// Queue the handle at `rcv_next` for the application to read.
-    fn release(&mut self, data: Payload) {
+    /// Append the bytes at `rcv_next` to the read buffer.
+    fn release(&mut self, data: &[u8]) {
         self.rcv_next += data.len() as u64;
-        self.app_out_bytes = self.app_out_bytes.saturating_add(data.len() as u32);
-        self.app_out.push_back(data);
+        self.app_out.extend_from_slice(data);
     }
 
     // --- header interface (its own bits, test T3) ---
@@ -409,7 +438,7 @@ impl Osr {
     pub fn fill_tx(&mut self, pkt: &mut Packet) {
         self.log.borrow_mut().read(site!("osr", "rcv_buf"));
         self.log.borrow_mut().read(site!("osr", "pressure"));
-        let buffered = self.app_out_bytes as usize + self.parked();
+        let buffered = self.app_out.len() + self.parked();
         let free = RCV_BUF_CAP.saturating_sub(buffered);
         pkt.osr.rcv_wnd = (free >> self.pressure.wnd_shift()).min(u16::MAX as usize) as u16;
         pkt.osr.ecn_echo = self.ecn_to_echo;
@@ -507,22 +536,22 @@ impl Osr {
             ],
         );
         acc = fp::fold(acc, self.rate.state_key());
-        acc = fold_stream(acc, &self.app_buf);
+        acc = fold_stream(acc, self.app_buf.iter().map(|p| &p[..]));
         for (&off, data) in &self.reasm {
             acc = fp::fold_bytes(fp::mix(acc, off), data);
         }
-        acc = fold_stream(acc, &self.app_out);
+        acc = fold_stream(acc, std::iter::once(&self.app_out[..]));
         vec![acc]
     }
 }
 
-/// Fold a queue of views as the one byte stream it holds — its length, then
-/// its bytes in order — so the key is the content's, however the
-/// application chunked its writes or RD its deliveries. (The closing zero
-/// keeps the keys equal to those of the byte rings these queues replaced.)
-fn fold_stream(acc: u64, queue: &VecDeque<Payload>) -> u64 {
-    let len: usize = queue.iter().map(|p| p.len()).sum();
-    let bytes = queue.iter().flat_map(|p| p.iter().map(|&b| b as u64));
+/// Fold a sequence of chunks as the one byte stream it holds — its length,
+/// then its bytes in order — so the key is the content's, however the
+/// application chunked its writes. (The closing zero keeps the keys equal
+/// to those of the byte rings these buffers replaced.)
+fn fold_stream<'a>(acc: u64, chunks: impl Iterator<Item = &'a [u8]> + Clone) -> u64 {
+    let len: usize = chunks.clone().map(<[u8]>::len).sum();
+    let bytes = chunks.flat_map(|c| c.iter().map(|&b| b as u64));
     fp::mix(fp::fold(fp::mix(acc, len as u64), bytes), 0)
 }
 
@@ -968,17 +997,54 @@ mod tests {
     }
 
     #[test]
-    fn read_gathers_the_delivered_handles() {
+    fn read_copies_out_of_one_buffer_that_keeps_its_capacity() {
         let data = stream(0, 2500);
         let mut o = osr(1000);
-        let first = Payload::from(&data[..1000]);
-        o.on_delivered(0, first.clone());
-        assert!(o.app_out[0].ptr_eq(&first), "queued by handle, not copied");
-        o.on_delivered(2000, data[2000..].into());
+        // In order, by slab or by bytes: copied into the read buffer.
+        o.on_delivered(0, data[..500].into());
+        o.on_delivered_bytes(500, &data[500..1000]);
+        assert_eq!(o.app_out[..], data[..1000]);
+        // Out of order, by bytes: parked as an exactly sized copy.
+        o.on_delivered_bytes(2000, &data[2000..]);
+        assert_eq!((o.reasm[&2000].len(), o.reasm[&2000].slab_len()), (500, 500));
         o.on_delivered(1000, data[1000..2000].into());
-        assert_eq!((o.app_out.len(), o.readable_len()), (3, 2500));
+        assert!(o.reasm.is_empty());
+        assert_eq!((o.app_out.len(), o.readable_len()), (2500, 2500));
+        let cap = o.app_out.capacity();
+        let out = o.read();
+        assert_eq!((out.len(), out.capacity()), (2500, 2500), "one exactly sized copy");
+        assert_eq!(out, data);
+        assert!(o.read().is_empty());
+        assert_eq!(o.app_out.capacity(), cap, "kept for the next delivery");
+        // Released once it is drained, and only then.
+        o.on_delivered_bytes(2500, &[1; 10]);
+        o.release_read_buffer();
+        assert_eq!(o.app_out.capacity(), cap);
+        assert_eq!(o.read(), [1; 10]);
+        o.release_read_buffer();
+        assert_eq!(o.app_out.capacity(), 0);
+    }
+
+    #[test]
+    fn a_read_frees_a_buffer_grown_past_the_cap() {
+        // A peer ignoring the advertised window: in-order bytes are not
+        // refused while the application sits on its hands, but the read
+        // that drains them leaves no buffer above the cap.
+        let mut o = osr(1000);
+        let data = stream(0, 2 * RCV_BUF_CAP);
+        for (i, chunk) in data.chunks(MSS).enumerate() {
+            o.on_delivered_bytes((i * MSS) as u64, chunk);
+        }
+        assert_eq!(o.readable_len(), data.len());
+        let mut pkt = Packet::default();
+        o.fill_tx(&mut pkt);
+        assert_eq!(pkt.osr.rcv_wnd, 0);
         assert_eq!(o.read(), data);
-        assert!(o.read().is_empty() && o.app_out.is_empty());
+        assert_eq!(o.app_out.capacity(), 0);
+        // Within the cap, the buffer stays.
+        o.on_delivered_bytes(data.len() as u64, &data[..MSS]);
+        o.read();
+        assert!((MSS..=RCV_BUF_CAP).contains(&o.app_out.capacity()));
     }
 
     #[test]
@@ -1074,7 +1140,12 @@ mod tests {
                             }
                         }
                         let (off, n) = pending.swap_remove(rng.below(pending.len() as u128) as usize);
-                        o.on_delivered(off as u64, (off..off + n).map(byte).collect::<Vec<u8>>().into());
+                        let bytes: Vec<u8> = (off..off + n).map(byte).collect();
+                        if rng.below(2) == 0 {
+                            o.on_delivered(off as u64, bytes.into());
+                        } else {
+                            o.on_delivered_bytes(off as u64, &bytes);
+                        }
                         arrived.push((off, n));
                     }
                     _ => {

@@ -98,10 +98,10 @@ pub const RTX_BYTES_CAP: usize = 256 * 1024;
 /// against its own `classify_seq` relation over the same window.
 pub const VALIDITY_WND: u32 = 64 * 1024;
 /// Safety cap on disjoint out-of-order ranges tracked by the receiver.
-const MAX_OOO_RANGES: usize = 256;
+pub const MAX_OOO_RANGES: usize = 256;
 /// Safety cap on total out-of-order bytes accepted ahead of `rcv_nxt`
 /// (matches OSR's `RCV_BUF_CAP`, which is where the bytes park).
-const MAX_OOO_BYTES: u64 = 64 * 1024 - 1;
+pub const MAX_OOO_BYTES: u64 = 64 * 1024 - 1;
 /// Consecutive RTO expirations without `snd_una` progress before RD gives
 /// up and asks the stack to abort ([`RdEvent::RetriesExhausted`]).
 pub const MAX_RETRIES: u32 = 8;
@@ -380,8 +380,39 @@ impl ReliableDelivery {
     /// Process the RD header (+ payload) of an inbound packet.
     /// `fin` is CM's flag, passed through because the FIN occupies one
     /// unit of RD's sequence space (the CM/RD coupling the paper
-    /// acknowledges).
+    /// acknowledges). Every novel part of the payload goes up as a
+    /// `Delivered` event; the next in-order segment shares the packet's
+    /// slab.
     pub fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
+        self.receive(now, pkt, &pkt.payload, Some(&pkt.payload), fin);
+    }
+
+    /// [`ReliableDelivery::on_packet`] for a packet whose payload is still
+    /// in its frame ([`Packet::decode_view`]; `pkt.payload` is not read).
+    /// When the whole of `payload` is the next in-order data, its offset
+    /// comes back and nothing is queued: the caller hands those bytes up
+    /// itself. Any other novel part is copied into an owned `Delivered`.
+    pub fn on_packet_view(
+        &mut self,
+        now: Time,
+        pkt: &Packet,
+        payload: &[u8],
+        fin: bool,
+    ) -> Option<u64> {
+        self.receive(now, pkt, payload, None, fin)
+    }
+
+    /// The one body of both entries: `slab`, when the payload has one, is
+    /// what a `Delivered` event may share; without it, the in-order offset
+    /// is returned instead of queued.
+    fn receive(
+        &mut self,
+        now: Time,
+        pkt: &Packet,
+        payload: &[u8],
+        slab: Option<&Payload>,
+        fin: bool,
+    ) -> Option<u64> {
         self.log.borrow_mut().read(site!("rd", "snd_una"));
         // Acknowledgment processing.
         if pkt.rd.has_ack {
@@ -446,7 +477,7 @@ impl ReliableDelivery {
                     if self.all_acked() { None } else { Some(now + self.rto) };
             } else if ack == self.snd_una
                 && !self.all_acked()
-                && pkt.payload.is_empty()
+                && payload.is_empty()
                 && !fin
             {
                 // Duplicate ack.
@@ -481,7 +512,7 @@ impl ReliableDelivery {
         }
 
         // Payload / FIN reception.
-        let payload_len = pkt.payload.len() as u64;
+        let payload_len = payload.len() as u64;
         if payload_len > 0 || fin {
             // RFC 793 acceptability, checked in *wire* space before
             // unwrapping: the segment must start within VALIDITY_WND of
@@ -497,19 +528,19 @@ impl ReliableDelivery {
                 // Re-anchor an honest-but-desynced peer (and leave a
                 // blind forger none the wiser about the real window).
                 self.ack_pending = true;
-                return;
+                return None;
             }
             self.log.borrow_mut().write(site!("rd", "rcv_ranges"));
             let seq_off = Self::unwrap(self.rcv_isn, pkt.rd.seq, self.rcv_nxt);
-            if payload_len > 0 {
-                self.receive_range(seq_off, &pkt.payload);
-            }
+            let in_order =
+                if payload_len > 0 { self.receive_range(seq_off, payload, slab) } else { None };
             if fin {
                 let fin_off = seq_off + payload_len;
                 self.peer_fin_off = Some(fin_off);
             }
             self.advance_rcv();
             self.ack_pending = true;
+            return in_order;
         } else if pkt.rd.has_ack {
             // Pure acks at the peer's current sequence need no response,
             // but an empty segment *behind* rcv_nxt is a keepalive probe:
@@ -520,11 +551,14 @@ impl ReliableDelivery {
                 self.ack_pending = true;
             }
         }
+        None
     }
 
     /// Record a received payload range; deliver only the novel parts
-    /// (exactly-once).
-    fn receive_range(&mut self, start: u64, data: &Payload) {
+    /// (exactly-once). The next segment in order is queued as a view of
+    /// `slab`, or without one returned by offset; every other novel part
+    /// is queued.
+    fn receive_range(&mut self, start: u64, data: &[u8], slab: Option<&Payload>) -> Option<u64> {
         let end = start + data.len() as u64;
         if start > self.rcv_nxt {
             // Receiver-state caps: accept only data that advances rcv_nxt
@@ -540,18 +574,18 @@ impl ReliableDelivery {
             {
                 self.stats.ooo_range_drops += 1;
                 self.ack_pending = true;
-                return;
+                return None;
             }
         } else if start == self.rcv_nxt
             && self.ooo.first_key_value().is_none_or(|(&s, _)| end <= s)
         {
             // The common case — the next segment in order, clear of every
             // parked range: all of it is novel. `advance_rcv` pulls in a
-            // parked range it now touches. The event shares the decoded
-            // packet's slab.
-            self.events.push_back(RdEvent::Delivered { offset: start, data: Payload::clone(data) });
+            // parked range it now touches.
             self.rcv_nxt = end;
-            return;
+            let Some(slab) = slab else { return Some(start) };
+            self.events.push_back(RdEvent::Delivered { offset: start, data: slab.clone() });
+            return None;
         }
         // Clip against what is already covered — the delivered prefix, then
         // the parked ranges (every key of `ooo` is past `rcv_nxt`, so the
@@ -580,23 +614,26 @@ impl ReliableDelivery {
         }
         if novel.is_empty() {
             self.stats.duplicate_payload_dropped += 1;
-            return;
+            return None;
         }
         for (ns, ne) in novel {
             let range = (ns - start) as usize..(ne - start) as usize;
-            // A view keeps the whole decoded payload alive, so hand one up
-            // only when it covers at least half of it (all of it, for an
-            // out-of-order segment that overlaps nothing); a smaller novel
-            // part is copied out. Otherwise a peer resending 64 KiB frames
-            // that are one byte novel each would pin 64 KiB per byte OSR
-            // accounts for.
-            let data =
-                if 2 * range.len() >= data.len() { data.slice(range) } else { data[range].into() };
+            // A view keeps the whole slab alive, so hand one up only when it
+            // covers at least half of it (all of it, for an out-of-order
+            // segment that overlaps nothing); a smaller novel part is copied
+            // out, exactly sized, as is every part of a payload that has no
+            // slab. Otherwise a peer resending 64 KiB frames that are one
+            // byte novel each would pin 64 KiB per byte OSR accounts for.
+            let data = match slab {
+                Some(slab) if 2 * range.len() >= slab.len() => slab.slice(range),
+                _ => data[range].into(),
+            };
             self.events.push_back(RdEvent::Delivered { offset: ns, data });
             // Merge into the ooo range set.
             Self::merge_range(&mut self.ooo, ns, ne);
             self.ooo_bytes += (ne - ns) as u32;
         }
+        None
     }
 
     fn merge_range(ooo: &mut BTreeMap<u64, u64>, mut s: u64, mut e: u64) {
@@ -1123,6 +1160,38 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn in_order_view_delivery_is_returned_and_nothing_is_queued() {
+        let mut r = rd();
+        let frame = peer_data(0, &[1; 100], None).encode();
+        let (head, payload) = Packet::decode_view(&frame).unwrap();
+        assert_eq!(r.on_packet_view(t(0), &head, payload, false), Some(0));
+        assert!(events(&mut r).is_empty(), "the caller hands the bytes up");
+        assert_eq!(r.rcv_next_offset(), 100);
+        // Anything else novel is queued as an exactly sized copy, however
+        // much of the payload it covers: the clipped half of [50, 150) ...
+        let head = peer_data(50, &[], None);
+        assert_eq!(r.on_packet_view(t(1), &head, &[2; 100], false), None);
+        match &events(&mut r)[..] {
+            [RdEvent::Delivered { offset: 100, data }] => {
+                assert_eq!((&data[..], data.slab_len()), (&[2; 50][..], 50));
+            }
+            other => panic!("{other:?}"),
+        }
+        // ... and a whole segment out of order.
+        let head = peer_data(300, &[], None);
+        assert_eq!(r.on_packet_view(t(2), &head, &[3; 100], false), None);
+        match &events(&mut r)[..] {
+            [RdEvent::Delivered { offset: 300, data }] => assert_eq!(data.slab_len(), 100),
+            other => panic!("{other:?}"),
+        }
+        // A duplicate goes nowhere, and `pkt.payload` is not what is read.
+        let stale = peer_data(0, &[9; 100], None);
+        assert_eq!(r.on_packet_view(t(3), &stale, &[1; 100], false), None);
+        assert!(events(&mut r).is_empty());
+        assert_eq!(r.stats.duplicate_payload_dropped, 1);
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! Every hand-off has one shape: the producing sublayer queues, and
 //! [`SlTcpStack::pump`] pops one item at a time until `None`
-//! (`poll_event`, `poll_signal`, `poll_segment`, `poll_packet`). A
-//! crossing moves a value; it never copies payload bytes, which travel as
-//! [`crate::wire::Payload`] views of one slab from [`SlTcpStack::send`] to
-//! the codec and of another from the codec to [`SlTcpStack::recv`].
+//! (`poll_event`, `poll_signal`, `poll_segment`, `poll_packet`) — save
+//! one: RD returns the next in-order payload by offset. Going down,
+//! payload bytes travel as [`crate::wire::Payload`] views of one slab from
+//! [`SlTcpStack::send`] to the codec, and no crossing copies them. Going
+//! up, [`crate::wire::Packet::decode_view`] leaves them in the frame: an
+//! in-order segment's bytes are copied once, from the frame into OSR's
+//! read buffer ([`Osr::on_delivered_bytes`]), and once more out of it by
+//! [`SlTcpStack::recv`]. Only a part RD must keep (out of order, or
+//! clipped) is copied into a slab of its own, which moves up by handle.
 //!
 //! One pass per event: an inbound packet runs its connection once — CM and
 //! OSR's header part, then CM's events (which may build RD), then RD's
@@ -300,7 +305,7 @@ impl SlTcpStack {
         id: ConnId,
         cm: ConnMgmt,
         rd: Option<ReliableDelivery>,
-        opener: Option<&Packet>,
+        opener: Option<(&Packet, &[u8])>,
     ) {
         let mut osr = Osr::new(self.cc_template.clone(), self.log.clone());
         osr.set_pressure(self.pressure);
@@ -309,7 +314,7 @@ impl SlTcpStack {
         self.agenda.reindex(id, None, Some(mark));
         self.conns.insert(id, conn);
         self.pump(now, id, opener, &mut |conn| {
-            opener.is_some_and(|pkt| {
+            opener.is_some_and(|(pkt, _)| {
                 conn.osr.on_header(now, pkt);
                 true
             })
@@ -468,17 +473,18 @@ impl SlTcpStack {
 
     /// The one way to run a connection, once per event. `step` does what
     /// the caller came for (nothing, for a plain pump) and returns whether
-    /// it passed `inbound` up to RD: for a packet, CM's and OSR's header
-    /// parts. Then CM's events run (they may build RD), RD takes the
-    /// passed-up packet, and the rest of the connection's machinery runs —
-    /// RD's events, close coordination, segmentation, packet assembly —
-    /// and the agenda takes note of whatever all of it changed. Returns
-    /// whether there is such a connection.
+    /// it passed `inbound` — a header and the payload still in its frame —
+    /// up to RD: for a packet, CM's and OSR's header parts. Then CM's
+    /// events run (they may build RD), RD takes the passed-up packet, and
+    /// the rest of the connection's machinery runs — RD's events, close
+    /// coordination, segmentation, packet assembly — and the agenda takes
+    /// note of whatever all of it changed. Returns whether there is such a
+    /// connection.
     fn pump(
         &mut self,
         now: Time,
         id: ConnId,
-        inbound: Option<&Packet>,
+        inbound: Option<(&Packet, &[u8])>,
         step: &mut dyn FnMut(&mut Connection) -> bool,
     ) -> bool {
         #[cfg(test)]
@@ -516,22 +522,32 @@ impl SlTcpStack {
 
         // The packet CM passed up reaches RD, which the drain above may
         // have just built (a handshake-completing ack that carries data).
-        if let (true, Some(pkt), Some(rd)) = (pass_up, inbound, conn.rd.as_mut()) {
-            rd.on_packet(now, pkt, pkt.cm.flags.fin);
+        // The next segment in order comes back by offset, and its bytes go
+        // from the frame straight into OSR's read buffer.
+        if let (true, Some((pkt, payload)), Some(rd)) = (pass_up, inbound, conn.rd.as_mut()) {
+            if let Some(offset) = rd.on_packet_view(now, pkt, payload, pkt.cm.flags.fin) {
+                self.crossings.rd_to_osr_segments += 1;
+                self.crossings.rd_to_osr_bytes += payload.len() as u64;
+                conn.osr.on_delivered_bytes(offset, payload);
+            }
         }
 
         // RD events upward (to OSR and CM).
         if let Some(rd) = conn.rd.as_mut() {
             while let Some(ev) = rd.poll_event() {
                 match ev {
-                    // The slab `Packet::decode` built moves into OSR as is.
+                    // A part RD copied out (out of order, or clipped) moves
+                    // into OSR as is.
                     RdEvent::Delivered { offset, data } => {
                         self.crossings.rd_to_osr_segments += 1;
                         self.crossings.rd_to_osr_bytes += data.len() as u64;
                         conn.osr.on_delivered(offset, data);
                     }
                     RdEvent::LocalFinAcked => conn.cm.on_local_fin_acked(now),
-                    RdEvent::PeerFinReached => conn.cm.on_peer_fin(now),
+                    RdEvent::PeerFinReached => {
+                        conn.cm.on_peer_fin(now);
+                        conn.osr.release_read_buffer();
+                    }
                     RdEvent::RetriesExhausted => {
                         // Data retries spent: abort (RST to the peer if the
                         // path still works) instead of retrying forever.
@@ -651,8 +667,8 @@ impl SlTcpStack {
         true
     }
 
-    fn handle_packet(&mut self, now: Time, id: ConnId, pkt: &Packet) {
-        self.pump(now, id, Some(pkt), &mut |conn| {
+    fn handle_packet(&mut self, now: Time, id: ConnId, pkt: &Packet, payload: &[u8]) {
+        self.pump(now, id, Some((pkt, payload)), &mut |conn| {
             // The handshake-completing ack is recognized by the stack (not
             // CM) so CM never reads RD's bits: ack == local_isn + 1.
             let handshake_ack =
@@ -767,9 +783,11 @@ impl HostStack for SlTcpStack {
             // Once the peer's FIN is in no more data can arrive, so
             // the reopened window is not worth advertising (same
             // rule as tcp-mono's recv): the gratuitous ack would
-            // poke a peer whose TCB may already be deleted.
+            // poke a peer whose TCB may already be deleted. Nor is the
+            // drained read buffer worth keeping.
             if conn.cm.peer_fin_seen() {
                 conn.osr.suppress_window_update();
+                conn.osr.release_read_buffer();
             }
             out
         })
@@ -992,7 +1010,8 @@ impl HostStack for SlTcpStack {
 
 impl Stack for SlTcpStack {
     fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        let Ok(pkt) = Packet::decode(frame) else {
+        // The payload stays in `frame`: RD copies what it must keep.
+        let Ok((pkt, payload)) = Packet::decode_view(frame) else {
             self.stats.bad_packets += 1;
             return;
         };
@@ -1000,7 +1019,7 @@ impl Stack for SlTcpStack {
         self.crossings.packets_rx += 1;
         self.crossings.wire_bytes_rx += frame.len() as u64;
         match self.dm.classify(&pkt) {
-            DmVerdict::Known(id) => self.handle_packet(now, id, &pkt),
+            DmVerdict::Known(id) => self.handle_packet(now, id, &pkt, payload),
             DmVerdict::NewFlow(tuple) => {
                 // Admission control first: a full connection table refuses
                 // every new flow — cookie rebuilds included — with a typed
@@ -1030,7 +1049,8 @@ impl Stack for SlTcpStack {
                         self.log.clone(),
                     );
                     self.stats.syn_cookies_validated += 1;
-                    self.admit(now, id, cm, None, Some(&pkt)); // establishment event creates RD
+                    // The establishment event creates RD.
+                    self.admit(now, id, cm, None, Some((&pkt, payload)));
                     return;
                 }
                 // Half-open governance: a SYN beyond the bound either
@@ -1069,7 +1089,7 @@ impl Stack for SlTcpStack {
                     self.send_stateless_rst(&pkt);
                     return;
                 };
-                self.admit(now, id, cm, None, Some(&pkt));
+                self.admit(now, id, cm, None, Some((&pkt, payload)));
             }
             DmVerdict::Gated(_) => {
                 // DM's slice of the backpressure contract: under Critical
@@ -1142,6 +1162,11 @@ impl SlTcpStack {
         self.outbox.pop_front()
     }
 
+    /// What the connection's read buffer holds allocated.
+    pub(crate) fn read_capacity(&self, id: ConnId) -> Option<usize> {
+        self.conns.get(&id).map(|c| c.osr.read_capacity())
+    }
+
     pub(crate) fn scan_on_tick(&mut self, now: Time) {
         for id in self.sorted_ids() {
             self.tick_conn(now, id);
@@ -1191,9 +1216,13 @@ mod tests {
         // CM 168 + RD 440 + OSR 304, and 16 B of glue fields (three flags,
         // the last inbound time and the probe count, padded). The glue's
         // fields are now facts CM and OSR hold: CM's probe count costs it
-        // 8 B (168 -> 176, a `u32` padded), so 176 + 440 + 304 = 920 B.
+        // 8 B (168 -> 176, a `u32` padded), so 176 + 440 + 304 = 920 B. OSR's
+        // read queue then became one read buffer: a 24 B `Vec<u8>` where a
+        // 32 B `VecDeque` of handles stood (its `u32` byte count went too,
+        // but only into padding), so OSR is 296 B and 176 + 440 + 296 =
+        // 912 B.
         let size = std::mem::size_of::<super::Connection>();
-        assert!(size <= 920, "{size}");
+        assert!(size <= 912, "{size}");
     }
 
     #[test]

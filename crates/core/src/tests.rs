@@ -577,7 +577,7 @@ fn zero_window_probe_survives_lost_window_update() {
 // Adversarial robustness: RFC 5961 defenses and resource governance.
 // ---------------------------------------------------------------------------
 
-use crate::osr::SND_BUF_CAP;
+use crate::osr::{RCV_BUF_CAP, SND_BUF_CAP};
 use crate::stack::MAX_HALF_OPEN;
 use crate::wire::Packet;
 use netsim::Stack as _;
@@ -780,6 +780,55 @@ fn ooo_spray_is_bounded_by_receiver_caps() {
     assert_eq!(rd.invalid_seq_drops, 50, "far spray refused at the window");
     assert!(srv.buffered_bytes() <= 96 * 1024, "held bytes stay bounded");
     assert_eq!(srv.established().len(), 1, "the flow itself survives");
+}
+
+#[test]
+fn a_window_ignoring_peer_leaves_no_read_buffer_above_the_cap() {
+    let (mut net, _nc, ns, _conn, sconn) = established_pair(307);
+    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    // In order, but twice what the advertised window ever allowed, with
+    // the application reading none of it until the end.
+    let n = 2 * RCV_BUF_CAP / 1000 + 1;
+    for i in 0..n as u32 {
+        let mut pkt = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
+        pkt.rd.seq = expected.wrapping_add(i * 1000);
+        pkt.payload = vec![i as u8; 1000].into();
+        let now = net.now();
+        let frame = pkt.encode();
+        stack(&mut net, ns).on_frame(now, &frame);
+    }
+    let srv = stack(&mut net, ns);
+    assert_eq!(srv.readable_len(sconn), n * 1000, "in-order bytes are not refused");
+    assert!(srv.read_capacity(sconn).unwrap() > RCV_BUF_CAP);
+    assert_eq!(srv.recv(sconn).len(), n * 1000);
+    assert_eq!(srv.read_capacity(sconn), Some(0), "the read frees the outgrown buffer");
+}
+
+#[test]
+fn a_drained_connection_holds_no_read_buffer_after_the_peers_fin() {
+    let (mut net, nc, ns, conn, sconn) = established_pair(308);
+    // Read before the FIN: the buffer stays for the next delivery ...
+    stack(&mut net, nc).send(conn, &[1; 3000]);
+    net.poll_all();
+    run_for(&mut net, Dur::from_secs(1));
+    assert_eq!(stack(&mut net, ns).recv(sconn), [1; 3000]);
+    assert!(stack(&mut net, ns).read_capacity(sconn).unwrap() >= 3000);
+    // ... until the FIN arrives behind it: nothing more can join it.
+    stack(&mut net, nc).close(conn);
+    net.poll_all();
+    run_for(&mut net, Dur::from_secs(1));
+    assert!(stack(&mut net, ns).peer_closed(sconn));
+    assert_eq!(stack(&mut net, ns).read_capacity(sconn), Some(0));
+    // The FIN in before the read: the read that drains it frees it.
+    stack(&mut net, ns).send(sconn, &[2; 3000]);
+    stack(&mut net, ns).close(sconn);
+    net.poll_all();
+    run_for(&mut net, Dur::from_secs(1));
+    let client = stack(&mut net, nc);
+    assert!(client.peer_closed(conn));
+    assert!(client.read_capacity(conn).unwrap() >= 3000);
+    assert_eq!(client.recv(conn), [2; 3000]);
+    assert_eq!(client.read_capacity(conn), Some(0));
 }
 
 #[test]

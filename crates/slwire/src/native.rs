@@ -27,10 +27,11 @@ pub use crate::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
 /// A packet's payload: a view — a byte range — of an immutable,
 /// reference-counted slab. Whoever first has the bytes in hand — OSR taking
-/// an application write, [`Packet::decode`] reading a frame — copies them
+/// an application write, [`Packet::decode`] reading a frame, RD keeping a
+/// part of a frame that [`Packet::decode_view`] left in place — copies them
 /// once into a slab; every later holder (OSR's send queue and the segments
-/// cut from it, RD's retransmission buffer and outbox, the `Delivered`
-/// event, OSR's reassembly map and read queue) holds a handle, and
+/// cut from it, RD's retransmission buffer and outbox, a `Delivered` event,
+/// OSR's reassembly map) holds a handle, and
 /// [`Payload::slice`] narrows one without touching the bytes. Nobody can
 /// write a slab, and it is freed when its last handle goes — so a view
 /// keeps its *whole* slab alive, however short it is. `Rc`, not `Arc`: no
@@ -309,8 +310,18 @@ impl Packet {
 
     /// Parse and verify; a typed [`WireError`] for anything malformed.
     /// Arbitrary hostile bytes must classify — never panic, never
-    /// mis-parse into a structurally valid packet.
+    /// mis-parse into a structurally valid packet. The payload is copied
+    /// into a slab of its own: [`Packet::decode_view`] plus that copy.
     pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
+        let (pkt, payload) = Self::decode_view(bytes)?;
+        Ok(Packet { payload: payload.into(), ..pkt })
+    }
+
+    /// [`Packet::decode`] without the copy: the header is verified and
+    /// parsed in place, and the payload comes back as the part of `bytes`
+    /// it occupies, beside a packet whose own payload is empty. Allocates
+    /// nothing — what a receiver does with the bytes is its own affair.
+    pub fn decode_view(bytes: &[u8]) -> Result<(Packet, &[u8]), WireError> {
         if bytes.first() != Some(&MAGIC) {
             return Err(WireError::BadMagic);
         }
@@ -366,15 +377,16 @@ impl Packet {
         i += 1;
         let rcv_wnd = be16(b, i);
         i += 2;
-        Ok(Packet {
+        let pkt = Packet {
             src_addr,
             dst_addr,
             dm: DmHeader { src_port, dst_port },
             cm: CmHeader { flags, isn, ack_isn },
             rd: RdHeader { seq, ack, has_ack, sack },
             osr: OsrHeader { ecn_echo, rcv_wnd },
-            payload: b[i..].into(),
-        })
+            payload: Payload::default(),
+        };
+        Ok((pkt, &b[i..]))
     }
 
     /// Render the packet as one line per sublayer — the paper's pedagogy
@@ -469,6 +481,20 @@ mod tests {
     fn round_trip() {
         let p = sample();
         assert_eq!(Packet::decode(&p.encode()), Ok(p));
+    }
+
+    #[test]
+    fn a_view_decode_is_the_decode_without_the_copy() {
+        let p = sample();
+        let frame = p.encode();
+        let (head, payload) = Packet::decode_view(&frame).unwrap();
+        assert_eq!(payload, b"native");
+        assert!(std::ptr::eq(payload, &frame[frame.len() - 6..]), "read in place");
+        assert!(head.payload.is_empty());
+        assert_eq!(Packet { payload: payload.into(), ..head }, p);
+        let mut bad = frame.clone();
+        bad[frame.len() - 1] ^= 1;
+        assert_eq!(Packet::decode_view(&bad), Err(WireError::BadChecksum));
     }
 
     #[test]
