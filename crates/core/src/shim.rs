@@ -10,6 +10,8 @@ use crate::stack::SlTcpStack;
 use netsim::{Stack, Time};
 use slwire::native::Packet;
 use slwire::rfc793::Segment;
+use slwire::shim::to_rfc793_header;
+use slwire::WireError;
 
 pub use slwire::shim::{from_rfc793, to_rfc793};
 
@@ -29,13 +31,27 @@ impl ShimStack {
     }
 }
 
+/// An RFC 793 frame as the native frame it translates to. Both frames are
+/// read in place: the header is translated, and the payload is copied
+/// once, from the old frame into the new.
+fn rfc793_to_native(frame: &[u8]) -> Result<Vec<u8>, WireError> {
+    let (seg, payload) = Segment::decode_view(frame)?;
+    Ok(from_rfc793(&seg).encode_with(payload))
+}
+
+/// A native frame as the RFC 793 frame it translates to, likewise in place.
+fn native_to_rfc793(frame: &[u8]) -> Vec<u8> {
+    let (pkt, payload) =
+        Packet::decode_view(frame).expect("inner stack emits valid native packets");
+    to_rfc793_header(&pkt, !payload.is_empty()).encode_parts(payload, &[])
+}
+
 impl Stack for ShimStack {
     fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        match Segment::decode(frame) {
-            Ok(seg) => {
+        match rfc793_to_native(frame) {
+            Ok(native) => {
                 self.translated_rx += 1;
-                let pkt = from_rfc793(&seg);
-                self.inner.on_frame(now, &pkt.encode());
+                self.inner.on_frame(now, &native);
             }
             Err(_) => self.untranslatable_rx += 1,
         }
@@ -43,9 +59,8 @@ impl Stack for ShimStack {
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
         let native = self.inner.poll_transmit(now)?;
-        let pkt = Packet::decode(&native).expect("inner stack emits valid native packets");
         self.translated_tx += 1;
-        Some(to_rfc793(&pkt).encode())
+        Some(native_to_rfc793(&native))
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
@@ -181,6 +196,40 @@ mod tests {
             }
         }
         assert_eq!(got, data);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn in_place_translation_writes_the_frames_the_copying_one_does(
+            flags in 0u8..16, isn: u32, ack_isn: u32, seq: u32, ack: u32, has_ack: bool,
+            rcv_wnd: u16, src_port: u16, dst_port: u16,
+            payload in proptest::collection::vec(proptest::num::u8::ANY, 0..80),
+        ) {
+            let mut pkt = Packet { src_addr: A, dst_addr: B, ..Packet::default() };
+            (pkt.dm.src_port, pkt.dm.dst_port) = (src_port, dst_port);
+            pkt.cm.flags.syn = flags & 1 != 0;
+            pkt.cm.flags.fin = flags & 2 != 0;
+            pkt.cm.flags.rst = flags & 4 != 0;
+            pkt.cm.flags.cm_ack = flags & 8 != 0;
+            (pkt.cm.isn, pkt.cm.ack_isn) = (isn, ack_isn);
+            (pkt.rd.seq, pkt.rd.ack, pkt.rd.has_ack) = (seq, ack, has_ack);
+            pkt.osr.rcv_wnd = rcv_wnd;
+            pkt.payload = payload.into();
+            let native = pkt.encode();
+            let rfc793 = native_to_rfc793(&native);
+            let copied = to_rfc793(&Packet::decode(&native).unwrap()).encode();
+            proptest::prop_assert_eq!(&rfc793, &copied);
+            let back = from_rfc793(&Segment::decode(&rfc793).unwrap()).encode();
+            proptest::prop_assert_eq!(rfc793_to_native(&rfc793), Ok(back));
+        }
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_untranslatable_either_way() {
+        let mut frame = to_rfc793(&Packet { src_addr: A, dst_addr: B, ..Packet::default() }).encode();
+        frame[12] ^= 1;
+        let err = Segment::decode(&frame).unwrap_err();
+        assert_eq!(rfc793_to_native(&frame), Err(err));
     }
 
     #[test]

@@ -274,8 +274,14 @@ impl Packet {
     }
 
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_with(&self.payload)
+    }
+
+    /// Serialize with `payload` in place of the packet's own (which is not
+    /// read) — what a translator that decoded a frame in place encodes with.
+    pub fn encode_with(&self, payload: &[u8]) -> Vec<u8> {
         let n_sack = self.rd.sack.len(); // at most two: `SackList`
-        let mut out = Vec::with_capacity(Self::header_len(n_sack) + self.payload.len());
+        let mut out = Vec::with_capacity(Self::header_len(n_sack) + payload.len());
         out.push(MAGIC);
         out.extend_from_slice(&self.src_addr.to_be_bytes());
         out.extend_from_slice(&self.dst_addr.to_be_bytes());
@@ -302,7 +308,7 @@ impl Packet {
         out.push(self.osr.ecn_echo as u8);
         out.extend_from_slice(&self.osr.rcv_wnd.to_be_bytes());
         // payload, checksummed for parity with the monolithic stack
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(payload);
         let csum = checksum(self.src_addr, self.dst_addr, &out[BODY..]);
         out[CSUM..BODY].copy_from_slice(&csum.to_be_bytes());
         out
@@ -491,6 +497,7 @@ mod tests {
         assert_eq!(payload, b"native");
         assert!(std::ptr::eq(payload, &frame[frame.len() - 6..]), "read in place");
         assert!(head.payload.is_empty());
+        assert_eq!(head.encode_with(payload), frame, "the header re-encodes around the view");
         assert_eq!(Packet { payload: payload.into(), ..head }, p);
         let mut bad = frame.clone();
         bad[frame.len() - 1] ^= 1;

@@ -69,17 +69,28 @@ impl Segment {
         self.flags & ACK != 0
     }
 
-    /// Sequence space the segment occupies (payload + SYN + FIN).
+    /// Sequence space the segment occupies (payload + SYN + FIN). A header
+    /// from [`Segment::decode_view`] has no payload of its own: its data's
+    /// length is the slice's, which this does not count.
     #[inline]
     pub fn seq_len(&self) -> u32 {
         self.payload.len() as u32 + self.syn() as u32 + self.fin() as u32
     }
 
-    /// Serialize, computing the checksum.
+    /// Serialize, computing the checksum: [`Segment::encode_parts`] on the
+    /// segment's own payload.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_parts(&self.payload, &[])
+    }
+
+    /// Serialize with `front` followed by `back` as the payload — the two
+    /// halves of a ring buffer, say — so a sender encodes straight from
+    /// where its bytes sit. `self.payload` is not read.
+    pub fn encode_parts(&self, front: &[u8], back: &[u8]) -> Vec<u8> {
         let options_len: usize = if self.mss.is_some() { 4 } else { 0 };
         let data_offset_words = (20 + options_len) / 4;
-        let mut out = Vec::with_capacity(MIN_SEGMENT_BYTES + options_len + self.payload.len());
+        let mut out =
+            Vec::with_capacity(MIN_SEGMENT_BYTES + options_len + front.len() + back.len());
         out.extend_from_slice(&self.src.addr.to_be_bytes());
         out.extend_from_slice(&self.dst.addr.to_be_bytes());
         let tcp_start = out.len();
@@ -97,7 +108,8 @@ impl Segment {
             out.push(4); // length
             out.extend_from_slice(&mss.to_be_bytes());
         }
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(front);
+        out.extend_from_slice(back);
         let csum = checksum(self.src.addr, self.dst.addr, &out[tcp_start..]);
         out[tcp_start + 16] = (csum >> 8) as u8;
         out[tcp_start + 17] = csum as u8;
@@ -105,8 +117,20 @@ impl Segment {
     }
 
     /// Parse and verify the checksum; a typed [`WireError`] for malformed
-    /// or corrupt segments — hostile bytes must classify, never panic.
+    /// or corrupt segments — hostile bytes must classify, never panic. The
+    /// payload is copied into a `Vec` of its own: [`Segment::decode_view`]
+    /// plus that copy.
     pub fn decode(bytes: &[u8]) -> Result<Segment, WireError> {
+        let (seg, payload) = Self::decode_view(bytes)?;
+        Ok(Segment { payload: payload.to_vec(), ..seg })
+    }
+
+    /// [`Segment::decode`] without the copy: the checksum is verified and
+    /// the header parsed in place, and the payload comes back as the part
+    /// of `bytes` it occupies, beside a segment whose own payload is empty
+    /// — so its [`Segment::seq_len`] counts SYN and FIN alone. Allocates
+    /// nothing.
+    pub fn decode_view(bytes: &[u8]) -> Result<(Segment, &[u8]), WireError> {
         if bytes.len() < MIN_SEGMENT_BYTES {
             return Err(WireError::Truncated { need: MIN_SEGMENT_BYTES, got: bytes.len() });
         }
@@ -154,7 +178,7 @@ impl Segment {
                 }
             }
         }
-        Ok(Segment {
+        let seg = Segment {
             src: Endpoint::new(src_addr, be16(bytes, SRC_PORT)),
             dst: Endpoint::new(dst_addr, be16(bytes, DST_PORT)),
             seq,
@@ -162,8 +186,9 @@ impl Segment {
             flags,
             wnd,
             mss,
-            payload: tcp[data_offset..].to_vec(),
-        })
+            payload: Vec::new(),
+        };
+        Ok((seg, &tcp[data_offset..]))
     }
 }
 
@@ -264,6 +289,7 @@ mod tests {
             if n < 28 {
                 assert_eq!(err, WireError::Truncated { need: 28, got: n });
             }
+            view_matches_decode(&bytes[..n]).unwrap();
         }
     }
 
@@ -303,7 +329,9 @@ mod tests {
         // Valid checksum but an MSS option whose length overruns the
         // option area (NOPs, then the MSS kind at the last byte): must be
         // BadOption, not a slice panic.
-        assert_eq!(Segment::decode(&frame_with_options(&[1, 1, 1, 2])), Err(WireError::BadOption));
+        let frame = frame_with_options(&[1, 1, 1, 2]);
+        assert_eq!(Segment::decode(&frame), Err(WireError::BadOption));
+        view_matches_decode(&frame).unwrap();
     }
 
     #[test]
@@ -356,6 +384,37 @@ mod tests {
         assert_eq!(checksum(0x0A000001, 0x0A000002, &bytes[8..]), 0);
     }
 
+    /// [`Segment::decode_view`] is [`Segment::decode`] without the copy:
+    /// an equal header beside the payload, read in place, or the same
+    /// error.
+    fn view_matches_decode(bytes: &[u8]) -> Result<(), String> {
+        match (Segment::decode(bytes), Segment::decode_view(bytes)) {
+            (Ok(seg), Ok((head, payload))) => {
+                proptest::prop_assert_eq!(payload, &seg.payload[..]);
+                proptest::prop_assert!(
+                    std::ptr::eq(payload, &bytes[bytes.len() - payload.len()..]),
+                    "payload not read in place"
+                );
+                proptest::prop_assert!(head.payload.is_empty());
+                proptest::prop_assert_eq!(Segment { payload: seg.payload.clone(), ..head }, seg);
+            }
+            (Err(a), Err(b)) => proptest::prop_assert_eq!(a, b),
+            (a, b) => return Err(format!("decode {a:?}, decode_view {b:?}")),
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_view_decode_is_the_decode_without_the_copy() {
+        let s = sample();
+        let frame = s.encode();
+        let (head, payload) = Segment::decode_view(&frame).unwrap();
+        assert_eq!(payload, b"hello");
+        assert_eq!(head, Segment { payload: vec![], ..s });
+        assert_eq!(head.seq_len(), 1, "the view's header counts its SYN alone");
+        view_matches_decode(&frame).unwrap();
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_any_segment_round_trips(
@@ -370,6 +429,14 @@ mod tests {
             };
             let bytes = s.encode();
             proptest::prop_assert_eq!(peek(&bytes), Some((s.src, s.dst)));
+            view_matches_decode(&bytes)?;
+            // The two-slice entry, split anywhere, encodes the joined
+            // payload — and never reads the header's own.
+            let head = Segment { payload: b"not read".to_vec(), ..s.clone() };
+            for split in 0..=s.payload.len() {
+                let (front, back) = s.payload.split_at(split);
+                proptest::prop_assert_eq!(head.encode_parts(front, back), bytes, "split at {split}");
+            }
             proptest::prop_assert_eq!(Segment::decode(&bytes), Ok(s));
         }
 
@@ -383,6 +450,7 @@ mod tests {
             if let Ok(seg) = Segment::decode(&bytes) {
                 proptest::prop_assert_eq!(peeked, Some((seg.src, seg.dst)));
             }
+            view_matches_decode(&bytes)?;
         }
 
         #[test]
@@ -407,6 +475,7 @@ mod tests {
             if let Ok(seg) = Segment::decode(&bytes) {
                 proptest::prop_assert_eq!(peeked, Some((seg.src, seg.dst)));
             }
+            view_matches_decode(&bytes)?;
         }
     }
 

@@ -24,6 +24,13 @@ use crate::rfc793::{Segment, ACK, DEFAULT_MSS, FIN, PSH, RST, SYN};
 
 /// Translate one native packet to an RFC 793 segment.
 pub fn to_rfc793(pkt: &Packet) -> Segment {
+    Segment { payload: pkt.payload.to_vec(), ..to_rfc793_header(pkt, !pkt.payload.is_empty()) }
+}
+
+/// [`to_rfc793`] of the header alone, for a packet whose payload sits
+/// elsewhere (a frame read with [`Packet::decode_view`]): `has_data` says
+/// whether it carries any, which sets PSH. The segment's payload is empty.
+pub fn to_rfc793_header(pkt: &Packet, has_data: bool) -> Segment {
     let mut flags = 0u8;
     let (seq, ack, has_ack);
     if pkt.cm.flags.syn {
@@ -51,7 +58,7 @@ pub fn to_rfc793(pkt: &Packet) -> Segment {
     if pkt.cm.flags.rst {
         flags |= RST;
     }
-    if !pkt.payload.is_empty() {
+    if has_data {
         flags |= PSH;
     }
     Segment {
@@ -62,11 +69,13 @@ pub fn to_rfc793(pkt: &Packet) -> Segment {
         flags,
         wnd: pkt.osr.rcv_wnd,
         mss: pkt.cm.flags.syn.then_some(DEFAULT_MSS),
-        payload: pkt.payload.to_vec(),
+        payload: Vec::new(),
     }
 }
 
-/// Translate one RFC 793 segment to a native packet.
+/// Translate one RFC 793 segment to a native packet. A segment read with
+/// [`Segment::decode_view`] has an empty payload, and so has its packet:
+/// the header alone is translated.
 pub fn from_rfc793(seg: &Segment) -> Packet {
     let mut pkt = Packet {
         src_addr: seg.src.addr,

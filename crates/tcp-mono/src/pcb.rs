@@ -213,20 +213,18 @@ impl Pcb {
         (RCV_BUF_CAP - self.rcv_buf.len()) as u32
     }
 
-    /// Copy `n` send-buffer bytes starting `offset` bytes in (a segment's
-    /// payload) into one exactly-sized `Vec`: one `memcpy` per contiguous
-    /// half of the ring.
-    pub fn snd_payload(&self, offset: usize, n: usize) -> Vec<u8> {
+    /// The `n` send-buffer bytes starting `offset` bytes in (a segment's
+    /// payload) where they sit: the part in the ring's front half, then the
+    /// part in its back half (either may be empty). The encoder copies a
+    /// segment's payload straight out of them.
+    pub fn snd_slices(&self, offset: usize, n: usize) -> (&[u8], &[u8]) {
         let (front, back) = self.snd_buf.as_slices();
-        let mut out = Vec::with_capacity(n);
         if offset < front.len() {
             let k = n.min(front.len() - offset);
-            out.extend_from_slice(&front[offset..offset + k]);
-            out.extend_from_slice(&back[..n - k]);
+            (&front[offset..offset + k], &back[..n - k])
         } else {
-            out.extend_from_slice(&back[offset - front.len()..][..n]);
+            (&back[offset - front.len()..][..n], &[])
         }
-        out
     }
 
     /// Bytes held across this connection's buffers: unacked and unsent
@@ -316,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn snd_payload_copies_across_the_ring_wrap_point() {
+    fn snd_slices_span_the_ring_wrap_point() {
         // Acks drain the send buffer from the front while the application
         // refills it, so its live bytes routinely straddle the wrap.
         let mut p = pcb();
@@ -330,7 +328,8 @@ mod tests {
         for offset in 0..=len {
             for n in 0..=len - offset {
                 let want: Vec<u8> = p.snd_buf.iter().skip(offset).take(n).copied().collect();
-                assert_eq!(p.snd_payload(offset, n), want, "offset {offset} n {n}");
+                let (front, back) = p.snd_slices(offset, n);
+                assert_eq!([front, back].concat(), want, "offset {offset} n {n}");
             }
         }
     }

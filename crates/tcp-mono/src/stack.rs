@@ -319,6 +319,13 @@ impl TcpStack {
         self.outbox.push_back(seg.encode());
     }
 
+    /// [`TcpStack::push`] a header whose payload is `(front, back)` — two
+    /// slices of the send ring, encoded where they sit.
+    fn push_data(&mut self, seg: Segment, (front, back): (&[u8], &[u8])) {
+        self.stats.segs_sent += 1;
+        self.outbox.push_back(seg.encode_parts(front, back));
+    }
+
     fn send_syn(&mut self, pcb: &mut Pcb, with_ack: bool) {
         self.log.borrow_mut().read(site!(CONN, "iss"));
         self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
@@ -335,14 +342,16 @@ impl TcpStack {
         self.push(seg);
     }
 
-    fn send_rst_for(&mut self, seg: &Segment) {
+    /// RST a segment that has no connection to go to (or that one refuses);
+    /// `payload` is its data, read in place.
+    fn send_rst_for(&mut self, seg: &Segment, payload: &[u8]) {
         if seg.rst() {
             return;
         }
         let (rseq, rack, rflags) = if seg.ack_flag() {
             (seg.ack, 0, RST)
         } else {
-            (0, seg.seq.wrapping_add(seg.seq_len()), RST | ACK)
+            (0, seg.seq.wrapping_add(seq_len(seg, payload)), RST | ACK)
         };
         let rst = Segment {
             src: seg.dst,
@@ -456,7 +465,6 @@ impl TcpStack {
                 }
                 break;
             }
-            let payload = pcb.snd_payload(offset, n);
             let drains = offset + n == pcb.snd_buf.len();
             self.log.borrow_mut().write(site!(RD, "snd_nxt"));
             let seg = Segment {
@@ -467,7 +475,7 @@ impl TcpStack {
                 flags: ACK | if drains { PSH } else { 0 },
                 wnd: self.adv_wnd(pcb),
                 mss: None,
-                payload,
+                payload: Vec::new(),
             };
             pcb.snd_nxt = pcb.snd_nxt.wrapping_add(n as u32);
             let is_new_data = seq::gt(pcb.snd_nxt, pcb.snd_max);
@@ -486,7 +494,7 @@ impl TcpStack {
             }
             pcb.ack_pending = false;
             pcb.delayed_ack_deadline = None;
-            self.push(seg);
+            self.push_data(seg, pcb.snd_slices(offset, n));
         }
 
         // FIN once the buffer is fully sent. [conn mgmt touching RD state]
@@ -565,7 +573,6 @@ impl TcpStack {
             return;
         }
         let n = (pcb.snd_buf.len() - offset).min(pcb.mss as usize);
-        let payload = pcb.snd_payload(offset, n);
         let is_fin = n == 0 && pcb.fin_seq == Some(seq_from);
         if n == 0 && !is_fin {
             return;
@@ -578,14 +585,18 @@ impl TcpStack {
             flags: ACK | if is_fin { FIN } else { 0 },
             wnd: self.adv_wnd(pcb),
             mss: None,
-            payload,
+            payload: Vec::new(),
         };
-        self.push(seg);
+        self.push_data(seg, pcb.snd_slices(offset, n));
     }
 
     /// The heart of the monolithic design: `tcp_input`, everything
-    /// interleaved over the shared PCB.
-    fn on_segment(&mut self, now: Time, seg: Segment) {
+    /// interleaved over the shared PCB. `seg` is the header of a frame read
+    /// in place ([`Segment::decode_view`]) and `payload` its data, still in
+    /// the frame: `seg.payload` is empty, so every fact about the data
+    /// reads `payload` (and [`seq_len`], not `seg.seq_len()`).
+    fn on_segment(&mut self, now: Time, seg: Segment, payload: &[u8]) {
+        debug_assert!(seg.payload.is_empty(), "the data travels beside the header");
         self.stats.segs_received += 1;
 
         // ---- demultiplexing: find the PCB ----
@@ -608,7 +619,7 @@ impl TcpStack {
                             == self.syn_cookie(&tuple, seg.seq.wrapping_sub(1))));
             if would_open && self.conns.len() >= self.max_conns {
                 self.stats.conn_table_full_drops += 1;
-                self.send_rst_for(&seg);
+                self.send_rst_for(&seg, payload);
                 return;
             }
             // ---- connection management reading stack-global pressure:
@@ -619,7 +630,7 @@ impl TcpStack {
                 self.log.borrow_mut().read(site!(CONN, "gate"));
                 self.log.borrow_mut().read(site!(CONN, "pressure"));
                 self.stats.pressure_refusals += 1;
-                self.send_rst_for(&seg);
+                self.send_rst_for(&seg, payload);
                 return;
             }
             // ---- connection management: passive open ----
@@ -703,20 +714,20 @@ impl TcpStack {
                 self.put_back(pcb, None, true);
                 // Re-enter input processing: the ACK may carry data.
                 self.stats.segs_received -= 1; // avoid double count
-                self.on_segment(now, seg);
+                self.on_segment(now, seg, payload);
             } else {
-                self.send_rst_for(&seg);
+                self.send_rst_for(&seg, payload);
             }
             return;
         };
         let before = Some(self.mark_of(&pcb));
-        let keep = self.input(now, seg, &mut pcb);
+        let keep = self.input(now, seg, payload, &mut pcb);
         self.put_back(pcb, before, keep);
     }
 
     /// `tcp_input` proper, on the segment's PCB, which the caller took out
     /// of the table. Returns whether the PCB lives on.
-    fn input(&mut self, now: Time, seg: Segment, pcb: &mut Pcb) -> bool {
+    fn input(&mut self, now: Time, seg: Segment, payload: &[u8], pcb: &mut Pcb) -> bool {
         let tuple = pcb.tuple;
         // Any segment from the peer proves liveness.
         pcb.last_rx = now;
@@ -729,7 +740,7 @@ impl TcpStack {
             if seg.ack_flag()
                 && (seq::leq(seg.ack, pcb.iss) || seq::gt(seg.ack, pcb.snd_nxt))
             {
-                self.send_rst_for(&seg);
+                self.send_rst_for(&seg, payload);
                 return true;
             }
             if seg.rst() {
@@ -828,7 +839,7 @@ impl TcpStack {
         self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
         self.log.borrow_mut().read(site!(FC, "rcv_wnd"));
         let rwnd = pcb.rcv_wnd();
-        let slen = seg.seq_len();
+        let slen = seq_len(&seg, payload);
         let acceptable = if slen == 0 && rwnd == 0 {
             seg.seq == pcb.rcv_nxt
         } else if slen == 0 {
@@ -889,7 +900,7 @@ impl TcpStack {
                 pcb.rto_deadline = None;
                 pcb.retries = 0;
             } else {
-                self.send_rst_for(&seg);
+                self.send_rst_for(&seg, payload);
                 return true;
             }
         }
@@ -1034,7 +1045,7 @@ impl TcpStack {
             }
         } else if seg.ack == pcb.snd_una
             && pcb.flight_size() > 0
-            && seg.payload.is_empty()
+            && payload.is_empty()
             && seg.wnd as u32 == pcb.snd_wnd
             && !seg.fin()
         {
@@ -1089,20 +1100,16 @@ impl TcpStack {
         }
 
         // ---- reliable delivery: payload reassembly ----
-        if !seg.payload.is_empty() {
+        if !payload.is_empty() {
             self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
             self.log.borrow_mut().write(site!(RD, "rcv_buf"));
             self.log.borrow_mut().write(site!(RD, "ooo"));
-            let mut data = seg.payload.clone();
+            let mut data = payload;
             let mut start = seg.seq;
             // Trim anything before rcv_nxt.
             if seq::lt(start, pcb.rcv_nxt) {
                 let skip = pcb.rcv_nxt.wrapping_sub(start) as usize;
-                if skip >= data.len() {
-                    data.clear();
-                } else {
-                    data.drain(..skip);
-                }
+                data = data.get(skip..).unwrap_or_default();
                 start = pcb.rcv_nxt;
             }
             // Trim anything beyond our window.
@@ -1110,11 +1117,11 @@ impl TcpStack {
             let data_end = start.wrapping_add(data.len() as u32);
             if seq::gt(data_end, wnd_end) {
                 let cut = data_end.wrapping_sub(wnd_end) as usize;
-                let keep = data.len().saturating_sub(cut);
-                data.truncate(keep);
+                data = &data[..data.len().saturating_sub(cut)];
             }
             if !data.is_empty() {
                 if start == pcb.rcv_nxt {
+                    // In order: from the frame straight into the buffer.
                     pcb.rcv_nxt = pcb.rcv_nxt.wrapping_add(data.len() as u32);
                     pcb.rcv_buf.extend(data);
                     // Drain contiguous out-of-order segments.
@@ -1126,7 +1133,7 @@ impl TcpStack {
                         let skip = pcb.rcv_nxt.wrapping_sub(s) as usize;
                         if skip < d.len() {
                             pcb.rcv_nxt = pcb.rcv_nxt.wrapping_add((d.len() - skip) as u32);
-                            pcb.rcv_buf.extend(d.into_iter().skip(skip));
+                            pcb.rcv_buf.extend(&d[skip..]);
                         }
                     }
                 } else {
@@ -1134,9 +1141,10 @@ impl TcpStack {
                     // peer (or injector) spraying the window can cost at
                     // most one receive buffer of memory; beyond that the
                     // data is dropped and must be retransmitted in order.
+                    // What is held is copied once, into a `Vec` of its size.
                     let held: usize = pcb.ooo.values().map(|d| d.len()).sum();
                     if pcb.ooo.len() < 256 && held + data.len() <= RCV_BUF_CAP {
-                        pcb.ooo.insert(start, data);
+                        pcb.ooo.insert(start, data.to_vec());
                     } else {
                         self.stats.ooo_overflow_drops += 1;
                     }
@@ -1147,7 +1155,7 @@ impl TcpStack {
 
         // ---- connection management: FIN processing ----
         if seg.fin() {
-            let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
+            let fin_seq = seg.seq.wrapping_add(payload.len() as u32);
             if fin_seq == pcb.rcv_nxt {
                 self.log.borrow_mut().write(site!(CONN, "state"));
                 self.log.borrow_mut().write(site!(CONN, "rcv_nxt"));
@@ -1176,6 +1184,12 @@ impl TcpStack {
         self.output_pcb(now, pcb);
         true
     }
+}
+
+/// Sequence space a segment read in place occupies: its data, which sits
+/// beside the header, plus SYN and FIN.
+fn seq_len(seg: &Segment, payload: &[u8]) -> u32 {
+    payload.len() as u32 + seg.syn() as u32 + seg.fin() as u32
 }
 
 /// The host-facing surface (application calls, per-connection output and
@@ -1495,7 +1509,6 @@ impl HostStack for TcpStack {
                 self.log.borrow_mut().write(site!(TIMERS, "snd_nxt"));
                 let offset = pcb.snd_nxt.wrapping_sub(pcb.snd_buf_seq) as usize;
                 if offset < pcb.snd_buf.len() && pcb.snd_wnd == 0 {
-                    let byte = pcb.snd_buf[offset];
                     let seg = Segment {
                         src: pcb.tuple.local,
                         dst: pcb.tuple.remote,
@@ -1504,14 +1517,14 @@ impl HostStack for TcpStack {
                         flags: ACK,
                         wnd: self.adv_wnd(&pcb),
                         mss: None,
-                        payload: vec![byte],
+                        payload: Vec::new(),
                     };
                     pcb.snd_nxt = pcb.snd_nxt.wrapping_add(1);
                     pcb.snd_max = seq::max(pcb.snd_max, pcb.snd_nxt);
                     if pcb.rto_deadline.is_none() {
                         pcb.rto_deadline = Some(now + pcb.rto);
                     }
-                    self.push(seg);
+                    self.push_data(seg, pcb.snd_slices(offset, 1));
                     pcb.persist_deadline = Some(now + pcb.rto.saturating_mul(2));
                 } else {
                     pcb.persist_deadline = None;
@@ -1629,8 +1642,8 @@ impl HostStack for TcpStack {
 
 impl Stack for TcpStack {
     fn on_frame(&mut self, now: Time, frame: &[u8]) {
-        match Segment::decode(frame) {
-            Ok(seg) => self.on_segment(now, seg),
+        match Segment::decode_view(frame) {
+            Ok((seg, payload)) => self.on_segment(now, seg, payload),
             Err(_) => self.stats.bad_segments += 1,
         }
     }

@@ -1093,3 +1093,109 @@ fn full_table_refuses_inbound_syn_with_rst() {
     assert_eq!(s.stats.conn_table_full_drops, 1);
     assert_eq!(s.stats.rsts_sent, rsts_before + 1, "refusal is a RST, not silence");
 }
+
+// ---------------------------------------------------------------------
+// Every fact that reads a received segment's data length. `on_frame`
+// reads a frame in place, so the header it hands on carries an empty
+// payload and its `seq_len()` counts SYN and FIN alone: each site below
+// must read the data beside it instead.
+
+/// A segment from `tuple`'s peer: `payload` at `seq`, acking `ack`.
+fn from_peer(tuple: FourTuple, seq: u32, ack: u32, flags: u8, payload: Vec<u8>) -> crate::wire::Segment {
+    crate::wire::Segment {
+        src: tuple.remote,
+        dst: tuple.local,
+        seq,
+        ack,
+        flags,
+        wnd: 8000,
+        mss: None,
+        payload,
+    }
+}
+
+/// Everything `s` has queued, decoded.
+fn drain_segments(s: &mut TcpStack, now: Time) -> Vec<crate::wire::Segment> {
+    use netsim::Stack;
+    std::iter::from_fn(|| s.poll_transmit(now))
+        .map(|f| crate::wire::Segment::decode(&f).unwrap())
+        .collect()
+}
+
+#[test]
+fn a_stateless_rst_for_data_to_no_connection_acks_past_the_data() {
+    use crate::wire::{ACK, PSH, RST};
+    use netsim::Stack;
+    let mut s = TcpStack::new(B, slmetrics::shared());
+    let stray = FourTuple { local: Endpoint::new(B, 80), remote: Endpoint::new(A, 5000) };
+    s.on_frame(Time::ZERO, &from_peer(stray, 500, 0, PSH, vec![1; 300]).encode());
+    let [rst] = &drain_segments(&mut s, Time::ZERO)[..] else { panic!("one RST") };
+    assert_eq!(rst.flags, RST | ACK);
+    assert_eq!((rst.seq, rst.ack), (0, 500 + 300), "RFC 793: ack = SEG.SEQ + SEG.LEN");
+}
+
+#[test]
+fn a_data_segment_is_unacceptable_to_a_zero_window() {
+    use crate::pcb::RCV_BUF_CAP;
+    use crate::wire::ACK;
+    use netsim::Stack;
+    let mut s = TcpStack::new(B, slmetrics::shared());
+    s.listen(80);
+    let tuple = standalone_accept(&mut s, Time::ZERO, Endpoint::new(A, 5000));
+    let una = s.pcb(tuple).unwrap().snd_una;
+    // Fill the receive buffer (nobody reads it): the window closes.
+    let mut seq = 101u32;
+    while s.pcb(tuple).unwrap().rcv_wnd() > 0 {
+        s.on_frame(Time::ZERO, &from_peer(tuple, seq, una, ACK, vec![2; 1000]).encode());
+        seq = s.pcb(tuple).unwrap().rcv_nxt;
+    }
+    assert_eq!(s.readable_len(tuple), RCV_BUF_CAP);
+    drain_segments(&mut s, Time::ZERO);
+    // Data at exactly rcv_nxt, with a new window: RFC 793 takes no
+    // segment that occupies sequence space into a zero window, so none
+    // of its fields is processed — it is answered with a bare ack.
+    let mut probe = from_peer(tuple, seq, una, ACK, vec![3; 10]);
+    probe.wnd = 1234;
+    s.on_frame(Time::ZERO, &probe.encode());
+    assert_eq!(s.pcb(tuple).unwrap().snd_wnd, 8000, "the window update was not taken");
+    let [ack] = &drain_segments(&mut s, Time::ZERO)[..] else { panic!("one ack") };
+    assert_eq!((ack.ack, ack.wnd, ack.payload.len()), (seq, 0, 0));
+}
+
+#[test]
+fn a_data_segment_is_never_a_duplicate_ack() {
+    use crate::wire::ACK;
+    use netsim::Stack;
+    let mut s = TcpStack::new(B, slmetrics::shared());
+    s.listen(80);
+    let tuple = standalone_accept(&mut s, Time::ZERO, Endpoint::new(A, 5000));
+    // The server has data in flight...
+    assert_eq!(s.send(tuple, &[4; 500]), 500);
+    assert_eq!(drain_segments(&mut s, Time::ZERO).len(), 1);
+    let una = s.pcb(tuple).unwrap().snd_una;
+    assert!(s.pcb(tuple).unwrap().flight_size() > 0);
+    // ...and the peer, which has not had it yet, keeps sending its own:
+    // each segment repeats the ack and the window, but carries data.
+    for i in 0..4u32 {
+        s.on_frame(Time::ZERO, &from_peer(tuple, 101 + i * 100, una, ACK, vec![5; 100]).encode());
+    }
+    assert_eq!(s.readable_len(tuple), 400);
+    assert_eq!((s.stats.dupacks, s.stats.fast_retransmits), (0, 0));
+    assert_eq!(s.pcb(tuple).unwrap().dupacks, 0);
+}
+
+#[test]
+fn a_fin_riding_on_data_is_sequenced_after_it() {
+    use crate::wire::{ACK, FIN};
+    use netsim::Stack;
+    let mut s = TcpStack::new(B, slmetrics::shared());
+    s.listen(80);
+    let tuple = standalone_accept(&mut s, Time::ZERO, Endpoint::new(A, 5000));
+    let una = s.pcb(tuple).unwrap().snd_una;
+    s.on_frame(Time::ZERO, &from_peer(tuple, 101, una, ACK | FIN, vec![6; 500]).encode());
+    assert_eq!(s.state(tuple), TcpState::CloseWait, "the FIN at 601 was taken");
+    assert_eq!(s.pcb(tuple).unwrap().rcv_nxt, 101 + 500 + 1);
+    assert_eq!(s.recv(tuple), vec![6; 500]);
+    let acks: Vec<u32> = drain_segments(&mut s, Time::ZERO).iter().map(|a| a.ack).collect();
+    assert_eq!(acks, [602]);
+}
