@@ -25,11 +25,13 @@
 //! also re-runs each cell in [`Mode::Inline`] and requires the threaded
 //! outcome to be byte-identical — crash, restart, and all.
 
+use crate::client::{Client, Reply, CLIENT_PORT, SERVER};
 use crate::shard::{mode_label, modes_agree};
 use crate::{dur, json, Report, KINDS};
 use netsim::{Dur, Keepalive, LinkParams, MultiStackNode, StackNode, Time, TransportError};
 use slconform::{ConformStack, Kind};
-use slhost::{EchoApp, Host, HostConfig, HostStack, ResourceBudget, ServedHost};
+use slhost::{EchoApp, Host, HostConfig, ResourceBudget, ServedHost};
+use slmetrics::HostCounters;
 use slshard::{
     mute_injected_panics, FaultEvent, FaultEventKind, FaultKind, FaultSpec, Mode,
     RestartPolicy, ShardFaultPlan, ShardHealth, ShardedConfig, ShardedHost,
@@ -39,10 +41,7 @@ use slwire::hash::shard_of;
 use tcp_mono::stack::TcpStack;
 use slwire::{Endpoint, FourTuple};
 
-const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0C00_0000;
-const PORT: u16 = 80;
-const CLIENT_PORT: u16 = 5000;
 const STAGGER_NS: u64 = 100_000;
 /// Per-shard byte budget; global is `shards ×` this (as in E20).
 const SHARD_BUDGET: usize = 16 << 20;
@@ -71,10 +70,7 @@ fn request(i: usize) -> Vec<u8> {
 /// the same shard as the client's first port — every reconnect attempt
 /// lands back on the client's home shard.
 fn home_ports(seed: u64, caddr: u32, shards: usize, k: usize) -> (usize, Vec<u16>) {
-    let tuple = |p: u16| FourTuple {
-        local: Endpoint::new(SERVER_ADDR, PORT),
-        remote: Endpoint::new(caddr, p),
-    };
+    let tuple = |p: u16| FourTuple { local: SERVER, remote: Endpoint::new(caddr, p) };
     let home = shard_of(seed, &tuple(CLIENT_PORT), shards);
     let mut ports = Vec::with_capacity(k);
     let mut p = CLIENT_PORT;
@@ -86,156 +82,6 @@ fn home_ports(seed: u64, caddr: u32, shards: usize, k: usize) -> (usize, Vec<u16
     }
     (home, ports)
 }
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    Idle,
-    Connecting,
-    Await,
-    Closing,
-    RetryWait,
-    Done,
-    Failed,
-}
-
-/// Echo client with typed-error-driven reconnect: on a connection error
-/// it abandons the attempt and retries (bounded) from the next home
-/// port.
-struct FailoverClient<S: HostStack> {
-    stack: S,
-    server: Endpoint,
-    req: Vec<u8>,
-    ports: Vec<u16>,
-    attempt: usize,
-    retries: usize,
-    phase: Phase,
-    conn: Option<S::ConnId>,
-    got: Vec<u8>,
-    connect_at: Time,
-    retry_at: Time,
-    done_at: Option<Time>,
-    first_error: Option<TransportError>,
-}
-
-impl<S: HostStack> FailoverClient<S> {
-    fn new(stack: S, connect_at: Time, req: Vec<u8>, ports: Vec<u16>, retries: usize) -> Self {
-        FailoverClient {
-            stack,
-            server: Endpoint::new(SERVER_ADDR, PORT),
-            req,
-            ports,
-            attempt: 0,
-            retries,
-            phase: Phase::Idle,
-            conn: None,
-            got: Vec::new(),
-            connect_at,
-            retry_at: Time::ZERO,
-            done_at: None,
-            first_error: None,
-        }
-    }
-
-    fn connect(&mut self, now: Time) {
-        let port = self.ports[self.attempt % self.ports.len()];
-        match self.stack.try_connect(now, port, self.server) {
-            Ok(id) => {
-                self.conn = Some(id);
-                self.phase = Phase::Connecting;
-            }
-            Err(e) => {
-                if self.first_error.is_none() {
-                    self.first_error = Some(e);
-                }
-                self.phase = Phase::Failed;
-            }
-        }
-    }
-
-    /// When the script itself next needs the clock.
-    fn own_deadline(&self) -> Option<Time> {
-        match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::RetryWait => Some(self.retry_at),
-            _ => None,
-        }
-    }
-
-    fn drive(&mut self, now: Time) {
-        if let Some(id) = self.conn {
-            match self.phase {
-                Phase::Connecting | Phase::Await => {
-                    if let Some(e) = self.stack.conn_error(id) {
-                        if self.first_error.is_none() {
-                            self.first_error = Some(e);
-                        }
-                        self.conn = None;
-                        self.got.clear();
-                        if self.attempt < self.retries {
-                            self.attempt += 1;
-                            self.retry_at = now + Dur::from_millis(200);
-                            self.phase = Phase::RetryWait;
-                        } else {
-                            self.phase = Phase::Failed;
-                        }
-                    }
-                }
-                Phase::Closing if self.stack.conn_error(id).is_some() => {
-                    // Data already delivered in full; the error only
-                    // tore down the TIME_WAIT shell.
-                    self.conn = None;
-                    self.phase = Phase::Done;
-                }
-                _ => {}
-            }
-        }
-        loop {
-            match self.phase {
-                Phase::Idle => {
-                    if now < self.connect_at {
-                        return;
-                    }
-                    self.connect(now);
-                }
-                Phase::RetryWait => {
-                    if now < self.retry_at {
-                        return;
-                    }
-                    self.connect(now);
-                }
-                Phase::Connecting => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_established(id) {
-                        return;
-                    }
-                    self.stack.send(id, &self.req);
-                    self.phase = Phase::Await;
-                }
-                Phase::Await => {
-                    let id = self.conn.expect("connected past Idle");
-                    let data = self.stack.recv(id);
-                    self.got.extend_from_slice(&data);
-                    if self.got.len() < self.req.len() {
-                        return;
-                    }
-                    self.done_at = Some(now);
-                    self.stack.close(id);
-                    self.phase = Phase::Closing;
-                }
-                Phase::Closing => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_closed(id) {
-                        return;
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Done | Phase::Failed => return,
-            }
-        }
-    }
-}
-
-netsim::client_stack!(FailoverClient<S: HostStack>);
 
 /// One cell of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -292,29 +138,46 @@ pub struct FailoverOutcome {
     pub violations: Vec<String>,
 }
 
-struct CliOut {
-    complete: bool,
-    got: Vec<u8>,
+/// One client's fate in a run.
+#[derive(Debug, PartialEq)]
+pub(crate) struct CliOut {
+    /// The whole echo arrived intact, on some attempt: what it received
+    /// is the request, byte for byte.
+    pub(crate) complete: bool,
+    /// The close handshake then finished without an error.
+    pub(crate) closed: bool,
+    /// Echo bytes received on the last attempt.
+    got: usize,
     done_at: Option<Time>,
     attempts: usize,
+    /// The first typed error before the echo completed; one that only
+    /// tears down the connection afterwards disrupts nothing.
     first_error: Option<TransportError>,
     home: usize,
 }
 
-struct RunData {
-    clients: Vec<CliOut>,
+/// Everything a run exposes. Two runs of one seed and plan must compare
+/// equal, whether threaded or inline.
+#[derive(Debug, PartialEq)]
+pub(crate) struct RunData {
+    pub(crate) clients: Vec<CliOut>,
     events: Vec<FaultEvent>,
     health: Vec<ShardHealth>,
     rounds: Vec<u64>,
     mem_peaks: Vec<u64>,
-    shard_restarts: u64,
-    failover_aborts: u64,
-    ring_stalls: u64,
+    /// The fleet's aggregated host counters, bytes echoed and
+    /// connections served, and the router's per-shard and unclassified
+    /// frame counts.
+    counters: HostCounters,
+    echoed: u64,
+    served: u64,
+    routed: Vec<u64>,
+    unclassified: u64,
     dead_drops: u64,
     sim_ms: u64,
 }
 
-fn run_net<S: ConformStack>(
+pub(crate) fn run_net<S: ConformStack>(
     p: FailoverParams,
     policy: RestartPolicy,
     plan: Option<&ShardFaultPlan>,
@@ -326,7 +189,7 @@ fn run_net<S: ConformStack>(
     let keepalive = Some(Keepalive::default());
     let per_shard_conns = (p.n / p.shards.max(1)) * 2 + 1024;
     let host_cfg = HostConfig {
-        listen_port: PORT,
+        listen_port: SERVER.port,
         backlog: 1024,
         max_conns: per_shard_conns,
         budget: ResourceBudget::bytes(SHARD_BUDGET),
@@ -343,25 +206,25 @@ fn run_net<S: ConformStack>(
         ..ShardedConfig::default()
     };
     let mut server: ShardedHost<S, EchoApp> = ShardedHost::new(cfg, move |_shard| {
-        let stack = S::mk_with(SERVER_ADDR, None, slmetrics::shared());
+        let stack = S::mk_with(SERVER.addr, None, slmetrics::shared());
         ServedHost::new(Host::new(stack, host_cfg.clone()), EchoApp::default())
     });
     if let Some(plan) = plan {
         server.apply_plan(plan);
     }
     let mut homes = Vec::with_capacity(p.n);
-    let clients: Vec<FailoverClient<S>> = (0..p.n)
+    let clients: Vec<Client<S>> = (0..p.n)
         .map(|i| {
             let caddr = CLIENT_BASE + i as u32;
             let (home, ports) = home_ports(p.seed, caddr, p.shards, retries + 1);
             homes.push(home);
-            FailoverClient::new(
+            Client::new(
                 S::mk_with(caddr, keepalive, slmetrics::shared()),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
-                ports,
-                retries,
+                Reply::Echo,
             )
+            .with_ports(ports)
         })
         .collect();
     let (mut net, sid, cids) =
@@ -371,18 +234,19 @@ fn run_net<S: ConformStack>(
 
     let mut out = Vec::with_capacity(p.n);
     for (i, &cid) in cids.iter().enumerate() {
-        let c = &net.node::<StackNode<FailoverClient<S>>>(cid).stack;
+        let c = &net.node::<StackNode<Client<S>>>(cid).stack;
         out.push(CliOut {
-            complete: c.done_at.is_some() && c.got == c.req,
-            got: c.got.clone(),
+            complete: c.done_at.is_some() && !c.corrupt,
+            closed: c.closed(),
+            got: c.got,
             done_at: c.done_at,
             attempts: c.attempt,
-            first_error: c.first_error,
+            first_error: c.error,
             home: homes[i],
         });
     }
     let srv = &mut net.node_mut::<MultiStackNode<ShardedHost<S, EchoApp>>>(sid).stack;
-    let (counters, _, _) = srv.aggregate();
+    let (counters, echoed, served) = srv.aggregate();
     let snaps = srv.snapshots();
     RunData {
         clients: out,
@@ -390,9 +254,11 @@ fn run_net<S: ConformStack>(
         health: (0..p.shards).map(|i| srv.health(i)).collect(),
         rounds: snaps.iter().map(|s| s.round).collect(),
         mem_peaks: snaps.iter().map(|s| s.counters.mem_peak).collect(),
-        shard_restarts: counters.shard_restarts,
-        failover_aborts: counters.failover_aborts,
-        ring_stalls: counters.ring_stalls,
+        counters,
+        echoed,
+        served,
+        routed: srv.routed.clone(),
+        unclassified: srv.unclassified,
         dead_drops: srv.supervisor().dead_drops,
         sim_ms: net.now().nanos() / 1_000_000,
     }
@@ -441,7 +307,9 @@ fn run_cell<S: ConformStack>(p: FailoverParams) -> FailoverOutcome {
                 && (!f.complete
                     || f.first_error.is_some()
                     || f.attempts != 0
-                    || f.got != b.got
+                    // A complete echo is the request, so the two byte
+                    // streams differ exactly when the baseline's is not.
+                    || !b.complete
                     || f.done_at != b.done_at)
         })
         .count();
@@ -475,9 +343,9 @@ fn run_cell<S: ConformStack>(p: FailoverParams) -> FailoverOutcome {
         healthy,
         healthy_disrupted,
         completed: faulted.clients.iter().filter(|c| c.complete).count(),
-        shard_restarts: faulted.shard_restarts,
-        failover_aborts: faulted.failover_aborts,
-        ring_stalls: faulted.ring_stalls,
+        shard_restarts: faulted.counters.shard_restarts,
+        failover_aborts: faulted.counters.failover_aborts,
+        ring_stalls: faulted.counters.ring_stalls,
         dead_drops: faulted.dead_drops,
         final_health: faulted.health.iter().map(|h| h.as_u8() as u64).collect(),
         events: faulted
@@ -726,5 +594,243 @@ pub fn report(smoke: bool) -> Report {
             })
             .chain(crate::tagged("mode-determinism".into(), &cross))
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Fault-domain isolation for [`slshard::ShardedHost`] on the
+    //! campaign's own harness, [`run_net`]: an injected shard crash
+    //! (panic / stall / wedge) must
+    //!
+    //! 1. abort only that shard's connections — every client homed on a
+    //!    healthy shard finishes exactly as in a no-fault baseline run;
+    //! 2. leave the run deterministic — two threaded runs of the same
+    //!    crash schedule replay identically, and threaded matches the
+    //!    single-threaded [`Mode::Inline`] reference, fault log included;
+    //! 3. recover per policy — with restarts enabled the victim shard
+    //!    comes back and serves *new* connections (victims reconnect to
+    //!    their home shard and complete); with restarts disabled the
+    //!    victims get typed errors and the blast radius is still one shard.
+
+    use super::*;
+
+    const SEED: u64 = 0x51AD;
+    const RESTART_HORIZON: Time = Time(RESTART_HORIZON_NS);
+    const NO_RESTART_HORIZON: Time = Time(NEVER_HORIZON_NS);
+
+    fn run<S: ConformStack>(
+        mode: Mode,
+        shards: usize,
+        n: usize,
+        policy: RestartPolicy,
+        plan: Option<&ShardFaultPlan>,
+        retries: usize,
+        horizon: Time,
+    ) -> RunData {
+        let p = FailoverParams { stack: S::KIND, mode, shards, n, seed: SEED, restart: true };
+        run_net::<S>(p, policy, plan, retries, horizon)
+    }
+
+    fn panic_at(shard: usize, at_round: u64) -> ShardFaultPlan {
+        ShardFaultPlan {
+            faults: vec![(shard as u32, FaultSpec { at_round, kind: FaultKind::Panic })],
+        }
+    }
+
+    /// Did `shard` die (crash, or a wedge declared dead) during the run?
+    fn died(r: &RunData, shard: usize) -> bool {
+        r.events.iter().any(|e| {
+            e.shard as usize == shard
+                && matches!(e.kind, FaultEventKind::Crashed | FaultEventKind::DeclaredDead)
+        })
+    }
+
+    fn has_event(r: &RunData, kind: FaultEventKind) -> bool {
+        r.events.iter().any(|e| e.kind == kind)
+    }
+
+    /// Healthy-shard clients must be untouched by the crash: identical
+    /// byte stream, identical completion time, no errors, no retries.
+    fn assert_healthy_isolated(baseline: &RunData, faulted: &RunData) {
+        for (i, (b, f)) in baseline.clients.iter().zip(&faulted.clients).enumerate() {
+            if died(faulted, f.home) {
+                continue;
+            }
+            assert!(f.complete, "healthy client {i} (shard {}) did not complete:\n{faulted:?}", f.home);
+            assert_eq!(f.first_error, None, "healthy client {i} saw an error");
+            assert_eq!(f.attempts, 0, "healthy client {i} had to retry");
+            // A complete echo is the request byte for byte, so the two
+            // streams are equal exactly when the baseline's is complete.
+            assert!(b.complete, "healthy client {i} byte stream changed");
+            assert_eq!(f.done_at, b.done_at, "healthy client {i} finish time changed");
+        }
+    }
+
+    #[test]
+    fn injected_panic_kills_only_its_shard_and_restarts() {
+        let (shards, n) = (4, 16);
+        let policy = RestartPolicy::default();
+        let baseline =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, None, 3, RESTART_HORIZON);
+        assert!(baseline.clients.iter().all(|c| c.complete), "baseline incomplete:\n{baseline:?}");
+        // Crash the shard client 0 homes on, mid-traffic.
+        let victim = baseline.clients[0].home;
+        let plan = panic_at(victim, 6);
+        let faulted =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, Some(&plan), 3, RESTART_HORIZON);
+        assert!(died(&faulted, victim), "victim never crashed:\n{faulted:?}");
+        assert_eq!(
+            (0..shards).filter(|&s| died(&faulted, s)).count(),
+            1,
+            "blast radius exceeded one shard:\n{faulted:?}"
+        );
+        assert!(faulted.counters.shard_restarts >= 1, "victim was not restarted:\n{faulted:?}");
+        assert_eq!(faulted.health[victim], ShardHealth::Healthy, "victim not back in rotation");
+        assert_healthy_isolated(&baseline, &faulted);
+        // Recovery: every client — victims included, via reconnect to the
+        // restarted home shard — completes with an intact echo.
+        for (i, c) in faulted.clients.iter().enumerate() {
+            assert!(c.complete, "client {i} never recovered with an intact echo:\n{faulted:?}");
+        }
+    }
+
+    #[test]
+    fn crashed_runs_replay_byte_identically() {
+        let plan = ShardFaultPlan {
+            faults: vec![
+                (1, FaultSpec { at_round: 5, kind: FaultKind::Panic }),
+                (2, FaultSpec { at_round: 9, kind: FaultKind::Stall(4) }),
+            ],
+        };
+        let policy = RestartPolicy::default();
+        let a = run::<SlTcpStack>(Mode::Threaded, 4, 12, policy, Some(&plan), 2, RESTART_HORIZON);
+        let b = run::<SlTcpStack>(Mode::Threaded, 4, 12, policy, Some(&plan), 2, RESTART_HORIZON);
+        assert_eq!(a, b, "crashed threaded replay diverged");
+        assert!(
+            has_event(&a, FaultEventKind::Crashed) && has_event(&a, FaultEventKind::Restarted),
+            "run lost the crash/restart events:\n{a:?}"
+        );
+    }
+
+    #[test]
+    fn threaded_crash_matches_inline_reference() {
+        let plan = panic_at(0, 7);
+        let policy = RestartPolicy::default();
+        let t = run::<SlTcpStack>(Mode::Threaded, 2, 10, policy, Some(&plan), 2, RESTART_HORIZON);
+        let i = run::<SlTcpStack>(Mode::Inline, 2, 10, policy, Some(&plan), 2, RESTART_HORIZON);
+        assert_eq!(t, i, "crashed threaded diverged from inline reference");
+    }
+
+    #[test]
+    fn mono_stack_crash_matches_inline() {
+        let plan = panic_at(1, 6);
+        let policy = RestartPolicy::default();
+        let t = run::<TcpStack>(Mode::Threaded, 2, 10, policy, Some(&plan), 2, RESTART_HORIZON);
+        let i = run::<TcpStack>(Mode::Inline, 2, 10, policy, Some(&plan), 2, RESTART_HORIZON);
+        assert_eq!(t, i, "mono crashed threaded diverged from inline");
+    }
+
+    #[test]
+    fn no_restart_policy_blast_radius_is_one_shard() {
+        let (shards, n) = (4, 16);
+        let policy = RestartPolicy::never();
+        let baseline =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, None, 0, NO_RESTART_HORIZON);
+        let victim = baseline.clients[0].home;
+        let plan = panic_at(victim, 6);
+        let faulted =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, Some(&plan), 0, NO_RESTART_HORIZON);
+        assert_eq!(faulted.health[victim], ShardHealth::Failed, "no-restart victim must stay failed");
+        assert_eq!(faulted.counters.shard_restarts, 0);
+        assert_healthy_isolated(&baseline, &faulted);
+        // Victims: either finished before the crash or saw a typed error —
+        // never a hang past the (generous) horizon, never a panic.
+        for (i, c) in faulted.clients.iter().enumerate() {
+            if c.home == victim {
+                assert!(
+                    c.complete || c.first_error.is_some(),
+                    "victim client {i} neither finished nor errored:\n{faulted:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wedge_is_declared_dead_and_restarted() {
+        let (shards, n) = (2, 10);
+        let policy = RestartPolicy::default();
+        let baseline =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, None, 3, RESTART_HORIZON);
+        let victim = baseline.clients[0].home;
+        let plan = ShardFaultPlan {
+            faults: vec![(victim as u32, FaultSpec { at_round: 5, kind: FaultKind::Wedge })],
+        };
+        let faulted =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, Some(&plan), 3, RESTART_HORIZON);
+        assert!(
+            has_event(&faulted, FaultEventKind::DeclaredDead),
+            "wedge was not declared dead:\n{faulted:?}"
+        );
+        assert!(faulted.counters.shard_restarts >= 1, "wedged shard was not replaced:\n{faulted:?}");
+        assert_healthy_isolated(&baseline, &faulted);
+        for (i, c) in faulted.clients.iter().enumerate() {
+            assert!(c.complete, "client {i} never recovered from the wedge:\n{faulted:?}");
+        }
+    }
+
+    #[test]
+    fn transient_stall_recovers_without_restart() {
+        let (shards, n) = (2, 10);
+        // dead_after high enough that a 3-round stall never escalates.
+        let policy = RestartPolicy { dead_after: 8, ..Default::default() };
+        let baseline =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, None, 0, RESTART_HORIZON);
+        let victim = baseline.clients[0].home;
+        let plan = ShardFaultPlan {
+            faults: vec![(victim as u32, FaultSpec { at_round: 4, kind: FaultKind::Stall(3) })],
+        };
+        let faulted =
+            run::<SlTcpStack>(Mode::Threaded, shards, n, policy, Some(&plan), 0, RESTART_HORIZON);
+        assert_eq!(faulted.counters.shard_restarts, 0, "transient stall must not trigger a restart");
+        assert!(
+            !(0..shards).any(|s| died(&faulted, s)),
+            "transient stall must not kill the shard"
+        );
+        // A stall defers frames, it does not lose them: everyone completes.
+        for (i, c) in faulted.clients.iter().enumerate() {
+            assert!(c.complete, "client {i} did not survive the stall:\n{faulted:?}");
+        }
+        assert_healthy_isolated(&baseline, &faulted);
+    }
+
+    /// Random fault schedules at every shard count in {1, 2, 4, 8}:
+    /// isolation holds, crashed runs replay identically, threaded ≡ inline
+    /// — the proptest-style sweep over [`ShardFaultPlan::random`] schedules.
+    #[test]
+    fn random_fault_plans_isolation_and_replay() {
+        for &shards in &[1usize, 2, 4, 8] {
+            for seed in 0u64..3 {
+                let plan = ShardFaultPlan::random(
+                    seed.wrapping_mul(0x9E37) ^ shards as u64,
+                    shards,
+                    25,
+                    3,
+                );
+                let policy = RestartPolicy::default();
+                let n = 12;
+                let baseline =
+                    run::<SlTcpStack>(Mode::Threaded, shards, n, policy, None, 3, RESTART_HORIZON);
+                let [a, b, inl] = [Mode::Threaded, Mode::Threaded, Mode::Inline].map(|mode| {
+                    run::<SlTcpStack>(mode, shards, n, policy, Some(&plan), 3, RESTART_HORIZON)
+                });
+                assert_eq!(a, b, "replay diverged (shards={shards} seed={seed} plan={plan:?})");
+                assert_eq!(
+                    a, inl,
+                    "threaded diverged from inline (shards={shards} seed={seed} plan={plan:?})"
+                );
+                assert_healthy_isolated(&baseline, &a);
+            }
+        }
     }
 }

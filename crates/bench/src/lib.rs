@@ -20,6 +20,7 @@
 
 pub mod attack;
 pub mod chaos;
+pub mod client;
 pub mod conform;
 pub mod contracts;
 pub mod entangle;

@@ -26,6 +26,7 @@
 //! under a 4× flood, the per-connection goodput of *accepted*
 //! connections stays within 80% of the uncontended baseline.
 
+use crate::client::{Client, Reply, SERVER};
 use crate::{dur, json, Report, KINDS};
 use netsim::{
     LinkParams, MultiStackNode, OpenLoopArrivals, ReadBudget, StackNode,
@@ -39,12 +40,8 @@ use slhost::{
 use std::collections::HashMap;
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use slwire::Endpoint;
 
-const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0A01_0000;
-const PORT: u16 = 80;
-const CLIENT_PORT: u16 = 5000;
 /// Request payload length per client.
 const REQ_LEN: usize = 128;
 /// Response length for the short-transfer profiles.
@@ -287,151 +284,6 @@ impl<S: HostStack> HostApp<S> for RespApp<S> {
     }
 }
 
-/// Client phases; time-driven transitions happen in `drive`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    Connecting,
-    /// Request sent; collecting (or, for a slow reader, ignoring) the
-    /// response.
-    Await,
-    Closing,
-    Done,
-    Failed,
-}
-
-/// One scripted client: connect → request → verify response → close.
-/// A slow client carries a zero-rate [`ReadBudget`] and never drains its
-/// receive buffer — the slowloris shape.
-pub struct OverloadClient<S: HostStack> {
-    stack: S,
-    server: Endpoint,
-    req: Vec<u8>,
-    resp_len: usize,
-    read_budget: Option<ReadBudget>,
-    phase: Phase,
-    conn: Option<S::ConnId>,
-    got: usize,
-    connect_at: Time,
-    pub established: bool,
-    pub first_resp_at: Option<Time>,
-    pub done_at: Option<Time>,
-    pub error: Option<TransportError>,
-    pub corrupt: bool,
-}
-
-impl<S: HostStack> OverloadClient<S> {
-    fn new(
-        stack: S,
-        server: Endpoint,
-        connect_at: Time,
-        req: Vec<u8>,
-        resp_len: usize,
-        read_budget: Option<ReadBudget>,
-    ) -> Self {
-        OverloadClient {
-            stack,
-            server,
-            req,
-            resp_len,
-            read_budget,
-            phase: Phase::Idle,
-            conn: None,
-            got: 0,
-            connect_at,
-            established: false,
-            first_resp_at: None,
-            done_at: None,
-            error: None,
-            corrupt: false,
-        }
-    }
-
-    /// When the script itself next needs the clock.
-    fn own_deadline(&self) -> Option<Time> {
-        (self.phase == Phase::Idle).then_some(self.connect_at)
-    }
-
-    fn drive(&mut self, now: Time) {
-        if let (Some(id), None) = (self.conn, self.error) {
-            if self.stack.is_established(id) {
-                self.established = true;
-            }
-            if let Some(e) = self.stack.conn_error(id) {
-                self.error = Some(e);
-                self.phase = Phase::Failed;
-            }
-        }
-        loop {
-            match self.phase {
-                Phase::Idle => {
-                    if now < self.connect_at {
-                        return;
-                    }
-                    match self.stack.try_connect(now, CLIENT_PORT, self.server) {
-                        Ok(id) => {
-                            self.conn = Some(id);
-                            self.phase = Phase::Connecting;
-                        }
-                        Err(e) => {
-                            self.error = Some(e);
-                            self.phase = Phase::Failed;
-                        }
-                    }
-                }
-                Phase::Connecting => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_established(id) {
-                        return;
-                    }
-                    self.established = true;
-                    self.stack.send(id, &self.req);
-                    self.phase = Phase::Await;
-                }
-                Phase::Await => {
-                    let id = self.conn.expect("connected past Idle");
-                    if let Some(b) = &mut self.read_budget {
-                        // A slow reader only drains what its budget
-                        // grants — at rate 0, nothing, ever.
-                        if b.grant(now) == 0 {
-                            return;
-                        }
-                    }
-                    let data = self.stack.recv(id);
-                    if let Some(b) = &mut self.read_budget {
-                        b.consume(data.len() as u64);
-                    }
-                    if !data.is_empty() && self.first_resp_at.is_none() {
-                        self.first_resp_at = Some(now);
-                    }
-                    for &bt in &data {
-                        if self.got >= self.resp_len || bt != resp_byte(self.got) {
-                            self.corrupt = true;
-                        }
-                        self.got += 1;
-                    }
-                    if self.got < self.resp_len {
-                        return;
-                    }
-                    self.done_at = Some(now);
-                    self.stack.close(id);
-                    self.phase = Phase::Closing;
-                }
-                Phase::Closing => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_closed(id) {
-                        return;
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Done | Phase::Failed => return,
-            }
-        }
-    }
-}
-
-netsim::client_stack!(OverloadClient<S: HostStack>);
-
 /// Run one cell of the sweep.
 pub fn run_one(p: OverloadParams) -> OverloadOutcome {
     match p.stack {
@@ -445,7 +297,7 @@ fn run_generic<S: ConformStack>(p: OverloadParams) -> OverloadOutcome {
     let spec = p.profile.spec();
     let n = spec.arrivals.len();
     let cfg = HostConfig {
-        listen_port: PORT,
+        listen_port: SERVER.port,
         backlog: spec.backlog,
         batch_window: dur(50_000),
         timer_mode: TimerMode::Wheel,
@@ -453,21 +305,18 @@ fn run_generic<S: ConformStack>(p: OverloadParams) -> OverloadOutcome {
         ..HostConfig::default()
     };
     let server =
-        ServedHost::new(Host::new(mk(SERVER_ADDR), cfg), RespApp::new(spec.resp_len));
-    let clients: Vec<OverloadClient<S>> = spec
+        ServedHost::new(Host::new(mk(SERVER.addr), cfg), RespApp::new(spec.resp_len));
+    let reply = Reply::Pattern { len: spec.resp_len, byte: resp_byte };
+    let clients: Vec<Client<S>> = spec
         .arrivals
         .iter()
         .enumerate()
         .map(|(i, &at)| {
+            // The first `n_slow` never drain their receive buffer: the
+            // slowloris shape.
             let slow = i < spec.n_slow;
-            OverloadClient::new(
-                mk(CLIENT_BASE + i as u32),
-                Endpoint::new(SERVER_ADDR, PORT),
-                at,
-                request(i),
-                spec.resp_len,
-                slow.then(|| ReadBudget::new(at, 0, 0)),
-            )
+            Client::new(mk(CLIENT_BASE + i as u32), at, request(i), reply)
+                .with_read_budget(slow.then(|| ReadBudget::new(at, 0, 0)))
         })
         .collect();
 
@@ -500,7 +349,7 @@ fn run_generic<S: ConformStack>(p: OverloadParams) -> OverloadOutcome {
     let mut post_drain_completed = 0usize;
     let mut pre_drain_incomplete = 0usize;
     for (i, &cid) in cids.iter().enumerate() {
-        let c = &net.node::<StackNode<OverloadClient<S>>>(cid).stack;
+        let c = &net.node::<StackNode<Client<S>>>(cid).stack;
         if c.corrupt {
             corrupt += 1;
         }
@@ -511,14 +360,14 @@ fn run_generic<S: ConformStack>(p: OverloadParams) -> OverloadOutcome {
                 if !pre_drain {
                     post_drain_completed += 1;
                 }
-                let t0 = c.first_resp_at.unwrap_or(t1);
+                let t0 = c.first_reply_at.unwrap_or(t1);
                 let us = t1.nanos().saturating_sub(t0.nanos()).max(1_000) / 1_000;
                 xfer_us.push(us);
                 kbps.push((spec.resp_len as u64 * 8).saturating_mul(1_000) / us);
             }
             (None, Some(e)) => {
                 first_error.get_or_insert(e);
-                if c.established {
+                if c.established_at.is_some() {
                     evicted += 1;
                     if i < spec.n_slow {
                         slow_failed += 1;

@@ -15,6 +15,7 @@
 //! connections with zero refusals, and the host table drains to empty
 //! after the clients close.
 
+use crate::client::{Client, Reply, SERVER};
 use crate::{dur, json, Report, KINDS};
 use netsim::{
     Dur, Keepalive, LinkParams, MultiStackNode, NodeId, SimNet, StackNode, Time, TransportError,
@@ -23,13 +24,8 @@ use slconform::{ConformStack, Kind};
 use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost, TimerMode};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use slwire::Endpoint;
 
-/// Server address (clients start above [`CLIENT_BASE`]).
-const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0A01_0000;
-const PORT: u16 = 80;
-const CLIENT_PORT: u16 = 5000;
 /// Request payload length per client.
 const REQ_LEN: usize = 256;
 /// Gap between successive client connect times.
@@ -108,155 +104,6 @@ pub struct ScaleOutcome {
     pub violations: Vec<String>,
 }
 
-/// Client phases; time-driven transitions happen in `drive`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for its staggered connect time.
-    Idle,
-    Connecting,
-    /// Request sent; collecting the echo.
-    Await,
-    /// Echo verified; holding the connection open, keepalive ticking.
-    Linger,
-    /// FIN sent; waiting out the close handshake.
-    Closing,
-    Done,
-    Failed,
-}
-
-/// One scripted client: connect → request → verify echo → linger → close.
-/// Generic over the same [`HostStack`] surface the host uses, so the whole
-/// experiment is stack-agnostic by construction. Verifies the echo
-/// streamingly (no per-client copy of what came back), so the shard sweep
-/// can run 100k of them.
-pub struct ScaleClient<S: HostStack> {
-    stack: S,
-    server: Endpoint,
-    req: Vec<u8>,
-    /// Idle hold between the verified echo and the close.
-    linger: Dur,
-    phase: Phase,
-    conn: Option<S::ConnId>,
-    /// Echo bytes verified so far.
-    got: usize,
-    connect_at: Time,
-    linger_until: Time,
-    pub connected_at: Option<Time>,
-    /// When the handshake completed (accept latency's far edge).
-    pub established_at: Option<Time>,
-    pub done_at: Option<Time>,
-    pub error: Option<TransportError>,
-    pub corrupt: bool,
-}
-
-impl<S: HostStack> ScaleClient<S> {
-    pub(crate) fn new(
-        stack: S,
-        server: Endpoint,
-        connect_at: Time,
-        req: Vec<u8>,
-        linger: Dur,
-    ) -> Self {
-        ScaleClient {
-            stack,
-            server,
-            req,
-            linger,
-            phase: Phase::Idle,
-            conn: None,
-            got: 0,
-            connect_at,
-            linger_until: Time::MAX,
-            connected_at: None,
-            established_at: None,
-            done_at: None,
-            error: None,
-            corrupt: false,
-        }
-    }
-
-    /// When the script itself next needs the clock.
-    fn own_deadline(&self) -> Option<Time> {
-        match self.phase {
-            Phase::Idle => Some(self.connect_at),
-            Phase::Linger => Some(self.linger_until),
-            _ => None,
-        }
-    }
-
-    fn drive(&mut self, now: Time) {
-        if let (Some(id), None) = (self.conn, self.error) {
-            if let Some(e) = self.stack.conn_error(id) {
-                self.error = Some(e);
-                self.phase = Phase::Failed;
-            }
-        }
-        loop {
-            match self.phase {
-                Phase::Idle => {
-                    if now < self.connect_at {
-                        return;
-                    }
-                    match self.stack.try_connect(now, CLIENT_PORT, self.server) {
-                        Ok(id) => {
-                            self.conn = Some(id);
-                            self.connected_at = Some(now);
-                            self.phase = Phase::Connecting;
-                        }
-                        Err(e) => {
-                            self.error = Some(e);
-                            self.phase = Phase::Failed;
-                        }
-                    }
-                }
-                Phase::Connecting => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_established(id) {
-                        return;
-                    }
-                    self.established_at = Some(now);
-                    self.stack.send(id, &self.req);
-                    self.phase = Phase::Await;
-                }
-                Phase::Await => {
-                    let id = self.conn.expect("connected past Idle");
-                    let data = self.stack.recv(id);
-                    for &b in &data {
-                        if self.got >= self.req.len() || b != self.req[self.got] {
-                            self.corrupt = true;
-                        }
-                        self.got += 1;
-                    }
-                    if self.got < self.req.len() {
-                        return;
-                    }
-                    self.done_at = Some(now);
-                    self.linger_until = now + self.linger;
-                    self.phase = Phase::Linger;
-                }
-                Phase::Linger => {
-                    if now < self.linger_until {
-                        return;
-                    }
-                    let id = self.conn.expect("connected past Idle");
-                    self.stack.close(id);
-                    self.phase = Phase::Closing;
-                }
-                Phase::Closing => {
-                    let id = self.conn.expect("connected past Idle");
-                    if !self.stack.is_closed(id) {
-                        return;
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Done | Phase::Failed => return,
-            }
-        }
-    }
-}
-
-netsim::client_stack!(ScaleClient<S: HostStack>);
-
 /// What a run's echo clients saw, gathered after the horizon.
 pub(crate) struct EchoTally {
     /// Clients whose echo came back complete and intact.
@@ -289,11 +136,13 @@ pub(crate) fn tally<S: HostStack>(net: &SimNet, cids: &[NodeId]) -> EchoTally {
     let mut first_connect = u64::MAX;
     let mut last_done = 0u64;
     for (i, &cid) in cids.iter().enumerate() {
-        let c = &net.node::<StackNode<ScaleClient<S>>>(cid).stack;
+        let c = &net.node::<StackNode<Client<S>>>(cid).stack;
         if c.corrupt {
             t.corrupt += 1;
         }
-        if let Some(e) = c.error {
+        // An echo client errs if its connection ever fails, after the
+        // echo completed too.
+        if let Some(e) = c.error.or(c.late_error) {
             t.client_errors += 1;
             t.first_error.get_or_insert(e);
         }
@@ -378,22 +227,22 @@ pub fn run_one(p: ScaleParams) -> ScaleOutcome {
 fn run_generic<S: ConformStack>(p: ScaleParams) -> ScaleOutcome {
     let mk = |addr| S::mk_with(addr, Some(KEEPALIVE), slmetrics::shared());
     let cfg = HostConfig {
-        listen_port: PORT,
+        listen_port: SERVER.port,
         backlog: 256,
         batch_window: dur(50_000),
         timer_mode: p.timer_mode,
         ..HostConfig::default()
     };
-    let server = ServedHost::new(Host::new(mk(SERVER_ADDR), cfg), EchoApp::default());
-    let clients: Vec<ScaleClient<S>> = (0..p.n)
+    let server = ServedHost::new(Host::new(mk(SERVER.addr), cfg), EchoApp::default());
+    let clients: Vec<Client<S>> = (0..p.n)
         .map(|i| {
-            ScaleClient::new(
+            Client::new(
                 mk(CLIENT_BASE + i as u32),
-                Endpoint::new(SERVER_ADDR, PORT),
                 Time(1_000_000 + STAGGER_NS * i as u64),
                 request(i),
-                dur(LINGER_NS),
+                Reply::Echo,
             )
+            .with_linger(dur(LINGER_NS))
         })
         .collect();
 

@@ -21,7 +21,8 @@
 //! the threaded run's outcome to be byte-identical to the single-thread
 //! inline reference — the determinism claim, enforced in CI.
 
-use crate::scale::{tally, ScaleClient};
+use crate::client::{Client, Reply, SERVER};
+use crate::scale::tally;
 use crate::{dur, json, Report, KINDS};
 use netsim::{HeavyTailed, LinkParams, MultiStackNode, SimNet, StackNode, Time, TransportError};
 use slconform::{ConformStack, Kind};
@@ -29,11 +30,8 @@ use slhost::{EchoApp, Host, HostConfig, ResourceBudget, ServedHost};
 use slshard::{Mode, ShardedConfig, ShardedHost};
 use sublayer_core::SlTcpStack;
 use tcp_mono::stack::TcpStack;
-use slwire::Endpoint;
 
-const SERVER_ADDR: u32 = crate::A;
 const CLIENT_BASE: u32 = 0x0B00_0000;
-const PORT: u16 = 80;
 /// Gap between successive client connect times.
 const STAGGER_NS: u64 = 20_000;
 /// Heavy-tailed request sizes: mice of 64 B, elephants to 8 KiB.
@@ -149,7 +147,7 @@ fn run_generic<S: ConformStack>(p: ShardParams) -> ShardOutcome {
     // them; 2× the fair share absorbs hash imbalance.
     let per_shard_conns = (p.n / p.shards.max(1)) * 2 + 1024;
     let host_cfg = HostConfig {
-        listen_port: PORT,
+        listen_port: SERVER.port,
         backlog: 1024,
         max_conns: per_shard_conns,
         batch_window: dur(50_000),
@@ -167,7 +165,7 @@ fn run_generic<S: ConformStack>(p: ShardParams) -> ShardOutcome {
         ..ShardedConfig::default()
     };
     let server: ShardedHost<S, EchoApp> = ShardedHost::new(shard_cfg, move |_shard| {
-        ServedHost::new(Host::new(mk(SERVER_ADDR), host_cfg.clone()), EchoApp::default())
+        ServedHost::new(Host::new(mk(SERVER.addr), host_cfg.clone()), EchoApp::default())
     });
 
     // Star with per-client RTT diversity: build the topology by hand so
@@ -176,13 +174,13 @@ fn run_generic<S: ConformStack>(p: ShardParams) -> ShardOutcome {
     let sid = net.add_node(Box::new(MultiStackNode::new(server)));
     let mut cids = Vec::with_capacity(p.n);
     for i in 0..p.n {
-        let client = ScaleClient::new(
+        let client = Client::new(
             mk(CLIENT_BASE + i as u32),
-            Endpoint::new(SERVER_ADDR, PORT),
             Time(1_000_000 + STAGGER_NS * i as u64),
             request(&sizes, i),
-            dur(LINGER_NS),
-        );
+            Reply::Echo,
+        )
+        .with_linger(dur(LINGER_NS));
         let cid = net.add_node(Box::new(StackNode::new(client)));
         let delay = DELAY_CLASSES_NS[sizes.pick(i as u64, 4) as usize];
         net.connect(sid, i, cid, 0, LinkParams::delay_only(dur(delay)));
@@ -493,5 +491,75 @@ pub fn report(smoke: bool) -> Report {
             })
             .chain(crate::tagged("mode-determinism".into(), &cross))
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! System-level determinism for [`slshard::ShardedHost`], on the
+    //! failover campaign's harness without faults:
+    //!
+    //! 1. Two threaded runs of the same workload replay identically —
+    //!    same per-client outcomes and timestamps, same server counters —
+    //!    even though shards run on real OS threads.
+    //! 2. A threaded run is identical to the single-threaded
+    //!    [`Mode::Inline`] reference (same cores, same command streams, no
+    //!    threads), which is the system-level form of the merge's
+    //!    reference cross-check.
+    //! 3. Shard-count invariance: the final per-connection byte streams
+    //!    are identical for N=1 and N=4 shards (routing spreads work; it
+    //!    must not change what any connection observes).
+
+    use super::*;
+    use crate::failover::{run_net, FailoverParams, RunData};
+    use slshard::RestartPolicy;
+
+    /// A no-fault run of `n` echo clients. The horizon outlasts the
+    /// active closer's 10 s TIME_WAIT, so clients finish their close.
+    fn run<S: ConformStack>(mode: Mode, shards: usize, n: usize) -> RunData {
+        let p = FailoverParams { stack: S::KIND, mode, shards, n, seed: 0x51AD, restart: true };
+        run_net::<S>(p, RestartPolicy::default(), None, 0, Time(15_000_000_000))
+    }
+
+    /// Every client received its request back intact and then closed.
+    fn assert_all_complete(r: &RunData, n: usize) {
+        assert_eq!(r.clients.len(), n);
+        for (i, c) in r.clients.iter().enumerate() {
+            assert!(c.complete && c.closed, "client {i} did not complete:\n{r:?}");
+        }
+    }
+
+    #[test]
+    fn two_threaded_runs_replay_identically() {
+        let a = run::<SlTcpStack>(Mode::Threaded, 4, 48);
+        let b = run::<SlTcpStack>(Mode::Threaded, 4, 48);
+        assert_all_complete(&a, 48);
+        assert_eq!(a, b, "threaded replay diverged");
+    }
+
+    #[test]
+    fn threaded_matches_inline_reference() {
+        let t = run::<SlTcpStack>(Mode::Threaded, 4, 48);
+        let i = run::<SlTcpStack>(Mode::Inline, 4, 48);
+        assert_all_complete(&t, 48);
+        assert_eq!(t, i, "threaded diverged from inline reference");
+    }
+
+    #[test]
+    fn mono_stack_threaded_matches_inline() {
+        let t = run::<TcpStack>(Mode::Threaded, 2, 32);
+        let i = run::<TcpStack>(Mode::Inline, 2, 32);
+        assert_all_complete(&t, 32);
+        assert_eq!(t, i, "mono threaded diverged from inline");
+    }
+
+    #[test]
+    fn shard_count_invariance_one_vs_four() {
+        let one = run::<SlTcpStack>(Mode::Threaded, 1, 40);
+        let four = run::<SlTcpStack>(Mode::Threaded, 4, 40);
+        // A complete echo is the client's request byte for byte, so every
+        // client's final stream is the same at N=1 and N=4.
+        assert_all_complete(&one, 40);
+        assert_all_complete(&four, 40);
     }
 }

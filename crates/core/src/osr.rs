@@ -266,10 +266,6 @@ impl Osr {
         self.app_buf.is_empty()
     }
 
-    pub fn bytes_in_flight(&self) -> u64 {
-        self.bytes_in_flight
-    }
-
     // --- RD interface (downward) ---
 
     /// Decide whether a segment is "ready" (rate control × flow control)
@@ -932,7 +928,7 @@ mod tests {
         assert_eq!(probe[..], data[1..2]);
         assert!(probe.ptr_eq(&o.app_buf[0]));
         assert_eq!(o.poll_segment(t(0)).unwrap()[..], data[2..1002]);
-        assert_eq!(o.bytes_in_flight(), 1002);
+        assert_eq!(o.bytes_in_flight, 1002);
         assert_eq!(o.stats.zero_window_probes, 2);
     }
 

@@ -332,10 +332,6 @@ impl ReliableDelivery {
         }
     }
 
-    pub fn fin_acked(&self) -> bool {
-        self.fin_acked
-    }
-
     /// All pushed data (and FIN if queued) acknowledged?
     pub fn all_acked(&self) -> bool {
         self.snd_una == self.snd_nxt
@@ -780,17 +776,6 @@ impl ReliableDelivery {
         true
     }
 
-    /// The current retransmission timeout (exposed so tests can verify
-    /// exponential backoff).
-    pub fn current_rto(&self) -> Dur {
-        self.rto
-    }
-
-    /// RTO expirations since the cumulative ack last advanced.
-    pub fn consecutive_retries(&self) -> u32 {
-        self.consecutive_rtx
-    }
-
     /// Next summarized congestion signal for OSR, oldest first.
     pub fn poll_signal(&mut self) -> Option<CongSignal> {
         self.signals.pop_front()
@@ -850,10 +835,6 @@ impl ReliableDelivery {
     /// Receiver progress (used by the stack/tests).
     pub fn rcv_next_offset(&self) -> u64 {
         self.rcv_nxt
-    }
-
-    pub fn peer_fin_reached(&self) -> bool {
-        self.peer_fin_reached
     }
 
     /// Deterministic behavioral fingerprint for the RD contract checker
@@ -1381,7 +1362,7 @@ mod tests {
         assert_eq!(fin_pkt.rd.seq, 1011);
         // Ack everything incl. the FIN.
         r.on_packet(t(10), &peer_data(0, &[], Some(11)), false);
-        assert!(r.fin_acked());
+        assert!(r.fin_acked);
         assert!(r.all_acked());
         assert!(events(&mut r).contains(&RdEvent::LocalFinAcked));
     }
@@ -1393,10 +1374,10 @@ mod tests {
         let mut p = peer_data(100, &[], None);
         p.rd.seq = 2001 + 100;
         r.on_packet(t(0), &p, true);
-        assert!(!r.peer_fin_reached());
+        assert!(!r.peer_fin_reached);
         // Now the data arrives; the FIN is reached.
         r.on_packet(t(1), &peer_data(0, &[3; 100], None), false);
-        assert!(r.peer_fin_reached());
+        assert!(r.peer_fin_reached);
         assert!(events(&mut r).contains(&RdEvent::PeerFinReached));
         // The ack covers the FIN: 100 bytes + 1.
         let (ack, _) = r.poll_packet(t(2)).unwrap();
@@ -1458,14 +1439,14 @@ mod tests {
         r.push_segment(t(0), vec![0; 100].into());
         let _ = r.poll_packet(t(0));
         let mut now;
-        let mut prev_rto = r.current_rto();
+        let mut prev_rto = r.rto;
         for i in 1..=MAX_RETRIES {
             now = r.poll_deadline().expect("timer armed while unacked");
             r.on_tick(now);
-            assert_eq!(r.consecutive_retries(), i);
+            assert_eq!(r.consecutive_rtx, i);
             // Doubled, up to the 60 s ceiling.
-            assert_eq!(r.current_rto(), Dur((prev_rto.0 * 2).min(60_000_000_000)));
-            prev_rto = r.current_rto();
+            assert_eq!(r.rto, Dur((prev_rto.0 * 2).min(60_000_000_000)));
+            prev_rto = r.rto;
             let (pkt, _) = r.poll_packet(now).expect("retransmission queued");
             assert_eq!(pkt.rd.seq, 1001);
         }
@@ -1489,10 +1470,10 @@ mod tests {
         let _ = r.poll_packet(t(0));
         let d = r.poll_deadline().unwrap();
         r.on_tick(d);
-        assert_eq!(r.consecutive_retries(), 1);
+        assert_eq!(r.consecutive_rtx, 1);
         // A cumulative ack covering the first segment is progress.
         r.on_packet(d + Dur::from_millis(1), &peer_data(0, &[], Some(100)), false);
-        assert_eq!(r.consecutive_retries(), 0);
+        assert_eq!(r.consecutive_rtx, 0);
     }
 
     #[test]

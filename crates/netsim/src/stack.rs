@@ -105,37 +105,6 @@ pub trait Stack: 'static {
     fn on_tick(&mut self, now: Time);
 }
 
-/// `impl Stack` for a scripted client wrapped around its transport: frames,
-/// transmissions and timers go to the `stack` field, the client's
-/// `drive(now)` runs after every frame and tick, and the next deadline is
-/// the earlier of the transport's and the script's `own_deadline()`.
-///
-/// ```ignore
-/// netsim::client_stack!(EchoClient<S: HostStack>);
-/// ```
-#[macro_export]
-macro_rules! client_stack {
-    ($client:ident<$s:ident: $bound:path>) => {
-        impl<$s: $bound> $crate::Stack for $client<$s> {
-            fn on_frame(&mut self, now: $crate::Time, frame: &[u8]) {
-                $crate::Stack::on_frame(&mut self.stack, now, frame);
-                self.drive(now);
-            }
-            fn poll_transmit(&mut self, now: $crate::Time) -> Option<Vec<u8>> {
-                $crate::Stack::poll_transmit(&mut self.stack, now)
-            }
-            fn poll_deadline(&self, now: $crate::Time) -> Option<$crate::Time> {
-                let stack = $crate::Stack::poll_deadline(&self.stack, now);
-                [self.own_deadline(), stack].into_iter().flatten().min()
-            }
-            fn on_tick(&mut self, now: $crate::Time) {
-                $crate::Stack::on_tick(&mut self.stack, now);
-                self.drive(now);
-            }
-        }
-    };
-}
-
 /// Host memory-pressure tier, derived from budget occupancy. Shared by
 /// both stacks so the overload experiment (E16) compares the sublayered
 /// and monolithic backpressure plumbing like for like: the *tier* and its

@@ -13,10 +13,10 @@ use netsim::{Dur, HostStack, Stack};
 use sublayer_core::{CmState, SlConfig, SlTcpStack};
 use slwire::Endpoint;
 
-/// Extract the destination network address from a native sublayered TCP
-/// frame (bytes 5..9 after the magic byte).
+/// The destination network address of a native sublayered TCP frame; a
+/// frame in any other format fails the test.
 fn tcp_frame_dst(frame: &[u8]) -> u32 {
-    u32::from_be_bytes(frame[5..9].try_into().unwrap())
+    slwire::native::peek(frame).expect("a native TCP frame").1.addr
 }
 
 struct Host {
