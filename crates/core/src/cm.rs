@@ -568,10 +568,7 @@ impl ConnMgmt {
             }
             _ => None,
         };
-        [self.rtx_deadline, self.time_wait_deadline, quiet_deadline]
-            .into_iter()
-            .flatten()
-            .min()
+        Time::earliest([self.rtx_deadline, self.time_wait_deadline, quiet_deadline])
     }
 
     pub fn on_tick(&mut self, now: Time) {

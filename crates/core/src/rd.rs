@@ -11,8 +11,9 @@
 //!
 //! Per test **T3**, RD owns the `seq`/`ack`/SACK bits of the native header
 //! and nothing else. Its upward interface (test **T2**) is:
-//! segments-by-offset down, possibly-out-of-order `Delivered` events up
-//! (OSR does the reordering), and **summarized congestion signals**
+//! segments-by-offset down, possibly-out-of-order deliveries up by offset —
+//! queued `Delivered` events, or parts of the frame handed to the caller
+//! in place — (OSR does the reordering), and **summarized congestion signals**
 //! ([`CongSignal`]) — OSR never sees a sequence number.
 //!
 //! Internally RD works in unwrapped 64-bit byte offsets (offset 0 = first
@@ -27,11 +28,14 @@ use netsim::{Dur, Time};
 use slmetrics::{site, SharedLog};
 use slwire::seq;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// Events RD reports to the stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RdEvent {
-    /// A (possibly out-of-order) segment for OSR, exactly once.
+    /// A (possibly out-of-order) segment for OSR, exactly once. Raised by
+    /// [`ReliableDelivery::on_packet`] only: the view path hands its parts
+    /// to its caller instead.
     Delivered { offset: u64, data: Payload },
     /// Our FIN was acknowledged (close handshake progress, relayed to CM).
     LocalFinAcked,
@@ -41,6 +45,44 @@ pub enum RdEvent {
     /// advancing. The stack must abort the connection (graceful
     /// degradation) rather than back off forever.
     RetriesExhausted,
+}
+
+/// Where [`ReliableDelivery`]'s receive path hands a novel part of a
+/// payload.
+enum Up<'a> {
+    /// [`ReliableDelivery::on_packet`]: queued as a `Delivered` event.
+    Queue(&'a Payload),
+    /// [`ReliableDelivery::on_packet_view`]: to the caller, in place.
+    Hand(&'a mut dyn FnMut(u64, &[u8])),
+}
+
+impl Up<'_> {
+    /// Hand up `data[range]`, which starts at stream offset `offset`.
+    fn hand(
+        &mut self,
+        events: &mut Mailbox<RdEvent>,
+        offset: u64,
+        data: &[u8],
+        range: Range<usize>,
+    ) {
+        match self {
+            Up::Queue(slab) => {
+                // A view keeps the whole slab alive, so queue one only when
+                // it covers at least half of it (all of it, for a segment
+                // that overlaps nothing); a smaller part is copied out,
+                // exactly sized. Otherwise a peer resending 64 KiB frames
+                // that are one byte novel each would pin 64 KiB per byte
+                // OSR accounts for.
+                let data = if 2 * range.len() >= slab.len() {
+                    slab.slice(range)
+                } else {
+                    data[range].into()
+                };
+                events.push_back(RdEvent::Delivered { offset, data });
+            }
+            Up::Hand(deliver) => deliver(offset, &data[range]),
+        }
+    }
 }
 
 /// RD counters.
@@ -380,35 +422,28 @@ impl ReliableDelivery {
     /// `Delivered` event; the next in-order segment shares the packet's
     /// slab.
     pub fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
-        self.receive(now, pkt, &pkt.payload, Some(&pkt.payload), fin);
+        self.receive(now, pkt, &pkt.payload, Up::Queue(&pkt.payload), fin);
     }
 
     /// [`ReliableDelivery::on_packet`] for a packet whose payload is still
     /// in its frame ([`Packet::decode_view`]; `pkt.payload` is not read).
-    /// When the whole of `payload` is the next in-order data, its offset
-    /// comes back and nothing is queued: the caller hands those bytes up
-    /// itself. Any other novel part is copied into an owned `Delivered`.
+    /// Every novel part of `payload` — in order or not, whole or clipped —
+    /// goes to `deliver` by offset and in place, as a range of `payload`,
+    /// in ascending offset order: nothing is copied or queued here, and no
+    /// `Delivered` event is raised.
     pub fn on_packet_view(
         &mut self,
         now: Time,
         pkt: &Packet,
         payload: &[u8],
         fin: bool,
-    ) -> Option<u64> {
-        self.receive(now, pkt, payload, None, fin)
+        deliver: &mut dyn FnMut(u64, &[u8]),
+    ) {
+        self.receive(now, pkt, payload, Up::Hand(deliver), fin)
     }
 
-    /// The one body of both entries: `slab`, when the payload has one, is
-    /// what a `Delivered` event may share; without it, the in-order offset
-    /// is returned instead of queued.
-    fn receive(
-        &mut self,
-        now: Time,
-        pkt: &Packet,
-        payload: &[u8],
-        slab: Option<&Payload>,
-        fin: bool,
-    ) -> Option<u64> {
+    /// The one body of both entries; `up` says where a novel part goes.
+    fn receive(&mut self, now: Time, pkt: &Packet, payload: &[u8], mut up: Up, fin: bool) {
         self.log.borrow_mut().read(site!("rd", "snd_una"));
         // Acknowledgment processing.
         if pkt.rd.has_ack {
@@ -524,19 +559,19 @@ impl ReliableDelivery {
                 // Re-anchor an honest-but-desynced peer (and leave a
                 // blind forger none the wiser about the real window).
                 self.ack_pending = true;
-                return None;
+                return;
             }
             self.log.borrow_mut().write(site!("rd", "rcv_ranges"));
             let seq_off = Self::unwrap(self.rcv_isn, pkt.rd.seq, self.rcv_nxt);
-            let in_order =
-                if payload_len > 0 { self.receive_range(seq_off, payload, slab) } else { None };
+            if payload_len > 0 {
+                self.receive_range(seq_off, payload, &mut up);
+            }
             if fin {
                 let fin_off = seq_off + payload_len;
                 self.peer_fin_off = Some(fin_off);
             }
             self.advance_rcv();
             self.ack_pending = true;
-            return in_order;
         } else if pkt.rd.has_ack {
             // Pure acks at the peer's current sequence need no response,
             // but an empty segment *behind* rcv_nxt is a keepalive probe:
@@ -547,14 +582,11 @@ impl ReliableDelivery {
                 self.ack_pending = true;
             }
         }
-        None
     }
 
-    /// Record a received payload range; deliver only the novel parts
-    /// (exactly-once). The next segment in order is queued as a view of
-    /// `slab`, or without one returned by offset; every other novel part
-    /// is queued.
-    fn receive_range(&mut self, start: u64, data: &[u8], slab: Option<&Payload>) -> Option<u64> {
+    /// Record a received payload range; hand `up` only the novel parts
+    /// (exactly-once), in ascending offset order.
+    fn receive_range(&mut self, start: u64, data: &[u8], up: &mut Up) {
         let end = start + data.len() as u64;
         if start > self.rcv_nxt {
             // Receiver-state caps: accept only data that advances rcv_nxt
@@ -570,7 +602,7 @@ impl ReliableDelivery {
             {
                 self.stats.ooo_range_drops += 1;
                 self.ack_pending = true;
-                return None;
+                return;
             }
         } else if start == self.rcv_nxt
             && self.ooo.first_key_value().is_none_or(|(&s, _)| end <= s)
@@ -579,68 +611,48 @@ impl ReliableDelivery {
             // parked range: all of it is novel. `advance_rcv` pulls in a
             // parked range it now touches.
             self.rcv_nxt = end;
-            let Some(slab) = slab else { return Some(start) };
-            self.events.push_back(RdEvent::Delivered { offset: start, data: slab.clone() });
-            return None;
+            up.hand(&mut self.events, start, data, 0..data.len());
+            return;
         }
         // Clip against what is already covered — the delivered prefix, then
-        // the parked ranges (every key of `ooo` is past `rcv_nxt`, so the
-        // chain is sorted) —, emitting the novel gaps of [start, end).
-        let covered =
-            std::iter::once((0, self.rcv_nxt)).chain(self.ooo.iter().map(|(&s, &e)| (s, e)));
-        let mut cursor = start;
-        let mut novel: Vec<(u64, u64)> = Vec::new();
-        for (cs, ce) in covered {
-            if ce <= cursor {
+        // the parked ranges —, walking the gaps of [start, end) from the
+        // left: each one goes up and joins the parked ranges as soon as it
+        // is found, so the next lookup sees it covered.
+        let mut cursor = start.max(self.rcv_nxt);
+        let mut novel = false;
+        while cursor < end {
+            // Inside a parked range: skip to its end.
+            let around = self.ooo.range(..=cursor).next_back();
+            if let Some((_, &e)) = around.filter(|&(_, &e)| e > cursor) {
+                cursor = e;
                 continue;
             }
-            if cs >= end {
-                break;
-            }
-            if cs > cursor {
-                novel.push((cursor, cs.min(end)));
-            }
-            cursor = cursor.max(ce);
-            if cursor >= end {
-                break;
-            }
+            // In a gap, which the next parked range (or `end`) closes.
+            let gap_end = self
+                .ooo
+                .range(cursor..)
+                .next()
+                .map_or(end, |(&s, _)| s.min(end));
+            let range = (cursor - start) as usize..(gap_end - start) as usize;
+            up.hand(&mut self.events, cursor, data, range);
+            Self::merge_range(&mut self.ooo, cursor, gap_end);
+            self.ooo_bytes += (gap_end - cursor) as u32;
+            novel = true;
+            cursor = gap_end;
         }
-        if cursor < end {
-            novel.push((cursor, end));
-        }
-        if novel.is_empty() {
+        if !novel {
             self.stats.duplicate_payload_dropped += 1;
-            return None;
         }
-        for (ns, ne) in novel {
-            let range = (ns - start) as usize..(ne - start) as usize;
-            // A view keeps the whole slab alive, so hand one up only when it
-            // covers at least half of it (all of it, for an out-of-order
-            // segment that overlaps nothing); a smaller novel part is copied
-            // out, exactly sized, as is every part of a payload that has no
-            // slab. Otherwise a peer resending 64 KiB frames that are one
-            // byte novel each would pin 64 KiB per byte OSR accounts for.
-            let data = match slab {
-                Some(slab) if 2 * range.len() >= slab.len() => slab.slice(range),
-                _ => data[range].into(),
-            };
-            self.events.push_back(RdEvent::Delivered { offset: ns, data });
-            // Merge into the ooo range set.
-            Self::merge_range(&mut self.ooo, ns, ne);
-            self.ooo_bytes += (ne - ns) as u32;
-        }
-        None
     }
 
+    /// Add `[s, e)` to the disjoint range set, absorbing every range it
+    /// overlaps or touches: they sit at the back of `..=e`, nearest first.
     fn merge_range(ooo: &mut BTreeMap<u64, u64>, mut s: u64, mut e: u64) {
-        // Absorb overlapping/adjacent ranges.
-        let overlapping: Vec<u64> = ooo
-            .range(..=e)
-            .filter(|(_, &re)| re >= s)
-            .map(|(&rs, _)| rs)
-            .collect();
-        for rs in overlapping {
-            let re = ooo.remove(&rs).unwrap();
+        while let Some((&rs, &re)) = ooo.range(..=e).next_back() {
+            if re < s {
+                break;
+            }
+            ooo.remove(&rs);
             s = s.min(rs);
             e = e.max(re);
         }
@@ -798,10 +810,7 @@ impl ReliableDelivery {
     }
 
     pub fn poll_deadline(&self) -> Option<Time> {
-        match (self.rto_deadline, self.delayed_ack_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        Time::earliest([self.rto_deadline, self.delayed_ack_deadline])
     }
 
     pub fn on_tick(&mut self, now: Time) {
@@ -1143,36 +1152,92 @@ mod tests {
         }
     }
 
+    /// `on_packet_view`'s parts, each as its offset and where in `payload`
+    /// it sits.
+    fn view(
+        r: &mut ReliableDelivery,
+        now: Time,
+        head: &Packet,
+        payload: &[u8],
+    ) -> Vec<(u64, Range<usize>)> {
+        let mut parts = Vec::new();
+        r.on_packet_view(now, head, payload, false, &mut |offset, part| {
+            let at = part.as_ptr() as usize - payload.as_ptr() as usize;
+            parts.push((offset, at..at + part.len()));
+        });
+        parts
+    }
+
     #[test]
-    fn in_order_view_delivery_is_returned_and_nothing_is_queued() {
+    fn a_view_hands_every_novel_part_up_in_place_and_queues_nothing() {
         let mut r = rd();
         let frame = peer_data(0, &[1; 100], None).encode();
         let (head, payload) = Packet::decode_view(&frame).unwrap();
-        assert_eq!(r.on_packet_view(t(0), &head, payload, false), Some(0));
-        assert!(events(&mut r).is_empty(), "the caller hands the bytes up");
+        assert_eq!(view(&mut r, t(0), &head, payload), [(0, 0..100)]);
         assert_eq!(r.rcv_next_offset(), 100);
-        // Anything else novel is queued as an exactly sized copy, however
-        // much of the payload it covers: the clipped half of [50, 150) ...
-        let head = peer_data(50, &[], None);
-        assert_eq!(r.on_packet_view(t(1), &head, &[2; 100], false), None);
-        match &events(&mut r)[..] {
-            [RdEvent::Delivered { offset: 100, data }] => {
-                assert_eq!((&data[..], data.slab_len()), (&[2; 50][..], 50));
-            }
-            other => panic!("{other:?}"),
-        }
-        // ... and a whole segment out of order.
-        let head = peer_data(300, &[], None);
-        assert_eq!(r.on_packet_view(t(2), &head, &[3; 100], false), None);
-        match &events(&mut r)[..] {
-            [RdEvent::Delivered { offset: 300, data }] => assert_eq!(data.slab_len(), 100),
-            other => panic!("{other:?}"),
-        }
+        // The clipped half of [50, 150) ...
+        assert_eq!(
+            view(&mut r, t(1), &peer_data(50, &[], None), &[2; 100]),
+            [(100, 50..100)]
+        );
+        // ... a whole segment out of order ...
+        assert_eq!(
+            view(&mut r, t(2), &peer_data(300, &[], None), &[3; 100]),
+            [(300, 0..100)]
+        );
+        // ... and both gaps [120, 450) leaves around that parked range, in
+        // ascending order, which fill the stream up to 450.
+        let parts = view(&mut r, t(3), &peer_data(120, &[], None), &[4; 330]);
+        assert_eq!(parts, [(150, 30..180), (400, 280..330)]);
+        assert_eq!(r.rcv_next_offset(), 450);
         // A duplicate goes nowhere, and `pkt.payload` is not what is read.
         let stale = peer_data(0, &[9; 100], None);
-        assert_eq!(r.on_packet_view(t(3), &stale, &[1; 100], false), None);
-        assert!(events(&mut r).is_empty());
+        assert!(view(&mut r, t(4), &stale, &[1; 100]).is_empty());
         assert_eq!(r.stats.duplicate_payload_dropped, 1);
+        assert!(events(&mut r).is_empty(), "nothing is queued");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_the_gap_walk_hands_up_exactly_the_bytes_not_yet_covered(seed: u64) {
+            // Random segments over a 3,000-byte stream against a per-byte
+            // model: the parts handed up are the maximal runs of uncovered
+            // bytes of each segment, in ascending order; the cumulative
+            // point is the covered prefix; the range set is the covered
+            // runs past it, disjoint and never touching.
+            let mut rng = proptest::TestRng::new(seed);
+            let mut r = rd();
+            let mut have = [false; 3000];
+            for step in 0..60 {
+                let start = rng.below(2900) as usize;
+                let len = 1 + rng.below(200.min(3000 - start as u128)) as usize;
+                let mut want: Vec<(u64, Range<usize>)> = Vec::new();
+                for (i, &covered) in have.iter().enumerate().skip(start).take(len) {
+                    match want.last_mut() {
+                        Some((_, run)) if !covered && run.end == i - start => run.end += 1,
+                        _ if !covered => want.push((i as u64, i - start..i - start + 1)),
+                        _ => {}
+                    }
+                }
+                let dups = r.stats.duplicate_payload_dropped;
+                let got = view(&mut r, t(step), &peer_data(start as u64, &[], None), &vec![0; len]);
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(r.stats.duplicate_payload_dropped, dups + want.is_empty() as u64);
+                have[start..start + len].iter_mut().for_each(|b| *b = true);
+                let prefix = have.iter().take_while(|&&b| b).count() as u64;
+                proptest::prop_assert_eq!(r.rcv_next_offset(), prefix);
+                let mut runs: Vec<(u64, u64)> = Vec::new();
+                for (i, &covered) in have.iter().enumerate().skip(prefix as usize) {
+                    match runs.last_mut() {
+                        Some((_, e)) if covered && *e == i as u64 => *e += 1,
+                        _ if covered => runs.push((i as u64, i as u64 + 1)),
+                        _ => {}
+                    }
+                }
+                let ooo: Vec<(u64, u64)> = r.ooo.iter().map(|(&s, &e)| (s, e)).collect();
+                proptest::prop_assert_eq!(ooo, runs);
+            }
+        }
     }
 
     #[test]

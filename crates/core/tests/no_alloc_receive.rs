@@ -1,15 +1,19 @@
-//! A received segment allocates nothing of its own. Once a connection has
-//! warmed up, `Stack::on_frame` with the next in-order data segment reaches
-//! the allocator exactly once — for the ack frame it encodes — and
-//! `HostStack::recv` exactly once, for the `Vec` it returns: the payload
-//! goes from the frame into OSR's read buffer, and out of it, by copy
-//! alone. A counting global allocator watches this test's thread.
+//! A received segment allocates nothing of its own, in order or not. Once
+//! a connection has warmed up, `Stack::on_frame` with a data segment —
+//! the next in order, one out of order, one overlapping a parked range, a
+//! duplicate, the one that fills the hole — reaches the allocator exactly
+//! once, for the ack frame it encodes, and `HostStack::recv` exactly once,
+//! for the `Vec` it returns: the payload goes from the frame to its place
+//! in OSR's read buffer, and out of it, by copy alone. On the way down, a
+//! segment cut across two writes is gathered in one allocation. A
+//! counting global allocator watches this test's thread.
 
 use netsim::{HostStack, Stack, Time};
 use slwire::{Endpoint, FourTuple};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use sublayer_core::{ConnId, SlConfig, SlTcpStack};
+use sublayer_core::osr::MSS;
+use sublayer_core::{ConnId, Osr, Packet, SlConfig, SlTcpStack};
 
 thread_local! {
     // `const`-initialised and without a destructor, so reading it inside
@@ -61,9 +65,14 @@ fn frames(from: &mut SlTcpStack, id: ConnId) -> Vec<Vec<u8>> {
     std::iter::from_fn(|| from.take_frame()).collect()
 }
 
-#[test]
-fn an_in_order_segment_allocates_only_its_ack_and_a_read_only_its_vec() {
-    let new = |addr| SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared());
+/// A client and a server stack, their rate controller named `cc`, with one
+/// established connection between them, and both ends' handles on it.
+fn established(cc: &'static str) -> (SlTcpStack, SlTcpStack, ConnId, ConnId) {
+    let config = SlConfig {
+        cc,
+        ..SlConfig::default()
+    };
+    let new = |addr| SlTcpStack::new(addr, config.clone(), slmetrics::shared());
     let (mut client, mut server) = (new(CLIENT), new(SERVER));
     server.listen(80);
     let cid = client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
@@ -75,16 +84,26 @@ fn an_in_order_segment_allocates_only_its_ack_and_a_read_only_its_vec() {
         remote: Endpoint::new(CLIENT, 5000),
     };
     let sid = server.conn_for_tuple(&tuple).expect("SYN admitted");
-    let shuttle = |client: &mut SlTcpStack, server: &mut SlTcpStack| loop {
+    shuttle(&mut client, &mut server, cid, sid);
+    assert!(server.is_established(sid) && client.is_established(cid));
+    (client, server, cid, sid)
+}
+
+/// Deliver what either side has queued to the other until both are quiet.
+fn shuttle(client: &mut SlTcpStack, server: &mut SlTcpStack, cid: ConnId, sid: ConnId) {
+    loop {
         let (up, down) = (frames(client, cid), frames(server, sid));
         if up.is_empty() && down.is_empty() {
             break;
         }
         up.iter().for_each(|f| server.on_frame(Time::ZERO, f));
         down.iter().for_each(|f| client.on_frame(Time::ZERO, f));
-    };
-    shuttle(&mut client, &mut server);
-    assert!(server.is_established(sid) && client.is_established(cid));
+    }
+}
+
+#[test]
+fn an_in_order_segment_allocates_only_its_ack_and_a_read_only_its_vec() {
+    let (mut client, mut server, cid, sid) = established("newreno");
 
     // The measured round, repeated: the first rounds size every buffer on
     // the path (the read buffer, the outbox, the mailboxes), the last one
@@ -105,6 +124,76 @@ fn an_in_order_segment_allocates_only_its_ack_and_a_read_only_its_vec() {
             );
             assert_eq!(recv, 1, "recv: the returned Vec, and nothing else");
         }
-        shuttle(&mut client, &mut server);
+        shuttle(&mut client, &mut server, cid, sid);
+    }
+}
+
+/// A frame carrying the second half of data segment `a` and the first half
+/// of `b`, the segment after it.
+fn straddle(a: &[u8], b: &[u8]) -> Vec<u8> {
+    let (a, b) = (Packet::decode(a).unwrap(), Packet::decode(b).unwrap());
+    let half = a.payload.len() / 2;
+    let mut pkt = a.clone();
+    pkt.rd.seq = a.rd.seq.wrapping_add(half as u32);
+    pkt.payload = [&a.payload[half..], &b.payload[..half]].concat().into();
+    pkt.encode()
+}
+
+#[test]
+fn an_out_of_order_segment_allocates_only_its_ack_whatever_it_overlaps() {
+    // A fixed window, which the dup acks below do not cut: every round's
+    // four segments go out at once.
+    let (mut client, mut server, cid, sid) = established("fixed-window");
+    // Each round sends four segments and delivers them shuffled: the
+    // first rounds size every buffer on the path (the read buffer, RD's
+    // range map, OSR's parked list, the outbox), the last one is counted.
+    for round in 0..8u8 {
+        let data: Vec<u8> = (0..4 * MSS).map(|i| round ^ i as u8).collect();
+        assert_eq!(client.send(cid, &data), data.len());
+        let sent = frames(&mut client, cid);
+        let [s0, s1, s2, s3] = &sent[..] else {
+            panic!("four segments, not {}", sent.len())
+        };
+        let overlap = straddle(s1, s2);
+        let script: [(&str, &[u8]); 6] = [
+            ("out of order", s2),
+            ("overlapping a parked range", &overlap),
+            ("a duplicate", s2),
+            ("in order, short of the hole", s0),
+            ("filling the hole", s1),
+            ("in order", s3),
+        ];
+        for (what, frame) in script {
+            let ((), on_frame) = counted(|| server.on_frame(Time::ZERO, frame));
+            if round == 7 {
+                assert_eq!(
+                    on_frame, 1,
+                    "on_frame, {what}: the ack frame, and nothing else"
+                );
+            }
+        }
+        let (read, recv) = counted(|| server.recv(sid));
+        assert_eq!(read, data);
+        if round == 7 {
+            assert_eq!(recv, 1, "recv: the returned Vec, and nothing else");
+        }
+        shuttle(&mut client, &mut server, cid, sid);
+    }
+}
+
+#[test]
+fn a_segment_cut_across_two_writes_is_gathered_in_one_allocation() {
+    let mut osr = Osr::new(slcc::make("fixed-window").unwrap(), slmetrics::shared());
+    let mut open = Packet::default();
+    open.osr.rcv_wnd = u16::MAX;
+    osr.on_header(Time::ZERO, &open);
+    let data: Vec<u8> = (0..2 * MSS).map(|i| i as u8).collect();
+    for piece in [&data[..MSS / 2], &data[MSS / 2..MSS + 1], &data[MSS + 1..]] {
+        osr.write(piece);
+    }
+    for cut in data.chunks(MSS) {
+        let (segment, allocs) = counted(|| osr.poll_segment(Time::ZERO).unwrap());
+        assert_eq!(segment[..], *cut);
+        assert_eq!(allocs, 1, "one slab, gathered in place");
     }
 }

@@ -684,7 +684,7 @@ impl<S: HostStack> Host<S> {
     /// Deadline the host tracks for one connection: the stack's own
     /// timers plus the host-level slow-drain check.
     fn deadline_for(&self, now: Time, id: S::ConnId, hc: &HostConn) -> Option<Time> {
-        [self.stack.conn_deadline(now, id), hc.drain_check_at].into_iter().flatten().min()
+        Time::earliest([self.stack.conn_deadline(now, id), hc.drain_check_at])
     }
 
     fn rearm(&mut self, now: Time, id: S::ConnId) {
@@ -856,7 +856,7 @@ impl<S: HostStack> MultiStack for Host<S> {
                 .filter_map(|(&id, hc)| self.deadline_for(now, id, hc))
                 .min(),
         };
-        [self.batch_due, timers].into_iter().flatten().min()
+        Time::earliest([self.batch_due, timers])
     }
 
     fn on_tick(&mut self, now: Time) {

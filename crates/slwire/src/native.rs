@@ -27,11 +27,10 @@ pub use crate::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
 /// A packet's payload: a view — a byte range — of an immutable,
 /// reference-counted slab. Whoever first has the bytes in hand — OSR taking
-/// an application write, [`Packet::decode`] reading a frame, RD keeping a
-/// part of a frame that [`Packet::decode_view`] left in place — copies them
-/// once into a slab; every later holder (OSR's send queue and the segments
-/// cut from it, RD's retransmission buffer and outbox, a `Delivered` event,
-/// OSR's reassembly map) holds a handle, and
+/// an application write (or gathering a segment from two), [`Packet::decode`]
+/// reading a frame — copies them once into a slab; every later holder (OSR's
+/// send queue and the segments cut from it, RD's retransmission buffer and
+/// outbox, a `Delivered` event) holds a handle, and
 /// [`Payload::slice`] narrows one without touching the bytes. Nobody can
 /// write a slab, and it is freed when its last handle goes — so a view
 /// keeps its *whole* slab alive, however short it is. `Rc`, not `Arc`: no
@@ -65,6 +64,24 @@ impl Payload {
             slab: self.slab.clone(),
             off: self.off + range.start as u32,
             len: range.len() as u32,
+        }
+    }
+
+    /// A slab of `len` bytes that `fill` writes, in one allocation: how a
+    /// payload gathered from several pieces is built without first
+    /// collecting them into a `Vec` that [`Payload::from`] would copy again.
+    pub fn gather(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+        if len == 0 {
+            return Payload::default();
+        }
+        let len32 = u32::try_from(len).expect("a payload is at most a frame or a slab long");
+        // `RepeatN` knows its length, so the slab is allocated at its size.
+        let mut slab: Rc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Rc::get_mut(&mut slab).expect("a fresh slab has no other handle"));
+        Payload {
+            slab: Some(slab),
+            off: 0,
+            len: len32,
         }
     }
 
@@ -529,6 +546,7 @@ mod tests {
             full.slice(0..0),
             full.slice(6..6),
             full.slice(2..5).slice(1..1),
+            Payload::gather(0, |_| unreachable!("nothing to fill")),
         ];
         for e in &empties {
             assert!(e.is_empty());
@@ -540,6 +558,19 @@ mod tests {
         assert_eq!(full, Payload::from(b"native".to_vec()));
         assert!(!full.ptr_eq(&Payload::from(b"native".to_vec())));
         assert!(full.ptr_eq(&full.clone()));
+    }
+
+    #[test]
+    fn a_gathered_payload_is_one_exactly_sized_slab_of_what_was_written() {
+        let pieces: [&[u8]; 3] = [b"nat", b"i", b"ve"];
+        let p = Payload::gather(6, |slab| {
+            let mut at = 0;
+            for piece in pieces {
+                slab[at..at + piece.len()].copy_from_slice(piece);
+                at += piece.len();
+            }
+        });
+        assert_eq!((&p[..], p.slab_len()), (&b"native"[..], 6));
     }
 
     #[test]

@@ -257,16 +257,13 @@ impl TcpStack {
                 p.last_rx + ka.idle + ka.interval.saturating_mul(p.ka_probes as u64)
             })
         });
-        [
+        Time::earliest([
             p.rto_deadline,
             p.time_wait_deadline,
             p.persist_deadline,
             p.delayed_ack_deadline,
             ka_due,
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        ])
     }
 
     fn mark_of(&self, p: &Pcb) -> Mark {
