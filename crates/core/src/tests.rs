@@ -577,7 +577,7 @@ fn zero_window_probe_survives_lost_window_update() {
 // Adversarial robustness: RFC 5961 defenses and resource governance.
 // ---------------------------------------------------------------------------
 
-use crate::osr::{RCV_BUF_CAP, SND_BUF_CAP};
+use crate::osr::{MSS, RCV_BUF_CAP, SND_BUF_CAP};
 use crate::stack::MAX_HALF_OPEN;
 use crate::wire::Packet;
 use netsim::Stack as _;
@@ -802,6 +802,81 @@ fn a_window_ignoring_peer_leaves_no_read_buffer_above_the_cap() {
     assert!(srv.read_capacity(sconn).unwrap() > RCV_BUF_CAP);
     assert_eq!(srv.recv(sconn).len(), n * 1000);
     assert_eq!(srv.read_capacity(sconn), Some(0), "the read frees the outgrown buffer");
+}
+
+/// Byte `i` of a forging peer's stream: every position recognisable.
+fn stream_byte(i: u64) -> u8 {
+    (i.wrapping_mul(31) ^ (i >> 8)) as u8
+}
+
+/// Deliver stream bytes `[start, start + len)` to the server's end of
+/// `sconn`, whose next expected sequence number was `expected` at offset 0.
+fn deliver(net: &mut SimNet, ns: usize, expected: u32, start: u64, len: u64) {
+    let mut pkt = forged(Endpoint::new(A, 5000), Endpoint::new(B, 80));
+    pkt.rd.seq = expected.wrapping_add(start as u32);
+    pkt.payload = (start..start + len).map(stream_byte).collect::<Vec<u8>>().into();
+    let now = net.now();
+    let frame = pkt.encode();
+    stack(net, ns).on_frame(now, &frame);
+}
+
+#[test]
+fn a_far_byte_holds_no_more_read_buffer_than_the_window_offered() {
+    // What the host budgets is `buffered_bytes`: bytes, not capacity. A
+    // byte ahead of a hole parks where it will be read, behind a
+    // zero-filled hole, only as far as the advertised window reaches, so
+    // one byte makes the buffer hold at most the window. One byte past it
+    // — RD still accepts it — is a copy of its own, and the buffer holds
+    // nothing.
+    let (mut net, _nc, ns, _conn, sconn) = established_pair(309);
+    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    let window = RCV_BUF_CAP as u64;
+    deliver(&mut net, ns, expected, window, 1);
+    let srv = stack(&mut net, ns);
+    assert_eq!((srv.buffered_bytes(), srv.conn_buffered(sconn)), (1, 1));
+    assert_eq!(srv.read_capacity(sconn), Some(0));
+    deliver(&mut net, ns, expected, window - 1, 1);
+    let srv = stack(&mut net, ns);
+    assert_eq!(srv.buffered_bytes(), 2);
+    assert_eq!(srv.read_capacity(sconn), Some(RCV_BUF_CAP));
+    let rd = srv.rd_stats(sconn).unwrap();
+    assert_eq!((rd.ooo_range_drops, rd.invalid_seq_drops), (0, 0));
+}
+
+#[test]
+fn a_spray_far_ahead_of_a_hole_keeps_the_read_buffer_within_its_bound() {
+    // 1,000 bytes unread, a hole at 1,000, 200 one-byte islands behind it,
+    // and a segment each just past the window and at the far edge of RD's
+    // validity window. The islands park in place, spanning 60,702 bytes
+    // with the unread ones; the two segments apart. The buffer holds at
+    // most twice RCV_BUF_CAP, and every byte is counted.
+    let (mut net, _nc, ns, _conn, sconn) = established_pair(310);
+    let expected = stack(&mut net, ns).expected_wire_seq(sconn).unwrap();
+    deliver(&mut net, ns, expected, 0, 1000);
+    for i in 0..200 {
+        deliver(&mut net, ns, expected, 1001 + i * 300, 1);
+    }
+    let far = 1000 + crate::rd::VALIDITY_WND as u64 - 1;
+    for start in [RCV_BUF_CAP as u64, far] {
+        deliver(&mut net, ns, expected, start, MSS as u64);
+    }
+    let srv = stack(&mut net, ns);
+    assert_eq!(srv.readable_len(sconn), 1000);
+    assert_eq!(srv.conn_buffered(sconn), 1000 + 200 + 2 * MSS);
+    let span = 1001 + 199 * 300 + 1;
+    assert!((span..=2 * RCV_BUF_CAP).contains(&srv.read_capacity(sconn).unwrap()));
+    assert_eq!(srv.rd_stats(sconn).unwrap().ooo_range_drops, 0);
+    // Every hole fills, and the read that drains the outgrown buffer
+    // frees it.
+    let end = far + MSS as u64;
+    for start in (1000..end).step_by(MSS) {
+        deliver(&mut net, ns, expected, start, (end - start).min(MSS as u64));
+    }
+    let srv = stack(&mut net, ns);
+    let got = srv.recv(sconn);
+    assert_eq!(got.len() as u64, end);
+    assert!(got.iter().zip(0..).all(|(&b, i)| b == stream_byte(i)), "stream corrupted");
+    assert_eq!(srv.read_capacity(sconn), Some(0));
 }
 
 #[test]
