@@ -16,7 +16,7 @@
 
 use crate::fingerprint as fp;
 use crate::signals::CongSignal;
-use crate::wire::{Packet, Payload};
+use crate::wire::{Packet, Payload, Spare};
 use netsim::{Dur, Pressure, Time};
 use slcc::RateController;
 use slmetrics::{site, SharedLog};
@@ -48,9 +48,7 @@ const PERSIST_MAX: Dur = Dur(60_000_000_000);
 /// OSR counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OsrStats {
-    pub segments_cut: u64,
     pub bytes_written: u64,
-    pub bytes_read: u64,
     pub blocked_by_rate: u64,
     pub blocked_by_peer_window: u64,
     pub zero_window_probes: u64,
@@ -87,6 +85,9 @@ pub struct Osr {
     /// Written, not yet segmented: views of the slabs `write` made, oldest
     /// first; the front one shrinks as segments are cut from it.
     app_buf: VecDeque<Payload>,
+    /// The slab of the last write, refilled by the next one once no view of
+    /// it is left (see [`Osr::buffered_bytes`] for what that holds).
+    spare: Spare,
     /// Total bytes across `app_buf`: at most [`SND_BUF_CAP`].
     app_buf_bytes: u32,
     /// Bytes handed to RD and not yet acked (window accounting; "the
@@ -157,6 +158,7 @@ impl Osr {
     pub fn new(rate: Box<dyn RateController>, log: SharedLog) -> Osr {
         Osr {
             app_buf: VecDeque::new(),
+            spare: Spare::default(),
             app_buf_bytes: 0,
             bytes_in_flight: 0,
             rate,
@@ -186,11 +188,18 @@ impl Osr {
     ///
     /// This counts the bytes *viewed*; what is held is whole slabs and
     /// buffer capacity. Going down, a slab is at most [`SLAB_MAX`] bytes and
-    /// is freed as soon as the last segment cut from it is acknowledged, so
-    /// the send side (this queue plus RD's retransmission buffer) holds at
-    /// most one slab's worth of already-acknowledged bytes beyond what the
-    /// two account for — the slab the oldest unacknowledged segment sits
-    /// in — plus a handle and a slab header (some 40 bytes) per `write`.
+    /// is freed as soon as the last segment cut from it is acknowledged —
+    /// unless it is the last write's, which OSR keeps to refill. RD lets go
+    /// of its segments in stream order (a SACKed one stays until the
+    /// cumulative ack passes it), so the send side (this queue, RD's
+    /// retransmission buffer and the kept slab) holds at most one slab
+    /// beyond the bytes the two account for: the slab the oldest
+    /// unacknowledged segment sits in — its acknowledged bytes, and the
+    /// tail past a shorter write that refilled it — or, once every byte
+    /// written is acknowledged, the kept slab alone. Add at most a handle
+    /// and a slab header (some 40 bytes) per `write`. Were segments let go
+    /// of out of order, each slab an unacknowledged segment sits in would
+    /// be held whole, and the kept slab besides.
     /// Going up, unread bytes sit in one read buffer, and so do the parked
     /// ones, at their place in the stream beside the holes before them —
     /// as long as they reach no further past the next in-order byte than
@@ -225,12 +234,17 @@ impl Osr {
     /// Queue bytes from the application; returns how many were accepted
     /// (fewer than `data.len()` once the send buffer is full). This is the
     /// one copy the bytes get on the way down: into slabs of at most
-    /// [`SLAB_MAX`], which the segments are then views of.
+    /// [`SLAB_MAX`], which the segments are then views of. The first slab
+    /// is the last write's if no view of that is left and it is long
+    /// enough, so a write no longer than the last, made once that is
+    /// acknowledged, allocates nothing; any other slab is a new one.
     pub fn write(&mut self, data: &[u8]) -> usize {
         self.log.borrow_mut().write(site!("osr", "app_buf"));
         assert!(!self.app_closed, "write after close");
         let n = data.len().min(self.write_capacity());
-        self.app_buf.extend(data[..n].chunks(SLAB_MAX).map(Payload::from));
+        for chunk in data[..n].chunks(SLAB_MAX) {
+            self.app_buf.push_back(self.spare.write(chunk));
+        }
         self.app_buf_bytes += n as u32;
         self.stats.bytes_written += n as u64;
         n
@@ -258,7 +272,6 @@ impl Osr {
             self.app_out.drain(..unread.end);
             self.head = 0;
         }
-        self.stats.bytes_read += out.len() as u64;
         if out.len() >= MSS {
             // The window reopened significantly: tell the peer (window
             // update, as in TCP).
@@ -316,6 +329,7 @@ impl Osr {
     /// Application will write no more.
     pub fn close(&mut self) {
         self.app_closed = true;
+        self.spare = Spare::default();
     }
 
     /// Has the application closed its stream? The stack reads this; only
@@ -368,7 +382,6 @@ impl Osr {
             return None;
         }
         self.bytes_in_flight += n as u64;
-        self.stats.segments_cut += 1;
         Some(self.cut(n))
     }
 
@@ -752,7 +765,6 @@ mod tests {
         assert_eq!(o.poll_segment(t(0)).unwrap().len(), MSS);
         assert_eq!(o.poll_segment(t(0)).unwrap().len(), 500, "tail may be short");
         assert!(o.poll_segment(t(0)).is_none());
-        assert_eq!(o.stats.segments_cut, 3);
     }
 
     #[test]
@@ -1052,7 +1064,6 @@ mod tests {
         o.on_delivered(0, b"world".to_vec().into());
         assert_eq!(o.read(), b"world");
         assert_eq!(o.stats.bytes_written, 5);
-        assert_eq!(o.stats.bytes_read, 5);
     }
 
     #[test]
@@ -1162,38 +1173,94 @@ mod tests {
         assert_eq!(o.write_capacity(), SND_BUF_CAP);
     }
 
+    /// Bytes the send side holds — every slab a queued or in-flight view
+    /// pins, and the kept one — and the bytes it accounts for.
+    fn held_and_accounted(o: &Osr, in_flight: &[Payload]) -> (usize, usize) {
+        let mut slabs: Vec<&Payload> = Vec::new();
+        for h in o.app_buf.iter().chain(in_flight) {
+            if !slabs.iter().any(|s| s.ptr_eq(h)) {
+                slabs.push(h);
+            }
+        }
+        let kept = if slabs.iter().any(|s| o.spare.ptr_eq(s)) { 0 } else { o.spare.slab_len() };
+        let held = slabs.iter().map(|s| s.slab_len()).sum::<usize>() + kept;
+        let accounted = o.buffered_bytes() + in_flight.iter().map(|s| s.len()).sum::<usize>();
+        (held, accounted)
+    }
+
     #[test]
     fn the_send_side_holds_at_most_one_slab_more_than_it_accounts_for() {
         // The test plays RD: it keeps every cut until it is "acknowledged",
-        // and at each step acknowledges all but the newest segment — whose
-        // view pins a slab that is otherwise all acknowledged bytes.
-        fn held<'a>(handles: impl Iterator<Item = &'a Payload>) -> usize {
-            let mut slabs: Vec<&Payload> = Vec::new();
-            for h in handles {
-                if !slabs.iter().any(|s| s.ptr_eq(h)) {
-                    slabs.push(h);
-                }
-            }
-            slabs.iter().map(|s| s.slab_len()).sum()
-        }
+        // and at each step acknowledges, in stream order, all but the
+        // newest segment — whose view pins a slab that is otherwise all
+        // acknowledged bytes. Writes of every size in between refill the
+        // kept slab whenever no view of it is left.
+        let within = |o: &Osr, in_flight: &[Payload]| {
+            let (held, accounted) = held_and_accounted(o, in_flight);
+            assert!(held <= accounted + SLAB_MAX, "{held} held, {accounted} accounted");
+        };
         let mut o = osr(1 << 20);
-        assert_eq!(o.write(&vec![7; SND_BUF_CAP]), SND_BUF_CAP);
         let mut in_flight: Vec<Payload> = Vec::new();
-        loop {
-            in_flight.extend(std::iter::from_fn(|| o.poll_segment(t(0))));
-            let accounted = o.buffered_bytes() + in_flight.iter().map(|s| s.len()).sum::<usize>();
-            assert!(held(o.app_buf.iter().chain(&in_flight)) <= accounted + SLAB_MAX);
-            let acked: usize = in_flight.drain(..in_flight.len() - 1).map(|s| s.len()).sum();
-            let accounted = o.buffered_bytes() + in_flight[0].len();
-            assert!(held(o.app_buf.iter().chain(&in_flight)) <= accounted + SLAB_MAX);
-            if acked == 0 {
-                break;
+        let mut refills = 0;
+        for len in [SND_BUF_CAP, 1, SLAB_MAX, 3 * MSS / 2, SLAB_MAX + 1, 10, 2 * MSS, 5] {
+            assert_eq!(o.write(&vec![7; len]), len);
+            refills += o.app_buf.back().is_some_and(|b| b.slab_len() > b.len()) as u32;
+            within(&o, &in_flight);
+            loop {
+                in_flight.extend(std::iter::from_fn(|| o.poll_segment(t(0))));
+                within(&o, &in_flight);
+                let acked: usize = in_flight.drain(..in_flight.len() - 1).map(|s| s.len()).sum();
+                within(&o, &in_flight);
+                if acked == 0 {
+                    break;
+                }
+                o.on_signals(t(0), &[CongSignal::Acked { bytes: acked as u32, rtt: None }]);
             }
-            o.on_signals(t(0), &[CongSignal::Acked { bytes: acked as u32, rtt: None }]);
+            assert!(o.drained());
+            if len == SND_BUF_CAP {
+                // The lone unacknowledged tail: a short view, one whole
+                // slab held.
+                let tail = &in_flight[0];
+                assert_eq!((tail.len(), tail.slab_len()), (SND_BUF_CAP % MSS, SLAB_MAX));
+            }
+            // The last segment's ack: all that is held is the kept slab.
+            let last = in_flight.pop().expect("the newest segment stays");
+            o.on_signals(t(0), &[CongSignal::Acked { bytes: last.len() as u32, rtt: None }]);
+            drop(last);
+            assert_eq!(held_and_accounted(&o, &in_flight), (o.spare.slab_len(), 0));
         }
-        // The lone unacknowledged tail: a short view, one whole slab held.
-        assert!(o.drained());
-        assert_eq!((in_flight[0].len(), in_flight[0].slab_len()), (SND_BUF_CAP % MSS, SLAB_MAX));
+        assert!(refills >= 3, "shorter writes refilled the kept slab: {refills}");
+        // Closed, the connection keeps nothing.
+        o.close();
+        assert_eq!(held_and_accounted(&o, &in_flight), (0, 0));
+    }
+
+    #[test]
+    fn segments_let_go_of_out_of_order_hold_a_slab_more() {
+        // An RD that freed SACKed segments before the hole below them
+        // filled (the shipped one keeps them until the cumulative ack
+        // passes) would let the last write's slab go first: both the slab
+        // the hole sits in and the kept slab would be held, all but one
+        // segment of them acknowledged. (Two whole slabs of segments, and
+        // a window for both.)
+        let len = SLAB_MAX / MSS * MSS;
+        let mut o = osr(1 << 20);
+        o.peer_wnd = 2 * len as u32;
+        o.write(&vec![1; len]);
+        o.write(&vec![2; len]);
+        let mut in_flight: Vec<Payload> = std::iter::from_fn(|| o.poll_segment(t(0))).collect();
+        assert_eq!(held_and_accounted(&o, &in_flight), (2 * len, 2 * len));
+        // Everything after the first segment is "SACKed" and let go of.
+        in_flight.truncate(1);
+        let (held, accounted) = held_and_accounted(&o, &in_flight);
+        assert_eq!((held, accounted), (2 * len, MSS));
+        assert!(held > accounted + SLAB_MAX);
+        // The next write still refills nothing a view shows: the kept slab
+        // is free, the first is not.
+        let before = in_flight[0].clone();
+        o.write(&vec![3; MSS]);
+        assert!(o.spare.ptr_eq(&o.app_buf[0]) && !before.ptr_eq(&o.app_buf[0]));
+        assert!(before.iter().all(|&b| b == 1));
     }
 
     #[test]
@@ -1290,18 +1357,29 @@ mod tests {
             // byte and straddle two or more, again and again.
             let mut rng = proptest::TestRng::new(seed);
             let mut o = osr(1 << 20);
-            // Sender side: everything written, and how much of it was cut.
+            // Sender side: everything written, how much of it was cut, and
+            // the cuts still alive — as RD's flight keeps them until their
+            // ack, in any order — by the offset of their first byte.
             let mut written: Vec<u8> = Vec::new();
             let mut cut = 0;
-            let (mut views, mut straddles, mut probes_off_many) = (0, 0, 0);
+            let mut live: Vec<(usize, Payload)> = Vec::new();
+            let (mut views, mut straddles, mut probes_off_many, mut refills) = (0, 0, 0, 0);
             // Receiver side: the peer's stream, how much RD has handed up
             // (in shuffled windows, exactly once), how much the app has read.
             let mut pending: Vec<(usize, usize)> = Vec::new();
             let mut generated = 0;
             let mut arrived = vec![];
             let mut read = 0;
-            while written.len() < 24 * MSS || views == 0 || straddles == 0 || probes_off_many == 0 {
-                proptest::prop_assert!(written.len() < 1 << 20, "{views} {straddles} {probes_off_many}");
+            while written.len() < 24 * MSS
+                || views == 0
+                || straddles == 0
+                || probes_off_many == 0
+                || refills == 0
+            {
+                proptest::prop_assert!(
+                    written.len() < 1 << 20,
+                    "{views} {straddles} {probes_off_many} {refills}"
+                );
                 match rng.below(4) {
                     // Writes outpace cuts until a backlog stands, so several
                     // slabs are queued more often than not.
@@ -1309,6 +1387,8 @@ mod tests {
                         let n = 1 + rng.below(3000) as usize;
                         let chunk = stream(written.len(), n);
                         proptest::prop_assert_eq!(o.write(&chunk), n);
+                        // Into a slab longer than the write: the kept one.
+                        refills += o.app_buf.back().is_some_and(|b| b.slab_len() > n) as u32;
                         written.extend(chunk);
                     }
                     0 | 1 => {
@@ -1329,9 +1409,20 @@ mod tests {
                             if seg.len() <= front.len() { views += 1 } else { straddles += 1 }
                             proptest::prop_assert!(seg.len() <= MSS);
                             proptest::prop_assert_eq!(&seg[..], &written[cut..cut + seg.len()]);
-                            cut += seg.len();
-                            // Acked at once, so the window never gates.
+                            // Acked at once, so the window never gates; RD
+                            // may still hold the view a while.
                             o.on_signals(t(0), &[CongSignal::Acked { bytes: seg.len() as u32, rtt: None }]);
+                            let at = cut;
+                            cut += seg.len();
+                            if rng.below(2) == 0 {
+                                live.push((at, seg));
+                            }
+                        }
+                        // Acks let some views go, not necessarily in order.
+                        for _ in 0..rng.below(3) {
+                            if !live.is_empty() {
+                                live.swap_remove(rng.below(live.len() as u128) as usize);
+                            }
                         }
                     }
                     2 => {
@@ -1374,9 +1465,12 @@ mod tests {
                     o.buffered_bytes(),
                     (written.len() - cut) + (o.rcv_next as usize - read) + parked
                 );
+                // No write has touched a byte that a live view shows.
+                for (at, seg) in &live {
+                    proptest::prop_assert_eq!(&seg[..], &written[*at..*at + seg.len()]);
+                }
             }
             proptest::prop_assert_eq!(o.stats.bytes_written, written.len() as u64);
-            proptest::prop_assert_eq!(o.stats.bytes_read, read as u64);
         }
     }
 }

@@ -1359,6 +1359,9 @@ mod tests {
         let (rtx, _) = r.poll_packet(t(20)).unwrap();
         assert_eq!(rtx.rd.seq, 1101, "retransmit must skip the SACKed segment");
         assert!(r.stats.sacked_skips > 0);
+        // Skipped, not let go of: its view stays until the cumulative ack
+        // passes it, so slabs go back to OSR in stream order.
+        assert_eq!(r.in_flight.iter().map(|f| f.data.len()).collect::<Vec<_>>(), [100, 100]);
     }
 
     #[test]

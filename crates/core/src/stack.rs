@@ -1217,7 +1217,10 @@ mod tests {
         // read queue then became one read buffer: a 24 B `Vec<u8>` where a
         // 32 B `VecDeque` of handles stood (its `u32` byte count went too,
         // but only into padding), so OSR is 296 B and 176 + 440 + 296 =
-        // 912 B.
+        // 912 B. OSR's kept write slab (`Spare`, 16 B) is paid for by two
+        // of its counters, 8 B each: `segments_cut`, which counted what
+        // `CrossingStats::osr_to_rd_segments` counts, and `bytes_read`,
+        // which nothing read. OSR stays 296 B.
         let size = std::mem::size_of::<super::Connection>();
         assert!(size <= 912, "{size}");
     }

@@ -5,8 +5,12 @@
 //! once, for the ack frame it encodes, and `HostStack::recv` exactly once,
 //! for the `Vec` it returns: the payload goes from the frame to its place
 //! in OSR's read buffer, and out of it, by copy alone. On the way down, a
-//! segment cut across two writes is gathered in one allocation. A
-//! counting global allocator watches this test's thread.
+//! write copies its bytes into the slab of the write before once no view
+//! of that is left, so a write that follows its predecessor's ack
+//! allocates nothing but its frames, and one made while that slab is
+//! still in flight allocates one slab; a segment cut across two writes is
+//! gathered in one allocation. A counting global allocator watches this
+//! test's thread.
 
 use netsim::{HostStack, Stack, Time};
 use slwire::{Endpoint, FourTuple};
@@ -195,5 +199,53 @@ fn a_segment_cut_across_two_writes_is_gathered_in_one_allocation() {
         let (segment, allocs) = counted(|| osr.poll_segment(Time::ZERO).unwrap());
         assert_eq!(segment[..], *cut);
         assert_eq!(allocs, 1, "one slab, gathered in place");
+    }
+}
+
+#[test]
+fn a_write_after_the_last_one_is_acked_allocates_only_its_frames() {
+    let (mut client, mut server, cid, sid) = established("newreno");
+    let mut sent: Vec<Vec<u8>> = Vec::with_capacity(4);
+    // Request-sized writes, each no longer than the one before and sent
+    // only once that one is acknowledged: the first rounds size the send
+    // queue, the outbox and the mailboxes, the last one is counted.
+    for round in 0..8u8 {
+        let data = vec![round; 200 - 16 * round as usize];
+        let (accepted, send) = counted(|| client.send(cid, &data));
+        assert_eq!(accepted, data.len());
+        let ((), pump) = counted(|| {
+            client.pump_conn(Time::ZERO, cid);
+            sent.extend(std::iter::from_fn(|| client.take_frame()));
+        });
+        if round == 7 {
+            assert_eq!(send, 0, "send: the last write's slab, refilled");
+            assert_eq!(
+                (sent.len(), pump),
+                (1, 1),
+                "pump: the data frame, and nothing else"
+            );
+        }
+        sent.drain(..).for_each(|f| server.on_frame(Time::ZERO, &f));
+        shuttle(&mut client, &mut server, cid, sid);
+        assert_eq!(server.recv(sid), data);
+    }
+}
+
+#[test]
+fn a_write_while_the_last_slab_is_in_flight_allocates_one_slab() {
+    let (mut client, mut server, cid, sid) = established("newreno");
+    for round in 0..8u8 {
+        let first = [round; 64];
+        assert_eq!(client.send(cid, &first), 64);
+        let in_flight = frames(&mut client, cid);
+        let ((), send) = counted(|| assert_eq!(client.send(cid, &[!round; 64]), 64));
+        if round == 7 {
+            assert_eq!(send, 1, "send: one new slab, the first still viewed by RD");
+        }
+        for frame in &in_flight {
+            server.on_frame(Time::ZERO, frame);
+        }
+        shuttle(&mut client, &mut server, cid, sid);
+        assert_eq!(server.recv(sid), [[round; 64], [!round; 64]].concat());
     }
 }

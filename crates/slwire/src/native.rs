@@ -25,16 +25,18 @@ use std::rc::Rc;
 
 pub use crate::{Endpoint, FourTuple, WireError, MAX_FRAME_BYTES};
 
-/// A packet's payload: a view — a byte range — of an immutable,
-/// reference-counted slab. Whoever first has the bytes in hand — OSR taking
-/// an application write (or gathering a segment from two), [`Packet::decode`]
-/// reading a frame — copies them once into a slab; every later holder (OSR's
-/// send queue and the segments cut from it, RD's retransmission buffer and
-/// outbox, a `Delivered` event) holds a handle, and
-/// [`Payload::slice`] narrows one without touching the bytes. Nobody can
-/// write a slab, and it is freed when its last handle goes — so a view
-/// keeps its *whole* slab alive, however short it is. `Rc`, not `Arc`: no
-/// crate sends a [`Packet`] across threads (`slshard` moves raw frames).
+/// A packet's payload: a view — a byte range — of a reference-counted
+/// slab, immutable while any view shows it. Whoever first has the bytes in
+/// hand — OSR taking an application write (or gathering a segment from
+/// two), [`Packet::decode`] reading a frame — copies them once into a slab;
+/// every later holder (OSR's send queue and the segments cut from it, RD's
+/// retransmission buffer and outbox, a `Delivered` event) holds a handle,
+/// and [`Payload::slice`] narrows one without touching the bytes. Nobody can
+/// write a slab that any view still shows — a [`Spare`] refills one only
+/// once no handle but its own is left — and it is freed when its last
+/// handle goes, so a view keeps its *whole* slab alive, however short it
+/// is. `Rc`, not `Arc`: no crate sends a [`Packet`] across threads
+/// (`slshard` moves raw frames).
 ///
 /// The empty payload has no slab and allocates nothing, whichever
 /// constructor or slice made it. `Eq` is equality of the bytes viewed,
@@ -126,6 +128,46 @@ impl From<&[u8]> for Payload {
 impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Payload {
         Payload::from(&bytes[..])
+    }
+}
+
+/// The slab of the last [`Spare::write`], kept so that the next write can
+/// copy its bytes into it instead of into a new one. It is refilled only
+/// when this handle is its last — every view of it is gone — and it is
+/// long enough; otherwise the write takes a new, exactly sized slab, and
+/// the spare keeps that one instead. `Rc::get_mut` makes that call, so a
+/// slab that anything still views is never written.
+#[derive(Clone, Default)]
+pub struct Spare(Option<Rc<[u8]>>);
+
+impl Spare {
+    /// `bytes` as a payload of their own: a view of the front of the spare
+    /// slab, refilled, or of a new one. The empty write allocates nothing
+    /// and leaves the spare as it was.
+    pub fn write(&mut self, bytes: &[u8]) -> Payload {
+        if bytes.is_empty() {
+            return Payload::default();
+        }
+        let len = u32::try_from(bytes.len()).expect("a payload is at most a frame or a slab long");
+        match self.0.as_mut().and_then(Rc::get_mut) {
+            Some(slab) if slab.len() >= bytes.len() => slab[..bytes.len()].copy_from_slice(bytes),
+            _ => self.0 = Some(Rc::from(bytes)),
+        }
+        Payload {
+            slab: self.0.clone(),
+            off: 0,
+            len,
+        }
+    }
+
+    /// Bytes the spare keeps alive: its slab's whole length, or 0.
+    pub fn slab_len(&self) -> usize {
+        self.0.as_ref().map_or(0, |slab| slab.len())
+    }
+
+    /// Is `view` a view of the spare slab?
+    pub fn ptr_eq(&self, view: &Payload) -> bool {
+        matches!((&self.0, &view.slab), (Some(a), Some(b)) if Rc::ptr_eq(a, b))
     }
 }
 
@@ -571,6 +613,68 @@ mod tests {
             }
         });
         assert_eq!((&p[..], p.slab_len()), (&b"native"[..], 6));
+    }
+
+    #[test]
+    fn a_spare_slab_is_refilled_once_no_view_of_it_is_left() {
+        let mut spare = Spare::default();
+        let first = spare.write(b"sublayering");
+        assert!(spare.ptr_eq(&first) && spare.slab_len() == 11);
+        drop(first);
+        // No handle left but the spare's, and long enough: refilled at its
+        // front, the view no longer than the write.
+        let second = spare.write(b"layer");
+        assert!(spare.ptr_eq(&second));
+        assert_eq!((&second[..], second.slab_len()), (&b"layer"[..], 11));
+        let narrowed = second.slice(1..4);
+        drop(second);
+        // A narrower view still pins it.
+        let third = spare.write(b"native");
+        assert!(!spare.ptr_eq(&narrowed) && spare.ptr_eq(&third));
+        assert_eq!(&narrowed[..], b"aye");
+        assert_eq!((&third[..], third.slab_len()), (&b"native"[..], 6));
+    }
+
+    #[test]
+    fn a_spare_that_a_view_still_shows_is_left_alone() {
+        let mut spare = Spare::default();
+        let live = spare.write(b"sublayering");
+        let other = spare.write(b"layer");
+        assert!(!live.ptr_eq(&other) && spare.ptr_eq(&other));
+        assert_eq!(&live[..], b"sublayering", "the live view's bytes are unchanged");
+        assert_eq!((&other[..], other.slab_len()), (&b"layer"[..], 5));
+        // The spare moved on: the first slab dies with its last view.
+        drop(other);
+        assert_eq!(&spare.write(b"tcp")[..], b"tcp");
+        assert_eq!(spare.slab_len(), 5);
+        assert_eq!(&live[..], b"sublayering");
+        // A clone of the spare is a handle too: neither refills the slab.
+        let twin = spare.clone();
+        let apart = spare.write(b"osr");
+        assert!(!twin.ptr_eq(&apart) && spare.ptr_eq(&apart));
+    }
+
+    #[test]
+    fn a_spare_too_short_for_the_write_is_replaced() {
+        let mut spare = Spare::default();
+        drop(spare.write(b"tcp"));
+        let longer = spare.write(b"layering");
+        assert!(spare.ptr_eq(&longer));
+        assert_eq!((&longer[..], longer.slab_len()), (&b"layering"[..], 8));
+    }
+
+    #[test]
+    fn an_empty_write_keeps_the_spare_and_allocates_nothing() {
+        let mut spare = Spare::default();
+        let empty = spare.write(b"");
+        assert!(empty.ptr_eq(&Payload::default()) && spare.slab_len() == 0);
+        let held = spare.write(b"native");
+        let empty = spare.write(&[]);
+        assert!(empty.is_empty() && empty.slab_len() == 0);
+        assert!(spare.ptr_eq(&held), "the spare is the slab it was");
+        drop(held);
+        let refilled = spare.write(b"nat");
+        assert!(spare.ptr_eq(&refilled) && refilled.slab_len() == 6);
     }
 
     #[test]
