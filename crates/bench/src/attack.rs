@@ -29,8 +29,9 @@ use netsim::{
 };
 use slconform::{ConformStack, Kind};
 use slmetrics::AttackCounters;
-use sublayer_core::SlTcpStack;
+use sublayer_core::{CmState, SlTcpStack};
 use tcp_mono::stack::TcpStack;
+use tcp_mono::TcpState;
 
 use crate::chaos::KINDS;
 use crate::{json, keepalive_pair, stream_transfer, sweep_grid, Report};
@@ -250,15 +251,49 @@ fn link() -> LinkParams {
 }
 
 /// What the campaign needs of a stack beyond the shared transfer surface:
-/// the defence counters' read-out.
+/// the defence counters' read-out. The behavioural suite
+/// (`behaviour.rs`), which runs every shared test against both stacks,
+/// reads the rest: each stack's own caps, the two states `HostStack` does
+/// not name, and the counters its assertions compare. A counter only one
+/// stack keeps is an `Option`, `None` on the other.
 pub trait AttackTarget: ConformStack {
+    /// Half-open connections held before a flood falls back to cookies.
+    const MAX_HALF_OPEN: usize;
+    /// Bytes `send` accepts ahead of the peer's acks.
+    const SND_BUF_CAP: usize;
+    /// Bytes the receive buffer holds unread.
+    const RCV_BUF_CAP: usize;
+
     fn half_open(&self) -> usize;
     /// This endpoint's defence counters (`forged_segments` left 0);
     /// `conn` is its side of the attacked flow, if it still knows one.
     fn defence(&self, conn: Option<Self::ConnId>) -> AttackCounters;
+    fn in_syn_sent(&self, id: Self::ConnId) -> bool;
+    fn in_time_wait(&self, id: Self::ConnId) -> bool;
+    /// RSTs sent for no connection (a refused flow, a bad cookie). The
+    /// monolith counts the ones an abort sends too.
+    fn rsts_sent(&self) -> u64;
+    /// Inbound flows refused because the connection table was full.
+    fn conn_table_full_drops(&self) -> u64;
+    /// Fast retransmits on `id` so far.
+    fn fast_retransmits(&self, id: Self::ConnId) -> u64;
+    /// Retransmission timeouts on `id` so far.
+    fn rto_retransmits(&self, id: Self::ConnId) -> u64;
+    /// Keepalive probes `id` sent so far.
+    fn keepalive_probes(&self, id: Self::ConnId) -> u64;
+    /// Zero-window probes `id` sent so far; the monolith counts none.
+    fn zero_window_probes(&self, id: Self::ConnId) -> Option<u64>;
+    /// Segments dropped for want of a listener; the monolith counts none.
+    fn no_listener_drops(&self) -> Option<u64>;
+    /// Connections a peer's RST ended; the sublayered stack counts none.
+    fn resets_taken(&self) -> Option<u64>;
 }
 
 impl AttackTarget for TcpStack {
+    const MAX_HALF_OPEN: usize = tcp_mono::stack::MAX_HALF_OPEN;
+    const SND_BUF_CAP: usize = tcp_mono::stack::SND_BUF_CAP;
+    const RCV_BUF_CAP: usize = tcp_mono::pcb::RCV_BUF_CAP;
+
     fn half_open(&self) -> usize {
         self.half_open_count()
     }
@@ -274,9 +309,43 @@ impl AttackTarget for TcpStack {
             invalid_seq_drops: self.stats.old_ack_drops,
         }
     }
+    fn in_syn_sent(&self, id: Self::ConnId) -> bool {
+        self.state(id) == TcpState::SynSent
+    }
+    fn in_time_wait(&self, id: Self::ConnId) -> bool {
+        self.state(id) == TcpState::TimeWait
+    }
+    fn rsts_sent(&self) -> u64 {
+        self.stats.rsts_sent
+    }
+    fn conn_table_full_drops(&self) -> u64 {
+        self.stats.conn_table_full_drops
+    }
+    fn fast_retransmits(&self, _id: Self::ConnId) -> u64 {
+        self.stats.fast_retransmits
+    }
+    fn rto_retransmits(&self, _id: Self::ConnId) -> u64 {
+        self.stats.rto_retransmits
+    }
+    fn keepalive_probes(&self, _id: Self::ConnId) -> u64 {
+        self.stats.keepalive_probes
+    }
+    fn zero_window_probes(&self, _id: Self::ConnId) -> Option<u64> {
+        None
+    }
+    fn no_listener_drops(&self) -> Option<u64> {
+        None
+    }
+    fn resets_taken(&self) -> Option<u64> {
+        Some(self.stats.conns_reset)
+    }
 }
 
 impl AttackTarget for SlTcpStack {
+    const MAX_HALF_OPEN: usize = sublayer_core::stack::MAX_HALF_OPEN;
+    const SND_BUF_CAP: usize = sublayer_core::osr::SND_BUF_CAP;
+    const RCV_BUF_CAP: usize = sublayer_core::osr::RCV_BUF_CAP;
+
     fn half_open(&self) -> usize {
         self.half_open_count()
     }
@@ -293,6 +362,36 @@ impl AttackTarget for SlTcpStack {
             overflow_drops: rd.ooo_range_drops,
             invalid_seq_drops: rd.invalid_seq_drops,
         }
+    }
+    fn in_syn_sent(&self, id: Self::ConnId) -> bool {
+        self.state(id) == CmState::SynSent
+    }
+    fn in_time_wait(&self, id: Self::ConnId) -> bool {
+        self.state(id) == CmState::TimeWait
+    }
+    fn rsts_sent(&self) -> u64 {
+        self.stats.stateless_rsts_sent
+    }
+    fn conn_table_full_drops(&self) -> u64 {
+        self.stats.conn_table_full_drops
+    }
+    fn fast_retransmits(&self, id: Self::ConnId) -> u64 {
+        self.rd_stats(id).map_or(0, |rd| rd.fast_retransmits)
+    }
+    fn rto_retransmits(&self, id: Self::ConnId) -> u64 {
+        self.rd_stats(id).map_or(0, |rd| rd.timeouts)
+    }
+    fn keepalive_probes(&self, id: Self::ConnId) -> u64 {
+        self.rd_stats(id).map_or(0, |rd| rd.keepalive_probes)
+    }
+    fn zero_window_probes(&self, id: Self::ConnId) -> Option<u64> {
+        Some(self.osr_stats(id).map_or(0, |osr| osr.zero_window_probes))
+    }
+    fn no_listener_drops(&self) -> Option<u64> {
+        Some(self.stats.no_listener_drops)
+    }
+    fn resets_taken(&self) -> Option<u64> {
+        None
     }
 }
 

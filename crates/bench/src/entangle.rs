@@ -33,8 +33,7 @@ fn drive<S: HostStack + 'static>(mk: impl Fn(u32, SharedLog) -> S) -> Interactio
         .send(conn, &vec![1u8; 100_000]);
     net.poll_all();
     for _ in 0..120 {
-        let dl = net.now() + Dur::from_secs(1);
-        net.run_until(dl);
+        net.run_for(Dur::from_secs(1));
         let st = &mut net.node_mut::<StackNode<S>>(ns).stack;
         if let Some(&sc) = st.established().first() {
             let _ = st.recv(sc);
@@ -43,7 +42,7 @@ fn drive<S: HostStack + 'static>(mk: impl Fn(u32, SharedLog) -> S) -> Interactio
     }
     net.node_mut::<StackNode<S>>(nc).stack.close(conn);
     net.poll_all();
-    net.run_until(net.now() + Dur::from_secs(5));
+    net.run_for(Dur::from_secs(5));
     let m = InteractionMatrix::from_log(&log.borrow());
     m
 }

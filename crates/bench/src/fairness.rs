@@ -35,6 +35,7 @@ use crate::{json, sweep_grid, Report, KINDS};
 use netlayer::{box_host_addr, topo_fanin, BoxNet};
 use netsim::{Dur, LinkParams, NodeId, SimNet, Time};
 use slconform::{ConformStack, Kind};
+use slcc::CcError;
 use slmetrics::CcCounters;
 use sublayer_core::{SlConfig, SlTcpStack};
 use tcp_mono::stack::TcpStack;
@@ -62,14 +63,19 @@ pub const CONTROLLERS: [&str; 2] = ["newreno", "cubic"];
 /// with an explicit controller (exercising each stack's validated CC
 /// swap surface) and per-connection [`CcCounters`] readout.
 pub trait FairStack: ConformStack {
-    fn mk_cc(addr: u32, cc: &'static str) -> Self;
+    /// A stack whose connections run controller `cc`; an unknown name is
+    /// the stack's typed error.
+    fn try_mk_cc(addr: u32, cc: &'static str) -> Result<Self, CcError>;
     fn conn_cc_of(&self, id: Self::ConnId) -> Option<CcCounters>;
+
+    fn mk_cc(addr: u32, cc: &'static str) -> Self {
+        Self::try_mk_cc(addr, cc).expect("shipped controller")
+    }
 }
 
 impl FairStack for SlTcpStack {
-    fn mk_cc(addr: u32, cc: &'static str) -> Self {
-        let cfg = SlConfig { cc, ..SlConfig::default() };
-        SlTcpStack::try_new(addr, cfg, slmetrics::shared()).expect("shipped controller")
+    fn try_mk_cc(addr: u32, cc: &'static str) -> Result<Self, CcError> {
+        SlTcpStack::try_new(addr, SlConfig { cc, ..SlConfig::default() }, slmetrics::shared())
     }
     fn conn_cc_of(&self, id: Self::ConnId) -> Option<CcCounters> {
         self.conn_cc(id)
@@ -77,8 +83,8 @@ impl FairStack for SlTcpStack {
 }
 
 impl FairStack for TcpStack {
-    fn mk_cc(addr: u32, cc: &'static str) -> Self {
-        TcpStack::with_cc(addr, cc, slmetrics::shared()).expect("shipped controller")
+    fn try_mk_cc(addr: u32, cc: &'static str) -> Result<Self, CcError> {
+        TcpStack::with_cc(addr, cc, slmetrics::shared())
     }
     fn conn_cc_of(&self, id: Self::ConnId) -> Option<CcCounters> {
         self.conn_cc(id)
@@ -184,8 +190,7 @@ fn run_f<H: FairStack>(cc: &'static str, seed: u64, horizon_secs: u64) -> Fairne
 
     let end = Time::ZERO + Dur::from_secs(horizon_secs);
     while net.now() < end {
-        let step = net.now() + TICK;
-        net.run_until(step);
+        net.run_for(TICK);
         peak_queue = peak_queue.max(net.link_queue_delay(bottleneck, 0));
         for (i, &(node, conn)) in clients.iter().enumerate() {
             let st = stack_mut::<H>(&mut net, node);

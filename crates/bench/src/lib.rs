@@ -19,6 +19,8 @@
 //! No YAML, no new binary.
 
 pub mod attack;
+#[cfg(test)]
+mod behaviour;
 pub mod chaos;
 pub mod client;
 pub mod conform;
@@ -199,8 +201,7 @@ pub fn stream_transfer<H: ConformStack>(
     let mut got: Vec<u8> = Vec::new();
     let mut sconn = None;
     while net.now() < deadline {
-        let step = net.now() + STEP;
-        net.run_until(step);
+        net.run_for(STEP);
         if sent < payload.len() {
             sent += net.node_mut::<StackNode<H>>(nc).stack.send(conn, &payload[sent..]);
         }
@@ -232,8 +233,7 @@ pub fn stream_transfer<H: ConformStack>(
     let sim_ms = net.now().since(Time::ZERO).0 / 1_000_000;
     let complete = got.len() >= payload.len();
     if !complete {
-        let settle = net.now() + Dur::from_secs(120);
-        net.run_until(settle);
+        net.run_for(Dur::from_secs(120));
     }
     Streamed { got, sconn, complete, sim_ms }
 }
@@ -389,8 +389,7 @@ pub fn run_transfer(
     // 25 ms application polling: fine enough that the app read rate never
     // bounds a 20 Mbit/s link (64 KB window / 25 ms = 21 Mbit/s).
     for _ in 0..patience_secs * 40 {
-        let dl = net.now() + Dur::from_millis(25);
-        net.run_until(dl);
+        net.run_for(Dur::from_millis(25));
         let drained = match &rx {
             Side::Mono(id) => {
                 let st = &mut net.node_mut::<StackNode<TcpStack>>(*id).stack;
@@ -472,8 +471,7 @@ pub fn crossings_for_workload(bytes: usize, loss: f64, seed: u64) -> sublayer_co
     net.node_mut::<StackNode<SlTcpStack>>(nc).stack.send(conn, &vec![7u8; bytes]);
     net.poll_all();
     for _ in 0..180 {
-        let dl = net.now() + Dur::from_secs(1);
-        net.run_until(dl);
+        net.run_for(Dur::from_secs(1));
         let st = &mut net.node_mut::<StackNode<SlTcpStack>>(ns).stack;
         if let Some(&sc) = st.established().first() {
             let _ = st.recv(sc);
@@ -488,12 +486,6 @@ pub fn crossings_for_workload(bytes: usize, loss: f64, seed: u64) -> sublayer_co
     // Sender-host view only: its NIC/host boundary carries OSR->RD
     // segments down and signals up; the receiver host is symmetric.
     net.node::<StackNode<SlTcpStack>>(nc).stack.crossings.clone()
-}
-
-/// Drive one SimNet until idle/deadline — helper for examples/tests.
-pub fn settle(net: &mut SimNet, secs: u64) {
-    let dl = net.now() + Dur::from_secs(secs);
-    net.run_until(dl);
 }
 
 #[cfg(test)]

@@ -272,8 +272,7 @@ fn drive<H: ConformStack>(
     let mut got = vec![Vec::new(); clients.len()];
     let mut max_rtx = 0usize;
     while net.now() < deadline {
-        let step = net.now() + TICK;
-        net.run_until(step);
+        net.run_for(TICK);
         for (i, &(node, conn)) in clients.iter().enumerate() {
             let st = stack_mut::<H>(net, node);
             if sent[i] < payloads[i].len() {
@@ -293,8 +292,7 @@ fn drive<H: ConformStack>(
             .all(|&(node, conn)| stack_mut::<H>(net, node).conn_error(conn).is_some());
         if all_dead {
             // A clean abort must leave nothing spinning afterwards.
-            let settle = net.now() + Dur::from_secs(60);
-            net.run_until(settle);
+            net.run_for(Dur::from_secs(60));
             break;
         }
     }
@@ -461,8 +459,7 @@ fn reconnect<H: ConformStack>(
     let mut sconn: Option<H::ConnId> = None;
     let deadline = net.now() + Dur::from_secs(30);
     while net.now() < deadline && got.len() < payload.len() {
-        let step = net.now() + TICK;
-        net.run_until(step);
+        net.run_for(TICK);
         if sent < payload.len() {
             sent += stack_mut::<H>(net, nc).send(conn, &payload[sent..]);
         }

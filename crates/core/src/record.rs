@@ -190,8 +190,7 @@ mod tests {
         net.poll_all();
         let mut got = Vec::new();
         for _ in 0..120 {
-            let dl = net.now() + Dur::from_secs(1);
-            net.run_until(dl);
+            net.run_for(Dur::from_secs(1));
             let st = &mut net.node_mut::<StackNode<RecordStack>>(ns).stack.inner;
             if let Some(&sc) = st.established().first() {
                 got.extend(st.recv(sc));

@@ -77,18 +77,13 @@ mod tests {
     use super::*;
     use crate::dm::ConnId;
     use crate::stack::SlConfig;
-    use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, SimNet, StackNode};
+    use netsim::{two_party, Dur, FaultProfile, HostStack, LinkParams, StackNode};
     use tcp_mono::stack::TcpStack;
     use slwire::Endpoint;
     use tcp_mono::TcpState;
 
     const A: u32 = 0x0A000001;
     const B: u32 = 0x0A000002;
-
-    fn run_for(net: &mut SimNet, d: Dur) {
-        let deadline = net.now() + d;
-        net.run_until(deadline);
-    }
 
     /// Full interop: sublayered client (via shim) <-> monolithic server.
     fn sub_client_mono_server(seed: u64, fault: FaultProfile) {
@@ -100,7 +95,7 @@ mod tests {
         let params = LinkParams::delay_only(Dur::from_millis(5)).with_fault(fault);
         let (mut net, nc, ns) = two_party(seed, client, server, params);
         net.poll_all();
-        run_for(&mut net, Dur::from_secs(3));
+        net.run_for(Dur::from_secs(3));
 
         // Handshake completed on both sides.
         {
@@ -120,7 +115,7 @@ mod tests {
         let mut got_up = Vec::new();
         let mut got_down = Vec::new();
         for _ in 0..120 {
-            run_for(&mut net, Dur::from_secs(1));
+            net.run_for(Dur::from_secs(1));
             got_up.extend(net.node_mut::<StackNode<TcpStack>>(ns).stack.recv(sconn));
             got_down
                 .extend(net.node_mut::<StackNode<ShimStack>>(nc).stack.inner.recv(conn));
@@ -136,7 +131,7 @@ mod tests {
         // close handshake on the monolithic side.
         net.node_mut::<StackNode<ShimStack>>(nc).stack.inner.close(conn);
         net.poll_all();
-        run_for(&mut net, Dur::from_secs(3));
+        net.run_for(Dur::from_secs(3));
         assert_eq!(
             net.node::<StackNode<TcpStack>>(ns).stack.state(sconn),
             TcpState::CloseWait,
@@ -144,7 +139,7 @@ mod tests {
         );
         net.node_mut::<StackNode<TcpStack>>(ns).stack.close(sconn);
         net.poll_all();
-        run_for(&mut net, Dur::from_secs(3));
+        net.run_for(Dur::from_secs(3));
         assert_eq!(
             net.node::<StackNode<TcpStack>>(ns).stack.state(sconn),
             TcpState::Closed
@@ -176,7 +171,7 @@ mod tests {
             LinkParams::delay_only(Dur::from_millis(5)).with_fault(FaultProfile::lossy(0.05)),
         );
         net.poll_all();
-        run_for(&mut net, Dur::from_secs(3));
+        net.run_for(Dur::from_secs(3));
         assert_eq!(
             net.node::<StackNode<TcpStack>>(nc).stack.state(conn),
             TcpState::Established
@@ -188,7 +183,7 @@ mod tests {
         net.poll_all();
         let mut got = Vec::new();
         for _ in 0..120 {
-            run_for(&mut net, Dur::from_secs(1));
+            net.run_for(Dur::from_secs(1));
             got.extend(net.node_mut::<StackNode<ShimStack>>(ns).stack.inner.recv(sconn));
             net.poll_all();
             if got.len() >= data.len() {
@@ -242,7 +237,7 @@ mod tests {
         let (mut net, nc, _ns) =
             two_party(4, client, server, LinkParams::delay_only(Dur::from_millis(5)));
         net.poll_all();
-        run_for(&mut net, Dur::from_secs(2));
+        net.run_for(Dur::from_secs(2));
         let c = &net.node::<StackNode<ShimStack>>(nc).stack;
         assert!(c.translated_tx >= 2, "SYN + handshake ack");
         assert!(c.translated_rx >= 1, "SYN-ACK");

@@ -599,6 +599,11 @@ impl SimNet {
         self.now
     }
 
+    /// [`SimNet::run_until`] `d` past the current time.
+    pub fn run_for(&mut self, d: Dur) -> Time {
+        self.run_until(self.now + d)
+    }
+
     /// Run until no events remain, up to a safety deadline.
     /// Panics if the deadline is hit (runaway simulation).
     pub fn run_to_idle(&mut self, deadline: Time) -> Time {
@@ -682,6 +687,20 @@ mod tests {
         assert_eq!(pinger.replies, vec![b"ping!".to_vec()]);
         // One millisecond each way.
         assert_eq!(pinger.reply_times, vec![Time::ZERO + Dur::from_millis(2)]);
+    }
+
+    #[test]
+    fn run_for_advances_the_clock_by_exactly_d_and_delivers_what_falls_inside() {
+        let (mut net, p, _) = two_nodes(LinkParams::delay_only(Dur::from_millis(1)));
+        net.poll_all();
+        // The echo lands at 2 ms: a 1 ms run stops short of it.
+        assert_eq!(net.run_for(Dur::from_millis(1)), Time::ZERO + Dur::from_millis(1));
+        assert!(net.node::<Pinger>(p).replies.is_empty());
+        assert_eq!(net.run_for(Dur::from_millis(1)), Time::ZERO + Dur::from_millis(2));
+        assert_eq!(net.node::<Pinger>(p).replies.len(), 1);
+        // An idle net still moves its clock.
+        assert_eq!(net.run_for(Dur::from_secs(1)), Time::ZERO + Dur::from_millis(1002));
+        assert_eq!(net.now(), Time::ZERO + Dur::from_millis(1002));
     }
 
     #[test]

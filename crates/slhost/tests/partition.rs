@@ -66,8 +66,7 @@ fn soak<S: HostStack>(
     let mut max_rtx = 0usize;
     let mut max_age = Dur::ZERO;
     for _ in 0..ticks {
-        let step = net.now() + TICK;
-        net.run_until(step);
+        net.run_for(TICK);
         let now = net.now();
         {
             let st = &mut net.node_mut::<StackNode<S>>(nc).stack;
