@@ -306,7 +306,7 @@ impl AttackTarget for TcpStack {
             half_open_evictions: self.stats.half_open_evictions,
             bad_frames_rejected: self.stats.bad_segments,
             overflow_drops: self.stats.ooo_overflow_drops,
-            invalid_seq_drops: self.stats.old_ack_drops,
+            invalid_seq_drops: self.stats.invalid_seq_drops,
         }
     }
     fn in_syn_sent(&self, id: Self::ConnId) -> bool {
@@ -504,13 +504,13 @@ pub fn report(smoke: bool) -> Report {
         (&AttackProfile::all(), &[1, 2, 3])
     };
     let outs = sweep_grid(profiles, &KINDS, seeds, run_campaign);
-    Report {
-        json: summary_json(&outs),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs),
+        vec![
             "profile", "stack", "seed", "delivered", "client err", "forged", "challenges",
             "cookies s/v", "half-open", "bad frames", "verdict",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -528,11 +528,11 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
             })
             .collect(),
-    }
+    )
 }

@@ -163,11 +163,8 @@ fn inject<H: Stack>(net: &mut SimNet, node: NodeId, frame: &[u8]) {
     at::<H>(net, node).on_frame(now, frame);
 }
 
-/// A data segment from `from` to `to` at wire sequence `seq`. The
-/// monolith's forgery acks 0, which its acceptance checks drop before the
-/// data reaches reassembly (as an ack of data never sent, or one too
-/// old); here it acks `ack`, what the victim has sent. The sublayered
-/// format's forgery carries no ack.
+/// A data segment from `from` to `to` at wire sequence `seq`, acking
+/// `ack` (what the victim has sent, as a snooped frame of the flow would).
 fn forge_data<H: ConformStack>(
     from: Endpoint,
     to: Endpoint,
@@ -181,11 +178,11 @@ fn forge_data<H: ConformStack>(
         dst_addr: to.addr,
         dst_port: to.port,
         next_seq: seq,
+        ack: Some(ack),
         syn: false,
         rst: false,
     };
-    let frame = H::KIND.forge_data(&flow, seq, payload);
-    H::KIND.bump_ack(&frame, ack).unwrap_or(frame)
+    H::KIND.forge_data(&flow, seq, payload)
 }
 
 /// A SYN from `from` to the listener at [`B`]:80.
@@ -913,13 +910,10 @@ fn ooo_spray_is_bounded_by_receiver_caps<H: AttackTarget>() {
         d.overflow_drops > 0,
         "the in-window spray must hit the cap: {d:?}"
     );
-    if H::KIND == Kind::Sub {
-        // The monolith drops a segment beyond the window uncounted.
-        assert_eq!(
-            d.invalid_seq_drops, 50,
-            "the far spray is refused at the window: {d:?}"
-        );
-    }
+    assert_eq!(
+        d.invalid_seq_drops, 50,
+        "the far spray is refused at the window: {d:?}"
+    );
     assert!(
         server.buffered_bytes() <= 96 * 1024,
         "held bytes stay bounded"

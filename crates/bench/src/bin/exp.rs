@@ -1,12 +1,13 @@
 //! The campaign runner: `exp <campaign> [--smoke] [--json]`, `exp --list`.
 //!
-//! Runs one campaign of [`bench::CAMPAIGNS`]. `--smoke` selects the
-//! CI-sized subset; `--json` prints only the deterministic JSON document
+//! Runs one campaign of [`bench::CAMPAIGNS`], which holds every
+//! experiment, E1–E22. `--smoke` selects the CI-sized subset; `--json`
+//! prints only the deterministic JSON document
 //! (byte-identical per seed — CI runs it twice and `cmp`s). A full run
 //! (no `--smoke`) also rewrites `BENCH_<campaign>.json` in the working
 //! directory. Exits 1 if any invariant is violated, 2 on a usage error.
 
-use bench::{markdown_table, CAMPAIGNS};
+use bench::CAMPAIGNS;
 
 fn usage() -> ! {
     let names: Vec<&str> = CAMPAIGNS.iter().map(|c| c.name).collect();
@@ -39,8 +40,7 @@ fn main() {
     if json {
         println!("{}", r.json);
     } else {
-        println!("# {}: {} runs\n", c.title, r.rows.len());
-        println!("{}", markdown_table(&r.headers, &r.rows));
+        println!("{}", c.render(&r));
         println!("## JSON summary\n\n```json\n{}\n```\n", r.json);
         println!("{} invariant violations.", r.violations.len());
     }

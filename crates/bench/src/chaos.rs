@@ -297,13 +297,13 @@ pub fn report(smoke: bool) -> Report {
         (&ChaosProfile::all(), &[1, 2, 3, 4, 5])
     };
     let outs = sweep_grid(profiles, &KINDS, seeds, run_campaign);
-    Report {
-        json: summary_json(&outs),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs),
+        vec![
             "profile", "stack", "seed", "delivered", "client err", "server err", "sim s",
             "frames", "verdict",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -319,11 +319,11 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
             })
             .collect(),
-    }
+    )
 }

@@ -214,10 +214,10 @@ pub fn summary_json(outs: &[ConformOut], canaries: &[CanaryOut]) -> String {
 pub fn report(smoke: bool) -> Report {
     let outs = sweep(smoke);
     let canaries = canaries();
-    Report {
-        json: summary_json(&outs, &canaries),
-        headers: vec!["scenario", "seed", "frames s/m", "bytes s/m", "allow", "diverge"],
-        rows: outs
+    Report::sweep(
+        summary_json(&outs, &canaries),
+        vec!["scenario", "seed", "frames s/m", "bytes s/m", "allow", "diverge"],
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -230,7 +230,7 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| crate::tagged(format!("{} seed={}", o.scenario, o.seed), &o.unexplained))
             .chain(canaries.iter().filter(|c| !c.ok).map(|c| {
@@ -240,7 +240,7 @@ pub fn report(smoke: bool) -> Report {
                 )
             }))
             .collect(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -215,12 +215,12 @@ pub fn summary_json(out: &ContractsOut) -> String {
 /// The campaign: [`run`], one table row per contract.
 pub fn report(smoke: bool) -> Report {
     let out = run(smoke);
-    Report {
-        json: summary_json(&out),
-        headers: vec![
+    Report::sweep(
+        summary_json(&out),
+        vec![
             "contract", "assumes", "guarantees", "states", "transitions", "depth", "verdict",
         ],
-        rows: out
+        out
             .rows
             .iter()
             .map(|r| {
@@ -235,8 +235,8 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: out.violations,
-    }
+        out.violations,
+    )
 }
 
 #[cfg(test)]

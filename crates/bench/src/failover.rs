@@ -558,13 +558,13 @@ pub fn summary_json(outs: &[FailoverOutcome], cross: &[String]) -> String {
 pub fn report(smoke: bool) -> Report {
     let outs = sweep(smoke);
     let cross = mode_cross_checks(&outs);
-    Report {
-        json: summary_json(&outs, &cross),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs, &cross),
+        vec![
             "stack", "mode", "policy", "shards", "n", "victim", "victims ok", "victims err",
             "healthy hit", "rec rounds", "restarts", "aborts", "viol",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -584,7 +584,7 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(
@@ -594,7 +594,7 @@ pub fn report(smoke: bool) -> Report {
             })
             .chain(crate::tagged("mode-determinism".into(), &cross))
             .collect(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -291,13 +291,13 @@ pub fn report(smoke: bool) -> Report {
     let (controllers, seeds): (&[&'static str], &[u64]) =
         if smoke { (&["newreno"], &[1]) } else { (&CONTROLLERS, &[1, 2, 3]) };
     let outs = sweep_grid(controllers, &KINDS, seeds, run_fairness);
-    Report {
-        json: summary_json(&outs),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs),
+        vec![
             "cc", "stack", "seed", "delivered", "util", "jain", "peak q ms", "dupack loss",
             "fast rec", "rto", "verdict",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -315,13 +315,13 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(format!("{} {} seed={}", o.cc, o.stack, o.seed), &o.violations)
             })
             .collect(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
-//! Shared harness for the experiment binaries and Criterion benches.
-//! Each function runs a deterministic simulated workload and returns the
-//! measurements the corresponding EXPERIMENTS.md table reports.
+//! The experiment harness: every experiment of EXPERIMENTS.md (E1–E22)
+//! is a campaign of one registry, run by one binary. Each function runs a
+//! deterministic simulated workload and returns the measurements the
+//! corresponding EXPERIMENTS.md table reports.
 //!
 //! # Campaigns
 //!
-//! The ten invariant-checked sweeps (`attack` … `topology`) sit behind
-//! one registry, [`CAMPAIGNS`], and one binary, `exp <campaign>
-//! [--smoke] [--json]`. A campaign is a module with a
-//! `report(smoke) -> Report`: it runs its sweep (the small one when
-//! `smoke`), encodes the document with [`json`], and tabulates one row
-//! per run. The runner prints, writes `BENCH_<name>.json` after a full
-//! run, and exits non-zero on any violation; `ci/campaigns.sh` and
-//! `tests/smoke_all.rs` loop the registry.
+//! The campaigns (`attack` … `verify`) sit behind one registry,
+//! [`CAMPAIGNS`], and one binary, `exp <campaign> [--smoke] [--json]`. A
+//! campaign is a module with a `report(smoke) -> Report`: it runs its
+//! sweep (the small one when `smoke`), encodes the document with
+//! [`json`] (integers only: a table's float is printed from the integers
+//! the document keeps), tabulates what it measured, and lists every
+//! checked claim that failed. The runner prints, writes
+//! `BENCH_<name>.json` after a full run, and exits non-zero on any
+//! violation; `ci/campaigns.sh` and `tests/smoke_all.rs` loop the
+//! registry.
 //!
 //! To add a campaign: write `src/<name>.rs` with that `report` function,
 //! add `pub mod <name>;` and one [`Campaign`] line below, run
@@ -25,22 +28,26 @@ pub mod chaos;
 pub mod client;
 pub mod conform;
 pub mod contracts;
+pub mod datalink;
 pub mod entangle;
 pub mod failover;
 pub mod fairness;
+pub mod header;
 pub mod json;
 pub mod natcodec;
+pub mod offload;
 pub mod overload;
+pub mod routing;
 pub mod scale;
 pub mod shard;
+pub mod stuffing;
 pub mod topology;
+pub mod transfer;
+pub mod verify;
 
-use netsim::{two_party, Dur, FaultProfile, LinkParams, NodeId, SimNet, StackNode, Time};
+use netsim::{Dur, NodeId, SimNet, StackNode, Time};
 use slconform::{ConformStack, Kind};
 use slhost::HostStack;
-use sublayer_core::shim::ShimStack;
-use sublayer_core::{CmScheme, SlConfig, SlTcpStack};
-use tcp_mono::stack::TcpStack;
 use slwire::Endpoint;
 
 pub const A: u32 = 0x0A000001;
@@ -55,12 +62,40 @@ pub struct Report {
     /// The deterministic document (`BENCH_<name>.json`, less the final
     /// newline).
     pub json: String,
-    /// The human table: one row per run.
-    pub headers: Vec<&'static str>,
-    pub rows: Vec<Vec<String>>,
+    /// The human tables, in print order.
+    pub tables: Vec<Table>,
     /// Every invariant violation, tagged with the run it came from;
     /// non-empty fails the run.
     pub violations: Vec<String>,
+}
+
+impl Report {
+    /// A sweep's report: its document, and one untitled table of runs.
+    pub fn sweep(json: String, headers: Vec<&'static str>, rows: Vec<Vec<String>>, violations: Vec<String>) -> Report {
+        Report { json, tables: vec![Table::new("", headers, rows)], violations }
+    }
+
+    /// A report whose document is its `sections` (each a key and its rows,
+    /// one per line) and the list of `violations`.
+    pub fn checked(sections: &[(&str, Vec<String>)], tables: Vec<Table>, violations: Vec<String>) -> Report {
+        let mut fields: Vec<(&str, String)> = sections.iter().map(|(k, rows)| (*k, json::rows(rows))).collect();
+        fields.push(("violations", json::strs(&violations)));
+        Report { json: json::obj(&fields), tables, violations }
+    }
+}
+
+/// One printed table. A sweep's one table of runs is untitled: the
+/// campaign's title heads it.
+pub struct Table {
+    pub title: String,
+    pub headers: Vec<&'static str>,
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    pub fn new(title: impl Into<String>, headers: Vec<&'static str>, rows: Vec<Vec<String>>) -> Table {
+        Table { title: title.into(), headers, rows }
+    }
 }
 
 /// One registered campaign: `exp <name>` runs `run(smoke)`.
@@ -75,20 +110,44 @@ impl Campaign {
     pub fn bench_file(&self) -> String {
         format!("BENCH_{}.json", self.name)
     }
+
+    /// What `exp` prints above the JSON: a sweep's untitled table under
+    /// `# <title>: <n> runs`, else each table under its own heading.
+    pub fn render(&self, r: &Report) -> String {
+        let md = |t: &Table| markdown_table(&t.headers, &t.rows);
+        match &r.tables[..] {
+            [t] if t.title.is_empty() => format!("# {}: {} runs\n\n{}", self.title, t.rows.len(), md(t)),
+            tables => {
+                let mut out = format!("# {}\n", self.title);
+                for t in tables {
+                    out += &format!("\n## {}\n\n{}", t.title, md(t));
+                }
+                out
+            }
+        }
+    }
 }
 
 /// The registry `exp`, CI and `tests/smoke_all.rs` loop over.
-pub const CAMPAIGNS: [Campaign; 10] = [
+pub const CAMPAIGNS: [Campaign; 18] = [
     Campaign { name: "attack", title: "E14 — adversarial robustness", run: attack::report },
     Campaign { name: "chaos", title: "E-chaos — fault campaigns", run: chaos::report },
     Campaign { name: "conform", title: "E17 — differential conformance", run: conform::report },
     Campaign { name: "contracts", title: "E22 — sublayer contract chain", run: contracts::report },
+    Campaign { name: "datalink", title: "E1/E12 — data-link sublayers and ARQ schemes", run: datalink::report },
+    Campaign { name: "entangle", title: "E6b — state entanglement", run: entangle::report },
     Campaign { name: "failover", title: "E21 — shard fault domains", run: failover::report },
     Campaign { name: "fairness", title: "E19 — fairness under overload", run: fairness::report },
+    Campaign { name: "header", title: "E11 — native Figure-6 header vs RFC 793", run: header::report },
+    Campaign { name: "offload", title: "E10 — offload partitions", run: offload::report },
     Campaign { name: "overload", title: "E16 — overload control (slhost)", run: overload::report },
+    Campaign { name: "routing", title: "E2 — route-computation swap", run: routing::report },
     Campaign { name: "scale", title: "E15 — many-client scale (slhost)", run: scale::report },
     Campaign { name: "shard", title: "E20 — sharded multi-core host (slshard)", run: shard::report },
+    Campaign { name: "stuffing", title: "E4/E5 — verified bit stuffing", run: stuffing::report },
     Campaign { name: "topology", title: "E18 — Internet-in-a-box", run: topology::report },
+    Campaign { name: "transfer", title: "E3/E9, E7, E8 — bulk transfers", run: transfer::report },
+    Campaign { name: "verify", title: "E6a — model-checking effort", run: verify::report },
 ];
 
 /// Nanoseconds as a [`Dur`] — the host campaigns keep their timing
@@ -238,205 +297,6 @@ pub fn stream_transfer<H: ConformStack>(
     Streamed { got, sconn, complete, sim_ms }
 }
 
-/// Which transport runs on each side of a transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StackKind {
-    Mono,
-    Sub(&'static str),          // rate controller name
-    SubTimerCm(&'static str),   // timer-based CM variant
-    SubNoSack,                  // SACK-advertisement ablation
-    ShimClientMonoServer,       // interop: sublayered (shim) -> mono
-    MonoClientShimServer,       // interop: mono -> sublayered (shim)
-}
-
-impl StackKind {
-    pub fn label(&self) -> String {
-        match self {
-            StackKind::Mono => "monolithic".into(),
-            StackKind::Sub(cc) => format!("sublayered/{cc}"),
-            StackKind::SubTimerCm(cc) => format!("sublayered/timer-cm/{cc}"),
-            StackKind::SubNoSack => "sublayered/reno/no-sack".into(),
-            StackKind::ShimClientMonoServer => "sub(shim)->mono".into(),
-            StackKind::MonoClientShimServer => "mono->sub(shim)".into(),
-        }
-    }
-}
-
-/// One transfer's outcome.
-#[derive(Clone, Debug)]
-pub struct TransferReport {
-    pub kind: String,
-    pub bytes: usize,
-    pub delivered: usize,
-    pub sim_seconds: f64,
-    pub goodput_mbps: f64,
-    pub frames_on_wire: u64,
-    pub wire_bytes: u64,
-    pub complete: bool,
-}
-
-fn sub_config(cc: &'static str, timer_cm: bool) -> SlConfig {
-    SlConfig {
-        cm_scheme: if timer_cm {
-            CmScheme::TimerBased { quiet: Dur::from_secs(10) }
-        } else {
-            CmScheme::ThreeWay
-        },
-        cc,
-        isn: "clock",
-        use_sack: true,
-        keepalive: None,
-        ..SlConfig::default()
-    }
-}
-
-/// Run a one-directional bulk transfer and measure completion time and
-/// wire efficiency.
-pub fn run_transfer(
-    kind: StackKind,
-    bytes: usize,
-    params: LinkParams,
-    seed: u64,
-    patience_secs: u64,
-) -> TransferReport {
-    let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
-
-    // Generic driver over the two stack shapes.
-    enum Side {
-        Mono(usize),
-        Sub(usize),
-        Shim(usize),
-    }
-    let mut net;
-    let (tx, rx): (Side, Side);
-    let mut conn_mono = None;
-    let mut conn_sub = None;
-
-    match kind {
-        StackKind::Mono => {
-            let mut c = TcpStack::new(A, slmetrics::shared());
-            let mut s = TcpStack::new(B, slmetrics::shared());
-            s.listen(80);
-            conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Mono(nc);
-            rx = Side::Mono(ns);
-        }
-        StackKind::Sub(_) | StackKind::SubTimerCm(_) | StackKind::SubNoSack => {
-            let timer = matches!(kind, StackKind::SubTimerCm(_));
-            let cc = match kind {
-                StackKind::Sub(c) | StackKind::SubTimerCm(c) => c,
-                _ => "reno",
-            };
-            let mut cfg = sub_config(cc, timer);
-            if matches!(kind, StackKind::SubNoSack) {
-                cfg.use_sack = false;
-            }
-            let mut c = SlTcpStack::new(A, cfg.clone(), slmetrics::shared());
-            let mut s = SlTcpStack::new(B, cfg, slmetrics::shared());
-            s.listen(80);
-            conn_sub = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Sub(nc);
-            rx = Side::Sub(ns);
-        }
-        StackKind::ShimClientMonoServer => {
-            let mut c = ShimStack::new(SlTcpStack::new(A, sub_config("reno", false), slmetrics::shared()));
-            let mut s = TcpStack::new(B, slmetrics::shared());
-            s.listen(80);
-            conn_sub = Some(c.inner.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Shim(nc);
-            rx = Side::Mono(ns);
-        }
-        StackKind::MonoClientShimServer => {
-            let mut c = TcpStack::new(A, slmetrics::shared());
-            let mut s = ShimStack::new(SlTcpStack::new(B, sub_config("reno", false), slmetrics::shared()));
-            s.inner.listen(80);
-            conn_mono = Some(c.connect(Time::ZERO, 5000, Endpoint::new(B, 80)));
-            let (n, nc, ns) = two_party(seed, c, s, params);
-            net = n;
-            tx = Side::Mono(nc);
-            rx = Side::Shim(ns);
-        }
-    }
-
-    net.poll_all();
-    net.run_until(Time::ZERO + Dur::from_secs(3));
-    // Queue the data on the sender.
-    match &tx {
-        Side::Mono(id) => {
-            net.node_mut::<StackNode<TcpStack>>(*id).stack.send(conn_mono.unwrap(), &data);
-        }
-        Side::Sub(id) => {
-            net.node_mut::<StackNode<SlTcpStack>>(*id).stack.send(conn_sub.unwrap(), &data);
-        }
-        Side::Shim(id) => {
-            net.node_mut::<StackNode<ShimStack>>(*id)
-                .stack
-                .inner
-                .send(conn_sub.unwrap(), &data);
-        }
-    }
-    net.poll_all();
-    let start = net.now();
-
-    let mut got = 0usize;
-    let mut done_at = start;
-    // 25 ms application polling: fine enough that the app read rate never
-    // bounds a 20 Mbit/s link (64 KB window / 25 ms = 21 Mbit/s).
-    for _ in 0..patience_secs * 40 {
-        net.run_for(Dur::from_millis(25));
-        let drained = match &rx {
-            Side::Mono(id) => {
-                let st = &mut net.node_mut::<StackNode<TcpStack>>(*id).stack;
-                st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0)
-            }
-            Side::Sub(id) => {
-                let st = &mut net.node_mut::<StackNode<SlTcpStack>>(*id).stack;
-                st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0)
-            }
-            Side::Shim(id) => {
-                let st = &mut net.node_mut::<StackNode<ShimStack>>(*id).stack.inner;
-                st.established().first().map(|&c| st.recv(c).len()).unwrap_or(0)
-            }
-        };
-        got += drained;
-        net.poll_all();
-        if got >= bytes {
-            done_at = net.now();
-            break;
-        }
-    }
-    let complete = got >= bytes;
-    if !complete {
-        done_at = net.now();
-    }
-    let secs = done_at.since(start).secs_f64().max(1e-9);
-    let d0 = net.link_dir_stats(0, 0);
-    let d1 = net.link_dir_stats(0, 1);
-    TransferReport {
-        kind: kind.label(),
-        bytes,
-        delivered: got,
-        sim_seconds: secs,
-        goodput_mbps: got as f64 * 8.0 / secs / 1e6,
-        frames_on_wire: d0.tx_frames + d1.tx_frames,
-        wire_bytes: d0.tx_bytes + d1.tx_bytes,
-        complete,
-    }
-}
-
-/// A standard link for the TCP comparisons: 10 ms delay, 20 Mbit/s.
-pub fn standard_link(loss: f64) -> LinkParams {
-    LinkParams::delay_only(Dur::from_millis(10))
-        .with_rate(20_000_000)
-        .with_fault(FaultProfile::lossy(loss))
-}
-
 /// Nearest-rank percentile over an ascending-sorted slice (`q` in
 /// `0..=100`); 0 for empty input. Shared by the scale and shard sweeps
 /// so their latency columns are computed identically.
@@ -459,35 +319,6 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Crossing statistics from a sublayered transfer (for E10).
-pub fn crossings_for_workload(bytes: usize, loss: f64, seed: u64) -> sublayer_core::CrossingStats {
-    let mut c = SlTcpStack::new(A, SlConfig::default(), slmetrics::shared());
-    let mut s = SlTcpStack::new(B, SlConfig::default(), slmetrics::shared());
-    s.listen(80);
-    let conn = c.connect(Time::ZERO, 5000, Endpoint::new(B, 80));
-    let (mut net, nc, ns) = two_party(seed, c, s, standard_link(loss));
-    net.poll_all();
-    net.run_until(Time::ZERO + Dur::from_secs(2));
-    net.node_mut::<StackNode<SlTcpStack>>(nc).stack.send(conn, &vec![7u8; bytes]);
-    net.poll_all();
-    for _ in 0..180 {
-        net.run_for(Dur::from_secs(1));
-        let st = &mut net.node_mut::<StackNode<SlTcpStack>>(ns).stack;
-        if let Some(&sc) = st.established().first() {
-            let _ = st.recv(sc);
-        }
-        net.poll_all();
-        if net.node::<StackNode<SlTcpStack>>(nc).stack.osr_stats(conn).is_none_or(|o| o.bytes_written == bytes as u64)
-            && net.node::<StackNode<SlTcpStack>>(ns).stack.crossings.rd_to_osr_bytes >= bytes as u64
-        {
-            break;
-        }
-    }
-    // Sender-host view only: its NIC/host boundary carries OSR->RD
-    // segments down and signals up; the receiver host is symmetric.
-    net.node::<StackNode<SlTcpStack>>(nc).stack.crossings.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,26 +333,45 @@ mod tests {
         }
     }
 
+    /// DESIGN.md §3's experiment index names each experiment's target:
+    /// every one is a registered campaign, never a retired `exp_*` bin.
     #[test]
-    fn transfers_complete_for_all_stack_kinds() {
-        for kind in [
-            StackKind::Mono,
-            StackKind::Sub("reno"),
-            StackKind::ShimClientMonoServer,
-            StackKind::MonoClientShimServer,
-        ] {
-            let r = run_transfer(kind, 30_000, standard_link(0.02), 7, 120);
-            assert!(r.complete, "{:?}: {r:?}", kind);
-            assert!(r.goodput_mbps > 0.01);
+    fn the_design_index_names_only_registered_campaigns() {
+        let design = include_str!("../../../DESIGN.md");
+        let index = design.split("\n## 3.").nth(1).and_then(|s| s.split("\n## 4.").next()).unwrap();
+        let is_row = |l: &&str| l.strip_prefix("| E").is_some_and(|r| r.starts_with(|c: char| c.is_ascii_digit()));
+        let rows: Vec<&str> = index.lines().filter(is_row).collect();
+        assert!(rows.len() >= 12, "the index lists E1-E12");
+        for row in rows {
+            let target = row.trim_end_matches('|').rsplit('|').next().unwrap();
+            let names: Vec<&str> = target.split('`').skip(1).step_by(2).collect();
+            assert!(names.iter().all(|n| !n.starts_with("exp_")), "retired binary in {row}");
+            let campaigns: Vec<&str> = names.iter().filter_map(|n| n.strip_prefix("exp ")).collect();
+            assert!(!campaigns.is_empty(), "no campaign in {row}");
+            if let Some(c) = campaigns.iter().find(|&&c| CAMPAIGNS.iter().all(|k| k.name != c)) {
+                panic!("`exp {c}` is not registered ({row})");
+            }
         }
     }
 
     #[test]
+    fn transfers_complete_for_all_stack_kinds() {
+        // The smoke sweep runs every pairing (mono, sub, sub(shim)->mono,
+        // mono->sub(shim)) and checks each delivers all its bytes.
+        let r = transfer::report(true);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    #[test]
     fn lossier_links_are_slower() {
-        let clean = run_transfer(StackKind::Sub("reno"), 100_000, standard_link(0.0), 1, 180);
-        let lossy = run_transfer(StackKind::Sub("reno"), 100_000, standard_link(0.1), 1, 180);
-        assert!(clean.complete && lossy.complete);
-        assert!(clean.sim_seconds < lossy.sim_seconds);
+        use transfer::{standard_link, sub, sub_config, Pace, APP_PACE};
+        let pace = Pace { patience: Dur::from_secs(180), ..APP_PACE };
+        let run = |loss| {
+            let (c, s) = (sub(A, sub_config("reno")), sub(B, sub_config("reno")));
+            transfer::transfer(c, s, 100_000, standard_link(loss), 1, pace).report
+        };
+        let (clean, lossy) = (run(0), run(10));
+        assert!(clean.complete() && lossy.complete() && clean.sim_us < lossy.sim_us);
     }
 
     #[test]
@@ -546,7 +396,8 @@ mod tests {
     fn crossings_workload_produces_counts() {
         // Sender-host view: its boundary carries segments down and
         // signals up; the opposite direction belongs to the peer host.
-        let cx = crossings_for_workload(20_000, 0.02, 3);
+        let (cx, delivered) = offload::crossings(20_000, 2, 3);
+        assert_eq!(delivered, 20_000);
         assert!(cx.osr_to_rd_segments >= 20);
         assert_eq!(cx.osr_to_rd_bytes, 20_000);
         assert!(cx.signals_up > 0);

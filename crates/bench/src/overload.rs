@@ -618,13 +618,13 @@ pub fn summary_json(outs: &[OverloadOutcome], cross: &[String]) -> String {
 pub fn report(smoke: bool) -> Report {
     let outs = sweep(smoke);
     let cross = cross_checks(&outs);
-    Report {
-        json: summary_json(&outs, &cross),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs, &cross),
+        vec![
             "profile", "stack", "seed", "done", "refused", "evicted", "defers", "slowdrain",
             "mem/budget", "p50 kbps", "viol",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -642,12 +642,12 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
             })
             .chain(crate::tagged("cross".into(), &cross))
             .collect(),
-    }
+    )
 }

@@ -430,13 +430,13 @@ pub fn summary_json(outs: &[ScaleOutcome], cross: &[String]) -> String {
 pub fn report(smoke: bool) -> Report {
     let outs = sweep(smoke);
     let cross = cross_checks(&outs);
-    Report {
-        json: summary_json(&outs, &cross),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs, &cross),
+        vec![
             "stack", "timer", "n", "seed", "done", "conns/s", "p50 us", "p99 us", "acc p99 us",
             "occ %", "work/tick", "ticks", "xings/conn", "viol",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -457,7 +457,7 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(
@@ -467,5 +467,5 @@ pub fn report(smoke: bool) -> Report {
             })
             .chain(crate::tagged("cross".into(), &cross))
             .collect(),
-    }
+    )
 }

@@ -455,13 +455,13 @@ pub fn summary_json(outs: &[ShardOutcome], cross: &[String]) -> String {
 pub fn report(smoke: bool) -> Report {
     let outs = sweep(smoke);
     let cross = mode_cross_checks(&outs);
-    Report {
-        json: summary_json(&outs, &cross),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs, &cross),
+        vec![
             "stack", "mode", "shards", "n", "done", "conns/s", "acc p99 us", "p99 us",
             "peak B/conn", "occ %", "balance", "floor", "viol",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 vec![
@@ -481,7 +481,7 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(
@@ -491,7 +491,7 @@ pub fn report(smoke: bool) -> Report {
             })
             .chain(crate::tagged("mode-determinism".into(), &cross))
             .collect(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -576,13 +576,13 @@ pub fn report(smoke: bool) -> Report {
         (&TopoProfile::all(), &[1, 2, 3])
     };
     let outs = sweep_grid(profiles, &KINDS, seeds, run_campaign);
-    Report {
-        json: summary_json(&outs),
-        headers: vec![
+    Report::sweep(
+        summary_json(&outs),
+        vec![
             "profile", "stack", "seed", "delivered", "client errs", "reconnect", "reroutes",
             "max rtx", "sim s", "verdict",
         ],
-        rows: outs
+        outs
             .iter()
             .map(|o| {
                 let errs: Vec<String> =
@@ -605,13 +605,13 @@ pub fn report(smoke: bool) -> Report {
                 ]
             })
             .collect(),
-        violations: outs
+        outs
             .iter()
             .flat_map(|o| {
                 crate::tagged(format!("{} {} seed={}", o.profile, o.stack, o.seed), &o.violations)
             })
             .collect(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -50,6 +50,8 @@ pub struct SnoopInfo {
     /// The sequence number the *receiver* of this frame will expect next
     /// once it has processed it (seq + payload + SYN/FIN units).
     pub next_seq: u32,
+    /// The cumulative ack the frame carries, if it carries one.
+    pub ack: Option<u32>,
     pub syn: bool,
     pub rst: bool,
 }
@@ -63,7 +65,8 @@ pub trait AttackCodec {
     fn forge_rst(&self, flow: &SnoopInfo, seq: u32) -> Vec<u8>;
     /// Forge a SYN continuing `flow` (same direction) with ISN `isn`.
     fn forge_syn(&self, flow: &SnoopInfo, isn: u32) -> Vec<u8>;
-    /// Forge a data segment continuing `flow` at `seq` carrying `payload`.
+    /// Forge a data segment continuing `flow` at `seq` carrying `payload`,
+    /// acking what the snooped frame acked.
     fn forge_data(&self, flow: &SnoopInfo, seq: u32, payload: &[u8]) -> Vec<u8>;
     /// Forge a handshake-opening SYN from an arbitrary (spoofed) source to
     /// a listener — the SYN-flood primitive.

@@ -192,10 +192,11 @@ fn sub_base(src: Endpoint, dst: Endpoint) -> Packet {
 /// direction, or open one from a spoofed source.
 impl AttackCodec for Kind {
     fn snoop(&self, frame: &[u8]) -> Option<SnoopInfo> {
-        let (src, dst, next_seq, syn, rst) = match self {
+        let (src, dst, next_seq, ack, syn, rst) = match self {
             Kind::Mono => {
                 let s = Segment::decode(frame).ok()?;
-                (s.src, s.dst, s.seq.wrapping_add(s.seq_len()), s.syn(), s.rst())
+                let ack = s.ack_flag().then_some(s.ack);
+                (s.src, s.dst, s.seq.wrapping_add(s.seq_len()), ack, s.syn(), s.rst())
             }
             Kind::Sub => {
                 let p = Packet::decode(frame).ok()?;
@@ -206,7 +207,8 @@ impl AttackCodec for Kind {
                 } else {
                     p.rd.seq.wrapping_add(p.payload.len() as u32)
                 };
-                (p.src(), p.dst(), next_seq, p.cm.flags.syn, p.cm.flags.rst)
+                let ack = p.rd.has_ack.then_some(p.rd.ack);
+                (p.src(), p.dst(), next_seq, ack, p.cm.flags.syn, p.cm.flags.rst)
             }
         };
         Some(SnoopInfo {
@@ -215,6 +217,7 @@ impl AttackCodec for Kind {
             dst_addr: dst.addr,
             dst_port: dst.port,
             next_seq,
+            ack,
             syn,
             rst,
         })
@@ -234,7 +237,7 @@ impl AttackCodec for Kind {
                 src,
                 dst,
                 seq,
-                ack: 0,
+                ack: flow.ack.unwrap_or(0),
                 flags: ACK,
                 wnd: u16::MAX,
                 mss: None,
@@ -244,6 +247,8 @@ impl AttackCodec for Kind {
             Kind::Sub => {
                 let mut p = sub_base(src, dst);
                 p.rd.seq = seq;
+                p.rd.has_ack = flow.ack.is_some();
+                p.rd.ack = flow.ack.unwrap_or(0);
                 p.payload = payload.into();
                 p.encode()
             }
@@ -300,6 +305,17 @@ mod tests {
             let data = w.snoop(&w.forge_data(&flow, flow.next_seq, b"abc")).expect("snoops");
             assert_eq!(ends(&data), (A, B));
             assert_eq!(data.next_seq, 7781);
+        }
+    }
+
+    #[test]
+    fn forged_data_carries_the_snooped_ack() {
+        for w in [Kind::Mono, Kind::Sub] {
+            let syn = w.snoop(&w.forge_syn(A, B, 7777)).expect("own forgery must snoop");
+            let forged = w.forge_data(&SnoopInfo { ack: Some(0xABCD), ..syn }, 7778, b"abc");
+            let seg = w.decode(&forged).expect("own forgery must decode");
+            assert!(seg.ack && seg.ack_no == 0xABCD, "{}: {seg:?}", w.label());
+            assert_eq!(w.snoop(&forged).expect("snoops").ack, Some(0xABCD), "{}", w.label());
         }
     }
 

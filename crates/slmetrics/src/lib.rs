@@ -581,26 +581,6 @@ impl InteractionMatrix {
     pub fn interacting_pairs(&self) -> usize {
         self.pair_shared.len()
     }
-
-    /// A markdown report used by experiment E6.
-    pub fn render_markdown(&self, title: &str) -> String {
-        let mut out = format!("### {title}\n\n");
-        out.push_str(&format!(
-            "- fields: {}\n- shared fields: {}\n- entanglement score: {}\n- write entanglement: {}\n- interacting context pairs: {}\n\n",
-            self.field_contexts.len(),
-            self.shared_fields().len(),
-            self.entanglement_score(),
-            self.write_entanglement_score(),
-            self.interacting_pairs(),
-        ));
-        if !self.pair_shared.is_empty() {
-            out.push_str("| context A | context B | shared fields |\n|---|---|---|\n");
-            for ((a, b), n) in &self.pair_shared {
-                out.push_str(&format!("| {a} | {b} | {n} |\n"));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -691,18 +671,17 @@ mod tests {
     }
 
     #[test]
-    fn markdown_report_mentions_scores() {
+    fn sample_scores_and_pairs() {
         let m = InteractionMatrix::from_log(&sample());
-        let md = m.render_markdown("mono");
-        assert!(md.contains("entanglement score: 2"));
-        assert!(md.contains("| congestion_control | flow_control | 1 |"));
+        assert_eq!(m.entanglement_score(), 2);
+        assert_eq!(m.pair_shared[&(CC, FC)], 1);
     }
 
     #[test]
-    fn empty_log_renders() {
+    fn empty_log_scores_zero() {
         let m = InteractionMatrix::from_log(&AccessLog::default());
         assert_eq!(m.entanglement_score(), 0);
-        assert!(m.render_markdown("empty").contains("fields: 0"));
+        assert!(m.field_contexts.is_empty());
     }
 
     #[test]

@@ -45,6 +45,10 @@ pub struct TcpStats {
     pub half_open_evictions: u64,
     /// ACKs dropped for being far outside the plausible window (RFC 5961 §5).
     pub old_ack_drops: u64,
+    /// Segments carrying data or a FIN refused for starting beyond any
+    /// window this receiver offers, ahead of `rcv_nxt` or behind it
+    /// (blind data injection lands here; a late retransmission does not).
+    pub invalid_seq_drops: u64,
     /// Retransmission timeouts F-RTO classified as spurious (the original
     /// flight was still arriving; the go-back-N replay was cancelled).
     pub spurious_rtos: u64,
@@ -852,6 +856,10 @@ impl TcpStack {
                 )
         };
         if !acceptable {
+            let (ahead, behind) = (seg.seq.wrapping_sub(pcb.rcv_nxt), pcb.rcv_nxt.wrapping_sub(seg.seq));
+            if slen > 0 && ahead >= RCV_BUF_CAP as u32 && behind > RCV_BUF_CAP as u32 {
+                self.stats.invalid_seq_drops += 1;
+            }
             if !seg.rst() {
                 pcb.ack_pending = true;
                 self.output_pcb(now, pcb);
