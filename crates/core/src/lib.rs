@@ -10,8 +10,8 @@
 //! | DM | [`dm`] | port demultiplexing ("essentially UDP") | ports |
 //!
 //! Interfaces between adjacent sublayers are narrow (test T2): OSR hands RD
-//! segments and receives `Delivered` events plus *summarized* congestion
-//! signals; RD obtains its ISN pair from CM's `Established` event; CM gives
+//! segments and receives, by offset, each novel part of a received payload
+//! plus *summarized* congestion signals; RD obtains its ISN pair from CM's `Established` event; CM gives
 //! DM a 4-tuple. Each sublayer's state lives in a private struct — Rust's
 //! module system enforces the separation the paper wants, and the
 //! `slmetrics` instrumentation proves it (experiment E6).

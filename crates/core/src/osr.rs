@@ -456,8 +456,9 @@ impl Osr {
 
     // --- RD interface (upward: reassembly) ---
 
-    /// A segment arrived (possibly out of order, exactly once), by handle:
-    /// its bytes are copied as [`Osr::on_delivered_bytes`] copies them.
+    /// [`Osr::on_delivered_bytes`] for a delivery by handle. It exists
+    /// only for slbench's `SubChain`, until the benchmark moves to the view
+    /// path (ROADMAP item 1).
     pub fn on_delivered(&mut self, offset: u64, data: Payload) {
         self.on_delivered_bytes(offset, &data)
     }
@@ -683,7 +684,8 @@ fn fold_stream<'a>(acc: u64, chunks: impl Iterator<Item = &'a [u8]> + Clone) -> 
 /// Implemented by the shipped [`Osr`] and by the [`BuggyOsr`] mutation
 /// canary.
 pub trait OsrDriver: Clone {
-    fn on_delivered(&mut self, offset: u64, data: Payload);
+    /// See [`Osr::on_delivered_bytes`].
+    fn on_delivered_bytes(&mut self, offset: u64, data: &[u8]);
     fn read(&mut self) -> Vec<u8>;
     fn readable_len(&self) -> usize;
     /// See [`Osr::contract_key`].
@@ -691,8 +693,8 @@ pub trait OsrDriver: Clone {
 }
 
 impl OsrDriver for Osr {
-    fn on_delivered(&mut self, offset: u64, data: Payload) {
-        Osr::on_delivered(self, offset, data)
+    fn on_delivered_bytes(&mut self, offset: u64, data: &[u8]) {
+        Osr::on_delivered_bytes(self, offset, data)
     }
     fn read(&mut self) -> Vec<u8> {
         Osr::read(self)
@@ -723,12 +725,12 @@ impl BuggyOsr {
 }
 
 impl OsrDriver for BuggyOsr {
-    fn on_delivered(&mut self, offset: u64, data: Payload) {
+    fn on_delivered_bytes(&mut self, offset: u64, data: &[u8]) {
         // THE BUG: a delivery past the cursor is rebased onto it, so the
         // application sees the bytes now — in the wrong order, and the
         // real range is double-counted when it finally arrives.
         let offset = offset.min(self.inner.rcv_next);
-        self.inner.on_delivered(offset, data)
+        self.inner.on_delivered_bytes(offset, data)
     }
     fn read(&mut self) -> Vec<u8> {
         self.inner.read()
@@ -793,9 +795,9 @@ mod tests {
     #[test]
     fn reassembly_pastes_segments_in_order() {
         let mut o = osr(1000);
-        o.on_delivered(1000, vec![2; 1000].into());
+        o.on_delivered_bytes(1000, &[2; 1000]);
         assert!(o.read().is_empty(), "hole at the front");
-        o.on_delivered(0, vec![1; 1000].into());
+        o.on_delivered_bytes(0, &[1; 1000]);
         let data = o.read();
         assert_eq!(data.len(), 2000);
         assert!(data[..1000].iter().all(|&b| b == 1));
@@ -809,7 +811,7 @@ mod tests {
         // hole alone, and the buffer is neither grown nor moved.
         let data = stream(0, 3000);
         let mut o = osr(1000);
-        o.on_delivered(2000, data[2000..].into());
+        o.on_delivered_bytes(2000, &data[2000..]);
         o.on_delivered_bytes(1000, &data[1000..2000]);
         assert_eq!((o.readable_len(), o.ahead, o.parked()), (0, 3000, 2000));
         assert_eq!(o.app_out[..1000], [0; 1000]);
@@ -916,7 +918,7 @@ mod tests {
         let mut pkt = Packet::default();
         o.fill_tx(&mut pkt);
         let full = pkt.osr.rcv_wnd;
-        o.on_delivered(1000, vec![0; 5000].into()); // parked in reassembly
+        o.on_delivered_bytes(1000, &[0; 5000]); // parked in reassembly
         o.fill_tx(&mut pkt);
         assert_eq!(pkt.osr.rcv_wnd, full - 5000);
     }
@@ -1061,7 +1063,7 @@ mod tests {
     fn write_read_byte_counts_tracked() {
         let mut o = osr(1 << 20);
         o.write(b"hello");
-        o.on_delivered(0, b"world".to_vec().into());
+        o.on_delivered_bytes(0, b"world");
         assert_eq!(o.read(), b"world");
         assert_eq!(o.stats.bytes_written, 5);
     }
@@ -1074,23 +1076,23 @@ mod tests {
         let mut o = osr(1000);
         let mut off = 1; // hole at [0, 1)
         while off + MSS <= RCV_BUF_CAP {
-            o.on_delivered(off as u64, vec![2; MSS].into());
+            o.on_delivered_bytes(off as u64, &[2; MSS]);
             off += MSS;
         }
-        o.on_delivered(off as u64, vec![3; RCV_BUF_CAP + 1 - off].into());
+        o.on_delivered_bytes(off as u64, &vec![3; RCV_BUF_CAP + 1 - off]);
         assert_eq!(o.buffered_bytes(), RCV_BUF_CAP, "parked right up to the cap");
         assert_eq!(o.stats.reasm_overflow_drops, 0);
-        o.on_delivered(RCV_BUF_CAP as u64 + 1, vec![4].into());
+        o.on_delivered_bytes(RCV_BUF_CAP as u64 + 1, &[4]);
         assert_eq!(o.stats.reasm_overflow_drops, 1, "one byte over is refused");
         let mut pkt = Packet::default();
         o.fill_tx(&mut pkt);
         assert_eq!(pkt.osr.rcv_wnd, 0, "parked bytes close the window");
-        o.on_delivered(0, vec![1].into());
+        o.on_delivered_bytes(0, &[1]);
         assert_eq!(o.read().len(), RCV_BUF_CAP + 1);
         assert_eq!(o.buffered_bytes(), 0);
         o.fill_tx(&mut pkt);
         assert_eq!(pkt.osr.rcv_wnd as usize, RCV_BUF_CAP);
-        o.on_delivered(RCV_BUF_CAP as u64 + 2, vec![5; MSS].into());
+        o.on_delivered_bytes(RCV_BUF_CAP as u64 + 2, &[5; MSS]);
         assert_eq!(o.stats.reasm_overflow_drops, 1, "budget is back after the drain");
     }
 
@@ -1267,8 +1269,8 @@ mod tests {
     fn read_copies_out_of_one_buffer_that_keeps_its_capacity() {
         let data = stream(0, 2500);
         let mut o = osr(1000);
-        // In order, by slab or by bytes: copied into the read buffer.
-        o.on_delivered(0, data[..500].into());
+        // In order: copied into the read buffer.
+        o.on_delivered_bytes(0, &data[..500]);
         o.on_delivered_bytes(500, &data[500..1000]);
         assert_eq!(o.app_out[..], data[..1000]);
         // Out of order: parked in the same buffer, past the hole.
@@ -1277,7 +1279,7 @@ mod tests {
             (o.readable_len(), o.parked(), o.app_out.len()),
             (1000, 500, 2500)
         );
-        o.on_delivered(1000, data[1000..2000].into());
+        o.on_delivered_bytes(1000, &data[1000..2000]);
         assert!(o.reasm.is_empty());
         assert_eq!((o.app_out.len(), o.readable_len()), (2500, 2500));
         let cap = o.app_out.capacity();
@@ -1329,7 +1331,7 @@ mod tests {
             }
             // The receive side too: one delivery or several, in or out of order.
             for &n in chunks.iter().rev() {
-                o.on_delivered((2 * MSS - d - n) as u64, data[2 * MSS - d - n..2 * MSS - d].into());
+                o.on_delivered_bytes((2 * MSS - d - n) as u64, &data[2 * MSS - d - n..2 * MSS - d]);
                 d += n;
             }
             o
@@ -1344,14 +1346,14 @@ mod tests {
         assert_eq!(one.contract_key(), many.contract_key());
         let mut other = osr(1 << 20);
         other.write(&vec![0; 2 * MSS]);
-        other.on_delivered(0, data[..2 * MSS].into());
+        other.on_delivered_bytes(0, &data[..2 * MSS]);
         assert_ne!(other.contract_key(), fresh(&[2 * MSS]).contract_key());
     }
 
     proptest::proptest! {
         #[test]
         fn prop_byte_stream_survives_any_interleaving(seed: u64) {
-            // Random write / poll_segment / on_delivered / read interleavings
+            // Random write / poll_segment / on_delivered_bytes / read interleavings
             // against plain `Vec<u8>` references. Writes are 1..3000 bytes and
             // cuts a full MSS, so cuts land inside one write, end on its last
             // byte and straddle two or more, again and again.
@@ -1435,11 +1437,7 @@ mod tests {
                         }
                         let (off, n) = pending.swap_remove(rng.below(pending.len() as u128) as usize);
                         let bytes: Vec<u8> = (off..off + n).map(byte).collect();
-                        if rng.below(2) == 0 {
-                            o.on_delivered(off as u64, bytes.into());
-                        } else {
-                            o.on_delivered_bytes(off as u64, &bytes);
-                        }
+                        o.on_delivered_bytes(off as u64, &bytes);
                         arrived.push((off, n));
                     }
                     _ => {

@@ -12,9 +12,10 @@
 //! Per test **T3**, RD owns the `seq`/`ack`/SACK bits of the native header
 //! and nothing else. Its upward interface (test **T2**) is:
 //! segments-by-offset down, possibly-out-of-order deliveries up by offset —
-//! queued `Delivered` events, or parts of the frame handed to the caller
-//! in place — (OSR does the reordering), and **summarized congestion signals**
-//! ([`CongSignal`]) — OSR never sees a sequence number.
+//! each novel part of a frame handed to the caller in place, by
+//! [`ReliableDelivery::on_packet_view`] — (OSR does the reordering), and
+//! **summarized congestion signals** ([`CongSignal`]) — OSR never sees a
+//! sequence number.
 //!
 //! Internally RD works in unwrapped 64-bit byte offsets (offset 0 = first
 //! payload byte = wire sequence `isn + 1`); conversion to/from the 32-bit
@@ -28,14 +29,13 @@ use netsim::{Dur, Time};
 use slmetrics::{site, SharedLog};
 use slwire::seq;
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
 
 /// Events RD reports to the stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RdEvent {
-    /// A (possibly out-of-order) segment for OSR, exactly once. Raised by
-    /// [`ReliableDelivery::on_packet`] only: the view path hands its parts
-    /// to its caller instead.
+    /// A (possibly out-of-order) segment for OSR, exactly once. Raised only
+    /// by [`ReliableDelivery::on_packet`], the adapter slbench's `SubChain`
+    /// still calls (ROADMAP item 1); the stack never sees one.
     Delivered { offset: u64, data: Payload },
     /// Our FIN was acknowledged (close handshake progress, relayed to CM).
     LocalFinAcked,
@@ -45,44 +45,6 @@ pub enum RdEvent {
     /// advancing. The stack must abort the connection (graceful
     /// degradation) rather than back off forever.
     RetriesExhausted,
-}
-
-/// Where [`ReliableDelivery`]'s receive path hands a novel part of a
-/// payload.
-enum Up<'a> {
-    /// [`ReliableDelivery::on_packet`]: queued as a `Delivered` event.
-    Queue(&'a Payload),
-    /// [`ReliableDelivery::on_packet_view`]: to the caller, in place.
-    Hand(&'a mut dyn FnMut(u64, &[u8])),
-}
-
-impl Up<'_> {
-    /// Hand up `data[range]`, which starts at stream offset `offset`.
-    fn hand(
-        &mut self,
-        events: &mut Mailbox<RdEvent>,
-        offset: u64,
-        data: &[u8],
-        range: Range<usize>,
-    ) {
-        match self {
-            Up::Queue(slab) => {
-                // A view keeps the whole slab alive, so queue one only when
-                // it covers at least half of it (all of it, for a segment
-                // that overlaps nothing); a smaller part is copied out,
-                // exactly sized. Otherwise a peer resending 64 KiB frames
-                // that are one byte novel each would pin 64 KiB per byte
-                // OSR accounts for.
-                let data = if 2 * range.len() >= slab.len() {
-                    slab.slice(range)
-                } else {
-                    data[range].into()
-                };
-                events.push_back(RdEvent::Delivered { offset, data });
-            }
-            Up::Hand(deliver) => deliver(offset, &data[range]),
-        }
-    }
 }
 
 /// RD counters.
@@ -415,22 +377,14 @@ impl ReliableDelivery {
 
     // --- input processing ---
 
-    /// Process the RD header (+ payload) of an inbound packet.
-    /// `fin` is CM's flag, passed through because the FIN occupies one
-    /// unit of RD's sequence space (the CM/RD coupling the paper
-    /// acknowledges). Every novel part of the payload goes up as a
-    /// `Delivered` event; the next in-order segment shares the packet's
-    /// slab.
-    pub fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
-        self.receive(now, pkt, &pkt.payload, Up::Queue(&pkt.payload), fin);
-    }
-
-    /// [`ReliableDelivery::on_packet`] for a packet whose payload is still
-    /// in its frame ([`Packet::decode_view`]; `pkt.payload` is not read).
-    /// Every novel part of `payload` — in order or not, whole or clipped —
-    /// goes to `deliver` by offset and in place, as a range of `payload`,
-    /// in ascending offset order: nothing is copied or queued here, and no
-    /// `Delivered` event is raised.
+    /// Process the RD header and payload of an inbound packet whose
+    /// payload is still in its frame ([`Packet::decode_view`];
+    /// `pkt.payload` is not read). `fin` is CM's flag, passed through
+    /// because the FIN occupies one unit of RD's sequence space (the CM/RD
+    /// coupling the paper acknowledges). Every novel part of `payload` — in
+    /// order or not, whole or clipped — goes to `deliver` by offset and in
+    /// place, as a range of `payload`, in ascending offset order, exactly
+    /// once: nothing is copied or queued here.
     pub fn on_packet_view(
         &mut self,
         now: Time,
@@ -439,11 +393,6 @@ impl ReliableDelivery {
         fin: bool,
         deliver: &mut dyn FnMut(u64, &[u8]),
     ) {
-        self.receive(now, pkt, payload, Up::Hand(deliver), fin)
-    }
-
-    /// The one body of both entries; `up` says where a novel part goes.
-    fn receive(&mut self, now: Time, pkt: &Packet, payload: &[u8], mut up: Up, fin: bool) {
         self.log.borrow_mut().read(site!("rd", "snd_una"));
         // Acknowledgment processing.
         if pkt.rd.has_ack {
@@ -564,7 +513,7 @@ impl ReliableDelivery {
             self.log.borrow_mut().write(site!("rd", "rcv_ranges"));
             let seq_off = Self::unwrap(self.rcv_isn, pkt.rd.seq, self.rcv_nxt);
             if payload_len > 0 {
-                self.receive_range(seq_off, payload, &mut up);
+                self.receive_range(seq_off, payload, deliver);
             }
             if fin {
                 let fin_off = seq_off + payload_len;
@@ -574,19 +523,42 @@ impl ReliableDelivery {
             self.ack_pending = true;
         } else if pkt.rd.has_ack {
             // Pure acks at the peer's current sequence need no response,
-            // but an empty segment *behind* rcv_nxt is a keepalive probe:
-            // answer with a bare ack so the prober learns we are alive
-            // (TCP's unacceptable-segment rule).
-            let seq_off = Self::unwrap(self.rcv_isn, pkt.rd.seq, self.rcv_nxt);
-            if seq_off < self.rcv_nxt {
+            // but an empty segment *behind* it is a keepalive probe — at
+            // the peer's ISN, if it never sent data: answer with a bare
+            // ack so the prober learns we are alive (TCP's
+            // unacceptable-segment rule). Compared in wire space, since
+            // the ISN lies behind offset 0.
+            if seq::lt(pkt.rd.seq, self.wire_rcv_ack()) {
                 self.ack_pending = true;
             }
         }
     }
 
-    /// Record a received payload range; hand `up` only the novel parts
+    /// [`ReliableDelivery::on_packet_view`] for a decoded packet, every
+    /// novel part queued as a [`RdEvent::Delivered`] holding an exact-size
+    /// copy, in the order the events come: `LocalFinAcked`, the parts,
+    /// `PeerFinReached`. It exists only for slbench's `SubChain`, which may
+    /// not be edited outside a benchmark-only change; that change moves it
+    /// to the view path and deletes this adapter (ROADMAP item 1).
+    pub fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
+        let fin_was_reached = self.peer_fin_reached;
+        let mut parts = Vec::new();
+        self.on_packet_view(now, pkt, &pkt.payload, fin, &mut |offset, part| {
+            parts.push(RdEvent::Delivered { offset, data: part.into() })
+        });
+        // `PeerFinReached`, if this packet raised it, goes after the parts.
+        let fin_reached = self.peer_fin_reached && !fin_was_reached;
+        if fin_reached {
+            self.events.truncate(self.events.len() - 1);
+        }
+        for ev in parts.into_iter().chain(fin_reached.then_some(RdEvent::PeerFinReached)) {
+            self.events.push_back(ev);
+        }
+    }
+
+    /// Record a received payload range; hand `deliver` only the novel parts
     /// (exactly-once), in ascending offset order.
-    fn receive_range(&mut self, start: u64, data: &[u8], up: &mut Up) {
+    fn receive_range(&mut self, start: u64, data: &[u8], deliver: &mut dyn FnMut(u64, &[u8])) {
         let end = start + data.len() as u64;
         if start > self.rcv_nxt {
             // Receiver-state caps: accept only data that advances rcv_nxt
@@ -611,7 +583,7 @@ impl ReliableDelivery {
             // parked range: all of it is novel. `advance_rcv` pulls in a
             // parked range it now touches.
             self.rcv_nxt = end;
-            up.hand(&mut self.events, start, data, 0..data.len());
+            deliver(start, data);
             return;
         }
         // Clip against what is already covered — the delivered prefix, then
@@ -633,8 +605,7 @@ impl ReliableDelivery {
                 .range(cursor..)
                 .next()
                 .map_or(end, |(&s, _)| s.min(end));
-            let range = (cursor - start) as usize..(gap_end - start) as usize;
-            up.hand(&mut self.events, cursor, data, range);
+            deliver(cursor, &data[(cursor - start) as usize..(gap_end - start) as usize]);
             Self::merge_range(&mut self.ooo, cursor, gap_end);
             self.ooo_bytes += (gap_end - cursor) as u32;
             novel = true;
@@ -776,16 +747,12 @@ impl ReliableDelivery {
 
     /// Queue an idle keepalive probe: an empty segment one unit behind
     /// `snd_nxt`, which the peer must answer with a bare ack (it is not an
-    /// acceptable in-sequence segment). Returns `false` when no data has
-    /// ever been sent — the probe sequence would be indistinguishable from
-    /// a plain ack, so such connections cannot be probed.
-    pub fn send_keepalive_probe(&mut self) -> bool {
-        if self.snd_nxt == 0 {
-            return false;
-        }
-        self.outbox.push_back((Some(self.snd_nxt - 1), Payload::default(), false));
+    /// acceptable in-sequence segment). On a connection that never sent
+    /// data the probe carries the ISN (RFC 1122 §4.2.3.6: SEG.SEQ =
+    /// SND.NXT − 1): offset −1 wraps to it in the wire's 32 bits.
+    pub fn send_keepalive_probe(&mut self) {
+        self.outbox.push_back((Some(self.snd_nxt.wrapping_sub(1)), Payload::default(), false));
         self.stats.keepalive_probes += 1;
-        true
     }
 
     /// Next summarized congestion signal for OSR, oldest first.
@@ -917,7 +884,15 @@ impl ReliableDelivery {
 /// [`BuggyRd`] mutation canary (used as the sender arm).
 pub trait RdDriver: Clone {
     fn push_segment(&mut self, now: Time, data: Payload);
-    fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool);
+    /// See [`ReliableDelivery::on_packet_view`].
+    fn on_packet_view(
+        &mut self,
+        now: Time,
+        pkt: &Packet,
+        payload: &[u8],
+        fin: bool,
+        deliver: &mut dyn FnMut(u64, &[u8]),
+    );
     fn poll_packet(&mut self, now: Time) -> Option<(Packet, bool)>;
     fn on_tick(&mut self, now: Time);
     fn poll_deadline(&self) -> Option<Time>;
@@ -931,8 +906,15 @@ impl RdDriver for ReliableDelivery {
     fn push_segment(&mut self, now: Time, data: Payload) {
         ReliableDelivery::push_segment(self, now, data)
     }
-    fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
-        ReliableDelivery::on_packet(self, now, pkt, fin)
+    fn on_packet_view(
+        &mut self,
+        now: Time,
+        pkt: &Packet,
+        payload: &[u8],
+        fin: bool,
+        deliver: &mut dyn FnMut(u64, &[u8]),
+    ) {
+        ReliableDelivery::on_packet_view(self, now, pkt, payload, fin, deliver)
     }
     fn poll_packet(&mut self, now: Time) -> Option<(Packet, bool)> {
         ReliableDelivery::poll_packet(self, now)
@@ -977,8 +959,15 @@ impl RdDriver for BuggyRd {
     fn push_segment(&mut self, now: Time, data: Payload) {
         self.inner.push_segment(now, data)
     }
-    fn on_packet(&mut self, now: Time, pkt: &Packet, fin: bool) {
-        self.inner.on_packet(now, pkt, fin)
+    fn on_packet_view(
+        &mut self,
+        now: Time,
+        pkt: &Packet,
+        payload: &[u8],
+        fin: bool,
+        deliver: &mut dyn FnMut(u64, &[u8]),
+    ) {
+        self.inner.on_packet_view(now, pkt, payload, fin, deliver)
     }
     fn poll_packet(&mut self, now: Time) -> Option<(Packet, bool)> {
         self.inner.poll_packet(now)
@@ -1014,6 +1003,7 @@ impl RdDriver for BuggyRd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     fn rd() -> ReliableDelivery {
         ReliableDelivery::new(1000, 2000, slmetrics::shared())
@@ -1044,6 +1034,32 @@ mod tests {
         p
     }
 
+    /// `on_packet_view`'s parts, each as its offset and where in `payload`
+    /// it sits.
+    fn view(
+        r: &mut ReliableDelivery,
+        now: Time,
+        head: &Packet,
+        payload: &[u8],
+        fin: bool,
+    ) -> Vec<(u64, Range<usize>)> {
+        let mut parts = Vec::new();
+        r.on_packet_view(now, head, payload, fin, &mut |offset, part| {
+            let at = part.as_ptr() as usize - payload.as_ptr() as usize;
+            parts.push((offset, at..at + part.len()));
+        });
+        parts
+    }
+
+    /// `pkt` through the receive path as the stack runs it — encoded, then
+    /// decoded in place — with every novel part's offset and bytes.
+    fn arrive(r: &mut ReliableDelivery, now: Time, pkt: &Packet, fin: bool) -> Vec<(u64, Vec<u8>)> {
+        let frame = pkt.encode();
+        let (head, payload) = Packet::decode_view(&frame).unwrap();
+        let parts = view(r, now, &head, payload, fin);
+        parts.into_iter().map(|(offset, at)| (offset, payload[at].to_vec())).collect()
+    }
+
     #[test]
     fn push_assigns_sequential_offsets() {
         let mut r = rd();
@@ -1061,18 +1077,21 @@ mod tests {
         // `bursty` is drained once, after every hand-off queue has held two
         // items (which spills it); `steady` after every step, so its queues
         // never leave the inline slot. Equal contents, equal key — the 1,482
-        // states of BENCH_contracts.json are counted by this key.
-        let steps: [&dyn Fn(&mut ReliableDelivery); 8] = [
+        // states of BENCH_contracts.json are counted by this key. Two
+        // events need the retry budget run out (`RetriesExhausted`) and the
+        // peer's FIN (`PeerFinReached`); the last is our FIN's ack.
+        let rto: &dyn Fn(&mut ReliableDelivery) = &|r| {
+            let d = r.poll_deadline().unwrap();
+            r.on_tick(d)
+        };
+        let mut steps: Vec<&dyn Fn(&mut ReliableDelivery)> = vec![
             &|r| r.push_segment(t(0), vec![1; 100].into()),
-            &|r| r.push_segment(t(0), vec![2; 100].into()),
-            &|r| r.on_packet(t(0), &peer_data(100, &[3; 50], None), false),
-            &|r| r.on_packet(t(0), &peer_data(300, &[4; 50], None), false),
-            // The third duplicate ack is the first to raise a signal.
-            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
-            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
-            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
-            &|r| r.on_packet(t(0), &peer_data(0, &[], Some(0)), false),
+            &|r| r.send_fin(t(0)),
         ];
+        steps.extend([rto; MAX_RETRIES as usize + 1]);
+        steps.push(&|r| {
+            arrive(r, t(0), &peer_data(0, &[3; 50], None), true);
+        });
         let drain = |r: &mut ReliableDelivery| {
             while r.poll_packet(t(0)).is_some() {}
             (events(r), signals(r))
@@ -1092,9 +1111,8 @@ mod tests {
         assert_eq!(bursty.contract_key(), steady.contract_key());
         // And with one item waiting in each queue.
         for r in [&mut bursty, &mut steady] {
-            r.push_segment(t(0), vec![5; 100].into());
-            r.on_packet(t(0), &peer_data(500, &[6; 50], None), false);
-            r.on_packet(t(0), &peer_data(0, &[], Some(0)), false);
+            r.send_keepalive_probe();
+            arrive(r, t(0), &peer_data(51, &[], Some(101)), false);
             assert_eq!((r.outbox.len(), r.events.len(), r.signals.len()), (1, 1, 1));
         }
         assert_eq!(bursty.contract_key(), steady.contract_key());
@@ -1119,82 +1137,78 @@ mod tests {
         assert_eq!(r.stats.retransmits, 1);
     }
 
-    #[test]
-    fn in_order_delivery_shares_the_decoded_slab() {
-        let mut r = rd();
-        let pkt = Packet::decode(&peer_data(0, &[1; 100], None).encode()).unwrap();
-        r.on_packet(t(0), &pkt, false);
-        match &events(&mut r)[..] {
-            [RdEvent::Delivered { offset: 0, data }] => assert!(data.ptr_eq(&pkt.payload)),
-            other => panic!("{other:?}"),
-        }
-        // A retransmission covering [50, 150) is clipped: the novel half
-        // goes up as a view of the packet's slab, the covered half nowhere.
-        let pkt = peer_data(50, &[2; 100], None);
-        r.on_packet(t(1), &pkt, false);
-        match &events(&mut r)[..] {
-            [RdEvent::Delivered { offset: 100, data }] => {
-                assert_eq!(data[..], [2; 50]);
-                assert!(data.ptr_eq(&pkt.payload));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Less than half novel — [60, 160), of which [150, 160) — is copied
-        // out, so a short view cannot keep a long frame alive.
-        let pkt = peer_data(60, &[3; 100], None);
-        r.on_packet(t(2), &pkt, false);
-        match &events(&mut r)[..] {
-            [RdEvent::Delivered { offset: 150, data }] => {
-                assert_eq!(data[..], [3; 10]);
-                assert!(!data.ptr_eq(&pkt.payload));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    /// `on_packet_view`'s parts, each as its offset and where in `payload`
-    /// it sits.
-    fn view(
-        r: &mut ReliableDelivery,
-        now: Time,
-        head: &Packet,
-        payload: &[u8],
-    ) -> Vec<(u64, Range<usize>)> {
-        let mut parts = Vec::new();
-        r.on_packet_view(now, head, payload, false, &mut |offset, part| {
-            let at = part.as_ptr() as usize - payload.as_ptr() as usize;
-            parts.push((offset, at..at + part.len()));
-        });
-        parts
-    }
 
     #[test]
     fn a_view_hands_every_novel_part_up_in_place_and_queues_nothing() {
         let mut r = rd();
         let frame = peer_data(0, &[1; 100], None).encode();
         let (head, payload) = Packet::decode_view(&frame).unwrap();
-        assert_eq!(view(&mut r, t(0), &head, payload), [(0, 0..100)]);
+        assert_eq!(view(&mut r, t(0), &head, payload, false), [(0, 0..100)]);
         assert_eq!(r.rcv_next_offset(), 100);
         // The clipped half of [50, 150) ...
         assert_eq!(
-            view(&mut r, t(1), &peer_data(50, &[], None), &[2; 100]),
+            view(&mut r, t(1), &peer_data(50, &[], None), &[2; 100], false),
             [(100, 50..100)]
         );
         // ... a whole segment out of order ...
         assert_eq!(
-            view(&mut r, t(2), &peer_data(300, &[], None), &[3; 100]),
+            view(&mut r, t(2), &peer_data(300, &[], None), &[3; 100], false),
             [(300, 0..100)]
         );
         // ... and both gaps [120, 450) leaves around that parked range, in
         // ascending order, which fill the stream up to 450.
-        let parts = view(&mut r, t(3), &peer_data(120, &[], None), &[4; 330]);
+        let parts = view(&mut r, t(3), &peer_data(120, &[], None), &[4; 330], false);
         assert_eq!(parts, [(150, 30..180), (400, 280..330)]);
         assert_eq!(r.rcv_next_offset(), 450);
         // A duplicate goes nowhere, and `pkt.payload` is not what is read.
         let stale = peer_data(0, &[9; 100], None);
-        assert!(view(&mut r, t(4), &stale, &[1; 100]).is_empty());
+        assert!(view(&mut r, t(4), &stale, &[1; 100], false).is_empty());
         assert_eq!(r.stats.duplicate_payload_dropped, 1);
         assert!(events(&mut r).is_empty(), "nothing is queued");
+    }
+
+    #[test]
+    fn the_adapter_queues_exactly_the_parts_the_view_hands_up() {
+        // One receiver fed by `on_packet`, one by `on_packet_view`: an
+        // island, then a segment around it that acks our FIN and carries
+        // the peer's.
+        let (mut queued, mut viewed) = (rd(), rd());
+        let bytes: Vec<u8> = (0..200).collect();
+        let island = peer_data(100, &bytes[100..150], None);
+        let around = peer_data(0, &bytes, Some(1));
+        for r in [&mut queued, &mut viewed] {
+            r.send_fin(t(0));
+        }
+        queued.on_packet(t(1), &island, false);
+        queued.on_packet(t(2), &around, true);
+        let mut want = arrive(&mut viewed, t(1), &island, false);
+        want.extend(arrive(&mut viewed, t(2), &around, true));
+        assert_eq!(want.len(), 3);
+        let got = events(&mut queued);
+        let parts: Vec<(u64, Vec<u8>)> = got
+            .iter()
+            .filter_map(|ev| match ev {
+                RdEvent::Delivered { offset, data } => {
+                    assert_eq!(data.slab_len(), data.len(), "an exact-size copy");
+                    Some((*offset, data.to_vec()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(parts, want);
+        // The parts sit between the ack's event and the FIN's.
+        assert!(matches!(
+            got[..],
+            [
+                RdEvent::Delivered { .. },
+                RdEvent::LocalFinAcked,
+                RdEvent::Delivered { .. },
+                RdEvent::Delivered { .. },
+                RdEvent::PeerFinReached
+            ]
+        ));
+        assert_eq!(events(&mut viewed), [RdEvent::LocalFinAcked, RdEvent::PeerFinReached]);
+        assert_eq!(queued.contract_key(), viewed.contract_key());
     }
 
     proptest::proptest! {
@@ -1220,7 +1234,7 @@ mod tests {
                     }
                 }
                 let dups = r.stats.duplicate_payload_dropped;
-                let got = view(&mut r, t(step), &peer_data(start as u64, &[], None), &vec![0; len]);
+                let got = view(&mut r, t(step), &peer_data(start as u64, &[], None), &vec![0; len], false);
                 proptest::prop_assert_eq!(&got, &want);
                 proptest::prop_assert_eq!(r.stats.duplicate_payload_dropped, dups + want.is_empty() as u64);
                 have[start..start + len].iter_mut().for_each(|b| *b = true);
@@ -1245,7 +1259,7 @@ mod tests {
         let mut r = rd();
         r.push_segment(t(0), vec![0; 100].into());
         r.push_segment(t(0), vec![0; 100].into());
-        r.on_packet(t(50), &peer_data(0, &[], Some(200)), false);
+        arrive(&mut r, t(50), &peer_data(0, &[], Some(200)), false);
         assert!(r.all_acked());
         let sigs = signals(&mut r);
         assert_eq!(sigs.len(), 1);
@@ -1265,7 +1279,7 @@ mod tests {
         r.push_segment(t(10), vec![0; 100].into());
         r.push_segment(t(20), vec![0; 100].into());
         // An ack landing inside the third segment leaves it queued whole.
-        r.on_packet(t(50), &peer_data(0, &[], Some(250)), false);
+        arrive(&mut r, t(50), &peer_data(0, &[], Some(250)), false);
         assert_eq!(r.in_flight_bytes(), 100);
         assert_eq!(r.bytes_unacked(), 50);
         // The RTT sample is the newest fully-acked segment's (sent at 10).
@@ -1273,7 +1287,7 @@ mod tests {
             signals(&mut r),
             vec![CongSignal::Acked { bytes: 250, rtt: Some(Dur::from_millis(40)) }]
         );
-        r.on_packet(t(60), &peer_data(0, &[], Some(300)), false);
+        arrive(&mut r, t(60), &peer_data(0, &[], Some(300)), false);
         assert_eq!(r.in_flight_bytes(), 0);
         assert!(r.all_acked());
     }
@@ -1283,9 +1297,8 @@ mod tests {
         // The paper: "segments may be delivered out of order by the RD
         // sublayer" — reordering is OSR's job.
         let mut r = rd();
-        r.on_packet(t(0), &peer_data(100, &[9; 50], None), false);
-        let ev = events(&mut r);
-        assert_eq!(ev, vec![RdEvent::Delivered { offset: 100, data: vec![9; 50].into() }]);
+        let parts = arrive(&mut r, t(0), &peer_data(100, &[9; 50], None), false);
+        assert_eq!(parts, [(100, vec![9; 50])]);
         // The cumulative ack still says 0.
         let (ack, _) = r.poll_packet(t(0)).unwrap();
         assert_eq!(ack.rd.ack, 2001);
@@ -1298,31 +1311,28 @@ mod tests {
     #[test]
     fn duplicates_are_dropped_exactly_once() {
         let mut r = rd();
-        r.on_packet(t(0), &peer_data(0, &[7; 100], None), false);
-        assert_eq!(events(&mut r).len(), 1);
-        r.on_packet(t(1), &peer_data(0, &[7; 100], None), false);
-        assert!(events(&mut r).is_empty(), "duplicate must not be redelivered");
+        assert_eq!(arrive(&mut r, t(0), &peer_data(0, &[7; 100], None), false).len(), 1);
+        let again = arrive(&mut r, t(1), &peer_data(0, &[7; 100], None), false);
+        assert!(again.is_empty(), "duplicate must not be redelivered");
         assert_eq!(r.stats.duplicate_payload_dropped, 1);
     }
 
     #[test]
     fn partial_overlap_delivers_only_novel_bytes() {
         let mut r = rd();
-        r.on_packet(t(0), &peer_data(0, &[1; 100], None), false);
-        events(&mut r);
+        arrive(&mut r, t(0), &peer_data(0, &[1; 100], None), false);
         // Retransmission covering [50, 150): only [100, 150) is new.
-        r.on_packet(t(1), &peer_data(50, &[2; 100], None), false);
-        let ev = events(&mut r);
-        assert_eq!(ev, vec![RdEvent::Delivered { offset: 100, data: vec![2; 50].into() }]);
+        let parts = arrive(&mut r, t(1), &peer_data(50, &[2; 100], None), false);
+        assert_eq!(parts, [(100, vec![2; 50])]);
         assert_eq!(r.rcv_next_offset(), 150);
     }
 
     #[test]
     fn cumulative_ack_advances_over_merged_ranges() {
         let mut r = rd();
-        r.on_packet(t(0), &peer_data(100, &[2; 100], None), false);
+        arrive(&mut r, t(0), &peer_data(100, &[2; 100], None), false);
         assert_eq!(r.rcv_next_offset(), 0);
-        r.on_packet(t(1), &peer_data(0, &[1; 100], None), false);
+        arrive(&mut r, t(1), &peer_data(0, &[1; 100], None), false);
         assert_eq!(r.rcv_next_offset(), 200);
     }
 
@@ -1333,7 +1343,7 @@ mod tests {
         r.push_segment(t(0), vec![0; 100].into());
         while r.poll_packet(t(0)).is_some() {}
         for i in 0..3 {
-            r.on_packet(t(10 + i), &peer_data(0, &[], Some(0)), false);
+            arrive(&mut r, t(10 + i), &peer_data(0, &[], Some(0)), false);
         }
         assert_eq!(r.stats.fast_retransmits, 1);
         assert!(signals(&mut r).contains(&CongSignal::DupAckLoss));
@@ -1354,7 +1364,7 @@ mod tests {
         let mut p = peer_data(0, &[], Some(0));
         p.rd.sack.push(SackRange { start: 1001, end: 1001 + 100 });
         for _ in 0..3 {
-            r.on_packet(t(10), &p.clone(), false);
+            arrive(&mut r, t(10), &p, false);
         }
         let (rtx, _) = r.poll_packet(t(20)).unwrap();
         assert_eq!(rtx.rd.seq, 1101, "retransmit must skip the SACKed segment");
@@ -1376,10 +1386,10 @@ mod tests {
             for _ in 0..10 {
                 r.push_segment(t(0), vec![0; 100].into());
             }
-            r.on_packet(t(1), &peer_data(0, &[], Some(200)), false);
+            arrive(&mut r, t(1), &peer_data(0, &[], Some(200)), false);
             let mut p = peer_data(0, &[], Some(200));
             p.rd.sack.push(SackRange { start: 1001 + s, end: 1001 + e });
-            r.on_packet(t(2), &p, false);
+            arrive(&mut r, t(2), &p, false);
             let marked: Vec<u64> = r.in_flight.iter().filter(|f| f.sacked).map(|f| f.off).collect();
             let want: Vec<u64> =
                 (2..10).map(|i| i * 100).filter(|&off| s as u64 <= off && off < e as u64).collect();
@@ -1409,7 +1419,7 @@ mod tests {
         while r.poll_packet(t(0)).is_some() {}
         let d = r.poll_deadline().unwrap();
         r.on_tick(d); // retransmitted
-        r.on_packet(t(5000), &peer_data(0, &[], Some(100)), false);
+        arrive(&mut r, t(5000), &peer_data(0, &[], Some(100)), false);
         // The ack closes the RTO-recovery episode (FullAck); Karn's rule
         // still forbids an RTT sample from the retransmitted segment.
         match signals(&mut r).last() {
@@ -1429,7 +1439,7 @@ mod tests {
         assert!(is_fin);
         assert_eq!(fin_pkt.rd.seq, 1011);
         // Ack everything incl. the FIN.
-        r.on_packet(t(10), &peer_data(0, &[], Some(11)), false);
+        arrive(&mut r, t(10), &peer_data(0, &[], Some(11)), false);
         assert!(r.fin_acked);
         assert!(r.all_acked());
         assert!(events(&mut r).contains(&RdEvent::LocalFinAcked));
@@ -1441,10 +1451,10 @@ mod tests {
         // FIN at offset 100 (after 100 bytes we haven't seen yet).
         let mut p = peer_data(100, &[], None);
         p.rd.seq = 2001 + 100;
-        r.on_packet(t(0), &p, true);
+        arrive(&mut r, t(0), &p, true);
         assert!(!r.peer_fin_reached);
         // Now the data arrives; the FIN is reached.
-        r.on_packet(t(1), &peer_data(0, &[3; 100], None), false);
+        arrive(&mut r, t(1), &peer_data(0, &[3; 100], None), false);
         assert!(r.peer_fin_reached);
         assert!(events(&mut r).contains(&RdEvent::PeerFinReached));
         // The ack covers the FIN: 100 bytes + 1.
@@ -1467,7 +1477,7 @@ mod tests {
     #[test]
     fn pure_ack_emitted_when_owed() {
         let mut r = rd();
-        r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
+        arrive(&mut r, t(0), &peer_data(0, &[1; 10], None), false);
         let (ack, is_fin) = r.poll_packet(t(0)).unwrap();
         assert!(!is_fin);
         assert!(ack.payload.is_empty());
@@ -1540,7 +1550,7 @@ mod tests {
         r.on_tick(d);
         assert_eq!(r.consecutive_rtx, 1);
         // A cumulative ack covering the first segment is progress.
-        r.on_packet(d + Dur::from_millis(1), &peer_data(0, &[], Some(100)), false);
+        arrive(&mut r, d + Dur::from_millis(1), &peer_data(0, &[], Some(100)), false);
         assert_eq!(r.consecutive_rtx, 0);
     }
 
@@ -1548,7 +1558,7 @@ mod tests {
     fn ack_pacing_defers_then_flushes_pure_acks() {
         let mut r = rd();
         r.set_ack_pacing(true);
-        r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
+        arrive(&mut r, t(0), &peer_data(0, &[1; 10], None), false);
         assert!(r.poll_packet(t(0)).is_none(), "first poll arms the delay");
         assert_eq!(r.stats.acks_paced, 1);
         let d = r.poll_deadline().expect("delayed-ack deadline armed");
@@ -1571,7 +1581,7 @@ mod tests {
     fn data_segment_carries_a_held_ack() {
         let mut r = rd();
         r.set_ack_pacing(true);
-        r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
+        arrive(&mut r, t(0), &peer_data(0, &[1; 10], None), false);
         assert!(r.poll_packet(t(0)).is_none());
         r.push_segment(t(1), vec![9; 10].into());
         let (p, _) = r.poll_packet(t(1)).unwrap();
@@ -1583,7 +1593,7 @@ mod tests {
     fn pacing_off_releases_a_held_ack() {
         let mut r = rd();
         r.set_ack_pacing(true);
-        r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
+        arrive(&mut r, t(0), &peer_data(0, &[1; 10], None), false);
         assert!(r.poll_packet(t(0)).is_none());
         r.set_ack_pacing(false);
         assert!(r.poll_packet(t(1)).is_some(), "released as soon as pacing ends");
@@ -1593,51 +1603,58 @@ mod tests {
     fn progress_counts_both_directions() {
         let mut r = rd();
         assert_eq!(r.progress_bytes(), 0);
-        r.on_packet(t(0), &peer_data(0, &[1; 10], None), false);
+        arrive(&mut r, t(0), &peer_data(0, &[1; 10], None), false);
         assert_eq!(r.progress_bytes(), 10, "in-order receive progress");
         r.push_segment(t(1), vec![2; 20].into());
         let _ = r.poll_packet(t(1));
         assert_eq!(r.progress_bytes(), 10, "unacked sends are not progress");
-        r.on_packet(t(2), &peer_data(10, &[], Some(20)), false);
+        arrive(&mut r, t(2), &peer_data(10, &[], Some(20)), false);
         assert_eq!(r.progress_bytes(), 30, "acked sends count");
     }
 
     #[test]
     fn keepalive_probe_is_behind_snd_nxt_and_gets_answered() {
+        // Nothing sent yet: the probe carries the ISN (SND.NXT - 1).
         let mut r = rd();
-        assert!(!r.send_keepalive_probe(), "nothing sent yet: unprobeable");
+        r.send_keepalive_probe();
+        let (probe, is_fin) = r.poll_packet(t(0)).unwrap();
+        assert!(!is_fin);
+        assert!(probe.payload.is_empty());
+        assert_eq!(probe.rd.seq, 1000, "the ISN");
         r.push_segment(t(0), vec![5; 100].into());
         let _ = r.poll_packet(t(0));
-        r.on_packet(t(10), &peer_data(0, &[], Some(100)), false);
-        assert!(r.send_keepalive_probe());
+        arrive(&mut r, t(10), &peer_data(0, &[], Some(100)), false);
+        r.send_keepalive_probe();
         let (probe, is_fin) = r.poll_packet(t(20)).unwrap();
         assert!(!is_fin);
         assert!(probe.payload.is_empty());
         assert_eq!(probe.rd.seq, 1001 + 99, "one unit behind snd_nxt");
-        assert_eq!(r.stats.keepalive_probes, 1);
+        assert_eq!(r.stats.keepalive_probes, 2);
 
-        // A peer that has received 100 bytes from us answers the probe
-        // with a bare ack; an in-sequence pure ack stays unanswered.
+        // The peer answers either probe with a bare ack and counts neither
+        // as an invalid sequence; an in-sequence pure ack stays unanswered.
         let mut peer = ReliableDelivery::new(2000, 1000, slmetrics::shared());
+        let from_us = |seq: u32| {
+            let mut p = Packet::default();
+            p.rd.seq = seq;
+            p.rd.has_ack = true;
+            p.rd.ack = 2001;
+            p
+        };
+        let answer = |peer: &mut ReliableDelivery, now: Time, seq: u32| {
+            arrive(peer, now, &from_us(seq), false);
+            peer.poll_packet(now).map(|(ack, _)| (ack.rd.ack, ack.payload.len()))
+        };
+        assert_eq!(answer(&mut peer, t(1), 1001), None, "in-sequence ack: silent");
+        assert_eq!(answer(&mut peer, t(2), 1000), Some((1001, 0)), "probe at the ISN");
         let mut data = Packet::default();
         data.rd.seq = 1001;
         data.payload = vec![5; 100].into();
-        peer.on_packet(t(5), &data, false);
+        arrive(&mut peer, t(5), &data, false);
         let _ = peer.poll_packet(t(5)); // drain the data ack
-        let mut plain_ack = Packet::default();
-        plain_ack.rd.seq = 1001 + 100;
-        plain_ack.rd.has_ack = true;
-        plain_ack.rd.ack = 2001;
-        peer.on_packet(t(21), &plain_ack, false);
-        assert!(peer.poll_packet(t(21)).is_none(), "in-sequence ack: silent");
-        let mut probe_pkt = Packet::default();
-        probe_pkt.rd.seq = 1001 + 99;
-        probe_pkt.rd.has_ack = true;
-        probe_pkt.rd.ack = 2001;
-        peer.on_packet(t(22), &probe_pkt, false);
-        let (answer, _) = peer.poll_packet(t(22)).expect("probe must be acked");
-        assert!(answer.payload.is_empty());
-        assert_eq!(answer.rd.ack, 1001 + 100);
+        assert_eq!(answer(&mut peer, t(21), 1001 + 100), None, "in-sequence ack: silent");
+        assert_eq!(answer(&mut peer, t(22), 1001 + 99), Some((1001 + 100, 0)), "probe");
+        assert_eq!(peer.stats.invalid_seq_drops, 0);
     }
 
     #[test]
@@ -1645,17 +1662,15 @@ mod tests {
         // start == rcv_nxt, but the segment runs past the start of a parked
         // range: not the whole-segment case. Only the novel prefix goes up.
         let mut r = rd();
-        r.on_packet(t(0), &peer_data(100, &[9; 50], None), false);
-        events(&mut r);
-        r.on_packet(t(1), &peer_data(0, &[1; 120], None), false);
-        assert_eq!(events(&mut r), vec![RdEvent::Delivered { offset: 0, data: vec![1; 100].into() }]);
+        arrive(&mut r, t(0), &peer_data(100, &[9; 50], None), false);
+        let parts = arrive(&mut r, t(1), &peer_data(0, &[1; 120], None), false);
+        assert_eq!(parts, [(0, vec![1; 100])]);
         assert_eq!(r.rcv_next_offset(), 150);
         // Ending exactly where the parked range starts is the whole-segment
         // case, and the parked range is pulled in behind it.
-        r.on_packet(t(2), &peer_data(200, &[8; 50], None), false);
-        events(&mut r);
-        r.on_packet(t(3), &peer_data(150, &[2; 50], None), false);
-        assert_eq!(events(&mut r), vec![RdEvent::Delivered { offset: 150, data: vec![2; 50].into() }]);
+        arrive(&mut r, t(2), &peer_data(200, &[8; 50], None), false);
+        let parts = arrive(&mut r, t(3), &peer_data(150, &[2; 50], None), false);
+        assert_eq!(parts, [(150, vec![2; 50])]);
         assert_eq!(r.rcv_next_offset(), 250);
         assert_eq!(r.stats.duplicate_payload_dropped, 0);
     }
@@ -1666,18 +1681,18 @@ mod tests {
         let mut r = rd();
         let mut off = 2; // holes at [0, 1) and [1, 2)
         while off + 1000 <= MAX_OOO_BYTES + 2 {
-            r.on_packet(t(0), &peer_data(off, &[2; 1000], None), false);
+            arrive(&mut r, t(0), &peer_data(off, &[2; 1000], None), false);
             off += 1000;
         }
         let rest = (MAX_OOO_BYTES + 2 - off) as usize;
-        r.on_packet(t(0), &peer_data(off, &vec![3; rest], None), false);
+        arrive(&mut r, t(0), &peer_data(off, &vec![3; rest], None), false);
         assert_eq!(r.stats.ooo_range_drops, 0, "parked right up to the cap");
-        r.on_packet(t(0), &peer_data(1, &[4], None), false);
+        arrive(&mut r, t(0), &peer_data(1, &[4], None), false);
         assert_eq!(r.stats.ooo_range_drops, 1, "one byte over is refused");
-        r.on_packet(t(0), &peer_data(0, &[1], None), false);
-        r.on_packet(t(0), &peer_data(1, &[4], None), false);
+        arrive(&mut r, t(0), &peer_data(0, &[1], None), false);
+        arrive(&mut r, t(0), &peer_data(1, &[4], None), false);
         assert_eq!(r.rcv_next_offset(), MAX_OOO_BYTES + 2);
-        r.on_packet(t(0), &peer_data(MAX_OOO_BYTES + 3, &[5; 1000], None), false);
+        arrive(&mut r, t(0), &peer_data(MAX_OOO_BYTES + 3, &[5; 1000], None), false);
         assert_eq!(r.stats.ooo_range_drops, 1, "budget is back once the holes fill");
         assert_eq!(r.stats.invalid_seq_drops, 0);
     }
@@ -1691,9 +1706,9 @@ mod tests {
     }
 
     impl RefReceiver {
-        fn arrive(&mut self, start: usize, data: &[u8]) -> Vec<RdEvent> {
+        fn arrive(&mut self, start: usize, data: &[u8]) -> Vec<(u64, Vec<u8>)> {
             let end = start + data.len();
-            let mut events = vec![];
+            let mut parts = vec![];
             if start > self.rcv_nxt {
                 let (mut held, mut ranges, mut prev) = (0, 0, false);
                 for &g in &self.got[self.rcv_nxt..] {
@@ -1703,7 +1718,7 @@ mod tests {
                 }
                 if ranges >= MAX_OOO_RANGES || (held + data.len()) as u64 > MAX_OOO_BYTES {
                     self.stats.ooo_range_drops += 1;
-                    return events;
+                    return parts;
                 }
             }
             let mut i = start;
@@ -1713,20 +1728,17 @@ mod tests {
                     continue;
                 }
                 let j = (i..end).find(|&k| self.got[k]).unwrap_or(end);
-                events.push(RdEvent::Delivered {
-                    offset: i as u64,
-                    data: data[i - start..j - start].into(),
-                });
+                parts.push((i as u64, data[i - start..j - start].to_vec()));
                 self.got[i..j].fill(true);
                 i = j;
             }
-            if events.is_empty() {
+            if parts.is_empty() {
                 self.stats.duplicate_payload_dropped += 1;
             }
             while self.got[self.rcv_nxt] {
                 self.rcv_nxt += 1;
             }
-            events
+            parts
         }
     }
 
@@ -1755,8 +1767,8 @@ mod tests {
                     rng.below((stream - len) as u128) as usize
                 };
                 let data: Vec<u8> = (start..start + len).map(|i| (i * 7) as u8).collect();
-                r.on_packet(t(0), &peer_data(start as u64, &data, None), false);
-                proptest::prop_assert_eq!(events(&mut r), model.arrive(start, &data));
+                let parts = arrive(&mut r, t(0), &peer_data(start as u64, &data, None), false);
+                proptest::prop_assert_eq!(parts, model.arrive(start, &data));
                 proptest::prop_assert_eq!(r.rcv_next_offset(), model.rcv_nxt as u64);
             }
             proptest::prop_assert_eq!(model.stats.ooo_range_drops > 0, spray);

@@ -9,8 +9,9 @@
 //! Every hand-off but one has one shape: the producing sublayer queues,
 //! and [`SlTcpStack::pump`] pops one item at a time until `None`
 //! (`poll_event`, `poll_signal`, `poll_segment`, `poll_packet`). Received
-//! bytes are the exception: RD hands each novel part of a payload to a
-//! closure, by offset, and never queues a `Delivered` here. Going down,
+//! bytes are the exception: RD's one receive path,
+//! [`ReliableDelivery::on_packet_view`], hands each novel part of a payload
+//! to a closure, by offset — the path the contracts check. Going down,
 //! payload bytes travel as [`crate::wire::Payload`] views of one slab from
 //! [`SlTcpStack::send`] to the codec, and no crossing copies them. Going
 //! up, [`crate::wire::Packet::decode_view`] leaves them in the frame, and RD
@@ -92,7 +93,8 @@ pub struct CrossingStats {
     /// Segments OSR handed down to RD (and their bytes).
     pub osr_to_rd_segments: u64,
     pub osr_to_rd_bytes: u64,
-    /// Delivered events RD handed up to OSR.
+    /// Novel parts of received payloads RD handed up to OSR (and their
+    /// bytes).
     pub rd_to_osr_segments: u64,
     pub rd_to_osr_bytes: u64,
     /// Summarized congestion signals RD -> OSR.
@@ -538,7 +540,7 @@ impl SlTcpStack {
             while let Some(ev) = rd.poll_event() {
                 match ev {
                     RdEvent::Delivered { .. } => {
-                        unreachable!("the stack hands RD every packet by view")
+                        unreachable!("only RD's `on_packet` adapter raises it")
                     }
                     RdEvent::LocalFinAcked => conn.cm.on_local_fin_acked(now),
                     RdEvent::PeerFinReached => {
@@ -904,13 +906,10 @@ impl HostStack for SlTcpStack {
             }
             conn.osr.on_tick(now);
             // Keepalive is CM's decision carried in RD's packet, as the FIN
-            // is. A connection that never sent data cannot be probed (no
-            // sequence behind snd_nxt to re-ack); its silent intervals
-            // still count, so peer silence past the keepalive horizon
-            // aborts either way.
+            // is; a connection that never sent data probes at its ISN.
             if let (Some(ka), Some(rd)) = (ka, conn.rd.as_mut()) {
                 if conn.cm.on_keepalive(ka, now, rd.bytes_unacked() == 0) {
-                    let _ = rd.send_keepalive_probe();
+                    rd.send_keepalive_probe();
                 }
             }
             false

@@ -1,18 +1,17 @@
-//! RD and OSR have two receive entries each: `on_packet` + `on_delivered`,
-//! where every delivery is a queued `Delivered` event holding a slab
-//! (`Packet::decode` made one per frame), and `on_packet_view` +
-//! `on_delivered_bytes`, where every novel part is handed up by offset
-//! straight out of the frame, in order or not. Random segment scripts — in
-//! order, duplicated, overlapping, out of order, and sprays past
-//! `MAX_OOO_RANGES` and `MAX_OOO_BYTES` — must leave both receivers alike
-//! after every step: the same bytes read, the same acks, the same contract
-//! keys and the same counters. Hostile bytes too: a retransmission that
-//! differs from what it overlaps, and a spray far ahead of a hole.
+//! The receive path the stack runs — RD `on_packet_view` handing every
+//! novel part up by offset straight out of the frame, in order or not, and
+//! OSR `on_delivered_bytes` copying it to its place in the read buffer —
+//! fed random segment scripts: in order, duplicated, overlapping, out of
+//! order, and sprays past `MAX_OOO_RANGES` and `MAX_OOO_BYTES`. After every
+//! step RD and OSR agree on the in-order point, and what is read is the
+//! stream that was sent. Hostile bytes too: a retransmission that differs
+//! from what it overlaps loses to the bytes that came first, and a spray
+//! far ahead of a hole stays within RD's bound.
 
 use netsim::Time;
 use sublayer_core::osr::{MSS, RCV_BUF_CAP};
 use sublayer_core::rd::{MAX_OOO_BYTES, MAX_OOO_RANGES, VALIDITY_WND};
-use sublayer_core::{Osr, Packet, RdEvent, ReliableDelivery};
+use sublayer_core::{Osr, Packet, ReliableDelivery};
 
 /// The peer's ISN, as RD's `rcv_isn`.
 const PEER_ISN: u32 = 2000;
@@ -50,58 +49,31 @@ impl Receiver {
         }
     }
 
-    /// Every delivery queued, sharing the decoded frame's slab.
-    fn by_slab(&mut self, now: Time, frame: &[u8]) {
-        let pkt = Packet::decode(frame).unwrap();
-        self.rd.on_packet(now, &pkt, false);
-        self.drain();
-    }
-
     /// Every novel part handed up from the frame by offset.
-    fn by_view(&mut self, now: Time, frame: &[u8]) {
-        let (head, payload) = Packet::decode_view(frame).unwrap();
-        let osr = &mut self.osr;
-        self.rd
-            .on_packet_view(now, &head, payload, false, &mut |offset, part| {
-                osr.on_delivered_bytes(offset, part)
-            });
-        assert!(
-            self.rd.poll_event().is_none(),
-            "the view path queues no delivery"
-        );
-    }
-
-    fn drain(&mut self) {
-        while let Some(ev) = self.rd.poll_event() {
-            if let RdEvent::Delivered { offset, data } = ev {
-                self.osr.on_delivered(offset, data);
-            }
+    fn receive(&mut self, now: Time, frames: &[Vec<u8>]) {
+        for frame in frames {
+            let (head, payload) = Packet::decode_view(frame).unwrap();
+            let osr = &mut self.osr;
+            self.rd
+                .on_packet_view(now, &head, payload, false, &mut |offset, part| {
+                    osr.on_delivered_bytes(offset, part)
+                });
         }
     }
 }
 
-fn assert_alike(slab: &Receiver, view: &Receiver) -> Result<(), String> {
-    proptest::prop_assert_eq!(slab.rd.contract_key(), view.rd.contract_key());
-    proptest::prop_assert_eq!(slab.osr.contract_key(), view.osr.contract_key());
-    proptest::prop_assert_eq!(&slab.rd.stats, &view.rd.stats);
-    proptest::prop_assert_eq!(&slab.osr.stats, &view.osr.stats);
-    proptest::prop_assert_eq!(slab.osr.readable_len(), view.osr.readable_len());
-    proptest::prop_assert_eq!(slab.osr.buffered_bytes(), view.osr.buffered_bytes());
-    Ok(())
-}
-
-/// One random script through both receivers, alike after every step.
-/// Returns whether a spray of islands, and a run of segments ahead of a
-/// hole, each had part of it refused by RD's caps.
+/// One random script through the receiver. Returns whether a spray of
+/// islands, and a run of segments ahead of a hole, each had part of it
+/// refused by RD's caps.
 fn run(seed: u64) -> Result<(bool, bool), String> {
     let mut rng = proptest::TestRng::new(seed);
-    let (mut slab, mut view) = (Receiver::new(), Receiver::new());
+    let mut r = Receiver::new();
     let mut read: Vec<u8> = Vec::new();
     let mut refused = (false, false);
     for step in 0..20u64 {
         let now = Time(step);
-        let nxt = slab.rd.rcv_next_offset();
-        let drops = slab.rd.stats.ooo_range_drops;
+        let nxt = r.rd.rcv_next_offset();
+        let drops = r.rd.stats.ooo_range_drops;
         let kind = rng.below(16);
         let mut script: Vec<(u64, u64)> = Vec::new();
         match kind {
@@ -135,27 +107,23 @@ fn run(seed: u64) -> Result<(bool, bool), String> {
                 script.extend((0..n).map(|i| (nxt + 1 + i * MSS as u64, MSS as u64)));
             }
         }
-        for &(start, len) in &script {
-            let f = frame(start, len);
-            slab.by_slab(now, &f);
-            view.by_view(now, &f);
-        }
-        let capped = slab.rd.stats.ooo_range_drops > drops;
+        let frames: Vec<Vec<u8>> = script.iter().map(|&(s, n)| frame(s, n)).collect();
+        r.receive(now, &frames);
+        let capped = r.rd.stats.ooo_range_drops > drops;
         refused.0 |= kind == 13 && capped;
         refused.1 |= kind > 13 && capped;
-        proptest::prop_assert_eq!(slab.rd.rcv_next_offset(), view.rd.rcv_next_offset());
-        proptest::prop_assert_eq!(slab.rd.poll_packet(now), view.rd.poll_packet(now));
-        assert_alike(&slab, &view)?;
+        // RD's cumulative point is OSR's: read or readable, nothing between.
+        proptest::prop_assert_eq!(
+            r.rd.rcv_next_offset(),
+            (read.len() + r.osr.readable_len()) as u64
+        );
+        proptest::prop_assert_eq!(r.osr.stats.reasm_overflow_drops, 0);
         if rng.below(3) == 0 {
-            let got = slab.osr.read();
-            proptest::prop_assert_eq!(&got, &view.osr.read());
-            read.extend(got);
+            read.extend(r.osr.read());
         }
     }
-    let rest = slab.osr.read();
-    proptest::prop_assert_eq!(&rest, &view.osr.read());
-    read.extend(rest);
-    proptest::prop_assert_eq!(read.len() as u64, slab.rd.rcv_next_offset());
+    read.extend(r.osr.read());
+    proptest::prop_assert_eq!(read.len() as u64, r.rd.rcv_next_offset());
     proptest::prop_assert!(
         read.iter().zip(0..).all(|(&b, i)| b == byte(i)),
         "stream corrupted"
@@ -165,7 +133,7 @@ fn run(seed: u64) -> Result<(bool, bool), String> {
 
 proptest::proptest! {
     #[test]
-    fn prop_both_receive_paths_read_alike(seed: u64) {
+    fn prop_random_scripts_read_the_stream_sent(seed: u64) {
         run(seed)?;
     }
 }
@@ -184,14 +152,6 @@ fn the_scripts_run_into_both_of_rds_caps() {
     panic!("islands refused: {ranges}, bytes refused: {bytes}");
 }
 
-/// Both receivers, fed the same frames.
-fn both(slab: &mut Receiver, view: &mut Receiver, frames: &[Vec<u8>]) {
-    for f in frames {
-        slab.by_slab(Time::ZERO, f);
-        view.by_view(Time::ZERO, f);
-    }
-}
-
 /// Stream bytes `[start, start + len)` in frames of at most one MSS.
 fn frames(start: u64, len: u64) -> Vec<Vec<u8>> {
     (start..start + len)
@@ -206,17 +166,15 @@ fn a_forged_retransmission_loses_to_the_bytes_that_came_first() {
     // [500, 2500), and one over [100, 200), carry other bytes throughout.
     // Only what nobody sent before is taken from them: the parked bytes
     // and the delivered prefix's stay as they came.
-    let (mut slab, mut view) = (Receiver::new(), Receiver::new());
+    let mut r = Receiver::new();
     let forgery: Vec<u8> = (500..2500u64).map(|i| !byte(i)).collect();
-    both(&mut slab, &mut view, &[frame(0, 200), frame(1000, 1000)]);
-    both(
-        &mut slab,
-        &mut view,
+    r.receive(Time::ZERO, &[frame(0, 200), frame(1000, 1000)]);
+    r.receive(
+        Time::ZERO,
         &[forged(500, forgery), forged(100, vec![0xEE; 100])],
     );
-    assert_eq!(slab.rd.stats.duplicate_payload_dropped, 1);
-    assert_alike(&slab, &view).unwrap();
-    both(&mut slab, &mut view, &[frame(200, 300)]);
+    assert_eq!(r.rd.stats.duplicate_payload_dropped, 1);
+    r.receive(Time::ZERO, &[frame(200, 300)]);
     let want: Vec<u8> = (0..2500u64)
         .map(|i| {
             if (500..1000).contains(&i) || i >= 2000 {
@@ -226,52 +184,43 @@ fn a_forged_retransmission_loses_to_the_bytes_that_came_first() {
             }
         })
         .collect();
-    for r in [&mut slab, &mut view] {
-        assert_eq!(r.osr.read(), want);
-    }
-    assert_alike(&slab, &view).unwrap();
+    assert_eq!(r.osr.read(), want);
 }
 
 #[test]
-fn a_spray_far_ahead_of_a_hole_reads_alike_and_keeps_its_first_bytes() {
+fn a_spray_far_ahead_of_a_hole_stays_within_the_bound_and_keeps_its_first_bytes() {
     // 1,000 bytes unread, a hole at 1,000, then islands behind it and, in
     // one frame at the far edge of RD's validity window — past the window
     // OSR advertised — all but 200 of the bytes RD still parks. A forgery
     // over that frame's front and the hole before it is taken only where
     // nobody sent before: the islands park in place, the rest apart, and
-    // both paths read the same stream.
-    let (mut slab, mut view) = (Receiver::new(), Receiver::new());
+    // what OSR holds is the unread bytes plus at most RD's bound.
+    let mut r = Receiver::new();
     let far = 1000 + VALIDITY_WND as u64 - 1;
     let tail = MAX_OOO_BYTES - 400;
     let islands: Vec<Vec<u8>> = (0..200).map(|i| frame(1001 + i * 300, 1)).collect();
-    both(&mut slab, &mut view, &[frame(0, 1000)]);
-    both(&mut slab, &mut view, &islands);
-    both(&mut slab, &mut view, &[frame(far, tail)]);
+    r.receive(Time::ZERO, &[frame(0, 1000)]);
+    r.receive(Time::ZERO, &islands);
+    r.receive(Time::ZERO, &[frame(far, tail)]);
     assert!(far + tail - 1000 > RCV_BUF_CAP as u64);
     let forgery: Vec<u8> = (far - 100..far + 100).map(|i| !byte(i)).collect();
-    both(&mut slab, &mut view, &[forged(far - 100, forgery)]);
-    assert_alike(&slab, &view).unwrap();
-    for r in [&slab, &view] {
-        assert_eq!(r.osr.readable_len(), 1000);
-        assert_eq!(r.osr.buffered_bytes(), 1000 + MAX_OOO_BYTES as usize - 100);
-        assert_eq!(
-            r.rd.stats.ooo_range_drops + r.osr.stats.reasm_overflow_drops,
-            0
-        );
-    }
+    r.receive(Time::ZERO, &[forged(far - 100, forgery)]);
+    assert_eq!(r.osr.readable_len(), 1000);
+    assert_eq!(r.osr.buffered_bytes(), 1000 + MAX_OOO_BYTES as usize - 100);
+    assert_eq!(
+        r.rd.stats.ooo_range_drops + r.osr.stats.reasm_overflow_drops,
+        0
+    );
     // Every hole fills.
-    both(&mut slab, &mut view, &frames(1000, far - 100 - 1000));
-    assert_alike(&slab, &view).unwrap();
-    for r in [&mut slab, &mut view] {
-        let got = r.osr.read();
-        assert_eq!(got.len() as u64, far + tail);
-        let forged = far - 100..far;
-        assert!(
-            got.iter()
-                .zip(0..)
-                .all(|(&b, i)| b == if forged.contains(&i) { !byte(i) } else { byte(i) }),
-            "stream corrupted"
-        );
-    }
-    assert_alike(&slab, &view).unwrap();
+    r.receive(Time::ZERO, &frames(1000, far - 100 - 1000));
+    let got = r.osr.read();
+    assert_eq!(got.len() as u64, far + tail);
+    let forged = far - 100..far;
+    assert!(
+        got.iter()
+            .zip(0..)
+            .all(|(&b, i)| b == if forged.contains(&i) { !byte(i) } else { byte(i) }),
+        "stream corrupted"
+    );
+    assert_eq!(r.osr.buffered_bytes(), 0);
 }

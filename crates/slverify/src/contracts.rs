@@ -772,7 +772,7 @@ pub struct RdContractState<M> {
     drops: u8,
     dups: u8,
     steps: u8,
-    /// Ghost: how many times each stream offset was `Delivered`.
+    /// Ghost: how many times RD handed each stream offset up.
     delivered: [u8; 2],
     breach: Option<String>,
     /// Ghost: the sender reported `RetriesExhausted`.
@@ -794,21 +794,26 @@ impl<R: RdDriver> RdContractState<Keyed<R>> {
         });
     }
 
-    fn drain_rcv_events(&mut self) {
+    /// One frame into the receiver, decoded in place as the stack decodes
+    /// it; every part RD hands up is counted against the pushed stream.
+    fn receive(&mut self, bytes: &[u8], fin: bool) {
+        let (pkt, payload) = Packet::decode_view(bytes).expect("model channel holds valid frames");
+        let (now, delivered, breach) = (self.now, &mut self.delivered, &mut self.breach);
         self.rcv.with(|rcv| {
-            while let Some(ev) = rcv.poll_event() {
-                if let sublayer_core::RdEvent::Delivered { offset, data } = ev {
-                    let off = offset as usize;
-                    if off >= RD_STREAM.len() || data[..] != RD_STREAM[off..off + 1] {
-                        self.breach = Some(format!(
-                            "{G_RD} violated: delivered {data:?} at offset {offset}, \
-                             not a byte of the pushed stream"
-                        ));
-                    } else {
-                        self.delivered[off] = self.delivered[off].saturating_add(1);
-                    }
+            rcv.on_packet_view(now, &pkt, payload, fin, &mut |offset, data| {
+                let off = offset as usize;
+                if off >= RD_STREAM.len() || data != &RD_STREAM[off..off + 1] {
+                    *breach = Some(format!(
+                        "{G_RD} violated: delivered {data:?} at offset {offset}, \
+                         not a byte of the pushed stream"
+                    ));
+                } else {
+                    delivered[off] = delivered[off].saturating_add(1);
                 }
-            }
+            });
+            // Its events (the peer's FIN, ours acked) carry nothing the
+            // guarantee reads; drained, they stay out of the state key.
+            while rcv.poll_event().is_some() {}
         });
     }
 
@@ -867,9 +872,7 @@ impl<R: RdDriver> Model for RdContract<R> {
                 } else {
                     ns.to_rcv.remove(0)
                 };
-                let pkt = Packet::decode(&bytes).expect("model channel holds valid frames");
-                ns.rcv.with(|rcv| rcv.on_packet(ns.now, &pkt, fin));
-                ns.drain_rcv_events();
+                ns.receive(&bytes, fin);
                 ns.pump_rcv();
                 ns
             };
@@ -900,8 +903,10 @@ impl<R: RdDriver> Model for RdContract<R> {
             let mut ns = s.clone();
             ns.steps += 1;
             let bytes = ns.to_snd.remove(0);
-            let pkt = Packet::decode(&bytes).expect("model channel holds valid frames");
-            ns.snd.with(|snd| snd.on_packet(ns.now, &pkt, false));
+            let (pkt, payload) =
+                Packet::decode_view(&bytes).expect("model channel holds valid frames");
+            // The receiver sends no data, so nothing is handed up here.
+            ns.snd.with(|snd| snd.on_packet_view(ns.now, &pkt, payload, false, &mut |_, _| {}));
             ns.drain_snd_events();
             return vec![("ack", ns)];
         }
@@ -1010,7 +1015,7 @@ impl<O: OsrDriver> Model for OsrContract<O> {
         for i in 0..OSR_STREAM.len() {
             if s.mask & (1 << i) == 0 {
                 let mut ns = s.clone();
-                ns.osr.with(|osr| osr.on_delivered(i as u64, vec![OSR_STREAM[i]].into()));
+                ns.osr.with(|osr| osr.on_delivered_bytes(i as u64, &OSR_STREAM[i..=i]));
                 ns.mask |= 1 << i;
                 out.push((labels[i], ns));
             }
