@@ -652,6 +652,31 @@ fn local_abort_resets_peer<H: ConformStack>() {
     }
 }
 
+fn a_reopened_tuple_does_not_inherit_its_predecessors_error<H: ConformStack>() {
+    let mut p = pair::<H>(9, link(5));
+    p.net.run_for(secs(1));
+    let (now, old) = (p.net.now(), p.conn);
+    p.client().abort(now, old);
+    p.net.poll_all();
+    p.net.run_for(secs(2));
+    assert_eq!(p.client().conn_error(old), Some(TransportError::Reset));
+    // The same 4-tuple, opened again: both ends are new connections.
+    let now = p.net.now();
+    let new = p
+        .client()
+        .try_connect(now, 5000, Endpoint::new(B, 80))
+        .expect("the tuple is free again");
+    p.net.poll_all();
+    p.net.run_for(secs(2));
+    assert!(open(p.client(), new), "client ESTABLISHED");
+    assert_eq!(p.client().conn_error(new), None);
+    let sconn = p.sconn();
+    assert!(open(p.server(), sconn), "server ESTABLISHED");
+    assert_eq!(p.server().conn_error(sconn), None);
+    p.conn = new;
+    assert_eq!(p.transfer(b"again", 10), b"again");
+}
+
 fn partition_mid_transfer_surfaces_clean_abort<H: ConformStack>() {
     // (seed, link ms, warm-up s, data, how long the partition is watched)
     let cases = [
@@ -1145,6 +1170,7 @@ macro_rules! behaviours {
             close_under_loss_still_completes,
             no_listener_drops_are_counted,
             local_abort_resets_peer,
+            a_reopened_tuple_does_not_inherit_its_predecessors_error,
             partition_mid_transfer_surfaces_clean_abort,
             handshake_failure_on_dead_link_is_reported,
             rto_backoff_on_dead_link,

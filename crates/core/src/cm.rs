@@ -679,7 +679,7 @@ impl ConnMgmt {
             format!("{:?}", self.outbox).as_bytes(),
         );
         vec![
-            self.conn.0 as u64,
+            self.conn.serial(),
             scheme,
             state,
             self.local_isn as u64,

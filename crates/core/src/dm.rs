@@ -6,21 +6,91 @@
 //! and writes only the DM subheader (ports) plus the network addresses.
 
 use crate::fingerprint as fp;
+use crate::slots::SlotTable;
 use crate::wire::Packet;
 use slmetrics::{site, SharedLog};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU64;
 use slwire::hash::FxBuildHasher;
 use slwire::{Endpoint, FourTuple};
 
-/// Opaque connection handle handed upward by DM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ConnId(pub usize);
+/// Low bits of a [`ConnId`] that hold its slot.
+const SLOT_BITS: u32 = 24;
+/// Slots DM can hand out at once.
+pub(crate) const MAX_SLOTS: u32 = 1 << SLOT_BITS;
+/// Serials DM can mint: serial + 1 fills the high 40 bits.
+pub(crate) const MAX_SERIALS: u64 = (1 << (64 - SLOT_BITS)) - 1;
+
+/// Opaque connection handle handed upward by DM. It carries two things:
+/// its *serial*, minted in sequence and never reused — the one part that
+/// is compared, ordered, hashed and printed — and its *slot*, where every
+/// per-connection table keeps the connection's entry (one slot array
+/// per table, not a hash). A slot is reused once `unbind` frees it; a
+/// serial never is, so a stale handle never reaches the slot's next
+/// tenant.
+#[derive(Clone, Copy)]
+pub struct ConnId(NonZeroU64);
+
+impl ConnId {
+    fn new(serial: u64, slot: u32) -> ConnId {
+        debug_assert!(serial < MAX_SERIALS && slot < MAX_SLOTS);
+        let raw = (serial + 1) << SLOT_BITS | slot as u64;
+        ConnId(NonZeroU64::new(raw).expect("serial + 1 is not 0"))
+    }
+
+    pub(crate) fn serial(self) -> u64 {
+        (self.0.get() >> SLOT_BITS) - 1
+    }
+
+    pub(crate) fn slot(self) -> usize {
+        (self.0.get() & (MAX_SLOTS as u64 - 1)) as usize
+    }
+}
+
+impl PartialEq for ConnId {
+    fn eq(&self, other: &ConnId) -> bool {
+        self.serial() == other.serial()
+    }
+}
+
+impl Eq for ConnId {}
+
+impl PartialOrd for ConnId {
+    fn partial_cmp(&self, other: &ConnId) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ConnId {
+    fn cmp(&self, other: &ConnId) -> Ordering {
+        self.serial().cmp(&other.serial())
+    }
+}
+
+/// As the `usize` id it replaced hashed: every fx table keyed by a handle
+/// places and walks its entries as before.
+impl Hash for ConnId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.serial() as usize).hash(state)
+    }
+}
+
+impl fmt::Debug for ConnId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ConnId").field(&self.serial()).finish()
+    }
+}
 
 /// Errors from binding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DmError {
     /// The exact 4-tuple is already bound.
     TupleInUse,
+    /// Every slot is taken, or every serial minted: no handle is left.
+    Exhausted,
 }
 
 /// Proof of admission, minted exclusively by [`Demux::bind`].
@@ -69,10 +139,15 @@ pub struct Demux {
     /// same function the shard router uses — "Demux has no state", so the
     /// bucket placement is a pure function of the tuple).
     table: HashMap<FourTuple, ConnId, FxBuildHasher>,
-    /// Ids are minted here (`next_id`), never read off the wire: the same
-    /// mix, unseeded.
-    tuples: HashMap<ConnId, FourTuple, FxBuildHasher>,
-    next_id: usize,
+    /// Each admitted connection's tuple, at its handle's slot.
+    tuples: SlotTable<FourTuple>,
+    next_serial: u64,
+    /// Slots `unbind` freed, the last freed on top: `bind` takes one from
+    /// here before it takes a fresh one. Placement, not behaviour: the
+    /// contract key leaves it out.
+    free: Vec<u32>,
+    /// The first slot never handed out.
+    next_slot: u32,
     next_ephemeral: u16,
     /// Overload accept gate: when set, DM stops admitting new flows while
     /// still demultiplexing established ones. This is DM's slice of the
@@ -89,8 +164,10 @@ impl Demux {
             local_addr,
             listeners: HashSet::with_hasher(seeded),
             table: HashMap::with_hasher(seeded),
-            tuples: HashMap::default(),
-            next_id: 0,
+            tuples: SlotTable::new(),
+            next_serial: 0,
+            free: Vec::new(),
+            next_slot: 0,
             next_ephemeral: 49152,
             gated: false,
             log,
@@ -122,11 +199,29 @@ impl Demux {
         if self.table.contains_key(&tuple) {
             return Err(DmError::TupleInUse);
         }
-        let id = ConnId(self.next_id);
-        self.next_id += 1;
+        let id = self.place(self.next_serial, tuple).ok_or(DmError::Exhausted)?;
+        self.next_serial += 1;
         self.table.insert(tuple, id);
-        self.tuples.insert(id, tuple);
         Ok(Admitted { id })
+    }
+
+    /// Give `tuple` a handle with `serial` in the last freed slot, else a
+    /// fresh one; `None` once the serials or the slots are spent.
+    fn place(&mut self, serial: u64, tuple: FourTuple) -> Option<ConnId> {
+        if serial >= MAX_SERIALS {
+            return None;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None if self.next_slot < MAX_SLOTS => {
+                self.next_slot += 1;
+                self.next_slot - 1
+            }
+            None => return None,
+        };
+        let id = ConnId::new(serial, slot);
+        self.tuples.insert(id, tuple);
+        Some(id)
     }
 
     /// Allocate an ephemeral local port (encapsulating port reuse — the
@@ -150,8 +245,10 @@ impl Demux {
     /// Release a binding.
     pub fn unbind(&mut self, id: ConnId) {
         self.log.borrow_mut().write(site!("dm", "conn_table"));
-        if let Some(t) = self.tuples.remove(&id) {
+        if let Some(&t) = self.tuples.get(id) {
+            self.tuples.remove(id);
             self.table.remove(&t);
+            self.free.push(id.slot() as u32);
         }
     }
 
@@ -178,7 +275,7 @@ impl Demux {
     /// Stamp the DM subheader and addresses on an outgoing packet.
     pub fn fill_tx(&self, id: ConnId, pkt: &mut Packet) {
         self.log.borrow_mut().read(site!("dm", "conn_table"));
-        let t = self.tuples[&id];
+        let t = *self.tuples.get(id).expect("a bound connection");
         pkt.src_addr = t.local.addr;
         pkt.dst_addr = t.remote.addr;
         pkt.dm.src_port = t.local.port;
@@ -186,12 +283,19 @@ impl Demux {
     }
 
     pub fn tuple(&self, id: ConnId) -> Option<FourTuple> {
-        self.tuples.get(&id).copied()
+        self.tuples.get(id).copied()
     }
 
     /// O(1) hashed 4-tuple lookup (the host layer's demux path).
     pub fn lookup(&self, tuple: &FourTuple) -> Option<ConnId> {
         self.table.get(tuple).copied()
+    }
+
+    /// A demuxer whose next serial and first fresh slot are `serial` and
+    /// `slot`: how a test reaches DM's limits without minting them all.
+    #[cfg(test)]
+    pub(crate) fn starting_at(local_addr: u32, log: SharedLog, serial: u64, slot: u32) -> Demux {
+        Demux { next_serial: serial, next_slot: slot, ..Demux::new(local_addr, log) }
     }
 
     /// Deterministic behavioral fingerprint for the DM contract checker.
@@ -203,12 +307,12 @@ impl Demux {
         let mut conns: Vec<u64> = self
             .tuples
             .iter()
-            .map(|(id, t)| fp::mix(id.0 as u64, tuple_fp(t)))
+            .map(|(id, t)| fp::mix(id.serial(), tuple_fp(t)))
             .collect();
         conns.sort_unstable();
         vec![
             self.gated as u64,
-            self.next_id as u64,
+            self.next_serial,
             self.next_ephemeral as u64,
             fp::fold(fp::SEED, listeners),
             fp::fold(fp::SEED, conns),
@@ -310,13 +414,17 @@ impl DmDriver for BuggyDm {
             Ok(a) => Ok(a.id()),
             Err(DmError::TupleInUse) => {
                 // THE BUG: treat the duplicate as a re-admission and mint a
-                // second ConnId for the same 4-tuple. The demux table still
-                // points at the first id, so the two connections now shear.
-                let id = ConnId(usize::MAX - self.bonus);
+                // second ConnId for the same 4-tuple, counting down from the
+                // last serial. The demux table still points at the first
+                // id, so the two connections now shear.
+                let id = self
+                    .inner
+                    .place(MAX_SERIALS - 1 - self.bonus as u64, tuple)
+                    .expect("the canary runs far from DM's limits");
                 self.bonus += 1;
-                self.inner.tuples.insert(id, tuple);
                 Ok(id)
             }
+            Err(e) => Err(e),
         }
     }
     fn release(&mut self, id: ConnId) {
@@ -341,6 +449,7 @@ impl DmDriver for BuggyDm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{collection, prop_assert, prop_assert_eq, proptest};
 
     fn dm() -> Demux {
         Demux::new(10, slmetrics::shared())
@@ -489,5 +598,168 @@ mod tests {
         assert!(a.tuples.iter().eq(b.tuples.iter()));
         assert!(a.table.iter().eq(b.table.iter()));
         assert!(a.listeners.iter().eq(b.listeners.iter()));
+    }
+
+    /// The two hash maps DM kept before handles carried their slot: the
+    /// reference the slot table is checked against.
+    #[derive(Default)]
+    struct HashDm {
+        table: HashMap<FourTuple, ConnId>,
+        tuples: HashMap<ConnId, FourTuple>,
+        next_serial: u64,
+    }
+
+    impl HashDm {
+        fn bind(&mut self, tuple: FourTuple) -> Result<ConnId, DmError> {
+            if self.table.contains_key(&tuple) {
+                return Err(DmError::TupleInUse);
+            }
+            let id = ConnId::new(self.next_serial, 0);
+            self.next_serial += 1;
+            self.table.insert(tuple, id);
+            self.tuples.insert(id, tuple);
+            Ok(id)
+        }
+
+        fn unbind(&mut self, id: ConnId) {
+            if let Some(t) = self.tuples.remove(&id) {
+                self.table.remove(&t);
+            }
+        }
+    }
+
+    /// Eight tuples, half of them to the listening port.
+    fn scripted_tuple(k: u8) -> FourTuple {
+        tuple(80 + (k % 2) as u16, 20 + (k / 2) as u32, 9000)
+    }
+
+    proptest! {
+        /// Any script of binds, unbinds, classifies, stamps and tuple
+        /// queries reads as it did on the hash maps; no two live handles
+        /// share a slot, a freed slot is the next one handed out (the last
+        /// freed first), and serials only grow.
+        #[test]
+        fn prop_slot_handles_answer_as_the_hash_maps_did(
+            ops in collection::vec((0u8..5, 0u8..8), 0..96),
+        ) {
+            let mut d = dm();
+            d.listen(80);
+            let mut oracle = HashDm::default();
+            // Every handle ever minted, stale ones included.
+            let mut minted: Vec<ConnId> = Vec::new();
+            let mut freed: Vec<usize> = Vec::new();
+            let mut fresh = 0;
+            for &(op, k) in &ops {
+                let pick = |minted: &[ConnId]| minted.get(k as usize % minted.len().max(1)).copied();
+                match op {
+                    0 => {
+                        let t = scripted_tuple(k);
+                        let got = d.bind(t).map(|a| a.id());
+                        prop_assert_eq!(&got, &oracle.bind(t));
+                        if let Ok(id) = got {
+                            if let Some(&last) = minted.last() {
+                                prop_assert!(id.serial() > last.serial());
+                            }
+                            let want = freed.pop().unwrap_or_else(|| {
+                                fresh += 1;
+                                fresh - 1
+                            });
+                            prop_assert_eq!(id.slot(), want);
+                            minted.push(id);
+                        }
+                    }
+                    1 => {
+                        if let Some(id) = pick(&minted) {
+                            if oracle.tuples.contains_key(&id) {
+                                freed.push(id.slot());
+                            }
+                            d.unbind(id);
+                            oracle.unbind(id);
+                        }
+                    }
+                    2 => {
+                        let t = scripted_tuple(k);
+                        let want = match oracle.table.get(&t) {
+                            Some(&id) => DmVerdict::Known(id),
+                            None if t.local.port == 80 => DmVerdict::NewFlow(t),
+                            None => DmVerdict::NoListener,
+                        };
+                        prop_assert_eq!(d.classify(&pkt_to(10, t.local.port, t.remote)), want);
+                        prop_assert_eq!(d.lookup(&t), oracle.table.get(&t).copied());
+                    }
+                    3 => {
+                        let live: Vec<ConnId> =
+                            minted.iter().copied().filter(|id| oracle.tuples.contains_key(id)).collect();
+                        if let Some(id) = pick(&live) {
+                            let t = oracle.tuples[&id];
+                            let mut p = Packet::default();
+                            d.fill_tx(id, &mut p);
+                            prop_assert_eq!((p.src_addr, p.dm.src_port), (t.local.addr, t.local.port));
+                            prop_assert_eq!((p.dst_addr, p.dm.dst_port), (t.remote.addr, t.remote.port));
+                        }
+                    }
+                    _ => {
+                        if let Some(id) = pick(&minted) {
+                            prop_assert_eq!(d.tuple(id), oracle.tuples.get(&id).copied());
+                        }
+                    }
+                }
+                let mut slots: Vec<usize> =
+                    minted.iter().filter(|id| oracle.tuples.contains_key(id)).map(|id| id.slot()).collect();
+                let live = slots.len();
+                slots.sort_unstable();
+                slots.dedup();
+                prop_assert_eq!(slots.len(), live, "two live handles share a slot");
+                prop_assert_eq!(d.tuples.len(), live);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stale_handle_never_reaches_its_slots_next_tenant() {
+        let mut d = dm();
+        let old = d.bind(tuple(5000, 20, 80)).unwrap().id();
+        d.unbind(old);
+        let new = d.bind(tuple(5001, 20, 80)).unwrap().id();
+        assert_eq!(new.slot(), old.slot(), "the freed slot is reused");
+        assert_ne!(new, old);
+        assert_eq!(d.tuple(old), None);
+        d.unbind(old);
+        assert_eq!(d.tuple(new), Some(tuple(5001, 20, 80)), "a stale unbind frees nothing");
+    }
+
+    #[test]
+    fn spent_serials_are_a_typed_refusal() {
+        let mut d = Demux::starting_at(10, slmetrics::shared(), MAX_SERIALS - 1, 0);
+        let last = d.bind(tuple(5000, 20, 80)).unwrap().id();
+        assert_eq!(last.serial(), MAX_SERIALS - 1);
+        assert_eq!(d.bind(tuple(5001, 20, 80)).unwrap_err(), DmError::Exhausted);
+        // A freed slot is no new serial.
+        d.unbind(last);
+        assert_eq!(d.bind(tuple(5001, 20, 80)).unwrap_err(), DmError::Exhausted);
+        assert_eq!(d.lookup(&tuple(5001, 20, 80)), None, "a refusal binds nothing");
+    }
+
+    #[test]
+    fn spent_slots_are_a_typed_refusal() {
+        let mut d = Demux::starting_at(10, slmetrics::shared(), 0, MAX_SLOTS);
+        assert_eq!(d.bind(tuple(5000, 20, 80)).unwrap_err(), DmError::Exhausted);
+        assert_eq!(d.lookup(&tuple(5000, 20, 80)), None, "a refusal binds nothing");
+        assert_eq!(d.contract_key()[1], 0, "nor spends a serial");
+    }
+
+    #[test]
+    fn a_handle_compares_hashes_and_prints_as_its_serial() {
+        let (a, b) = (ConnId::new(7, 0), ConnId::new(7, 3));
+        assert_eq!(a, b);
+        assert!(ConnId::new(6, 9) < a);
+        assert_eq!(format!("{b:?}"), format!("{:?}", ConnId::new(7, 1)));
+        assert_eq!(format!("{b:?}"), "ConnId(7)");
+        let hash = |x: &dyn Fn(&mut std::collections::hash_map::DefaultHasher)| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            x(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&|h| b.hash(h)), hash(&|h| 7usize.hash(h)), "hashed as the usize id was");
     }
 }

@@ -40,6 +40,7 @@ pub mod rd;
 pub mod record;
 pub mod shim;
 pub mod signals;
+mod slots;
 pub mod stack;
 /// The Figure-6 native wire format this stack speaks (it lives in `slwire`).
 pub use slwire::native as wire;

@@ -45,6 +45,7 @@ use crate::isn::{self, IsnGenerator};
 use crate::osr::Osr;
 use crate::rd::{RdEvent, ReliableDelivery};
 use crate::signals::SeqValidity;
+use crate::slots::SlotTable;
 use crate::wire::Packet;
 use netsim::{
     Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
@@ -159,9 +160,9 @@ const HALF_OPEN_EVICT_AGE: Dur = Dur(1_000_000_000);
 /// A sublayered TCP endpoint (host).
 pub struct SlTcpStack {
     dm: Demux,
-    /// Keyed by the id DM minted, hashed with the repo's one fx mix
-    /// (unseeded: no id comes off the wire).
-    conns: HashMap<ConnId, Connection, FxBuildHasher>,
+    /// At the slot of the handle DM minted: a lookup is an index, not a
+    /// hash.
+    conns: SlotTable<Connection>,
     isn_gen: Box<dyn IsnGenerator>,
     config: SlConfig,
     /// The configured rate controller, validated once at construction and
@@ -215,7 +216,7 @@ impl SlTcpStack {
         let cc_template = slcc::make(config.cc)?;
         Ok(SlTcpStack {
             dm: Demux::new(addr, log.clone()),
-            conns: HashMap::default(),
+            conns: SlotTable::new(),
             isn_gen: isn::make(config.isn),
             config,
             cc_template,
@@ -246,7 +247,7 @@ impl SlTcpStack {
     /// `now`.
     fn touch<R>(&mut self, id: ConnId, f: impl FnOnce(&mut Connection) -> R) -> Option<R> {
         let (ka, now) = (self.config.keepalive, self.clock);
-        let conn = self.conns.get_mut(&id)?;
+        let conn = self.conns.get_mut(id)?;
         let before = Self::mark_of(&self.agenda, ka, conn, now);
         let out = f(conn);
         let after = Self::mark_of(&self.agenda, ka, conn, now);
@@ -256,7 +257,7 @@ impl SlTcpStack {
     }
 
     pub fn state(&self, id: ConnId) -> CmState {
-        self.conns.get(&id).map_or(CmState::Closed, |c| c.cm.state())
+        self.conns.get(id).map_or(CmState::Closed, |c| c.cm.state())
     }
 
     /// Abort a connection locally, recording `reason` as its terminal error
@@ -288,7 +289,7 @@ impl SlTcpStack {
     /// equal once the agenda is awake (debug builds check on every
     /// `poll_deadline`), and which `poll_deadline` returns before.
     pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.keys().filter_map(|&id| self.conn_deadline(now, id)).min()
+        self.conns.ids().filter_map(|id| self.conn_deadline(now, id)).min()
     }
 
     fn mark_of(agenda: &Agenda<ConnId>, ka: Option<Keepalive>, c: &Connection, now: Time) -> Mark {
@@ -340,8 +341,9 @@ impl SlTcpStack {
     /// A connection leaves the table without a last pump (eviction).
     fn evict(&mut self, now: Time, id: ConnId) {
         self.dm.unbind(id);
-        if let Some(conn) = self.conns.remove(&id) {
-            let mark = Self::mark_of(&self.agenda, self.config.keepalive, &conn, now);
+        if let Some(conn) = self.conns.get(id) {
+            let mark = Self::mark_of(&self.agenda, self.config.keepalive, conn, now);
+            self.conns.remove(id);
             self.agenda.reindex(id, Some(mark), None);
         }
     }
@@ -356,18 +358,18 @@ impl SlTcpStack {
 
     /// The RD sublayer's counters (for tests/experiments).
     pub fn rd_stats(&self, id: ConnId) -> Option<crate::rd::RdStats> {
-        self.conns.get(&id).and_then(|c| c.rd.as_ref()).map(|r| r.stats.clone())
+        self.conns.get(id).and_then(|c| c.rd.as_ref()).map(|r| r.stats.clone())
     }
 
     pub fn osr_stats(&self, id: ConnId) -> Option<crate::osr::OsrStats> {
-        self.conns.get(&id).map(|c| c.osr.stats.clone())
+        self.conns.get(id).map(|c| c.osr.stats.clone())
     }
 
     /// Per-connection congestion-control observability: window samples
     /// and loss/recovery event counts ([`slmetrics::CcCounters`], the
     /// same shape `tcp-mono` fills — E19 reads both like for like).
     pub fn conn_cc(&self, id: ConnId) -> Option<slmetrics::CcCounters> {
-        self.conns.get(&id).map(|c| c.osr.cc)
+        self.conns.get(id).map(|c| c.osr.cc)
     }
 
     /// Simulate an ECN mark on this connection's next outgoing header.
@@ -380,7 +382,7 @@ impl SlTcpStack {
     /// (the attack campaign's oracle mode reads this; real attackers
     /// guess).
     pub fn expected_wire_seq(&self, id: ConnId) -> Option<u32> {
-        self.conns.get(&id)?.rd.as_ref().map(|r| r.wire_rcv_ack())
+        self.conns.get(id)?.rd.as_ref().map(|r| r.wire_rcv_ack())
     }
 
     /// Total RFC 5961 challenge ACKs issued (live connections + reaped).
@@ -406,8 +408,8 @@ impl SlTcpStack {
                 c.cm.state() == CmState::SynRcvd
                     && now.since(c.cm.last_activity()) >= HALF_OPEN_EVICT_AGE
             })
-            .min_by_key(|(id, c)| (c.cm.last_activity(), **id))
-            .map(|(id, _)| *id)
+            .min_by_key(|&(id, c)| (c.cm.last_activity(), id))
+            .map(|(id, _)| id)
     }
 
     /// Keyed hash binding a half-open flow's 4-tuple and client ISN to a
@@ -446,6 +448,13 @@ impl SlTcpStack {
         self.stats.packets_sent += 1;
         self.stats.syn_cookies_sent += 1;
         self.outbox.push_back(pkt.encode());
+    }
+
+    /// A new flow the connection table cannot take: counted, and answered
+    /// with a stateless RST.
+    fn refuse_full(&mut self, pkt: &Packet) {
+        self.stats.conn_table_full_drops += 1;
+        self.send_stateless_rst(pkt);
     }
 
     /// Stateless RST for a non-RST packet addressed to no connection.
@@ -495,7 +504,7 @@ impl SlTcpStack {
         self.clock = now;
         self.agenda.clear_ready(&id);
         let ka = self.config.keepalive;
-        let Some(conn) = self.conns.get_mut(&id) else { return false };
+        let Some(conn) = self.conns.get_mut(id) else { return false };
         let before = Self::mark_of(&self.agenda, ka, conn, now);
         let pass_up = step(conn);
 
@@ -644,13 +653,12 @@ impl SlTcpStack {
         let after = if conn.cm.state() == CmState::Closed {
             // Reap it, keeping why it died and folding its counters into
             // the stack's.
-            self.dm.unbind(id);
-            if let Some(c) = self.conns.remove(&id) {
-                if let Some(reason) = c.cm.reset_reason() {
-                    self.errors.entry(id).or_insert(reason);
-                }
-                self.stats.challenge_acks += c.cm.challenge_acks();
+            if let Some(reason) = conn.cm.reset_reason() {
+                self.errors.entry(id).or_insert(reason);
             }
+            self.stats.challenge_acks += conn.cm.challenge_acks();
+            self.dm.unbind(id);
+            self.conns.remove(id);
             None
         } else {
             // One pass is not a fixpoint for a closing connection: close
@@ -695,7 +703,7 @@ impl SlTcpStack {
         let ka = self.config.keepalive;
         let conns = &self.conns;
         self.agenda
-            .wake(|| conns.iter().map(|(&id, c)| (id, Self::deadline_of(ka, c, now))));
+            .wake(|| conns.iter().map(|(id, c)| (id, Self::deadline_of(ka, c, now))));
     }
 }
 
@@ -809,7 +817,7 @@ impl HostStack for SlTcpStack {
         // flips to FIN_WAIT_1 the moment the app closes. Both mean "no
         // longer open for the application", so gate on the close request.
         self.conns
-            .get(&id)
+            .get(id)
             .is_some_and(|c| c.cm.state() == CmState::Established && !c.osr.app_closed())
     }
 
@@ -824,7 +832,7 @@ impl HostStack for SlTcpStack {
         // CM's peer-FIN flag would persist. Half-close is only meaningful
         // while the connection is alive, so gate on it.
         self.conns
-            .get(&id)
+            .get(id)
             .is_some_and(|c| c.cm.peer_fin_seen() && c.cm.state() != CmState::Closed)
     }
 
@@ -837,13 +845,13 @@ impl HostStack for SlTcpStack {
 
     /// In-order received bytes available to `recv` without draining them.
     fn readable_len(&self, id: ConnId) -> usize {
-        self.conns.get(&id).map_or(0, |c| c.osr.readable_len())
+        self.conns.get(id).map_or(0, |c| c.osr.readable_len())
     }
 
     /// How many bytes `send` would accept right now (0 once the stream is
     /// closing or the connection is gone).
     fn send_capacity(&self, id: ConnId) -> usize {
-        match self.conns.get(&id) {
+        match self.conns.get(id) {
             Some(c) if !c.osr.app_closed() => c.osr.write_capacity(),
             _ => 0,
         }
@@ -855,7 +863,7 @@ impl HostStack for SlTcpStack {
             .conns
             .iter()
             .filter(|(_, c)| c.cm.state() == CmState::Established)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         v.sort();
         v
@@ -892,7 +900,7 @@ impl HostStack for SlTcpStack {
     /// Next timer deadline for *one* connection, so a host can keep one
     /// wheel entry per connection instead of scanning them all.
     fn conn_deadline(&self, now: Time, id: ConnId) -> Option<Time> {
-        Self::deadline_of(self.config.keepalive, self.conns.get(&id)?, now)
+        Self::deadline_of(self.config.keepalive, self.conns.get(id)?, now)
     }
 
     /// Advance one connection's timers to `now` (the per-connection half
@@ -938,7 +946,7 @@ impl HostStack for SlTcpStack {
         self.pressure = p;
         let pace = p.paces_acks();
         let (ka, now) = (self.config.keepalive, self.clock);
-        for (&id, c) in self.conns.iter_mut() {
+        for (id, c) in self.conns.iter_mut() {
             let before = Self::mark_of(&self.agenda, ka, c, now);
             c.osr.set_pressure(p);
             if let Some(rd) = c.rd.as_mut() {
@@ -961,14 +969,14 @@ impl HostStack for SlTcpStack {
 
     /// One connection's share of [`SlTcpStack::buffered_bytes`].
     fn conn_buffered(&self, id: ConnId) -> usize {
-        self.conns.get(&id).map_or(0, Connection::buffered_bytes)
+        self.conns.get(id).map_or(0, Connection::buffered_bytes)
     }
 
     /// Monotone progress counter for slow-drain detection (bytes delivered
     /// in order + bytes the peer acked); `0` before RD exists.
     fn conn_progress(&self, id: ConnId) -> u64 {
         self.conns
-            .get(&id)
+            .get(id)
             .and_then(|c| c.rd.as_ref())
             .map_or(0, |r| r.progress_bytes())
     }
@@ -989,7 +997,7 @@ impl HostStack for SlTcpStack {
     /// partitioned).
     fn conn_rtx_bytes(&self, id: ConnId) -> usize {
         self.conns
-            .get(&id)
+            .get(id)
             .and_then(|c| c.rd.as_ref())
             .map_or(0, |r| r.in_flight_bytes())
     }
@@ -998,7 +1006,7 @@ impl HostStack for SlTcpStack {
     /// ack progress — the partition-age signal a host budget can act on.
     fn conn_oldest_unacked(&self, id: ConnId, now: Time) -> Option<Dur> {
         self.conns
-            .get(&id)
+            .get(id)
             .and_then(|c| c.rd.as_ref())
             .and_then(|r| r.oldest_unacked_age(now))
     }
@@ -1020,11 +1028,9 @@ impl Stack for SlTcpStack {
                 // Admission control first: a full connection table refuses
                 // every new flow — cookie rebuilds included — with a typed
                 // drop counter and a stateless RST, never a panic or a
-                // silent discard.
+                // silent discard. So does a DM out of handles.
                 if self.conns.len() >= self.config.max_conns {
-                    self.stats.conn_table_full_drops += 1;
-                    self.send_stateless_rst(&pkt);
-                    return;
+                    return self.refuse_full(&pkt);
                 }
                 let three_way = matches!(self.config.cm_scheme, CmScheme::ThreeWay);
                 // A returning ACK that proves a SYN cookie rebuilds the
@@ -1035,7 +1041,7 @@ impl Stack for SlTcpStack {
                     && pkt.rd.has_ack
                     && pkt.cm.ack_isn == self.syn_cookie(&tuple, pkt.cm.isn)
                 {
-                    let Ok(token) = self.dm.bind(tuple) else { return };
+                    let Ok(token) = self.dm.bind(tuple) else { return self.refuse_full(&pkt) };
                     let id = token.id();
                     let cm = ConnMgmt::open_cookie(
                         token,
@@ -1070,7 +1076,7 @@ impl Stack for SlTcpStack {
                 // Admission first: the token CM's constructor demands is
                 // minted by DM's bind. A header that cannot open releases
                 // the admission again.
-                let Ok(token) = self.dm.bind(tuple) else { return };
+                let Ok(token) = self.dm.bind(tuple) else { return self.refuse_full(&pkt) };
                 let id = token.id();
                 let Some(cm) = ConnMgmt::open_passive(
                     token,
@@ -1144,7 +1150,7 @@ impl Stack for SlTcpStack {
 #[cfg(test)]
 impl SlTcpStack {
     pub(crate) fn sorted_ids(&self) -> Vec<ConnId> {
-        let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
+        let mut ids: Vec<ConnId> = self.conns.ids().collect();
         ids.sort();
         ids
     }
@@ -1160,7 +1166,7 @@ impl SlTcpStack {
 
     /// What the connection's read buffer holds allocated.
     pub(crate) fn read_capacity(&self, id: ConnId) -> Option<usize> {
-        self.conns.get(&id).map(|c| c.osr.read_capacity())
+        self.conns.get(id).map(|c| c.osr.read_capacity())
     }
 
     pub(crate) fn scan_on_tick(&mut self, now: Time) {
@@ -1182,7 +1188,7 @@ impl SlTcpStack {
         let (ready, deadlines) = self.agenda.sizes();
         assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
         let with_deadline =
-            self.conns.keys().filter(|&&id| self.conn_deadline(now, id).is_some()).count();
+            self.conns.ids().filter(|&id| self.conn_deadline(now, id).is_some()).count();
         assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
         assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
     }
@@ -1192,7 +1198,7 @@ impl SlTcpStack {
 mod tests {
     use super::{CmState, SlConfig, SlTcpStack};
     use crate::wire::Packet;
-    use netsim::{HostStack, Stack, Time};
+    use netsim::{HostStack, Stack, Time, TransportError};
     use slwire::Endpoint;
 
     #[test]
@@ -1225,6 +1231,77 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_as_wide_as_the_hash_bucket_it_replaced() {
+        use std::mem::size_of;
+        let (entry, bucket) = (
+            size_of::<crate::slots::Entry<super::Connection>>(),
+            size_of::<(super::ConnId, super::Connection)>(),
+        );
+        assert!(entry <= bucket, "{entry} > {bucket}");
+    }
+
+    #[test]
+    fn a_stale_handle_reads_gone_and_leaves_its_slots_next_tenant_alone() {
+        let (mut client, mut server) = (stack(CLIENT), stack(SERVER));
+        server.listen(80);
+        let old = client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
+        client.abort(Time::ZERO, old);
+        drain(&mut client);
+        let new = client.connect(Time::ZERO, 5001, Endpoint::new(SERVER, 80));
+        assert_eq!(new.slot(), old.slot(), "the reaped connection's slot is reused");
+        handshake(&mut client, &mut server);
+        assert!(client.is_established(new));
+        // Every query with the old handle reads "gone"; the error survives.
+        assert_eq!(client.state(old), CmState::Closed);
+        assert!(client.is_closed(old) && !client.is_established(old) && !client.peer_closed(old));
+        assert_eq!(client.conn_error(old), Some(TransportError::Reset));
+        assert_eq!(client.tuple(old), None);
+        assert_eq!(client.conn_deadline(Time::ZERO, old), None);
+        assert_eq!((client.readable_len(old), client.send_capacity(old)), (0, 0));
+        assert_eq!((client.conn_buffered(old), client.conn_rtx_bytes(old)), (0, 0));
+        assert_eq!(client.conn_progress(old), 0);
+        assert_eq!(client.conn_oldest_unacked(old, Time::ZERO), None);
+        assert!(client.rd_stats(old).is_none() && client.osr_stats(old).is_none());
+        assert!(client.conn_cc(old).is_none() && client.expected_wire_seq(old).is_none());
+        // Nor does anything done with it reach the new connection.
+        assert_eq!(client.send(old, b"stale"), 0);
+        assert!(client.recv(old).is_empty());
+        client.mark_ecn(old);
+        client.close(old);
+        client.pump_conn(Time::ZERO, old);
+        client.tick_conn(Time::ZERO, old);
+        client.abort(Time::ZERO, old);
+        assert!(drain(&mut client).is_empty(), "a stale handle sends nothing");
+        assert!(client.is_established(new));
+        assert_eq!(client.conn_error(new), None);
+        assert_eq!(client.tuple(new).map(|t| t.local.port), Some(5001));
+        assert_eq!(client.send(new, b"fresh"), 5);
+        handshake(&mut client, &mut server);
+        let sid = server.established()[0];
+        assert_eq!(server.recv(sid), b"fresh");
+    }
+
+    #[test]
+    fn a_dm_out_of_handles_refuses_active_and_passive_opens_alike() {
+        use crate::dm::{Demux, MAX_SERIALS, MAX_SLOTS};
+        let mut client = stack(CLIENT);
+        client.dm = Demux::starting_at(CLIENT, slmetrics::shared(), MAX_SERIALS - 1, 0);
+        client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
+        let refused = client.try_connect(Time::ZERO, 5001, Endpoint::new(SERVER, 80));
+        assert_eq!(refused, Err(TransportError::ConnTableFull), "no serial left");
+        let mut server = stack(SERVER);
+        server.dm = Demux::starting_at(SERVER, slmetrics::shared(), 0, MAX_SLOTS);
+        server.listen(80);
+        for f in drain(&mut client) {
+            server.on_frame(Time::ZERO, &f);
+        }
+        assert_eq!(server.conn_count(), 0, "no slot left");
+        assert_eq!((server.stats.conn_table_full_drops, server.stats.stateless_rsts_sent), (1, 1));
+        let [rst] = &drain(&mut server)[..] else { panic!("one stateless RST") };
+        assert!(Packet::decode(rst).expect("own frame").cm.flags.rst);
+    }
+
+    #[test]
     fn two_stacks_driven_alike_iterate_their_tables_alike() {
         // What a `RandomState` table cannot do: each instance draws its own
         // keys, so two of them walk the same ids in different orders — and
@@ -1240,7 +1317,7 @@ mod tests {
             assert_eq!((stack.conns.len(), stack.errors.len()), (32, 16));
         }
         let [a, b] = &pair;
-        assert!(a.conns.keys().eq(b.conns.keys()));
+        assert!(a.conns.ids().eq(b.conns.ids()));
         assert!(a.errors.keys().eq(b.errors.keys()));
     }
 
@@ -1256,19 +1333,24 @@ mod tests {
         std::iter::from_fn(|| from.poll_transmit(Time::ZERO)).collect()
     }
 
-    #[test]
-    fn a_passed_up_data_segment_runs_one_pump() {
-        let (mut client, mut server) = (stack(CLIENT), stack(SERVER));
-        server.listen(80);
-        let id = client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
+    /// Trade frames until neither end has any to send.
+    fn handshake(client: &mut SlTcpStack, server: &mut SlTcpStack) {
         loop {
-            let (up, down) = (drain(&mut client), drain(&mut server));
+            let (up, down) = (drain(client), drain(server));
             if up.is_empty() && down.is_empty() {
                 break;
             }
             up.iter().for_each(|f| server.on_frame(Time::ZERO, f));
             down.iter().for_each(|f| client.on_frame(Time::ZERO, f));
         }
+    }
+
+    #[test]
+    fn a_passed_up_data_segment_runs_one_pump() {
+        let (mut client, mut server) = (stack(CLIENT), stack(SERVER));
+        server.listen(80);
+        let id = client.connect(Time::ZERO, 5000, Endpoint::new(SERVER, 80));
+        handshake(&mut client, &mut server);
         client.send(id, &[7; 100]);
         let [data] = &drain(&mut client)[..] else { panic!("one data segment") };
         let before = server.pumps;
@@ -1287,7 +1369,7 @@ mod tests {
         // pass that establishes the client.
         client.send(id, &[9; 300]);
         drain(&mut client).iter().for_each(|f| server.on_frame(Time::ZERO, f));
-        let &sid = server.conns.keys().next().expect("SYN admitted");
+        let sid = server.conns.ids().next().expect("SYN admitted");
         assert_eq!(server.state(sid), CmState::SynRcvd);
         drain(&mut server).iter().for_each(|f| client.on_frame(Time::ZERO, f));
         // The client's pure ack is lost; its data segment acks the SYN|ACK
@@ -1296,7 +1378,7 @@ mod tests {
             .into_iter()
             .find(|f| !Packet::decode(f).expect("own frame").payload.is_empty())
             .expect("a data segment");
-        assert!(server.conns[&sid].rd.is_none());
+        assert!(server.conns.get(sid).expect("half-open").rd.is_none());
         let before = server.pumps;
         server.on_frame(Time::ZERO, &data);
         // CM established, its event built RD, and RD took the packet: all

@@ -58,9 +58,15 @@
 //!
 //! ```compile_fail
 //! use netsim::Time;
+//! use slwire::{Endpoint, FourTuple};
 //! use sublayer_core::cm::{CmScheme, ConnMgmt};
-//! // There is no public way to conjure an `Admitted` token.
-//! let token = sublayer_core::dm::Admitted { id: sublayer_core::ConnId(0) };
+//! use sublayer_core::Demux;
+//! let mut dm = Demux::new(1, slmetrics::shared());
+//! let tuple = FourTuple { local: Endpoint::new(1, 80), remote: Endpoint::new(2, 5000) };
+//! let id = dm.bind(tuple).unwrap().id();
+//! // There is no public way to conjure an `Admitted` token, even around
+//! // an id DM minted.
+//! let token = sublayer_core::dm::Admitted { id };
 //! let _cm = ConnMgmt::open_active(
 //!     token, CmScheme::ThreeWay, 1, Time::ZERO, slmetrics::shared());
 //! ```

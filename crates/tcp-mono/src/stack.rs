@@ -282,6 +282,11 @@ impl TcpStack {
         let tuple = pcb.tuple;
         let after = keep.then(|| self.mark_of(&pcb));
         if keep {
+            // A PCB new on its tuple (active, passive or cookie open) starts
+            // with no error: a dead predecessor's was that one's.
+            if before.is_none() {
+                self.errors.remove(&tuple);
+            }
             self.conns.insert(tuple, pcb);
         }
         self.agenda.reindex(tuple, before, after);
