@@ -677,6 +677,39 @@ fn a_reopened_tuple_does_not_inherit_its_predecessors_error<H: ConformStack>() {
     assert_eq!(p.transfer(b"again", 10), b"again");
 }
 
+/// A stack keeps the errors of as many dead connections as its table holds
+/// connections, the newest: a long-lived stack that sees many aborts does
+/// not grow without bound.
+fn errors_are_kept_for_as_many_dead_connections_as_the_table_holds<H: ConformStack>() {
+    let (mut s, now, r) = (H::mk(A), Time::ZERO, Endpoint::new(B, 80));
+    s.set_max_conns(8);
+    let abort = |s: &mut H, port| {
+        let id = s.try_connect(now, port, r).expect("the table has room");
+        s.abort(now, id);
+        id
+    };
+    let ids: Vec<H::ConnId> = (5000..5024).map(|port| abort(&mut s, port)).collect();
+    for (i, &id) in ids.iter().enumerate() {
+        let kept = (i >= 16).then_some(TransportError::Reset);
+        assert_eq!(s.conn_error(id), kept, "connection {i} of 24");
+    }
+    // The newest tuple opens again, and its handshake fails: it reads the
+    // newer reason, and keeps it until eight newer errors push it out.
+    let again = s.try_connect(now, 5023, r).expect("the tuple is free again");
+    while let Some(t) = s.conn_deadline(now, again) {
+        s.tick_conn(t, again);
+    }
+    assert!(s.is_closed(again));
+    assert_eq!(s.conn_error(again), Some(TransportError::HandshakeFailed));
+    for port in 6000..6007 {
+        abort(&mut s, port);
+    }
+    assert_eq!(s.conn_error(again), Some(TransportError::HandshakeFailed));
+    let newest = abort(&mut s, 6007);
+    assert_eq!(s.conn_error(again), None);
+    assert_eq!(s.conn_error(newest), Some(TransportError::Reset));
+}
+
 fn partition_mid_transfer_surfaces_clean_abort<H: ConformStack>() {
     // (seed, link ms, warm-up s, data, how long the partition is watched)
     let cases = [
@@ -1171,6 +1204,7 @@ macro_rules! behaviours {
             no_listener_drops_are_counted,
             local_abort_resets_peer,
             a_reopened_tuple_does_not_inherit_its_predecessors_error,
+            errors_are_kept_for_as_many_dead_connections_as_the_table_holds,
             partition_mid_transfer_surfaces_clean_abort,
             handshake_failure_on_dead_link_is_reported,
             rto_backoff_on_dead_link,

@@ -203,7 +203,6 @@ pub(crate) fn run_net<S: ConformStack>(
         global_budget: SHARD_BUDGET * p.shards,
         mode: p.mode,
         restart: policy,
-        ..ShardedConfig::default()
     };
     let mut server: ShardedHost<S, EchoApp> = ShardedHost::new(cfg, move |_shard| {
         let stack = S::mk_with(SERVER.addr, None, slmetrics::shared());

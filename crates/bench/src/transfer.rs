@@ -136,7 +136,7 @@ pub fn sub(addr: u32, cfg: SlConfig) -> SlTcpStack {
 /// The transfers' sublayered configuration: rate controller `cc`, RFC 793
 /// clock ISNs, SACK on, no keepalive.
 pub fn sub_config(cc: &'static str) -> SlConfig {
-    SlConfig { cm_scheme: CmScheme::ThreeWay, cc, isn: "clock", use_sack: true, keepalive: None, ..SlConfig::default() }
+    SlConfig { cm_scheme: CmScheme::ThreeWay, cc, isn: "clock", use_sack: true, keepalive: None }
 }
 
 fn shim(addr: u32) -> ShimStack {

@@ -1,424 +1,45 @@
-//! The ready set and the deadline index against the scans they replaced.
-//!
-//! `SlTcpStack` keeps the three full-table scans as test-only reference
-//! functions (`scan_poll_transmit`, `scan_deadline`, `scan_on_tick`). Two
-//! copies of one world — a client stack, a server stack and the wire
-//! between them — take the same calls; one polls through the agenda (or is
-//! first driven one connection at a time, as a host drives it, and then
-//! through the agenda), the other through the scans. Everything observable
-//! must agree after every call: the frames, byte for byte and in order,
-//! what the applications read, and the next deadline.
+//! The agenda suite (`netsim::agenda_suite`) over the sublayered stack,
+//! in each of its configurations: default, with keepalive, and with
+//! timer-based CM.
 
 use crate::cm::CmScheme;
-use crate::dm::ConnId;
-use crate::rd::ACK_DELAY;
-use crate::stack::{SlConfig, SlTcpStack, MAX_HALF_OPEN};
-use crate::wire::Packet;
-use netsim::{Dur, HostStack, Keepalive, Pressure, Stack, Time};
-use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use std::collections::VecDeque;
-use slwire::Endpoint;
+use crate::stack::{SlConfig, SlTcpStack};
+use netsim::agenda_suite::{agrees_with_the_host_drive, Drive, KEEPALIVE};
+use netsim::Dur;
+use proptest::{collection, proptest};
 
-const ADDR: [u32; 2] = [0x0A00_0001, 0x0A00_0002];
-const CLIENT: usize = 0;
-const SERVER: usize = 1;
-const PORT: u16 = 80;
-const ROUNDS: usize = 32;
-
-/// How a world asks its stacks for frames, ticks and the next deadline.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Drive {
-    /// `poll_transmit`, `on_tick`, `poll_deadline`: the agenda.
-    Agenda,
-    /// The reference scans.
-    Scan,
-    /// One connection at a time, as `slhost::Host` drives a stack —
-    /// `pump_conn` then `take_frame`, `tick_conn`, `conn_deadline` — which
-    /// never wakes the agenda.
-    PerConn,
-}
-
-struct World {
-    drive: Drive,
-    ends: [SlTcpStack; 2],
-    /// `wire[i]`: frames on their way to `ends[i]`.
-    wire: [VecDeque<Vec<u8>>; 2],
-    /// The client's handles, in connect order.
-    opened: Vec<ConnId>,
-    now: Time,
-    /// Everything observable, in order: `(end, frame it sent)` and
-    /// `(2 + end, bytes its application read)`.
-    seen: Vec<(usize, Vec<u8>)>,
-}
-
-impl World {
-    fn new(drive: Drive, config: SlConfig) -> World {
-        let mut ends = ADDR.map(|a| SlTcpStack::new(a, config.clone(), slmetrics::shared()));
-        ends[SERVER].listen(PORT);
-        World {
-            drive,
-            ends,
-            wire: [VecDeque::new(), VecDeque::new()],
-            opened: Vec::new(),
-            now: Time::ZERO,
-            seen: Vec::new(),
-        }
-    }
-
-    fn connect(&mut self) -> Option<ConnId> {
-        let port = 5000 + self.opened.len() as u16;
-        let id = self.ends[CLIENT].try_connect(self.now, port, Endpoint::new(ADDR[SERVER], PORT));
-        self.opened.extend(id.ok());
-        id.ok()
-    }
-
-    /// Drain `end`'s transmit queue onto the wire.
-    fn poll(&mut self, end: usize) -> usize {
-        let mut frames = 0;
-        loop {
-            let (stack, now) = (&mut self.ends[end], self.now);
-            let frame = match self.drive {
-                Drive::Agenda => stack.poll_transmit(now),
-                Drive::Scan => stack.scan_poll_transmit(now),
-                Drive::PerConn => stack.take_frame().or_else(|| {
-                    for id in stack.sorted_ids() {
-                        stack.pump_conn(now, id);
-                    }
-                    stack.take_frame()
-                }),
-            };
-            let Some(frame) = frame else { return frames };
-            frames += 1;
-            self.seen.push((end, frame.clone()));
-            self.wire[1 - end].push_back(frame);
-        }
-    }
-
-    fn tick(&mut self, end: usize) {
-        let (stack, now) = (&mut self.ends[end], self.now);
-        match self.drive {
-            Drive::Agenda => stack.on_tick(now),
-            Drive::Scan => stack.scan_on_tick(now),
-            Drive::PerConn => {
-                for id in stack.sorted_ids() {
-                    stack.tick_conn(now, id);
-                }
-            }
-        }
-    }
-
-    fn deadline(&self, end: usize) -> Option<Time> {
-        let (stack, now) = (&self.ends[end], self.now);
-        match self.drive {
-            Drive::Agenda => stack.poll_deadline(now),
-            Drive::Scan => stack.scan_deadline(now),
-            Drive::PerConn => {
-                let ids = stack.sorted_ids().into_iter();
-                ids.filter_map(|id| stack.conn_deadline(now, id)).min()
-            }
-        }
-    }
-
-    /// Hand `end` up to `n` frames off the wire.
-    fn deliver(&mut self, end: usize, n: usize) {
-        for _ in 0..n {
-            let Some(frame) = self.wire[end].pop_front() else {
-                return;
-            };
-            self.ends[end].on_frame(self.now, &frame);
-        }
-    }
-
-    /// Poll and deliver both ways until the wire is quiet — or for
-    /// [`ROUNDS`], since two ends that each owe the other an ack of an
-    /// unexpected sequence can answer one another for as long as the clock
-    /// stands still.
-    fn exchange(&mut self) {
-        for _ in 0..ROUNDS {
-            if self.poll(CLIENT) + self.poll(SERVER) == 0 {
-                return;
-            }
-            self.deliver(SERVER, usize::MAX);
-            self.deliver(CLIENT, usize::MAX);
-        }
-    }
-
-    /// The `k`-th connection `end`'s application knows about.
-    fn conn(&self, end: usize, k: usize) -> Option<ConnId> {
-        let known = match end {
-            CLIENT => self.opened.clone(),
-            _ => self.ends[SERVER].established(),
-        };
-        (!known.is_empty()).then(|| known[k % known.len()])
-    }
-
-    fn recv(&mut self, end: usize, id: ConnId) {
-        let data = self.ends[end].recv(id);
-        self.seen.push((2 + end, data));
-    }
-
-    /// One call, picked by `op`, its operands by `arg`.
-    fn step(&mut self, op: u8, arg: u8) {
-        let end = (arg & 1) as usize;
-        let k = (arg >> 1) as usize;
-        let id = self.conn(end, k);
-        match (op % 16, id) {
-            (0, _) if self.opened.len() < 6 => {
-                self.connect();
-            }
-            (1 | 2, Some(id)) => {
-                let len = [1, 200, 1460, 6000][k % 4];
-                self.ends[end].send(id, &vec![arg; len]);
-            }
-            (3, Some(id)) => self.recv(end, id),
-            (4, Some(id)) => self.ends[end].close(id),
-            (5, Some(id)) if k.is_multiple_of(4) => self.ends[end].abort(self.now, id),
-            (6, _) => {
-                let tier = [
-                    Pressure::Nominal,
-                    Pressure::Elevated,
-                    Pressure::High,
-                    Pressure::Critical,
-                ];
-                self.ends[end].set_pressure(tier[k % 4]);
-            }
-            (7, _) if k.is_multiple_of(8) => {
-                self.wire[end].pop_front(); // lost
-            }
-            (7..=9, _) => self.deliver(end, 1 + k % 4),
-            (10..=12, _) => {
-                self.poll(end);
-            }
-            (13, _) => {
-                let ms = [1, 20, 50, 300, 1500, 12_000][k % 6];
-                self.now += Dur::from_millis(ms);
-                self.tick(end);
-            }
-            (14, _) => {
-                let next = [self.deadline(CLIENT), self.deadline(SERVER)]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                self.now = self.now.max(next.unwrap_or(self.now));
-                self.tick(CLIENT);
-                self.tick(SERVER);
-            }
-            _ => self.exchange(),
-        }
-    }
-}
-
-fn config(variant: u8) -> SlConfig {
-    let keepalive = Keepalive {
-        idle: Dur::from_secs(2),
-        interval: Dur::from_millis(500),
-        max_probes: 2,
-    };
-    match variant % 3 {
+/// The stacks of configuration `variant`.
+fn stacks(variant: u8) -> impl Fn(u32) -> SlTcpStack {
+    let timer_based = CmScheme::TimerBased { quiet: Dur::from_secs(3) };
+    let config = match variant % 3 {
         0 => SlConfig::default(),
-        1 => SlConfig {
-            keepalive: Some(keepalive),
-            ..SlConfig::default()
-        },
-        _ => SlConfig {
-            cm_scheme: CmScheme::TimerBased {
-                quiet: Dur::from_secs(3),
-            },
-            ..SlConfig::default()
-        },
-    }
-}
-
-/// One world driven as `first` for its first `switch` calls and through
-/// the agenda after them, against a world driven through the scans: they
-/// must be indistinguishable after every call, and their indices exact.
-fn agrees_with_the_scans(
-    first: Drive,
-    switch: usize,
-    variant: u8,
-    ops: &[(u8, u8)],
-) -> Result<(), String> {
-    let mut world = World::new(first, config(variant));
-    let mut scan = World::new(Drive::Scan, config(variant));
-    for w in [&mut world, &mut scan] {
-        // Four connections up before the random calls start.
-        for _ in 0..4 {
-            w.connect();
-        }
-        w.exchange();
-    }
-    for (i, &(op, arg)) in ops.iter().enumerate() {
-        if i == switch {
-            world.drive = Drive::Agenda;
-        }
-        world.step(op, arg);
-        scan.step(op, arg);
-        prop_assert_eq!(&world.seen, &scan.seen, "after call {} ({}, {})", i, op, arg);
-        prop_assert_eq!(world.now, scan.now);
-        for end in [CLIENT, SERVER] {
-            prop_assert_eq!(
-                world.deadline(end),
-                scan.deadline(end),
-                "end {} after call {} ({}, {})", end, i, op, arg
-            );
-            prop_assert!(
-                world.drive == Drive::Agenda || world.ends[end].agenda_sizes() == (0, 0),
-                "end {} scheduled while driven per connection", end
-            );
-            world.ends[end].check_indices(world.now);
-            scan.ends[end].check_indices(scan.now);
-        }
-    }
-    Ok(())
+        1 => SlConfig { keepalive: Some(KEEPALIVE), ..SlConfig::default() },
+        _ => SlConfig { cm_scheme: timer_based, ..SlConfig::default() },
+    };
+    move |addr| SlTcpStack::new(addr, config.clone(), slmetrics::shared())
 }
 
 proptest! {
     #[test]
-    fn agenda_and_scan_are_indistinguishable(
+    fn agenda_and_host_drive_are_indistinguishable(
         variant in 0u8..3,
         ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
     ) {
-        agrees_with_the_scans(Drive::Agenda, 0, variant, &ops)?;
+        agrees_with_the_host_drive(Drive::Agenda, 0, stacks(variant), &ops)?;
     }
 
     #[test]
-    fn a_host_driven_prefix_then_polls_is_indistinguishable_from_the_scan(
+    fn a_host_driven_prefix_then_polls_is_indistinguishable_from_the_host_drive(
         variant in 0u8..3,
         switch in 0usize..300,
         ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
     ) {
-        agrees_with_the_scans(Drive::PerConn, switch, variant, &ops)?;
+        agrees_with_the_host_drive(Drive::PerConn, switch, stacks(variant), &ops)?;
     }
 }
 
-/// An established pair with `n` connections, polled through the agenda.
-fn established(n: usize) -> World {
-    let mut w = World::new(Drive::Agenda, SlConfig::default());
-    for _ in 0..n {
-        w.connect();
-    }
-    w.exchange();
-    assert_eq!(w.ends[SERVER].established().len(), n);
-    w
+fn stack(addr: u32) -> SlTcpStack {
+    stacks(0)(addr)
 }
 
-/// Hazard 1: `pump` is not a fixpoint. The pass that hands OSR's last byte
-/// to RD runs close coordination first, so the FIN is routed by the *next*
-/// pass — which must come from the next `poll_transmit`, not from the next
-/// inbound packet.
-#[test]
-fn fin_follows_pending_data_without_an_inbound_packet() {
-    let mut w = established(1);
-    let id = w.opened[0];
-    w.ends[CLIENT].send(id, &[7u8; 300]);
-    w.ends[CLIENT].close(id);
-    assert_eq!(w.poll(CLIENT), 2, "the data, then the FIN");
-    let frames: Vec<Packet> = w.wire[SERVER]
-        .iter()
-        .map(|f| Packet::decode(f).expect("own frame"))
-        .collect();
-    assert_eq!(frames[0].payload.len(), 300);
-    assert!(!frames[0].cm.flags.fin);
-    assert!(frames[1].cm.flags.fin && frames[1].payload.is_empty());
-    w.ends[CLIENT].check_indices(w.now);
-}
-
-/// Hazard 2: a passed deadline is honoured by `poll_transmit` alone. The
-/// sublayered twin of tcp-mono's `paced_ack_is_held_then_flushed_at_deadline`.
-#[test]
-fn paced_ack_is_released_by_poll_transmit_without_a_tick() {
-    let mut w = established(1);
-    w.ends[SERVER].set_pressure(Pressure::High);
-    w.ends[CLIENT].send(w.opened[0], &[9u8; 500]);
-    w.poll(CLIENT);
-    w.now += Dur::from_millis(10);
-    let t1 = w.now;
-    w.deliver(SERVER, 1);
-    assert_eq!(w.poll(SERVER), 0, "pure ack held while paced");
-    assert_eq!(w.ends[SERVER].poll_deadline(t1), Some(t1 + ACK_DELAY));
-    w.now = t1 + Dur::from_millis(49);
-    assert_eq!(w.poll(SERVER), 0);
-    w.now = t1 + ACK_DELAY;
-    assert_eq!(w.poll(SERVER), 1, "released at the deadline, no on_tick");
-    let ack = Packet::decode(&w.wire[CLIENT][0]).expect("own frame");
-    assert!(ack.rd.has_ack && ack.payload.is_empty());
-    assert_eq!(w.ends[SERVER].poll_deadline(w.now), None);
-    w.ends[SERVER].check_indices(w.now);
-}
-
-/// A SYN for the server from `from`, carrying the peer ISN `isn`.
-fn syn(from: u32, isn: u32) -> Vec<u8> {
-    let mut pkt = Packet {
-        src_addr: from,
-        dst_addr: ADDR[SERVER],
-        ..Packet::default()
-    };
-    pkt.dm.src_port = 1000;
-    pkt.dm.dst_port = PORT;
-    pkt.osr.rcv_wnd = u16::MAX;
-    pkt.cm.flags.syn = true;
-    pkt.cm.isn = isn;
-    pkt.encode()
-}
-
-fn listening_server() -> SlTcpStack {
-    let mut server = SlTcpStack::new(ADDR[SERVER], SlConfig::default(), slmetrics::shared());
-    server.listen(PORT);
-    server
-}
-
-/// Half-open eviction and the reaping of dead connections take their index
-/// entries with them.
-#[test]
-fn eviction_and_reaping_leave_no_stale_entry() {
-    let mut server = listening_server();
-    assert_eq!(server.poll_transmit(Time::ZERO), None, "wakes the agenda");
-    for i in 0..MAX_HALF_OPEN as u32 {
-        server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
-    }
-    assert_eq!(server.agenda_sizes(), (0, MAX_HALF_OPEN));
-    // Two seconds on the half-opens are stale: a fresh SYN evicts one.
-    let mut now = Time::ZERO + Dur::from_secs(2);
-    server.on_frame(now, &syn(0xC300_0000, 9_999));
-    assert_eq!(server.stats.half_open_evictions, 1);
-    assert_eq!(server.half_open_count(), MAX_HALF_OPEN);
-    assert_eq!(server.agenda_sizes(), (0, MAX_HALF_OPEN));
-    server.check_indices(now);
-    // Nobody answers: every SYN|ACK retry budget runs out and CM reaps.
-    while let Some(next) = server.poll_deadline(now) {
-        now = next;
-        server.on_tick(now);
-        while server.poll_transmit(now).is_some() {}
-        server.check_indices(now);
-    }
-    assert_eq!(server.conn_count(), 0);
-    assert_eq!(server.half_open_count(), 0);
-    assert_eq!(server.agenda_sizes(), (0, 0));
-}
-
-/// Before its first poll a stack keeps no schedule: the half-open count
-/// that every SYN reads stays exact, `poll_deadline` is the scan, and the
-/// first poll indexes every deadline at once.
-#[test]
-fn before_its_first_poll_a_stack_counts_half_opens_and_scans_for_the_deadline() {
-    let mut server = listening_server();
-    for i in 0..MAX_HALF_OPEN as u32 {
-        server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
-    }
-    let now = Time::ZERO + Dur::from_secs(2);
-    server.on_frame(now, &syn(0xC300_0000, 9_999));
-    assert_eq!(server.stats.half_open_evictions, 1);
-    assert_eq!(server.half_open_count(), MAX_HALF_OPEN);
-    assert_eq!(server.agenda_sizes(), (0, 0));
-    server.check_indices(now);
-    let scan = server.scan_deadline(now);
-    assert!(scan.is_some(), "every half-open retransmits its SYN|ACK");
-    assert_eq!(server.poll_deadline(now), scan);
-    // The wake: every connection ready, every deadline indexed.
-    assert!(server.poll_transmit(now).is_some(), "a queued SYN|ACK");
-    assert_eq!(server.agenda_sizes(), (MAX_HALF_OPEN, MAX_HALF_OPEN));
-    while server.poll_transmit(now).is_some() {}
-    assert_eq!(server.agenda_sizes(), (0, MAX_HALF_OPEN));
-    assert_eq!(server.poll_deadline(now), scan);
-    server.check_indices(now);
-}
+netsim::agenda_hazards!(stack);

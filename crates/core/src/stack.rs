@@ -48,12 +48,13 @@ use crate::signals::SeqValidity;
 use crate::slots::SlotTable;
 use crate::wire::Packet;
 use netsim::{
-    Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
+    Agenda, Dur, ErrorLog, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time,
+    TransportError, MAX_CONNS,
 };
 use slmetrics::SharedLog;
 use slwire::hash::FxBuildHasher;
 use slwire::{Endpoint, FourTuple};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Stack configuration: which mechanism fills each replaceable slot.
 #[derive(Clone, Debug)]
@@ -69,10 +70,6 @@ pub struct SlConfig {
     pub use_sack: bool,
     /// Idle keepalive probing; `None` (the default) disables it.
     pub keepalive: Option<Keepalive>,
-    /// Connection-table capacity: beyond it, passive opens are refused
-    /// with a stateless RST and active opens fail with
-    /// [`TransportError::ConnTableFull`].
-    pub max_conns: usize,
 }
 
 impl Default for SlConfig {
@@ -83,7 +80,6 @@ impl Default for SlConfig {
             isn: "clock",
             use_sack: true,
             keepalive: None,
-            max_conns: 16384,
         }
     }
 }
@@ -172,7 +168,11 @@ pub struct SlTcpStack {
     /// Terminal failures, surviving connection removal so the application
     /// can learn *why* a connection died (graceful degradation: an abort
     /// is always reported, never a silent hang).
-    errors: HashMap<ConnId, TransportError, FxBuildHasher>,
+    errors: ErrorLog<ConnId>,
+    /// Connection-table capacity ([`HostStack::set_max_conns`]): beyond
+    /// it, passive opens are refused with a stateless RST and active opens
+    /// fail with [`TransportError::ConnTableFull`].
+    max_conns: usize,
     outbox: VecDeque<Vec<u8>>,
     /// Host memory pressure, fanned out to each sublayer's slice of the
     /// backpressure contract (OSR window clamp, RD ack pacing, DM accept
@@ -220,7 +220,8 @@ impl SlTcpStack {
             isn_gen: isn::make(config.isn),
             config,
             cc_template,
-            errors: HashMap::default(),
+            errors: ErrorLog::with_hasher(FxBuildHasher::default()),
+            max_conns: MAX_CONNS,
             outbox: VecDeque::new(),
             pressure: Pressure::Nominal,
             gate: false,
@@ -654,7 +655,7 @@ impl SlTcpStack {
             // Reap it, keeping why it died and folding its counters into
             // the stack's.
             if let Some(reason) = conn.cm.reset_reason() {
-                self.errors.entry(id).or_insert(reason);
+                self.errors.record(id, reason, self.max_conns);
             }
             self.stats.challenge_acks += conn.cm.challenge_acks();
             self.dm.unbind(id);
@@ -728,7 +729,7 @@ impl HostStack for SlTcpStack {
 
     /// Adjust the connection-table capacity at runtime (host layer knob).
     fn set_max_conns(&mut self, max: usize) {
-        self.config.max_conns = max;
+        self.max_conns = max;
     }
 
     /// Active open surfacing capacity as a typed error instead of a panic:
@@ -740,7 +741,7 @@ impl HostStack for SlTcpStack {
         local_port: u16,
         remote: Endpoint,
     ) -> Result<ConnId, TransportError> {
-        if self.conns.len() >= self.config.max_conns {
+        if self.conns.len() >= self.max_conns {
             return Err(TransportError::ConnTableFull);
         }
         let tuple = FourTuple {
@@ -768,7 +769,7 @@ impl HostStack for SlTcpStack {
         now: Time,
         remote: Endpoint,
     ) -> Result<ConnId, TransportError> {
-        if self.conns.len() >= self.config.max_conns {
+        if self.conns.len() >= self.max_conns {
             return Err(TransportError::ConnTableFull);
         }
         let Some(port) = self.dm.ephemeral_port(remote) else {
@@ -840,7 +841,7 @@ impl HostStack for SlTcpStack {
     /// connection's removal: after an abort, `state` reports `Closed` and
     /// this reports the reason.
     fn conn_error(&self, id: ConnId) -> Option<TransportError> {
-        self.errors.get(&id).copied()
+        self.errors.get(&id)
     }
 
     /// In-order received bytes available to `recv` without draining them.
@@ -1029,7 +1030,7 @@ impl Stack for SlTcpStack {
                 // every new flow — cookie rebuilds included — with a typed
                 // drop counter and a stateless RST, never a panic or a
                 // silent discard. So does a DM out of handles.
-                if self.conns.len() >= self.config.max_conns {
+                if self.conns.len() >= self.max_conns {
                     return self.refuse_full(&pkt);
                 }
                 let three_way = matches!(self.config.cm_scheme, CmScheme::ThreeWay);
@@ -1144,40 +1145,19 @@ impl Stack for SlTcpStack {
     }
 }
 
-/// The three full-table scans that `poll_transmit`, `poll_deadline` and
-/// `on_tick` used to be — the reference the agenda is tested against
-/// (`agenda_tests`): same frames in the same order, same deadline.
+/// What the one agenda suite (`netsim::agenda_suite`) reads of this stack.
 #[cfg(test)]
-impl SlTcpStack {
-    pub(crate) fn sorted_ids(&self) -> Vec<ConnId> {
+impl netsim::agenda_suite::AgendaStack for SlTcpStack {
+    const MAX_HALF_OPEN: usize = MAX_HALF_OPEN;
+    const ACK_PACE_DELAY: Dur = crate::rd::ACK_DELAY;
+
+    fn ids(&self) -> Vec<ConnId> {
         let mut ids: Vec<ConnId> = self.conns.ids().collect();
         ids.sort();
         ids
     }
 
-    pub(crate) fn scan_poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        if self.outbox.is_empty() {
-            for id in self.sorted_ids() {
-                self.pump_conn(now, id);
-            }
-        }
-        self.outbox.pop_front()
-    }
-
-    /// What the connection's read buffer holds allocated.
-    pub(crate) fn read_capacity(&self, id: ConnId) -> Option<usize> {
-        self.conns.get(id).map(|c| c.osr.read_capacity())
-    }
-
-    pub(crate) fn scan_on_tick(&mut self, now: Time) {
-        for id in self.sorted_ids() {
-            self.tick_conn(now, id);
-        }
-    }
-
-    /// The indices hold exactly what the table says they should: the
-    /// half-open count always, the rest once the agenda is awake.
-    pub(crate) fn check_indices(&self, now: Time) {
+    fn check_indices(&self, now: Time) {
         let half_open =
             self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count();
         assert_eq!(self.agenda.half_open(), half_open);
@@ -1191,6 +1171,41 @@ impl SlTcpStack {
             self.conns.ids().filter(|&id| self.conn_deadline(now, id).is_some()).count();
         assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
         assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
+    }
+
+    fn agenda_sizes(&self) -> (usize, usize) {
+        self.agenda.sizes()
+    }
+
+    fn half_open_count(&self) -> usize {
+        SlTcpStack::half_open_count(self)
+    }
+
+    fn half_open_evictions(&self) -> u64 {
+        self.stats.half_open_evictions
+    }
+
+    fn forge_syn(from: Endpoint, to: Endpoint, isn: u32) -> Vec<u8> {
+        let mut pkt = Packet { src_addr: from.addr, dst_addr: to.addr, ..Packet::default() };
+        pkt.dm.src_port = from.port;
+        pkt.dm.dst_port = to.port;
+        pkt.osr.rcv_wnd = u16::MAX;
+        pkt.cm.flags.syn = true;
+        pkt.cm.isn = isn;
+        pkt.encode()
+    }
+
+    fn fin_and_len(frame: &[u8]) -> (bool, usize) {
+        let pkt = Packet::decode(frame).expect("own frame");
+        (pkt.cm.flags.fin, pkt.payload.len())
+    }
+}
+
+#[cfg(test)]
+impl SlTcpStack {
+    /// What the connection's read buffer holds allocated.
+    pub(crate) fn read_capacity(&self, id: ConnId) -> Option<usize> {
+        self.conns.get(id).map(|c| c.osr.read_capacity())
     }
 }
 
@@ -1314,7 +1329,7 @@ mod tests {
                     stack.abort(Time::ZERO, id);
                 }
             }
-            assert_eq!((stack.conns.len(), stack.errors.len()), (32, 16));
+            assert_eq!((stack.conns.len(), stack.errors.keys().count()), (32, 16));
         }
         let [a, b] = &pair;
         assert!(a.conns.ids().eq(b.conns.ids()));

@@ -28,7 +28,8 @@
 //! nothing to do: running it would emit no frame and change no state. Both
 //! stacks (`sublayer-core` and `tcp-mono`) rest on that — the wake does too,
 //! making ready every connection whose touches a dormant agenda did not
-//! note — and each keeps the full scan as a test-only oracle to prove it.
+//! note — and one suite, `agenda_suite`, proves it for both
+//! against the per-connection drive a host runs.
 
 use crate::time::Time;
 use std::collections::BTreeSet;

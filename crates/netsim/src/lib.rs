@@ -29,6 +29,8 @@
 //! root seed.
 
 pub mod agenda;
+#[doc(hidden)]
+pub mod agenda_suite;
 pub mod attack;
 pub mod event;
 pub mod fault;
@@ -46,8 +48,8 @@ pub use fault::{BurstLoss, FaultConfigError, FaultInjector, FaultProfile, FaultS
 pub use net::{AdminOp, DirStats, LinkId, LinkParams, Node, NodeCtx, NodeId, PortId, SimNet, TimerId};
 pub use rng::DetRng;
 pub use stack::{
-    FrameMeta, HostStack, Keepalive, MultiStack, MultiStackNode, Pressure, Stack, StackNode,
-    TransportError,
+    ErrorLog, FrameMeta, HostStack, Keepalive, MultiStack, MultiStackNode, Pressure, Stack,
+    StackNode, TransportError, MAX_CONNS,
 };
 pub use tap::{tap_buffer, SharedTap, TapDir, TapEvent, TapStack};
 pub use time::{Dur, Time};

@@ -17,7 +17,9 @@
 
 use crate::net::{Node, NodeCtx, PortId, TimerId};
 use crate::time::{Dur, Time};
+use slwire::hash::FxBuildHasher;
 use slwire::{Endpoint, FourTuple};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -61,6 +63,52 @@ impl core::fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
+
+/// Why the connections that died abnormally died, kept past their removal
+/// for [`HostStack::conn_error`], as many as the connection table holds:
+/// recording one more first forgets the oldest.
+pub struct ErrorLog<K> {
+    reasons: HashMap<K, TransportError, FxBuildHasher>,
+    /// The keys of `reasons`, oldest first.
+    order: VecDeque<K>,
+}
+
+impl<K: Copy + Eq + Hash> ErrorLog<K> {
+    pub fn with_hasher(hasher: FxBuildHasher) -> ErrorLog<K> {
+        ErrorLog { reasons: HashMap::with_hasher(hasher), order: VecDeque::new() }
+    }
+
+    /// Record why `k` died, unless that is recorded already (the first
+    /// cause is the one reported), keeping at most `cap` reasons — but
+    /// always the newest.
+    pub fn record(&mut self, k: K, reason: TransportError, cap: usize) {
+        if self.reasons.contains_key(&k) {
+            return;
+        }
+        while self.order.len() >= cap {
+            let Some(oldest) = self.order.pop_front() else { break };
+            self.reasons.remove(&oldest);
+        }
+        self.reasons.insert(k, reason);
+        self.order.push_back(k);
+    }
+
+    /// A new connection took `k`: its predecessor's reason is not its own.
+    pub fn forget(&mut self, k: &K) {
+        if self.reasons.remove(k).is_some() {
+            self.order.retain(|o| o != k);
+        }
+    }
+
+    pub fn get(&self, k: &K) -> Option<TransportError> {
+        self.reasons.get(k).copied()
+    }
+
+    /// The recorded keys, in the table's order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.reasons.keys()
+    }
+}
 
 /// Idle keepalive policy, off unless a stack is configured with one: after
 /// `idle` without inbound packets, probe every `interval`; after
@@ -190,6 +238,10 @@ impl FrameMeta {
     }
 }
 
+/// A connection table's capacity until [`HostStack::set_max_conns`] says
+/// otherwise.
+pub const MAX_CONNS: usize = 16384;
+
 /// What a transport must expose for a host (`slhost::Host`) to serve many
 /// connections over it: listen/connect, per-connection I/O and state
 /// queries, and the per-connection timer/transmit split that lets the
@@ -202,7 +254,9 @@ pub trait HostStack: Stack {
     fn stack_name() -> &'static str;
     fn local_addr(&self) -> u32;
     fn listen(&mut self, port: u16);
-    /// Bound the connection table (capacity beyond it refuses opens).
+    /// Bound the connection table (capacity beyond it refuses opens;
+    /// [`MAX_CONNS`] until set), and the record of dead connections'
+    /// errors with it.
     fn set_max_conns(&mut self, max: usize);
     fn try_connect(
         &mut self,

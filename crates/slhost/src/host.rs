@@ -71,7 +71,7 @@ impl Default for HostConfig {
         HostConfig {
             listen_port: 80,
             backlog: 128,
-            max_conns: 16384,
+            max_conns: netsim::MAX_CONNS,
             ingress_cap: 64,
             quantum: 4,
             batch_window: Dur::ZERO,

@@ -92,11 +92,6 @@ pub struct ShardedConfig {
     pub mode: Mode,
     /// Supervision: heartbeat thresholds and restart budget/backoff.
     pub restart: RestartPolicy,
-    /// Wall-clock bound on a frame send into a full command ring. In a
-    /// healthy (or deterministically-faulted) run the workers always
-    /// drain and this never fires; it exists so a *truly* stuck worker
-    /// costs a counted, dropped frame instead of wedging the fleet.
-    pub send_bound_ms: u64,
 }
 
 impl Default for ShardedConfig {
@@ -109,10 +104,15 @@ impl Default for ShardedConfig {
             global_budget: 0,
             mode: Mode::Threaded,
             restart: RestartPolicy::default(),
-            send_bound_ms: 250,
         }
     }
 }
+
+/// Wall-clock bound on a frame send into a full command ring. In a
+/// healthy (or deterministically-faulted) run the workers always drain and
+/// this never fires; it exists so a *truly* stuck worker costs a counted,
+/// dropped frame instead of wedging the fleet.
+const SEND_BOUND: Duration = Duration::from_millis(250);
 
 type Factory<S, A> = Arc<dyn Fn(u32) -> ServedHost<S, A> + Send + Sync>;
 
@@ -473,9 +473,8 @@ impl<S: HostStack, A: HostApp<S> + AppReport> MultiStack for ShardedHost<S, A> {
             }
         };
         self.routed[shard] = self.routed[shard].saturating_add(1);
-        let bound = Duration::from_millis(self.cfg.send_bound_ms);
         match self.slots[shard].as_mut() {
-            Some(w) => match w.send_bounded(Cmd::Frame(now, frame.to_vec()), bound) {
+            Some(w) => match w.send_bounded(Cmd::Frame(now, frame.to_vec()), SEND_BOUND) {
                 Ok(()) => self.dirty[shard] = true,
                 Err(ShardError::Backlogged) => {
                     // Alive but jammed: drop the frame (TCP retransmit

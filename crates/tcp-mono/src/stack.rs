@@ -16,7 +16,8 @@ use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
 use slwire::hash::FxBuildHasher;
 use slwire::seq;
 use netsim::{
-    Agenda, Dur, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time, TransportError,
+    Agenda, Dur, ErrorLog, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time,
+    TransportError, MAX_CONNS,
 };
 use slcc::{CcError, CongSignal, NewReno, RateController};
 use slmetrics::{site, SharedLog};
@@ -102,7 +103,7 @@ pub struct TcpStack {
     keepalive: Option<Keepalive>,
     /// Terminal error per connection; survives the PCB so the application
     /// can ask *why* a connection died after it is gone.
-    errors: HashMap<FourTuple, TransportError, FxBuildHasher>,
+    errors: ErrorLog<FourTuple>,
     /// Connection-table capacity: beyond it, passive opens are refused
     /// with a RST and active opens fail with
     /// [`TransportError::ConnTableFull`].
@@ -151,8 +152,8 @@ impl TcpStack {
             outbox: VecDeque::new(),
             log,
             keepalive: None,
-            errors: HashMap::with_hasher(seeded),
-            max_conns: 16384,
+            errors: ErrorLog::with_hasher(seeded),
+            max_conns: MAX_CONNS,
             next_ephemeral: 49152,
             pressure: Pressure::Nominal,
             gate: false,
@@ -285,7 +286,7 @@ impl TcpStack {
             // A PCB new on its tuple (active, passive or cookie open) starts
             // with no error: a dead predecessor's was that one's.
             if before.is_none() {
-                self.errors.remove(&tuple);
+                self.errors.forget(&tuple);
             }
             self.conns.insert(tuple, pcb);
         }
@@ -752,7 +753,7 @@ impl TcpStack {
             if seg.rst() {
                 if seg.ack_flag() {
                     self.stats.conns_reset += 1; // connection refused
-                    self.errors.entry(tuple).or_insert(TransportError::Reset);
+                    self.errors.record(tuple, TransportError::Reset, self.max_conns);
                     return false; // pcb dropped
                 }
                 return true;
@@ -885,7 +886,7 @@ impl TcpStack {
                     pcb.state,
                     TcpState::Closing | TcpState::LastAck | TcpState::TimeWait
                 ) {
-                    self.errors.entry(tuple).or_insert(TransportError::Reset);
+                    self.errors.record(tuple, TransportError::Reset, self.max_conns);
                 }
                 return false; // pcb dropped
             }
@@ -1221,7 +1222,6 @@ impl HostStack for TcpStack {
         self.listeners.insert(port);
     }
 
-    /// Bound the connection table (default 16384).
     fn set_max_conns(&mut self, n: usize) {
         self.max_conns = n;
     }
@@ -1343,7 +1343,7 @@ impl HostStack for TcpStack {
     /// Hard reset.
     fn abort(&mut self, _now: Time, tuple: FourTuple) {
         if let Some(pcb) = self.take_for_good(tuple) {
-            self.errors.entry(tuple).or_insert(TransportError::Reset);
+            self.errors.record(tuple, TransportError::Reset, self.max_conns);
             self.send_rst(&pcb);
         }
     }
@@ -1374,7 +1374,7 @@ impl HostStack for TcpStack {
     /// The terminal error recorded for `tuple`, if the connection was
     /// aborted (locally or by the peer) rather than closed cleanly.
     fn conn_error(&self, tuple: FourTuple) -> Option<TransportError> {
-        self.errors.get(&tuple).copied()
+        self.errors.get(&tuple)
     }
 
     /// In-order received bytes available to `recv` without draining them.
@@ -1473,7 +1473,7 @@ impl HostStack for TcpStack {
                         }
                         _ => TransportError::RetriesExhausted,
                     };
-                    self.errors.entry(tuple).or_insert(why);
+                    self.errors.record(tuple, why, self.max_conns);
                     self.stats.conns_reset += 1;
                     self.send_rst(&pcb);
                     break 'tick false; // PCB dropped
@@ -1557,9 +1557,7 @@ impl HostStack for TcpStack {
                     if now >= due {
                         if pcb.ka_probes >= ka.max_probes && pcb.flight_size() == 0 {
                             self.log.borrow_mut().write(site!(TIMERS, "state"));
-                            self.errors
-                                .entry(tuple)
-                                .or_insert(TransportError::PeerVanished);
+                            self.errors.record(tuple, TransportError::PeerVanished, self.max_conns);
                             self.stats.conns_reset += 1;
                             self.send_rst(&pcb);
                             break 'tick false; // PCB dropped
@@ -1692,35 +1690,20 @@ impl Stack for TcpStack {
     }
 }
 
-/// The three full-table scans that `poll_transmit`, `poll_deadline` and
-/// `on_tick` used to be — the reference the agenda is tested against
-/// (`agenda_tests`): same segments in the same order, same deadline.
+/// What the one agenda suite (`netsim::agenda_suite`) reads of this stack.
 #[cfg(test)]
-impl TcpStack {
-    pub(crate) fn sorted_tuples(&self) -> Vec<FourTuple> {
+impl netsim::agenda_suite::AgendaStack for TcpStack {
+    const MAX_HALF_OPEN: usize = MAX_HALF_OPEN;
+    const ACK_PACE_DELAY: Dur = ACK_PACE_DELAY;
+    const SET_KEEPALIVE: Option<fn(&mut Self, Keepalive)> = Some(TcpStack::set_keepalive);
+
+    fn ids(&self) -> Vec<FourTuple> {
         let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
         tuples.sort();
         tuples
     }
 
-    pub(crate) fn scan_poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        if self.outbox.is_empty() {
-            for t in self.sorted_tuples() {
-                self.output(now, t);
-            }
-        }
-        self.outbox.pop_front()
-    }
-
-    pub(crate) fn scan_on_tick(&mut self, now: Time) {
-        for t in self.sorted_tuples() {
-            self.tick_conn(now, t);
-        }
-    }
-
-    /// The indices hold exactly what the table says they should: the
-    /// half-open count always, the rest once the agenda is awake.
-    pub(crate) fn check_indices(&self, now: Time) {
+    fn check_indices(&self, now: Time) {
         let half_open = self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count();
         assert_eq!(self.agenda.half_open(), half_open);
         if !self.agenda.is_awake() {
@@ -1733,6 +1716,37 @@ impl TcpStack {
             self.conns.keys().filter(|&&t| self.conn_deadline(now, t).is_some()).count();
         assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
         assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
+    }
+
+    fn agenda_sizes(&self) -> (usize, usize) {
+        self.agenda.sizes()
+    }
+
+    fn half_open_count(&self) -> usize {
+        TcpStack::half_open_count(self)
+    }
+
+    fn half_open_evictions(&self) -> u64 {
+        self.stats.half_open_evictions
+    }
+
+    fn forge_syn(from: Endpoint, to: Endpoint, isn: u32) -> Vec<u8> {
+        Segment {
+            src: from,
+            dst: to,
+            seq: isn,
+            ack: 0,
+            flags: SYN,
+            wnd: 8000,
+            mss: Some(1000),
+            payload: Vec::new(),
+        }
+        .encode()
+    }
+
+    fn fin_and_len(frame: &[u8]) -> (bool, usize) {
+        let seg = Segment::decode(frame).expect("own segment");
+        (seg.fin(), seg.payload.len())
     }
 }
 
@@ -1770,7 +1784,7 @@ mod tests {
                     stack.abort(Time::ZERO, id);
                 }
             }
-            assert_eq!((stack.conns.len(), stack.errors.len()), (32, 16));
+            assert_eq!((stack.conns.len(), stack.errors.keys().count()), (32, 16));
         }
         let [a, b] = &pair;
         assert!(a.conns.keys().eq(b.conns.keys()));
