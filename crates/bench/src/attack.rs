@@ -196,11 +196,11 @@ fn judge(profile: AttackProfile, mut out: AttackOutcome, got: &[u8], payload: &[
             out.max_buffered, MEM_BOUND
         ));
     }
-    if out.max_half_open > tcp_mono::stack::MAX_HALF_OPEN {
+    if out.max_half_open > netsim::MAX_HALF_OPEN {
         out.violations.push(format!(
             "half-open queue grew to {} > {}",
             out.max_half_open,
-            tcp_mono::stack::MAX_HALF_OPEN
+            netsim::MAX_HALF_OPEN
         ));
     }
     if profile.expect_reset() {
@@ -253,12 +253,11 @@ fn link() -> LinkParams {
 /// What the campaign needs of a stack beyond the shared transfer surface:
 /// the defence counters' read-out. The behavioural suite
 /// (`behaviour.rs`), which runs every shared test against both stacks,
-/// reads the rest: each stack's own caps, the two states `HostStack` does
-/// not name, and the counters its assertions compare. A counter only one
+/// reads the rest: each stack's own buffer caps (the half-open bound is
+/// both stacks' one `netsim::MAX_HALF_OPEN`), the two states `HostStack`
+/// does not name, and the counters its assertions compare. A counter only one
 /// stack keeps is an `Option`, `None` on the other.
 pub trait AttackTarget: ConformStack {
-    /// Half-open connections held before a flood falls back to cookies.
-    const MAX_HALF_OPEN: usize;
     /// Bytes `send` accepts ahead of the peer's acks.
     const SND_BUF_CAP: usize;
     /// Bytes the receive buffer holds unread.
@@ -290,7 +289,6 @@ pub trait AttackTarget: ConformStack {
 }
 
 impl AttackTarget for TcpStack {
-    const MAX_HALF_OPEN: usize = tcp_mono::stack::MAX_HALF_OPEN;
     const SND_BUF_CAP: usize = tcp_mono::stack::SND_BUF_CAP;
     const RCV_BUF_CAP: usize = tcp_mono::pcb::RCV_BUF_CAP;
 
@@ -342,7 +340,6 @@ impl AttackTarget for TcpStack {
 }
 
 impl AttackTarget for SlTcpStack {
-    const MAX_HALF_OPEN: usize = sublayer_core::stack::MAX_HALF_OPEN;
     const SND_BUF_CAP: usize = sublayer_core::osr::SND_BUF_CAP;
     const RCV_BUF_CAP: usize = sublayer_core::osr::RCV_BUF_CAP;
 

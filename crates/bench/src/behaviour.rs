@@ -22,7 +22,7 @@ use crate::fairness::FairStack;
 use crate::{A, B};
 use netsim::{
     two_party, AttackCodec, Dur, FaultProfile, HostStack, Keepalive, LinkParams, NodeId, SimNet,
-    SnoopInfo, Stack, StackNode, Time, TransportError,
+    SnoopInfo, Stack, StackNode, Time, TransportError, MAX_HALF_OPEN,
 };
 use slconform::{ConformStack, Kind};
 use slwire::{Endpoint, FourTuple};
@@ -195,7 +195,7 @@ fn syn_to_listener<H: ConformStack>(from: Endpoint, isn: u32) -> Vec<u8> {
 fn flooded<H: AttackTarget>() -> H {
     let mut server = H::mk(B);
     server.listen(80);
-    for i in 0..H::MAX_HALF_OPEN as u32 {
+    for i in 0..MAX_HALF_OPEN as u32 {
         let syn = syn_to_listener::<H>(Endpoint::new(0xC000_0000 + i, 1000 + i as u16), 7000 + i);
         server.on_frame(Time::ZERO, &syn);
     }
@@ -1011,15 +1011,15 @@ fn syn_flood_is_bounded_and_falls_back_to_cookies<H: AttackTarget>() {
     let d = server.defence(None);
     assert_eq!(
         server.half_open(),
-        H::MAX_HALF_OPEN,
+        MAX_HALF_OPEN,
         "the half-open queue stays bounded"
     );
     assert_eq!(
         server.conn_count(),
-        H::MAX_HALF_OPEN,
+        MAX_HALF_OPEN,
         "a flood must not grow state"
     );
-    assert_eq!(d.syn_cookies_sent, 100 - H::MAX_HALF_OPEN as u64);
+    assert_eq!(d.syn_cookies_sent, 100 - MAX_HALF_OPEN as u64);
     assert_eq!(
         d.half_open_evictions, 0,
         "fresh half-opens are not evictable"
@@ -1041,7 +1041,7 @@ fn syn_cookie_completion_establishes_connection<H: AttackTarget>() {
     assert_eq!(server.defence(None).syn_cookies_sent, 1);
     assert_eq!(
         server.conn_count(),
-        H::MAX_HALF_OPEN,
+        MAX_HALF_OPEN,
         "a cookie SYN|ACK keeps no state"
     );
 
@@ -1111,7 +1111,7 @@ fn stale_half_open_is_evicted_for_fresh_syn<H: AttackTarget>() {
     let d = server.defence(None);
     assert_eq!(d.half_open_evictions, 1);
     assert_eq!(d.syn_cookies_sent, 0);
-    assert_eq!(server.half_open(), H::MAX_HALF_OPEN);
+    assert_eq!(server.half_open(), MAX_HALF_OPEN);
 }
 
 fn conn_table_capacity_is_typed_not_fatal<H: ConformStack>() {

@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn a_host_driven_prefix_then_polls_is_indistinguishable_from_the_host_drive(
         variant in 0u8..3,
-        switch in 0usize..300,
+        switch in 0usize..400,
         ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
     ) {
         agrees_with_the_host_drive(Drive::PerConn, switch, stacks(variant), &ops)?;

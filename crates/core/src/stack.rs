@@ -26,7 +26,10 @@
 //! part, then the rest of the machinery — and a stack keeps a schedule
 //! only once asked to schedule itself: under a host that drives each
 //! connection (`pump_conn`, `tick_conn`, `conn_deadline`) the
-//! [`netsim::Agenda`] stays dormant, and a pump reads no deadline.
+//! [`netsim::Agenda`] stays dormant, and a pump reads no deadline. The
+//! drive over that schedule is `netsim::agenda`'s, not this stack's: the
+//! stack marks each connection before and after a change and says how its
+//! state reads as a deadline (`deadline_of`).
 //!
 //! Contrast with `tcp-mono`: there one function mutates one PCB; here each
 //! sublayer's state is a private Rust struct, so test **T3** (separate
@@ -48,8 +51,8 @@ use crate::signals::SeqValidity;
 use crate::slots::SlotTable;
 use crate::wire::Packet;
 use netsim::{
-    Agenda, Dur, ErrorLog, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time,
-    TransportError, MAX_CONNS,
+    syn_cookie, Agenda, Dur, ErrorLog, FrameMeta, HostStack, Keepalive, Mark, Pressure, Scheduled,
+    Stack, Time, TransportError, HALF_OPEN_EVICT_AGE, MAX_CONNS, MAX_HALF_OPEN,
 };
 use slmetrics::SharedLog;
 use slwire::hash::FxBuildHasher;
@@ -144,14 +147,6 @@ pub struct SlStats {
     /// memory pressure or drain).
     pub pressure_refusals: u64,
 }
-
-/// Bound on simultaneously half-open (`SynRcvd`) passive connections;
-/// beyond it a flood is absorbed by eviction or SYN cookies, never by
-/// unbounded state.
-pub const MAX_HALF_OPEN: usize = 16;
-/// A half-open connection idle this long (one SYN-RTO) is stale enough to
-/// evict in favor of a fresh SYN.
-const HALF_OPEN_EVICT_AGE: Dur = Dur(1_000_000_000);
 
 /// A sublayered TCP endpoint (host).
 pub struct SlTcpStack {
@@ -286,13 +281,6 @@ impl SlTcpStack {
         ])
     }
 
-    /// The minimum over the whole table, which the deadline index must
-    /// equal once the agenda is awake (debug builds check on every
-    /// `poll_deadline`), and which `poll_deadline` returns before.
-    pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.ids().filter_map(|id| self.conn_deadline(now, id)).min()
-    }
-
     fn mark_of(agenda: &Agenda<ConnId>, ka: Option<Keepalive>, c: &Connection, now: Time) -> Mark {
         agenda.mark(c.cm.state() == CmState::SynRcvd, || Self::deadline_of(ka, c, now))
     }
@@ -347,14 +335,6 @@ impl SlTcpStack {
             self.conns.remove(id);
             self.agenda.reindex(id, Some(mark), None);
         }
-    }
-
-    /// Entries in the ready set and in the deadline index — each bounded
-    /// by [`SlTcpStack::conn_count`], and both 0 until the first
-    /// `poll_transmit` or `on_tick` (so always, under a host that drives
-    /// each connection itself).
-    pub fn agenda_sizes(&self) -> (usize, usize) {
-        self.agenda.sizes()
     }
 
     /// The RD sublayer's counters (for tests/experiments).
@@ -413,22 +393,6 @@ impl SlTcpStack {
             .map(|(id, _)| id)
     }
 
-    /// Keyed hash binding a half-open flow's 4-tuple and client ISN to a
-    /// server ISN we can later recognize without keeping any state.
-    fn syn_cookie(&self, tuple: &FourTuple, peer_isn: u32) -> u32 {
-        let mut h: u32 = 0x9E37_79B9 ^ self.dm.local_addr();
-        for v in [
-            tuple.local.addr,
-            tuple.local.port as u32,
-            tuple.remote.addr,
-            tuple.remote.port as u32,
-            peer_isn,
-        ] {
-            h = h.wrapping_add(v).wrapping_mul(2_654_435_761).rotate_left(13);
-        }
-        h
-    }
-
     /// Stateless SYN|ACK whose ISN *is* the cookie — no connection state
     /// exists until the peer's ACK proves it saw this packet. The native
     /// header makes this clean: the completing ACK echoes both ISNs in its
@@ -443,7 +407,7 @@ impl SlTcpStack {
         pkt.dm.dst_port = tuple.remote.port;
         pkt.cm.flags.syn = true;
         pkt.cm.flags.cm_ack = true;
-        pkt.cm.isn = self.syn_cookie(tuple, peer_isn);
+        pkt.cm.isn = syn_cookie(self.dm.local_addr(), tuple, peer_isn);
         pkt.cm.ack_isn = peer_isn;
         pkt.osr.rcv_wnd = u16::MAX;
         self.stats.packets_sent += 1;
@@ -696,15 +660,6 @@ impl SlTcpStack {
             }
             pass == CmPass::PassUp
         });
-    }
-
-    /// The stack starts scheduling itself (see [`netsim::Agenda::wake`]).
-    #[inline]
-    fn wake(&mut self, now: Time) {
-        let ka = self.config.keepalive;
-        let conns = &self.conns;
-        self.agenda
-            .wake(|| conns.iter().map(|(id, c)| (id, Self::deadline_of(ka, c, now))));
     }
 }
 
@@ -1040,7 +995,7 @@ impl Stack for SlTcpStack {
                     && !pkt.cm.flags.syn
                     && !pkt.cm.flags.rst
                     && pkt.rd.has_ack
-                    && pkt.cm.ack_isn == self.syn_cookie(&tuple, pkt.cm.isn)
+                    && pkt.cm.ack_isn == syn_cookie(self.dm.local_addr(), &tuple, pkt.cm.isn)
                 {
                     let Ok(token) = self.dm.bind(tuple) else { return self.refuse_full(&pkt) };
                     let id = token.id();
@@ -1111,74 +1066,40 @@ impl Stack for SlTcpStack {
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        self.wake(now);
-        if self.outbox.is_empty() {
-            // Only a ready connection, or one whose deadline has passed
-            // (a paced ack is released here, with no `on_tick`), can have
-            // a frame to give. Ascending, so every same-seed run pumps in
-            // the same order.
-            let ids = self.agenda.due(now);
-            for &id in &ids {
-                self.pump_conn(now, id);
-            }
-            self.agenda.recycle(ids);
-        }
-        self.outbox.pop_front()
+        netsim::agenda::poll_transmit(self, now)
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
-        if !self.agenda.is_awake() {
-            return self.scan_deadline(now);
-        }
-        debug_assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
-        self.agenda.next_deadline()
+        netsim::agenda::poll_deadline(self, now)
     }
 
     fn on_tick(&mut self, now: Time) {
-        self.wake(now);
-        // The ready ones too: a tick ends in a pump.
-        let ids = self.agenda.due(now);
-        for &id in &ids {
-            self.tick_conn(now, id);
-        }
-        self.agenda.recycle(ids);
+        netsim::agenda::on_tick(self, now)
+    }
+}
+
+/// The schedule `netsim::agenda`'s drive keeps for this stack.
+impl Scheduled for SlTcpStack {
+    fn agenda(&self) -> &Agenda<ConnId> {
+        &self.agenda
+    }
+
+    fn agenda_mut(&mut self) -> &mut Agenda<ConnId> {
+        &mut self.agenda
+    }
+
+    fn conn_ids(&self) -> impl Iterator<Item = ConnId> + '_ {
+        self.conns.ids()
     }
 }
 
 /// What the one agenda suite (`netsim::agenda_suite`) reads of this stack.
 #[cfg(test)]
 impl netsim::agenda_suite::AgendaStack for SlTcpStack {
-    const MAX_HALF_OPEN: usize = MAX_HALF_OPEN;
     const ACK_PACE_DELAY: Dur = crate::rd::ACK_DELAY;
 
-    fn ids(&self) -> Vec<ConnId> {
-        let mut ids: Vec<ConnId> = self.conns.ids().collect();
-        ids.sort();
-        ids
-    }
-
-    fn check_indices(&self, now: Time) {
-        let half_open =
-            self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count();
-        assert_eq!(self.agenda.half_open(), half_open);
-        if !self.agenda.is_awake() {
-            assert_eq!(self.agenda.sizes(), (0, 0), "a dormant agenda indexes nothing");
-            return;
-        }
-        let (ready, deadlines) = self.agenda.sizes();
-        assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
-        let with_deadline =
-            self.conns.ids().filter(|&id| self.conn_deadline(now, id).is_some()).count();
-        assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
-        assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
-    }
-
-    fn agenda_sizes(&self) -> (usize, usize) {
-        self.agenda.sizes()
-    }
-
     fn half_open_count(&self) -> usize {
-        SlTcpStack::half_open_count(self)
+        self.conns.values().filter(|c| c.cm.state() == CmState::SynRcvd).count()
     }
 
     fn half_open_evictions(&self) -> u64 {

@@ -1,6 +1,6 @@
 //! What a multi-connection [`Stack`](crate::Stack) keeps so that
 //! `poll_transmit`, `poll_deadline` and `on_tick` cost what there is to do,
-//! not what the connection table holds.
+//! not what the connection table holds — and the one drive over it.
 //!
 //! Two small ordered sets and a counter, no per-connection field:
 //!
@@ -8,31 +8,65 @@
 //!   last ran, which therefore may have something to send;
 //! * the **deadline index** — one `(deadline, connection)` entry per
 //!   connection that has a timer pending;
-//! * the **half-open count**, which every inbound SYN asks for.
+//! * the **half-open count**, which every inbound SYN asks for. The SYN
+//!   admission bound ([`MAX_HALF_OPEN`]), the age at which a half-open
+//!   connection may be evicted ([`HALF_OPEN_EVICT_AGE`]) and the SYN
+//!   cookie ([`syn_cookie`]) sit beside it; each stack keeps its own
+//!   admission decision.
 //!
-//! An agenda is built on demand. Until its first [`Agenda::wake`] it is
-//! *dormant*: a stack that a host drives connection by connection (through
+//! An agenda is built on demand. Until it is woken it is *dormant*: a stack that a host drives connection by connection (through
 //! `HostStack::pump_conn`, `tick_conn` and `conn_deadline`, with the host's
 //! own timers) never asks it to schedule anything, so it keeps only the
 //! half-open count, and a [`Mark`] it builds carries no deadline — a pump
-//! then reads no deadline and touches no tree. The stack wakes it on its
-//! first `poll_transmit` or `on_tick`: every connection becomes ready and
-//! every deadline is indexed from one scan of the table.
+//! then reads no deadline and touches no tree. The drive wakes it on the
+//! stack's first `poll_transmit` or `on_tick`: every connection becomes
+//! ready and every deadline is indexed from one pass over the table.
 //!
-//! The deadline index is exact once woken; the half-open count always:
-//! every call of the stack that can change a connection takes the
-//! connection's [`Agenda::mark`] before and after and hands both to
-//! [`Agenda::reindex`].
+//! The drive is written once, here: [`poll_transmit`], [`poll_deadline`]
+//! and [`on_tick`] run any [`Scheduled`] stack, and both stacks'
+//! `impl Stack` scheduling methods are calls of them. A stack keeps only
+//! what it alone knows: the `agenda` field, where a connection changes
+//! (every call that can change one takes the connection's [`Agenda::mark`]
+//! before and after and hands both to [`Agenda::reindex`]), and how its
+//! state reads as a deadline (its `conn_deadline`). The deadline index is
+//! exact once woken; the half-open count always.
 //!
 //! A connection that is not ready, and whose deadline has not passed, has
-//! nothing to do: running it would emit no frame and change no state. Both
-//! stacks (`sublayer-core` and `tcp-mono`) rest on that — the wake does too,
-//! making ready every connection whose touches a dormant agenda did not
-//! note — and one suite, `agenda_suite`, proves it for both
-//! against the per-connection drive a host runs.
+//! nothing to do: running it would emit no frame and change no state. The
+//! drive rests on that — the wake does too, making ready every connection
+//! whose touches a dormant agenda did not note — and one suite,
+//! `agenda_suite`, proves it for both stacks (`sublayer-core` and
+//! `tcp-mono`) against the per-connection drive a host runs.
 
-use crate::time::Time;
+use crate::stack::HostStack;
+use crate::time::{Dur, Time};
+use slwire::FourTuple;
 use std::collections::BTreeSet;
+
+/// Half-open connections a listener keeps: beyond it, a SYN evicts a stale
+/// one or is answered with a [`syn_cookie`], never with more state.
+pub const MAX_HALF_OPEN: usize = 16;
+/// A half-open connection idle this long (one initial RTO, so already
+/// retransmitting its SYN|ACK) is stale enough to evict for a fresh SYN.
+pub const HALF_OPEN_EVICT_AGE: Dur = Dur(1_000_000_000);
+
+/// The ISN a stack at `local_addr` answers a SYN with when it keeps no
+/// state for it: a keyed mix of the flow's 4-tuple and the peer's ISN, so
+/// the handshake-completing ACK can be recognised by recomputing it.
+#[inline]
+pub fn syn_cookie(local_addr: u32, tuple: &FourTuple, peer_isn: u32) -> u32 {
+    let mut h: u32 = 0x9E37_79B9 ^ local_addr;
+    for v in [
+        tuple.local.addr,
+        tuple.local.port as u32,
+        tuple.remote.addr,
+        tuple.remote.port as u32,
+        peer_isn,
+    ] {
+        h = h.wrapping_add(v).wrapping_mul(2_654_435_761).rotate_left(13);
+    }
+    h
+}
 
 /// What the agenda records about one connection (`Option<Mark>`: `None`
 /// for a connection that is not in the table). Built by [`Agenda::mark`].
@@ -86,20 +120,8 @@ impl<K: Ord + Copy> Agenda<K> {
     }
 
     /// Start scheduling: `table` lists every connection with its deadline.
-    /// Each becomes ready and each deadline is indexed. Does nothing (and
-    /// does not call `table`) once awake — one branch on every poll.
-    #[inline]
-    pub fn wake<I>(&mut self, table: impl FnOnce() -> I)
-    where
-        I: IntoIterator<Item = (K, Option<Time>)>,
-    {
-        if !self.awake {
-            self.index(table());
-        }
-    }
-
-    #[cold]
-    fn index(&mut self, table: impl IntoIterator<Item = (K, Option<Time>)>) {
+    /// Each becomes ready and each deadline is indexed.
+    pub(crate) fn wake(&mut self, table: impl IntoIterator<Item = (K, Option<Time>)>) {
         self.awake = true;
         for (k, deadline) in table {
             self.ready.insert(k);
@@ -170,7 +192,7 @@ impl<K: Ord + Copy> Agenda<K> {
 
     /// The earliest indexed deadline (`None` while dormant: the stack
     /// scans instead).
-    pub fn next_deadline(&self) -> Option<Time> {
+    pub(crate) fn next_deadline(&self) -> Option<Time> {
         self.earliest
     }
 
@@ -178,7 +200,7 @@ impl<K: Ord + Copy> Agenda<K> {
     /// `now`, ascending and without repeats — the order a sorted scan of
     /// the table would visit them in. Give the `Vec` back with
     /// [`Agenda::recycle`].
-    pub fn due(&mut self, now: Time) -> Vec<K> {
+    pub(crate) fn due(&mut self, now: Time) -> Vec<K> {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
         out.extend(self.ready.iter().copied());
@@ -199,7 +221,7 @@ impl<K: Ord + Copy> Agenda<K> {
         out
     }
 
-    pub fn recycle(&mut self, ids: Vec<K>) {
+    pub(crate) fn recycle(&mut self, ids: Vec<K>) {
         self.scratch = ids;
     }
 
@@ -210,13 +232,85 @@ impl<K: Ord + Copy> Agenda<K> {
     }
 }
 
+/// A stack that keeps an [`Agenda`] over its connections: what the drive
+/// below reads of it beyond [`HostStack`].
+pub trait Scheduled: HostStack {
+    fn agenda(&self) -> &Agenda<Self::ConnId>;
+    fn agenda_mut(&mut self) -> &mut Agenda<Self::ConnId>;
+    /// Every live connection's handle, in the table's order.
+    fn conn_ids(&self) -> impl Iterator<Item = Self::ConnId> + '_;
+}
+
+/// `Stack::poll_transmit`: a queued frame, else one after running every
+/// due connection. Only a ready connection, or one whose deadline has
+/// passed (a paced ack is released here, with no `on_tick`), can have a
+/// frame to give. Ascending, so every same-seed run runs them in the same
+/// order.
+pub fn poll_transmit<S: Scheduled>(stack: &mut S, now: Time) -> Option<Vec<u8>> {
+    wake(stack, now);
+    if let Some(frame) = stack.take_frame() {
+        return Some(frame);
+    }
+    run_due(stack, now, S::pump_conn);
+    stack.take_frame()
+}
+
+/// `Stack::poll_deadline`: the index's earliest entry once awake, which
+/// debug builds check against the scan; the scan before.
+pub fn poll_deadline<S: Scheduled>(stack: &S, now: Time) -> Option<Time> {
+    let agenda = stack.agenda();
+    if !agenda.is_awake() {
+        return scan_deadline(stack, now);
+    }
+    debug_assert_eq!(agenda.next_deadline(), scan_deadline(stack, now));
+    agenda.next_deadline()
+}
+
+/// `Stack::on_tick`: every due connection's timers — the ready ones too,
+/// since a tick ends in a pump.
+pub fn on_tick<S: Scheduled>(stack: &mut S, now: Time) {
+    wake(stack, now);
+    run_due(stack, now, S::tick_conn);
+}
+
+/// The minimum of every connection's deadline: what the per-connection
+/// drive a host runs reads as the stack's next deadline.
+pub(crate) fn scan_deadline<S: Scheduled>(stack: &S, now: Time) -> Option<Time> {
+    stack.conn_ids().filter_map(|id| stack.conn_deadline(now, id)).min()
+}
+
+fn run_due<S: Scheduled>(stack: &mut S, now: Time, run: impl Fn(&mut S, Time, S::ConnId)) {
+    let ids = stack.agenda_mut().due(now);
+    for &id in &ids {
+        run(stack, now, id);
+    }
+    stack.agenda_mut().recycle(ids);
+}
+
+/// The stack starts scheduling itself (see [`Agenda::wake`]): one branch
+/// on every poll, and no allocation but the index's own on the first.
+#[inline]
+fn wake<S: Scheduled>(stack: &mut S, now: Time) {
+    if !stack.agenda().is_awake() {
+        index_table(stack, now);
+    }
+}
+
+#[cold]
+fn index_table<S: Scheduled>(stack: &mut S, now: Time) {
+    // Out of the stack for the pass, so the table can be read meanwhile.
+    let mut agenda = std::mem::take(stack.agenda_mut());
+    agenda.wake(stack.conn_ids().map(|id| (id, stack.conn_deadline(now, id))));
+    *stack.agenda_mut() = agenda;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn awake() -> Agenda<u32> {
         let mut a = Agenda::new();
-        a.wake(std::iter::empty::<(u32, Option<Time>)>);
+        a.wake([]);
         a
     }
 
@@ -273,10 +367,9 @@ mod tests {
         assert_eq!((a.half_open(), a.sizes(), a.next_deadline()), (1, (0, 0), None));
         // The wake makes every connection ready and indexes what the scan
         // reports; after it, marks carry deadlines again.
-        a.wake(|| [(1, Some(Time(8))), (2, None), (3, Some(Time(4)))]);
+        a.wake([(1, Some(Time(8))), (2, None), (3, Some(Time(4)))]);
         assert!(a.is_awake());
         assert_eq!((a.sizes(), a.next_deadline()), ((3, 2), Some(Time(4))));
-        a.wake(|| -> [(u32, Option<Time>); 0] { unreachable!("woken once") });
         assert_eq!(a.mark(false, || Some(Time(9))).deadline, Some(Time(9)));
         let ids = a.due(Time(0));
         assert_eq!(ids, [1, 2, 3]);

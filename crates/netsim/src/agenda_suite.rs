@@ -9,36 +9,29 @@
 //! the applications read, and the next deadline. Beside the scripts sit
 //! the hazards: a FIN that needs a second pass, a paced ack released by a
 //! poll alone or by receding pressure, eviction and reaping, and a stack
-//! before its first poll. A stack opts in with an [`AgendaStack`] impl
+//! before its first poll. Since the drive is written once
+//! ([`crate::agenda`]), the stacks differ only in where they mark a
+//! connection's change and how its state reads as a deadline, which is
+//! what the suite exercises. A stack opts in with an [`AgendaStack`] impl
 //! under `#[cfg(test)]`, a `proptest!` wrapper around
 //! [`agrees_with_the_host_drive`] per [`Drive`], and
 //! [`agenda_hazards!`](crate::agenda_hazards).
 
-use crate::stack::{HostStack, Keepalive, Pressure};
+use crate::agenda::{scan_deadline, Scheduled, MAX_HALF_OPEN};
+use crate::stack::{Keepalive, Pressure};
 use crate::time::{Dur, Time};
 use slwire::Endpoint;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
-/// What the suite reads of a stack beyond [`HostStack`]: its agenda's own
-/// checks and sizes, and its wire format.
-pub trait AgendaStack: HostStack {
-    /// Half-open connections a listener keeps before a fresh SYN evicts a
-    /// stale one.
-    const MAX_HALF_OPEN: usize;
+/// What the suite reads of a stack beyond [`Scheduled`]: a count of its
+/// table, its counters and its wire format.
+pub trait AgendaStack: Scheduled {
     /// How long a pure ack is held while pressure paces acks.
     const ACK_PACE_DELAY: Dur;
-    /// Switch keepalive on for every connection at run time, for a stack
-    /// that can (`None`: only its configuration can).
-    const SET_KEEPALIVE: Option<fn(&mut Self, Keepalive)> = None;
 
-    /// Every connection's handle, ascending.
-    fn ids(&self) -> Vec<Self::ConnId>;
-    /// Panics unless the agenda holds exactly what the table says: the
-    /// half-open count always, the ready set and deadline index once awake.
-    fn check_indices(&self, now: Time);
-    /// Entries in the ready set and in the deadline index.
-    fn agenda_sizes(&self) -> (usize, usize);
+    /// Half-open connections, counted in the table (not read off the
+    /// agenda, which `check_indices` holds against it).
     fn half_open_count(&self) -> usize;
     fn half_open_evictions(&self) -> u64;
     /// A SYN from `from` to `to` with initial sequence number `isn`.
@@ -71,9 +64,28 @@ pub enum Drive {
     PerConn,
 }
 
-/// The next deadline as the per-connection drive reads it.
-fn host_deadline<S: AgendaStack>(stack: &S, now: Time) -> Option<Time> {
-    stack.ids().into_iter().filter_map(|id| stack.conn_deadline(now, id)).min()
+/// Every connection's handle, ascending: the order the per-connection
+/// drive runs them in.
+fn ids<S: Scheduled>(stack: &S) -> Vec<S::ConnId> {
+    let mut ids: Vec<S::ConnId> = stack.conn_ids().collect();
+    ids.sort();
+    ids
+}
+
+/// Panics unless the agenda holds exactly what the table says: the
+/// half-open count always, the ready set and deadline index once awake.
+fn check_indices<S: AgendaStack>(stack: &S, now: Time) {
+    let agenda = stack.agenda();
+    assert_eq!(agenda.half_open(), stack.half_open_count());
+    if !agenda.is_awake() {
+        assert_eq!(agenda.sizes(), (0, 0), "a dormant agenda indexes nothing");
+        return;
+    }
+    let ((ready, deadlines), live) = (agenda.sizes(), stack.conn_count());
+    assert!(ready <= live, "{ready} ready of {live}");
+    let with_deadline = stack.conn_ids().filter(|&id| stack.conn_deadline(now, id).is_some());
+    assert_eq!(deadlines, with_deadline.count(), "stale or missing deadline entries");
+    assert_eq!(agenda.next_deadline(), scan_deadline(stack, now));
 }
 
 struct World<S: AgendaStack> {
@@ -123,7 +135,7 @@ impl<S: AgendaStack> World<S> {
             let frame = match self.drive {
                 Drive::Agenda => stack.poll_transmit(now),
                 Drive::PerConn => stack.take_frame().or_else(|| {
-                    for id in stack.ids() {
+                    for id in ids(stack) {
                         stack.pump_conn(now, id);
                     }
                     stack.take_frame()
@@ -141,7 +153,7 @@ impl<S: AgendaStack> World<S> {
         match self.drive {
             Drive::Agenda => stack.on_tick(now),
             Drive::PerConn => {
-                for id in stack.ids() {
+                for id in ids(stack) {
                     stack.tick_conn(now, id);
                 }
             }
@@ -152,7 +164,7 @@ impl<S: AgendaStack> World<S> {
         let (stack, now) = (&self.ends[end], self.now);
         match self.drive {
             Drive::Agenda => stack.poll_deadline(now),
-            Drive::PerConn => host_deadline(stack, now),
+            Drive::PerConn => scan_deadline(stack, now),
         }
     }
 
@@ -206,10 +218,6 @@ impl<S: AgendaStack> World<S> {
             }
             (4, Some(id)) => self.ends[end].close(id),
             (5, Some(id)) if k.is_multiple_of(4) => self.ends[end].abort(self.now, id),
-            (5, _) if k % 4 == 1 => match S::SET_KEEPALIVE {
-                Some(set) => set(&mut self.ends[end], KEEPALIVE),
-                None => self.exchange(),
-            },
             (6, _) => {
                 use Pressure::{Critical, Elevated, High, Nominal};
                 self.ends[end].set_pressure([Nominal, Elevated, High, Critical][k % 4]);
@@ -241,16 +249,19 @@ fn same<T: PartialEq + Debug>(a: T, b: T, what: impl FnOnce() -> String) -> Resu
     (a == b).then_some(()).ok_or_else(|| format!("{a:?} != {b:?} ({})", what()))
 }
 
-/// One world driven as `first` for its first `switch` calls of `ops` and
-/// through the agenda after them, against a world driven per connection
-/// throughout, both of stacks `new` builds: they must be indistinguishable
-/// after every call, and their indices exact.
+/// One world driven as `first` for its first `switch % ops.len()` calls
+/// of `ops` and through the agenda after them, against a world driven per
+/// connection throughout, both of stacks `new` builds: they must be
+/// indistinguishable after every call, and their indices exact. Taken
+/// modulo the script's length, `switch` always falls inside the script, so
+/// a world that starts per connection always ends on the agenda.
 pub fn agrees_with_the_host_drive<S: AgendaStack>(
     first: Drive,
     switch: usize,
     new: impl Fn(u32) -> S,
     ops: &[(u8, u8)],
 ) -> Result<(), String> {
+    let switch = switch % ops.len().max(1);
     // Four connections up before the random calls start.
     let mut world = World::new(first, &new, 4);
     let mut host = World::new(Drive::PerConn, &new, 4);
@@ -270,10 +281,10 @@ pub fn agrees_with_the_host_drive<S: AgendaStack>(
             let at = || format!("end {end} {}", call());
             same(world.deadline(end), host.deadline(end), at)?;
             if world.drive == Drive::PerConn {
-                same(world.ends[end].agenda_sizes(), (0, 0), || format!("scheduled, {}", at()))?;
+                same(world.ends[end].agenda().sizes(), (0, 0), || format!("scheduled, {}", at()))?;
             }
-            world.ends[end].check_indices(world.now);
-            host.ends[end].check_indices(host.now);
+            check_indices(&world.ends[end], world.now);
+            check_indices(&host.ends[end], host.now);
         }
     }
     Ok(())
@@ -291,7 +302,7 @@ pub fn fin_follows_pending_data_without_an_inbound_packet<S: AgendaStack>(new: f
     assert_eq!(w.poll(CLIENT), 2, "the data, then the FIN");
     let frames: Vec<_> = w.wire[SERVER].iter().map(|f| S::fin_and_len(f)).collect();
     assert_eq!(frames, [(false, 300), (true, 0)]);
-    w.ends[CLIENT].check_indices(w.now);
+    check_indices(&w.ends[CLIENT], w.now);
 }
 
 /// A pair whose server, under pressure that paces acks, got 500 bytes
@@ -319,7 +330,7 @@ pub fn paced_ack_is_released_by_poll_transmit_without_a_tick<S: AgendaStack>(new
     assert_eq!(w.poll(SERVER), 1, "released at the deadline, no on_tick");
     assert_eq!(S::fin_and_len(&w.wire[CLIENT][0]), (false, 0), "a pure ack");
     assert_eq!(w.ends[SERVER].poll_deadline(w.now), None);
-    w.ends[SERVER].check_indices(w.now);
+    check_indices(&w.ends[SERVER], w.now);
 }
 
 /// An ack that pacing holds goes out at once when the pressure recedes.
@@ -328,7 +339,7 @@ pub fn receding_pressure_releases_a_held_ack<S: AgendaStack>(new: fn(u32) -> S) 
     w.ends[SERVER].set_pressure(Pressure::Nominal);
     assert_eq!(w.poll(SERVER), 1, "released without waiting out the delay");
     assert_eq!(w.ends[SERVER].poll_deadline(w.now), None);
-    w.ends[SERVER].check_indices(w.now);
+    check_indices(&w.ends[SERVER], w.now);
 }
 
 /// A server (its agenda woken first if `wake`) that took as many SYNs as it
@@ -342,17 +353,17 @@ fn syn_flooded<S: AgendaStack>(new: fn(u32) -> S, wake: bool) -> (S, Time) {
     }
     let to = Endpoint::new(ADDR[SERVER], PORT);
     let syn = |from: u32, isn| S::forge_syn(Endpoint::new(from, 1000), to, isn);
-    for i in 0..S::MAX_HALF_OPEN as u32 {
+    for i in 0..MAX_HALF_OPEN as u32 {
         server.on_frame(Time::ZERO, &syn(0xC000_0000 + i, 7000 + i));
     }
-    let deadlines = if wake { S::MAX_HALF_OPEN } else { 0 };
-    assert_eq!(server.agenda_sizes(), (0, deadlines));
+    let deadlines = if wake { MAX_HALF_OPEN } else { 0 };
+    assert_eq!(server.agenda().sizes(), (0, deadlines));
     let now = Time::ZERO + Dur::from_secs(2);
     server.on_frame(now, &syn(0xC300_0000, 9_999));
     assert_eq!(server.half_open_evictions(), 1);
-    assert_eq!(server.half_open_count(), S::MAX_HALF_OPEN);
-    assert_eq!(server.agenda_sizes(), (0, deadlines));
-    server.check_indices(now);
+    assert_eq!(server.half_open_count(), MAX_HALF_OPEN);
+    assert_eq!(server.agenda().sizes(), (0, deadlines));
+    check_indices(&server, now);
     (server, now)
 }
 
@@ -366,11 +377,11 @@ pub fn eviction_and_reaping_leave_no_stale_entry<S: AgendaStack>(new: fn(u32) ->
         now = next;
         server.on_tick(now);
         while server.poll_transmit(now).is_some() {}
-        server.check_indices(now);
+        check_indices(&server, now);
     }
     assert_eq!(server.conn_count(), 0);
     assert_eq!(server.half_open_count(), 0);
-    assert_eq!(server.agenda_sizes(), (0, 0));
+    assert_eq!(server.agenda().sizes(), (0, 0));
 }
 
 /// Before its first poll a stack keeps no schedule: the half-open count
@@ -380,16 +391,16 @@ pub fn before_its_first_poll_a_stack_counts_half_opens_and_scans_for_the_deadlin
     new: fn(u32) -> S,
 ) {
     let (mut server, now) = syn_flooded(new, false);
-    let scan = host_deadline(&server, now);
+    let scan = scan_deadline(&server, now);
     assert!(scan.is_some(), "every half-open retransmits its SYN|ACK");
     assert_eq!(server.poll_deadline(now), scan);
     // The wake: every connection ready, every deadline indexed.
     assert!(server.poll_transmit(now).is_some(), "a queued SYN|ACK");
-    assert_eq!(server.agenda_sizes(), (S::MAX_HALF_OPEN, S::MAX_HALF_OPEN));
+    assert_eq!(server.agenda().sizes(), (MAX_HALF_OPEN, MAX_HALF_OPEN));
     while server.poll_transmit(now).is_some() {}
-    assert_eq!(server.agenda_sizes(), (0, S::MAX_HALF_OPEN));
+    assert_eq!(server.agenda().sizes(), (0, MAX_HALF_OPEN));
     assert_eq!(server.poll_deadline(now), scan);
-    server.check_indices(now);
+    check_indices(&server, now);
 }
 
 /// `agenda_hazards!(new)` makes every hazard above a `#[test]` against the

@@ -22,7 +22,9 @@
 //!   the style of poll-driven stacks such as smoltcp, the host-facing
 //!   surface both TCP stacks add to it ([`HostStack`]), and the ready set
 //!   and deadline index ([`Agenda`]) a many-connection `Stack` polls from,
-//!   built on its first poll.
+//!   built on its first poll, with the one drive over it
+//!   ([`agenda::poll_transmit`], [`agenda::poll_deadline`],
+//!   [`agenda::on_tick`]) both TCP stacks' `Stack` impls call.
 //!
 //! Every run is exactly reproducible from its seed: event ties break by
 //! insertion order and all randomness flows from per-link forks of a single
@@ -41,7 +43,7 @@ pub mod tap;
 pub mod time;
 pub mod workload;
 
-pub use agenda::{Agenda, Mark};
+pub use agenda::{syn_cookie, Agenda, Mark, Scheduled, HALF_OPEN_EVICT_AGE, MAX_HALF_OPEN};
 pub use attack::{AttackCodec, AttackConfig, Attacker, AttackerStats, SeqKnowledge, SnoopInfo};
 pub use event::EventQueue;
 pub use fault::{BurstLoss, FaultConfigError, FaultInjector, FaultProfile, FaultStats, Fate};

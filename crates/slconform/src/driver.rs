@@ -140,11 +140,7 @@ impl ConformStack for SlTcpStack {
 impl ConformStack for TcpStack {
     const KIND: Kind = Kind::Mono;
     fn mk_with(addr: u32, keepalive: Option<Keepalive>, log: SharedLog) -> Self {
-        let mut s = TcpStack::new(addr, log);
-        if let Some(ka) = keepalive {
-            s.set_keepalive(ka);
-        }
-        s
+        TcpStack::with_keepalive(addr, keepalive, log)
     }
     fn expected_seq(&self, id: Self::ConnId) -> Option<u32> {
         self.expected_wire_seq(id)

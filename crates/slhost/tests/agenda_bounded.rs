@@ -7,8 +7,8 @@
 //! pumping a connection has to take it off the ready set, and a connection
 //! that goes has to take its entries along.
 
-use netsim::{MultiStack, Pressure, Stack, Time};
-use slhost::{EchoApp, Host, HostConfig, HostStack, ServedHost};
+use netsim::{MultiStack, Pressure, Scheduled, Stack, Time};
+use slhost::{EchoApp, Host, HostConfig, ServedHost};
 use sublayer_core::{SlConfig, SlTcpStack};
 use slwire::Endpoint;
 use tcp_mono::TcpStack;
@@ -21,8 +21,9 @@ const OPS: usize = 1_000;
 
 /// `OPS` 64-byte echo ops round-robin over `CONNS` connections from one
 /// bare client stack to a served host, then close them all and run both
-/// ends dry. `sizes` reads a stack's (ready set, deadline index) sizes.
-fn echo_then_drain<S: HostStack>(stack: S, mut client: S, sizes: fn(&S) -> (usize, usize)) {
+/// ends dry.
+fn echo_then_drain<S: Scheduled>(stack: S, mut client: S) {
+    let sizes = |s: &S| s.agenda().sizes();
     let cfg = HostConfig {
         listen_port: PORT,
         ..HostConfig::default()
@@ -105,19 +106,11 @@ fn echo_then_drain<S: HostStack>(stack: S, mut client: S, sizes: fn(&S) -> (usiz
 #[test]
 fn sublayered_agenda_stays_bounded_under_a_host() {
     let stack = |addr| SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared());
-    echo_then_drain(
-        stack(SERVER_ADDR),
-        stack(CLIENT_ADDR),
-        SlTcpStack::agenda_sizes,
-    );
+    echo_then_drain(stack(SERVER_ADDR), stack(CLIENT_ADDR));
 }
 
 #[test]
 fn monolithic_agenda_stays_bounded_under_a_host() {
     let stack = |addr| TcpStack::new(addr, slmetrics::shared());
-    echo_then_drain(
-        stack(SERVER_ADDR),
-        stack(CLIENT_ADDR),
-        TcpStack::agenda_sizes,
-    );
+    echo_then_drain(stack(SERVER_ADDR), stack(CLIENT_ADDR));
 }

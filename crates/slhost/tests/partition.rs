@@ -107,11 +107,8 @@ fn payload(n: usize) -> Vec<u8> {
 /// legitimately owns liveness and would (correctly) kill a silent peer —
 /// which is a different guarantee than the one pinned here.
 fn mono_pair(ka: Option<Keepalive>) -> (TcpStack, TcpStack) {
-    let mut c = TcpStack::new(A, slmetrics::shared());
+    let c = TcpStack::with_keepalive(A, ka, slmetrics::shared());
     let mut s = TcpStack::new(B, slmetrics::shared());
-    if let Some(ka) = ka {
-        c.set_keepalive(ka);
-    }
     HostStack::listen(&mut s, 80);
     (c, s)
 }

@@ -1,6 +1,5 @@
 //! The agenda suite (`netsim::agenda_suite`) over the monolithic stack,
-//! with keepalive and without it (and switched on at run time, the op only
-//! this stack has).
+//! with keepalive and without it.
 
 use crate::stack::TcpStack;
 use netsim::agenda_suite::{agrees_with_the_host_drive, Drive, KEEPALIVE};
@@ -11,9 +10,7 @@ fn stack(addr: u32) -> TcpStack {
 }
 
 fn with_keepalive(addr: u32) -> TcpStack {
-    let mut with = stack(addr);
-    with.set_keepalive(KEEPALIVE);
-    with
+    TcpStack::with_keepalive(addr, Some(KEEPALIVE), slmetrics::shared())
 }
 
 proptest! {
@@ -29,7 +26,7 @@ proptest! {
     #[test]
     fn a_host_driven_prefix_then_polls_is_indistinguishable_from_the_host_drive(
         keepalive: bool,
-        switch in 0usize..300,
+        switch in 0usize..400,
         ops in collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 40..400),
     ) {
         let new = if keepalive { with_keepalive } else { stack };

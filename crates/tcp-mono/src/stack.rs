@@ -16,8 +16,8 @@ use crate::wire::{Endpoint, FourTuple, Segment, ACK, FIN, PSH, RST, SYN};
 use slwire::hash::FxBuildHasher;
 use slwire::seq;
 use netsim::{
-    Agenda, Dur, ErrorLog, FrameMeta, HostStack, Keepalive, Mark, Pressure, Stack, Time,
-    TransportError, MAX_CONNS,
+    syn_cookie, Agenda, Dur, ErrorLog, FrameMeta, HostStack, Keepalive, Mark, Pressure, Scheduled,
+    Stack, Time, TransportError, HALF_OPEN_EVICT_AGE, MAX_CONNS, MAX_HALF_OPEN,
 };
 use slcc::{CcError, CongSignal, NewReno, RateController};
 use slmetrics::{site, SharedLog};
@@ -64,13 +64,6 @@ pub struct TcpStats {
     pub acks_paced: u64,
 }
 
-/// Half-open (SYN_RCVD) connections tolerated per host; beyond this a
-/// flood is answered with stateless SYN cookies or eviction, never more
-/// memory.
-pub const MAX_HALF_OPEN: usize = 16;
-/// A half-open this old (one initial RTO, i.e. already retransmitting its
-/// SYN|ACK) may be evicted for a fresh SYN.
-const HALF_OPEN_EVICT_AGE: Dur = Dur(1_000_000_000);
 /// Send-buffer cap: `send` accepts at most this much unacknowledged +
 /// unsent data, so the retransmit queue is bounded and the application
 /// feels backpressure through the short count.
@@ -125,25 +118,37 @@ pub struct TcpStack {
     /// `poll_transmit`, `poll_deadline`, `on_tick` and the SYN path read
     /// this, never the whole table. Kept by [`TcpStack::put_back`] and
     /// [`TcpStack::take_for_good`], the only ways into and out of `conns`,
-    /// at no cost in PCB fields; dormant — the half-open count alone —
-    /// until the first `poll_transmit` or `on_tick`.
+    /// at no cost in PCB fields, and driven by `netsim::agenda`; dormant —
+    /// the half-open count alone — until the first `poll_transmit` or
+    /// `on_tick`.
     agenda: Agenda<FourTuple>,
     pub stats: TcpStats,
 }
 
 impl TcpStack {
     pub fn new(addr: u32, log: SharedLog) -> TcpStack {
-        Self::build(addr, Box::new(NewReno::new()), log)
+        Self::build(addr, Box::new(NewReno::new()), None, log)
+    }
+
+    /// Construct with keepalive probing for every connection (`None`: as
+    /// [`TcpStack::new`]) — set once, as `SlConfig::keepalive` is.
+    pub fn with_keepalive(addr: u32, keepalive: Option<Keepalive>, log: SharedLog) -> TcpStack {
+        Self::build(addr, Box::new(NewReno::new()), keepalive, log)
     }
 
     /// Construct with a named congestion controller from the shared
     /// [`slcc`] set; an unknown name is a typed error at construction,
     /// never a panic on input.
     pub fn with_cc(addr: u32, cc: &str, log: SharedLog) -> Result<TcpStack, CcError> {
-        Ok(Self::build(addr, slcc::make(cc)?, log))
+        Ok(Self::build(addr, slcc::make(cc)?, None, log))
     }
 
-    fn build(addr: u32, cc_template: Box<dyn RateController>, log: SharedLog) -> TcpStack {
+    fn build(
+        addr: u32,
+        cc_template: Box<dyn RateController>,
+        keepalive: Option<Keepalive>,
+        log: SharedLog,
+    ) -> TcpStack {
         let seeded = FxBuildHasher::with_seed(addr as u64);
         TcpStack {
             addr,
@@ -151,7 +156,7 @@ impl TcpStack {
             conns: HashMap::with_hasher(seeded),
             outbox: VecDeque::new(),
             log,
-            keepalive: None,
+            keepalive,
             errors: ErrorLog::with_hasher(seeded),
             max_conns: MAX_CONNS,
             next_ephemeral: 49152,
@@ -166,17 +171,6 @@ impl TcpStack {
     /// The name of the configured congestion controller.
     pub fn cc_name(&self) -> &'static str {
         self.cc_template.name()
-    }
-
-    /// Enable keepalive probing for all connections on this host.
-    pub fn set_keepalive(&mut self, ka: Keepalive) {
-        let before = self.keepalive.replace(ka);
-        for (&tuple, p) in &self.conns {
-            let half_open = p.state == TcpState::SynRcvd;
-            let was = self.agenda.mark(half_open, || Self::deadline_of(before, p));
-            let is = self.agenda.mark(half_open, || Self::deadline_of(Some(ka), p));
-            self.agenda.reindex(tuple, Some(was), Some(is));
-        }
     }
 
     /// Advertised window under the stack-global pressure clamp. Every
@@ -300,14 +294,6 @@ impl TcpStack {
         Some(pcb)
     }
 
-    /// Entries in the ready set and in the deadline index — each bounded
-    /// by [`TcpStack::conn_count`], and both 0 until the first
-    /// `poll_transmit` or `on_tick` (so always, under a host that drives
-    /// each connection itself).
-    pub fn agenda_sizes(&self) -> (usize, usize) {
-        self.agenda.sizes()
-    }
-
     /// Direct PCB access for tests and campaign invariants (read-only).
     pub fn pcb(&self, tuple: FourTuple) -> Option<&Pcb> {
         self.conns.get(&tuple)
@@ -414,23 +400,6 @@ impl TcpStack {
             .map(|p| (p.last_rx, p.tuple))
             .min()
             .map(|(_, t)| t)
-    }
-
-    /// Stateless SYN-cookie ISN: a keyed mix of the 4-tuple and the
-    /// client's ISN, recomputable when the handshake-completing ACK
-    /// returns so no per-SYN state need exist.
-    fn syn_cookie(&self, tuple: &FourTuple, irs: u32) -> u32 {
-        let mut h = 0x9E37_79B9u32 ^ self.addr;
-        for v in [
-            tuple.local.addr,
-            tuple.local.port as u32,
-            tuple.remote.addr,
-            tuple.remote.port as u32,
-            irs,
-        ] {
-            h = h.wrapping_add(v).wrapping_mul(2_654_435_761).rotate_left(13);
-        }
-        h
     }
 
     /// Transmit whatever the window allows for `tuple` (tcp_output).
@@ -623,7 +592,7 @@ impl TcpStack {
                         && !seg.syn()
                         && !seg.rst()
                         && seg.ack.wrapping_sub(1)
-                            == self.syn_cookie(&tuple, seg.seq.wrapping_sub(1))));
+                            == syn_cookie(self.addr, &tuple, seg.seq.wrapping_sub(1))));
             if would_open && self.conns.len() >= self.max_conns {
                 self.stats.conn_table_full_drops += 1;
                 self.send_rst_for(&seg, payload);
@@ -651,7 +620,7 @@ impl TcpStack {
                         self.take_for_good(victim);
                         self.stats.half_open_evictions += 1;
                     } else {
-                        let cookie = self.syn_cookie(&tuple, seg.seq);
+                        let cookie = syn_cookie(self.addr, &tuple, seg.seq);
                         let synack = Segment {
                             src: seg.dst,
                             dst: seg.src,
@@ -697,7 +666,7 @@ impl TcpStack {
                 && !seg.syn()
                 && !seg.rst()
                 && self.listeners.contains(&seg.dst.port)
-                && seg.ack.wrapping_sub(1) == self.syn_cookie(&tuple, seg.seq.wrapping_sub(1))
+                && seg.ack.wrapping_sub(1) == syn_cookie(self.addr, &tuple, seg.seq.wrapping_sub(1))
             {
                 // The handshake-completing ACK of a cookie we issued
                 // statelessly: reconstruct the connection from the
@@ -1657,73 +1626,40 @@ impl Stack for TcpStack {
     }
 
     fn poll_transmit(&mut self, now: Time) -> Option<Vec<u8>> {
-        self.wake();
-        if self.outbox.is_empty() {
-            // Only a ready connection, or one whose deadline has passed
-            // (a paced ack is released here, with no `on_tick`), can have
-            // a segment to give. Ascending, so every same-seed run runs
-            // the output path in the same order.
-            let tuples = self.agenda.due(now);
-            for &t in &tuples {
-                self.output(now, t);
-            }
-            self.agenda.recycle(tuples);
-        }
-        self.outbox.pop_front()
+        netsim::agenda::poll_transmit(self, now)
     }
 
     fn poll_deadline(&self, now: Time) -> Option<Time> {
-        if !self.agenda.is_awake() {
-            return self.scan_deadline(now);
-        }
-        debug_assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
-        self.agenda.next_deadline()
+        netsim::agenda::poll_deadline(self, now)
     }
 
     fn on_tick(&mut self, now: Time) {
-        self.wake();
-        let tuples = self.agenda.due(now);
-        for &t in &tuples {
-            self.tick_conn(now, t);
-        }
-        self.agenda.recycle(tuples);
+        netsim::agenda::on_tick(self, now)
+    }
+}
+
+/// The schedule `netsim::agenda`'s drive keeps for this stack.
+impl Scheduled for TcpStack {
+    fn agenda(&self) -> &Agenda<FourTuple> {
+        &self.agenda
+    }
+
+    fn agenda_mut(&mut self) -> &mut Agenda<FourTuple> {
+        &mut self.agenda
+    }
+
+    fn conn_ids(&self) -> impl Iterator<Item = FourTuple> + '_ {
+        self.conns.keys().copied()
     }
 }
 
 /// What the one agenda suite (`netsim::agenda_suite`) reads of this stack.
 #[cfg(test)]
 impl netsim::agenda_suite::AgendaStack for TcpStack {
-    const MAX_HALF_OPEN: usize = MAX_HALF_OPEN;
     const ACK_PACE_DELAY: Dur = ACK_PACE_DELAY;
-    const SET_KEEPALIVE: Option<fn(&mut Self, Keepalive)> = Some(TcpStack::set_keepalive);
-
-    fn ids(&self) -> Vec<FourTuple> {
-        let mut tuples: Vec<FourTuple> = self.conns.keys().copied().collect();
-        tuples.sort();
-        tuples
-    }
-
-    fn check_indices(&self, now: Time) {
-        let half_open = self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count();
-        assert_eq!(self.agenda.half_open(), half_open);
-        if !self.agenda.is_awake() {
-            assert_eq!(self.agenda.sizes(), (0, 0), "a dormant agenda indexes nothing");
-            return;
-        }
-        let (ready, deadlines) = self.agenda.sizes();
-        assert!(ready <= self.conns.len(), "{ready} ready of {}", self.conns.len());
-        let with_deadline =
-            self.conns.keys().filter(|&&t| self.conn_deadline(now, t).is_some()).count();
-        assert_eq!(deadlines, with_deadline, "stale or missing deadline entries");
-        assert_eq!(self.agenda.next_deadline(), self.scan_deadline(now));
-    }
-
-    fn agenda_sizes(&self) -> (usize, usize) {
-        self.agenda.sizes()
-    }
 
     fn half_open_count(&self) -> usize {
-        TcpStack::half_open_count(self)
+        self.conns.values().filter(|p| p.state == TcpState::SynRcvd).count()
     }
 
     fn half_open_evictions(&self) -> u64 {
@@ -1747,23 +1683,6 @@ impl netsim::agenda_suite::AgendaStack for TcpStack {
     fn fin_and_len(frame: &[u8]) -> (bool, usize) {
         let seg = Segment::decode(frame).expect("own segment");
         (seg.fin(), seg.payload.len())
-    }
-}
-
-impl TcpStack {
-    /// The minimum over the whole table, which the deadline index must
-    /// equal once the agenda is awake (debug builds check on every
-    /// `poll_deadline`), and which `poll_deadline` returns before.
-    pub(crate) fn scan_deadline(&self, now: Time) -> Option<Time> {
-        self.conns.keys().filter_map(|&t| self.conn_deadline(now, t)).min()
-    }
-
-    /// The stack starts scheduling itself (see [`netsim::Agenda::wake`]).
-    #[inline]
-    fn wake(&mut self) {
-        let ka = self.keepalive;
-        let conns = &self.conns;
-        self.agenda.wake(|| conns.iter().map(|(&t, p)| (t, Self::deadline_of(ka, p))));
     }
 }
 
