@@ -399,6 +399,64 @@ fn fast_retransmit_and_sack_operate_under_loss<H: AttackTarget>() {
     }
 }
 
+/// Sender silly-window avoidance (RFC 9293 §3.8.6.2.1). Loss leaves the
+/// congestion window a size that is not a multiple of the MSS, so an ack
+/// can free less than an MSS of it; the sender waits for a full one
+/// rather than cut a runt. Every data segment the client puts on the wire
+/// is a full MSS but the stream's tail. The data fits the receive buffer,
+/// so the peer's window never holds the sender below an MSS.
+fn a_window_limited_sender_cuts_no_runt<H: ConformStack>() {
+    let mss = slwire::rfc793::DEFAULT_MSS as u32;
+    for (seed, loss) in [(60, 0.05), (11, 0.03)] {
+        let tap = netsim::tap_buffer();
+        let (mut c, mut s) = (H::mk(A), H::mk(B));
+        s.listen(80);
+        let conn = c
+            .try_connect(Time::ZERO, 5000, Endpoint::new(B, 80))
+            .expect("tuple free");
+        let client = netsim::TapStack::new(c, tap.clone());
+        let (mut net, nc, ns) = two_party(seed, client, s, lossy(10, loss));
+        net.poll_all();
+        net.run_for(secs(3));
+        let data = pattern(60_000, 251);
+        let client = &mut at::<netsim::TapStack<H>>(&mut net, nc).inner;
+        assert_eq!(client.send(conn, &data), data.len());
+        net.poll_all();
+        net.run_for(secs(60));
+        let server = at::<H>(&mut net, ns);
+        let sconn = *server.established().first().expect("server established");
+        assert_eq!(server.recv(sconn), data, "seed {seed}");
+        let sent: Vec<_> = tap
+            .borrow()
+            .iter()
+            .filter(|e| e.dir == netsim::TapDir::Tx)
+            .filter_map(|e| H::KIND.decode(&e.bytes))
+            .collect();
+        let isn = sent.iter().find(|seg| seg.syn).expect("the client's SYN").seq;
+        let end = isn.wrapping_add(1 + data.len() as u32);
+        let data_segs: Vec<_> = sent.iter().filter(|seg| seg.len > 0).collect();
+        let mut starts: Vec<u32> = data_segs.iter().map(|seg| seg.seq).collect();
+        starts.sort_unstable();
+        starts.dedup();
+        assert!(
+            starts.len() < data_segs.len(),
+            "seed {seed}: the loss must show as a retransmission"
+        );
+        let runts: Vec<_> = data_segs
+            .iter()
+            .filter(|seg| seg.len != mss && seg.seq.wrapping_add(seg.len) != end)
+            .map(|seg| (seg.seq.wrapping_sub(isn), seg.len))
+            .collect();
+        assert!(
+            runts.is_empty(),
+            "seed {seed}: {} of {} data segments are runts (offset, len): {:?}",
+            runts.len(),
+            data_segs.len(),
+            &runts[..runts.len().min(8)]
+        );
+    }
+}
+
 fn cc_counters_observe_loss_recovery<H: FairStack>() {
     for (seed, loss, data) in [
         (21, 0.05, pattern(60_000, 251)),
@@ -1194,6 +1252,7 @@ macro_rules! behaviours {
             bad_cc_name_is_a_typed_error_not_a_panic,
             every_rate_controller_transfers_correctly,
             fast_retransmit_and_sack_operate_under_loss,
+            a_window_limited_sender_cuts_no_runt,
             cc_counters_observe_loss_recovery,
             flow_control_limits_unread_receiver,
             zero_window_probe_survives_lost_window_update,

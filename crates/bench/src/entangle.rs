@@ -108,17 +108,17 @@ mod tests {
 
 | stack | fields | shared fields | entanglement score | write entanglement | interacting context pairs |
 |---|---|---|---|---|---|
-| Monolithic TCP (subfunctions over one PCB) | 25 | 13 | 23 | 9 | 10 |
+| Monolithic TCP (subfunctions over one PCB) | 24 | 13 | 22 | 8 | 10 |
 | Sublayered TCP (DM/CM/RD/OSR private state) | 20 | 0 | 0 | 0 | 0 |
 
 ## Monolithic TCP (subfunctions over one PCB): context pairs sharing a field
 
 | context A | context B | shared fields |
 |---|---|---|
-| congestion_control | conn_mgmt | 5 |
+| congestion_control | conn_mgmt | 4 |
 | congestion_control | flow_control | 1 |
-| congestion_control | reliable_delivery | 6 |
-| congestion_control | timers | 5 |
+| congestion_control | reliable_delivery | 5 |
+| congestion_control | timers | 4 |
 | conn_mgmt | flow_control | 1 |
 | conn_mgmt | reliable_delivery | 6 |
 | conn_mgmt | timers | 5 |

@@ -429,7 +429,11 @@ impl TcpStack {
             let offset = pcb.snd_nxt.wrapping_sub(pcb.snd_buf_seq) as usize;
             let avail = pcb.snd_buf.len().saturating_sub(offset);
             let n = avail.min(pcb.mss as usize).min(usable as usize);
-            if n == 0 {
+            // Avoid silly-window segments (RFC 9293 §3.8.6.2.1): while
+            // data is in flight an ack or the RTO will come, so wait for
+            // a full MSS unless this is the tail of what is queued.
+            let runt = n < pcb.mss as usize && n < avail && pcb.flight_size() > 0;
+            if n == 0 || runt {
                 // Zero-window with data waiting: arm the persist timer.
                 if avail > 0
                     && pcb.snd_wnd == 0

@@ -1,6 +1,7 @@
 //! Tests of what only the monolithic stack has: its PCB states and
-//! fields, F-RTO, its entangled access log, memory-pressure pacing and
-//! the sites that read a received segment's data length. A behaviour both
+//! fields, F-RTO, its entangled access log, memory-pressure pacing, the
+//! sites that read a received segment's data length and its send loop's
+//! silly-window rule (OSR's is tested in `osr.rs`). A behaviour both
 //! stacks share is tested once, against each, in `bench`'s behavioural
 //! suite (`crates/bench/src/behaviour.rs`); a test of the same name here
 //! and in `sublayer-core`'s `tests.rs` fails that suite.
@@ -451,4 +452,36 @@ fn a_fin_riding_on_data_is_sequenced_after_it() {
     assert_eq!(s.recv(tuple), vec![6; 500]);
     let acks: Vec<u32> = drain_segments(&mut s, Time::ZERO).iter().map(|a| a.ack).collect();
     assert_eq!(acks, [602]);
+}
+
+/// Sender silly-window avoidance, as OSR does it: with data in flight a
+/// window-limited budget below the MSS cuts nothing, but the tail of what
+/// is queued still goes, and with nothing in flight the window's worth is
+/// sent (no ack would come to end the wait).
+#[test]
+fn silly_window_avoidance_waits_for_full_mss() {
+    use crate::wire::ACK;
+    use netsim::Stack;
+    let mut s = TcpStack::new(B, slmetrics::shared());
+    s.listen(80);
+    let tuple = standalone_accept(&mut s, Time::ZERO, Endpoint::new(A, 5000));
+    let una = s.pcb(tuple).unwrap().snd_una;
+    let sent = |s: &mut TcpStack| -> Vec<usize> {
+        drain_segments(s, Time::ZERO).iter().map(|d| d.payload.len()).collect()
+    };
+    // The peer acks up to `ack` and opens `wnd`: the data lengths sent.
+    let ack = |s: &mut TcpStack, ack: u32, wnd: u16| {
+        let mut seg = from_peer(tuple, 101, ack, ACK, Vec::new());
+        seg.wnd = wnd;
+        s.on_frame(Time::ZERO, &seg.encode());
+        sent(s)
+    };
+    assert!(ack(&mut s, una, 1300).is_empty());
+    assert_eq!(s.send(tuple, &[5; 2500]), 2500);
+    // A full MSS goes; the 300 bytes of window left would make a runt.
+    assert_eq!(sent(&mut s), [1000]);
+    // Nothing in flight and a window below the MSS: the window's worth.
+    assert_eq!(ack(&mut s, una + 1000, 300), [300]);
+    // An open window: a full MSS, then the tail.
+    assert_eq!(ack(&mut s, una + 1300, 8000), [1000, 200]);
 }
