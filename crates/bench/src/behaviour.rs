@@ -12,9 +12,8 @@
 //! A behaviour runs at every seed the stacks' own copies ran at. Where the
 //! two copies set up differently (link, data, warm-up, which end is
 //! attacked), each seed keeps its copy's setup, and every assertion of
-//! both copies applies to it. An assertion one stack fails is kept for
-//! the stack that passes it, under `if H::KIND == …`, and named in
-//! ROADMAP item 13. Tests of one stack's own machinery stay in its
+//! both copies applies to it, on both stacks: no assertion is kept for
+//! one stack alone. Tests of one stack's own machinery stay in its
 //! `tests.rs`; [`no_test_is_defined_in_both_stacks`] keeps them apart.
 
 use crate::attack::AttackTarget;
@@ -24,7 +23,7 @@ use netsim::{
     two_party, AttackCodec, Dur, FaultProfile, HostStack, Keepalive, LinkParams, NodeId, SimNet,
     SnoopInfo, Stack, StackNode, Time, TransportError, MAX_HALF_OPEN,
 };
-use slconform::{ConformStack, Kind};
+use slconform::ConformStack;
 use slwire::{Endpoint, FourTuple};
 
 fn secs(s: u64) -> Dur {
@@ -1031,9 +1030,9 @@ fn ooo_spray_is_bounded_by_receiver_caps<H: AttackTarget>() {
     );
     assert_eq!(server.established().len(), 1, "the flow itself survives");
 
-    // The monolith's spray, at its client: overlapping segments (distinct
-    // starts, shared bytes) behind a one-byte gap, each in the window but
-    // together far beyond the receive buffer.
+    // Overlapping segments (distinct starts, shared bytes) behind a
+    // one-byte gap, each in the window but together far beyond the
+    // receive buffer.
     let (mut p, sconn) = established::<H>(64, 2);
     let (node, id, me, peer) = end(&p, sconn, Side::Client);
     let expected = at::<H>(&mut p.net, node).expected_seq(id).unwrap();
@@ -1046,17 +1045,11 @@ fn ooo_spray_is_bounded_by_receiver_caps<H: AttackTarget>() {
             &forge_data::<H>(peer, me, seq, ack, &[0xEE; 900]),
         );
     }
+    // Either stack holds them once, as one range of 10,800 bytes: under
+    // both caps, so nothing is dropped.
     let client = p.client();
-    let held = client.conn_buffered(id);
-    assert!(
-        held <= H::RCV_BUF_CAP,
-        "out-of-order bytes {held} exceed the cap"
-    );
-    if H::KIND == Kind::Mono {
-        // RD keeps overlapping parts as one range, 10,800 bytes here:
-        // under its cap, so nothing is dropped.
-        assert!(client.defence(Some(id)).overflow_drops > 0);
-    }
+    assert_eq!(client.conn_buffered(id), 10_800, "overlapping bytes are held once");
+    assert_eq!(client.defence(Some(id)).overflow_drops, 0);
 }
 
 fn syn_flood_is_bounded_and_falls_back_to_cookies<H: AttackTarget>() {

@@ -26,4 +26,6 @@ pub use stack::{TcpStack, TcpStats};
 #[cfg(test)]
 mod agenda_tests;
 #[cfg(test)]
+mod reassembly_tests;
+#[cfg(test)]
 mod tests;

@@ -12,6 +12,7 @@
 use crate::wire::FourTuple;
 use netsim::{Dur, Time};
 use slcc::{CongSignal, NewReno, RateController};
+use slwire::seq;
 use std::collections::{BTreeMap, VecDeque};
 
 /// RFC 793 connection states.
@@ -41,6 +42,8 @@ impl TcpState {
 pub use slwire::rfc793::DEFAULT_MSS;
 /// Receive buffer capacity; the advertised window is its free space.
 pub const RCV_BUF_CAP: usize = 64 * 1024 - 1;
+/// Most disjoint ranges held out of order at once.
+pub(crate) const MAX_OOO_RANGES: usize = 256;
 /// Initial retransmission timeout.
 pub const INITIAL_RTO: Dur = Dur(1_000_000_000);
 /// RTO bounds.
@@ -111,10 +114,25 @@ pub struct Pcb {
     /// sequence number of `snd_buf[0]`.
     pub snd_buf: VecDeque<u8>,
     pub snd_buf_seq: u32,
-    /// In-order bytes awaiting the application.
-    pub rcv_buf: VecDeque<u8>,
-    /// Out-of-order segments keyed by sequence number.
-    pub ooo: BTreeMap<u32, Vec<u8>>,
+    /// The one buffer every received byte is copied into, at its place in
+    /// the stream: the in-order bytes awaiting the application, then the
+    /// last `ahead` bytes, where the parts held out of order sit past
+    /// `rcv_nxt`, with the holes between them zero-filled until their
+    /// bytes arrive — so a hole that fills moves nothing. The window trim
+    /// keeps it within [`RCV_BUF_CAP`] bytes.
+    pub(crate) rcv_buf: VecDeque<u8>,
+    /// What is held out of order: disjoint, non-touching ranges, start ->
+    /// end, in sequence offsets from `ooo_base`.
+    pub(crate) ooo: BTreeMap<u32, u32>,
+    /// Where the offsets in `ooo` count from: `rcv_nxt` when a part was
+    /// held with nothing else held.
+    pub(crate) ooo_base: u32,
+    /// Total bytes across `ooo`. Like `ahead`, at most [`RCV_BUF_CAP`]
+    /// (`u16::MAX`): the window trim keeps what is held inside it.
+    pub(crate) ooo_bytes: u16,
+    /// How far the parts held out of order reach past `rcv_nxt` (zero
+    /// when none is held).
+    pub(crate) ahead: u16,
 
     // --- close handshake ---
     /// Application called close; FIN goes out after the buffer drains.
@@ -193,6 +211,9 @@ impl Pcb {
             snd_buf_seq: iss.wrapping_add(1),
             rcv_buf: VecDeque::new(),
             ooo: BTreeMap::new(),
+            ooo_base: 0,
+            ooo_bytes: 0,
+            ahead: 0,
             fin_queued: false,
             fin_seq: None,
             rto_deadline: None,
@@ -208,9 +229,140 @@ impl Pcb {
         }
     }
 
-    /// Free space in the receive buffer = advertised window.
+    /// Free space in the receive buffer = advertised window. What is held
+    /// out of order does not close it: it sits inside the window offered.
     pub fn rcv_wnd(&self) -> u32 {
-        (RCV_BUF_CAP - self.rcv_buf.len()) as u32
+        (RCV_BUF_CAP - self.readable_len()) as u32
+    }
+
+    /// In-order bytes received and not yet read.
+    pub(crate) fn readable_len(&self) -> usize {
+        self.rcv_buf.len() - self.ahead as usize
+    }
+
+    /// Take `payload`, received at `seq`, trimmed to what lies between
+    /// `rcv_nxt` and the window's far edge: its bytes are copied once,
+    /// straight from the frame to their place in `rcv_buf`. In order, they
+    /// and every held range they reach advance `rcv_nxt` where they sit;
+    /// out of order, the bytes no held range covers yet are held. Returns
+    /// false when an out-of-order part is refused at the reassembly caps.
+    pub(crate) fn take_payload(&mut self, seq: u32, payload: &[u8]) -> bool {
+        let mut data = payload;
+        let mut start = seq;
+        // Trim anything before rcv_nxt.
+        if seq::lt(start, self.rcv_nxt) {
+            let skip = self.rcv_nxt.wrapping_sub(start) as usize;
+            data = data.get(skip..).unwrap_or_default();
+            start = self.rcv_nxt;
+        }
+        // Trim anything beyond our window.
+        let wnd_end = self.rcv_nxt.wrapping_add(self.rcv_wnd());
+        let data_end = start.wrapping_add(data.len() as u32);
+        if seq::gt(data_end, wnd_end) {
+            let cut = data_end.wrapping_sub(wnd_end) as usize;
+            data = &data[..data.len().saturating_sub(cut)];
+        }
+        if data.is_empty() {
+            return true;
+        }
+        let skip = start.wrapping_sub(self.rcv_nxt) as usize;
+        let unread = self.readable_len();
+        debug_assert!(
+            unread + skip + data.len() <= RCV_BUF_CAP,
+            "the window trim keeps every received byte within the buffer"
+        );
+        if skip > 0 {
+            return self.hold(skip, data);
+        }
+        // In order: over the held bytes at its place, then past them.
+        let inside = data.len().min(self.ahead as usize);
+        write_at(&mut self.rcv_buf, unread, &data[..inside]);
+        self.rcv_buf.extend(&data[inside..]);
+        self.release(data.len() as u32);
+        // Then every held range that reaches rcv_nxt, where it sits.
+        while let Some((&s, &e)) = self.ooo.first_key_value() {
+            let at = self.rcv_nxt.wrapping_sub(self.ooo_base);
+            if s > at {
+                break;
+            }
+            self.ooo.pop_first();
+            self.ooo_bytes -= (e - s) as u16;
+            self.release(e.saturating_sub(at));
+        }
+        debug_assert!(!self.ooo.is_empty() || self.ahead == 0);
+        true
+    }
+
+    /// Hold the out-of-order `data`, received `skip` bytes past `rcv_nxt`,
+    /// at its place in `rcv_buf`: the bytes no held range covers yet are
+    /// copied there and join the ranges, so an overlapping part is held
+    /// once. The caps, as RD's: [`MAX_OOO_RANGES`] ranges and one receive
+    /// buffer of bytes.
+    fn hold(&mut self, skip: usize, data: &[u8]) -> bool {
+        if self.ooo.len() >= MAX_OOO_RANGES || self.ooo_bytes as usize + data.len() > RCV_BUF_CAP {
+            return false;
+        }
+        if self.ooo.is_empty() {
+            self.ooo_base = self.rcv_nxt;
+        } else if self.rcv_nxt.wrapping_sub(self.ooo_base) >= 1 << 31 {
+            self.rebase_ooo();
+        }
+        let pos = self.readable_len() + skip;
+        if skip + data.len() > self.ahead as usize {
+            self.rcv_buf.resize(pos + data.len(), 0);
+            self.ahead = (skip + data.len()) as u16;
+        }
+        let s = self.rcv_nxt.wrapping_sub(self.ooo_base) + skip as u32;
+        let e = s + data.len() as u32;
+        // Walk the gaps of [s, e) from the left, skipping what is held.
+        let mut cursor = s;
+        while cursor < e {
+            let around = self.ooo.range(..=cursor).next_back();
+            if let Some((_, &re)) = around.filter(|&(_, &re)| re > cursor) {
+                cursor = re;
+                continue;
+            }
+            let gap_end = self
+                .ooo
+                .range(cursor..)
+                .next()
+                .map_or(e, |(&rs, _)| rs.min(e));
+            let (from, to) = ((cursor - s) as usize, (gap_end - s) as usize);
+            write_at(&mut self.rcv_buf, pos + from, &data[from..to]);
+            merge_range(&mut self.ooo, cursor, gap_end);
+            self.ooo_bytes += (gap_end - cursor) as u16;
+            cursor = gap_end;
+        }
+        true
+    }
+
+    /// Count `ooo`'s offsets from `rcv_nxt` again. Needed only once 2 GiB
+    /// of stream have arrived with some range held throughout, so that
+    /// the offsets never wrap.
+    fn rebase_ooo(&mut self) {
+        let shift = self.rcv_nxt.wrapping_sub(self.ooo_base);
+        self.ooo = std::mem::take(&mut self.ooo)
+            .into_iter()
+            .map(|(s, e)| (s - shift, e - shift))
+            .collect();
+        self.ooo_base = self.rcv_nxt;
+    }
+
+    /// The `n` bytes at `rcv_nxt`, already in place, join the unread ones.
+    fn release(&mut self, n: u32) {
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(n);
+        self.ahead = (self.ahead as u32).saturating_sub(n) as u16;
+    }
+
+    /// Drain the in-order bytes into one exactly-sized `Vec`, one `memcpy`
+    /// per half of the ring; what is held past them stays where it sits.
+    pub(crate) fn read(&mut self) -> Vec<u8> {
+        let n = self.readable_len();
+        let (front, back) = self.rcv_buf.as_slices();
+        let k = n.min(front.len());
+        let out = [&front[..k], &back[..n - k]].concat();
+        self.rcv_buf.drain(..n);
+        out
     }
 
     /// The `n` send-buffer bytes starting `offset` bytes in (a segment's
@@ -228,9 +380,15 @@ impl Pcb {
     }
 
     /// Bytes held across this connection's buffers: unacked and unsent
-    /// data, unread data, and out-of-order segments awaiting the gap.
+    /// data, unread data, and out-of-order bytes awaiting the gap. The
+    /// zero-filled holes between the last are not counted: the window
+    /// keeps all of `rcv_buf` within [`RCV_BUF_CAP`].
     pub(crate) fn buffered_bytes(&self) -> usize {
-        self.snd_buf.len() + self.rcv_buf.len() + self.ooo.values().map(|d| d.len()).sum::<usize>()
+        debug_assert_eq!(
+            self.ooo_bytes as u32,
+            self.ooo.iter().map(|(&s, &e)| e - s).sum::<u32>()
+        );
+        self.snd_buf.len() + self.readable_len() + self.ooo_bytes as usize
     }
 
     /// Bytes in flight.
@@ -280,6 +438,32 @@ impl Pcb {
     pub fn oldest_unacked_age(&self, now: Time) -> Option<Dur> {
         self.una_since.map(|t| now.since(t))
     }
+}
+
+/// Copy `data` into `buf` from `at` on, across the ring's wrap point.
+fn write_at(buf: &mut VecDeque<u8>, at: usize, data: &[u8]) {
+    let (front, back) = buf.as_mut_slices();
+    if at < front.len() {
+        let k = data.len().min(front.len() - at);
+        front[at..at + k].copy_from_slice(&data[..k]);
+        back[..data.len() - k].copy_from_slice(&data[k..]);
+    } else {
+        back[at - front.len()..][..data.len()].copy_from_slice(data);
+    }
+}
+
+/// Add `[s, e)` to the disjoint range set, absorbing every range it
+/// overlaps or touches: they sit at the back of `..=e`, nearest first.
+fn merge_range(ooo: &mut BTreeMap<u32, u32>, mut s: u32, mut e: u32) {
+    while let Some((&rs, &re)) = ooo.range(..=e).next_back() {
+        if re < s {
+            break;
+        }
+        ooo.remove(&rs);
+        s = s.min(rs);
+        e = e.max(re);
+    }
+    ooo.insert(s, e);
 }
 
 #[cfg(test)]

@@ -53,7 +53,8 @@ pub struct TcpStats {
     /// Retransmission timeouts F-RTO classified as spurious (the original
     /// flight was still arriving; the go-back-N replay was cancelled).
     pub spurious_rtos: u64,
-    /// Out-of-order payload bytes discarded at the reassembly byte cap.
+    /// Out-of-order segments refused at the reassembly caps (ranges or
+    /// bytes held).
     pub ooo_overflow_drops: u64,
     /// Inbound flows refused because the connection table was full.
     pub conn_table_full_drops: u64,
@@ -1088,51 +1089,12 @@ impl TcpStack {
             self.log.borrow_mut().read(site!(RD, "rcv_nxt"));
             self.log.borrow_mut().write(site!(RD, "rcv_buf"));
             self.log.borrow_mut().write(site!(RD, "ooo"));
-            let mut data = payload;
-            let mut start = seg.seq;
-            // Trim anything before rcv_nxt.
-            if seq::lt(start, pcb.rcv_nxt) {
-                let skip = pcb.rcv_nxt.wrapping_sub(start) as usize;
-                data = data.get(skip..).unwrap_or_default();
-                start = pcb.rcv_nxt;
-            }
-            // Trim anything beyond our window.
-            let wnd_end = pcb.rcv_nxt.wrapping_add(pcb.rcv_wnd());
-            let data_end = start.wrapping_add(data.len() as u32);
-            if seq::gt(data_end, wnd_end) {
-                let cut = data_end.wrapping_sub(wnd_end) as usize;
-                data = &data[..data.len().saturating_sub(cut)];
-            }
-            if !data.is_empty() {
-                if start == pcb.rcv_nxt {
-                    // In order: from the frame straight into the buffer.
-                    pcb.rcv_nxt = pcb.rcv_nxt.wrapping_add(data.len() as u32);
-                    pcb.rcv_buf.extend(data);
-                    // Drain contiguous out-of-order segments.
-                    while let Some((&s, _)) = pcb.ooo.iter().next() {
-                        if seq::gt(s, pcb.rcv_nxt) {
-                            break;
-                        }
-                        let (s, d) = pcb.ooo.pop_first().unwrap();
-                        let skip = pcb.rcv_nxt.wrapping_sub(s) as usize;
-                        if skip < d.len() {
-                            pcb.rcv_nxt = pcb.rcv_nxt.wrapping_add((d.len() - skip) as u32);
-                            pcb.rcv_buf.extend(&d[skip..]);
-                        }
-                    }
-                } else {
-                    // Out-of-order hold is capped in entries AND bytes: a
-                    // peer (or injector) spraying the window can cost at
-                    // most one receive buffer of memory; beyond that the
-                    // data is dropped and must be retransmitted in order.
-                    // What is held is copied once, into a `Vec` of its size.
-                    let held: usize = pcb.ooo.values().map(|d| d.len()).sum();
-                    if pcb.ooo.len() < 256 && held + data.len() <= RCV_BUF_CAP {
-                        pcb.ooo.insert(start, data.to_vec());
-                    } else {
-                        self.stats.ooo_overflow_drops += 1;
-                    }
-                }
+            // Out-of-order hold is capped in ranges AND bytes: a peer (or
+            // injector) spraying the window can cost at most one receive
+            // buffer of memory; beyond that the data is dropped and must
+            // be retransmitted in order.
+            if !pcb.take_payload(seg.seq, payload) {
+                self.stats.ooo_overflow_drops += 1;
             }
             pcb.ack_pending = true;
         }
@@ -1269,10 +1231,7 @@ impl HostStack for TcpStack {
         let Some(pcb) = self.conns.get_mut(&tuple) else { return Vec::new() };
         self.log.borrow_mut().read(site!(RD, "rcv_buf"));
         self.log.borrow_mut().write(site!(FC, "rcv_wnd"));
-        // One exactly-sized `Vec`, one `memcpy` per half of the ring.
-        let (front, back) = pcb.rcv_buf.as_slices();
-        let out = [front, back].concat();
-        pcb.rcv_buf.clear();
+        let out = pcb.read();
         // The window just opened; let the peer know — unless its FIN
         // already arrived: no more data can come, and the gratuitous
         // update would poke a peer whose TCB may already be deleted.
@@ -1352,7 +1311,7 @@ impl HostStack for TcpStack {
 
     /// In-order received bytes available to `recv` without draining them.
     fn readable_len(&self, tuple: FourTuple) -> usize {
-        self.conns.get(&tuple).map_or(0, |p| p.rcv_buf.len())
+        self.conns.get(&tuple).map_or(0, Pcb::readable_len)
     }
 
     /// How many bytes `send` would accept right now (0 once the stream is

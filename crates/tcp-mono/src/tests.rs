@@ -195,12 +195,23 @@ fn ancient_blind_ack_dropped_silently() {
 /// `src` and return the established tuple (for the pressure tests, which
 /// need exact control over segment timing).
 fn standalone_accept(s: &mut TcpStack, now: Time, src: Endpoint) -> FourTuple {
+    standalone_accept_at(s, now, src, 100)
+}
+
+/// [`standalone_accept`] from a peer whose initial sequence number is
+/// `isn`.
+pub(crate) fn standalone_accept_at(
+    s: &mut TcpStack,
+    now: Time,
+    src: Endpoint,
+    isn: u32,
+) -> FourTuple {
     use crate::wire::{Segment, ACK, SYN};
     use netsim::Stack;
     let syn = Segment {
         src,
         dst: Endpoint::new(B, 80),
-        seq: 100,
+        seq: isn,
         ack: 0,
         flags: SYN,
         wnd: 8000,
@@ -219,7 +230,7 @@ fn standalone_accept(s: &mut TcpStack, now: Time, src: Endpoint) -> FourTuple {
     let ack = Segment {
         src,
         dst: Endpoint::new(B, 80),
-        seq: 101,
+        seq: isn.wrapping_add(1),
         ack: iss.wrapping_add(1),
         flags: ACK,
         wnd: 8000,
@@ -355,7 +366,13 @@ fn paced_ack_is_held_then_flushed_at_deadline() {
 // must read the data beside it instead.
 
 /// A segment from `tuple`'s peer: `payload` at `seq`, acking `ack`.
-fn from_peer(tuple: FourTuple, seq: u32, ack: u32, flags: u8, payload: Vec<u8>) -> crate::wire::Segment {
+pub(crate) fn from_peer(
+    tuple: FourTuple,
+    seq: u32,
+    ack: u32,
+    flags: u8,
+    payload: Vec<u8>,
+) -> crate::wire::Segment {
     crate::wire::Segment {
         src: tuple.remote,
         dst: tuple.local,
@@ -369,7 +386,7 @@ fn from_peer(tuple: FourTuple, seq: u32, ack: u32, flags: u8, payload: Vec<u8>) 
 }
 
 /// Everything `s` has queued, decoded.
-fn drain_segments(s: &mut TcpStack, now: Time) -> Vec<crate::wire::Segment> {
+pub(crate) fn drain_segments(s: &mut TcpStack, now: Time) -> Vec<crate::wire::Segment> {
     use netsim::Stack;
     std::iter::from_fn(|| s.poll_transmit(now))
         .map(|f| crate::wire::Segment::decode(&f).unwrap())

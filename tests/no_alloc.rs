@@ -8,10 +8,10 @@
 //! both stacks, driven the way a host drives them (one connection at a
 //! time) and as a `Stack` (its schedule awake).
 //!
-//! In the sublayered stack an out-of-order segment, one overlapping a
-//! parked range, a duplicate and the one that fills the hole allocate
-//! only their ack too: the payload goes to its place in OSR's read
-//! buffer. On the way down, a write copies its bytes into the slab of the
+//! In either stack an out-of-order segment, one overlapping a held
+//! range, a duplicate and the one that fills the hole allocate only their
+//! ack too: the payload goes to its place in the read buffer (OSR's, or
+//! the monolith's receive ring). In the sublayered stack, on the way down, a write copies its bytes into the slab of the
 //! write before once no view of that is left, so a write that follows its
 //! predecessor's ack allocates nothing but its frames, and one made while
 //! that slab is still in flight allocates one slab; a segment cut across
@@ -19,12 +19,13 @@
 //! watches this test's thread.
 
 use netsim::{HostStack, Stack, Time};
+use slwire::rfc793::Segment;
 use slwire::{Endpoint, FourTuple};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use sublayer_core::osr::MSS;
 use sublayer_core::{ConnId, Osr, Packet, SlConfig, SlTcpStack};
-use tcp_mono::TcpStack;
+use tcp_mono::{TcpStack, DEFAULT_MSS};
 
 thread_local! {
     // `const`-initialised and without a destructor, so reading it inside
@@ -187,28 +188,8 @@ fn in_order_round_trip<H: HostStack>(new: fn(u32) -> H) {
     }
 }
 
-mod sub {
-    use super::*;
-
-    #[test]
-    fn an_in_order_segment_allocates_only_its_ack_a_data_frame_only_itself_and_a_read_only_its_vec()
-    {
-        in_order_round_trip(|addr| SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared()));
-    }
-}
-
-mod mono {
-    use super::*;
-
-    #[test]
-    fn an_in_order_segment_allocates_only_its_ack_a_data_frame_only_itself_and_a_read_only_its_vec()
-    {
-        in_order_round_trip(|addr| TcpStack::new(addr, slmetrics::shared()));
-    }
-}
-
 /// A frame carrying the second half of data segment `a` and the first half
-/// of `b`, the segment after it.
+/// of `b`, the segment after it, as the sublayered stack frames it.
 fn straddle(a: &[u8], b: &[u8]) -> Vec<u8> {
     let (a, b) = (Packet::decode(a).unwrap(), Packet::decode(b).unwrap());
     let half = a.payload.len() / 2;
@@ -218,16 +199,35 @@ fn straddle(a: &[u8], b: &[u8]) -> Vec<u8> {
     pkt.encode()
 }
 
-#[test]
-fn an_out_of_order_segment_allocates_only_its_ack_whatever_it_overlaps() {
+/// [`straddle`], as the monolith frames it (RFC 793).
+fn straddle_rfc793(a: &[u8], b: &[u8]) -> Vec<u8> {
+    let (a, b) = (Segment::decode(a).unwrap(), Segment::decode(b).unwrap());
+    let half = a.payload.len() / 2;
+    let mut seg = a.clone();
+    seg.seq = a.seq.wrapping_add(half as u32);
+    seg.payload = [&a.payload[half..], &b.payload[..half]].concat();
+    seg.encode()
+}
+
+/// Once warm, an out-of-order segment, one overlapping a held range, a
+/// duplicate, an in-order one short of the hole and the one that fills it
+/// each cost `on_frame` one allocation (its ack), and the read that
+/// drains them one (its `Vec`): the payload goes to its place in the read
+/// buffer. `mss` is the stack's segment size, `straddle` frames half of
+/// one data segment and half of the next as one.
+fn out_of_order_round_trip<H: HostStack>(
+    new: fn(u32) -> H,
+    mss: usize,
+    straddle: fn(&[u8], &[u8]) -> Vec<u8>,
+) {
     // A fixed window, which the dup acks below do not cut: every round's
     // four segments go out at once.
-    let (mut client, mut server, cid, sid) = established("fixed-window");
+    let (mut client, mut server, cid, sid) = established_by(pumped, new(CLIENT), new(SERVER));
     // Each round sends four segments and delivers them shuffled: the
-    // first rounds size every buffer on the path (the read buffer, RD's
-    // range map, OSR's parked list, the outbox), the last one is counted.
+    // first rounds size every buffer on the path (the read buffer, the
+    // range maps, the outbox), the last one is counted.
     for round in 0..8u8 {
-        let data: Vec<u8> = (0..4 * MSS).map(|i| round ^ i as u8).collect();
+        let data: Vec<u8> = (0..4 * mss).map(|i| round ^ i as u8).collect();
         assert_eq!(client.send(cid, &data), data.len());
         let sent = frames(&mut client, cid);
         let [s0, s1, s2, s3] = &sent[..] else {
@@ -236,7 +236,7 @@ fn an_out_of_order_segment_allocates_only_its_ack_whatever_it_overlaps() {
         let overlap = straddle(s1, s2);
         let script: [(&str, &[u8]); 6] = [
             ("out of order", s2),
-            ("overlapping a parked range", &overlap),
+            ("overlapping a held range", &overlap),
             ("a duplicate", s2),
             ("in order, short of the hole", s0),
             ("filling the hole", s1),
@@ -257,6 +257,50 @@ fn an_out_of_order_segment_allocates_only_its_ack_whatever_it_overlaps() {
             assert_eq!(recv, 1, "recv: the returned Vec, and nothing else");
         }
         shuttle(&mut client, &mut server, cid, sid);
+    }
+}
+
+mod sub {
+    use super::*;
+
+    #[test]
+    fn an_in_order_segment_allocates_only_its_ack_a_data_frame_only_itself_and_a_read_only_its_vec()
+    {
+        in_order_round_trip(|addr| SlTcpStack::new(addr, SlConfig::default(), slmetrics::shared()));
+    }
+
+    #[test]
+    fn an_out_of_order_segment_allocates_only_its_ack_whatever_it_overlaps() {
+        out_of_order_round_trip(
+            |addr| {
+                let config = SlConfig {
+                    cc: "fixed-window",
+                    ..SlConfig::default()
+                };
+                SlTcpStack::new(addr, config, slmetrics::shared())
+            },
+            MSS,
+            straddle,
+        );
+    }
+}
+
+mod mono {
+    use super::*;
+
+    #[test]
+    fn an_in_order_segment_allocates_only_its_ack_a_data_frame_only_itself_and_a_read_only_its_vec()
+    {
+        in_order_round_trip(|addr| TcpStack::new(addr, slmetrics::shared()));
+    }
+
+    #[test]
+    fn an_out_of_order_segment_allocates_only_its_ack_whatever_it_overlaps() {
+        out_of_order_round_trip(
+            |addr| TcpStack::with_cc(addr, "fixed-window", slmetrics::shared()).unwrap(),
+            DEFAULT_MSS as usize,
+            straddle_rfc793,
+        );
     }
 }
 
